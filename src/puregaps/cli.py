@@ -13,8 +13,14 @@ import json
 import sys
 from dataclasses import asdict
 
-from .engine import assemble_pure_gaps, decompose
-from .errors import ConsistencyError, ValidationError
+from .engine import (
+    box_components,
+    decompose,
+    merge_box,
+    walk_translates,
+    weighted_size,
+)
+from .errors import CardinalityMismatchError, ConsistencyError, ValidationError
 from .gammafile import dump_gamma, load_gamma
 from .gk import gk_generating_set
 from .harness import (
@@ -49,17 +55,48 @@ def _emit_summary(report, fmt, out):
         print(f"detail\t{report.detail}", file=out)
 
 
-def _emit_points(points, fmt, out):
+#: Points gathered before each write of a streamed listing.
+_CHUNK_POINTS = 1 << 16
+
+
+def _stream_pure_gaps(boxed, verify, fmt, out):
+    """Write G0 in lexicographic order, one line ``a<TAB>b`` per point or
+    one JSON array of pairs.
+
+    Streams the runs of :func:`walk_translates` from the per-box merged
+    sets in chunks, so memory is bounded by the per-box sets, not by
+    ``|G0|``.  The number of points written must equal the weighted
+    per-box sum.
+    """
+    per_box_union = {k: merge_box(k, box_components(boxed, k, verify=verify))
+                     for k in range(boxed.kmax)}
+    expected = weighted_size(per_box_union)
     if fmt == "json":
+        opener, mid, closer, sep = "[", ",", "]", ","
         out.write("[")
-        for idx, (a, b) in enumerate(points):
-            if idx:
-                out.write(",")
-            out.write(f"[{a},{b}]")
+    else:
+        opener, mid, closer, sep = "", "\t", "\n", ""
+    pieces = []
+    pending = written = 0
+    gap = ""
+    for a, bs, shift in walk_translates(per_box_union, boxed.period):
+        lead = f"{opener}{a}{mid}"
+        values = map(str, map(shift.__add__, bs) if shift else bs)
+        pieces.append(gap + lead + (closer + sep + lead).join(values) + closer)
+        gap = sep
+        pending += len(bs)
+        if pending >= _CHUNK_POINTS:
+            out.write("".join(pieces))
+            pieces.clear()
+            written += pending
+            pending = 0
+    out.write("".join(pieces))
+    written += pending
+    if fmt == "json":
         out.write("]\n")
-        return
-    for a, b in points:
-        print(f"{a}\t{b}", file=out)
+    if written != expected:
+        raise CardinalityMismatchError(
+            f"wrote {written} pure gaps but weighted per-box sum is {expected}")
 
 
 def _emit_gamma(gamma, fmt, out):
@@ -79,8 +116,7 @@ def _emit_family(args, family, params, make_gamma):
     elif args.emit == "gamma":
         _emit_gamma(make_gamma(), args.format, out)
     else:
-        result = assemble_pure_gaps(decompose(make_gamma()))
-        _emit_points(result.g0, args.format, out)
+        _stream_pure_gaps(decompose(make_gamma()), False, args.format, out)
     return 0
 
 
@@ -103,8 +139,7 @@ def _cmd_generic(args):
     elif args.emit == "gamma":
         _emit_gamma(gamma, args.format, out)
     else:
-        result = assemble_pure_gaps(decompose(gamma), verify=True)
-        _emit_points(result.g0, args.format, out)
+        _stream_pure_gaps(decompose(gamma), True, args.format, out)
     return 0
 
 

@@ -8,6 +8,17 @@ into four components, computed here straight from their defining
 formulas, and the full pure gap set is the disjoint union of the
 translates ``(G_{k,0} + w_j)`` over ``0 <= j <= k``.
 
+Box containment fixes the order of that union.  Every point of
+``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
+(k+1)*period`` and ``0 < b < period``.  Its translate by ``w_j`` therefore
+lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
+:func:`walk_translates` lists the union in lexicographic order without a
+sort: box columns ``i`` ascending; inside a column, first-coordinate
+residues ``r`` ascending; for each residue, ``j`` ascending, giving the
+sorted second coordinates of ``G_{i+j,0}`` at ``a = (i+j)*period + r``
+shifted by ``j*period``.  The walk checks containment of every per-box
+point, which is what makes the translates disjoint.
+
 Bulk results are plain ``(a, b)`` tuples (they compare equal to
 :class:`~puregaps.lattice.LatticePoint`); every result list is sorted
 lexicographically.  Cardinalities and bounds are guarded against the
@@ -120,35 +131,33 @@ def reconstruct_box(boxed: BoxedGamma, i: int, j: int) -> list:
             for a, b in boxed.row(i + j)]
 
 
-def _tail_points(boxed: BoxedGamma, k: int) -> list:
-    """All points of rows strictly above k, in row order."""
-    out = []
-    for k1 in range(k + 1, boxed.kmax):
-        out.extend(boxed.row(k1))
-    return out
-
-
 def compute_g1(boxed: BoxedGamma, k: int) -> list:
     """First component of box (k, 0).
 
     glb(u + w_{k2-k}, v) over u in rows[k2], v in rows[k1] with k1, k2 > k.
-    The size must equal the square of the number of points above row k.
+    The shifted u lies in box (k, 0) and v in a higher row, so the glb is
+    (first coordinate of the shifted u, second coordinate of v): the
+    component is the Cartesian product of the shifted first coordinates
+    and the second coordinates of the points above row k.  Its size must
+    equal the square of the number of those points, so neither factor may
+    repeat a value.
     """
     period = boxed.period
-    tail = _tail_points(boxed, k)
-    out = set()
+    firsts = []
+    seconds = []
     for k2 in range(k + 1, boxed.kmax):
         shift = (k2 - k) * period
-        for ua, ub in boxed.row(k2):
-            ua -= shift
-            ub += shift
-            for va, vb in tail:
-                out.add((ua if ua < va else va, vb if vb < ub else vb))
-    expected = len(tail) * len(tail)
-    if len(out) != expected:
+        for a, b in boxed.row(k2):
+            firsts.append(a - shift)
+            seconds.append(b)
+    distinct = len(set(firsts)) * len(set(seconds))
+    expected = len(firsts) * len(seconds)
+    if distinct != expected:
         raise CardinalityMismatchError(
-            f"|G1_({k},0)| = {len(out)}, formula gives {expected}")
-    return sorted(out)
+            f"|G1_({k},0)| = {distinct}, formula gives {expected}")
+    firsts.sort()
+    seconds.sort()
+    return [(a, b) for a in firsts for b in seconds]
 
 
 def compute_g2(boxed: BoxedGamma, k: int) -> list:
@@ -257,32 +266,102 @@ class PureGapResult:
     homma_kim_bound: int
 
 
-def union_of_translates(per_box_union: dict, period: int) -> tuple:
-    """Union over 0 <= j <= k of (G_{k,0} + w_j); checks disjointness.
+def box_components(boxed: BoxedGamma, k: int, verify: bool = False) -> tuple:
+    """The four components (G1, G2, G3, G4) of box (k, 0)."""
+    return (compute_g1(boxed, k), compute_g2(boxed, k), compute_g3(boxed, k),
+            compute_g4(boxed, k, verify=verify))
 
-    Returns (sorted list, weighted size).  The translates are provably
-    pairwise disjoint, so any duplicate in the concatenation is an
-    internal error.
+
+def merge_box(k: int, components) -> list:
+    """G_{k,0}: the sorted union of the four components of box (k, 0).
+
+    The components are provably pairwise disjoint; an overlap raises.
     """
-    expected = 0
-    alls = []
+    merged = set()
+    for part in components:
+        merged.update(part)
+    if len(merged) != sum(len(part) for part in components):
+        raise DisjointnessViolationError(
+            f"components of box k={k} are not pairwise disjoint")
+    return sorted(merged)
+
+
+def weighted_size(per_box_union: dict) -> int:
+    """|G0| = sum (k+1)|G_{k,0}|, from the per-box sets alone."""
+    return check_int128(sum((k + 1) * len(box)
+                            for k, box in per_box_union.items()))
+
+
+def _residue_runs(per_box_union: dict, period: int) -> dict:
+    """k -> {a - k*period: second coordinates of G_{k,0} at a, ascending}.
+
+    Raises DisjointnessViolationError when a point lies outside its box
+    (k, 0) or a per-box set is not strictly increasing.
+    """
+    runs = {}
     for k, box in per_box_union.items():
-        expected += (k + 1) * len(box)
-        alls.extend(box)
-        for j in range(1, k + 1):
-            shift = j * period
-            alls.extend((a - shift, b + shift) for a, b in box)
-    alls.sort()
-    prev = None
-    for p in alls:
-        if p == prev:
-            raise DisjointnessViolationError(
-                f"translates of the per-box pure gap sets overlap at {p}")
-        prev = p
-    if len(alls) != expected:
+        lo = k * period
+        hi = lo + period
+        by_residue = {}
+        prev = None
+        for point in box:
+            a, b = point
+            if not (lo < a < hi and 0 < b < period):
+                raise DisjointnessViolationError(
+                    f"{point} of G_({k},0) lies outside box ({k}, 0)")
+            if prev is not None and point <= prev:
+                raise DisjointnessViolationError(
+                    f"G_({k},0) is not strictly increasing at {point}")
+            if prev is None or a != prev[0]:
+                bs = by_residue[a - lo] = []
+            bs.append(b)
+            prev = point
+        if by_residue:
+            runs[k] = by_residue
+    return runs
+
+
+def walk_translates(per_box_union: dict, period: int):
+    """Yield the union over 0 <= j <= k of (G_{k,0} + w_j) in runs.
+
+    Each run is ``(a, bs, shift)``: the points ``(a, b + shift)`` for b in
+    the ascending list ``bs``.  Runs come in lexicographic order of their
+    points (see the module docstring), so the concatenation is the sorted
+    pure gap set.  Containment of every per-box point is checked before the
+    first run is yielded.
+    """
+    runs = _residue_runs(per_box_union, period)
+    top = max(runs, default=-1)
+    for i in range(top + 1):
+        column = [(j * period, runs[i + j])
+                  for j in range(top + 1 - i) if i + j in runs]
+        residues = sorted(set().union(*(by_residue for _, by_residue in column)))
+        base = i * period
+        for r in residues:
+            a = base + r
+            for shift, by_residue in column:
+                bs = by_residue.get(r)
+                if bs is not None:
+                    yield a, bs, shift
+
+
+def union_of_translates(per_box_union: dict, period: int) -> tuple:
+    """Union over 0 <= j <= k of (G_{k,0} + w_j) as a sorted list.
+
+    Returns (sorted list, weighted size).  The list is built by
+    :func:`walk_translates`, which checks that every per-box point lies in
+    its box and so that the translates are disjoint; its length must equal
+    the weighted per-box sum.
+    """
+    expected = weighted_size(per_box_union)
+    out = []
+    extend = out.extend
+    for a, bs, shift in walk_translates(per_box_union, period):
+        extend([(a, b + shift) for b in bs])
+    if len(out) != expected:
         raise CardinalityMismatchError(
-            f"|G0| = {len(alls)} but weighted per-box sum is {expected}")
-    return alls, expected
+            f"|G0| = {len(out)} but weighted per-box sum is {expected}")
+    return out, expected
 
 
 def assemble_pure_gaps(boxed: BoxedGamma, verify: bool = False) -> PureGapResult:
@@ -297,22 +376,10 @@ def assemble_pure_gaps(boxed: BoxedGamma, verify: bool = False) -> PureGapResult
     per_box = {}
     union_by_box = {}
     for k in range(boxed.kmax):
-        g1 = compute_g1(boxed, k)
-        g2 = compute_g2(boxed, k)
-        g3 = compute_g3(boxed, k)
-        g4 = compute_g4(boxed, k, verify=verify)
-        per_box[k] = (g1, g2, g3, g4)
-        merged = set(g1)
-        merged.update(g2)
-        merged.update(g3)
-        merged.update(g4)
-        if len(merged) != len(g1) + len(g2) + len(g3) + len(g4):
-            raise DisjointnessViolationError(
-                f"components of box k={k} are not pairwise disjoint")
-        union_by_box[k] = sorted(merged)
+        per_box[k] = box_components(boxed, k, verify=verify)
+        union_by_box[k] = merge_box(k, per_box[k])
 
     g0, cardinality = union_of_translates(union_by_box, boxed.period)
-    check_int128(cardinality)
     bnd = bounds(boxed)
     return PureGapResult(g0=g0, per_box=per_box, cardinality=cardinality,
                          lower_bound=bnd.lower, upper_bound=bnd.upper,

@@ -33,6 +33,11 @@ class CoordinateDivisibleByPeriodError(ValidationError):
     generating set."""
 
 
+class GapBeyondGenusBoundError(ValidationError):
+    """A coordinate exceeds 2g - 1, the largest possible gap at a place of
+    genus g; the box decomposition assumes every gap lies below it."""
+
+
 class PeriodPropertyViolationError(ValidationError):
     """The period displacement law fails for some point and shift count."""
 

@@ -26,11 +26,11 @@ from .engine import (
     compute_g2,
     compute_g3,
     compute_g4,
+    merge_box,
     union_of_translates,
 )
 from .errors import (
     ClosedFormMismatchError,
-    DisjointnessViolationError,
     DivisibilityViolationError,
     GenericMismatchError,
     IndexOutOfRangeError,
@@ -256,19 +256,9 @@ def gk_pure_gaps(q: int) -> PureGapResult:
     per_box = {}
     union_by_box = {}
     for k in range(q * q - 1):
-        g1 = gk_g1(q, k)
-        g2 = gk_g2(q, k)
-        g3 = gk_g3(q, k)
-        g4 = gk_g4(q, k)
-        per_box[k] = (g1, g2, g3, g4)
-        merged = set(g1)
-        merged.update(g2)
-        merged.update(g3)
-        merged.update(g4)
-        if len(merged) != len(g1) + len(g2) + len(g3) + len(g4):
-            raise DisjointnessViolationError(
-                f"explicit components of box k={k} overlap at q={q}")
-        union_by_box[k] = sorted(merged)
+        per_box[k] = (gk_g1(q, k), gk_g2(q, k),
+                      gk_g3(q, k), gk_g4(q, k))
+        union_by_box[k] = merge_box(k, per_box[k])
 
     g0, cardinality = union_of_translates(union_by_box, params.period)
     expected = gk_card_g0(q)

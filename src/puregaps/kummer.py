@@ -21,11 +21,11 @@ from .engine import (
     compute_g2,
     compute_g3,
     compute_g4,
+    merge_box,
     union_of_translates,
 )
 from .errors import (
     ClosedFormMismatchError,
-    DisjointnessViolationError,
     DivisibilityViolationError,
     GenericMismatchError,
     InvalidParamsError,
@@ -213,19 +213,9 @@ def kummer_pure_gaps(m: int, r: int) -> PureGapResult:
     per_box = {}
     union_by_box = {}
     for k in range(params.top_box + 1):
-        g1 = kummer_g1(m, r, k)
-        g2 = kummer_g2(m, r, k)
-        g3 = kummer_g3(m, r, k)
-        g4 = kummer_g4(m, r, k)
-        per_box[k] = (g1, g2, g3, g4)
-        merged = set(g1)
-        merged.update(g2)
-        merged.update(g3)
-        merged.update(g4)
-        if len(merged) != len(g1) + len(g2) + len(g3) + len(g4):
-            raise DisjointnessViolationError(
-                f"explicit components of box k={k} overlap at (m, r)=({m}, {r})")
-        union_by_box[k] = sorted(merged)
+        per_box[k] = (kummer_g1(m, r, k), kummer_g2(m, r, k),
+                      kummer_g3(m, r, k), kummer_g4(m, r, k))
+        union_by_box[k] = merge_box(k, per_box[k])
 
     g0, cardinality = union_of_translates(union_by_box, m)
     expected = kummer_card_g0(m, r)

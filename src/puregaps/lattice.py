@@ -23,6 +23,7 @@ from .errors import (
     CoordinateDivisibleByPeriodError,
     DuplicateFirstCoordinateError,
     DuplicateSecondCoordinateError,
+    GapBeyondGenusBoundError,
     InvalidParamsError,
     PeriodPropertyViolationError,
     ZeroOrNegativeCoordinateError,
@@ -105,9 +106,10 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     ``points`` is any iterable of pairs.  Checks, in order: the period is
     positive; all coordinates are strictly positive and inside the 64-bit
     range; no coordinate is a multiple of the period; coordinates are
-    pairwise distinct within each projection; and the period displacement
-    law holds in both directions for every point and every shift count.
-    An empty set is valid with any period (genus zero).
+    pairwise distinct within each projection; and, for every point, the
+    period displacement law holds in both directions for every shift count
+    and both coordinates are at most ``2g - 1``, the largest gap of a place
+    of genus ``g``.  An empty set is valid with any period (genus zero).
     """
     if period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -138,6 +140,7 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
 
     if pts:
         amax = pts[-1][0]
+        top = 2 * len(pts) - 1
         for a, b in pts:
             k = 1
             while True:
@@ -160,5 +163,9 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
                             f"first coordinate since {k}*{period} >= {b}",
                             beta=a, k=k)
                 k += 1
+            if a > top or b > top:
+                raise GapBeyondGenusBoundError(
+                    f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
+                    f"genus {len(pts)}")
 
     return GeneratingSet(points=tuple(pts), period=period)

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from puregaps.cli import main
+from puregaps.kummer import kummer_generating_set
+from puregaps.oracle import pure_gaps_direct
 
 import expected_gk2 as gk2
 
@@ -128,6 +130,53 @@ class TestGeneric:
                                str(tmp_path / "none.gamma"))
         assert code == 2
         assert err
+
+
+    def test_gap_beyond_genus_bound_exit_2(self, capsys, tmp_path):
+        # passes the period law, but 16 > 2g-1 = 7 puts a point in a box
+        # the decomposition does not have
+        path = tmp_path / "beyond.gamma"
+        path.write_text("period 5\n3\t16\n8\t11\n13\t6\n18\t1\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "generic", "--input", str(path),
+                                 "--emit", "puregaps")
+        assert code == 2
+        assert out == ""
+        assert "GapBeyondGenusBound" in err
+
+
+class TestStream:
+    """``--emit puregaps`` streams in chunks; the bytes must not depend on
+    where the chunks end."""
+
+    @pytest.fixture(scope="class")
+    def kummer_41_60_direct(self):
+        direct = pure_gaps_direct(kummer_generating_set(41, 60))
+        assert len(direct) == 478960
+        return direct
+
+    def test_kummer_tsv_matches_oracle(self, capsys, kummer_41_60_direct):
+        code, out, _ = run_cli(capsys, "kummer", "--m", "41", "--r", "60",
+                               "--emit", "puregaps")
+        assert code == 0
+        assert out == "".join(f"{a}\t{b}\n" for a, b in kummer_41_60_direct)
+
+    def test_kummer_json_matches_oracle(self, capsys, kummer_41_60_direct):
+        code, out, _ = run_cli(capsys, "kummer", "--m", "41", "--r", "60",
+                               "--emit", "puregaps", "--format", "json")
+        assert code == 0
+        assert out == "[" + ",".join(
+            f"[{a},{b}]" for a, b in kummer_41_60_direct) + "]\n"
+
+    def test_empty_g0(self, capsys, tmp_path):
+        path = tmp_path / "empty.gamma"
+        path.write_text("period 1\n", encoding="utf-8")
+        code, tsv, _ = run_cli(capsys, "generic", "--input", str(path),
+                               "--emit", "puregaps")
+        assert (code, tsv) == (0, "")
+        code, js, _ = run_cli(capsys, "generic", "--input", str(path),
+                              "--emit", "puregaps", "--format", "json")
+        assert (code, js) == (0, "[]\n")
 
 
 class TestVerify:

@@ -190,3 +190,10 @@ def test_union_of_translates_weighted_count():
     union, count = union_of_translates({0: [(1, 1)], 1: [(10, 2), (11, 3)]}, 9)
     assert count == 1 + 2 * 2
     assert union == [(1, 1), (1, 11), (2, 12), (10, 2), (11, 3)]
+
+
+def test_union_of_translates_point_outside_box_in_b_only():
+    # (1, 9) has its first coordinate inside box (0, 0) but b = period;
+    # no two translates overlap, so only the containment check sees it
+    with pytest.raises(DisjointnessViolationError):
+        union_of_translates({0: [(1, 9)], 1: [(10, 2)]}, 9)

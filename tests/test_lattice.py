@@ -6,6 +6,7 @@ from puregaps.errors import (
     CoordinateDivisibleByPeriodError,
     DuplicateFirstCoordinateError,
     DuplicateSecondCoordinateError,
+    GapBeyondGenusBoundError,
     InvalidParamsError,
     PeriodPropertyViolationError,
     ZeroOrNegativeCoordinateError,
@@ -136,6 +137,11 @@ class TestValidateGeneratingSet:
             validate_generating_set([(9, 2)], 9)
         with pytest.raises(CoordinateDivisibleByPeriodError):
             validate_generating_set([(2, 18)], 9)
+
+    def test_gap_beyond_genus_bound(self):
+        # satisfies the period law, yet 16 and 11 exceed 2g-1 = 7
+        with pytest.raises(GapBeyondGenusBoundError):
+            validate_generating_set([(3, 16), (8, 11), (13, 6), (18, 1)], 5)
 
     def test_bad_period(self):
         with pytest.raises(InvalidParamsError):
