@@ -15,8 +15,6 @@ from .engine import (
     compute_g3,
     compute_g4,
     decompose,
-    reconstruct_box,
-    w_vector,
 )
 from .errors import (
     ConsistencyError,

@@ -22,15 +22,15 @@ from .engine import (
 )
 from .errors import CardinalityMismatchError, ConsistencyError, ValidationError
 from .gammafile import dump_gamma, load_gamma
-from .gk import gk_generating_set
 from .harness import (
+    FAMILIES,
     bench_family,
     build_verify_points,
+    call_family,
     map_points,
     summarize_family,
     summarize_generic,
 )
-from .kummer import kummer_generating_set
 
 
 def _emit_summary(report, fmt, out):
@@ -108,34 +108,31 @@ def _emit_gamma(gamma, fmt, out):
     out.write(dump_gamma(gamma))
 
 
-def _emit_family(args, family, params, make_gamma):
+def _family_params(args, family):
+    """The family's parameters from the parsed flags, in table order."""
+    return {name: getattr(args, name) for name in FAMILIES[family][1]}
+
+
+def _cmd_family(args):
+    family = args.command
+    params = _family_params(args, family)
     out = sys.stdout
     if args.emit == "summary":
-        report, _, _ = summarize_family(family, params)
-        _emit_summary(report, args.format, out)
-    elif args.emit == "gamma":
-        _emit_gamma(make_gamma(), args.format, out)
+        _emit_summary(summarize_family(family, params), args.format, out)
+        return 0
+    gamma = call_family(family, "{}_generating_set", params)
+    if args.emit == "gamma":
+        _emit_gamma(gamma, args.format, out)
     else:
-        _stream_pure_gaps(decompose(make_gamma()), False, args.format, out)
+        _stream_pure_gaps(decompose(gamma), False, args.format, out)
     return 0
-
-
-def _cmd_gk(args):
-    return _emit_family(args, "gk", {"q": args.q},
-                        lambda: gk_generating_set(args.q))
-
-
-def _cmd_kummer(args):
-    return _emit_family(args, "kummer", {"m": args.m, "r": args.r},
-                        lambda: kummer_generating_set(args.m, args.r))
 
 
 def _cmd_generic(args):
     out = sys.stdout
     gamma = load_gamma(args.input)
     if args.emit == "summary":
-        report, _, _ = summarize_generic(gamma, args.input)
-        _emit_summary(report, args.format, out)
+        _emit_summary(summarize_generic(gamma, args.input), args.format, out)
     elif args.emit == "gamma":
         _emit_gamma(gamma, args.format, out)
     else:
@@ -176,17 +173,12 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
-    if args.family == "gk":
-        if args.q is None:
-            print("bench --family gk requires --q", file=sys.stderr)
-            return 2
-        params = {"q": args.q}
-    else:
-        if args.m is None or args.r is None:
-            print("bench --family kummer requires --m and --r",
-                  file=sys.stderr)
-            return 2
-        params = {"m": args.m, "r": args.r}
+    params = _family_params(args, args.family)
+    if None in params.values():
+        flags = " and ".join(f"--{name}" for name in params)
+        print(f"bench --family {args.family} requires {flags}",
+              file=sys.stderr)
+        return 2
     rows = bench_family(args.family, params)
     out = sys.stdout
     if args.format == "json":
@@ -217,13 +209,13 @@ def _build_parser():
     p_gk = sub.add_parser("gk", help="GK family at parameter q")
     p_gk.add_argument("--q", type=int, required=True)
     _add_emit_flags(p_gk)
-    p_gk.set_defaults(func=_cmd_gk)
+    p_gk.set_defaults(func=_cmd_family)
 
     p_ku = sub.add_parser("kummer", help="Kummer family at parameters m, r")
     p_ku.add_argument("--m", type=int, required=True)
     p_ku.add_argument("--r", type=int, required=True)
     _add_emit_flags(p_ku)
-    p_ku.set_defaults(func=_cmd_kummer)
+    p_ku.set_defaults(func=_cmd_family)
 
     p_ge = sub.add_parser("generic", help="generating set from a file")
     p_ge.add_argument("--input", required=True,
@@ -243,7 +235,7 @@ def _build_parser():
     p_ve.set_defaults(func=_cmd_verify)
 
     p_be = sub.add_parser("bench", help="time both methods, assert equality")
-    p_be.add_argument("--family", choices=("gk", "kummer"), required=True)
+    p_be.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p_be.add_argument("--q", type=int)
     p_be.add_argument("--m", type=int)
     p_be.add_argument("--r", type=int)

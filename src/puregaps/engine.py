@@ -19,6 +19,10 @@ sorted second coordinates of ``G_{i+j,0}`` at ``a = (i+j)*period + r``
 shifted by ``j*period``.  The walk checks containment of every per-box
 point, which is what makes the translates disjoint.
 
+:func:`assemble` is the only assembly path, for the engine's components
+and a closed-form family's alike; :func:`check_components` is the only
+cross-check of a family's explicit boxes and components against the engine.
+
 Bulk results are plain ``(a, b)`` tuples (they compare equal to
 :class:`~puregaps.lattice.LatticePoint`); every result list is sorted
 lexicographically.  Cardinalities and bounds are guarded against the
@@ -35,10 +39,10 @@ from .errors import (
     CardinalityMismatchError,
     DiagonalReflectionMismatchError,
     DisjointnessViolationError,
+    GenericMismatchError,
     GenusIdentityViolationError,
-    InvalidParamsError,
 )
-from .lattice import GeneratingSet, LatticePoint
+from .lattice import GeneratingSet
 
 #: Cardinalities and bounds must stay within 128-bit signed range.
 INT128_MAX = 2**127 - 1
@@ -52,19 +56,6 @@ def check_int128(value: int) -> int:
         raise OverflowError(
             f"value {value} exceeds the supported 128-bit range")
     return value
-
-
-def w_vector(j: int, period: int) -> tuple:
-    """Translation vector w_j = (-j*period, j*period)."""
-    return (-j * period, j * period)
-
-
-def translate(points, j: int, period: int) -> list:
-    """Translate points by w_j, preserving lexicographic order."""
-    shift = j * period
-    if shift == 0:
-        return list(points)
-    return [(a - shift, b + shift) for a, b in points]
 
 
 @dataclass(frozen=True)
@@ -121,14 +112,6 @@ def decompose(gamma: GeneratingSet) -> BoxedGamma:
                    for k, row in frozen.items() for a, b in row)
     return BoxedGamma(rows=frozen, period=period, genus=g, kmax=kmax,
                       diagonal=diagonal)
-
-
-def reconstruct_box(boxed: BoxedGamma, i: int, j: int) -> list:
-    """Box (i, j) of the generating set: rows[i+j] translated by w_j."""
-    if i < 0 or j < 0:
-        raise InvalidParamsError(f"box indices must be nonnegative, got ({i}, {j})")
-    return [LatticePoint(a - j * boxed.period, b + j * boxed.period)
-            for a, b in boxed.row(i + j)]
 
 
 def compute_g1(boxed: BoxedGamma, k: int) -> list:
@@ -364,23 +347,48 @@ def union_of_translates(per_box_union: dict, period: int) -> tuple:
     return out, expected
 
 
-def assemble_pure_gaps(boxed: BoxedGamma, verify: bool = False) -> PureGapResult:
-    """Assemble the full pure gap set from the row-zero boxes.
+def assemble(per_box: dict, period: int, bnd: Bounds) -> PureGapResult:
+    """Assemble the full pure gap set from per-box components.
 
-    Computes the four components of every box ``(k, 0)``, checks that they
-    are pairwise disjoint, forms the union of all translates and checks
-    both the translate disjointness and the cardinality identity
-    ``|G0| = sum (k+1)|G_{k,0}|``.  ``verify=True`` additionally runs the
-    general fourth-component formula against its fast path.
+    ``per_box`` maps each box index k to the four components of box
+    ``(k, 0)``.  Each box's components must be pairwise disjoint; the
+    union of all translates checks the translate disjointness and the
+    cardinality identity ``|G0| = sum (k+1)|G_{k,0}|``.  ``bnd`` supplies
+    the bounds recorded in the result.
     """
-    per_box = {}
-    union_by_box = {}
-    for k in range(boxed.kmax):
-        per_box[k] = box_components(boxed, k, verify=verify)
-        union_by_box[k] = merge_box(k, per_box[k])
-
-    g0, cardinality = union_of_translates(union_by_box, boxed.period)
-    bnd = bounds(boxed)
+    union_by_box = {k: merge_box(k, parts) for k, parts in per_box.items()}
+    g0, cardinality = union_of_translates(union_by_box, period)
     return PureGapResult(g0=g0, per_box=per_box, cardinality=cardinality,
                          lower_bound=bnd.lower, upper_bound=bnd.upper,
                          homma_kim_bound=bnd.homma_kim)
+
+
+def assemble_pure_gaps(boxed: BoxedGamma, verify: bool = False) -> PureGapResult:
+    """Assemble the full pure gap set from the row-zero boxes.
+
+    The engine computes the four components of every box ``(k, 0)`` and
+    hands them to :func:`assemble`.  ``verify=True`` additionally runs the
+    general fourth-component formula against its fast path.
+    """
+    per_box = {k: box_components(boxed, k, verify=verify)
+               for k in range(boxed.kmax)}
+    return assemble(per_box, boxed.period, bounds(boxed))
+
+
+def check_components(boxed: BoxedGamma, row, components, label: str) -> None:
+    """Compare a family's explicit sets with the engine, box by box.
+
+    ``row(k)`` gives the family's ``Gamma_{k,0}`` and ``components(k)`` its
+    (G1, G2, G3, G4) of box ``(k, 0)``; the engine runs G4 in verify mode.
+    A disagreement raises GenericMismatchError naming ``label``, the box
+    and the first differing set.
+    """
+    names = ("Gamma_k0", "G1", "G2", "G3", "G4")
+    for k in range(boxed.kmax):
+        explicit = (row(k), *components(k))
+        generic = (boxed.row(k), *box_components(boxed, k, verify=True))
+        for name, mine, engine in zip(names, explicit, generic):
+            if list(mine) != list(engine):
+                raise GenericMismatchError(
+                    f"{label} k={k}: explicit {name} has {len(mine)} points, "
+                    f"engine has {len(engine)}")

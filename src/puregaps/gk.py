@@ -19,20 +19,15 @@ from dataclasses import dataclass
 
 from .engine import (
     PureGapResult,
+    assemble,
     bounds_from_row_sizes,
+    check_components,
     check_int128,
     decompose,
-    compute_g1,
-    compute_g2,
-    compute_g3,
-    compute_g4,
-    merge_box,
-    union_of_translates,
 )
 from .errors import (
     ClosedFormMismatchError,
     DivisibilityViolationError,
-    GenericMismatchError,
     IndexOutOfRangeError,
     InvalidParamsError,
     PiecewiseMismatchError,
@@ -65,8 +60,7 @@ class GKParams:
         if not _is_prime_power(self.q):
             warnings.warn(
                 f"q={self.q} is not a prime power; the combinatorics is still "
-                "well defined but no function field realizes it",
-                stacklevel=3)
+                "well defined but no function field realizes it")
 
     @property
     def genus(self) -> int:
@@ -246,6 +240,10 @@ def gk_upper_bound(q: int) -> int:
     return check_int128(num // 120)
 
 
+def _components(q: int, k: int) -> tuple:
+    return (gk_g1(q, k), gk_g2(q, k), gk_g3(q, k), gk_g4(q, k))
+
+
 def gk_pure_gaps(q: int) -> PureGapResult:
     """Assemble the full pure gap set from the explicit components.
 
@@ -253,28 +251,20 @@ def gk_pure_gaps(q: int) -> PureGapResult:
     row-size bound must match the bound polynomial; disagreement raises.
     """
     params = GKParams(q)
-    per_box = {}
-    union_by_box = {}
-    for k in range(q * q - 1):
-        per_box[k] = (gk_g1(q, k), gk_g2(q, k),
-                      gk_g3(q, k), gk_g4(q, k))
-        union_by_box[k] = merge_box(k, per_box[k])
-
-    g0, cardinality = union_of_translates(union_by_box, params.period)
-    expected = gk_card_g0(q)
-    if cardinality != expected:
-        raise ClosedFormMismatchError(
-            f"assembled |G0| = {cardinality}, polynomial gives {expected} at q={q}")
-
-    sizes = [gk_card_gamma_k0(q, k) for k in range(q * q - 1)]
+    boxes = range(q * q - 1)
+    sizes = [gk_card_gamma_k0(q, k) for k in boxes]
     bnd = bounds_from_row_sizes(sizes, params.genus)
+    result = assemble({k: _components(q, k) for k in boxes}, params.period, bnd)
+    expected = gk_card_g0(q)
+    if result.cardinality != expected:
+        raise ClosedFormMismatchError(
+            f"assembled |G0| = {result.cardinality}, polynomial gives "
+            f"{expected} at q={q}")
     if bnd.upper != gk_upper_bound(q):
         raise ClosedFormMismatchError(
             f"row-size upper bound {bnd.upper} differs from polynomial "
             f"{gk_upper_bound(q)} at q={q}")
-    return PureGapResult(g0=g0, per_box=per_box, cardinality=cardinality,
-                         lower_bound=bnd.lower, upper_bound=bnd.upper,
-                         homma_kim_bound=bnd.homma_kim)
+    return result
 
 
 def verify_against_engine(q: int) -> None:
@@ -283,17 +273,6 @@ def verify_against_engine(q: int) -> None:
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
     """
-    boxed = decompose(gk_generating_set(q))
-    for k in range(boxed.kmax):
-        pairs = (
-            ("Gamma_k0", gk_gamma_k0(q, k), list(boxed.row(k))),
-            ("G1", gk_g1(q, k), compute_g1(boxed, k)),
-            ("G2", gk_g2(q, k), compute_g2(boxed, k)),
-            ("G3", gk_g3(q, k), compute_g3(boxed, k)),
-            ("G4", gk_g4(q, k), compute_g4(boxed, k, verify=True)),
-        )
-        for name, explicit, generic in pairs:
-            if list(explicit) != list(generic):
-                raise GenericMismatchError(
-                    f"q={q} k={k}: explicit {name} has {len(explicit)} points, "
-                    f"engine has {len(generic)}")
+    check_components(decompose(gk_generating_set(q)),
+                     lambda k: gk_gamma_k0(q, k),
+                     lambda k: _components(q, k), f"q={q}")

@@ -23,6 +23,12 @@ from .errors import ConsistencyError
 from .lattice import GeneratingSet
 from .oracle import check_period_property, pure_gaps_direct
 
+#: Closed-form families: name -> (module, parameter names).  The module
+#: provides ``<name>_generating_set``, ``<name>_card_g0``,
+#: ``<name>_pure_gaps`` and ``verify_against_engine``, each taking the
+#: parameters in this order.
+FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}
+
 #: Default parameter sweep for the m=(q+1)/N special case.
 DEFAULT_QN_PAIRS = ((7, 2), (8, 3), (11, 2), (11, 3))
 
@@ -63,6 +69,14 @@ class RunReport:
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.family}({inner})"
+
+
+def call_family(family: str, func: str, params: dict):
+    """Call ``func`` (``{}`` stands for the family name) of a family's module
+    on the family's parameters.  The function is looked up at each call, so
+    a rebound module attribute (a tracing wrapper) is the one called."""
+    module, names = FAMILIES[family]
+    return getattr(module, func.format(family))(*(params[n] for n in names))
 
 
 def _diff_sets(name, got, want, limit=5):
@@ -127,11 +141,14 @@ def _check_genus(checks, boxed):
                   f"sum={total} genus={boxed.genus}")
 
 
-def summarize_family(family: str, params: dict):
+def summarize_family(family: str, params: dict) -> RunReport:
     """Summary-mode report for a closed-form family (no timings, oracle
     skipped; the verify command owns the expensive cross-checks)."""
-    gamma, result, closed_card, fam_result = _family_routes(family, params)
+    gamma = call_family(family, "{}_generating_set", params)
     boxed = decompose(gamma)
+    result = assemble_pure_gaps(boxed)
+    closed_card = call_family(family, "{}_card_g0", params)
+    fam_result = call_family(family, "{}_pure_gaps", params)
     checks = _Checks()
     checks.skip("engine_vs_oracle")
     same = (closed_card == result.cardinality
@@ -143,11 +160,10 @@ def summarize_family(family: str, params: dict):
     _check_bounds(checks, result)
     checks.skip("diagonal_reflection")
     checks.skip("period_property")
-    report = _base_report(family, params, gamma, boxed, result, checks, {})
-    return report, gamma, result
+    return _base_report(family, params, gamma, boxed, result, checks, {})
 
 
-def summarize_generic(gamma: GeneratingSet, label: str):
+def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     """Summary-mode report for a file-loaded generating set.
 
     There is no closed form to compare, so the direct oracle scan is run
@@ -171,25 +187,8 @@ def summarize_generic(gamma: GeneratingSet, label: str):
         checks.skip("diagonal_reflection")
     checks.record("period_property", check_period_property(gamma).ok,
                   "period displacement law violated")
-    report = _base_report("generic", {"input": label}, gamma, boxed, result,
-                          checks, {})
-    return report, gamma, result
-
-
-def _family_routes(family: str, params: dict):
-    """(gamma, engine result, closed-form cardinality, explicit result)."""
-    if family == "gk":
-        q = params["q"]
-        gamma = gk_mod.gk_generating_set(q)
-        result = assemble_pure_gaps(decompose(gamma))
-        return gamma, result, gk_mod.gk_card_g0(q), gk_mod.gk_pure_gaps(q)
-    if family == "kummer":
-        m, r = params["m"], params["r"]
-        gamma = kummer_mod.kummer_generating_set(m, r)
-        result = assemble_pure_gaps(decompose(gamma))
-        return (gamma, result, kummer_mod.kummer_card_g0(m, r),
-                kummer_mod.kummer_pure_gaps(m, r))
-    raise ValueError(f"unknown family {family!r}")
+    return _base_report("generic", {"input": label}, gamma, boxed, result,
+                        checks, {})
 
 
 def verify_point(family: str, params: dict) -> RunReport:
@@ -202,12 +201,7 @@ def verify_point(family: str, params: dict) -> RunReport:
 
 def _verify_point_checked(family: str, params: dict) -> RunReport:
     timings = {}
-    if family == "gk":
-        q = params["q"]
-        gamma = gk_mod.gk_generating_set(q)
-    else:
-        m, r = params["m"], params["r"]
-        gamma = kummer_mod.kummer_generating_set(m, r)
+    gamma = call_family(family, "{}_generating_set", params)
 
     start = time.perf_counter()
     boxed = decompose(gamma)
@@ -219,12 +213,8 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     timings["direct_oracle_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    if family == "gk":
-        closed_card = gk_mod.gk_card_g0(q)
-        fam_result = gk_mod.gk_pure_gaps(q)
-    else:
-        closed_card = kummer_mod.kummer_card_g0(m, r)
-        fam_result = kummer_mod.kummer_pure_gaps(m, r)
+    closed_card = call_family(family, "{}_card_g0", params)
+    fam_result = call_family(family, "{}_pure_gaps", params)
     timings["closed_form_s"] = time.perf_counter() - start
 
     checks = _Checks()
@@ -236,10 +226,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
                   f"closed={closed_card} engine={result.cardinality} "
                   f"explicit={fam_result.cardinality}")
     try:
-        if family == "gk":
-            gk_mod.verify_against_engine(q)
-        else:
-            kummer_mod.verify_against_engine(m, r)
+        call_family(family, "verify_against_engine", params)
         checks.record("components_vs_generic", True)
     except ConsistencyError as exc:
         checks.record("components_vs_generic", False, str(exc))
@@ -302,10 +289,8 @@ def verify_special_qn(q: int, N: int) -> RunReport:
 
 def _dispatch(point):
     kind, params = point
-    if kind == "gk":
-        return verify_point("gk", params)
-    if kind == "kummer":
-        return verify_point("kummer", params)
+    if kind in FAMILIES:
+        return verify_point(kind, params)
     if kind == "ur1":
         return verify_special_ur1(params["u"], params["r"])
     if kind == "qn":
@@ -377,10 +362,7 @@ def bench_family(family: str, params: dict) -> list:
     Outputs are compared for exact equality before timings are returned;
     a mismatch raises ConsistencyError.
     """
-    if family == "gk":
-        gamma = gk_mod.gk_generating_set(params["q"])
-    else:
-        gamma = kummer_mod.kummer_generating_set(params["m"], params["r"])
+    gamma = call_family(family, "{}_generating_set", params)
 
     start = time.perf_counter()
     direct = pure_gaps_direct(gamma)

@@ -14,20 +14,15 @@ from math import gcd
 
 from .engine import (
     PureGapResult,
+    assemble,
     bounds_from_row_sizes,
+    check_components,
     check_int128,
     decompose,
-    compute_g1,
-    compute_g2,
-    compute_g3,
-    compute_g4,
-    merge_box,
-    union_of_translates,
 )
 from .errors import (
     ClosedFormMismatchError,
     DivisibilityViolationError,
-    GenericMismatchError,
     InvalidParamsError,
 )
 from .lattice import GeneratingSet, LatticePoint, validate_generating_set
@@ -204,31 +199,27 @@ def kummer_card_special_qN(q: int, N: int) -> int:
     return value
 
 
+def _components(m: int, r: int, k: int) -> tuple:
+    return (kummer_g1(m, r, k), kummer_g2(m, r, k),
+            kummer_g3(m, r, k), kummer_g4(m, r, k))
+
+
 def kummer_pure_gaps(m: int, r: int) -> PureGapResult:
     """Assemble the full pure gap set from the explicit components.
 
     The cardinality must match the closed-form sum; disagreement raises.
     """
     params = KummerParams(m, r)
-    per_box = {}
-    union_by_box = {}
-    for k in range(params.top_box + 1):
-        per_box[k] = (kummer_g1(m, r, k), kummer_g2(m, r, k),
-                      kummer_g3(m, r, k), kummer_g4(m, r, k))
-        union_by_box[k] = merge_box(k, per_box[k])
-
-    g0, cardinality = union_of_translates(union_by_box, m)
+    boxes = range(params.top_box + 1)
+    sizes = [kummer_card_gamma_k0(m, r, k) for k in boxes]
+    result = assemble({k: _components(m, r, k) for k in boxes}, m,
+                      bounds_from_row_sizes(sizes, params.genus))
     expected = kummer_card_g0(m, r)
-    if cardinality != expected:
+    if result.cardinality != expected:
         raise ClosedFormMismatchError(
-            f"assembled |G0| = {cardinality}, cardinality sum gives "
+            f"assembled |G0| = {result.cardinality}, cardinality sum gives "
             f"{expected} at (m, r)=({m}, {r})")
-
-    sizes = [kummer_card_gamma_k0(m, r, k) for k in range(params.top_box + 1)]
-    bnd = bounds_from_row_sizes(sizes, params.genus)
-    return PureGapResult(g0=g0, per_box=per_box, cardinality=cardinality,
-                         lower_bound=bnd.lower, upper_bound=bnd.upper,
-                         homma_kim_bound=bnd.homma_kim)
+    return result
 
 
 def verify_against_engine(m: int, r: int) -> None:
@@ -237,17 +228,6 @@ def verify_against_engine(m: int, r: int) -> None:
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
     """
-    boxed = decompose(kummer_generating_set(m, r))
-    for k in range(boxed.kmax):
-        pairs = (
-            ("Gamma_k0", kummer_gamma_k0(m, r, k), list(boxed.row(k))),
-            ("G1", kummer_g1(m, r, k), compute_g1(boxed, k)),
-            ("G2", kummer_g2(m, r, k), compute_g2(boxed, k)),
-            ("G3", kummer_g3(m, r, k), compute_g3(boxed, k)),
-            ("G4", kummer_g4(m, r, k), compute_g4(boxed, k, verify=True)),
-        )
-        for name, explicit, generic in pairs:
-            if list(explicit) != list(generic):
-                raise GenericMismatchError(
-                    f"(m, r)=({m}, {r}) k={k}: explicit {name} has "
-                    f"{len(explicit)} points, engine has {len(generic)}")
+    check_components(decompose(kummer_generating_set(m, r)),
+                     lambda k: kummer_gamma_k0(m, r, k),
+                     lambda k: _components(m, r, k), f"(m, r)=({m}, {r})")

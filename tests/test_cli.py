@@ -247,6 +247,12 @@ class TestBench:
         assert code == 2
         assert "--q" in err
 
+    def test_kummer_missing_r_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--family", "kummer",
+                               "--m", "5")
+        assert code == 2
+        assert "--m and --r" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

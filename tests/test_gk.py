@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from puregaps.engine import assemble_pure_gaps, decompose
-from puregaps.errors import IndexOutOfRangeError, InvalidParamsError
+from puregaps.engine import assemble_pure_gaps, check_components, decompose
+from puregaps.errors import (
+    GenericMismatchError,
+    IndexOutOfRangeError,
+    InvalidParamsError,
+)
 from puregaps.gk import (
     GKParams,
     gk_card_g0,
@@ -45,6 +54,22 @@ class TestParams:
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27):
             GKParams(q)
         assert not recwarn.list
+
+    def test_non_prime_power_warns_once_per_process(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        code = ("from puregaps.gk import gk_g1, gk_g3, gk_card_g0; "
+                "gk_g1(6, 30); gk_g3(6, 30); gk_card_g0(6)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        warned = [line for line in proc.stderr.splitlines()
+                  if "UserWarning" in line]
+        assert len(warned) == 1
+        assert "q=6 is not a prime power" in warned[0]
 
 
 class TestGammaPoint:
@@ -127,6 +152,18 @@ class TestComponents:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_match_generic_engine(self, q):
         verify_against_engine(q)
+
+    def test_mismatch_names_box_and_component(self):
+        def components(k):
+            g3 = gk_g3(2, k)
+            if k == 1:
+                g3 = g3[1:]
+            return gk_g1(2, k), gk_g2(2, k), g3, gk_g4(2, k)
+
+        boxed = decompose(gk_generating_set(2))
+        with pytest.raises(GenericMismatchError, match=r"k=1: explicit G3"):
+            check_components(boxed, lambda k: gk_gamma_k0(2, k), components,
+                             "q=2")
 
 
 class TestClosedForms:
