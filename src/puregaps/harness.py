@@ -135,6 +135,13 @@ def _check_bounds(checks, result):
                   f"upper={result.upper_bound} hk={result.homma_kim_bound}")
 
 
+def _check_oracle(checks, result, direct):
+    # The diff costs two |G0|-sized sets, so it is built only on failure.
+    ok = result.g0 == direct
+    checks.record("engine_vs_oracle", ok,
+                  "" if ok else _diff_sets("G0", result.g0, direct))
+
+
 def _check_genus(checks, boxed):
     total = sum((k + 1) * n for k, n in enumerate(boxed.row_sizes()))
     checks.record("genus_identity", total == boxed.genus,
@@ -172,9 +179,7 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     boxed = decompose(gamma)
     result = assemble_pure_gaps(boxed, verify=True)
     checks = _Checks()
-    direct = pure_gaps_direct(gamma)
-    checks.record("engine_vs_oracle", result.g0 == direct,
-                  _diff_sets("G0", result.g0, direct))
+    _check_oracle(checks, result, pure_gaps_direct(gamma))
     checks.skip("closed_form_vs_enumeration")
     checks.skip("components_vs_generic")
     _check_genus(checks, boxed)
@@ -218,8 +223,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     timings["closed_form_s"] = time.perf_counter() - start
 
     checks = _Checks()
-    checks.record("engine_vs_oracle", result.g0 == direct,
-                  _diff_sets("G0", result.g0, direct))
+    _check_oracle(checks, result, direct)
     same = (closed_card == result.cardinality == fam_result.cardinality
             and fam_result.g0 == result.g0)
     checks.record("closed_form_vs_enumeration", same,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import puregaps.harness as harness
 from puregaps.cli import main
 from puregaps.kummer import kummer_generating_set
 from puregaps.oracle import pure_gaps_direct
@@ -286,3 +287,40 @@ def test_usage_error_exit_2():
         [sys.executable, "-m", "puregaps.cli", "gk"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+class TestFailingCrossCheck:
+    """A failing engine-vs-oracle check must still explain itself."""
+
+    @pytest.fixture
+    def short_oracle(self, monkeypatch):
+        # The oracle loses its first point, so the engine holds one extra.
+        monkeypatch.setattr(harness, "pure_gaps_direct",
+                            lambda gamma: pure_gaps_direct(gamma)[1:])
+        monkeypatch.delenv("PUREGAPS_THREADS", raising=False)
+
+    @staticmethod
+    def assert_explains(report, gamma):
+        dropped = pure_gaps_direct(gamma)[0]
+        assert report.verdicts["engine_vs_oracle"] == "fail"
+        assert not report.ok
+        assert "engine_vs_oracle: G0:" in report.detail
+        assert f"unexpected [{dropped}], missing []" in report.detail
+
+    def test_verify_point(self, short_oracle):
+        report = harness.verify_point("kummer", {"m": 5, "r": 7})
+        self.assert_explains(report, kummer_generating_set(5, 7))
+
+    def test_summarize_generic(self, short_oracle):
+        gamma = kummer_generating_set(5, 7)
+        self.assert_explains(harness.summarize_generic(gamma, "k57"), gamma)
+
+    def test_cli_verify(self, capsys, short_oracle):
+        code, out, _ = run_cli(capsys, "verify", "--family", "kummer",
+                               "--max", "7")
+        assert code == 1
+        first = out.splitlines()[-1]
+        assert first.startswith("# FIRST FAILURE kummer(m=2,r=5): ")
+        dropped = pure_gaps_direct(kummer_generating_set(2, 5))[0]
+        assert first.endswith(f"engine_vs_oracle: G0: 1 vs 0 points; "
+                              f"unexpected [{dropped}], missing []")

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puregaps.engine import assemble_pure_gaps, decompose
 from puregaps.errors import InvalidParamsError
-from puregaps.lattice import lub, validate_generating_set
+from puregaps.lattice import GeneratingSet, lub, validate_generating_set
 from puregaps.oracle import (
     check_period_property,
     gap_projections,
@@ -97,6 +99,64 @@ class TestPureGapsDirect:
         for gamma in (gk2_gamma, kummer43_gamma):
             result = assemble_pure_gaps(decompose(gamma), verify=True)
             assert result.g0 == pure_gaps_direct(gamma)
+
+
+def reference_pure_gaps(points):
+    """The glbs of incomparable pairs by the set-plus-sort double loop."""
+    pts = sorted(points)
+    out = set()
+    for i, (ai, bi) in enumerate(pts):
+        for _, bj in pts[i + 1:]:
+            if bj < bi:
+                out.add((ai, bj))
+    return sorted(out)
+
+
+@st.composite
+def injective_pairs(draw, max_genus=40):
+    """Pairs with distinct first and distinct second coordinates, in any
+    order; the small coordinate range makes the projections overlap."""
+    n = draw(st.integers(min_value=0, max_value=max_genus))
+    coord = st.integers(min_value=1, max_value=4 * max_genus)
+    firsts = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    seconds = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    return list(zip(firsts, seconds))
+
+
+def inverted(g):
+    return [(i, g + 1 - i) for i in range(1, g + 1)]
+
+
+class TestPureGapsDirectArbitrary:
+    """The scan against the definition on unvalidated injective sets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(injective_pairs(), st.integers(min_value=1, max_value=50))
+    @example([(9, 2), (1, 8), (4, 6), (6, 9), (2, 1)], 10)
+    def test_matches_definition(self, points, period):
+        got = pure_gaps_direct(GeneratingSet(points=tuple(points),
+                                             period=period))
+        assert got == reference_pure_gaps(points)
+        assert all(x < y for x, y in zip(got, got[1:]))
+        assert all(type(p) is tuple for p in got)
+
+    @pytest.mark.parametrize("points, expected", [
+        ([], []),                                        # genus 0
+        ([(3, 7)], []),                                  # genus 1
+        ([(i, 2 * i) for i in range(1, 30)], []),        # a chain
+        # not swap-symmetric: tau(1) = 5, but 5 is no first coordinate
+        ([(1, 5), (3, 1), (4, 2)], [(1, 1), (1, 2)]),
+    ])
+    def test_known_sets(self, points, expected):
+        gamma = GeneratingSet(points=tuple(points), period=7)
+        assert pure_gaps_direct(gamma) == expected
+
+    @pytest.mark.parametrize("g", [2, 5, 31])
+    def test_inverted_attains_homma_kim(self, g):
+        got = pure_gaps_direct(GeneratingSet(points=tuple(inverted(g)),
+                                             period=g + 1))
+        assert len(got) == g * (g - 1) // 2
+        assert got == reference_pure_gaps(inverted(g))
 
 
 class TestCheckPeriodProperty:
