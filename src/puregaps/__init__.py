@@ -54,18 +54,12 @@ from .lattice import (
     COORD_MAX,
     GeneratingSet,
     LatticePoint,
-    glb,
-    incomparable,
-    lub,
     validate_generating_set,
 )
 from .oracle import (
     PeriodPropertyReport,
-    SemigroupBox,
     check_period_property,
-    gap_projections,
     pure_gaps_direct,
-    semigroup_box,
 )
 
 __version__ = "0.1.0"

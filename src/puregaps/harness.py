@@ -245,50 +245,48 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     return _base_report(family, params, gamma, boxed, result, checks, timings)
 
 
-def verify_special_ur1(u: int, r: int) -> RunReport:
-    """Check the m = u*r + 1 closed form against real enumeration."""
-    m = u * r + 1
-    params = {"u": u, "r": r, "m": m}
+def _verify_special(family, params, r, closed_form, timed=False,
+                    sharp=False):
+    """Check a special-case closed form, ``closed_form()``, against the
+    engine and the oracle on the Kummer set ``(params["m"], r)``.  With
+    ``timed`` the closed form's time is the report's timing; with ``sharp``
+    the upper bound must also equal the closed form."""
     try:
-        gamma = kummer_mod.kummer_generating_set(m, r)
+        start = time.perf_counter()
+        closed = closed_form()
+        timing = ({"closed_form_s": time.perf_counter() - start} if timed
+                  else {})
+        gamma = kummer_mod.kummer_generating_set(params["m"], r)
         boxed = decompose(gamma)
         result = assemble_pure_gaps(boxed, verify=True)
-        start = time.perf_counter()
-        closed = kummer_mod.kummer_card_special_ur1(u, r)
-        timing = {"closed_form_s": time.perf_counter() - start}
         direct = pure_gaps_direct(gamma)
     except ConsistencyError as exc:
-        return _failed_report("kummer-ur1", params, exc)
+        return _failed_report(family, params, exc)
     checks = _Checks()
     checks.record("special_vs_enumeration",
                   closed == result.cardinality == len(direct),
                   f"closed={closed} engine={result.cardinality} "
                   f"oracle={len(direct)}")
-    if u == 1:
+    if sharp:
         checks.record("upper_bound_sharp", closed == result.upper_bound,
                       f"closed={closed} upper={result.upper_bound}")
-    return _base_report("kummer-ur1", params, gamma, boxed, result, checks,
-                        timing)
+    return _base_report(family, params, gamma, boxed, result, checks, timing)
+
+
+def verify_special_ur1(u: int, r: int) -> RunReport:
+    """Check the m = u*r + 1 closed form against real enumeration."""
+    return _verify_special(
+        "kummer-ur1", {"u": u, "r": r, "m": u * r + 1}, r,
+        lambda: kummer_mod.kummer_card_special_ur1(u, r),
+        timed=True, sharp=(u == 1))
 
 
 def verify_special_qn(q: int, N: int) -> RunReport:
     """Check the m = (q+1)/N closed form against real enumeration."""
     m = (q + 1) // N if N and (q + 1) % N == 0 else 0
-    params = {"q": q, "N": N, "m": m}
-    try:
-        closed = kummer_mod.kummer_card_special_qN(q, N)
-        gamma = kummer_mod.kummer_generating_set(m, q)
-        boxed = decompose(gamma)
-        result = assemble_pure_gaps(boxed, verify=True)
-        direct = pure_gaps_direct(gamma)
-    except ConsistencyError as exc:
-        return _failed_report("kummer-qn", params, exc)
-    checks = _Checks()
-    checks.record("special_vs_enumeration",
-                  closed == result.cardinality == len(direct),
-                  f"closed={closed} engine={result.cardinality} "
-                  f"oracle={len(direct)}")
-    return _base_report("kummer-qn", params, gamma, boxed, result, checks, {})
+    return _verify_special(
+        "kummer-qn", {"q": q, "N": N, "m": m}, q,
+        lambda: kummer_mod.kummer_card_special_qN(q, N))
 
 
 def _dispatch(point):
@@ -325,25 +323,21 @@ def build_verify_points(family: str, q_max: int = 4, mr_max: int = 15,
                         special: str | None = None, u_max: int = 3,
                         r_max: int = 10, qn_pairs=DEFAULT_QN_PAIRS):
     """The deterministic list of verification points for a grid request."""
-    points = []
+    ur1 = [("ur1", {"u": u, "r": r})
+           for u in range(1, u_max + 1) for r in range(2, r_max + 1)]
+    qn = [("qn", {"q": q, "N": N}) for q, N in qn_pairs]
     if special == "ur1":
-        points.extend(("ur1", {"u": u, "r": r})
-                      for u in range(1, u_max + 1)
-                      for r in range(2, r_max + 1))
-        return points
+        return ur1
     if special == "qn":
-        points.extend(("qn", {"q": q, "N": N}) for q, N in qn_pairs)
-        return points
+        return qn
+    points = []
     if family in ("gk", "all"):
         points.extend(("gk", {"q": q}) for q in range(2, q_max + 1))
     if family in ("kummer", "all"):
         points.extend(("kummer", {"m": m, "r": r})
                       for m in range(2, mr_max + 1)
                       for r in range(2, mr_max + 1) if gcd(m, r) == 1)
-        points.extend(("ur1", {"u": u, "r": r})
-                      for u in range(1, u_max + 1)
-                      for r in range(2, r_max + 1))
-        points.extend(("qn", {"q": q, "N": N}) for q, N in qn_pairs)
+        points += ur1 + qn
     return points
 
 

@@ -1,13 +1,15 @@
-"""Integer lattice points under the product partial order, and validated
-minimal generating sets.
+"""Integer lattice points and validated minimal generating sets.
 
-A :class:`LatticePoint` is a pair of nonnegative 64-bit integers ordered
-coordinatewise.  A :class:`GeneratingSet` is the graph of the bijection
-between the gap sets at two places together with the period of the
-two-place semigroup; :func:`validate_generating_set` is the only sanctioned
-way to build one and enforces, among other things, the period displacement
-law: ``beta + k*period`` is a first coordinate exactly when
+A :class:`LatticePoint` is a pair of nonnegative 64-bit integers.  A
+:class:`GeneratingSet` is the graph of the bijection between the gap sets
+at two places together with the period of the two-place semigroup;
+:func:`validate_generating_set` is the only sanctioned way to build one
+and enforces, among other things, the period displacement law:
+``beta + k*period`` is a first coordinate exactly when
 ``k*period < tau(beta)``, and then its image is ``tau(beta) - k*period``.
+The law is checked in an equivalent chain form that takes one linear pass,
+by :func:`period_law_violations`, which the tampered-data checker in
+:mod:`puregaps.oracle` shares.
 
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across threads.
@@ -52,27 +54,6 @@ class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
         return tuple.__new__(cls, (a, b))
 
 
-def lub(p, q) -> LatticePoint:
-    """Least upper bound: the coordinatewise maximum of ``p`` and ``q``."""
-    a1, b1 = p
-    a2, b2 = q
-    return LatticePoint(a1 if a1 >= a2 else a2, b1 if b1 >= b2 else b2)
-
-
-def glb(p, q) -> LatticePoint:
-    """Greatest lower bound: the coordinatewise minimum of ``p`` and ``q``."""
-    a1, b1 = p
-    a2, b2 = q
-    return LatticePoint(a1 if a1 <= a2 else a2, b1 if b1 <= b2 else b2)
-
-
-def incomparable(p, q) -> bool:
-    """True when neither point dominates the other coordinatewise."""
-    a1, b1 = p
-    a2, b2 = q
-    return (a1 > a2 and b1 < b2) or (a1 < a2 and b1 > b2)
-
-
 @dataclass(frozen=True)
 class GeneratingSet:
     """Validated minimal generating set of a two-place semigroup.
@@ -100,16 +81,65 @@ class GeneratingSet:
         return iter(self.points)
 
 
+def period_law_violations(tau: dict, period: int) -> Iterator[tuple]:
+    """Yield ``(beta, k, message)`` for each breach of the period
+    displacement law by the map ``tau``, in increasing ``beta``.
+
+    The law is checked in its chain form, in linear time after one sort:
+
+    * successor rule: ``a + period`` is a first coordinate exactly when
+      ``period < tau(a)``, and then its image is ``tau(a) - period``;
+    * one run per residue class: the first coordinates in each class
+      modulo the period are consecutive, ``a, a + period, a + 2*period``.
+
+    Together these are equivalent to the law for every shift count ``k``:
+    the law at ``k = 1`` is the successor rule, and a shift present at
+    ``k`` forces every shorter one.  Conversely, by induction the
+    successor rule puts ``beta + k*period`` in the set, with image
+    ``tau(beta) - k*period``, exactly while ``k*period < tau(beta)``; a run
+    that goes on past that chain's end is the law's "present although
+    ``k*period >= tau(beta)``" case.  A run break after ``a`` with
+    ``period < tau(a)`` breaks the successor rule and is named once, as
+    that, so every yielded ``(beta, k)`` breaks the law at that shift.
+    """
+    firsts = sorted(tau)
+    last = {}    # residue class -> largest first coordinate so far
+    breaks = {}  # first coordinate -> the next one of its class, past a gap
+    for a in firsts:
+        r = a % period
+        prev = last.get(r)
+        if prev is not None and prev != a - period:
+            breaks[prev] = a
+        last[r] = a
+    for a in firsts:
+        b = tau[a]
+        shifted = a + period
+        if period < b:
+            got = tau.get(shifted)
+            if got != b - period:
+                found = "absent" if got is None else f"maps to {got}"
+                yield a, 1, (f"({a}, {b}) with k=1: requires ({shifted}, "
+                             f"{b - period}) in the set, but {shifted} is "
+                             f"{found}")
+        elif shifted in tau or a in breaks:
+            shifted = breaks.get(a, shifted)
+            k = (shifted - a) // period
+            yield a, k, (f"({a}, {b}) with k={k}: {shifted} may not be a "
+                         f"first coordinate since {k}*{period} >= {b}")
+
+
 def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     """Check every generating set invariant and return the validated set.
 
     ``points`` is any iterable of pairs.  Checks, in order: the period is
     positive; all coordinates are strictly positive and inside the 64-bit
     range; no coordinate is a multiple of the period; coordinates are
-    pairwise distinct within each projection; and, for every point, the
-    period displacement law holds in both directions for every shift count
-    and both coordinates are at most ``2g - 1``, the largest gap of a place
-    of genus ``g``.  An empty set is valid with any period (genus zero).
+    pairwise distinct within each projection; the period displacement law
+    holds, checked by :func:`period_law_violations` in its chain form,
+    which is equivalent to the law for every shift count (the first
+    violation raises); and, in a pass of its own after the law, no
+    coordinate exceeds ``2g - 1``, the largest gap of a place of genus
+    ``g``.  An empty set is valid with any period (genus zero).
     """
     if period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -138,34 +168,13 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
         tau[a] = b
         seen_b[b] = a
 
-    if pts:
-        amax = pts[-1][0]
-        top = 2 * len(pts) - 1
-        for a, b in pts:
-            k = 1
-            while True:
-                shifted = a + k * period
-                if k * period < b:
-                    expect = b - k * period
-                    got = tau.get(shifted)
-                    if got != expect:
-                        found = "absent" if got is None else f"maps to {got}"
-                        raise PeriodPropertyViolationError(
-                            f"({a}, {b}) with k={k}: requires ({shifted}, "
-                            f"{expect}) in the set, but {shifted} is {found}",
-                            beta=a, k=k)
-                else:
-                    if shifted > amax:
-                        break
-                    if shifted in tau:
-                        raise PeriodPropertyViolationError(
-                            f"({a}, {b}) with k={k}: {shifted} may not be a "
-                            f"first coordinate since {k}*{period} >= {b}",
-                            beta=a, k=k)
-                k += 1
-            if a > top or b > top:
-                raise GapBeyondGenusBoundError(
-                    f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
-                    f"genus {len(pts)}")
+    for beta, k, message in period_law_violations(tau, period):
+        raise PeriodPropertyViolationError(message, beta=beta, k=k)
+    top = 2 * len(pts) - 1
+    for a, b in pts:
+        if a > top or b > top:
+            raise GapBeyondGenusBoundError(
+                f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
+                f"genus {len(pts)}")
 
     return GeneratingSet(points=tuple(pts), period=period)

