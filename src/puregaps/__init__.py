@@ -7,6 +7,7 @@ from .engine import (
     Bounds,
     BoxedGamma,
     PureGapResult,
+    PureGapSet,
     assemble_pure_gaps,
     bounds,
     bounds_from_row_sizes,
@@ -59,6 +60,7 @@ from .lattice import (
 from .oracle import (
     PeriodPropertyReport,
     check_period_property,
+    count_pure_gaps_direct,
     pure_gaps_direct,
 )
 

@@ -13,13 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .engine import (
-    box_components,
-    decompose,
-    merge_box,
-    walk_translates,
-    weighted_size,
-)
+from .engine import box_components, decompose, union_of_components
 from .errors import CardinalityMismatchError, ConsistencyError, ValidationError
 from .gammafile import dump_gamma, load_gamma
 from .harness import (
@@ -63,14 +57,14 @@ def _stream_pure_gaps(boxed, verify, fmt, out):
     """Write G0 in lexicographic order, one line ``a<TAB>b`` per point or
     one JSON array of pairs.
 
-    Streams the runs of :func:`walk_translates` from the per-box merged
-    sets in chunks, so memory is bounded by the per-box sets, not by
-    ``|G0|``.  The number of points written must equal the weighted
-    per-box sum.
+    Builds G0 with :func:`union_of_components`, the constructor of every
+    assembly, and writes its runs in chunks, so memory is bounded by the
+    per-box sets, not by ``|G0|``.  The number of points written must
+    equal the weighted per-box sum.
     """
-    per_box_union = {k: merge_box(k, box_components(boxed, k, verify=verify))
-                     for k in range(boxed.kmax)}
-    expected = weighted_size(per_box_union)
+    g0 = union_of_components(
+        ((k, box_components(boxed, k, verify=verify))
+         for k in range(boxed.kmax)), boxed.period)
     if fmt == "json":
         opener, mid, closer, sep = "[", ",", "]", ","
         out.write("[")
@@ -79,7 +73,7 @@ def _stream_pure_gaps(boxed, verify, fmt, out):
     pieces = []
     pending = written = 0
     gap = ""
-    for a, bs, shift in walk_translates(per_box_union, boxed.period):
+    for a, bs, shift in g0.runs():
         lead = f"{opener}{a}{mid}"
         values = map(str, map(shift.__add__, bs) if shift else bs)
         pieces.append(gap + lead + (closer + sep + lead).join(values) + closer)
@@ -94,9 +88,9 @@ def _stream_pure_gaps(boxed, verify, fmt, out):
     written += pending
     if fmt == "json":
         out.write("]\n")
-    if written != expected:
+    if written != len(g0):
         raise CardinalityMismatchError(
-            f"wrote {written} pure gaps but weighted per-box sum is {expected}")
+            f"wrote {written} pure gaps but weighted per-box sum is {len(g0)}")
 
 
 def _emit_gamma(gamma, fmt, out):

@@ -12,20 +12,24 @@ Box containment fixes the order of that union.  Every point of
 ``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
 (k+1)*period`` and ``0 < b < period``.  Its translate by ``w_j`` therefore
 lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
-:func:`walk_translates` lists the union in lexicographic order without a
-sort: box columns ``i`` ascending; inside a column, first-coordinate
-residues ``r`` ascending; for each residue, ``j`` ascending, giving the
-sorted second coordinates of ``G_{i+j,0}`` at ``a = (i+j)*period + r``
-shifted by ``j*period``.  The walk checks containment of every per-box
-point, which is what makes the translates disjoint.
+``G0`` needs no other storage than the per-box sets and the period.  That
+is :class:`PureGapSet`, the value :func:`union_of_translates` builds: it
+checks containment once, when built; its length is the weighted sum
+``sum (k+1)|G_{k,0}|``; and :meth:`PureGapSet.runs` lists it in
+lexicographic order without a sort: box columns ``i`` ascending; inside a
+column, first-coordinate residues ``r`` ascending; for each residue, ``j``
+ascending, giving the sorted second coordinates of ``G_{i+j,0}`` at
+``a = (i+j)*period + r`` shifted by ``j*period``.  Two such values compare
+box by box, and a value compares with a list by streaming its runs against
+slices of the list.
 
 :func:`assemble` is the only assembly path, for the engine's components
 and a closed-form family's alike; :func:`check_components` is the only
 cross-check of a family's explicit boxes and components against the engine.
 
-Bulk results are plain ``(a, b)`` tuples (they compare equal to
-:class:`~puregaps.lattice.LatticePoint`); every result list is sorted
-lexicographically.  Cardinalities and bounds are guarded against the
+Bulk results other than ``G0`` are plain ``(a, b)`` tuples (they compare
+equal to :class:`~puregaps.lattice.LatticePoint`); every result list is
+sorted lexicographically.  Cardinalities and bounds are guarded against the
 128-bit range.
 """
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import eq
 from typing import Mapping
 
 from .errors import (
@@ -236,12 +241,14 @@ def bounds(boxed: BoxedGamma) -> Bounds:
 class PureGapResult:
     """The assembled pure gap set.
 
-    ``g0`` is the full set as a lexicographically sorted list of pairs;
-    ``per_box`` maps each box index k to its four sorted components;
-    ``cardinality`` equals ``len(g0)`` and the weighted per-box sum.
+    ``g0`` is the full set as a :class:`PureGapSet`: the merged per-box
+    sets plus the period, which iterates in lexicographic order and
+    compares equal to the sorted list of its points; ``per_box`` maps each
+    box index k to its four sorted components; ``cardinality`` equals
+    ``len(g0)``, the weighted per-box sum.
     """
 
-    g0: list
+    g0: PureGapSet
     per_box: dict
     cardinality: int
     lower_bound: int
@@ -269,17 +276,12 @@ def merge_box(k: int, components) -> list:
     return sorted(merged)
 
 
-def weighted_size(per_box_union: dict) -> int:
-    """|G0| = sum (k+1)|G_{k,0}|, from the per-box sets alone."""
-    return check_int128(sum((k + 1) * len(box)
-                            for k, box in per_box_union.items()))
-
-
 def _residue_runs(per_box_union: dict, period: int) -> dict:
     """k -> {a - k*period: second coordinates of G_{k,0} at a, ascending}.
 
-    Raises DisjointnessViolationError when a point lies outside its box
-    (k, 0) or a per-box set is not strictly increasing.
+    Empty boxes are dropped.  Raises DisjointnessViolationError when a
+    point lies outside its box (k, 0) or a per-box set is not strictly
+    increasing.
     """
     runs = {}
     for k, box in per_box_union.items():
@@ -304,61 +306,125 @@ def _residue_runs(per_box_union: dict, period: int) -> dict:
     return runs
 
 
-def walk_translates(per_box_union: dict, period: int):
-    """Yield the union over 0 <= j <= k of (G_{k,0} + w_j) in runs.
+class PureGapSet:
+    """The pure gap set ``G0``, held as its per-box sets plus the period.
 
-    Each run is ``(a, bs, shift)``: the points ``(a, b + shift)`` for b in
-    the ascending list ``bs``.  Runs come in lexicographic order of their
-    points (see the module docstring), so the concatenation is the sorted
-    pure gap set.  Containment of every per-box point is checked before the
-    first run is yielded.
+    ``G0`` is the disjoint union of the translates ``G_{k,0} + w_j``,
+    ``0 <= j <= k``, so the per-box sets and the period are all of it.  The
+    sets are kept as residue runs, ``k -> {a - k*period: ascending second
+    coordinates of G_{k,0} at a}``, with empty boxes dropped.  Building the
+    value checks once that every per-box point lies strictly inside its
+    box, which makes the translates disjoint, and raises
+    DisjointnessViolationError otherwise.
+
+    * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|``.
+    * Iteration lists ``G0`` in lexicographic order, by :meth:`runs`.
+    * ``==`` with another PureGapSet of the same period compares the
+      per-box sets.  That is exact: containment gives
+      ``G_{k,0} = (G0 & box(k-j, j)) - w_j``, so equal per-box sets and
+      equal sets ``G0`` imply each other.
+    * ``==`` with a list compares it run by run against slices of the
+      list, so no second ``|G0|``-sized list is held.  The number of points
+      walked must equal the weighted sum, or CardinalityMismatchError is
+      raised.
     """
-    runs = _residue_runs(per_box_union, period)
-    top = max(runs, default=-1)
-    for i in range(top + 1):
-        column = [(j * period, runs[i + j])
-                  for j in range(top + 1 - i) if i + j in runs]
-        residues = sorted(set().union(*(by_residue for _, by_residue in column)))
-        base = i * period
-        for r in residues:
-            a = base + r
-            for shift, by_residue in column:
-                bs = by_residue.get(r)
-                if bs is not None:
-                    yield a, bs, shift
+
+    __slots__ = ("period", "_runs", "_size")
+
+    def __init__(self, per_box_union: dict, period: int):
+        self.period = period
+        self._runs = _residue_runs(per_box_union, period)
+        self._size = check_int128(sum((k + 1) * len(box)
+                                      for k, box in per_box_union.items()))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __repr__(self) -> str:
+        return (f"PureGapSet(period={self.period}, boxes={sorted(self._runs)}, "
+                f"size={self._size})")
+
+    def runs(self):
+        """Yield ``G0`` in runs ``(a, bs, shift)``: the points
+        ``(a, b + shift)`` for b in the ascending list ``bs``.
+
+        Runs come in lexicographic order of their points (see the module
+        docstring), so their concatenation is the sorted pure gap set.
+        """
+        period = self.period
+        runs = self._runs
+        top = max(runs, default=-1)
+        for i in range(top + 1):
+            column = [(j * period, runs[i + j])
+                      for j in range(top + 1 - i) if i + j in runs]
+            residues = sorted(set().union(*(by_residue
+                                            for _, by_residue in column)))
+            base = i * period
+            for r in residues:
+                a = base + r
+                for shift, by_residue in column:
+                    bs = by_residue.get(r)
+                    if bs is not None:
+                        yield a, bs, shift
+
+    def __iter__(self):
+        for a, bs, shift in self.runs():
+            for b in bs:
+                yield a, b + shift
+
+    def __eq__(self, other):
+        if isinstance(other, PureGapSet):
+            if self.period == other.period:
+                return self._runs == other._runs
+            return self._size == other._size and all(map(eq, self, other))
+        if isinstance(other, list):
+            return self._equals_list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def _equals_list(self, other: list) -> bool:
+        pos = 0
+        for a, bs, shift in self.runs():
+            end = pos + len(bs)
+            if other[pos:end] != [(a, b + shift) for b in bs]:
+                return False
+            pos = end
+        if pos != self._size:
+            raise CardinalityMismatchError(
+                f"|G0| = {pos} but weighted per-box sum is {self._size}")
+        return pos == len(other)
 
 
-def union_of_translates(per_box_union: dict, period: int) -> tuple:
-    """Union over 0 <= j <= k of (G_{k,0} + w_j) as a sorted list.
+def union_of_translates(per_box_union: dict, period: int) -> PureGapSet:
+    """Union over 0 <= j <= k of (G_{k,0} + w_j), as a :class:`PureGapSet`.
 
-    Returns (sorted list, weighted size).  The list is built by
-    :func:`walk_translates`, which checks that every per-box point lies in
-    its box and so that the translates are disjoint; its length must equal
-    the weighted per-box sum.
+    ``per_box_union`` maps k to the sorted set ``G_{k,0}``.  Building the
+    value checks that every per-box point lies in its box, and so that the
+    translates are disjoint.
     """
-    expected = weighted_size(per_box_union)
-    out = []
-    extend = out.extend
-    for a, bs, shift in walk_translates(per_box_union, period):
-        extend([(a, b + shift) for b in bs])
-    if len(out) != expected:
-        raise CardinalityMismatchError(
-            f"|G0| = {len(out)} but weighted per-box sum is {expected}")
-    return out, expected
+    return PureGapSet(per_box_union, period)
+
+
+def union_of_components(boxes, period: int) -> PureGapSet:
+    """``G0`` from per-box components: ``boxes`` yields pairs ``(k, the
+    components of box (k, 0))``; each box is merged by :func:`merge_box` as
+    it comes, so a lazy ``boxes`` holds one box's components at a time, and
+    the merged sets go to :func:`union_of_translates`."""
+    return union_of_translates(
+        {k: merge_box(k, parts) for k, parts in boxes}, period)
 
 
 def assemble(per_box: dict, period: int, bnd: Bounds) -> PureGapResult:
     """Assemble the full pure gap set from per-box components.
 
     ``per_box`` maps each box index k to the four components of box
-    ``(k, 0)``.  Each box's components must be pairwise disjoint; the
-    union of all translates checks the translate disjointness and the
-    cardinality identity ``|G0| = sum (k+1)|G_{k,0}|``.  ``bnd`` supplies
-    the bounds recorded in the result.
+    ``(k, 0)``.  Each box's components must be pairwise disjoint, and every
+    per-box point must lie in its box, which makes the translates
+    disjoint.  ``bnd`` supplies the bounds recorded in the result.
     """
-    union_by_box = {k: merge_box(k, parts) for k, parts in per_box.items()}
-    g0, cardinality = union_of_translates(union_by_box, period)
-    return PureGapResult(g0=g0, per_box=per_box, cardinality=cardinality,
+    g0 = union_of_components(per_box.items(), period)
+    return PureGapResult(g0=g0, per_box=per_box, cardinality=len(g0),
                          lower_bound=bnd.lower, upper_bound=bnd.upper,
                          homma_kim_bound=bnd.homma_kim)
 

@@ -21,7 +21,11 @@ from . import kummer as kummer_mod
 from .engine import assemble_pure_gaps, compute_g2, decompose
 from .errors import ConsistencyError
 from .lattice import GeneratingSet
-from .oracle import check_period_property, pure_gaps_direct
+from .oracle import (
+    check_period_property,
+    count_pure_gaps_direct,
+    pure_gaps_direct,
+)
 
 #: Closed-form families: name -> (module, parameter names).  The module
 #: provides ``<name>_generating_set``, ``<name>_card_g0``,
@@ -136,7 +140,8 @@ def _check_bounds(checks, result):
 
 
 def _check_oracle(checks, result, direct):
-    # The diff costs two |G0|-sized sets, so it is built only on failure.
+    # The engine's G0 streams against the oracle's list; the diff costs
+    # two |G0|-sized sets, so it is built only on failure.
     ok = result.g0 == direct
     checks.record("engine_vs_oracle", ok,
                   "" if ok else _diff_sets("G0", result.g0, direct))
@@ -150,7 +155,10 @@ def _check_genus(checks, boxed):
 
 def summarize_family(family: str, params: dict) -> RunReport:
     """Summary-mode report for a closed-form family (no timings, oracle
-    skipped; the verify command owns the expensive cross-checks)."""
+    skipped; the verify command owns the expensive cross-checks).
+
+    The engine's and the family's ``G0`` are compared box by box, so
+    neither is ever listed."""
     gamma = call_family(family, "{}_generating_set", params)
     boxed = decompose(gamma)
     result = assemble_pure_gaps(boxed)
@@ -248,9 +256,10 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
 def _verify_special(family, params, r, closed_form, timed=False,
                     sharp=False):
     """Check a special-case closed form, ``closed_form()``, against the
-    engine and the oracle on the Kummer set ``(params["m"], r)``.  With
-    ``timed`` the closed form's time is the report's timing; with ``sharp``
-    the upper bound must also equal the closed form."""
+    engine's and the oracle's counts on the Kummer set ``(params["m"], r)``;
+    neither count lists ``G0``.  With ``timed`` the closed form's time is
+    the report's timing; with ``sharp`` the upper bound must also equal
+    the closed form."""
     try:
         start = time.perf_counter()
         closed = closed_form()
@@ -259,14 +268,13 @@ def _verify_special(family, params, r, closed_form, timed=False,
         gamma = kummer_mod.kummer_generating_set(params["m"], r)
         boxed = decompose(gamma)
         result = assemble_pure_gaps(boxed, verify=True)
-        direct = pure_gaps_direct(gamma)
+        direct = count_pure_gaps_direct(gamma)
     except ConsistencyError as exc:
         return _failed_report(family, params, exc)
+    engine = len(result.g0)
     checks = _Checks()
-    checks.record("special_vs_enumeration",
-                  closed == result.cardinality == len(direct),
-                  f"closed={closed} engine={result.cardinality} "
-                  f"oracle={len(direct)}")
+    checks.record("special_vs_enumeration", closed == engine == direct,
+                  f"closed={closed} engine={engine} oracle={direct}")
     if sharp:
         checks.record("upper_bound_sharp", closed == result.upper_bound,
                       f"closed={closed} upper={result.upper_bound}")
@@ -357,8 +365,10 @@ class BenchRow:
 def bench_family(family: str, params: dict) -> list:
     """Time the box-decomposition route against the direct glb scan.
 
-    Outputs are compared for exact equality before timings are returned;
-    a mismatch raises ConsistencyError.
+    The box route's time ends at its :class:`~puregaps.engine.PureGapSet`;
+    the direct scan's ends at its list.  The value is then compared with
+    the list by streaming its runs, before timings are returned; a
+    mismatch raises ConsistencyError.
     """
     gamma = call_family(family, "{}_generating_set", params)
 

@@ -4,9 +4,9 @@ Nothing here touches the box-decomposition engine; these functions are the
 independent side of every cross-check.  The pure gap set is computed from
 its definition, as the glbs of incomparable generating pairs, by a scan
 that keeps the already-passed second coordinates sorted and so needs no
-dedup set and no final sort.  The period-law checker shares its routine
-with validation, so on a validated set it cannot fail; it is there for
-tampered data.
+dedup set and no final sort; the same scan counts them without listing.
+The period-law checker shares its routine with validation, so on a
+validated set it cannot fail; it is there for tampered data.
 """
 
 from __future__ import annotations
@@ -44,6 +44,20 @@ def pure_gaps_direct(gamma: GeneratingSet) -> list:
         insort(passed, b)
     out.reverse()
     return out
+
+
+def count_pure_gaps_direct(gamma: GeneratingSet) -> int:
+    """``len(pure_gaps_direct(gamma))`` without listing the pure gaps.
+
+    The same sorted-suffix scan, summing each point's number of glbs,
+    ``bisect_left(passed, b)``, instead of emitting them.
+    """
+    total = 0
+    passed = []
+    for _, b in sorted(gamma.points, reverse=True):
+        total += bisect_left(passed, b)
+        insort(passed, b)
+    return total
 
 
 @dataclass(frozen=True)

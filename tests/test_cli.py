@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import puregaps.harness as harness
+from puregaps.engine import PureGapSet
 from puregaps.cli import main
 from puregaps.kummer import kummer_generating_set
 from puregaps.oracle import pure_gaps_direct
@@ -324,3 +325,27 @@ class TestFailingCrossCheck:
         dropped = pure_gaps_direct(kummer_generating_set(2, 5))[0]
         assert first.endswith(f"engine_vs_oracle: G0: 1 vs 0 points; "
                               f"unexpected [{dropped}], missing []")
+
+
+class TestSummariesNeverListG0:
+    """Summaries and the special checks compare G0 box by box and count it;
+    they never list it."""
+
+    @pytest.fixture(autouse=True)
+    def no_listing(self, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("G0 was listed")
+        for name in ("runs", "__iter__", "_equals_list"):
+            monkeypatch.setattr(PureGapSet, name, listed)
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 3}), ("kummer", {"m": 13, "r": 11})])
+    def test_summarize_family(self, family, params):
+        report = harness.summarize_family(family, params)
+        assert report.ok
+        assert report.verdicts["closed_form_vs_enumeration"] == "pass"
+
+    def test_verify_special_ur1(self):
+        report = harness.verify_special_ur1(1, 5)
+        assert report.ok
+        assert report.verdicts["special_vs_enumeration"] == "pass"

@@ -1,7 +1,12 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puregaps.engine import (
     BoxedGamma,
+    PureGapSet,
     assemble_pure_gaps,
     bounds,
     bounds_from_row_sizes,
@@ -175,9 +180,10 @@ def test_union_of_translates_overlap_detected():
 
 
 def test_union_of_translates_weighted_count():
-    union, count = union_of_translates({0: [(1, 1)], 1: [(10, 2), (11, 3)]}, 9)
-    assert count == 1 + 2 * 2
-    assert union == [(1, 1), (1, 11), (2, 12), (10, 2), (11, 3)]
+    union = union_of_translates({0: [(1, 1)], 1: [(10, 2), (11, 3)]}, 9)
+    assert isinstance(union, PureGapSet)
+    assert len(union) == 1 + 2 * 2
+    assert list(union) == [(1, 1), (1, 11), (2, 12), (10, 2), (11, 3)]
 
 
 def test_union_of_translates_point_outside_box_in_b_only():
@@ -185,3 +191,81 @@ def test_union_of_translates_point_outside_box_in_b_only():
     # no two translates overlap, so only the containment check sees it
     with pytest.raises(DisjointnessViolationError):
         union_of_translates({0: [(1, 9)], 1: [(10, 2)]}, 9)
+
+
+@st.composite
+def boxes_inside(draw):
+    """A period and per-box sets G_{k,0} strictly inside box (k, 0), in any
+    pattern: not only the diagonal families' shapes."""
+    period = draw(st.integers(min_value=2, max_value=7))
+    boxes = {}
+    for k in range(draw(st.integers(min_value=0, max_value=4))):
+        inside = st.tuples(
+            st.integers(min_value=k * period + 1,
+                        max_value=(k + 1) * period - 1),
+            st.integers(min_value=1, max_value=period - 1))
+        boxes[k] = sorted(draw(st.sets(inside, max_size=12)))
+    return boxes, period
+
+
+def translates(boxes, period):
+    """Brute force: every translate (a - j*period, b + j*period), sorted."""
+    return sorted((a - j * period, b + j * period)
+                  for k, box in boxes.items() for j in range(k + 1)
+                  for a, b in box)
+
+
+class TestPureGapSet:
+    @settings(max_examples=300, deadline=None)
+    @given(boxes_inside())
+    def test_matches_brute_force(self, drawn):
+        boxes, period = drawn
+        g0 = union_of_translates(boxes, period)
+        want = translates(boxes, period)
+        assert list(g0) == want
+        assert len(g0) == len(want)
+        assert g0 == want
+        assert want == g0
+        assert g0 == union_of_translates(dict(boxes), period)
+
+    @pytest.fixture
+    def gk2_g0(self, gk2_boxed):
+        return assemble_pure_gaps(gk2_boxed).g0
+
+    def test_list_edits_unequal(self, gk2_g0):
+        want = list(gk2.G0_SORTED)
+        assert gk2_g0 == want
+        dropped = want[:5] + want[6:]
+        added = want[:5] + [(2, 99)] + want[5:]
+        appended = want + [(100, 100)]
+        swapped = want[:5] + [want[6], want[5]] + want[7:]
+        for edited in (dropped, added, appended, swapped, []):
+            assert gk2_g0 != edited
+            assert edited != gk2_g0
+
+    def test_one_box_differs(self, gk2_boxed, gk2_g0):
+        per_box = assemble_pure_gaps(gk2_boxed).per_box
+        merged = {k: sorted(p for part in parts for p in part)
+                  for k, parts in per_box.items()}
+        assert union_of_translates(merged, 9) == gk2_g0
+        free = min(set(product(range(10, 18), range(1, 9))) - set(merged[1]))
+        for box in (merged[1][1:], sorted(merged[1][1:] + [free])):
+            edited = dict(merged)
+            edited[1] = box
+            assert union_of_translates(edited, 9) != gk2_g0
+
+    def test_other_period_compares_by_points(self):
+        # one point in box (0, 0) is the same G0 under either period
+        assert union_of_translates({0: [(1, 1)]}, 3) == \
+            union_of_translates({0: [(1, 1)]}, 5)
+        assert union_of_translates({0: [(1, 1)], 1: [(4, 1)]}, 3) != \
+            union_of_translates({0: [(1, 1)], 1: [(6, 1)]}, 5)
+        assert union_of_translates({}, 3) == union_of_translates({1: []}, 5)
+
+    def test_not_comparable_with_tuple(self, gk2_g0):
+        assert gk2_g0 != tuple(gk2.G0_SORTED)
+
+    def test_walked_count_checked(self, gk2_g0):
+        gk2_g0._size += 1
+        with pytest.raises(CardinalityMismatchError):
+            gk2_g0 == list(gk2.G0_SORTED)

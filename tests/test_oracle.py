@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from puregaps.engine import assemble_pure_gaps, decompose
 from puregaps.errors import InvalidParamsError
 from puregaps.lattice import GeneratingSet, validate_generating_set
-from puregaps.oracle import check_period_property, pure_gaps_direct
+from puregaps.oracle import (
+    check_period_property,
+    count_pure_gaps_direct,
+    pure_gaps_direct,
+)
 
 import expected_gk2 as gk2
 from reference import gap_projections, lub, semigroup_box
@@ -135,6 +139,12 @@ class TestPureGapsDirectArbitrary:
         assert got == reference_pure_gaps(points)
         assert all(x < y for x, y in zip(got, got[1:]))
         assert all(type(p) is tuple for p in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(injective_pairs(), st.integers(min_value=1, max_value=50))
+    def test_count_matches_listing(self, points, period):
+        gamma = GeneratingSet(points=tuple(points), period=period)
+        assert count_pure_gaps_direct(gamma) == len(pure_gaps_direct(gamma))
 
     @pytest.mark.parametrize("points, expected", [
         ([], []),                                        # genus 0
