@@ -10,6 +10,8 @@ from .engine import (
     PureGapSet,
     assemble_pure_gaps,
     bounds,
+    box_columns,
+    box_components,
     bounds_from_row_sizes,
     compute_g1,
     compute_g2,
@@ -61,6 +63,7 @@ from .oracle import (
     PeriodPropertyReport,
     check_period_property,
     count_pure_gaps_direct,
+    pure_gap_columns_direct,
     pure_gaps_direct,
 )
 

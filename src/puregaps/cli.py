@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .engine import box_components, decompose, union_of_components
+from .engine import assemble_pure_gaps, decompose
 from .errors import CardinalityMismatchError, ConsistencyError, ValidationError
 from .gammafile import dump_gamma, load_gamma
 from .harness import (
@@ -57,26 +57,32 @@ def _stream_pure_gaps(boxed, verify, fmt, out):
     """Write G0 in lexicographic order, one line ``a<TAB>b`` per point or
     one JSON array of pairs.
 
-    Builds G0 with :func:`union_of_components`, the constructor of every
-    assembly, and writes its runs in chunks, so memory is bounded by the
-    per-box sets, not by ``|G0|``.  The number of points written must
-    equal the weighted per-box sum.
+    Builds G0 with :func:`assemble_pure_gaps`, by column, and writes its
+    runs in chunks, so memory is bounded by the per-box sets, not by
+    ``|G0|``.  Each second coordinate's text, with what closes its point,
+    is made once, for every value box containment allows, so a run costs
+    one ``join`` of table lookups and no arithmetic or ``str`` per point.
+    The number of points written must equal the weighted per-box sum.
     """
-    g0 = union_of_components(
-        ((k, box_components(boxed, k, verify=verify))
-         for k in range(boxed.kmax)), boxed.period)
+    g0 = assemble_pure_gaps(boxed, verify=verify).g0
     if fmt == "json":
         opener, mid, closer, sep = "[", ",", "]", ","
         out.write("[")
     else:
         opener, mid, closer, sep = "", "\t", "\n", ""
+    # Second coordinates of G_{k,0} + w_j are b + j*period, 0 < b < period
+    # and j <= k < kmax: one table of cells per shift j*period, indexed by b.
+    period = boxed.period
+    cells = {j * period: [f"{v}{closer}" for v in
+                          range(j * period, (j + 1) * period)]
+             for j in range(boxed.kmax)}
     pieces = []
     pending = written = 0
     gap = ""
     for a, bs, shift in g0.runs():
         lead = f"{opener}{a}{mid}"
-        values = map(str, map(shift.__add__, bs) if shift else bs)
-        pieces.append(gap + lead + (closer + sep + lead).join(values) + closer)
+        values = map(cells[shift].__getitem__, bs)
+        pieces.append(gap + lead + (sep + lead).join(values))
         gap = sep
         pending += len(bs)
         if pending >= _CHUNK_POINTS:

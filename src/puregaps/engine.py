@@ -8,24 +8,29 @@ into four components, computed here straight from their defining
 formulas, and the full pure gap set is the disjoint union of the
 translates ``(G_{k,0} + w_j)`` over ``0 <= j <= k``.
 
-Box containment fixes the order of that union.  Every point of
-``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
+Inside a box each component is a set of columns, one first coordinate with
+an ascending list of second coordinates, and so is ``G_{k,0}``:
+:func:`box_columns` builds it that way straight from the rows, with no
+tuple per point.  Box containment fixes the order of the union.  Every
+point of ``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
 (k+1)*period`` and ``0 < b < period``.  Its translate by ``w_j`` therefore
 lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
-``G0`` needs no other storage than the per-box sets and the period.  That
-is :class:`PureGapSet`, the value :func:`union_of_translates` builds: it
-checks containment once, when built; its length is the weighted sum
-``sum (k+1)|G_{k,0}|``; and :meth:`PureGapSet.runs` lists it in
-lexicographic order without a sort: box columns ``i`` ascending; inside a
-column, first-coordinate residues ``r`` ascending; for each residue, ``j``
-ascending, giving the sorted second coordinates of ``G_{i+j,0}`` at
+``G0`` needs no other storage than the per-box columns and the period.
+That is :class:`PureGapSet`, the value :func:`union_of_translates` builds:
+it checks containment once per column, when built; its length is the
+weighted sum ``sum (k+1)|G_{k,0}|``; and :meth:`PureGapSet.runs` lists it
+in lexicographic order without a sort: box columns ``i`` ascending; inside
+a box column, first-coordinate residues ``r`` ascending; for each residue,
+``j`` ascending, giving the sorted second coordinates of ``G_{i+j,0}`` at
 ``a = (i+j)*period + r`` shifted by ``j*period``.  Two such values compare
-box by box, and a value compares with a list by streaming its runs against
-slices of the list.
+box by box, and a value compares with ``G0`` given by columns by
+streaming its runs against slices of the columns.
 
-:func:`assemble` is the only assembly path, for the engine's components
-and a closed-form family's alike; :func:`check_components` is the only
-cross-check of a family's explicit boxes and components against the engine.
+:func:`assemble_pure_gaps` builds the engine's ``G0`` from
+:func:`box_columns`; :func:`assemble` builds a closed-form family's from
+its explicit components, an independent witness.  :func:`check_components`
+is the only cross-check of a family's explicit boxes and components
+against the engine's formulas.
 
 Bulk results other than ``G0`` are plain ``(a, b)`` tuples (they compare
 equal to :class:`~puregaps.lattice.LatticePoint`); every result list is
@@ -35,9 +40,11 @@ sorted lexicographically.  Cardinalities and bounds are guarded against the
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import eq
+from itertools import chain, groupby, islice
+from operator import eq, itemgetter, lt
 from typing import Mapping
 
 from .errors import (
@@ -241,15 +248,13 @@ def bounds(boxed: BoxedGamma) -> Bounds:
 class PureGapResult:
     """The assembled pure gap set.
 
-    ``g0`` is the full set as a :class:`PureGapSet`: the merged per-box
-    sets plus the period, which iterates in lexicographic order and
-    compares equal to the sorted list of its points; ``per_box`` maps each
-    box index k to its four sorted components; ``cardinality`` equals
+    ``g0`` is the full set as a :class:`PureGapSet`: the per-box sets by
+    column plus the period, which iterates in lexicographic order and
+    compares equal to the sorted list of its points; ``cardinality`` equals
     ``len(g0)``, the weighted per-box sum.
     """
 
     g0: PureGapSet
-    per_box: dict
     cardinality: int
     lower_bound: int
     upper_bound: int
@@ -262,48 +267,84 @@ def box_components(boxed: BoxedGamma, k: int, verify: bool = False) -> tuple:
             compute_g4(boxed, k, verify=verify))
 
 
-def merge_box(k: int, components) -> list:
-    """G_{k,0}: the sorted union of the four components of box (k, 0).
+def box_columns(boxed: BoxedGamma, k: int) -> dict:
+    """``G_{k,0}`` by columns: ``{a - k*period: the ascending second
+    coordinates of G_{k,0} at a}``, residues ascending, no empty column.
 
-    The components are provably pairwise disjoint; an overlap raises.
+    Let ``S`` be the second coordinates of the points above row k and
+    ``F`` their first coordinates shifted down to row k.  The glb formulas
+    of the four components give two kinds of column:
+
+    * at ``f`` in ``F``, G1 and G4: all of ``S``, plus the second
+      coordinates of the row-k points whose first coordinate exceeds ``f``;
+    * at a row-k point ``(u_a, u_b)``, G3 and G2: the second coordinates
+      below ``u_b`` of ``S`` and of the row-k points right of ``u_a``.
+
+    So one walk over the columns in decreasing first coordinate, keeping
+    ``S`` and the row-k second coordinates passed in one sorted list,
+    gives each column as the whole list or a prefix of it: no set, no
+    sort and no tuple per point.  ``F`` and ``S`` may not repeat a value
+    (the G1 cardinality check, CardinalityMismatchError), and ``F`` may not
+    meet the row-k first coordinates, where the two kinds of column would
+    overlap (DisjointnessViolationError).
     """
-    merged = set()
-    for part in components:
-        merged.update(part)
-    if len(merged) != sum(len(part) for part in components):
+    period = boxed.period
+    firsts = []
+    passed = []
+    for k2 in range(k + 1, boxed.kmax):
+        shift = k2 * period
+        for a, b in boxed.row(k2):
+            firsts.append(a - shift)
+            passed.append(b)
+    above = len(firsts)
+    distinct = len(set(firsts)) * len(set(passed))
+    if distinct != above * above:
+        raise CardinalityMismatchError(
+            f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
+    base = k * period
+    own = {a - base: b for a, b in boxed.row(k)}
+    if not own.keys().isdisjoint(firsts):
+        raise DisjointnessViolationError(
+            f"box k={k}: a first coordinate shifted down from a higher row "
+            f"is a first coordinate of row {k}")
+    passed.sort()
+    columns = []
+    for r in sorted(chain(firsts, own), reverse=True):
+        b = own.get(r)
+        if b is None:
+            columns.append((r, passed[:]))
+        else:
+            cut = bisect_left(passed, b)
+            if cut:
+                columns.append((r, passed[:cut]))
+            insort(passed, b)
+    columns.reverse()
+    return dict(columns)
+
+
+def _component_columns(k: int, parts, period: int) -> dict:
+    """``G_{k,0}`` by columns, as :func:`box_columns` gives it, from the
+    sorted components ``parts`` of box (k, 0).
+
+    Sorting the concatenation merges the sorted components in one pass; a
+    repeated point means two components overlap, and raises
+    DisjointnessViolationError.
+    """
+    merged = sorted(chain(*parts))
+    if not all(map(lt, merged, islice(merged, 1, None))):
         raise DisjointnessViolationError(
             f"components of box k={k} are not pairwise disjoint")
-    return sorted(merged)
-
-
-def _residue_runs(per_box_union: dict, period: int) -> dict:
-    """k -> {a - k*period: second coordinates of G_{k,0} at a, ascending}.
-
-    Empty boxes are dropped.  Raises DisjointnessViolationError when a
-    point lies outside its box (k, 0) or a per-box set is not strictly
-    increasing.
-    """
-    runs = {}
-    for k, box in per_box_union.items():
-        lo = k * period
-        hi = lo + period
-        by_residue = {}
-        prev = None
-        for point in box:
-            a, b = point
-            if not (lo < a < hi and 0 < b < period):
-                raise DisjointnessViolationError(
-                    f"{point} of G_({k},0) lies outside box ({k}, 0)")
-            if prev is not None and point <= prev:
-                raise DisjointnessViolationError(
-                    f"G_({k},0) is not strictly increasing at {point}")
-            if prev is None or a != prev[0]:
-                bs = by_residue[a - lo] = []
-            bs.append(b)
-            prev = point
-        if by_residue:
-            runs[k] = by_residue
-    return runs
+    columns = {}
+    if merged:
+        firsts, seconds = zip(*merged)
+        base = k * period
+        i = 0
+        while i < len(firsts):
+            a = firsts[i]
+            end = bisect_right(firsts, a, i)
+            columns[a - base] = list(seconds[i:end])
+            i = end
+    return columns
 
 
 class PureGapSet:
@@ -311,11 +352,11 @@ class PureGapSet:
 
     ``G0`` is the disjoint union of the translates ``G_{k,0} + w_j``,
     ``0 <= j <= k``, so the per-box sets and the period are all of it.  The
-    sets are kept as residue runs, ``k -> {a - k*period: ascending second
-    coordinates of G_{k,0} at a}``, with empty boxes dropped.  Building the
-    value checks once that every per-box point lies strictly inside its
-    box, which makes the translates disjoint, and raises
-    DisjointnessViolationError otherwise.
+    sets are kept by column, ``k -> {a - k*period: ascending second
+    coordinates of G_{k,0} at a}``, with empty columns and boxes dropped.
+    Building the value checks once per column that it lies strictly inside
+    its box and is strictly increasing, which makes the translates
+    disjoint, and raises DisjointnessViolationError otherwise.
 
     * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|``.
     * Iteration lists ``G0`` in lexicographic order, by :meth:`runs`.
@@ -323,19 +364,33 @@ class PureGapSet:
       per-box sets.  That is exact: containment gives
       ``G_{k,0} = (G0 & box(k-j, j)) - w_j``, so equal per-box sets and
       equal sets ``G0`` imply each other.
-    * ``==`` with a list compares it run by run against slices of the
-      list, so no second ``|G0|``-sized list is held.  The number of points
-      walked must equal the weighted sum, or CardinalityMismatchError is
-      raised.
+    * :meth:`equals_columns` compares it with ``G0`` given by columns, one
+      list slice per run, so no second ``|G0|``-sized list is held; ``==``
+      with a sorted list of points compares it by the list's columns.
     """
 
     __slots__ = ("period", "_runs", "_size")
 
-    def __init__(self, per_box_union: dict, period: int):
+    def __init__(self, columns_by_box: dict, period: int):
+        runs = {}
+        size = 0
+        for k, columns in columns_by_box.items():
+            kept = {}
+            for r, bs in columns.items():
+                if not bs:
+                    continue
+                if not (0 < r < period and 0 < bs[0] and bs[-1] < period
+                        and all(map(lt, bs, islice(bs, 1, None)))):
+                    raise DisjointnessViolationError(
+                        f"column a={k * period + r} of G_({k},0) leaves box "
+                        f"({k}, 0) or is not strictly increasing")
+                kept[r] = bs
+                size += (k + 1) * len(bs)
+            if kept:
+                runs[k] = kept
         self.period = period
-        self._runs = _residue_runs(per_box_union, period)
-        self._size = check_int128(sum((k + 1) * len(box)
-                                      for k, box in per_box_union.items()))
+        self._runs = runs
+        self._size = check_int128(size)
 
     def __len__(self) -> int:
         return self._size
@@ -383,62 +438,88 @@ class PureGapSet:
 
     __hash__ = None
 
-    def _equals_list(self, other: list) -> bool:
-        pos = 0
+    def equals_columns(self, columns) -> bool:
+        """True when ``columns``, pairs ``(a, ascending second coordinates
+        at a)`` in increasing ``a``, list exactly ``G0``.
+
+        Each run is compared with one slice of its column; a shifted run
+        is shifted by lookups in a table of the shifted values, with no
+        addition per point.  The number of points walked must equal the
+        weighted sum, or CardinalityMismatchError is raised.
+        """
+        period = self.period
+        shifted = {j * period: list(range(j * period, (j + 1) * period))
+                   for j in range(1, max(self._runs, default=0) + 1)}
+        pending = iter(columns)
+        at, column, pos = None, (), 0
+        walked = 0
         for a, bs, shift in self.runs():
+            if a != at:
+                if pos != len(column):
+                    return False
+                at, column = next(pending, (None, ()))
+                if at != a:
+                    return False
+                pos = 0
             end = pos + len(bs)
-            if other[pos:end] != [(a, b + shift) for b in bs]:
+            if column[pos:end] != (list(map(shifted[shift].__getitem__, bs))
+                                   if shift else bs):
                 return False
             pos = end
-        if pos != self._size:
+            walked += len(bs)
+        if walked != self._size:
             raise CardinalityMismatchError(
-                f"|G0| = {pos} but weighted per-box sum is {self._size}")
-        return pos == len(other)
+                f"|G0| = {walked} but weighted per-box sum is {self._size}")
+        return pos == len(column) and next(pending, None) is None
+
+    def _equals_list(self, other: list) -> bool:
+        return self.equals_columns(
+            (a, [b for _, b in points])
+            for a, points in groupby(other, itemgetter(0)))
 
 
-def union_of_translates(per_box_union: dict, period: int) -> PureGapSet:
+def union_of_translates(columns_by_box: dict, period: int) -> PureGapSet:
     """Union over 0 <= j <= k of (G_{k,0} + w_j), as a :class:`PureGapSet`.
 
-    ``per_box_union`` maps k to the sorted set ``G_{k,0}``.  Building the
-    value checks that every per-box point lies in its box, and so that the
+    ``columns_by_box`` maps k to ``G_{k,0}`` by columns, as
+    :func:`box_columns` gives it.  Building the value checks that every
+    column lies in its box and is strictly increasing, and so that the
     translates are disjoint.
     """
-    return PureGapSet(per_box_union, period)
+    return PureGapSet(columns_by_box, period)
 
 
-def union_of_components(boxes, period: int) -> PureGapSet:
-    """``G0`` from per-box components: ``boxes`` yields pairs ``(k, the
-    components of box (k, 0))``; each box is merged by :func:`merge_box` as
-    it comes, so a lazy ``boxes`` holds one box's components at a time, and
-    the merged sets go to :func:`union_of_translates`."""
-    return union_of_translates(
-        {k: merge_box(k, parts) for k, parts in boxes}, period)
+def _result(columns_by_box: dict, period: int, bnd: Bounds) -> PureGapResult:
+    g0 = union_of_translates(columns_by_box, period)
+    return PureGapResult(g0=g0, cardinality=len(g0), lower_bound=bnd.lower,
+                         upper_bound=bnd.upper, homma_kim_bound=bnd.homma_kim)
 
 
 def assemble(per_box: dict, period: int, bnd: Bounds) -> PureGapResult:
-    """Assemble the full pure gap set from per-box components.
+    """Assemble the full pure gap set from a family's explicit components.
 
-    ``per_box`` maps each box index k to the four components of box
-    ``(k, 0)``.  Each box's components must be pairwise disjoint, and every
-    per-box point must lie in its box, which makes the translates
-    disjoint.  ``bnd`` supplies the bounds recorded in the result.
+    ``per_box`` maps each box index k to the four sorted components of box
+    ``(k, 0)``, which :func:`_component_columns` merges into columns; they
+    must be pairwise disjoint, and every column must lie in its box, which
+    makes the translates disjoint.  ``bnd`` supplies the bounds recorded in
+    the result.
     """
-    g0 = union_of_components(per_box.items(), period)
-    return PureGapResult(g0=g0, per_box=per_box, cardinality=len(g0),
-                         lower_bound=bnd.lower, upper_bound=bnd.upper,
-                         homma_kim_bound=bnd.homma_kim)
+    return _result({k: _component_columns(k, parts, period)
+                    for k, parts in per_box.items()}, period, bnd)
 
 
 def assemble_pure_gaps(boxed: BoxedGamma, verify: bool = False) -> PureGapResult:
     """Assemble the full pure gap set from the row-zero boxes.
 
-    The engine computes the four components of every box ``(k, 0)`` and
-    hands them to :func:`assemble`.  ``verify=True`` additionally runs the
-    general fourth-component formula against its fast path.
+    Every box ``(k, 0)`` is built by :func:`box_columns`.  ``verify=True``
+    additionally runs, on every box of a diagonal set, the general
+    fourth-component formula against its reflected fast path.
     """
-    per_box = {k: box_components(boxed, k, verify=verify)
-               for k in range(boxed.kmax)}
-    return assemble(per_box, boxed.period, bounds(boxed))
+    if verify and boxed.diagonal:
+        for k in range(boxed.kmax):
+            compute_g4(boxed, k, verify=True)
+    return _result({k: box_columns(boxed, k) for k in range(boxed.kmax)},
+                   boxed.period, bounds(boxed))
 
 
 def check_components(boxed: BoxedGamma, row, components, label: str) -> None:

@@ -18,12 +18,12 @@ import warnings
 from dataclasses import dataclass
 
 from .engine import (
+    BoxedGamma,
     PureGapResult,
     assemble,
     bounds_from_row_sizes,
     check_components,
     check_int128,
-    decompose,
 )
 from .errors import (
     ClosedFormMismatchError,
@@ -267,12 +267,12 @@ def gk_pure_gaps(q: int) -> PureGapResult:
     return result
 
 
-def verify_against_engine(q: int) -> None:
-    """Compare every explicit closed-form set with the generic engine.
+def verify_against_engine(boxed: BoxedGamma, q: int) -> None:
+    """Compare every explicit closed-form set with the generic engine on
+    ``boxed``, the decomposed generating set of parameter q.
 
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
     """
-    check_components(decompose(gk_generating_set(q)),
-                     lambda k: gk_gamma_k0(q, k),
+    check_components(boxed, lambda k: gk_gamma_k0(q, k),
                      lambda k: _components(q, k), f"q={q}")

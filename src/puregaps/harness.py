@@ -24,13 +24,15 @@ from .lattice import GeneratingSet
 from .oracle import (
     check_period_property,
     count_pure_gaps_direct,
-    pure_gaps_direct,
+    points_of,
+    pure_gap_columns_direct,
 )
 
 #: Closed-form families: name -> (module, parameter names).  The module
 #: provides ``<name>_generating_set``, ``<name>_card_g0``,
 #: ``<name>_pure_gaps`` and ``verify_against_engine``, each taking the
-#: parameters in this order.
+#: parameters in this order (``verify_against_engine`` takes the
+#: decomposed generating set before them).
 FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}
 
 #: Default parameter sweep for the m=(q+1)/N special case.
@@ -75,12 +77,14 @@ class RunReport:
         return f"{self.family}({inner})"
 
 
-def call_family(family: str, func: str, params: dict):
+def call_family(family: str, func: str, params: dict, *lead):
     """Call ``func`` (``{}`` stands for the family name) of a family's module
-    on the family's parameters.  The function is looked up at each call, so
-    a rebound module attribute (a tracing wrapper) is the one called."""
+    on ``lead`` and then the family's parameters.  The function is looked up
+    at each call, so a rebound module attribute (a tracing wrapper) is the
+    one called."""
     module, names = FAMILIES[family]
-    return getattr(module, func.format(family))(*(params[n] for n in names))
+    return getattr(module, func.format(family))(
+        *lead, *(params[n] for n in names))
 
 
 def _diff_sets(name, got, want, limit=5):
@@ -139,12 +143,13 @@ def _check_bounds(checks, result):
                   f"upper={result.upper_bound} hk={result.homma_kim_bound}")
 
 
-def _check_oracle(checks, result, direct):
-    # The engine's G0 streams against the oracle's list; the diff costs
+def _check_oracle(checks, result, columns):
+    # The engine's G0 streams against the oracle's columns; the diff costs
     # two |G0|-sized sets, so it is built only on failure.
-    ok = result.g0 == direct
+    ok = result.g0.equals_columns(columns)
     checks.record("engine_vs_oracle", ok,
-                  "" if ok else _diff_sets("G0", result.g0, direct))
+                  "" if ok else _diff_sets("G0", result.g0,
+                                           points_of(columns)))
 
 
 def _check_genus(checks, boxed):
@@ -187,7 +192,7 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     boxed = decompose(gamma)
     result = assemble_pure_gaps(boxed, verify=True)
     checks = _Checks()
-    _check_oracle(checks, result, pure_gaps_direct(gamma))
+    _check_oracle(checks, result, pure_gap_columns_direct(gamma))
     checks.skip("closed_form_vs_enumeration")
     checks.skip("components_vs_generic")
     _check_genus(checks, boxed)
@@ -216,13 +221,14 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     timings = {}
     gamma = call_family(family, "{}_generating_set", params)
 
+    # G4's verify mode runs once, in verify_against_engine's cross-check.
     start = time.perf_counter()
     boxed = decompose(gamma)
-    result = assemble_pure_gaps(boxed, verify=True)
+    result = assemble_pure_gaps(boxed)
     timings["decomposition_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    direct = pure_gaps_direct(gamma)
+    direct = pure_gap_columns_direct(gamma)
     timings["direct_oracle_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -238,7 +244,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
                   f"closed={closed_card} engine={result.cardinality} "
                   f"explicit={fam_result.cardinality}")
     try:
-        call_family(family, "verify_against_engine", params)
+        call_family(family, "verify_against_engine", params, boxed)
         checks.record("components_vs_generic", True)
     except ConsistencyError as exc:
         checks.record("components_vs_generic", False, str(exc))
@@ -366,27 +372,27 @@ def bench_family(family: str, params: dict) -> list:
     """Time the box-decomposition route against the direct glb scan.
 
     The box route's time ends at its :class:`~puregaps.engine.PureGapSet`;
-    the direct scan's ends at its list.  The value is then compared with
-    the list by streaming its runs, before timings are returned; a
+    the direct scan's ends at its columns.  The value is then compared with
+    the columns by streaming its runs, before timings are returned; a
     mismatch raises ConsistencyError.
     """
     gamma = call_family(family, "{}_generating_set", params)
 
     start = time.perf_counter()
-    direct = pure_gaps_direct(gamma)
+    direct = pure_gap_columns_direct(gamma)
     t_direct = time.perf_counter() - start
 
     start = time.perf_counter()
     result = assemble_pure_gaps(decompose(gamma))
     t_box = time.perf_counter() - start
 
-    equal = result.g0 == direct
+    equal = result.g0.equals_columns(direct)
     if not equal:
-        raise ConsistencyError(
-            _diff_sets(f"bench {family} {params}", result.g0, direct))
+        raise ConsistencyError(_diff_sets(f"bench {family} {params}",
+                                          result.g0, points_of(direct)))
     return [
         BenchRow(family, dict(params), gamma.genus, "box-decomposition",
                  t_box, result.cardinality, equal),
         BenchRow(family, dict(params), gamma.genus, "direct-glb",
-                 t_direct, len(direct), equal),
+                 t_direct, sum(len(bs) for _, bs in direct), equal),
     ]

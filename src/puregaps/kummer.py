@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from .engine import (
+    BoxedGamma,
     PureGapResult,
     assemble,
     bounds_from_row_sizes,
     check_components,
     check_int128,
-    decompose,
 )
 from .errors import (
     ClosedFormMismatchError,
@@ -222,12 +222,12 @@ def kummer_pure_gaps(m: int, r: int) -> PureGapResult:
     return result
 
 
-def verify_against_engine(m: int, r: int) -> None:
-    """Compare every explicit closed-form set with the generic engine.
+def verify_against_engine(boxed: BoxedGamma, m: int, r: int) -> None:
+    """Compare every explicit closed-form set with the generic engine on
+    ``boxed``, the decomposed generating set of parameters (m, r).
 
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
     """
-    check_components(decompose(kummer_generating_set(m, r)),
-                     lambda k: kummer_gamma_k0(m, r, k),
+    check_components(boxed, lambda k: kummer_gamma_k0(m, r, k),
                      lambda k: _components(m, r, k), f"(m, r)=({m}, {r})")

@@ -4,7 +4,9 @@ Nothing here touches the box-decomposition engine; these functions are the
 independent side of every cross-check.  The pure gap set is computed from
 its definition, as the glbs of incomparable generating pairs, by a scan
 that keeps the already-passed second coordinates sorted and so needs no
-dedup set and no final sort; the same scan counts them without listing.
+dedup set and no final sort.  The scan's natural output is by column, one
+first coordinate with its ascending second coordinates; the same scan
+lists the points or counts them without listing.
 The period-law checker shares its routine with validation, so on a
 validated set it cannot fail; it is there for tampered data.
 """
@@ -19,31 +21,48 @@ from .errors import InvalidParamsError
 from .lattice import GeneratingSet, period_law_violations
 
 
-def pure_gaps_direct(gamma: GeneratingSet) -> list:
-    """Pure gaps as glbs of incomparable generating pairs (sorted-suffix scan).
+def pure_gap_columns_direct(gamma: GeneratingSet) -> list:
+    """Pure gaps as glbs of incomparable generating pairs (sorted-suffix
+    scan), by column: ``[(a, ascending second coordinates at a)]`` in
+    increasing ``a``, with no empty column.
 
     Points are walked in decreasing first coordinate while the second
     coordinates already passed are kept in a sorted list.  Coordinates are
     pairwise distinct within each projection, so the points passed (all
     with larger first coordinates) that are incomparable with
     ``(a_i, b_i)`` are exactly those with a second coordinate ``v < b_i``,
-    and each such pair has the glb ``(a_i, v)``.
-    Distinct pairs give distinct glbs, so nothing needs deduplicating.
-    Each point's glbs are appended in decreasing ``v`` and the whole list
-    is reversed once, which leaves it sorted.  Cost: O(g log g) compares,
-    O(g^2/word) moves for the sorted insertions, and O(|G0|) output.
-    Returns a sorted, duplicate-free list of plain ``(a, b)`` tuples.
+    and each such pair has the glb ``(a_i, v)``: the column at ``a_i`` is
+    the prefix of the sorted list below ``b_i``.  Distinct pairs give
+    distinct glbs, so nothing needs deduplicating, and the list of columns
+    is reversed once.  Cost: O(g log g) compares, O(g^2/word) moves for the
+    sorted insertions, and O(|G0|) output.
     """
-    out = []
-    extend = out.extend
+    columns = []
     passed = []
     for a, b in sorted(gamma.points, reverse=True):
         k = bisect_left(passed, b)
-        if k:  # passed[-1::-1] would be the whole list
-            extend(zip(repeat(a, k), passed[k - 1::-1]))
+        if k:
+            columns.append((a, passed[:k]))
         insort(passed, b)
-    out.reverse()
+    columns.reverse()
+    return columns
+
+
+def points_of(columns) -> list:
+    """The sorted list of plain ``(a, b)`` tuples that ``columns``, pairs
+    ``(a, ascending bs)`` in increasing ``a``, hold."""
+    out = []
+    extend = out.extend
+    for a, bs in columns:
+        extend(zip(repeat(a, len(bs)), bs))
     return out
+
+
+def pure_gaps_direct(gamma: GeneratingSet) -> list:
+    """Pure gaps as glbs of incomparable generating pairs: the columns of
+    :func:`pure_gap_columns_direct`, flattened.  Returns a sorted,
+    duplicate-free list of plain ``(a, b)`` tuples."""
+    return points_of(pure_gap_columns_direct(gamma))
 
 
 def count_pure_gaps_direct(gamma: GeneratingSet) -> int:

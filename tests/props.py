@@ -12,6 +12,7 @@ import random
 from puregaps.engine import (
     _g4_general,
     assemble_pure_gaps,
+    box_components,
     compute_g2,
     compute_g4,
     decompose,
@@ -122,10 +123,12 @@ def run_translate_disjointness(n, seed=0x7D15):
     for _ in range(n):
         point = rng.choice(FAMILY_POOL)
         result = get_result(point)
-        period = get_gamma(point).period
+        boxed = get_boxed(point)
+        period = boxed.period
         union = set()
         expected = 0
-        for k, comps in result.per_box.items():
+        for k in range(boxed.kmax):
+            comps = box_components(boxed, k, verify=True)
             box = set()
             for comp in comps:
                 box.update(comp)

@@ -6,7 +6,7 @@ that the package's faster code is checked against.
 
 from dataclasses import dataclass
 
-from puregaps.errors import InvalidParamsError
+from puregaps.errors import DisjointnessViolationError, InvalidParamsError
 from puregaps.lattice import GeneratingSet, LatticePoint
 
 
@@ -99,3 +99,47 @@ def period_law_shift_walk(tau: dict, period: int) -> list:
                 found.append((a, k))
             k += 1
     return found
+
+
+def merge_box(k: int, components) -> list:
+    """G_{k,0}: the sorted union of the four components of box (k, 0), by a
+    set and a sort.  The components are pairwise disjoint; an overlap
+    raises."""
+    merged = set()
+    for part in components:
+        merged.update(part)
+    if len(merged) != sum(len(part) for part in components):
+        raise DisjointnessViolationError(
+            f"components of box k={k} are not pairwise disjoint")
+    return sorted(merged)
+
+
+def _residue_runs(per_box_union: dict, period: int) -> dict:
+    """k -> {a - k*period: second coordinates of G_{k,0} at a, ascending},
+    from the sorted per-box point lists, point by point.
+
+    Empty boxes are dropped.  Raises DisjointnessViolationError when a
+    point lies outside its box (k, 0) or a per-box set is not strictly
+    increasing.
+    """
+    runs = {}
+    for k, box in per_box_union.items():
+        lo = k * period
+        hi = lo + period
+        by_residue = {}
+        prev = None
+        for point in box:
+            a, b = point
+            if not (lo < a < hi and 0 < b < period):
+                raise DisjointnessViolationError(
+                    f"{point} of G_({k},0) lies outside box ({k}, 0)")
+            if prev is not None and point <= prev:
+                raise DisjointnessViolationError(
+                    f"G_({k},0) is not strictly increasing at {point}")
+            if prev is None or a != prev[0]:
+                bs = by_residue[a - lo] = []
+            bs.append(b)
+            prev = point
+        if by_residue:
+            runs[k] = by_residue
+    return runs

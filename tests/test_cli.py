@@ -4,11 +4,14 @@ import sys
 
 import pytest
 
+import puregaps.engine as engine
 import puregaps.harness as harness
 from puregaps.engine import PureGapSet
 from puregaps.cli import main
+from puregaps.gammafile import load_gamma
+from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
-from puregaps.oracle import pure_gaps_direct
+from puregaps.oracle import pure_gap_columns_direct, pure_gaps_direct
 
 import expected_gk2 as gk2
 
@@ -170,6 +173,36 @@ class TestStream:
         assert out == "[" + ",".join(
             f"[{a},{b}]" for a, b in kummer_41_60_direct) + "]\n"
 
+    # Non-diagonal sets: (7, 4) and (9, 3) have residues 2 and 4 but second
+    # coordinates 4 and 3.  Each has a pure gap with second coordinate
+    # 2g - 2, the largest a pure gap can have: a glb's second coordinate is
+    # the smaller of two distinct ones, each at most 2g - 1.
+    NON_DIAGONAL = {
+        "nd5": ("period 5\n1\t1\n2\t9\n4\t8\n7\t4\n9\t3\n", (2, 8)),
+        "nd7": ("period 7\n" + "".join(f"{a}\t{b}\n" for a, b in (
+            (1, 31), (2, 30), (4, 5), (5, 6), (6, 22), (8, 24), (9, 23),
+            (13, 15), (15, 17), (16, 16), (20, 8), (22, 10), (23, 9),
+            (27, 1), (29, 3), (30, 2))), (1, 30)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_DIAGONAL))
+    def test_non_diagonal_generic_matches_oracle(self, capsys, tmp_path,
+                                                 name):
+        text, top = self.NON_DIAGONAL[name]
+        path = tmp_path / f"{name}.gamma"
+        path.write_text(text, encoding="utf-8")
+        gamma = load_gamma(str(path))
+        direct = pure_gaps_direct(gamma)
+        assert top in direct and top[1] == 2 * gamma.genus - 2
+        code, tsv, _ = run_cli(capsys, "generic", "--input", str(path),
+                               "--emit", "puregaps")
+        assert code == 0
+        assert tsv == "".join(f"{a}\t{b}\n" for a, b in direct)
+        code, js, _ = run_cli(capsys, "generic", "--input", str(path),
+                              "--emit", "puregaps", "--format", "json")
+        assert code == 0
+        assert js == "[" + ",".join(f"[{a},{b}]" for a, b in direct) + "]\n"
+
     def test_empty_g0(self, capsys, tmp_path):
         path = tmp_path / "empty.gamma"
         path.write_text("period 1\n", encoding="utf-8")
@@ -296,8 +329,13 @@ class TestFailingCrossCheck:
     @pytest.fixture
     def short_oracle(self, monkeypatch):
         # The oracle loses its first point, so the engine holds one extra.
-        monkeypatch.setattr(harness, "pure_gaps_direct",
-                            lambda gamma: pure_gaps_direct(gamma)[1:])
+        def short(gamma):
+            columns = pure_gap_columns_direct(gamma)
+            if columns:
+                a, bs = columns[0]
+                columns[:1] = [(a, bs[1:])] if len(bs) > 1 else []
+            return columns
+        monkeypatch.setattr(harness, "pure_gap_columns_direct", short)
         monkeypatch.delenv("PUREGAPS_THREADS", raising=False)
 
     @staticmethod
@@ -349,3 +387,56 @@ class TestSummariesNeverListG0:
         report = harness.verify_special_ur1(1, 5)
         assert report.ok
         assert report.verdicts["special_vs_enumeration"] == "pass"
+
+
+class TestListingBuildsNoPointTuples:
+    """``--emit puregaps`` builds G0 by column: no component tuples, no
+    per-box merge of them, no iteration point by point."""
+
+    @pytest.fixture(autouse=True)
+    def no_tuples(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a tuple per pure gap was built")
+        for name in ("box_components", "compute_g1", "compute_g2",
+                     "compute_g3", "compute_g4", "_g4_general"):
+            monkeypatch.setattr(engine, name, built)
+        for name in ("__iter__", "_equals_list"):
+            monkeypatch.setattr(PureGapSet, name, built)
+
+    def test_gk3_listing(self, capsys):
+        want = "".join(f"{a}\t{b}\n"
+                       for a, b in pure_gaps_direct(gk_generating_set(3)))
+        code, out, _ = run_cli(capsys, "gk", "--q", "3", "--emit", "puregaps")
+        assert code == 0
+        assert out == want
+
+
+class TestVerifyPointWork:
+    """verify_point generates the set once and builds the engine's
+    components once, in the family's cross-check against the engine."""
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
+    def test_generates_once(self, monkeypatch, family, params):
+        module = harness.FAMILIES[family][0]
+        name = f"{family}_generating_set"
+        real = getattr(module, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+        components = []
+        real_components = engine.box_components
+
+        def counted_components(boxed, k, verify=False):
+            components.append((k, verify))
+            return real_components(boxed, k, verify=verify)
+        monkeypatch.setattr(engine, "box_components", counted_components)
+
+        report = harness.verify_point(family, params)
+        assert report.ok
+        assert len(calls) == 1
+        kmax = engine.decompose(real(*params.values())).kmax
+        assert components == [(k, True) for k in range(kmax)]

@@ -10,6 +10,8 @@ from puregaps.engine import (
     assemble_pure_gaps,
     bounds,
     bounds_from_row_sizes,
+    box_columns,
+    box_components,
     compute_g1,
     compute_g2,
     compute_g3,
@@ -25,6 +27,7 @@ from puregaps.errors import (
 from puregaps.lattice import GeneratingSet, LatticePoint, validate_generating_set
 
 import expected_gk2 as gk2
+from reference import _residue_runs, merge_box
 
 KUMMER43 = [(1, 5), (5, 1), (2, 2)]
 
@@ -134,9 +137,11 @@ class TestAssemble:
         result = assemble_pure_gaps(gk2_boxed, verify=True)
         assert result.g0 == gk2.G0_SORTED
         assert result.cardinality == 35
-        assert result.per_box[0] == (gk2.G1_0, [], gk2.G3_0, gk2.G4_0)
-        assert result.per_box[1] == (gk2.G1_1, [], gk2.G3_1, gk2.G4_1)
-        assert result.per_box[2] == ([], [], [], [])
+        assert box_components(gk2_boxed, 0, verify=True) == \
+            (gk2.G1_0, [], gk2.G3_0, gk2.G4_0)
+        assert box_components(gk2_boxed, 1, verify=True) == \
+            (gk2.G1_1, [], gk2.G3_1, gk2.G4_1)
+        assert box_components(gk2_boxed, 2, verify=True) == ([], [], [], [])
         assert (result.lower_bound, result.upper_bound,
                 result.homma_kim_bound) == (gk2.LOWER, gk2.UPPER, gk2.HOMMA_KIM)
 
@@ -174,13 +179,58 @@ class TestBounds:
             bounds_from_row_sizes([2**40], 2**80)
 
 
+def columns(boxes, period):
+    """Per-box point lists by column, by the point-by-point reference."""
+    return _residue_runs(boxes, period)
+
+
+class TestBoxColumns:
+    def test_gk2_matches_components(self, gk2_boxed):
+        for k in range(gk2_boxed.kmax):
+            merged = merge_box(k, box_components(gk2_boxed, k))
+            assert box_columns(gk2_boxed, k) == \
+                columns({k: merged}, 9).get(k, {})
+        # G1 (10, 1), G4 (10, 2), (10, 4), G3 (11, 1), (13, 1)
+        assert box_columns(gk2_boxed, 1) == {1: [1, 2, 4], 2: [1], 4: [1]}
+
+    def test_non_diagonal_row_has_g2(self):
+        # (1, 5) and (3, 2) are incomparable: G2 = {(1, 2)}, and (3, 2)
+        # sits to the right of column 1
+        boxed = BoxedGamma(rows={0: ((1, 5), (3, 2))}, period=9, genus=2,
+                           kmax=1, diagonal=False)
+        assert box_columns(boxed, 0) == {1: [2]}
+
+    def test_repeated_shifted_first_coordinate(self):
+        # (10, 4) and (19, 3) both shift down to first coordinate 1
+        boxed = BoxedGamma(rows={1: ((10, 4),), 2: ((19, 3),)}, period=9,
+                           genus=5, kmax=3, diagonal=False)
+        with pytest.raises(CardinalityMismatchError):
+            box_columns(boxed, 0)
+
+    def test_repeated_second_coordinate_above(self):
+        # the G1 check also covers the second coordinates, as compute_g1
+        boxed = BoxedGamma(rows={1: ((10, 4),), 2: ((21, 4),)}, period=9,
+                           genus=5, kmax=3, diagonal=False)
+        with pytest.raises(CardinalityMismatchError):
+            box_columns(boxed, 0)
+
+    def test_shifted_first_meets_row(self):
+        # (12, 5) in row 1 shifts down to 3, a first coordinate of row 0
+        boxed = BoxedGamma(rows={0: ((3, 2),), 1: ((12, 5),)}, period=9,
+                           genus=3, kmax=2, diagonal=False)
+        with pytest.raises(DisjointnessViolationError):
+            box_columns(boxed, 0)
+
+
 def test_union_of_translates_overlap_detected():
+    # G_{0,0} = {(1, 10)} and G_{1,0} = {(10, 1)} by column
     with pytest.raises(DisjointnessViolationError):
-        union_of_translates({0: [(1, 10)], 1: [(10, 1)]}, 9)
+        union_of_translates({0: {1: [10]}, 1: {1: [1]}}, 9)
 
 
 def test_union_of_translates_weighted_count():
-    union = union_of_translates({0: [(1, 1)], 1: [(10, 2), (11, 3)]}, 9)
+    # G_{0,0} = {(1, 1)}, G_{1,0} = {(10, 2), (11, 3)}
+    union = union_of_translates({0: {1: [1]}, 1: {1: [2], 2: [3]}}, 9)
     assert isinstance(union, PureGapSet)
     assert len(union) == 1 + 2 * 2
     assert list(union) == [(1, 1), (1, 11), (2, 12), (10, 2), (11, 3)]
@@ -190,7 +240,24 @@ def test_union_of_translates_point_outside_box_in_b_only():
     # (1, 9) has its first coordinate inside box (0, 0) but b = period;
     # no two translates overlap, so only the containment check sees it
     with pytest.raises(DisjointnessViolationError):
-        union_of_translates({0: [(1, 9)], 1: [(10, 2)]}, 9)
+        union_of_translates({0: {1: [9]}, 1: {1: [2]}}, 9)
+
+
+@pytest.mark.parametrize("columns_by_box", [
+    {0: {0: [1]}},           # residue 0: the first coordinate is k*period
+    {1: {9: [1]}},           # residue period: in the next box
+    {0: {1: [0, 1]}},        # second coordinate 0
+    {0: {1: [2, 2]}},        # repeated second coordinate
+    {0: {1: [3, 2]}},        # descending
+])
+def test_union_of_translates_column_checks(columns_by_box):
+    with pytest.raises(DisjointnessViolationError):
+        union_of_translates(columns_by_box, 9)
+
+
+def test_union_of_translates_drops_empty_columns():
+    assert union_of_translates({0: {1: [1], 2: []}, 1: {}}, 9) == \
+        union_of_translates({0: {1: [1]}}, 9)
 
 
 @st.composite
@@ -220,13 +287,13 @@ class TestPureGapSet:
     @given(boxes_inside())
     def test_matches_brute_force(self, drawn):
         boxes, period = drawn
-        g0 = union_of_translates(boxes, period)
+        g0 = union_of_translates(columns(boxes, period), period)
         want = translates(boxes, period)
         assert list(g0) == want
         assert len(g0) == len(want)
         assert g0 == want
         assert want == g0
-        assert g0 == union_of_translates(dict(boxes), period)
+        assert g0 == union_of_translates(columns(dict(boxes), period), period)
 
     @pytest.fixture
     def gk2_g0(self, gk2_boxed):
@@ -244,23 +311,34 @@ class TestPureGapSet:
             assert edited != gk2_g0
 
     def test_one_box_differs(self, gk2_boxed, gk2_g0):
-        per_box = assemble_pure_gaps(gk2_boxed).per_box
-        merged = {k: sorted(p for part in parts for p in part)
-                  for k, parts in per_box.items()}
-        assert union_of_translates(merged, 9) == gk2_g0
+        merged = {k: sorted(p for part in box_components(gk2_boxed, k)
+                            for p in part)
+                  for k in range(gk2_boxed.kmax)}
+        assert union_of_translates(columns(merged, 9), 9) == gk2_g0
         free = min(set(product(range(10, 18), range(1, 9))) - set(merged[1]))
         for box in (merged[1][1:], sorted(merged[1][1:] + [free])):
             edited = dict(merged)
             edited[1] = box
-            assert union_of_translates(edited, 9) != gk2_g0
+            assert union_of_translates(columns(edited, 9), 9) != gk2_g0
 
     def test_other_period_compares_by_points(self):
         # one point in box (0, 0) is the same G0 under either period
-        assert union_of_translates({0: [(1, 1)]}, 3) == \
-            union_of_translates({0: [(1, 1)]}, 5)
-        assert union_of_translates({0: [(1, 1)], 1: [(4, 1)]}, 3) != \
-            union_of_translates({0: [(1, 1)], 1: [(6, 1)]}, 5)
-        assert union_of_translates({}, 3) == union_of_translates({1: []}, 5)
+        assert union_of_translates({0: {1: [1]}}, 3) == \
+            union_of_translates({0: {1: [1]}}, 5)
+        assert union_of_translates({0: {1: [1]}, 1: {1: [1]}}, 3) != \
+            union_of_translates({0: {1: [1]}, 1: {1: [1]}}, 5)
+        assert union_of_translates({}, 3) == union_of_translates({1: {}}, 5)
+
+    def test_equals_columns(self, gk2_g0):
+        want = [(a, [b for _, b in gk2.G0_SORTED if _ == a])
+                for a in sorted({a for a, _ in gk2.G0_SORTED})]
+        assert gk2_g0.equals_columns(want)
+        a, bs = want[3]
+        for edited in (want[:3] + want[4:],                 # column missing
+                       want[:3] + [(a, bs[1:])] + want[4:],  # point missing
+                       want[:3] + [(a, bs + [99])] + want[4:],
+                       want + [(100, [1])], []):
+            assert not gk2_g0.equals_columns(edited)
 
     def test_not_comparable_with_tuple(self, gk2_g0):
         assert gk2_g0 != tuple(gk2.G0_SORTED)

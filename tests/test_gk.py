@@ -151,7 +151,7 @@ class TestComponents:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_match_generic_engine(self, q):
-        verify_against_engine(q)
+        verify_against_engine(decompose(gk_generating_set(q)), q)
 
     def test_mismatch_names_box_and_component(self):
         def components(k):

@@ -109,7 +109,7 @@ class TestComponents:
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (7, 3), (6, 11),
                                      (3, 8), (15, 4), (12, 7), (5, 14)])
     def test_match_generic_engine(self, m, r):
-        verify_against_engine(m, r)
+        verify_against_engine(decompose(kummer_generating_set(m, r)), m, r)
 
 
 class TestClosedForms:
