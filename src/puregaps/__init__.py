@@ -13,6 +13,7 @@ from .engine import (
     box_columns,
     box_components,
     bounds_from_row_sizes,
+    check_reflection,
     compute_g1,
     compute_g2,
     compute_g3,

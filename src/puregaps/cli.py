@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .engine import assemble_pure_gaps, decompose
+from .engine import assemble_pure_gaps, check_reflection, decompose
 from .errors import CardinalityMismatchError, ConsistencyError, ValidationError
 from .gammafile import dump_gamma, load_gamma
 from .harness import (
@@ -28,9 +28,10 @@ from .harness import (
 
 
 def _emit_summary(report, fmt, out):
+    """Print ``report`` and return the exit code: 1 if a verdict failed."""
     if fmt == "json":
         print(json.dumps(asdict(report)), file=out)
-        return
+        return 0 if report.ok else 1
     print(f"family\t{report.family}", file=out)
     for key, value in report.params.items():
         print(f"{key}\t{value}", file=out)
@@ -47,13 +48,14 @@ def _emit_summary(report, fmt, out):
         print(f"timing.{key}\t{value:.6f}", file=out)
     if report.detail:
         print(f"detail\t{report.detail}", file=out)
+    return 0 if report.ok else 1
 
 
 #: Points gathered before each write of a streamed listing.
 _CHUNK_POINTS = 1 << 16
 
 
-def _stream_pure_gaps(boxed, verify, fmt, out):
+def _stream_pure_gaps(boxed, fmt, out):
     """Write G0 in lexicographic order, one line ``a<TAB>b`` per point or
     one JSON array of pairs.
 
@@ -64,7 +66,7 @@ def _stream_pure_gaps(boxed, verify, fmt, out):
     one ``join`` of table lookups and no arithmetic or ``str`` per point.
     The number of points written must equal the weighted per-box sum.
     """
-    g0 = assemble_pure_gaps(boxed, verify=verify).g0
+    g0 = assemble_pure_gaps(boxed).g0
     if fmt == "json":
         opener, mid, closer, sep = "[", ",", "]", ","
         out.write("[")
@@ -118,13 +120,13 @@ def _cmd_family(args):
     params = _family_params(args, family)
     out = sys.stdout
     if args.emit == "summary":
-        _emit_summary(summarize_family(family, params), args.format, out)
-        return 0
+        return _emit_summary(summarize_family(family, params), args.format,
+                             out)
     gamma = call_family(family, "{}_generating_set", params)
     if args.emit == "gamma":
         _emit_gamma(gamma, args.format, out)
     else:
-        _stream_pure_gaps(decompose(gamma), False, args.format, out)
+        _stream_pure_gaps(decompose(gamma), args.format, out)
     return 0
 
 
@@ -132,11 +134,15 @@ def _cmd_generic(args):
     out = sys.stdout
     gamma = load_gamma(args.input)
     if args.emit == "summary":
-        _emit_summary(summarize_generic(gamma, args.input), args.format, out)
-    elif args.emit == "gamma":
+        return _emit_summary(summarize_generic(gamma, args.input),
+                             args.format, out)
+    if args.emit == "gamma":
         _emit_gamma(gamma, args.format, out)
     else:
-        _stream_pure_gaps(decompose(gamma), True, args.format, out)
+        boxed = decompose(gamma)
+        if boxed.diagonal:
+            check_reflection(boxed)
+        _stream_pure_gaps(boxed, args.format, out)
     return 0
 
 

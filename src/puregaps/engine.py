@@ -30,7 +30,8 @@ streaming its runs against slices of the columns.
 :func:`box_columns`; :func:`assemble` builds a closed-form family's from
 its explicit components, an independent witness.  :func:`check_components`
 is the only cross-check of a family's explicit boxes and components
-against the engine's formulas.
+against the engine's formulas, and :func:`check_reflection` the only check
+of the diagonal law that empties G2 and makes G4 a reflection of G3.
 
 Bulk results other than ``G0`` are plain ``(a, b)`` tuples (they compare
 equal to :class:`~puregaps.lattice.LatticePoint`); every result list is
@@ -78,8 +79,8 @@ class BoxedGamma:
     ``k*period < a < (k+1)*period`` and ``0 < b < period``; empty rows are
     omitted.  ``kmax`` is the first index from which all boxes are empty,
     ``ceil((2g-1)/period)``.  ``diagonal`` records whether every
-    generating point satisfies ``a == b (mod period)``, which enables the
-    reflected fast path for the fourth pure gap component.
+    generating point satisfies ``a == b (mod period)``, the condition of
+    the law :func:`check_reflection` checks.
     """
 
     rows: Mapping[int, tuple]
@@ -183,7 +184,10 @@ def compute_g3(boxed: BoxedGamma, k: int) -> list:
     return sorted(out)
 
 
-def _g4_general(boxed: BoxedGamma, k: int) -> list:
+def compute_g4(boxed: BoxedGamma, k: int) -> list:
+    """Fourth component of box (k, 0): glb(u + w_{k2-k}, v) for u in
+    rows[k2] (k2 > k) and v in rows[k], restricted to pairs with v not
+    below the shifted u."""
     period = boxed.period
     vs = boxed.row(k)
     out = set()
@@ -198,28 +202,29 @@ def _g4_general(boxed: BoxedGamma, k: int) -> list:
     return sorted(out)
 
 
-def compute_g4(boxed: BoxedGamma, k: int, verify: bool = False) -> list:
-    """Fourth component of box (k, 0).
+def reflect(points, shift: int) -> list:
+    """The coordinate swap of ``points`` translated by ``(shift, -shift)``,
+    sorted; ``shift = k*period`` makes the translation -w_k."""
+    return sorted((b + shift, a - shift) for a, b in points)
 
-    General form: glb(u + w_{k2-k}, v) for u in rows[k2] (k2 > k) and v in
-    rows[k], restricted to pairs with v not below the shifted u.  Under
-    the diagonal condition this equals the coordinate swap of the third
-    component translated by -w_k; that fast path is used on its own in
-    release mode, while ``verify=True`` computes both and insists they
-    agree.
-    """
+
+def check_reflection(boxed: BoxedGamma) -> None:
+    """Check the diagonal law box by box: on a set whose every point has
+    ``a == b (mod period)``, G2 is empty and G4 is :func:`reflect` of G3
+    by ``k*period``.  Raises DiagonalReflectionMismatchError when the set
+    is not diagonal, or naming the first box and half of the law that
+    fail."""
     if not boxed.diagonal:
-        return _g4_general(boxed, k)
-    shift = k * boxed.period
-    reflected = sorted((b + shift, a - shift)
-                       for a, b in compute_g3(boxed, k))
-    if verify:
-        general = _g4_general(boxed, k)
-        if general != reflected:
+        raise DiagonalReflectionMismatchError("the set is not diagonal")
+    for k in range(boxed.kmax):
+        if compute_g2(boxed, k):
+            raise DiagonalReflectionMismatchError(f"box k={k}: G2 is not empty")
+        g4 = compute_g4(boxed, k)
+        reflected = reflect(compute_g3(boxed, k), k * boxed.period)
+        if g4 != reflected:
             raise DiagonalReflectionMismatchError(
-                f"box k={k}: general G4 has {len(general)} points, "
-                f"reflected G3 gives {len(reflected)}")
-    return reflected
+                f"box k={k}: G4 has {len(g4)} points and differs from the "
+                f"reflected G3, which has {len(reflected)}")
 
 
 def bounds_from_row_sizes(sizes, genus: int) -> Bounds:
@@ -261,10 +266,10 @@ class PureGapResult:
     homma_kim_bound: int
 
 
-def box_components(boxed: BoxedGamma, k: int, verify: bool = False) -> tuple:
+def box_components(boxed: BoxedGamma, k: int) -> tuple:
     """The four components (G1, G2, G3, G4) of box (k, 0)."""
     return (compute_g1(boxed, k), compute_g2(boxed, k), compute_g3(boxed, k),
-            compute_g4(boxed, k, verify=verify))
+            compute_g4(boxed, k))
 
 
 def box_columns(boxed: BoxedGamma, k: int) -> dict:
@@ -508,16 +513,9 @@ def assemble(per_box: dict, period: int, bnd: Bounds) -> PureGapResult:
                     for k, parts in per_box.items()}, period, bnd)
 
 
-def assemble_pure_gaps(boxed: BoxedGamma, verify: bool = False) -> PureGapResult:
-    """Assemble the full pure gap set from the row-zero boxes.
-
-    Every box ``(k, 0)`` is built by :func:`box_columns`.  ``verify=True``
-    additionally runs, on every box of a diagonal set, the general
-    fourth-component formula against its reflected fast path.
-    """
-    if verify and boxed.diagonal:
-        for k in range(boxed.kmax):
-            compute_g4(boxed, k, verify=True)
+def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapResult:
+    """Assemble the full pure gap set from the row-zero boxes, each box
+    ``(k, 0)`` built by :func:`box_columns`."""
     return _result({k: box_columns(boxed, k) for k in range(boxed.kmax)},
                    boxed.period, bounds(boxed))
 
@@ -526,14 +524,15 @@ def check_components(boxed: BoxedGamma, row, components, label: str) -> None:
     """Compare a family's explicit sets with the engine, box by box.
 
     ``row(k)`` gives the family's ``Gamma_{k,0}`` and ``components(k)`` its
-    (G1, G2, G3, G4) of box ``(k, 0)``; the engine runs G4 in verify mode.
-    A disagreement raises GenericMismatchError naming ``label``, the box
-    and the first differing set.
+    (G1, G2, G3, G4) of box ``(k, 0)``, compared with
+    :func:`box_components`.  A disagreement raises GenericMismatchError
+    naming ``label``, the box and the first differing set.  A family whose
+    G4 is :func:`reflect` of its G3 thus also checks the diagonal law.
     """
     names = ("Gamma_k0", "G1", "G2", "G3", "G4")
     for k in range(boxed.kmax):
         explicit = (row(k), *components(k))
-        generic = (boxed.row(k), *box_components(boxed, k, verify=True))
+        generic = (boxed.row(k), *box_components(boxed, k))
         for name, mine, engine in zip(names, explicit, generic):
             if list(mine) != list(engine):
                 raise GenericMismatchError(

@@ -47,6 +47,16 @@ class PeriodPropertyViolationError(ValidationError):
         self.k = k
 
 
+class ResidueChainStartError(ValidationError):
+    """A residue class's chain of first coordinates starts at ``beta``,
+    above the period: the first coordinates are not the gaps of a
+    semigroup containing the period."""
+
+    def __init__(self, message, beta=None):
+        super().__init__(message)
+        self.beta = beta
+
+
 class InvalidParamsError(ValidationError):
     """Family or operation parameters outside their domain."""
 
@@ -74,8 +84,8 @@ class CardinalityMismatchError(ConsistencyError):
 
 
 class DiagonalReflectionMismatchError(ConsistencyError):
-    """The reflected fast path for the fourth component disagrees with the
-    general formula."""
+    """The diagonal law fails: on a diagonal set G2 is not empty, or the
+    general fourth component differs from the reflected third."""
 
 
 class DisjointnessViolationError(ConsistencyError):

@@ -24,6 +24,7 @@ from .engine import (
     bounds_from_row_sizes,
     check_components,
     check_int128,
+    reflect,
 )
 from .errors import (
     ClosedFormMismatchError,
@@ -212,8 +213,7 @@ def gk_g3(q: int, k: int) -> list:
 
 def gk_g4(q: int, k: int) -> list:
     """Fourth component: the coordinate swap of the third, shifted by -w_k."""
-    shift = k * (q**3 + 1)
-    return sorted((b + shift, a - shift) for a, b in gk_g3(q, k))
+    return reflect(gk_g3(q, k), k * (q**3 + 1))
 
 
 def gk_card_g0(q: int) -> int:

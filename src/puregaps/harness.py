@@ -18,7 +18,7 @@ from math import gcd
 
 from . import gk as gk_mod
 from . import kummer as kummer_mod
-from .engine import assemble_pure_gaps, compute_g2, decompose
+from .engine import assemble_pure_gaps, check_reflection, decompose
 from .errors import ConsistencyError
 from .lattice import GeneratingSet
 from .oracle import (
@@ -107,6 +107,16 @@ class _Checks:
         if not ok and detail:
             self.details.append(f"{name}: {detail}")
 
+    def run(self, name, check, *args):
+        """Record ``name`` as passed unless ``check(*args)`` raises a
+        ConsistencyError, whose text is then the detail."""
+        try:
+            check(*args)
+        except ConsistencyError as exc:
+            self.record(name, False, str(exc))
+        else:
+            self.record(name, True)
+
     def skip(self, name):
         self.verdicts[name] = SKIPPED
 
@@ -187,10 +197,11 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     """Summary-mode report for a file-loaded generating set.
 
     There is no closed form to compare, so the direct oracle scan is run
-    instead; family verdicts are marked skipped.
+    instead; family verdicts are marked skipped, and so is the diagonal
+    law on a non-diagonal set.
     """
     boxed = decompose(gamma)
-    result = assemble_pure_gaps(boxed, verify=True)
+    result = assemble_pure_gaps(boxed)
     checks = _Checks()
     _check_oracle(checks, result, pure_gap_columns_direct(gamma))
     checks.skip("closed_form_vs_enumeration")
@@ -198,9 +209,7 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     _check_genus(checks, boxed)
     _check_bounds(checks, result)
     if boxed.diagonal:
-        checks.record("diagonal_reflection",
-                      all(not compute_g2(boxed, k) for k in range(boxed.kmax)),
-                      "G2 not empty under the diagonal condition")
+        checks.run("diagonal_reflection", check_reflection, boxed)
     else:
         checks.skip("diagonal_reflection")
     checks.record("period_property", check_period_property(gamma).ok,
@@ -221,7 +230,6 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     timings = {}
     gamma = call_family(family, "{}_generating_set", params)
 
-    # G4's verify mode runs once, in verify_against_engine's cross-check.
     start = time.perf_counter()
     boxed = decompose(gamma)
     result = assemble_pure_gaps(boxed)
@@ -243,17 +251,11 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     checks.record("closed_form_vs_enumeration", same,
                   f"closed={closed_card} engine={result.cardinality} "
                   f"explicit={fam_result.cardinality}")
-    try:
-        call_family(family, "verify_against_engine", params, boxed)
-        checks.record("components_vs_generic", True)
-    except ConsistencyError as exc:
-        checks.record("components_vs_generic", False, str(exc))
+    checks.run("components_vs_generic", call_family, family,
+               "verify_against_engine", params, boxed)
     _check_genus(checks, boxed)
     _check_bounds(checks, result)
-    diagonal_ok = boxed.diagonal and all(
-        not compute_g2(boxed, k) for k in range(boxed.kmax))
-    checks.record("diagonal_reflection", diagonal_ok,
-                  "diagonal condition or empty-G2 consequence failed")
+    checks.run("diagonal_reflection", check_reflection, boxed)
     checks.record("period_property", check_period_property(gamma).ok,
                   "period displacement law violated")
     return _base_report(family, params, gamma, boxed, result, checks, timings)
@@ -262,10 +264,10 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
 def _verify_special(family, params, r, closed_form, timed=False,
                     sharp=False):
     """Check a special-case closed form, ``closed_form()``, against the
-    engine's and the oracle's counts on the Kummer set ``(params["m"], r)``;
-    neither count lists ``G0``.  With ``timed`` the closed form's time is
-    the report's timing; with ``sharp`` the upper bound must also equal
-    the closed form."""
+    engine's and the oracle's counts on the Kummer set ``(params["m"], r)``,
+    which must also pass :func:`check_reflection`; neither count lists
+    ``G0``.  With ``timed`` the closed form's time is the report's timing;
+    with ``sharp`` the upper bound must also equal the closed form."""
     try:
         start = time.perf_counter()
         closed = closed_form()
@@ -273,7 +275,8 @@ def _verify_special(family, params, r, closed_form, timed=False,
                   else {})
         gamma = kummer_mod.kummer_generating_set(params["m"], r)
         boxed = decompose(gamma)
-        result = assemble_pure_gaps(boxed, verify=True)
+        check_reflection(boxed)
+        result = assemble_pure_gaps(boxed)
         direct = count_pure_gaps_direct(gamma)
     except ConsistencyError as exc:
         return _failed_report(family, params, exc)

@@ -19,6 +19,7 @@ from .engine import (
     bounds_from_row_sizes,
     check_components,
     check_int128,
+    reflect,
 )
 from .errors import (
     ClosedFormMismatchError,
@@ -136,8 +137,7 @@ def kummer_g3(m: int, r: int, k: int) -> list:
 
 def kummer_g4(m: int, r: int, k: int) -> list:
     """Fourth component: the coordinate swap of the third, shifted by -w_k."""
-    shift = k * m
-    return sorted((b + shift, a - shift) for a, b in kummer_g3(m, r, k))
+    return reflect(kummer_g3(m, r, k), k * m)
 
 
 def kummer_card_g0(m: int, r: int) -> int:

@@ -28,6 +28,7 @@ from .errors import (
     GapBeyondGenusBoundError,
     InvalidParamsError,
     PeriodPropertyViolationError,
+    ResidueChainStartError,
     ZeroOrNegativeCoordinateError,
 )
 
@@ -137,9 +138,13 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     pairwise distinct within each projection; the period displacement law
     holds, checked by :func:`period_law_violations` in its chain form,
     which is equivalent to the law for every shift count (the first
-    violation raises); and, in a pass of its own after the law, no
-    coordinate exceeds ``2g - 1``, the largest gap of a place of genus
-    ``g``.  An empty set is valid with any period (genus zero).
+    violation raises); in a pass of its own after the law, no coordinate
+    exceeds ``2g - 1``, the largest gap of a place of genus ``g``; and
+    last, ``a - period`` is a first coordinate for each first coordinate
+    ``a > period``, as for the gaps of a semigroup containing the period.
+    Each chain then has ``k + 1`` points if its last lies in row ``k``,
+    which is the genus identity of the box decomposition.  An empty set
+    is valid with any period (genus zero).
     """
     if period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -176,5 +181,11 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
             raise GapBeyondGenusBoundError(
                 f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
                 f"genus {len(pts)}")
+    for a in tau:
+        if a > period and a - period not in tau:
+            raise ResidueChainStartError(
+                f"({a}, {tau[a]}): the first coordinates are not the gaps of a "
+                f"semigroup containing the period {period}: {a} is one and "
+                f"{a - period} is not", beta=a)
 
     return GeneratingSet(points=tuple(pts), period=period)

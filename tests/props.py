@@ -10,10 +10,11 @@ from math import gcd
 import random
 
 from puregaps.engine import (
-    _g4_general,
     assemble_pure_gaps,
     box_components,
+    check_reflection,
     compute_g2,
+    compute_g3,
     compute_g4,
     decompose,
 )
@@ -52,7 +53,7 @@ def get_boxed(point):
 
 def get_result(point):
     if point not in _results:
-        _results[point] = assemble_pure_gaps(get_boxed(point), verify=True)
+        _results[point] = assemble_pure_gaps(get_boxed(point))
     return _results[point]
 
 
@@ -128,7 +129,7 @@ def run_translate_disjointness(n, seed=0x7D15):
         union = set()
         expected = 0
         for k in range(boxed.kmax):
-            comps = box_components(boxed, k, verify=True)
+            comps = box_components(boxed, k)
             box = set()
             for comp in comps:
                 box.update(comp)
@@ -141,16 +142,19 @@ def run_translate_disjointness(n, seed=0x7D15):
 
 def run_diagonal_agreement(n, seed=0xD1A6):
     """When every generating point has equal residues, the second
-    component is empty and the reflected fast path equals the general
-    fourth-component formula, box by box."""
+    component is empty and the fourth is the coordinate swap of the third
+    translated by -w_k, box by box; check_reflection accepts the set."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(n):
         boxed = get_boxed(rng.choice(FAMILY_POOL))
         assert boxed.diagonal
         k = rng.randrange(max(1, boxed.kmax))
+        shift = k * boxed.period
         assert compute_g2(boxed, k) == []
-        assert compute_g4(boxed, k) == _g4_general(boxed, k)
+        assert compute_g4(boxed, k) == sorted(
+            (b + shift, a - shift) for a, b in compute_g3(boxed, k))
+        check_reflection(boxed)
         checked += 1
     return checked
 

@@ -67,8 +67,8 @@ def test_criterion_2_gk_q2_component_sets(capsys):
         "engine": {
             ("G1", 0): compute_g1(boxed, 0), ("G1", 1): compute_g1(boxed, 1),
             ("G3", 0): compute_g3(boxed, 0), ("G3", 1): compute_g3(boxed, 1),
-            ("G4", 0): compute_g4(boxed, 0, verify=True),
-            ("G4", 1): compute_g4(boxed, 1, verify=True),
+            ("G4", 0): compute_g4(boxed, 0),
+            ("G4", 1): compute_g4(boxed, 1),
             ("G2", 0): compute_g2(boxed, 0), ("G2", 1): compute_g2(boxed, 1),
             ("G2", 2): compute_g2(boxed, 2),
         },
@@ -98,7 +98,7 @@ def test_criterion_3_gk_closed_form_vs_enumeration(capsys):
     cards = {}
     for q in (2, 3, 4, 5):
         gamma = gk_generating_set(q)
-        engine = assemble_pure_gaps(decompose(gamma), verify=True)
+        engine = assemble_pure_gaps(decompose(gamma))
         direct = pure_gaps_direct(gamma)
         closed = gk_card_g0(q)
         assert closed == engine.cardinality == len(direct)
@@ -115,7 +115,7 @@ def test_criterion_4_kummer_closed_form_vs_enumeration(capsys):
     start = time.perf_counter()
     for m, r in KUMMER_GRID:
         gamma = kummer_generating_set(m, r)
-        engine = assemble_pure_gaps(decompose(gamma), verify=True)
+        engine = assemble_pure_gaps(decompose(gamma))
         direct = pure_gaps_direct(gamma)
         assert kummer_card_g0(m, r) == engine.cardinality == len(direct)
         assert engine.g0 == direct

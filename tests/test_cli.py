@@ -8,7 +8,7 @@ import puregaps.engine as engine
 import puregaps.harness as harness
 from puregaps.engine import PureGapSet
 from puregaps.cli import main
-from puregaps.gammafile import load_gamma
+from puregaps.gammafile import dump_gamma, load_gamma
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
 from puregaps.oracle import pure_gap_columns_direct, pure_gaps_direct
@@ -148,6 +148,21 @@ class TestGeneric:
         assert code == 2
         assert out == ""
         assert "GapBeyondGenusBound" in err
+
+    @pytest.mark.parametrize("emit", ["summary", "puregaps"])
+    def test_residue_chain_start_exit_2(self, capsys, tmp_path, emit):
+        # passes the period law and the 2g-1 bound, but the chains of
+        # residues 1 and 2 start at 5 and 6, so the rows would weigh 12
+        path = tmp_path / "p4.gamma"
+        path.write_text("period 4\n" + "".join(f"{a}\t{b}\n" for a, b in (
+            (3, 15), (5, 6), (6, 13), (7, 11), (9, 2), (10, 9), (11, 7),
+            (14, 5), (15, 3), (18, 1))), encoding="utf-8")
+        code, out, err = run_cli(capsys, "generic", "--input", str(path),
+                                 "--emit", emit)
+        assert code == 2
+        assert out == ""
+        assert "ResidueChainStartError: (5, 6)" in err
+        assert "(point at line 3)" in err
 
 
 class TestStream:
@@ -364,6 +379,75 @@ class TestFailingCrossCheck:
         assert first.endswith(f"engine_vs_oracle: G0: 1 vs 0 points; "
                               f"unexpected [{dropped}], missing []")
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_cli_generic_summary(self, capsys, tmp_path, short_oracle, fmt):
+        path = tmp_path / "k57.gamma"
+        path.write_text(dump_gamma(kummer_generating_set(5, 7)),
+                        encoding="utf-8")
+        code, out, _ = run_cli(capsys, "generic", "--input", str(path),
+                               "--format", fmt)
+        assert code == 1
+        verdicts = (json.loads(out)["verdicts"] if fmt == "json" else
+                    {key[len("verdict."):]: value
+                     for key, value in summary_fields(out).items()
+                     if key.startswith("verdict.")})
+        assert verdicts["engine_vs_oracle"] == "fail"
+
+
+@pytest.mark.parametrize("argv", [("gk", "--q", "2"),
+                                  ("kummer", "--m", "5", "--r", "7")])
+def test_failed_family_summary_exit_1(capsys, monkeypatch, argv):
+    # Bounds of zero fail the bound sandwich of every nonempty G0.
+    monkeypatch.setattr(engine, "bounds",
+                        lambda boxed: engine.Bounds(0, 0, 0))
+    code, out, _ = run_cli(capsys, *argv, "--emit", "summary")
+    assert code == 1
+    assert summary_fields(out)["verdict.bound_sandwich"] == "fail"
+
+
+class TestDroppedG3Point:
+    """With the engine's G3 of box 1 short of a point, every path that
+    checks the diagonal law names that box and the G4 half."""
+
+    @pytest.fixture(autouse=True)
+    def short_g3(self, monkeypatch):
+        real = engine.compute_g3
+        monkeypatch.setattr(engine, "compute_g3",
+                            lambda boxed, k: real(boxed, k)[k == 1:])
+
+    @pytest.fixture
+    def k57(self, tmp_path):
+        path = tmp_path / "k57.gamma"
+        path.write_text(dump_gamma(kummer_generating_set(5, 7)),
+                        encoding="utf-8")
+        return str(path)
+
+    def test_generic_summary(self, capsys, k57):
+        code, out, _ = run_cli(capsys, "generic", "--input", k57)
+        assert code == 1
+        fields = summary_fields(out)
+        assert fields["verdict.engine_vs_oracle"] == "pass"
+        assert fields["verdict.diagonal_reflection"] == "fail"
+        assert fields["detail"].startswith("diagonal_reflection: box k=1: G4")
+
+    def test_generic_puregaps(self, capsys, k57):
+        code, out, err = run_cli(capsys, "generic", "--input", k57,
+                                 "--emit", "puregaps")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal consistency failure: box k=1: G4")
+
+    def test_verify_point(self):
+        report = harness.verify_point("kummer", {"m": 5, "r": 7})
+        assert report.verdicts["diagonal_reflection"] == "fail"
+        assert "diagonal_reflection: box k=1: G4" in report.detail
+
+    def test_verify_special_ur1(self):
+        report = harness.verify_special_ur1(1, 5)
+        assert not report.ok
+        assert report.detail.startswith(
+            "DiagonalReflectionMismatchError: box k=1: G4")
+
 
 class TestSummariesNeverListG0:
     """Summaries and the special checks compare G0 box by box and count it;
@@ -398,7 +482,7 @@ class TestListingBuildsNoPointTuples:
         def built(*args, **kwargs):
             raise AssertionError("a tuple per pure gap was built")
         for name in ("box_components", "compute_g1", "compute_g2",
-                     "compute_g3", "compute_g4", "_g4_general"):
+                     "compute_g3", "compute_g4"):
             monkeypatch.setattr(engine, name, built)
         for name in ("__iter__", "_equals_list"):
             monkeypatch.setattr(PureGapSet, name, built)
@@ -430,13 +514,13 @@ class TestVerifyPointWork:
         components = []
         real_components = engine.box_components
 
-        def counted_components(boxed, k, verify=False):
-            components.append((k, verify))
-            return real_components(boxed, k, verify=verify)
+        def counted_components(boxed, k):
+            components.append(k)
+            return real_components(boxed, k)
         monkeypatch.setattr(engine, "box_components", counted_components)
 
         report = harness.verify_point(family, params)
         assert report.ok
         assert len(calls) == 1
         kmax = engine.decompose(real(*params.values())).kmax
-        assert components == [(k, True) for k in range(kmax)]
+        assert components == list(range(kmax))

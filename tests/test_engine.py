@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import puregaps.engine as engine
 from puregaps.engine import (
     BoxedGamma,
     PureGapSet,
@@ -12,6 +13,7 @@ from puregaps.engine import (
     bounds_from_row_sizes,
     box_columns,
     box_components,
+    check_reflection,
     compute_g1,
     compute_g2,
     compute_g3,
@@ -21,6 +23,7 @@ from puregaps.engine import (
 )
 from puregaps.errors import (
     CardinalityMismatchError,
+    DiagonalReflectionMismatchError,
     DisjointnessViolationError,
     GenusIdentityViolationError,
 )
@@ -118,11 +121,11 @@ class TestComponents:
         assert compute_g3(kummer43_boxed, 0) == [(2, 1)]
 
     def test_g4_gk2(self, gk2_boxed):
-        assert compute_g4(gk2_boxed, 0, verify=True) == gk2.G4_0
-        assert compute_g4(gk2_boxed, 1, verify=True) == gk2.G4_1
+        assert compute_g4(gk2_boxed, 0) == gk2.G4_0
+        assert compute_g4(gk2_boxed, 1) == gk2.G4_1
 
     def test_g4_kummer43(self, kummer43_boxed):
-        assert compute_g4(kummer43_boxed, 0, verify=True) == [(1, 2)]
+        assert compute_g4(kummer43_boxed, 0) == [(1, 2)]
 
     def test_g1_cardinality_mismatch(self):
         # duplicate second coordinates across rows collapse the product
@@ -134,19 +137,19 @@ class TestComponents:
 
 class TestAssemble:
     def test_gk2_full_set(self, gk2_boxed):
-        result = assemble_pure_gaps(gk2_boxed, verify=True)
+        result = assemble_pure_gaps(gk2_boxed)
         assert result.g0 == gk2.G0_SORTED
         assert result.cardinality == 35
-        assert box_components(gk2_boxed, 0, verify=True) == \
+        assert box_components(gk2_boxed, 0) == \
             (gk2.G1_0, [], gk2.G3_0, gk2.G4_0)
-        assert box_components(gk2_boxed, 1, verify=True) == \
+        assert box_components(gk2_boxed, 1) == \
             (gk2.G1_1, [], gk2.G3_1, gk2.G4_1)
-        assert box_components(gk2_boxed, 2, verify=True) == ([], [], [], [])
+        assert box_components(gk2_boxed, 2) == ([], [], [], [])
         assert (result.lower_bound, result.upper_bound,
                 result.homma_kim_bound) == (gk2.LOWER, gk2.UPPER, gk2.HOMMA_KIM)
 
     def test_kummer43(self, kummer43_boxed):
-        result = assemble_pure_gaps(kummer43_boxed, verify=True)
+        result = assemble_pure_gaps(kummer43_boxed)
         assert result.g0 == [(1, 1), (1, 2), (2, 1)]
         assert result.cardinality == 3
         assert result.upper_bound == 3  # attained
@@ -157,10 +160,37 @@ class TestAssemble:
         assert result.cardinality == 0
         assert result.lower_bound == result.upper_bound == 0
 
-    def test_verify_and_release_agree(self, gk2_boxed, kummer43_boxed):
+
+class TestCheckReflection:
+    """check_reflection, the one check of the diagonal law: on a diagonal
+    set G2 is empty and G4 is the reflected G3."""
+
+    def test_family_sets_pass(self, gk2_boxed, kummer43_boxed):
         for boxed in (gk2_boxed, kummer43_boxed):
-            assert assemble_pure_gaps(boxed).g0 == \
-                assemble_pure_gaps(boxed, verify=True).g0
+            check_reflection(boxed)
+
+    def test_non_diagonal_set_rejected(self):
+        boxed = BoxedGamma(rows={0: ((1, 5), (3, 2))}, period=9, genus=2,
+                           kmax=1, diagonal=False)
+        with pytest.raises(DiagonalReflectionMismatchError,
+                           match="not diagonal"):
+            check_reflection(boxed)
+
+    def test_dropped_g3_point_names_box(self, gk2_boxed, monkeypatch):
+        real = engine.compute_g3
+        monkeypatch.setattr(engine, "compute_g3",
+                            lambda boxed, k: real(boxed, k)[k == 1:])
+        with pytest.raises(DiagonalReflectionMismatchError,
+                           match=r"^box k=1: G4 has 2 points and differs "
+                                 r"from the reflected G3, which has 1$"):
+            check_reflection(gk2_boxed)
+
+    def test_g2_point_names_box(self, gk2_boxed, monkeypatch):
+        monkeypatch.setattr(engine, "compute_g2",
+                            lambda boxed, k: [(1, 1)] * (k == 1))
+        with pytest.raises(DiagonalReflectionMismatchError,
+                           match=r"^box k=1: G2 is not empty$"):
+            check_reflection(gk2_boxed)
 
 
 class TestBounds:

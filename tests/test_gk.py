@@ -202,7 +202,7 @@ class TestPureGaps:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_three_routes_agree(self, q):
         gamma = gk_generating_set(q)
-        engine = assemble_pure_gaps(decompose(gamma), verify=True)
+        engine = assemble_pure_gaps(decompose(gamma))
         explicit = gk_pure_gaps(q)
         direct = pure_gaps_direct(gamma)
         assert explicit.g0 == engine.g0 == direct

@@ -9,8 +9,10 @@ from puregaps.errors import (
     GapBeyondGenusBoundError,
     InvalidParamsError,
     PeriodPropertyViolationError,
+    ResidueChainStartError,
     ZeroOrNegativeCoordinateError,
 )
+from puregaps.engine import decompose
 from puregaps.lattice import COORD_MAX, LatticePoint, validate_generating_set
 
 from expected_gk2 import GAMMA as GK2_GAMMA
@@ -137,6 +139,15 @@ class TestValidateGeneratingSet:
         with pytest.raises(GapBeyondGenusBoundError):
             validate_generating_set([(3, 16), (8, 11), (13, 6), (18, 1)], 5)
 
+    def test_residue_chain_start(self):
+        # the residue-1 and residue-2 chains start at 5 and 6: the period
+        # law and the 2g-1 bound hold, but the rows would weigh 12, not 10
+        points = [(3, 15), (5, 6), (6, 13), (7, 11), (9, 2), (10, 9),
+                  (11, 7), (14, 5), (15, 3), (18, 1)]
+        with pytest.raises(ResidueChainStartError) as info:
+            validate_generating_set(points, 4)
+        assert info.value.beta == 5
+
     def test_bad_period(self):
         with pytest.raises(InvalidParamsError):
             validate_generating_set([], 0)
@@ -155,3 +166,42 @@ class TestValidateGeneratingSet:
         for beta, image in tau.items():
             for k in range(1, 4):
                 assert ((beta + 9 * k) in firsts) == (9 * k < image)
+
+
+@st.composite
+def chain_sets(draw):
+    """Sets that keep the period law: one chain per drawn residue, with
+    distinct last second coordinates, each started at its residue but at
+    most one, which starts a period above it.  Returns (points, period,
+    whether a chain starts above its residue)."""
+    period = draw(st.integers(min_value=2, max_value=9))
+    residues = st.integers(min_value=1, max_value=period - 1)
+    firsts = draw(st.lists(residues, min_size=1, unique=True))
+    lasts = draw(st.lists(residues, min_size=len(firsts),
+                          max_size=len(firsts), unique=True))
+    lifted = draw(st.sampled_from([None, *firsts]))
+    points = []
+    for r, b in zip(firsts, lasts):
+        n = draw(st.integers(min_value=1, max_value=3))
+        start = r + period * (r == lifted)
+        points += [(start + i * period, b + (n - 1 - i) * period)
+                   for i in range(n)]
+    return points, period, lifted is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_sets())
+def test_validated_chain_sets_decompose(case):
+    """An accepted set has every chain start at its residue, and its genus
+    identity holds; a chain started above its residue is rejected, as such
+    unless the 2g-1 bound rejects the set first."""
+    points, period, shifted = case
+    try:
+        gamma = validate_generating_set(points, period)
+    except GapBeyondGenusBoundError:
+        return
+    except ResidueChainStartError:
+        assert shifted
+        return
+    assert not shifted
+    decompose(gamma)

@@ -97,7 +97,7 @@ class TestPureGapsDirect:
 
     def test_matches_engine(self, gk2_gamma, kummer43_gamma):
         for gamma in (gk2_gamma, kummer43_gamma):
-            result = assemble_pure_gaps(decompose(gamma), verify=True)
+            result = assemble_pure_gaps(decompose(gamma))
             assert result.g0 == pure_gaps_direct(gamma)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from puregaps.errors import (
     GapBeyondGenusBoundError,
     PeriodPropertyViolationError,
+    ResidueChainStartError,
     ValidationError,
 )
 from puregaps.gammafile import parse_gamma
@@ -91,7 +92,7 @@ class TestAgreesWithShiftWalk:
             validate_generating_set(points, period)
         except PeriodPropertyViolationError as exc:
             assert found and (exc.beta, exc.k) == found[0][:2]
-        except GapBeyondGenusBoundError:
+        except (GapBeyondGenusBoundError, ResidueChainStartError):
             assert not found
         else:
             assert not found

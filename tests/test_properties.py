@@ -122,11 +122,11 @@ def test_non_diagonal_engine_matches_references(gamma):
         assert box_columns(boxed, k) == \
             _residue_runs({k: merged}, boxed.period).get(k, {})
     direct = pure_gaps_direct(gamma)
-    result = assemble_pure_gaps(boxed, verify=True)
+    result = assemble_pure_gaps(boxed)
     assert result.g0 == direct
     assert result.g0.equals_columns(pure_gap_columns_direct(gamma))
     out = io.StringIO()
-    _stream_pure_gaps(boxed, True, "tsv", out)
+    _stream_pure_gaps(boxed, "tsv", out)
     assert out.getvalue() == "".join(f"{a}\t{b}\n" for a, b in direct)
     report = summarize_generic(gamma, "drawn")
     assert report.ok, report.detail
