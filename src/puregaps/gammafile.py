@@ -1,12 +1,20 @@
 """Plain-text exchange format for generating sets.
 
 UTF-8 text.  Lines starting with ``#`` (after optional whitespace) and
-blank lines are ignored.  The first payload line must be ``period <int>``;
-every following payload line is one ``<beta><TAB><tau>`` pair.  Parse and
-validation diagnostics carry 1-based line numbers.
+blank lines are ignored; a ``#`` after a pair is not a comment.  The
+first payload line must be ``period <int>``; every following payload line
+is one ``<beta><TAB><tau>`` pair.  Parse and validation diagnostics carry
+1-based line numbers.
+
+A file is read in whole-list passes: the payload lines are picked out,
+each is split and converted in one comprehension, and the pairs are
+validated as a list.  Only when a pass fails is the text scanned line by
+line, to name the line at fault.
 """
 
 from __future__ import annotations
+
+from itertools import chain, islice
 
 from .errors import GammaFileError, ValidationError
 from .lattice import GeneratingSet, validate_generating_set
@@ -14,11 +22,39 @@ from .lattice import GeneratingSet, validate_generating_set
 
 def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
     """Parse and validate the text of a generating set file."""
+    lines = text.splitlines()
+    try:
+        period, pairs = _read_payload(lines)
+        return validate_generating_set(pairs, period)
+    except (ValueError, OverflowError):  # ValidationError is a ValueError
+        return _parse_lines(lines, source)
+
+
+def _read_payload(lines: list) -> tuple:
+    """``(period, pairs)`` of a well-formed file's lines; ValueError (with
+    no line number) when any payload line is malformed."""
+    payload = [line for line in map(str.strip, lines)
+               if line and line[0] != "#"]
+    if not payload:
+        raise ValueError("missing header")
+    word, period = payload[0].split()
+    if word != "period":
+        raise ValueError("bad header")
+    pairs = [(int(a), int(b))
+             for a, b in map(str.split, islice(payload, 1, None))]
+    return int(period), pairs
+
+
+def _parse_lines(lines: list, source: str) -> GeneratingSet:
+    """Parse and validate line by line, raising for the first line at
+    fault: a bad header or pair, a coordinate already seen, or the point
+    whose validation error names a first coordinate.  The diagnostic run
+    after a whole-list pass has failed."""
     period = None
     pairs = []
     first_line = {}
     second_line = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -78,7 +114,7 @@ def load_gamma(path) -> GeneratingSet:
 
 
 def dump_gamma(gamma: GeneratingSet) -> str:
-    """Serialize a generating set in the exchange format (sorted points)."""
-    lines = [f"period {gamma.period}"]
-    lines.extend(f"{a}\t{b}" for a, b in gamma.points)
-    return "\n".join(lines) + "\n"
+    """Serialize a generating set in the exchange format (sorted points),
+    with one format operation over every coordinate."""
+    coords = tuple(chain.from_iterable(gamma.points))
+    return f"period {gamma.period}\n" + ("%s\t%s\n" * gamma.genus) % coords

@@ -244,8 +244,15 @@ def _components(q: int, k: int) -> tuple:
     return (gk_g1(q, k), gk_g2(q, k), gk_g3(q, k), gk_g4(q, k))
 
 
-def gk_pure_gaps(q: int) -> PureGapResult:
-    """Assemble the full pure gap set from the explicit components.
+def gk_components(q: int) -> dict:
+    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), for
+    every box k < q^2 - 1."""
+    return {k: _components(q, k) for k in range(q * q - 1)}
+
+
+def gk_pure_gaps(q: int, per_box: dict | None = None) -> PureGapResult:
+    """Assemble the full pure gap set from the explicit components,
+    ``per_box`` when the caller holds :func:`gk_components` of q.
 
     The result's cardinality must match the closed-form polynomial and the
     row-size bound must match the bound polynomial; disagreement raises.
@@ -254,7 +261,9 @@ def gk_pure_gaps(q: int) -> PureGapResult:
     boxes = range(q * q - 1)
     sizes = [gk_card_gamma_k0(q, k) for k in boxes]
     bnd = bounds_from_row_sizes(sizes, params.genus)
-    result = assemble({k: _components(q, k) for k in boxes}, params.period, bnd)
+    if per_box is None:
+        per_box = gk_components(q)
+    result = assemble(per_box, params.period, bnd)
     expected = gk_card_g0(q)
     if result.cardinality != expected:
         raise ClosedFormMismatchError(
@@ -267,12 +276,16 @@ def gk_pure_gaps(q: int) -> PureGapResult:
     return result
 
 
-def verify_against_engine(boxed: BoxedGamma, q: int) -> None:
+def verify_against_engine(boxed: BoxedGamma, q: int,
+                          per_box: dict | None = None) -> None:
     """Compare every explicit closed-form set with the generic engine on
-    ``boxed``, the decomposed generating set of parameter q.
+    ``boxed``, the decomposed generating set of parameter q; ``per_box``
+    is :func:`gk_components` of q when the caller holds it.
 
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
     """
+    if per_box is None:
+        per_box = gk_components(q)
     check_components(boxed, lambda k: gk_gamma_k0(q, k),
-                     lambda k: _components(q, k), f"q={q}")
+                     lambda k: per_box.get(k, ((),) * 4), f"q={q}")

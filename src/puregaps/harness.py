@@ -30,9 +30,10 @@ from .oracle import (
 
 #: Closed-form families: name -> (module, parameter names).  The module
 #: provides ``<name>_generating_set``, ``<name>_card_g0``,
-#: ``<name>_pure_gaps`` and ``verify_against_engine``, each taking the
-#: parameters in this order (``verify_against_engine`` takes the
-#: decomposed generating set before them).
+#: ``<name>_components``, ``<name>_pure_gaps`` and
+#: ``verify_against_engine``, each taking the parameters in this order
+#: (``verify_against_engine`` takes the decomposed generating set before
+#: them); the last two take the components as ``per_box``.
 FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}
 
 #: Default parameter sweep for the m=(q+1)/N special case.
@@ -77,14 +78,14 @@ class RunReport:
         return f"{self.family}({inner})"
 
 
-def call_family(family: str, func: str, params: dict, *lead):
+def call_family(family: str, func: str, params: dict, *lead, **options):
     """Call ``func`` (``{}`` stands for the family name) of a family's module
-    on ``lead`` and then the family's parameters.  The function is looked up
-    at each call, so a rebound module attribute (a tracing wrapper) is the
-    one called."""
+    on ``lead``, then the family's parameters, then ``options`` by keyword.
+    The function is looked up at each call, so a rebound module attribute
+    (a tracing wrapper) is the one called."""
     module, names = FAMILIES[family]
     return getattr(module, func.format(family))(
-        *lead, *(params[n] for n in names))
+        *lead, *(params[n] for n in names), **options)
 
 
 def _diff_sets(name, got, want, limit=5):
@@ -107,11 +108,11 @@ class _Checks:
         if not ok and detail:
             self.details.append(f"{name}: {detail}")
 
-    def run(self, name, check, *args):
-        """Record ``name`` as passed unless ``check(*args)`` raises a
-        ConsistencyError, whose text is then the detail."""
+    def run(self, name, check, *args, **options):
+        """Record ``name`` as passed unless ``check(*args, **options)``
+        raises a ConsistencyError, whose text is then the detail."""
         try:
-            check(*args)
+            check(*args, **options)
         except ConsistencyError as exc:
             self.record(name, False, str(exc))
         else:
@@ -239,9 +240,12 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     direct = pure_gap_columns_direct(gamma)
     timings["direct_oracle_s"] = time.perf_counter() - start
 
+    # The family's components are built once and feed both of its checks:
+    # its own G0 against the engine's, and its boxes against the engine's.
     start = time.perf_counter()
     closed_card = call_family(family, "{}_card_g0", params)
-    fam_result = call_family(family, "{}_pure_gaps", params)
+    per_box = call_family(family, "{}_components", params)
+    fam_result = call_family(family, "{}_pure_gaps", params, per_box=per_box)
     timings["closed_form_s"] = time.perf_counter() - start
 
     checks = _Checks()
@@ -252,7 +256,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
                   f"closed={closed_card} engine={result.cardinality} "
                   f"explicit={fam_result.cardinality}")
     checks.run("components_vs_generic", call_family, family,
-               "verify_against_engine", params, boxed)
+               "verify_against_engine", params, boxed, per_box=per_box)
     _check_genus(checks, boxed)
     _check_bounds(checks, result)
     checks.run("diagonal_reflection", check_reflection, boxed)

@@ -204,16 +204,26 @@ def _components(m: int, r: int, k: int) -> tuple:
             kummer_g3(m, r, k), kummer_g4(m, r, k))
 
 
-def kummer_pure_gaps(m: int, r: int) -> PureGapResult:
-    """Assemble the full pure gap set from the explicit components.
+def kummer_components(m: int, r: int) -> dict:
+    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), for
+    every box up to the top box index."""
+    params = KummerParams(m, r)
+    return {k: _components(m, r, k) for k in range(params.top_box + 1)}
+
+
+def kummer_pure_gaps(m: int, r: int,
+                     per_box: dict | None = None) -> PureGapResult:
+    """Assemble the full pure gap set from the explicit components,
+    ``per_box`` when the caller holds :func:`kummer_components` of (m, r).
 
     The cardinality must match the closed-form sum; disagreement raises.
     """
     params = KummerParams(m, r)
     boxes = range(params.top_box + 1)
     sizes = [kummer_card_gamma_k0(m, r, k) for k in boxes]
-    result = assemble({k: _components(m, r, k) for k in boxes}, m,
-                      bounds_from_row_sizes(sizes, params.genus))
+    if per_box is None:
+        per_box = kummer_components(m, r)
+    result = assemble(per_box, m, bounds_from_row_sizes(sizes, params.genus))
     expected = kummer_card_g0(m, r)
     if result.cardinality != expected:
         raise ClosedFormMismatchError(
@@ -222,12 +232,18 @@ def kummer_pure_gaps(m: int, r: int) -> PureGapResult:
     return result
 
 
-def verify_against_engine(boxed: BoxedGamma, m: int, r: int) -> None:
+def verify_against_engine(boxed: BoxedGamma, m: int, r: int,
+                          per_box: dict | None = None) -> None:
     """Compare every explicit closed-form set with the generic engine on
-    ``boxed``, the decomposed generating set of parameters (m, r).
+    ``boxed``, the decomposed generating set of parameters (m, r);
+    ``per_box`` is :func:`kummer_components` of (m, r) when the caller
+    holds it.
 
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
     """
+    if per_box is None:
+        per_box = kummer_components(m, r)
     check_components(boxed, lambda k: kummer_gamma_k0(m, r, k),
-                     lambda k: _components(m, r, k), f"(m, r)=({m}, {r})")
+                     lambda k: per_box.get(k, ((),) * 4),
+                     f"(m, r)=({m}, {r})")

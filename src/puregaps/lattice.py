@@ -2,9 +2,10 @@
 
 A :class:`LatticePoint` is a pair of nonnegative 64-bit integers.  A
 :class:`GeneratingSet` is the graph of the bijection between the gap sets
-at two places together with the period of the two-place semigroup;
-:func:`validate_generating_set` is the only sanctioned way to build one
-and enforces, among other things, the period displacement law:
+at two places together with the period of the two-place semigroup, held
+as plain ``(a, b)`` int tuples; :func:`validate_generating_set` is the
+only sanctioned way to build one and enforces, among other things, the
+period displacement law:
 ``beta + k*period`` is a first coordinate exactly when
 ``k*period < tau(beta)``, and then its image is ``tau(beta) - k*period``.
 The law is checked in an equivalent chain form that takes one linear pass,
@@ -17,6 +18,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -60,7 +62,10 @@ class GeneratingSet:
     """Validated minimal generating set of a two-place semigroup.
 
     ``points`` holds the pairs ``(beta, tau(beta))`` sorted by first
-    coordinate; ``period`` is the period of the semigroup.  The genus of
+    coordinate, as plain ``(a, b)`` int tuples, not :class:`LatticePoint`:
+    they compare, hash and sort exactly alike, and a plain tuple costs no
+    Python-level constructor per point.  ``period`` is the period of the
+    semigroup.  The genus of
     the underlying function field equals the number of points.
 
     Build instances through :func:`validate_generating_set`; the raw
@@ -78,13 +83,15 @@ class GeneratingSet:
         """The gap bijection as a dict, first coordinate to second."""
         return {a: b for a, b in self.points}
 
-    def __iter__(self) -> Iterator[LatticePoint]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.points)
 
 
-def period_law_violations(tau: dict, period: int) -> Iterator[tuple]:
+def period_law_violations(tau: dict, period: int,
+                          items: list | None = None) -> Iterator[tuple]:
     """Yield ``(beta, k, message)`` for each breach of the period
     displacement law by the map ``tau``, in increasing ``beta``.
+    ``items`` is ``sorted(tau.items())``, for a caller that holds it.
 
     The law is checked in its chain form, in linear time after one sort:
 
@@ -103,17 +110,11 @@ def period_law_violations(tau: dict, period: int) -> Iterator[tuple]:
     ``period < tau(a)`` breaks the successor rule and is named once, as
     that, so every yielded ``(beta, k)`` breaks the law at that shift.
     """
-    firsts = sorted(tau)
-    last = {}    # residue class -> largest first coordinate so far
-    breaks = {}  # first coordinate -> the next one of its class, past a gap
-    for a in firsts:
-        r = a % period
-        prev = last.get(r)
-        if prev is not None and prev != a - period:
-            breaks[prev] = a
-        last[r] = a
-    for a in firsts:
-        b = tau[a]
+    if items is None:
+        items = sorted(tau.items())
+    last = {a % period: a for a, _ in items}  # each class's largest
+    breaks = None
+    for a, b in items:
         shifted = a + period
         if period < b:
             got = tau.get(shifted)
@@ -122,11 +123,30 @@ def period_law_violations(tau: dict, period: int) -> Iterator[tuple]:
                 yield a, 1, (f"({a}, {b}) with k=1: requires ({shifted}, "
                              f"{b - period}) in the set, but {shifted} is "
                              f"{found}")
-        elif shifted in tau or a in breaks:
-            shifted = breaks.get(a, shifted)
+        elif last[a % period] != a:
+            # a chain ends at a, yet its class goes on: at a + period, or
+            # past a gap, at the class's next first coordinate
+            if shifted not in tau:
+                if breaks is None:
+                    breaks = _run_breaks(items, period)
+                shifted = breaks[a]
             k = (shifted - a) // period
             yield a, k, (f"({a}, {b}) with k={k}: {shifted} may not be a "
                          f"first coordinate since {k}*{period} >= {b}")
+
+
+def _run_breaks(items: list, period: int) -> dict:
+    """First coordinate -> the next one of its residue class, for each
+    first coordinate whose class resumes past a gap."""
+    last = {}
+    breaks = {}
+    for a, _ in items:
+        r = a % period
+        prev = last.get(r)
+        if prev is not None and prev != a - period:
+            breaks[prev] = a
+        last[r] = a
+    return breaks
 
 
 def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
@@ -145,12 +165,65 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     Each chain then has ``k + 1`` points if its last lies in row ``k``,
     which is the genus identity of the box decomposition.  An empty set
     is valid with any period (genus zero).
+
+    Each check is one pass over the whole list: ``min`` and ``max`` for
+    the sign and range checks, one modulo pass per projection, the sizes
+    of a dict and a set for duplicates.  Only when one fails are the
+    points walked one by one, so the error names the same point as a
+    point-by-point check would: the first bad point in input order for
+    the sign, divisibility and range checks, the first duplicate in
+    sorted order, and the first point in sorted order past ``2g - 1`` or
+    above the period without a predecessor in its chain.
     """
     if period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
 
-    pts = []
-    for p in points:
+    pts = list(map(tuple, points))
+    try:
+        tau = dict(pts)
+    except (TypeError, ValueError):
+        tau = {}  # a malformed pair: the point-by-point pass names it
+    seconds = tau.values()
+    n = len(pts)
+    lo = min(min(tau), min(seconds)) if tau else 1
+    hi = max(max(tau), max(seconds)) if tau else 0
+    residues = {a % period for a in tau}
+    if not (len(tau) == n == len(set(seconds)) and lo > 0 and hi <= COORD_MAX
+            and 0 not in residues
+            and 0 not in {b % period for b in seconds}):
+        _raise_bad_point(pts, period)
+
+    pts.sort()
+    for beta, k, message in period_law_violations(tau, period, pts):
+        raise PeriodPropertyViolationError(message, beta=beta, k=k)
+    top = 2 * n - 1
+    if hi > top:
+        for a, b in pts:
+            if a > top or b > top:
+                raise GapBeyondGenusBoundError(
+                    f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
+                    f"genus {n}")
+    # Each residue class is one run (the law holds), so every run starts
+    # below the period exactly when each class has a first coordinate
+    # there.
+    if len(residues) != bisect_left(pts, (period,)):
+        for a, b in pts:
+            if a > period and a - period not in tau:
+                raise ResidueChainStartError(
+                    f"({a}, {b}): the first coordinates are not the gaps "
+                    f"of a semigroup containing the period {period}: {a} is "
+                    f"one and {a - period} is not", beta=a)
+
+    return GeneratingSet(points=tuple(pts), period=period)
+
+
+def _raise_bad_point(pts: list, period: int) -> None:
+    """Raise for the first point of ``pts`` (in input order) with a
+    coordinate that is not positive, is a multiple of the period or
+    leaves the 64-bit range, else for the first duplicate coordinate in
+    sorted order.  Called only once a whole-list check has failed, so one
+    of these raises."""
+    for p in pts:
         a, b = p
         if a <= 0 or b <= 0:
             raise ZeroOrNegativeCoordinateError(
@@ -158,34 +231,15 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
         if a % period == 0 or b % period == 0:
             raise CoordinateDivisibleByPeriodError(
                 f"({a}, {b}): coordinate divisible by period {period}")
-        pts.append(LatticePoint(a, b))
-    pts.sort()
-
-    tau = {}
-    seen_b = {}
-    for a, b in pts:
-        if a in tau:
+        LatticePoint(a, b)
+    seen_a = set()
+    seen_b = set()
+    for a, b in sorted(pts):
+        if a in seen_a:
             raise DuplicateFirstCoordinateError(
                 f"first coordinate {a} appears twice")
         if b in seen_b:
             raise DuplicateSecondCoordinateError(
                 f"second coordinate {b} appears twice")
-        tau[a] = b
-        seen_b[b] = a
-
-    for beta, k, message in period_law_violations(tau, period):
-        raise PeriodPropertyViolationError(message, beta=beta, k=k)
-    top = 2 * len(pts) - 1
-    for a, b in pts:
-        if a > top or b > top:
-            raise GapBeyondGenusBoundError(
-                f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
-                f"genus {len(pts)}")
-    for a in tau:
-        if a > period and a - period not in tau:
-            raise ResidueChainStartError(
-                f"({a}, {tau[a]}): the first coordinates are not the gaps of a "
-                f"semigroup containing the period {period}: {a} is one and "
-                f"{a - period} is not", beta=a)
-
-    return GeneratingSet(points=tuple(pts), period=period)
+        seen_a.add(a)
+        seen_b.add(b)

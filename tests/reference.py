@@ -6,8 +6,20 @@ that the package's faster code is checked against.
 
 from dataclasses import dataclass
 
-from puregaps.errors import DisjointnessViolationError, InvalidParamsError
-from puregaps.lattice import GeneratingSet, LatticePoint
+from puregaps.errors import (
+    CoordinateDivisibleByPeriodError,
+    DisjointnessViolationError,
+    DuplicateFirstCoordinateError,
+    DuplicateSecondCoordinateError,
+    GammaFileError,
+    GapBeyondGenusBoundError,
+    InvalidParamsError,
+    PeriodPropertyViolationError,
+    ResidueChainStartError,
+    ValidationError,
+    ZeroOrNegativeCoordinateError,
+)
+from puregaps.lattice import GeneratingSet, LatticePoint, period_law_violations
 
 
 def lub(p, q) -> LatticePoint:
@@ -143,3 +155,113 @@ def _residue_runs(per_box_union: dict, period: int) -> dict:
         if by_residue:
             runs[k] = by_residue
     return runs
+
+
+def validate_per_point(points, period) -> GeneratingSet:
+    """The point-by-point validator: every invariant of
+    ``lattice.validate_generating_set`` checked by walking the points, one
+    ``LatticePoint`` each, raising the same error class and message."""
+    if period < 1:
+        raise InvalidParamsError(f"period must be a positive integer, got {period}")
+
+    pts = []
+    for p in points:
+        a, b = p
+        if a <= 0 or b <= 0:
+            raise ZeroOrNegativeCoordinateError(
+                f"({a}, {b}): generating set coordinates must be positive")
+        if a % period == 0 or b % period == 0:
+            raise CoordinateDivisibleByPeriodError(
+                f"({a}, {b}): coordinate divisible by period {period}")
+        pts.append(LatticePoint(a, b))
+    pts.sort()
+
+    tau = {}
+    seen_b = {}
+    for a, b in pts:
+        if a in tau:
+            raise DuplicateFirstCoordinateError(
+                f"first coordinate {a} appears twice")
+        if b in seen_b:
+            raise DuplicateSecondCoordinateError(
+                f"second coordinate {b} appears twice")
+        tau[a] = b
+        seen_b[b] = a
+
+    for beta, k, message in period_law_violations(tau, period):
+        raise PeriodPropertyViolationError(message, beta=beta, k=k)
+    top = 2 * len(pts) - 1
+    for a, b in pts:
+        if a > top or b > top:
+            raise GapBeyondGenusBoundError(
+                f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
+                f"genus {len(pts)}")
+    for a in tau:
+        if a > period and a - period not in tau:
+            raise ResidueChainStartError(
+                f"({a}, {tau[a]}): the first coordinates are not the gaps of a "
+                f"semigroup containing the period {period}: {a} is one and "
+                f"{a - period} is not", beta=a)
+
+    return GeneratingSet(points=tuple(pts), period=period)
+
+
+def parse_gamma_lines(text: str, source: str = "<string>") -> GeneratingSet:
+    """The line scanner: parse a ``.gamma`` text one line at a time, with
+    duplicate coordinates caught as they are read, then validate with
+    :func:`validate_per_point`; every error names its line."""
+    period = None
+    pairs = []
+    first_line = {}
+    second_line = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if period is None:
+            fields = line.split()
+            if len(fields) != 2 or fields[0] != "period":
+                raise GammaFileError(
+                    f"{source}: line {lineno}: expected 'period <int>' header, "
+                    f"got {line!r}")
+            try:
+                period = int(fields[1])
+            except ValueError:
+                raise GammaFileError(
+                    f"{source}: line {lineno}: period {fields[1]!r} is not an "
+                    "integer") from None
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            fields = line.split()
+        if len(fields) != 2:
+            raise GammaFileError(
+                f"{source}: line {lineno}: expected '<beta><TAB><tau>', got "
+                f"{line!r}")
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise GammaFileError(
+                f"{source}: line {lineno}: non-integer coordinate in {line!r}"
+            ) from None
+        if a in first_line:
+            raise GammaFileError(
+                f"{source}: DuplicateFirstCoordinate at line {lineno}: {a} "
+                f"first seen at line {first_line[a]}")
+        if b in second_line:
+            raise GammaFileError(
+                f"{source}: DuplicateSecondCoordinate at line {lineno}: {b} "
+                f"first seen at line {second_line[b]}")
+        first_line[a] = lineno
+        second_line[b] = lineno
+        pairs.append((a, b))
+
+    if period is None:
+        raise GammaFileError(f"{source}: missing 'period <int>' header")
+    try:
+        return validate_per_point(pairs, period)
+    except ValidationError as exc:
+        beta = getattr(exc, "beta", None)
+        where = f" (point at line {first_line[beta]})" if beta in first_line else ""
+        raise GammaFileError(
+            f"{source}: {type(exc).__name__}: {exc}{where}") from exc

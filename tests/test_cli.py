@@ -524,3 +524,22 @@ class TestVerifyPointWork:
         assert len(calls) == 1
         kmax = engine.decompose(real(*params.values())).kmax
         assert components == list(range(kmax))
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
+    def test_family_components_once(self, monkeypatch, family, params):
+        # the family's G0 and its box-by-box check share one build
+        module = harness.FAMILIES[family][0]
+        real = module._components
+        boxes = []
+
+        def counted(*args):
+            boxes.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(module, "_components", counted)
+
+        report = harness.verify_point(family, params)
+        assert report.ok
+        kmax = engine.decompose(
+            harness.call_family(family, "{}_generating_set", params)).kmax
+        assert boxes == list(range(kmax))

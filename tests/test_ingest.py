@@ -1,0 +1,272 @@
+"""The whole-list parser and validator against the line scanner and the
+point-by-point validator they replaced (``reference``).
+
+On valid input both routes must return the same points and period; on
+invalid input they must raise the same exception class with the same
+message, so the whole-list passes name the same offender as a walk
+would: the same line, the same first bad point in input order, the same
+first duplicate in sorted order.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from puregaps.errors import (
+    CoordinateDivisibleByPeriodError,
+    DuplicateFirstCoordinateError,
+    DuplicateSecondCoordinateError,
+    GammaFileError,
+    GapBeyondGenusBoundError,
+    ResidueChainStartError,
+    ZeroOrNegativeCoordinateError,
+)
+from puregaps import gammafile
+from puregaps.gammafile import dump_gamma, parse_gamma
+from puregaps.lattice import COORD_MAX, validate_generating_set
+
+import props
+from reference import parse_gamma_lines, validate_per_point
+from test_period_law import small_injective_maps
+
+
+def outcome(func, *args):
+    """What ``func(*args)`` gives: ("ok", points, period) or ("raises",
+    class, message, beta, k)."""
+    try:
+        gamma = func(*args)
+    except (ValueError, OverflowError) as exc:
+        return ("raises", type(exc), str(exc), getattr(exc, "beta", None),
+                getattr(exc, "k", None))
+    return ("ok", list(gamma.points), gamma.period)
+
+
+# --- validation -------------------------------------------------------------
+
+@st.composite
+def mutated_point_lists(draw):
+    """A family generating set as a list of pairs in a drawn order, with
+    zero to three mutations: a coordinate set to zero, negative, a multiple
+    of the period, past 2g-1 or past the 64-bit range; an image moved by
+    +-period; a point dropped, repeated or given a used coordinate; a new
+    head at ``a + k*period``; or two images swapped."""
+    gamma = props.get_gamma(draw(st.sampled_from(props.FAMILY_POOL)))
+    period = gamma.period
+    pts = draw(st.permutations(list(gamma.points)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not pts:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(pts) - 1))
+        a, b = pts[i]
+        kind = draw(st.sampled_from((
+            "zero", "negative", "divisible", "genus", "overflow", "move",
+            "drop", "repeat", "first", "second", "head", "swap")))
+        side = draw(st.booleans())
+        if kind in ("zero", "negative", "divisible", "genus", "overflow"):
+            value = {"zero": 0, "negative": -a,
+                     "divisible": period * draw(st.integers(1, 3)),
+                     "genus": 2 * len(pts) + draw(st.integers(0, 3)),
+                     "overflow": COORD_MAX + 1}[kind]
+            pts[i] = (value, b) if side else (a, value)
+        elif kind == "move":
+            pts[i] = (a, b + period if side or b <= period else b - period)
+        elif kind == "drop":
+            del pts[i]
+        elif kind == "repeat":
+            pts.insert(draw(st.integers(0, len(pts))), (a, b))
+        elif kind in ("first", "second"):
+            c, d = draw(st.sampled_from(pts))
+            new = (a, d + 1) if kind == "first" else (c + 1, b)
+            pts.insert(draw(st.integers(0, len(pts))), new)
+        elif kind == "head":
+            k = draw(st.integers(min_value=1, max_value=3))
+            pts.append((a + k * period,
+                        draw(st.integers(min_value=1, max_value=2 * period))))
+        else:
+            j = draw(st.integers(min_value=0, max_value=len(pts) - 1))
+            (c, d) = pts[j]
+            pts[i], pts[j] = (a, d), (c, b)
+    return pts, period
+
+
+class TestValidatorAgreesWithPerPoint:
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_point_lists())
+    def test_mutated_family_sets(self, case):
+        points, period = case
+        assert outcome(validate_generating_set, points, period) == \
+            outcome(validate_per_point, points, period)
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_injective_maps(), st.randoms(use_true_random=False))
+    def test_small_injective_maps(self, case, rnd):
+        tau, period = case
+        points = list(tau.items())
+        rnd.shuffle(points)
+        assert outcome(validate_generating_set, points, period) == \
+            outcome(validate_per_point, points, period)
+
+    @pytest.mark.parametrize("points, period, error, message", [
+        # input order: divisible before zero, and zero before divisible
+        ([(9, 2), (0, 3)], 9, CoordinateDivisibleByPeriodError,
+         "(9, 2): coordinate divisible by period 9"),
+        ([(0, 3), (9, 2)], 9, ZeroOrNegativeCoordinateError,
+         "(0, 3): generating set coordinates must be positive"),
+        ([(2, 5), (4, -1), (2, 18)], 9, ZeroOrNegativeCoordinateError,
+         "(4, -1): generating set coordinates must be positive"),
+        # sorted order: in input order the second coordinate 7 repeats
+        # first, in sorted order the first coordinate 5; and the reverse
+        ([(5, 7), (3, 7), (5, 2)], 11, DuplicateFirstCoordinateError,
+         "first coordinate 5 appears twice"),
+        ([(5, 2), (5, 9), (3, 7), (4, 7)], 11, DuplicateSecondCoordinateError,
+         "second coordinate 7 appears twice"),
+        # sorted order: (18, 1) is past 2g-1 first in input order
+        ([(18, 1), (13, 6), (8, 11), (3, 16)], 5, GapBeyondGenusBoundError,
+         "(3, 16): coordinate exceeds 2g-1 = 7 for genus 4"),
+        # sorted order: the chains at 6 and 5 both start above the period
+        ([(6, 13), (3, 15), (5, 6), (7, 11), (9, 2), (10, 9), (11, 7),
+          (14, 5), (15, 3), (18, 1)], 4, ResidueChainStartError,
+         "(5, 6): the first coordinates are not the gaps of a semigroup "
+         "containing the period 4: 5 is one and 1 is not"),
+    ])
+    def test_two_bad_points_name_the_same_offender(self, points, period,
+                                                   error, message):
+        with pytest.raises(error) as info:
+            validate_generating_set(points, period)
+        assert str(info.value) == message
+        assert outcome(validate_per_point, points, period)[1:3] == \
+            (error, message)
+
+    def test_points_are_plain_tuples(self):
+        gamma = validate_generating_set(
+            props.get_gamma(("kummer", (5, 7))).points, 5)
+        assert all(type(p) is tuple for p in gamma.points)
+
+
+# --- parsing ----------------------------------------------------------------
+
+SEPARATORS = ("\t", " ", "  ", " \t", "\t ", "\t\t", " \t ")
+FILLER = ("", "   ", "\t", "# a comment", "  # indented comment", "#",
+          "\t#tab-indented")
+
+
+@st.composite
+def family_texts(draw):
+    """``(lines, newline, period)``: a family set's ``.gamma`` text as a
+    list of lines, with comment and blank lines, leading and trailing
+    whitespace and any separator mix inserted, to be joined by LF or
+    CRLF."""
+    gamma = props.get_gamma(draw(st.sampled_from(props.FAMILY_POOL)))
+    pad = st.sampled_from(("", " ", "\t", "  "))
+    sep = st.sampled_from(SEPARATORS)
+    lines = [f"{draw(pad)}period{draw(sep)}{gamma.period}{draw(pad)}"]
+    lines += [f"{draw(pad)}{a}{draw(sep)}{b}{draw(pad)}"
+              for a, b in gamma.points]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(FILLER)))
+    return lines, draw(st.sampled_from(("\n", "\r\n"))), gamma.period
+
+
+def join(lines, newline, final=True):
+    return newline.join(lines) + (newline if final else "")
+
+
+@st.composite
+def mutated_texts(draw):
+    """``(lines, newline)``: a family text with one or two mutations that
+    break it: a dropped or extra field, a non-integer token, a trailing
+    note, a repeated line, a zero or period-divisible coordinate, an image
+    moved by the period, a missing or late header."""
+    lines, newline, period = draw(family_texts())
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        kind = draw(st.sampled_from((
+            "drop_field", "extra_field", "token", "note", "repeat", "zero",
+            "divisible", "move", "no_header", "late_header")))
+        heads = [i for i, line in enumerate(lines)
+                 if line.split()[:1] == ["period"]]
+        pairs = [i for i, line in enumerate(lines)
+                 if len(line.split()) == 2 and all(
+                     map(str.isdigit, line.split()))]
+        if kind in ("no_header", "late_header"):
+            if not heads:
+                continue
+            header = lines.pop(heads[0])
+            if kind == "late_header":
+                lines.insert(draw(st.integers(heads[0], len(lines))), header)
+            continue
+        if not pairs:
+            continue
+        i = draw(st.sampled_from(pairs))
+        a, b = lines[i].split()
+        if kind == "drop_field":
+            lines[i] = a
+        elif kind == "extra_field":
+            lines[i] = f"{a}\t{b}\t{b}"
+        elif kind == "token":
+            lines[i] = f"{a}\t{draw(st.sampled_from(('x', '1.5', '0x1')))}"
+        elif kind == "note":
+            lines[i] = f"{a}\t{b}  # note"
+        elif kind == "repeat":
+            lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+        elif kind == "zero":
+            lines[i] = f"0\t{b}" if draw(st.booleans()) else f"{a}\t0"
+        elif kind == "divisible":
+            lines[i] = f"{period * draw(st.integers(1, 3))}\t{b}"
+        else:
+            lines[i] = f"{a}\t{int(b) + period}"
+    return lines, newline
+
+
+class TestParserAgreesWithLineScanner:
+    @settings(max_examples=300, deadline=None)
+    @given(family_texts(), st.booleans())
+    def test_valid_texts(self, case, final):
+        lines, newline, _ = case
+        text = join(lines, newline, final)
+        # a valid text, comments and any layout included, never needs the
+        # line-numbered diagnostic scan
+        with mock.patch.object(gammafile, "_parse_lines",
+                               side_effect=AssertionError("scanned")):
+            got = outcome(parse_gamma, text)
+        assert got[0] == "ok"
+        assert got == outcome(parse_gamma_lines, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_texts())
+    def test_mutated_texts(self, case):
+        text = join(*case)
+        assert outcome(parse_gamma, text, "f.gamma") == \
+            outcome(parse_gamma_lines, text, "f.gamma")
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "period 9\n",
+        "1\t5\nperiod 9\n",
+        "period 4\n1\t5  # note\n5\t1\n2\t2\n",
+        "period 4\n1 \t 5\n5\t1\n2\t2\n",
+        "period 4\n1 5\t1\n",
+        "period 4\n\n# x\n1\t5\n1\t5\n",
+        "period 4\n1\t5\n5\t1\n2\t2\n3\t9\n",
+        "period 0\n",
+        "period\t4\r\n1\t5\r\n5 1\r\n2\t\t2\r\n",
+        f"period 4\n1\t{COORD_MAX + 2}\n",
+        "period 9\n3\t3\n3\t3\n12\t5\n",
+    ])
+    def test_pinned_texts(self, text):
+        assert outcome(parse_gamma, text) == outcome(parse_gamma_lines, text)
+
+    def test_round_trip_is_byte_identical(self):
+        for point in props.FAMILY_POOL:
+            gamma = props.get_gamma(point)
+            text = dump_gamma(gamma)
+            assert text == "period %d\n" % gamma.period + "".join(
+                f"{a}\t{b}\n" for a, b in gamma.points)
+            assert parse_gamma(text) == gamma
+
+    def test_trailing_note_is_not_a_comment(self):
+        with pytest.raises(GammaFileError,
+                           match="line 2: non-integer coordinate"):
+            parse_gamma("period 4\n1\t5  # note\n5\t1\n2\t2\n")
