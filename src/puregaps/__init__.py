@@ -64,7 +64,7 @@ from .oracle import (
     PeriodPropertyReport,
     check_period_property,
     count_pure_gaps_direct,
-    pure_gap_columns_direct,
+    pure_gap_boxes_direct,
     pure_gaps_direct,
 )
 

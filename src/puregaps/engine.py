@@ -23,8 +23,8 @@ in lexicographic order without a sort: box columns ``i`` ascending; inside
 a box column, first-coordinate residues ``r`` ascending; for each residue,
 ``j`` ascending, giving the sorted second coordinates of ``G_{i+j,0}`` at
 ``a = (i+j)*period + r`` shifted by ``j*period``.  Two such values compare
-box by box, and a value compares with ``G0`` given by columns by
-streaming its runs against slices of the columns.
+box by box, and so does a value with the direct scan's ``G0``, which the
+scan sorts into the same boxes: box ``(i, j)`` must hold ``G_{i+j,0}``.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0`` from
 :func:`box_columns`; :func:`assemble` builds a closed-form family's from
@@ -44,8 +44,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
-from operator import eq, itemgetter, lt
+from itertools import chain, islice, repeat
+from operator import eq, lt
 from typing import Mapping
 
 from .errors import (
@@ -369,9 +369,10 @@ class PureGapSet:
       per-box sets.  That is exact: containment gives
       ``G_{k,0} = (G0 & box(k-j, j)) - w_j``, so equal per-box sets and
       equal sets ``G0`` imply each other.
-    * :meth:`equals_columns` compares it with ``G0`` given by columns, one
-      list slice per run, so no second ``|G0|``-sized list is held; ``==``
-      with a sorted list of points compares it by the list's columns.
+    * :meth:`equals_boxes` compares it with ``G0`` sorted into boxes, as
+      the direct scan gives it, one dict compare per box and no point
+      walked; ``==`` with a sorted list of points compares one list slice
+      per run, so no second ``|G0|``-sized list is held.
     """
 
     __slots__ = ("period", "_runs", "_size")
@@ -443,44 +444,42 @@ class PureGapSet:
 
     __hash__ = None
 
-    def equals_columns(self, columns) -> bool:
-        """True when ``columns``, pairs ``(a, ascending second coordinates
-        at a)`` in increasing ``a``, list exactly ``G0``.
+    def equals_boxes(self, boxes: dict) -> bool:
+        """True when ``boxes``, ``{(i, j): {r: ascending v}}`` holding the
+        points ``(i*period + r, j*period + v)`` with no empty column or box
+        (as :func:`puregaps.oracle.pure_gap_boxes_direct` gives them),
+        list exactly ``G0``.
 
-        Each run is compared with one slice of its column; a shifted run
-        is shifted by lookups in a table of the shifted values, with no
-        addition per point.  The number of points walked must equal the
-        weighted sum, or CardinalityMismatchError is raised.
+        The keys must be ``{(k - j, j) : k a non-empty box, 0 <= j <= k}``
+        and ``boxes[(i, j)]`` must equal the per-box set of ``i + j``, one
+        dict and list compare per box.  That is exact: the map ``(a, b) ->
+        ((a // period, b // period), a % period, b % period)`` is
+        injective, and both sides are canonical (ascending lists, no empty
+        column or box), so per-box equality is set equality, and every one
+        of the ``k + 1`` translates ``G_{k,0} + w_j`` is compared with the
+        box ``(k - j, j)`` it lies in.
         """
-        period = self.period
-        shifted = {j * period: list(range(j * period, (j + 1) * period))
-                   for j in range(1, max(self._runs, default=0) + 1)}
-        pending = iter(columns)
-        at, column, pos = None, (), 0
-        walked = 0
-        for a, bs, shift in self.runs():
-            if a != at:
-                if pos != len(column):
-                    return False
-                at, column = next(pending, (None, ()))
-                if at != a:
-                    return False
-                pos = 0
-            end = pos + len(bs)
-            if column[pos:end] != (list(map(shifted[shift].__getitem__, bs))
-                                   if shift else bs):
-                return False
-            pos = end
-            walked += len(bs)
-        if walked != self._size:
-            raise CardinalityMismatchError(
-                f"|G0| = {walked} but weighted per-box sum is {self._size}")
-        return pos == len(column) and next(pending, None) is None
+        runs = self._runs
+        if boxes.keys() != {(k - j, j) for k in runs for j in range(k + 1)}:
+            return False
+        return all(columns == runs[i + j]
+                   for (i, j), columns in boxes.items())
 
     def _equals_list(self, other: list) -> bool:
-        return self.equals_columns(
-            (a, [b for _, b in points])
-            for a, points in groupby(other, itemgetter(0)))
+        """Compare with a list of points, one list slice per run, so no
+        second ``|G0|``-sized list is held.  The number of points walked
+        must equal the weighted sum, or CardinalityMismatchError is
+        raised."""
+        pos = 0
+        for a, bs, shift in self.runs():
+            end = pos + len(bs)
+            if other[pos:end] != list(zip(repeat(a), map(shift.__add__, bs))):
+                return False
+            pos = end
+        if pos != self._size:
+            raise CardinalityMismatchError(
+                f"|G0| = {pos} but weighted per-box sum is {self._size}")
+        return pos == len(other)
 
 
 def union_of_translates(columns_by_box: dict, period: int) -> PureGapSet:

@@ -25,7 +25,7 @@ from .oracle import (
     check_period_property,
     count_pure_gaps_direct,
     points_of,
-    pure_gap_columns_direct,
+    pure_gap_boxes_direct,
 )
 
 #: Closed-form families: name -> (module, parameter names).  The module
@@ -154,13 +154,13 @@ def _check_bounds(checks, result):
                   f"upper={result.upper_bound} hk={result.homma_kim_bound}")
 
 
-def _check_oracle(checks, result, columns):
-    # The engine's G0 streams against the oracle's columns; the diff costs
-    # two |G0|-sized sets, so it is built only on failure.
-    ok = result.g0.equals_columns(columns)
+def _check_oracle(checks, result, boxes, period):
+    # The engine's G0 compares with the oracle's boxes box by box; the diff
+    # costs two |G0|-sized sets, so it is built only on failure.
+    ok = result.g0.equals_boxes(boxes)
     checks.record("engine_vs_oracle", ok,
                   "" if ok else _diff_sets("G0", result.g0,
-                                           points_of(columns)))
+                                           points_of(boxes, period)))
 
 
 def _check_genus(checks, boxed):
@@ -204,7 +204,7 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     boxed = decompose(gamma)
     result = assemble_pure_gaps(boxed)
     checks = _Checks()
-    _check_oracle(checks, result, pure_gap_columns_direct(gamma))
+    _check_oracle(checks, result, pure_gap_boxes_direct(gamma), gamma.period)
     checks.skip("closed_form_vs_enumeration")
     checks.skip("components_vs_generic")
     _check_genus(checks, boxed)
@@ -237,8 +237,14 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     timings["decomposition_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    direct = pure_gap_columns_direct(gamma)
+    boxes = pure_gap_boxes_direct(gamma)
     timings["direct_oracle_s"] = time.perf_counter() - start
+
+    # The oracle's boxes are compared at once and dropped, so they are not
+    # held while the family route builds its components.
+    checks = _Checks()
+    _check_oracle(checks, result, boxes, gamma.period)
+    del boxes
 
     # The family's components are built once and feed both of its checks:
     # its own G0 against the engine's, and its boxes against the engine's.
@@ -248,8 +254,6 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     fam_result = call_family(family, "{}_pure_gaps", params, per_box=per_box)
     timings["closed_form_s"] = time.perf_counter() - start
 
-    checks = _Checks()
-    _check_oracle(checks, result, direct)
     same = (closed_card == result.cardinality == fam_result.cardinality
             and fam_result.g0 == result.g0)
     checks.record("closed_form_vs_enumeration", same,
@@ -379,27 +383,31 @@ def bench_family(family: str, params: dict) -> list:
     """Time the box-decomposition route against the direct glb scan.
 
     The box route's time ends at its :class:`~puregaps.engine.PureGapSet`;
-    the direct scan's ends at its columns.  The value is then compared with
-    the columns by streaming its runs, before timings are returned; a
-    mismatch raises ConsistencyError.
+    the direct scan's ends at its glbs sorted into boxes.  The value is then
+    compared with the boxes box by box, before timings are returned; a
+    mismatch raises ConsistencyError.  The direct route's cardinality is
+    the total length of its boxes' columns.
     """
     gamma = call_family(family, "{}_generating_set", params)
 
     start = time.perf_counter()
-    direct = pure_gap_columns_direct(gamma)
+    direct = pure_gap_boxes_direct(gamma)
     t_direct = time.perf_counter() - start
 
     start = time.perf_counter()
     result = assemble_pure_gaps(decompose(gamma))
     t_box = time.perf_counter() - start
 
-    equal = result.g0.equals_columns(direct)
+    equal = result.g0.equals_boxes(direct)
     if not equal:
-        raise ConsistencyError(_diff_sets(f"bench {family} {params}",
-                                          result.g0, points_of(direct)))
+        raise ConsistencyError(_diff_sets(
+            f"bench {family} {params}", result.g0,
+            points_of(direct, gamma.period)))
+    direct_card = sum(len(vs) for columns in direct.values()
+                      for vs in columns.values())
     return [
         BenchRow(family, dict(params), gamma.genus, "box-decomposition",
                  t_box, result.cardinality, equal),
         BenchRow(family, dict(params), gamma.genus, "direct-glb",
-                 t_direct, sum(len(bs) for _, bs in direct), equal),
+                 t_direct, direct_card, equal),
     ]

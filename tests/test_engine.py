@@ -28,6 +28,7 @@ from puregaps.errors import (
     GenusIdentityViolationError,
 )
 from puregaps.lattice import GeneratingSet, LatticePoint, validate_generating_set
+from puregaps.oracle import pure_gap_boxes_direct
 
 import expected_gk2 as gk2
 from reference import _residue_runs, merge_box
@@ -359,16 +360,41 @@ class TestPureGapSet:
             union_of_translates({0: {1: [1]}, 1: {1: [1]}}, 5)
         assert union_of_translates({}, 3) == union_of_translates({1: {}}, 5)
 
-    def test_equals_columns(self, gk2_g0):
-        want = [(a, [b for _, b in gk2.G0_SORTED if _ == a])
-                for a in sorted({a for a, _ in gk2.G0_SORTED})]
-        assert gk2_g0.equals_columns(want)
-        a, bs = want[3]
-        for edited in (want[:3] + want[4:],                 # column missing
-                       want[:3] + [(a, bs[1:])] + want[4:],  # point missing
-                       want[:3] + [(a, bs + [99])] + want[4:],
-                       want + [(100, [1])], []):
-            assert not gk2_g0.equals_columns(edited)
+    @staticmethod
+    def boxes_of(points, period):
+        """Sorted points sorted into boxes, {(i, j): {r: ascending v}}."""
+        boxes = {}
+        for a, b in points:
+            (i, r), (j, v) = divmod(a, period), divmod(b, period)
+            boxes.setdefault((i, j), {}).setdefault(r, []).append(v)
+        return boxes
+
+    def test_equals_boxes(self, gk2_g0):
+        want = self.boxes_of(gk2.G0_SORTED, 9)
+        assert sorted(want) == [(0, 0), (0, 1), (1, 0)]
+        assert gk2_g0.equals_boxes(want)
+        assert gk2_g0.equals_boxes(
+            pure_gap_boxes_direct(validate_generating_set(gk2.GAMMA, 9)))
+
+    @pytest.mark.parametrize("edit", [
+        # the kinds of edit of a list of columns
+        lambda boxes: boxes[0, 0].update({2: boxes[0, 0][2][1:]}),
+        lambda boxes: boxes[0, 0].update({3: boxes[0, 0][3] + [8]}),
+        lambda boxes: [boxes[0, j].pop(1) for j in (0, 1)],
+        lambda boxes: boxes.update({(11, 0): {1: [1]}}),
+        lambda boxes: boxes.clear(),
+        # edits that leave the box j = 0 of every row alone
+        lambda boxes: boxes[0, 1].update({1: [1, 2]}),
+        lambda boxes: boxes.pop((0, 1)),
+        lambda boxes: boxes.update({(0, 2): boxes[0, 1]}),
+        lambda boxes: boxes[0, 1].update({3: [1]}),
+    ], ids=["point-dropped", "point-added", "column-missing", "column-extra",
+            "empty", "dropped-from-translate-j1", "box-key-missing",
+            "box-key-extra", "residue-extra"])
+    def test_equals_boxes_edits(self, gk2_g0, edit):
+        edited = self.boxes_of(gk2.G0_SORTED, 9)
+        edit(edited)
+        assert not gk2_g0.equals_boxes(edited)
 
     def test_not_comparable_with_tuple(self, gk2_g0):
         assert gk2_g0 != tuple(gk2.G0_SORTED)

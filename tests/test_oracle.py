@@ -8,6 +8,8 @@ from puregaps.lattice import GeneratingSet, validate_generating_set
 from puregaps.oracle import (
     check_period_property,
     count_pure_gaps_direct,
+    points_of,
+    pure_gap_boxes_direct,
     pure_gaps_direct,
 )
 
@@ -139,6 +141,23 @@ class TestPureGapsDirectArbitrary:
         assert got == reference_pure_gaps(points)
         assert all(x < y for x, y in zip(got, got[1:]))
         assert all(type(p) is tuple for p in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(injective_pairs(), st.integers(min_value=1, max_value=50))
+    def test_boxes_match_definition(self, points, period):
+        boxes = pure_gap_boxes_direct(GeneratingSet(points=tuple(points),
+                                                    period=period))
+        assert points_of(boxes, period) == reference_pure_gaps(points)
+        for columns in boxes.values():
+            assert columns
+            for r, vs in columns.items():
+                assert 0 <= r < period
+                assert vs and all(0 <= v < period for v in vs)
+
+    def test_bounded_by_points_not_coordinates(self):
+        # One band per value of b // period would take 10**12 lists here.
+        gamma = GeneratingSet(points=((1, 10**12 + 1), (2, 1)), period=1)
+        assert pure_gaps_direct(gamma) == [(1, 1)]
 
     @settings(max_examples=300, deadline=None)
     @given(injective_pairs(), st.integers(min_value=1, max_value=50))

@@ -19,7 +19,7 @@ from puregaps.engine import (
 from puregaps.errors import ValidationError
 from puregaps.harness import summarize_generic
 from puregaps.lattice import validate_generating_set
-from puregaps.oracle import pure_gap_columns_direct, pure_gaps_direct
+from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
 import props
 from reference import _residue_runs, glb, incomparable, lub, merge_box
@@ -114,7 +114,7 @@ def non_diagonal_sets(draw):
 def test_non_diagonal_engine_matches_references(gamma):
     """On validated non-diagonal sets: box_columns equals the per-box merge
     regrouped point by point, the engine's G0 equals the oracle's (as
-    points, by column and as listed text), and nothing raises a
+    points, box by box and as listed text), and nothing raises a
     ConsistencyError."""
     boxed = decompose(gamma)
     for k in range(boxed.kmax):
@@ -124,7 +124,7 @@ def test_non_diagonal_engine_matches_references(gamma):
     direct = pure_gaps_direct(gamma)
     result = assemble_pure_gaps(boxed)
     assert result.g0 == direct
-    assert result.g0.equals_columns(pure_gap_columns_direct(gamma))
+    assert result.g0.equals_boxes(pure_gap_boxes_direct(gamma))
     out = io.StringIO()
     _stream_pure_gaps(boxed, "tsv", out)
     assert out.getvalue() == "".join(f"{a}\t{b}\n" for a, b in direct)
