@@ -8,11 +8,15 @@ into four components, computed here straight from their defining
 formulas, and the full pure gap set is the disjoint union of the
 translates ``(G_{k,0} + w_j)`` over ``0 <= j <= k``.
 
-Inside a box each component is a set of columns, one first coordinate with
-an ascending list of second coordinates, and so is ``G_{k,0}``:
-:func:`box_columns` builds it that way straight from the rows, with no
-tuple per point.  Box containment fixes the order of the union.  Every
-point of ``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
+Inside a box each component is a set of columns, ``{a - k*period:
+ascending second coordinates at a}``, and so is ``G_{k,0}``: no tuple
+per point.  :func:`compute_g1` is the Cartesian product it is proven to
+be, one shared sorted list per column; :func:`compute_g2` ..
+:func:`compute_g4` collect the glbs of their defining pairs into columns;
+:func:`box_columns` builds ``G_{k,0}`` straight from the rows.
+
+Box containment fixes the order of the union.  Every point of
+``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
 (k+1)*period`` and ``0 < b < period``.  Its translate by ``w_j`` therefore
 lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
 ``G0`` needs no other storage than the per-box columns and the period.
@@ -28,21 +32,23 @@ scan sorts into the same boxes: box ``(i, j)`` must hold ``G_{i+j,0}``.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0`` from
 :func:`box_columns`; :func:`assemble` builds a closed-form family's from
-its explicit components, an independent witness.  :func:`check_components`
+its explicit components, an independent witness, merging the four
+components per residue by concatenation and sort.  :func:`check_components`
 is the only cross-check of a family's explicit boxes and components
 against the engine's formulas, and :func:`check_reflection` the only check
-of the diagonal law that empties G2 and makes G4 a reflection of G3.
+of the diagonal law that empties G2 and makes G4 a reflection of G3 (by
+column, a transpose); both take the engine's components when the caller
+has built them, so each is built once per box.
 
-Bulk results other than ``G0`` are plain ``(a, b)`` tuples (they compare
-equal to :class:`~puregaps.lattice.LatticePoint`); every result list is
-sorted lexicographically.  Cardinalities and bounds are guarded against the
-128-bit range.
+The rows are plain ``(a, b)`` tuples (they compare equal to
+:class:`~puregaps.lattice.LatticePoint`), sorted lexicographically.
+Cardinalities and bounds are guarded against the 128-bit range.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from collections import namedtuple
+from bisect import bisect_left, insort
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import eq, lt
@@ -127,70 +133,95 @@ def decompose(gamma: GeneratingSet) -> BoxedGamma:
                       diagonal=diagonal)
 
 
-def compute_g1(boxed: BoxedGamma, k: int) -> list:
-    """First component of box (k, 0).
+def _above(boxed: BoxedGamma, k: int) -> tuple:
+    """The points above row k as two lists: their first coordinates
+    shifted down to residues, ``a - k2*period`` for a point of row k2, and
+    their second coordinates.
 
-    glb(u + w_{k2-k}, v) over u in rows[k2], v in rows[k1] with k1, k2 > k.
-    The shifted u lies in box (k, 0) and v in a higher row, so the glb is
-    (first coordinate of the shifted u, second coordinate of v): the
-    component is the Cartesian product of the shifted first coordinates
-    and the second coordinates of the points above row k.  Its size must
-    equal the square of the number of those points, so neither factor may
-    repeat a value.
+    G1 of box (k, 0) is the Cartesian product of the two, so its size must
+    equal the square of the number of those points: neither list may
+    repeat a value, or CardinalityMismatchError is raised.
     """
     period = boxed.period
     firsts = []
     seconds = []
     for k2 in range(k + 1, boxed.kmax):
-        shift = (k2 - k) * period
+        shift = k2 * period
         for a, b in boxed.row(k2):
             firsts.append(a - shift)
             seconds.append(b)
+    above = len(firsts)
     distinct = len(set(firsts)) * len(set(seconds))
-    expected = len(firsts) * len(seconds)
-    if distinct != expected:
+    if distinct != above * above:
         raise CardinalityMismatchError(
-            f"|G1_({k},0)| = {distinct}, formula gives {expected}")
-    firsts.sort()
+            f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
+    return firsts, seconds
+
+
+def _sorted_columns(columns: dict) -> dict:
+    """``{r: set of b}`` as plain columns: residues ascending, each set
+    sorted."""
+    return {r: sorted(bs) for r, bs in sorted(columns.items())}
+
+
+def compute_g1(boxed: BoxedGamma, k: int) -> dict:
+    """First component of box (k, 0), by column.
+
+    glb(u + w_{k2-k}, v) over u in rows[k2], v in rows[k1] with k1, k2 > k.
+    The shifted u lies in box (k, 0) and v in a higher row, so the glb is
+    (first coordinate of the shifted u, second coordinate of v): the
+    component is the Cartesian product of the shifted first coordinates
+    and the second coordinates of the points above row k.  So every
+    column holds the same sorted list of those second coordinates, one
+    list shared by all columns.  The cardinality check of :func:`_above`
+    applies.
+    """
+    firsts, seconds = _above(boxed, k)
     seconds.sort()
-    return [(a, b) for a in firsts for b in seconds]
+    return dict.fromkeys(sorted(firsts), seconds)
 
 
-def compute_g2(boxed: BoxedGamma, k: int) -> list:
-    """Second component: glb over incomparable pairs inside rows[k].
+def compute_g2(boxed: BoxedGamma, k: int) -> dict:
+    """Second component: glb over incomparable pairs inside rows[k], by
+    column.
 
     Empty whenever the diagonal condition holds, since points of one row
     are then totally ordered.
     """
     row = boxed.row(k)
-    out = set()
+    base = k * boxed.period
+    columns = defaultdict(set)
     for i, (ua, ub) in enumerate(row):
         for va, vb in row[i + 1:]:
             if (ua > va and ub < vb) or (ua < va and ub > vb):
-                out.add((ua if ua < va else va, ub if ub < vb else vb))
-    return sorted(out)
+                columns[(ua if ua < va else va) - base].add(
+                    ub if ub < vb else vb)
+    return _sorted_columns(columns)
 
 
-def compute_g3(boxed: BoxedGamma, k: int) -> list:
+def compute_g3(boxed: BoxedGamma, k: int) -> dict:
     """Third component: glb(u, v) for u in rows[k], v in a higher row,
-    restricted to pairs with u not below v."""
+    restricted to pairs with u not below v; by column."""
     us = boxed.row(k)
-    out = set()
+    base = k * boxed.period
+    columns = defaultdict(set)
     for k1 in range(k + 1, boxed.kmax):
         for va, vb in boxed.row(k1):
             for ua, ub in us:
                 if ua > va or ub > vb:
-                    out.add((ua if ua < va else va, ub if ub < vb else vb))
-    return sorted(out)
+                    columns[(ua if ua < va else va) - base].add(
+                        ub if ub < vb else vb)
+    return _sorted_columns(columns)
 
 
-def compute_g4(boxed: BoxedGamma, k: int) -> list:
+def compute_g4(boxed: BoxedGamma, k: int) -> dict:
     """Fourth component of box (k, 0): glb(u + w_{k2-k}, v) for u in
     rows[k2] (k2 > k) and v in rows[k], restricted to pairs with v not
-    below the shifted u."""
+    below the shifted u; by column."""
     period = boxed.period
+    base = k * period
     vs = boxed.row(k)
-    out = set()
+    columns = defaultdict(set)
     for k2 in range(k + 1, boxed.kmax):
         shift = (k2 - k) * period
         for ua, ub in boxed.row(k2):
@@ -198,33 +229,55 @@ def compute_g4(boxed: BoxedGamma, k: int) -> list:
             ub += shift
             for va, vb in vs:
                 if va > ua or vb > ub:
-                    out.add((ua if ua < va else va, ub if ub < vb else vb))
-    return sorted(out)
+                    columns[(ua if ua < va else va) - base].add(
+                        ub if ub < vb else vb)
+    return _sorted_columns(columns)
 
 
-def reflect(points, shift: int) -> list:
-    """The coordinate swap of ``points`` translated by ``(shift, -shift)``,
-    sorted; ``shift = k*period`` makes the translation -w_k."""
-    return sorted((b + shift, a - shift) for a, b in points)
+def reflect(columns: dict) -> dict:
+    """The coordinate swap of a set of box (k, 0) translated by -w_k, by
+    column.
+
+    The swap and the translation send ``(k*period + r, b)`` to
+    ``(k*period + b, r)``, so by column the map is the transpose: column
+    ``b`` of the result lists, ascending, the residues ``r`` whose column
+    holds ``b``.
+    """
+    out = {}
+    for r in sorted(columns):
+        for b in columns[r]:
+            out.setdefault(b, []).append(r)
+    return dict(sorted(out.items()))
 
 
-def check_reflection(boxed: BoxedGamma) -> None:
+def _size(columns: dict) -> int:
+    """The number of points of a set given by column."""
+    return sum(map(len, columns.values()))
+
+
+def check_reflection(boxed: BoxedGamma, generic=None) -> None:
     """Check the diagonal law box by box: on a set whose every point has
-    ``a == b (mod period)``, G2 is empty and G4 is :func:`reflect` of G3
-    by ``k*period``.  Raises DiagonalReflectionMismatchError when the set
-    is not diagonal, or naming the first box and half of the law that
-    fail."""
+    ``a == b (mod period)``, G2 is empty and G4 is :func:`reflect` of G3.
+    ``generic`` maps each box index to its (G1, G2, G3, G4), as
+    :func:`box_components` gives them, when the caller holds them; else
+    G2, G3 and G4 are computed here.  Raises
+    DiagonalReflectionMismatchError when the set is not diagonal, or
+    naming the first box and half of the law that fail."""
     if not boxed.diagonal:
         raise DiagonalReflectionMismatchError("the set is not diagonal")
     for k in range(boxed.kmax):
-        if compute_g2(boxed, k):
+        if generic is None:
+            g2, g3, g4 = (compute_g2(boxed, k), compute_g3(boxed, k),
+                          compute_g4(boxed, k))
+        else:
+            _, g2, g3, g4 = generic[k]
+        if g2:
             raise DiagonalReflectionMismatchError(f"box k={k}: G2 is not empty")
-        g4 = compute_g4(boxed, k)
-        reflected = reflect(compute_g3(boxed, k), k * boxed.period)
+        reflected = reflect(g3)
         if g4 != reflected:
             raise DiagonalReflectionMismatchError(
-                f"box k={k}: G4 has {len(g4)} points and differs from the "
-                f"reflected G3, which has {len(reflected)}")
+                f"box k={k}: G4 has {_size(g4)} points and differs from the "
+                f"reflected G3, which has {_size(reflected)}")
 
 
 def bounds_from_row_sizes(sizes, genus: int) -> Bounds:
@@ -267,7 +320,10 @@ class PureGapResult:
 
 
 def box_components(boxed: BoxedGamma, k: int) -> tuple:
-    """The four components (G1, G2, G3, G4) of box (k, 0)."""
+    """The four components (G1, G2, G3, G4) of box (k, 0), each by column:
+    ``{a - k*period: ascending second coordinates at a}``, residues
+    ascending, no empty column.  Columns are read-only: those of G1 share
+    one list."""
     return (compute_g1(boxed, k), compute_g2(boxed, k), compute_g3(boxed, k),
             compute_g4(boxed, k))
 
@@ -289,24 +345,12 @@ def box_columns(boxed: BoxedGamma, k: int) -> dict:
     ``S`` and the row-k second coordinates passed in one sorted list,
     gives each column as the whole list or a prefix of it: no set, no
     sort and no tuple per point.  ``F`` and ``S`` may not repeat a value
-    (the G1 cardinality check, CardinalityMismatchError), and ``F`` may not
+    (the G1 cardinality check of :func:`_above`), and ``F`` may not
     meet the row-k first coordinates, where the two kinds of column would
     overlap (DisjointnessViolationError).
     """
-    period = boxed.period
-    firsts = []
-    passed = []
-    for k2 in range(k + 1, boxed.kmax):
-        shift = k2 * period
-        for a, b in boxed.row(k2):
-            firsts.append(a - shift)
-            passed.append(b)
-    above = len(firsts)
-    distinct = len(set(firsts)) * len(set(passed))
-    if distinct != above * above:
-        raise CardinalityMismatchError(
-            f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
-    base = k * period
+    firsts, passed = _above(boxed, k)
+    base = k * boxed.period
     own = {a - base: b for a, b in boxed.row(k)}
     if not own.keys().isdisjoint(firsts):
         raise DisjointnessViolationError(
@@ -325,31 +369,6 @@ def box_columns(boxed: BoxedGamma, k: int) -> dict:
             insort(passed, b)
     columns.reverse()
     return dict(columns)
-
-
-def _component_columns(k: int, parts, period: int) -> dict:
-    """``G_{k,0}`` by columns, as :func:`box_columns` gives it, from the
-    sorted components ``parts`` of box (k, 0).
-
-    Sorting the concatenation merges the sorted components in one pass; a
-    repeated point means two components overlap, and raises
-    DisjointnessViolationError.
-    """
-    merged = sorted(chain(*parts))
-    if not all(map(lt, merged, islice(merged, 1, None))):
-        raise DisjointnessViolationError(
-            f"components of box k={k} are not pairwise disjoint")
-    columns = {}
-    if merged:
-        firsts, seconds = zip(*merged)
-        base = k * period
-        i = 0
-        while i < len(firsts):
-            a = firsts[i]
-            end = bisect_right(firsts, a, i)
-            columns[a - base] = list(seconds[i:end])
-            i = end
-    return columns
 
 
 class PureGapSet:
@@ -502,14 +521,24 @@ def _result(columns_by_box: dict, period: int, bnd: Bounds) -> PureGapResult:
 def assemble(per_box: dict, period: int, bnd: Bounds) -> PureGapResult:
     """Assemble the full pure gap set from a family's explicit components.
 
-    ``per_box`` maps each box index k to the four sorted components of box
-    ``(k, 0)``, which :func:`_component_columns` merges into columns; they
-    must be pairwise disjoint, and every column must lie in its box, which
-    makes the translates disjoint.  ``bnd`` supplies the bounds recorded in
-    the result.
+    ``per_box`` maps each box index k to the four components of box
+    ``(k, 0)`` by column, as :func:`box_components` gives them (any
+    ascending sequences will do).  Each column of ``G_{k,0}`` is the
+    concatenation of the components' columns at its residue, sorted: the
+    components must be pairwise disjoint, so a repeated second coordinate
+    means an overlap, and :class:`PureGapSet`'s strict-increase check
+    raises DisjointnessViolationError; so does a column outside its box.
+    ``bnd`` supplies the bounds recorded in the result.
     """
-    return _result({k: _component_columns(k, parts, period)
-                    for k, parts in per_box.items()}, period, bnd)
+    columns_by_box = {}
+    for k, parts in per_box.items():
+        columns = columns_by_box[k] = {}
+        for part in parts:
+            for r, bs in part.items():
+                columns.setdefault(r, []).extend(bs)
+        for bs in columns.values():
+            bs.sort()
+    return _result(columns_by_box, period, bnd)
 
 
 def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapResult:
@@ -519,21 +548,35 @@ def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapResult:
                    boxed.period, bounds(boxed))
 
 
-def check_components(boxed: BoxedGamma, row, components, label: str) -> None:
+def _same_columns(mine: dict, engine: dict) -> bool:
+    """True when two sets given by column are equal; ``engine``'s columns
+    are lists, ``mine``'s any ascending sequences."""
+    return mine.keys() == engine.keys() and all(
+        list(bs) == engine[r] for r, bs in mine.items())
+
+
+def check_components(boxed: BoxedGamma, row, components, label: str,
+                     generic=None) -> None:
     """Compare a family's explicit sets with the engine, box by box.
 
-    ``row(k)`` gives the family's ``Gamma_{k,0}`` and ``components(k)`` its
-    (G1, G2, G3, G4) of box ``(k, 0)``, compared with
-    :func:`box_components`.  A disagreement raises GenericMismatchError
-    naming ``label``, the box and the first differing set.  A family whose
-    G4 is :func:`reflect` of its G3 thus also checks the diagonal law.
+    ``row(k)`` gives the family's ``Gamma_{k,0}``, compared with the
+    engine's row, and ``components(k)`` its (G1, G2, G3, G4) of box
+    ``(k, 0)`` by column, compared with :func:`box_components`, or with
+    ``generic[k]`` when the caller holds those.  A disagreement raises
+    GenericMismatchError naming ``label``, the box, the first differing
+    set and the point counts.  A family whose G4 is :func:`reflect` of its
+    G3 thus also checks the diagonal law.
     """
-    names = ("Gamma_k0", "G1", "G2", "G3", "G4")
+    names = ("G1", "G2", "G3", "G4")
     for k in range(boxed.kmax):
-        explicit = (row(k), *components(k))
-        generic = (boxed.row(k), *box_components(boxed, k))
-        for name, mine, engine in zip(names, explicit, generic):
-            if list(mine) != list(engine):
+        parts = box_components(boxed, k) if generic is None else generic[k]
+        mine, engine = row(k), boxed.row(k)
+        if list(mine) != list(engine):
+            raise GenericMismatchError(
+                f"{label} k={k}: explicit Gamma_k0 has {len(mine)} points, "
+                f"engine has {len(engine)}")
+        for name, mine, engine in zip(names, components(k), parts):
+            if not _same_columns(mine, engine):
                 raise GenericMismatchError(
-                    f"{label} k={k}: explicit {name} has {len(mine)} points, "
-                    f"engine has {len(engine)}")
+                    f"{label} k={k}: explicit {name} has {_size(mine)} "
+                    f"points, engine has {_size(engine)}")

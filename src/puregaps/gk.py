@@ -1,11 +1,14 @@
 """Closed forms for the Giulietti-Korchmaros family at its distinguished
-pair of places.
+pair of places: the place at infinity ``P∞`` and ``P0 = (0, 0, 0)``, the
+origin of the affine model ``x^q + x = y^{q+1}``, ``y^{q^2} - y = z^{q^2-q+1}``.
 
 All formulas depend on the single integer parameter q: the genus is
 (q^3+1)(q^2-2)/2 + 1, the period is q^3+1, and the generating set is
 enumerated by index triples (i, j, k).  The explicit per-box pure gap
 components and the cardinality polynomial are implemented independently of
-the generic engine so the two routes can be compared.
+the generic engine so the two routes can be compared.  Each component is
+built by column, ``{a - k(q^3+1): ascending second coordinates at a}``,
+straight from its index ranges, the shape the engine's components have.
 
 The combinatorics is meaningful for any integer q >= 2; a warning is
 emitted when q is not a prime power, since the function-field
@@ -141,79 +144,75 @@ def gk_card_gamma_k0(q: int, k: int) -> int:
     return n
 
 
+def _row_bases(q: int, k: int) -> list:
+    """(i, (q+1-i)(q^2-q+1) - (k-i+2)) over the index range of row k: each
+    row point's index i and its coordinates less the row's multiples of
+    the period, one value for both."""
+    c = q * q - q + 1
+    return [(i, (q + 1 - i) * c - (k - i + 2))
+            for i in range(max(0, k - q * q + q + 2), min(q, k + 2) + 1)]
+
+
 def gk_gamma_k0(q: int, k: int) -> list:
     """Row-zero box k: the points with index (i, k-i+2, k+1)."""
     count = gk_card_gamma_k0(q, k)
     if count == 0:
         return []
-    period = q**3 + 1
-    c = q * q - q + 1
-    out = []
-    for i in range(max(0, k - q * q + q + 2), min(q, k + 2) + 1):
-        base = (q + 1 - i) * c - (k - i + 2)
-        out.append(LatticePoint(k * period + base, base))
-    out.sort()
+    shift = k * (q**3 + 1)
+    out = sorted(LatticePoint(shift + base, base)
+                 for _, base in _row_bases(q, k))
     if len(out) != count:
         raise PiecewiseMismatchError(
             f"q={q} k={k}: explicit row has {len(out)} points, count says {count}")
     return out
 
 
-def _index_range(q: int, ks: int):
-    return range(max(0, ks - q * q + q + 2), min(q, ks + 2) + 1)
-
-
-def gk_g1(q: int, k: int) -> list:
-    """First component of box (k, 0), via the explicit double index set.
+def gk_g1(q: int, k: int) -> dict:
+    """First component of box (k, 0), by column, via the explicit double
+    index set.
 
     A cartesian product: first coordinates k(q^3+1)+(q+1-i2)(q^2-q+1)-(k2-i2+2)
     over all rows k2 > k, second coordinates (q+1-i1)(q^2-q+1)-(k1-i1+2)
-    over all rows k1 > k.
+    over all rows k1 > k.  The residues and the second coordinates are
+    the same values, so every column is the one sorted list of them.
     """
     GKParams(q)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    period = q**3 + 1
-    c = q * q - q + 1
-    avals = []
-    bvals = []
-    for ks in range(k + 1, q * q - 1):
-        for i in _index_range(q, ks):
-            base = (q + 1 - i) * c - (ks - i + 2)
-            avals.append(k * period + base)
-            bvals.append(base)
-    return sorted({(a, b) for a in avals for b in bvals})
+    bases = sorted({base for ks in range(k + 1, q * q - 1)
+                    for _, base in _row_bases(q, ks)})
+    return dict.fromkeys(bases, bases)
 
 
-def gk_g2(q: int, k: int) -> list:
+def gk_g2(q: int, k: int) -> dict:
     """Second component: always empty for this family (diagonal condition)."""
     GKParams(q)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    return []
+    return {}
 
 
-def gk_g3(q: int, k: int) -> list:
-    """Third component, via the explicit index set with the i2 <= i1 cut."""
+def gk_g3(q: int, k: int) -> dict:
+    """Third component, by column, via the explicit index set with the
+    i2 <= i1 cut: the column of the row-k point of index i2 holds the
+    second coordinates of the points of index i1 >= i2 in rows k1 > k."""
     GKParams(q)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    period = q**3 + 1
-    c = q * q - q + 1
-    out = set()
-    for i2 in _index_range(q, k):
-        a = k * period + (q + 1 - i2) * c - (k - i2 + 2)
-        for k1 in range(k + 1, q * q - 1):
-            for i1 in _index_range(q, k1):
-                if i1 < i2:
-                    continue
-                out.add((a, (q + 1 - i1) * c - (k1 - i1 + 2)))
-    return sorted(out)
+    above = [point for k1 in range(k + 1, q * q - 1)
+             for point in _row_bases(q, k1)]
+    columns = {}
+    for i2, base in _row_bases(q, k):
+        bs = sorted({b for i1, b in above if i1 >= i2})
+        if bs:
+            columns[base] = bs
+    return dict(sorted(columns.items()))
 
 
-def gk_g4(q: int, k: int) -> list:
-    """Fourth component: the coordinate swap of the third, shifted by -w_k."""
-    return reflect(gk_g3(q, k), k * (q**3 + 1))
+def gk_g4(q: int, k: int) -> dict:
+    """Fourth component: the coordinate swap of the third, shifted by -w_k
+    (by column, its transpose)."""
+    return reflect(gk_g3(q, k))
 
 
 def gk_card_g0(q: int) -> int:
@@ -245,8 +244,8 @@ def _components(q: int, k: int) -> tuple:
 
 
 def gk_components(q: int) -> dict:
-    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), for
-    every box k < q^2 - 1."""
+    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), each by
+    column, for every box k < q^2 - 1."""
     return {k: _components(q, k) for k in range(q * q - 1)}
 
 
@@ -277,10 +276,13 @@ def gk_pure_gaps(q: int, per_box: dict | None = None) -> PureGapResult:
 
 
 def verify_against_engine(boxed: BoxedGamma, q: int,
-                          per_box: dict | None = None) -> None:
+                          per_box: dict | None = None,
+                          generic: dict | None = None) -> None:
     """Compare every explicit closed-form set with the generic engine on
     ``boxed``, the decomposed generating set of parameter q; ``per_box``
-    is :func:`gk_components` of q when the caller holds it.
+    is :func:`gk_components` of q when the caller holds it; ``generic``
+    maps each box index to the engine's
+    :func:`~puregaps.engine.box_components` when the caller holds them.
 
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
@@ -288,4 +290,5 @@ def verify_against_engine(boxed: BoxedGamma, q: int,
     if per_box is None:
         per_box = gk_components(q)
     check_components(boxed, lambda k: gk_gamma_k0(q, k),
-                     lambda k: per_box.get(k, ((),) * 4), f"q={q}")
+                     lambda k: per_box.get(k, ({},) * 4), f"q={q}",
+                     generic)

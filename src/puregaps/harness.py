@@ -4,8 +4,9 @@ Each parameter point yields a :class:`RunReport`; verification points run
 every route to the pure gap set (generic engine, explicit family forms,
 direct oracle scan) and record a verdict per cross-check.  Grids may run
 points in parallel processes when the ``PUREGAPS_THREADS`` environment
-variable asks for more than one worker; results are always emitted in
-deterministic parameter order.
+variable asks for more than one worker, never more than the CPUs the
+process may use; results are always emitted in deterministic parameter
+order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from math import gcd
 
 from . import gk as gk_mod
 from . import kummer as kummer_mod
-from .engine import assemble_pure_gaps, check_reflection, decompose
+from .engine import (
+    assemble_pure_gaps,
+    box_components,
+    check_reflection,
+    decompose,
+)
 from .errors import ConsistencyError
 from .lattice import GeneratingSet
 from .oracle import (
@@ -33,7 +39,8 @@ from .oracle import (
 #: ``<name>_components``, ``<name>_pure_gaps`` and
 #: ``verify_against_engine``, each taking the parameters in this order
 #: (``verify_against_engine`` takes the decomposed generating set before
-#: them); the last two take the components as ``per_box``.
+#: them); the last two take the components as ``per_box``, and
+#: ``verify_against_engine`` the engine's as ``generic``.
 FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}
 
 #: Default parameter sweep for the m=(q+1)/N special case.
@@ -259,11 +266,15 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     checks.record("closed_form_vs_enumeration", same,
                   f"closed={closed_card} engine={result.cardinality} "
                   f"explicit={fam_result.cardinality}")
+    # The engine's components are built once per box and feed both the
+    # family's box-by-box check and the diagonal law.
+    generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
     checks.run("components_vs_generic", call_family, family,
-               "verify_against_engine", params, boxed, per_box=per_box)
+               "verify_against_engine", params, boxed, per_box=per_box,
+               generic=generic)
     _check_genus(checks, boxed)
     _check_bounds(checks, result)
-    checks.run("diagonal_reflection", check_reflection, boxed)
+    checks.run("diagonal_reflection", check_reflection, boxed, generic)
     checks.record("period_property", check_period_property(gamma).ok,
                   "period displacement law violated")
     return _base_report(family, params, gamma, boxed, result, checks, timings)
@@ -325,12 +336,22 @@ def _dispatch(point):
     raise ValueError(f"unknown point kind {kind!r}")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _max_workers() -> int:
+    """``PUREGAPS_THREADS`` workers, capped at :func:`_usable_cpus`; 1 when
+    the variable is unset or not an integer."""
     raw = os.environ.get("PUREGAPS_THREADS", "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), _usable_cpus()))
     except ValueError:
         return 1
 

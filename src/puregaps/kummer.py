@@ -1,10 +1,15 @@
 """Closed forms for Kummer extensions at two totally ramified places.
 
-Parameters are the extension degree m >= 2 and the polynomial degree
-r >= 2 with gcd(m, r) = 1; the gap structure depends on nothing else, so
-the remaining curve data (exponent, characteristic, roots) is deliberately
+The curve is ``y^m = f(x)``, ``f = prod_{l=1}^{r} (x - alpha_l)`` with
+distinct roots, and the two places are the finite totally ramified places
+``P_{alpha_1}`` and ``P_{alpha_2}`` above two roots of ``f``.  Parameters
+are the extension degree m >= 2 and the polynomial degree r >= 2 with
+gcd(m, r) = 1; the gap structure depends on nothing else, so the
+remaining curve data (exponent, characteristic, roots) is deliberately
 not modeled.  Genus is (m-1)(r-1)/2 and the period is m.  All ceiling and
-floor arithmetic is exact integer division.
+floor arithmetic is exact integer division.  Each component is built by
+column, ``{a - m*k: ascending second coordinates at a}``, straight from
+its index ranges; the columns of G1 and G3 are ranges.
 """
 
 from __future__ import annotations
@@ -103,41 +108,43 @@ def kummer_gamma_k0(m: int, r: int, k: int) -> list:
     return [LatticePoint(m * k + j, j) for j in range(lo, hi + 1)]
 
 
-def kummer_g1(m: int, r: int, k: int) -> list:
-    """First component of box (k, 0): the square of side
-    m - 1 - floor(m(k+2)/r) anchored at (m*k + 1, 1)."""
+def kummer_g1(m: int, r: int, k: int) -> dict:
+    """First component of box (k, 0), by column: the square of side
+    m - 1 - floor(m(k+2)/r) anchored at (m*k + 1, 1), every column the
+    one range 1 .. side."""
     KummerParams(m, r)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    hi = m - 1 - (m * (k + 2)) // r
-    return sorted((m * k + j2, j1)
-                  for j2 in range(1, hi + 1) for j1 in range(1, hi + 1))
+    side = range(1, m - (m * (k + 2)) // r)
+    return dict.fromkeys(side, side)
 
 
-def kummer_g2(m: int, r: int, k: int) -> list:
+def kummer_g2(m: int, r: int, k: int) -> dict:
     """Second component: always empty for this family (diagonal condition)."""
     KummerParams(m, r)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    return []
+    return {}
 
 
-def kummer_g3(m: int, r: int, k: int) -> list:
-    """Third component: (m*k + j, j1) with j in the row's own j-range and
-    1 <= j1 <= m - 1 - floor(m(k+2)/r)."""
+def kummer_g3(m: int, r: int, k: int) -> dict:
+    """Third component, by column: (m*k + j, j1) with j in the row's own
+    j-range and 1 <= j1 <= m - 1 - floor(m(k+2)/r), every column the one
+    range of j1."""
     KummerParams(m, r)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
     jlo = m - (m * (k + 2)) // r
-    jhi = m - 1 - (m * (k + 1)) // r
-    j1hi = m - 1 - (m * (k + 2)) // r
-    return sorted((m * k + j, j1)
-                  for j in range(jlo, jhi + 1) for j1 in range(1, j1hi + 1))
+    column = range(1, jlo)
+    if not column:
+        return {}
+    return dict.fromkeys(range(jlo, m - (m * (k + 1)) // r), column)
 
 
-def kummer_g4(m: int, r: int, k: int) -> list:
-    """Fourth component: the coordinate swap of the third, shifted by -w_k."""
-    return reflect(kummer_g3(m, r, k), k * m)
+def kummer_g4(m: int, r: int, k: int) -> dict:
+    """Fourth component: the coordinate swap of the third, shifted by -w_k
+    (by column, its transpose)."""
+    return reflect(kummer_g3(m, r, k))
 
 
 def kummer_card_g0(m: int, r: int) -> int:
@@ -205,8 +212,8 @@ def _components(m: int, r: int, k: int) -> tuple:
 
 
 def kummer_components(m: int, r: int) -> dict:
-    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), for
-    every box up to the top box index."""
+    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), each by
+    column, for every box up to the top box index."""
     params = KummerParams(m, r)
     return {k: _components(m, r, k) for k in range(params.top_box + 1)}
 
@@ -233,11 +240,13 @@ def kummer_pure_gaps(m: int, r: int,
 
 
 def verify_against_engine(boxed: BoxedGamma, m: int, r: int,
-                          per_box: dict | None = None) -> None:
+                          per_box: dict | None = None,
+                          generic: dict | None = None) -> None:
     """Compare every explicit closed-form set with the generic engine on
     ``boxed``, the decomposed generating set of parameters (m, r);
     ``per_box`` is :func:`kummer_components` of (m, r) when the caller
-    holds it.
+    holds it; ``generic`` maps each box index to the engine's
+    :func:`~puregaps.engine.box_components` when the caller holds them.
 
     Checks the row boxes and all four components of every box; any
     disagreement raises GenericMismatchError naming the first offender.
@@ -245,5 +254,5 @@ def verify_against_engine(boxed: BoxedGamma, m: int, r: int,
     if per_box is None:
         per_box = kummer_components(m, r)
     check_components(boxed, lambda k: kummer_gamma_k0(m, r, k),
-                     lambda k: per_box.get(k, ((),) * 4),
-                     f"(m, r)=({m}, {r})")
+                     lambda k: per_box.get(k, ({},) * 4),
+                     f"(m, r)=({m}, {r})", generic)

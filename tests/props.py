@@ -1,5 +1,6 @@
 """Seeded randomized property runners shared by the property and
-acceptance suites.
+acceptance suites, and the Hypothesis strategies of sets that are not
+the diagonal families.
 
 Each runner draws its cases from a fixed-seed RNG, asserts the property on
 every case and returns the number of cases exercised.  Family computations
@@ -8,6 +9,9 @@ are memoized so repeated draws of the same parameters stay cheap.
 
 from math import gcd
 import random
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from puregaps.engine import (
     assemble_pure_gaps,
@@ -18,11 +22,13 @@ from puregaps.engine import (
     compute_g4,
     decompose,
 )
+from puregaps.errors import ValidationError
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
+from puregaps.lattice import validate_generating_set
 from puregaps.oracle import check_period_property
 
-from reference import glb, incomparable, lub
+from reference import flatten, glb, incomparable, lub
 
 GK_QS = (2, 3, 4)
 KUMMER_PAIRS = tuple((m, r) for m in range(2, 16) for r in range(2, 16)
@@ -132,7 +138,7 @@ def run_translate_disjointness(n, seed=0x7D15):
             comps = box_components(boxed, k)
             box = set()
             for comp in comps:
-                box.update(comp)
+                box.update(flatten(comp, k * period))
             expected += (k + 1) * len(box)
             for j in range(k + 1):
                 union.update((a - j * period, b + j * period) for a, b in box)
@@ -151,9 +157,10 @@ def run_diagonal_agreement(n, seed=0xD1A6):
         assert boxed.diagonal
         k = rng.randrange(max(1, boxed.kmax))
         shift = k * boxed.period
-        assert compute_g2(boxed, k) == []
-        assert compute_g4(boxed, k) == sorted(
-            (b + shift, a - shift) for a, b in compute_g3(boxed, k))
+        assert flatten(compute_g2(boxed, k), shift) == []
+        assert flatten(compute_g4(boxed, k), shift) == sorted(
+            (b + shift, a - shift)
+            for a, b in flatten(compute_g3(boxed, k), shift))
         check_reflection(boxed)
         checked += 1
     return checked
@@ -172,6 +179,46 @@ def run_kummer_empty_boxes(n, seed=0xE3B0):
         assert all(k <= r - 2 for k in boxed.rows)
         assert boxed.kmax <= r - 1
     return n
+
+
+@st.composite
+def non_diagonal_sets(draw):
+    """Validated generating sets that are not diagonal.
+
+    A random matching pairs first-coordinate residues ``r`` with
+    second-coordinate residues ``s``; each pair, with a random height
+    ``h``, is one chain of the period law, the points
+    ``(r + i*period, s + (h - i)*period)`` for ``0 <= i <= h``.  Sets that
+    validation rejects (a coordinate above ``2g - 1``) or that are
+    diagonal are filtered out.
+    """
+    period = draw(st.integers(min_value=3, max_value=12))
+    n = draw(st.integers(min_value=2, max_value=period - 1))
+    residues = st.integers(min_value=1, max_value=period - 1)
+    firsts = draw(st.lists(residues, min_size=n, max_size=n, unique=True))
+    seconds = draw(st.lists(residues, min_size=n, max_size=n, unique=True))
+    heights = draw(st.lists(st.integers(min_value=0, max_value=4),
+                            min_size=n, max_size=n))
+    points = [(r + i * period, s + (h - i) * period)
+              for r, s, h in zip(firsts, seconds, heights)
+              for i in range(h + 1)]
+    try:
+        gamma = validate_generating_set(points, period)
+    except ValidationError:
+        assume(False)
+    assume(not decompose(gamma).diagonal)
+    return gamma
+
+
+@st.composite
+def injective_pairs(draw, max_genus=40):
+    """Pairs with distinct first and distinct second coordinates, in any
+    order; the small coordinate range makes the projections overlap."""
+    n = draw(st.integers(min_value=0, max_value=max_genus))
+    coord = st.integers(min_value=1, max_value=4 * max_genus)
+    firsts = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    seconds = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    return list(zip(firsts, seconds))
 
 
 ALL_RUNNERS = (

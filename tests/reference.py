@@ -7,6 +7,7 @@ that the package's faster code is checked against.
 from dataclasses import dataclass
 
 from puregaps.errors import (
+    CardinalityMismatchError,
     CoordinateDivisibleByPeriodError,
     DisjointnessViolationError,
     DuplicateFirstCoordinateError,
@@ -20,6 +21,22 @@ from puregaps.errors import (
     ZeroOrNegativeCoordinateError,
 )
 from puregaps.lattice import GeneratingSet, LatticePoint, period_law_violations
+
+
+def flatten(columns, base=0) -> list:
+    """The points ``(base + r, b)`` of a set given by column, ``{r:
+    ascending b}``, in column order: sorted when the columns are."""
+    return [(base + r, b) for r in sorted(columns) for b in columns[r]]
+
+
+def drop_first_point(columns) -> dict:
+    """A set given by column without its first point."""
+    out = {r: list(bs) for r, bs in sorted(columns.items())}
+    first = min(out)
+    del out[first][0]
+    if not out[first]:
+        del out[first]
+    return out
 
 
 def lub(p, q) -> LatticePoint:
@@ -265,3 +282,118 @@ def parse_gamma_lines(text: str, source: str = "<string>") -> GeneratingSet:
         where = f" (point at line {first_line[beta]})" if beta in first_line else ""
         raise GammaFileError(
             f"{source}: {type(exc).__name__}: {exc}{where}") from exc
+
+
+# The per-box components as sorted point lists: the engine's glb
+# definitions and the families' index sets, one tuple per point.
+
+def compute_g1_points(boxed, k: int) -> list:
+    """G1 of box (k, 0): the Cartesian product of the shifted first
+    coordinates and the second coordinates above row k, whose size must
+    be the square of the number of those points."""
+    period = boxed.period
+    firsts = []
+    seconds = []
+    for k2 in range(k + 1, boxed.kmax):
+        shift = (k2 - k) * period
+        for a, b in boxed.row(k2):
+            firsts.append(a - shift)
+            seconds.append(b)
+    distinct = len(set(firsts)) * len(set(seconds))
+    expected = len(firsts) * len(seconds)
+    if distinct != expected:
+        raise CardinalityMismatchError(
+            f"|G1_({k},0)| = {distinct}, formula gives {expected}")
+    return sorted((a, b) for a in firsts for b in seconds)
+
+
+def compute_g2_points(boxed, k: int) -> list:
+    """G2 of box (k, 0): glb over incomparable pairs inside rows[k]."""
+    row = boxed.row(k)
+    return sorted({tuple(glb(u, v)) for i, u in enumerate(row)
+                   for v in row[i + 1:] if incomparable(u, v)})
+
+
+def compute_g3_points(boxed, k: int) -> list:
+    """G3 of box (k, 0): glb(u, v) for u in rows[k], v in a higher row,
+    u not below v."""
+    return sorted({tuple(glb(u, v)) for k1 in range(k + 1, boxed.kmax)
+                   for v in boxed.row(k1) for u in boxed.row(k)
+                   if u[0] > v[0] or u[1] > v[1]})
+
+
+def compute_g4_points(boxed, k: int) -> list:
+    """G4 of box (k, 0): glb(u + w_{k2-k}, v) for u in rows[k2], k2 > k,
+    and v in rows[k], v not below the shifted u."""
+    period = boxed.period
+    out = set()
+    for k2 in range(k + 1, boxed.kmax):
+        shift = (k2 - k) * period
+        for ua, ub in boxed.row(k2):
+            u = (ua - shift, ub + shift)
+            for v in boxed.row(k):
+                if v[0] > u[0] or v[1] > u[1]:
+                    out.add(tuple(glb(u, v)))
+    return sorted(out)
+
+
+def reflect_points(points, shift: int) -> list:
+    """The coordinate swap of ``points`` translated by ``(shift, -shift)``,
+    sorted."""
+    return sorted((b + shift, a - shift) for a, b in points)
+
+
+def gk_g1_points(q: int, k: int) -> list:
+    """GK G1 of box (k, 0) from the double index set."""
+    period = q**3 + 1
+    c = q * q - q + 1
+    avals = []
+    bvals = []
+    for ks in range(k + 1, q * q - 1):
+        for i in range(max(0, ks - q * q + q + 2), min(q, ks + 2) + 1):
+            base = (q + 1 - i) * c - (ks - i + 2)
+            avals.append(k * period + base)
+            bvals.append(base)
+    return sorted({(a, b) for a in avals for b in bvals})
+
+
+def gk_g3_points(q: int, k: int) -> list:
+    """GK G3 of box (k, 0) from the index set with the i2 <= i1 cut."""
+    period = q**3 + 1
+    c = q * q - q + 1
+    out = set()
+    for i2 in range(max(0, k - q * q + q + 2), min(q, k + 2) + 1):
+        a = k * period + (q + 1 - i2) * c - (k - i2 + 2)
+        for k1 in range(k + 1, q * q - 1):
+            for i1 in range(max(0, k1 - q * q + q + 2), min(q, k1 + 2) + 1):
+                if i1 >= i2:
+                    out.add((a, (q + 1 - i1) * c - (k1 - i1 + 2)))
+    return sorted(out)
+
+
+def gk_g4_points(q: int, k: int) -> list:
+    """GK G4: the reflected G3."""
+    return reflect_points(gk_g3_points(q, k), k * (q**3 + 1))
+
+
+def kummer_g1_points(m: int, r: int, k: int) -> list:
+    """Kummer G1: the square of side m - 1 - floor(m(k+2)/r) at
+    (m*k + 1, 1)."""
+    hi = m - 1 - (m * (k + 2)) // r
+    return sorted((m * k + j2, j1)
+                  for j2 in range(1, hi + 1) for j1 in range(1, hi + 1))
+
+
+def kummer_g3_points(m: int, r: int, k: int) -> list:
+    """Kummer G3: (m*k + j, j1) over the row's own j-range and
+    1 <= j1 <= m - 1 - floor(m(k+2)/r)."""
+    jlo = m - (m * (k + 2)) // r
+    jhi = m - 1 - (m * (k + 1)) // r
+    j1hi = m - 1 - (m * (k + 2)) // r
+    return sorted((m * k + j, j1)
+                  for j in range(jlo, jhi + 1) for j1 in range(1, j1hi + 1))
+
+
+def kummer_g4_points(m: int, r: int, k: int) -> list:
+    """Kummer G4: the reflected G3."""
+    return reflect_points(kummer_g3_points(m, r, k), k * m)

@@ -14,6 +14,7 @@ from puregaps.kummer import kummer_generating_set
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
 import expected_gk2 as gk2
+from reference import drop_first_point
 
 
 def run_cli(capsys, *argv):
@@ -424,8 +425,9 @@ class TestDroppedG3Point:
     @pytest.fixture(autouse=True)
     def short_g3(self, monkeypatch):
         real = engine.compute_g3
-        monkeypatch.setattr(engine, "compute_g3",
-                            lambda boxed, k: real(boxed, k)[k == 1:])
+        monkeypatch.setattr(
+            engine, "compute_g3", lambda boxed, k:
+            drop_first_point(real(boxed, k)) if k == 1 else real(boxed, k))
 
     @pytest.fixture
     def k57(self, tmp_path):
@@ -508,8 +510,9 @@ class TestListingBuildsNoPointTuples:
 
 
 class TestVerifyPointWork:
-    """verify_point generates the set once and builds the engine's
-    components once, in the family's cross-check against the engine."""
+    """verify_point generates the set once and builds each of the engine's
+    components once per box, shared by the family's cross-check against
+    the engine and the diagonal law."""
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
@@ -523,19 +526,27 @@ class TestVerifyPointWork:
             calls.append(args)
             return real(*args)
         monkeypatch.setattr(module, name, counted)
-        components = []
-        real_components = engine.box_components
+        built = {}
 
-        def counted_components(boxed, k):
-            components.append(k)
-            return real_components(boxed, k)
-        monkeypatch.setattr(engine, "box_components", counted_components)
+        def counter(name, real):
+            def counted(boxed, k):
+                built.setdefault(name, []).append(k)
+                return real(boxed, k)
+            return counted
+        for func in ("box_components", "compute_g1", "compute_g2",
+                     "compute_g3", "compute_g4"):
+            for namespace in (engine, harness):
+                if hasattr(namespace, func):
+                    monkeypatch.setattr(namespace, func, counter(
+                        func, getattr(namespace, func)))
 
         report = harness.verify_point(family, params)
         assert report.ok
         assert len(calls) == 1
         kmax = engine.decompose(real(*params.values())).kmax
-        assert components == list(range(kmax))
+        assert built == {name: list(range(kmax)) for name in (
+            "box_components", "compute_g1", "compute_g2", "compute_g3",
+            "compute_g4")}
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
@@ -555,3 +566,59 @@ class TestVerifyPointWork:
         kmax = engine.decompose(
             harness.call_family(family, "{}_generating_set", params)).kmax
         assert boxes == list(range(kmax))
+
+
+class FakePool:
+    """A ProcessPoolExecutor stand-in: records ``max_workers`` and maps in
+    this process, so no process is started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return map(func, items)
+
+
+class TestWorkerCap:
+    """PUREGAPS_THREADS asks for workers; map_points never starts more
+    than the CPUs this process may use, nor more than there are points."""
+
+    POINTS = [("kummer", {"m": m, "r": 3}) for m in (2, 4, 5, 7, 8, 10)]
+
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(FakePool, "made", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+
+    @pytest.mark.parametrize("threads, cpus, points, workers", [
+        ("1000", 3, 6, [3]),     # capped at the CPUs
+        ("2", 3, 6, [2]),        # fewer asked for than CPUs
+        ("1000", 8, 2, [2]),     # capped at the points
+        ("1000", 1, 6, []),      # one CPU: no pool at all
+        ("", 3, 6, []),          # unset: serial
+    ])
+    def test_affinity_caps_workers(self, monkeypatch, threads, cpus, points,
+                                   workers):
+        monkeypatch.setenv("PUREGAPS_THREADS", threads)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        reports = harness.map_points(self.POINTS[:points])
+        assert FakePool.made == workers
+        assert [r.label() for r in reports] == \
+            [harness.verify_point(*p).label() for p in self.POINTS[:points]]
+        assert all(r.ok for r in reports)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.setenv("PUREGAPS_THREADS", "1000")
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        harness.map_points(self.POINTS)
+        assert FakePool.made == [4]

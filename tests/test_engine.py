@@ -31,7 +31,8 @@ from puregaps.lattice import GeneratingSet, LatticePoint, validate_generating_se
 from puregaps.oracle import pure_gap_boxes_direct
 
 import expected_gk2 as gk2
-from reference import _residue_runs, merge_box
+import reference
+from reference import _residue_runs, drop_first_point, flatten, merge_box
 
 KUMMER43 = [(1, 5), (5, 1), (2, 2)]
 
@@ -97,36 +98,43 @@ class TestReconstructBox:
         assert sorted(seen) == sorted(gk2.GAMMA)
 
 
+def points(compute, boxed, k):
+    """A component of box (k, 0) as its sorted list of points."""
+    return flatten(compute(boxed, k), k * boxed.period)
+
+
 class TestComponents:
     def test_g1_gk2(self, gk2_boxed):
-        assert compute_g1(gk2_boxed, 0) == gk2.G1_0
-        assert compute_g1(gk2_boxed, 1) == gk2.G1_1
-        assert compute_g1(gk2_boxed, 2) == []
+        assert points(compute_g1, gk2_boxed, 0) == gk2.G1_0
+        assert points(compute_g1, gk2_boxed, 1) == gk2.G1_1
+        assert points(compute_g1, gk2_boxed, 2) == []
+        # one column per shifted first coordinate, one shared list
+        assert compute_g1(gk2_boxed, 0) == dict.fromkeys([1, 2, 4], [1, 2, 4])
 
     def test_g2_empty_under_diagonal(self, gk2_boxed, kummer43_boxed):
         for boxed in (gk2_boxed, kummer43_boxed):
             for k in range(boxed.kmax):
-                assert compute_g2(boxed, k) == []
+                assert points(compute_g2, boxed, k) == []
 
     def test_g2_synthetic_incomparable_row(self):
         boxed = BoxedGamma(rows={0: ((1, 5), (3, 2))}, period=9, genus=2,
                            kmax=1, diagonal=False)
-        assert compute_g2(boxed, 0) == [(1, 2)]
+        assert points(compute_g2, boxed, 0) == [(1, 2)]
 
     def test_g3_gk2(self, gk2_boxed):
-        assert compute_g3(gk2_boxed, 0) == gk2.G3_0
-        assert compute_g3(gk2_boxed, 1) == gk2.G3_1
-        assert compute_g3(gk2_boxed, 2) == []
+        assert points(compute_g3, gk2_boxed, 0) == gk2.G3_0
+        assert points(compute_g3, gk2_boxed, 1) == gk2.G3_1
+        assert points(compute_g3, gk2_boxed, 2) == []
 
     def test_g3_kummer43(self, kummer43_boxed):
-        assert compute_g3(kummer43_boxed, 0) == [(2, 1)]
+        assert points(compute_g3, kummer43_boxed, 0) == [(2, 1)]
 
     def test_g4_gk2(self, gk2_boxed):
-        assert compute_g4(gk2_boxed, 0) == gk2.G4_0
-        assert compute_g4(gk2_boxed, 1) == gk2.G4_1
+        assert points(compute_g4, gk2_boxed, 0) == gk2.G4_0
+        assert points(compute_g4, gk2_boxed, 1) == gk2.G4_1
 
     def test_g4_kummer43(self, kummer43_boxed):
-        assert compute_g4(kummer43_boxed, 0) == [(1, 2)]
+        assert points(compute_g4, kummer43_boxed, 0) == [(1, 2)]
 
     def test_g1_cardinality_mismatch(self):
         # duplicate second coordinates across rows collapse the product
@@ -141,11 +149,11 @@ class TestAssemble:
         result = assemble_pure_gaps(gk2_boxed)
         assert result.g0 == gk2.G0_SORTED
         assert result.cardinality == 35
-        assert box_components(gk2_boxed, 0) == \
-            (gk2.G1_0, [], gk2.G3_0, gk2.G4_0)
-        assert box_components(gk2_boxed, 1) == \
-            (gk2.G1_1, [], gk2.G3_1, gk2.G4_1)
-        assert box_components(gk2_boxed, 2) == ([], [], [], [])
+        for k, want in enumerate([(gk2.G1_0, [], gk2.G3_0, gk2.G4_0),
+                                  (gk2.G1_1, [], gk2.G3_1, gk2.G4_1),
+                                  ([], [], [], [])]):
+            assert tuple(flatten(part, 9 * k) for part in
+                         box_components(gk2_boxed, k)) == want
         assert (result.lower_bound, result.upper_bound,
                 result.homma_kim_bound) == (gk2.LOWER, gk2.UPPER, gk2.HOMMA_KIM)
 
@@ -160,6 +168,36 @@ class TestAssemble:
         assert result.g0 == []
         assert result.cardinality == 0
         assert result.lower_bound == result.upper_bound == 0
+
+
+class TestFamilyAssemble:
+    """engine.assemble merges a family's four components per residue."""
+
+    BND = engine.Bounds(0, 0, 0)
+
+    def test_merges_by_residue(self):
+        # G1 (10, 1), (10, 4); G3 (11, 1), (11, 2); G4 (10, 2)
+        parts = ({1: [1, 4]}, {}, {2: range(1, 3)}, {1: [2]})
+        result = engine.assemble({1: parts}, 9, self.BND)
+        assert result.g0 == union_of_translates({1: {1: [1, 2, 4],
+                                                     2: [1, 2]}}, 9)
+        assert result.cardinality == 2 * 5
+
+    @pytest.mark.parametrize("parts", [
+        ({1: [1, 4]}, {}, {}, {1: [4]}),        # G1 and G4 share (10, 4)
+        ({}, {2: [3]}, {2: range(1, 4)}, {}),   # G2 and G3 share (11, 3)
+    ], ids=["g1-g4", "g2-g3"])
+    def test_overlap_raises(self, parts):
+        with pytest.raises(DisjointnessViolationError):
+            engine.assemble({1: parts}, 9, self.BND)
+
+
+def test_reflect_is_the_column_transpose():
+    g3 = {1: [3, 5], 2: range(3, 4), 4: [1]}
+    assert engine.reflect(g3) == {1: [4], 3: [1, 2], 5: [1]}
+    for k in (0, 2):
+        assert flatten(engine.reflect(g3), 9 * k) == \
+            reference.reflect_points(flatten(g3, 9 * k), 9 * k)
 
 
 class TestCheckReflection:
@@ -179,12 +217,28 @@ class TestCheckReflection:
 
     def test_dropped_g3_point_names_box(self, gk2_boxed, monkeypatch):
         real = engine.compute_g3
-        monkeypatch.setattr(engine, "compute_g3",
-                            lambda boxed, k: real(boxed, k)[k == 1:])
+        monkeypatch.setattr(
+            engine, "compute_g3", lambda boxed, k:
+            drop_first_point(real(boxed, k)) if k == 1 else real(boxed, k))
         with pytest.raises(DiagonalReflectionMismatchError,
                            match=r"^box k=1: G4 has 2 points and differs "
                                  r"from the reflected G3, which has 1$"):
             check_reflection(gk2_boxed)
+
+    def test_uses_the_callers_components(self, gk2_boxed, monkeypatch):
+        generic = {k: box_components(gk2_boxed, k)
+                   for k in range(gk2_boxed.kmax)}
+
+        def unused(boxed, k):
+            raise AssertionError("a component was rebuilt")
+        for name in ("compute_g2", "compute_g3", "compute_g4"):
+            monkeypatch.setattr(engine, name, unused)
+        check_reflection(gk2_boxed, generic)
+        g1, g2, g3, g4 = generic[1]
+        generic[1] = (g1, g2, drop_first_point(g3), g4)
+        with pytest.raises(DiagonalReflectionMismatchError,
+                           match=r"^box k=1: G4 has 2 points"):
+            check_reflection(gk2_boxed, generic)
 
     def test_g2_point_names_box(self, gk2_boxed, monkeypatch):
         monkeypatch.setattr(engine, "compute_g2",
@@ -218,7 +272,8 @@ def columns(boxes, period):
 class TestBoxColumns:
     def test_gk2_matches_components(self, gk2_boxed):
         for k in range(gk2_boxed.kmax):
-            merged = merge_box(k, box_components(gk2_boxed, k))
+            merged = merge_box(k, [flatten(part, 9 * k) for part in
+                                   box_components(gk2_boxed, k)])
             assert box_columns(gk2_boxed, k) == \
                 columns({k: merged}, 9).get(k, {})
         # G1 (10, 1), G4 (10, 2), (10, 4), G3 (11, 1), (13, 1)
@@ -343,7 +398,7 @@ class TestPureGapSet:
 
     def test_one_box_differs(self, gk2_boxed, gk2_g0):
         merged = {k: sorted(p for part in box_components(gk2_boxed, k)
-                            for p in part)
+                            for p in flatten(part, 9 * k))
                   for k in range(gk2_boxed.kmax)}
         assert union_of_translates(columns(merged, 9), 9) == gk2_g0
         free = min(set(product(range(10, 18), range(1, 9))) - set(merged[1]))

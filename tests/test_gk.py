@@ -29,6 +29,8 @@ from puregaps.gk import (
 from puregaps.oracle import pure_gaps_direct
 
 import expected_gk2 as gk2
+import reference
+from reference import drop_first_point, flatten
 
 
 class TestParams:
@@ -134,20 +136,35 @@ class TestRowBoxes:
 
 class TestComponents:
     def test_q2_explicit_sets(self):
-        assert gk_g1(2, 0) == gk2.G1_0
-        assert gk_g1(2, 1) == gk2.G1_1
-        assert gk_g3(2, 0) == gk2.G3_0
-        assert gk_g3(2, 1) == gk2.G3_1
-        assert gk_g4(2, 0) == gk2.G4_0
-        assert gk_g4(2, 1) == gk2.G4_1
-        assert gk_g2(2, 0) == []
-        assert gk_g2(2, 1) == []
+        assert flatten(gk_g1(2, 0)) == gk2.G1_0
+        assert flatten(gk_g1(2, 1), 9) == gk2.G1_1
+        assert flatten(gk_g3(2, 0)) == gk2.G3_0
+        assert flatten(gk_g3(2, 1), 9) == gk2.G3_1
+        assert flatten(gk_g4(2, 0)) == gk2.G4_0
+        assert flatten(gk_g4(2, 1), 9) == gk2.G4_1
+        assert flatten(gk_g2(2, 0)) == []
+        assert flatten(gk_g2(2, 1), 9) == []
 
     def test_top_box_components_empty(self):
         for q in (2, 3):
-            assert gk_g1(q, q * q - 2) == []
-            assert gk_g3(q, q * q - 2) == []
-            assert gk_g4(q, q * q - 2) == []
+            base = (q * q - 2) * (q**3 + 1)
+            assert flatten(gk_g1(q, q * q - 2), base) == []
+            assert flatten(gk_g3(q, q * q - 2), base) == []
+            assert flatten(gk_g4(q, q * q - 2), base) == []
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_columns_match_points(self, q):
+        # the flattened columns equal the one-tuple-per-point index sets,
+        # on every box and the first empty one beyond the top
+        for k in range(q * q):
+            base = k * (q**3 + 1)
+            for columns, points in ((gk_g1, reference.gk_g1_points),
+                                    (gk_g3, reference.gk_g3_points),
+                                    (gk_g4, reference.gk_g4_points)):
+                got = columns(q, k)
+                assert flatten(got, base) == points(q, k)
+                assert all(got.values())
+            assert gk_g2(q, k) == {}
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_match_generic_engine(self, q):
@@ -157,11 +174,13 @@ class TestComponents:
         def components(k):
             g3 = gk_g3(2, k)
             if k == 1:
-                g3 = g3[1:]
+                g3 = drop_first_point(g3)
             return gk_g1(2, k), gk_g2(2, k), g3, gk_g4(2, k)
 
         boxed = decompose(gk_generating_set(2))
-        with pytest.raises(GenericMismatchError, match=r"k=1: explicit G3"):
+        with pytest.raises(GenericMismatchError,
+                           match=r"^q=2 k=1: explicit G3 has 1 points, "
+                                 r"engine has 2$"):
             check_components(boxed, lambda k: gk_gamma_k0(2, k), components,
                              "q=2")
 

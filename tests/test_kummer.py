@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from puregaps.engine import assemble_pure_gaps, decompose
@@ -18,6 +20,12 @@ from puregaps.kummer import (
     verify_against_engine,
 )
 from puregaps.oracle import pure_gaps_direct
+
+import reference
+from reference import flatten
+
+COPRIME_GRID = [(m, r) for m in range(2, 16) for r in range(2, 16)
+                if gcd(m, r) == 1]
 
 
 class TestParams:
@@ -91,20 +99,38 @@ class TestRowBoxes:
 
 class TestComponents:
     def test_m4_r3_k0(self):
-        assert kummer_g1(4, 3, 0) == [(1, 1)]
-        assert kummer_g3(4, 3, 0) == [(2, 1)]
-        assert kummer_g4(4, 3, 0) == [(1, 2)]
-        assert kummer_g2(4, 3, 0) == []
+        assert flatten(kummer_g1(4, 3, 0)) == [(1, 1)]
+        assert flatten(kummer_g3(4, 3, 0)) == [(2, 1)]
+        assert flatten(kummer_g4(4, 3, 0)) == [(1, 2)]
+        assert flatten(kummer_g2(4, 3, 0)) == []
 
     def test_m4_r7_k0_square(self):
-        assert kummer_g1(4, 7, 0) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert flatten(kummer_g1(4, 7, 0)) == \
+            [(1, 1), (1, 2), (2, 1), (2, 2)]
+        # every column is the one range of the square's side
+        assert kummer_g1(4, 7, 0) == {1: range(1, 3), 2: range(1, 3)}
 
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (6, 11), (3, 8)])
     def test_top_box_components_empty(self, m, r):
         top = KummerParams(m, r).top_box
-        assert kummer_g1(m, r, top) == []
-        assert kummer_g3(m, r, top) == []
-        assert kummer_g4(m, r, top) == []
+        base = top * m
+        assert flatten(kummer_g1(m, r, top), base) == []
+        assert flatten(kummer_g3(m, r, top), base) == []
+        assert flatten(kummer_g4(m, r, top), base) == []
+
+    @pytest.mark.parametrize("m,r", COPRIME_GRID)
+    def test_columns_match_points(self, m, r):
+        # the flattened columns equal the one-tuple-per-point index sets,
+        # on every box and the first empty one beyond the top
+        for k in range(KummerParams(m, r).top_box + 2):
+            for columns, points in (
+                    (kummer_g1, reference.kummer_g1_points),
+                    (kummer_g3, reference.kummer_g3_points),
+                    (kummer_g4, reference.kummer_g4_points)):
+                got = columns(m, r, k)
+                assert flatten(got, m * k) == points(m, r, k)
+                assert all(got.values())
+            assert kummer_g2(m, r, k) == {}
 
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (7, 3), (6, 11),
                                      (3, 8), (15, 4), (12, 7), (5, 14)])

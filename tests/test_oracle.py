@@ -14,6 +14,7 @@ from puregaps.oracle import (
 )
 
 import expected_gk2 as gk2
+from props import injective_pairs
 from reference import gap_projections, lub, semigroup_box
 
 KUMMER43 = [(1, 5), (5, 1), (2, 2)]
@@ -112,17 +113,6 @@ def reference_pure_gaps(points):
             if bj < bi:
                 out.add((ai, bj))
     return sorted(out)
-
-
-@st.composite
-def injective_pairs(draw, max_genus=40):
-    """Pairs with distinct first and distinct second coordinates, in any
-    order; the small coordinate range makes the projections overlap."""
-    n = draw(st.integers(min_value=0, max_value=max_genus))
-    coord = st.integers(min_value=1, max_value=4 * max_genus)
-    firsts = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
-    seconds = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
-    return list(zip(firsts, seconds))
 
 
 def inverted(g):

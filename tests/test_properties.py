@@ -6,23 +6,37 @@ same properties at its own case counts.
 
 import io
 
-from hypothesis import HealthCheck, assume, given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from puregaps.cli import _stream_pure_gaps
 from puregaps.engine import (
+    BoxedGamma,
     assemble_pure_gaps,
     box_columns,
     box_components,
+    compute_g1,
+    compute_g2,
+    compute_g3,
+    compute_g4,
     decompose,
 )
-from puregaps.errors import ValidationError
+from puregaps.errors import CardinalityMismatchError
 from puregaps.harness import summarize_generic
-from puregaps.lattice import validate_generating_set
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
 import props
-from reference import _residue_runs, glb, incomparable, lub, merge_box
+import reference
+from props import injective_pairs, non_diagonal_sets
+from reference import (
+    _residue_runs,
+    flatten,
+    glb,
+    incomparable,
+    lub,
+    merge_box,
+)
 
 N = 1000
 
@@ -79,35 +93,6 @@ def test_glb_lub_swap_commute(p, q):
     assert incomparable(p, q) == incomparable(swap(p), swap(q))
 
 
-@st.composite
-def non_diagonal_sets(draw):
-    """Validated generating sets that are not diagonal.
-
-    A random matching pairs first-coordinate residues ``r`` with
-    second-coordinate residues ``s``; each pair, with a random height
-    ``h``, is one chain of the period law, the points
-    ``(r + i*period, s + (h - i)*period)`` for ``0 <= i <= h``.  Sets that
-    validation rejects (a coordinate above ``2g - 1``) or that are
-    diagonal are filtered out.
-    """
-    period = draw(st.integers(min_value=3, max_value=12))
-    n = draw(st.integers(min_value=2, max_value=period - 1))
-    residues = st.integers(min_value=1, max_value=period - 1)
-    firsts = draw(st.lists(residues, min_size=n, max_size=n, unique=True))
-    seconds = draw(st.lists(residues, min_size=n, max_size=n, unique=True))
-    heights = draw(st.lists(st.integers(min_value=0, max_value=4),
-                            min_size=n, max_size=n))
-    points = [(r + i * period, s + (h - i) * period)
-              for r, s, h in zip(firsts, seconds, heights)
-              for i in range(h + 1)]
-    try:
-        gamma = validate_generating_set(points, period)
-    except ValidationError:
-        assume(False)
-    assume(not decompose(gamma).diagonal)
-    return gamma
-
-
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(non_diagonal_sets())
@@ -118,7 +103,9 @@ def test_non_diagonal_engine_matches_references(gamma):
     ConsistencyError."""
     boxed = decompose(gamma)
     for k in range(boxed.kmax):
-        merged = merge_box(k, box_components(boxed, k))
+        base = k * boxed.period
+        merged = merge_box(k, [flatten(part, base)
+                               for part in box_components(boxed, k)])
         assert box_columns(boxed, k) == \
             _residue_runs({k: merged}, boxed.period).get(k, {})
     direct = pure_gaps_direct(gamma)
@@ -130,3 +117,48 @@ def test_non_diagonal_engine_matches_references(gamma):
     assert out.getvalue() == "".join(f"{a}\t{b}\n" for a, b in direct)
     report = summarize_generic(gamma, "drawn")
     assert report.ok, report.detail
+
+
+COMPONENTS = ((compute_g1, reference.compute_g1_points),
+              (compute_g2, reference.compute_g2_points),
+              (compute_g3, reference.compute_g3_points),
+              (compute_g4, reference.compute_g4_points))
+
+
+def assert_components_match_points(boxed):
+    """Every box's compute_g1..g4, flattened, equal the one-tuple-per-point
+    references; where the G1 cardinality check fails, both raise."""
+    for k in range(boxed.kmax + 1):
+        base = k * boxed.period
+        for compute, points in COMPONENTS:
+            try:
+                want = points(boxed, k)
+            except CardinalityMismatchError:
+                with pytest.raises(CardinalityMismatchError):
+                    compute(boxed, k)
+                continue
+            got = compute(boxed, k)
+            assert flatten(got, base) == want
+            assert list(got) == sorted(got) and all(got.values())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(non_diagonal_sets())
+def test_non_diagonal_components_match_points(gamma):
+    assert_components_match_points(decompose(gamma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(injective_pairs(), st.integers(min_value=1, max_value=50))
+def test_injective_components_match_points(points, period):
+    """Rows cut from unvalidated injective sets: no genus identity, and
+    shifted first coordinates may meet a row's own or repeat."""
+    rows = {}
+    for a, b in sorted(points):
+        if b < period:
+            rows.setdefault(a // period, []).append((a, b))
+    boxed = BoxedGamma(rows={k: tuple(row) for k, row in rows.items()},
+                       period=period, genus=len(points),
+                       kmax=max(rows, default=-1) + 1, diagonal=False)
+    assert_components_match_points(boxed)
