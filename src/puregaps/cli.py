@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import count, repeat
 
 from .engine import assemble_pure_gaps, check_reflection, decompose
 from .errors import CardinalityMismatchError, ConsistencyError, ValidationError
@@ -55,44 +56,72 @@ def _emit_summary(report, fmt, out):
 _CHUNK_POINTS = 1 << 16
 
 
+def _distinct_lists(columns):
+    """The distinct list objects among the values of ``columns``, and
+    ``{r: the index of column r's list among them}``."""
+    lists = columns.values()
+    distinct = dict(zip(map(id, lists), lists))
+    index = dict(zip(distinct, count()))
+    return (list(distinct.values()),
+            dict(zip(columns, map(index.__getitem__, map(id, lists)))))
+
+
 def _stream_pure_gaps(boxed, fmt, out):
     """Write G0 in lexicographic order, one line ``a<TAB>b`` per point or
     one JSON array of pairs.
 
-    Builds G0 with :func:`assemble_pure_gaps`, by column, and writes its
-    runs in chunks, so memory is bounded by the per-box sets, not by
-    ``|G0|``.  Each second coordinate's text, with what closes its point,
-    is made once, for every value box containment allows, so a run costs
-    one ``join`` of table lookups and no arithmetic or ``str`` per point.
-    The number of points written must equal the weighted per-box sum.
+    Builds G0 with :func:`assemble_pure_gaps`, by column, and renders it
+    from text templates along :meth:`PureGapSet.box_column_walk`, one box
+    column ``i`` at a time.  For each translate ``j``, each distinct
+    column list of box ``i + j`` is rendered once, one cell ``"\\x00" +
+    str(b + j*period) + closer`` per point (:func:`box_columns` shares
+    one list among neighbouring columns).  A first coordinate's block is
+    its templates across ``j`` joined, with the marker ``"\\x00"``
+    replaced by the point's opening text ``a<TAB>`` or ``,[a,``: no
+    Python work per run or per point.  JSON drops the separator before
+    the first point.  Blocks are written in chunks of about
+    ``_CHUNK_POINTS`` points, so memory is bounded by the per-box sets,
+    not by ``|G0|``.  The markers rendered must number the weighted
+    per-box sum.
     """
     g0 = assemble_pure_gaps(boxed).g0
     if fmt == "json":
-        opener, mid, closer, sep = "[", ",", "]", ","
+        opener, mid, closer = ",[", ",", "]"
         out.write("[")
     else:
-        opener, mid, closer, sep = "", "\t", "\n", ""
+        opener, mid, closer = "", "\t", "\n"
     # Second coordinates of G_{k,0} + w_j are b + j*period, 0 < b < period
     # and j <= k < kmax: one table of cells per shift j*period, indexed by b.
     period = boxed.period
-    cells = {j * period: [f"{v}{closer}" for v in
+    cells = {j * period: [f"\x00{v}{closer}" for v in
                           range(j * period, (j + 1) * period)]
              for j in range(boxed.kmax)}
+    # The walk visits box i + j once per i: index its distinct lists once.
+    slots = {}
     pieces = []
     pending = written = 0
-    gap = ""
-    for a, bs, shift in g0.runs():
-        lead = f"{opener}{a}{mid}"
-        values = map(cells[shift].__getitem__, bs)
-        pieces.append(gap + lead + (sep + lead).join(values))
-        gap = sep
-        pending += len(bs)
-        if pending >= _CHUNK_POINTS:
-            out.write("".join(pieces))
-            pieces.clear()
-            written += pending
-            pending = 0
-    out.write("".join(pieces))
+    # Every JSON point opens with its separator: drop the first one.
+    head = 1 if fmt == "json" else 0
+    for base, residues, translates in g0.box_column_walk():
+        blocks = []
+        for shift, columns in translates:
+            if id(columns) not in slots:
+                slots[id(columns)] = _distinct_lists(columns)
+            lists, slot = slots[id(columns)]
+            cell = cells[shift].__getitem__
+            templates = ["".join(map(cell, bs)) for bs in lists]
+            templates.append("")  # index -1: a residue the box lacks
+            blocks.append(map(templates.__getitem__,
+                              map(slot.get, residues, repeat(-1))))
+        for r, block in zip(residues, map("".join, zip(*blocks))):
+            pending += block.count("\x00")
+            pieces.append(block.replace("\x00", f"{opener}{base + r}{mid}"))
+            if pending >= _CHUNK_POINTS:
+                out.write("".join(pieces)[head:])
+                pieces.clear()
+                written += pending
+                pending = head = 0
+    out.write("".join(pieces)[head:])
     written += pending
     if fmt == "json":
         out.write("]\n")

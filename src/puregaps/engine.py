@@ -21,12 +21,13 @@ Box containment fixes the order of the union.  Every point of
 lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
 ``G0`` needs no other storage than the per-box columns and the period.
 That is :class:`PureGapSet`, the value :func:`union_of_translates` builds:
-it checks containment once per column, when built; its length is the
-weighted sum ``sum (k+1)|G_{k,0}|``; and :meth:`PureGapSet.runs` lists it
-in lexicographic order without a sort: box columns ``i`` ascending; inside
-a box column, first-coordinate residues ``r`` ascending; for each residue,
-``j`` ascending, giving the sorted second coordinates of ``G_{i+j,0}`` at
-``a = (i+j)*period + r`` shifted by ``j*period``.  Two such values compare
+it checks containment when built, once per column and once per distinct
+column list; its length is the weighted sum ``sum (k+1)|G_{k,0}|``; and
+:meth:`PureGapSet.box_column_walk`, behind :meth:`PureGapSet.runs` and the
+listing, walks it in lexicographic order without a sort: box columns ``i``
+ascending; inside a box column, first-coordinate residues ``r`` ascending;
+for each residue, ``j`` ascending, giving the sorted second coordinates of
+``G_{i+j,0}`` at ``a = (i+j)*period + r`` shifted by ``j*period``.  Two such values compare
 box by box, and so does a value with the direct scan's ``G0``, which the
 scan sorts into the same boxes: box ``(i, j)`` must hold ``G_{i+j,0}``.
 
@@ -344,10 +345,15 @@ def box_columns(boxed: BoxedGamma, k: int) -> dict:
     So one walk over the columns in decreasing first coordinate, keeping
     ``S`` and the row-k second coordinates passed in one sorted list,
     gives each column as the whole list or a prefix of it: no set, no
-    sort and no tuple per point.  ``F`` and ``S`` may not repeat a value
-    (the G1 cardinality check of :func:`_above`), and ``F`` may not
-    meet the row-k first coordinates, where the two kinds of column would
-    overlap (DisjointnessViolationError).
+    sort and no tuple per point.  Columns of the first kind with no row-k
+    point between them in the walk share one snapshot of the whole list,
+    the same list object; a fresh snapshot starts only after a row-k
+    point is inserted.  Columns are read-only, so a box holds few distinct
+    lists, and :class:`PureGapSet` checks and the listing renders each
+    once.  ``F`` and ``S`` may not repeat a value (the G1 cardinality
+    check of :func:`_above`), and ``F`` may not meet the row-k first
+    coordinates, where the two kinds of column would overlap
+    (DisjointnessViolationError).
     """
     firsts, passed = _above(boxed, k)
     base = k * boxed.period
@@ -358,15 +364,19 @@ def box_columns(boxed: BoxedGamma, k: int) -> dict:
             f"is a first coordinate of row {k}")
     passed.sort()
     columns = []
+    snapshot = None
     for r in sorted(chain(firsts, own), reverse=True):
         b = own.get(r)
         if b is None:
-            columns.append((r, passed[:]))
+            if snapshot is None:
+                snapshot = passed[:]
+            columns.append((r, snapshot))
         else:
             cut = bisect_left(passed, b)
             if cut:
                 columns.append((r, passed[:cut]))
             insort(passed, b)
+            snapshot = None
     columns.reverse()
     return dict(columns)
 
@@ -378,9 +388,10 @@ class PureGapSet:
     ``0 <= j <= k``, so the per-box sets and the period are all of it.  The
     sets are kept by column, ``k -> {a - k*period: ascending second
     coordinates of G_{k,0} at a}``, with empty columns and boxes dropped.
-    Building the value checks once per column that it lies strictly inside
-    its box and is strictly increasing, which makes the translates
-    disjoint, and raises DisjointnessViolationError otherwise.
+    Building the value checks that every column lies strictly inside its
+    box and is strictly increasing, which makes the translates disjoint,
+    and raises DisjointnessViolationError otherwise: the residue once per
+    column, the list once per distinct list object.
 
     * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|``.
     * Iteration lists ``G0`` in lexicographic order, by :meth:`runs`.
@@ -399,16 +410,23 @@ class PureGapSet:
     def __init__(self, columns_by_box: dict, period: int):
         runs = {}
         size = 0
+        # The range and order check depends on the list alone, so a list
+        # shared by several columns is checked once; the input holds every
+        # list alive, so no id is reused meanwhile.
+        checked = set()
         for k, columns in columns_by_box.items():
             kept = {}
             for r, bs in columns.items():
                 if not bs:
                     continue
-                if not (0 < r < period and 0 < bs[0] and bs[-1] < period
-                        and all(map(lt, bs, islice(bs, 1, None)))):
+                if not 0 < r < period or (
+                        id(bs) not in checked
+                        and not (0 < bs[0] and bs[-1] < period
+                                 and all(map(lt, bs, islice(bs, 1, None))))):
                     raise DisjointnessViolationError(
                         f"column a={k * period + r} of G_({k},0) leaves box "
                         f"({k}, 0) or is not strictly increasing")
+                checked.add(id(bs))
                 kept[r] = bs
                 size += (k + 1) * len(bs)
             if kept:
@@ -424,6 +442,27 @@ class PureGapSet:
         return (f"PureGapSet(period={self.period}, boxes={sorted(self._runs)}, "
                 f"size={self._size})")
 
+    def box_column_walk(self):
+        """Yield ``G0`` one box column at a time, as ``(base, residues,
+        translates)``: box column ``i`` holds the first coordinates ``a =
+        base + r``, ``base = i*period``, for the ascending ``residues``;
+        ``translates`` lists ``(shift, columns)`` for ``j`` ascending, the
+        columns of ``G_{i+j,0}`` by residue and their shift ``j*period``,
+        skipping empty boxes.  The points at ``a`` are ``(a, b + shift)``
+        for b in ``columns[r]``, over the translates holding ``r`` in
+        order, ascending (see the module docstring).  Columns are
+        read-only and may share one list object.
+        """
+        period = self.period
+        runs = self._runs
+        top = max(runs, default=-1)
+        for i in range(top + 1):
+            translates = [(j * period, runs[i + j])
+                          for j in range(top + 1 - i) if i + j in runs]
+            residues = sorted(set().union(*(columns
+                                            for _, columns in translates)))
+            yield i * period, residues, translates
+
     def runs(self):
         """Yield ``G0`` in runs ``(a, bs, shift)``: the points
         ``(a, b + shift)`` for b in the ascending list ``bs``.
@@ -431,19 +470,11 @@ class PureGapSet:
         Runs come in lexicographic order of their points (see the module
         docstring), so their concatenation is the sorted pure gap set.
         """
-        period = self.period
-        runs = self._runs
-        top = max(runs, default=-1)
-        for i in range(top + 1):
-            column = [(j * period, runs[i + j])
-                      for j in range(top + 1 - i) if i + j in runs]
-            residues = sorted(set().union(*(by_residue
-                                            for _, by_residue in column)))
-            base = i * period
+        for base, residues, translates in self.box_column_walk():
             for r in residues:
                 a = base + r
-                for shift, by_residue in column:
-                    bs = by_residue.get(r)
+                for shift, columns in translates:
+                    bs = columns.get(r)
                     if bs is not None:
                         yield a, bs, shift
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import puregaps.cli as cli
 import puregaps.engine as engine
 import puregaps.harness as harness
 from puregaps.engine import PureGapSet
@@ -216,6 +217,33 @@ class TestStream:
         assert tsv == "".join(f"{a}\t{b}\n" for a, b in direct)
         code, js, _ = run_cli(capsys, "generic", "--input", str(path),
                               "--emit", "puregaps", "--format", "json")
+        assert code == 0
+        assert js == "[" + ",".join(f"[{a},{b}]" for a, b in direct) + "]\n"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+    @pytest.mark.parametrize("source", ["gk3", "kummer7-5", "nd5", "nd7"])
+    def test_chunk_end_moves(self, capsys, tmp_path, monkeypatch, chunk,
+                             source):
+        """A chunk may end after any point, the first one included, where
+        the JSON listing drops its leading separator."""
+        monkeypatch.setattr(cli, "_CHUNK_POINTS", chunk)
+        if source in self.NON_DIAGONAL:
+            path = tmp_path / f"{source}.gamma"
+            path.write_text(self.NON_DIAGONAL[source][0], encoding="utf-8")
+            argv = ["generic", "--input", str(path)]
+            gamma = load_gamma(str(path))
+        elif source == "gk3":
+            argv = ["gk", "--q", "3"]
+            gamma = gk_generating_set(3)
+        else:
+            argv = ["kummer", "--m", "7", "--r", "5"]
+            gamma = kummer_generating_set(7, 5)
+        direct = pure_gaps_direct(gamma)
+        code, tsv, _ = run_cli(capsys, *argv, "--emit", "puregaps")
+        assert code == 0
+        assert tsv == "".join(f"{a}\t{b}\n" for a, b in direct)
+        code, js, _ = run_cli(capsys, *argv, "--emit", "puregaps",
+                              "--format", "json")
         assert code == 0
         assert js == "[" + ",".join(f"[{a},{b}]" for a, b in direct) + "]\n"
 

@@ -1,3 +1,4 @@
+import copy
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import puregaps.engine as engine
+import puregaps.harness as harness
 from puregaps.engine import (
     BoxedGamma,
     PureGapSet,
@@ -27,6 +29,8 @@ from puregaps.errors import (
     DisjointnessViolationError,
     GenusIdentityViolationError,
 )
+from puregaps.gk import gk_generating_set
+from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import GeneratingSet, LatticePoint, validate_generating_set
 from puregaps.oracle import pure_gap_boxes_direct
 
@@ -308,6 +312,82 @@ class TestBoxColumns:
             box_columns(boxed, 0)
 
 
+class TestSharedColumns:
+    """box_columns gives neighbouring shifted-down columns one list object,
+    so no consumer of the columns may edit a list in place."""
+
+    @pytest.mark.parametrize("make, args", [
+        (gk_generating_set, (4,)), (kummer_generating_set, (7, 5)),
+        (kummer_generating_set, (41, 60))])
+    def test_consecutive_shifted_columns_share_a_list(self, make, args):
+        boxed = decompose(make(*args))
+        for k in range(boxed.kmax):
+            cols = box_columns(boxed, k)
+            own = {a - k * boxed.period for a, _ in boxed.row(k)}
+            walk = sorted(set(cols) | own)
+            for r1, r2 in zip(walk, walk[1:]):
+                if r1 not in own and r2 not in own:
+                    assert cols[r1] is cols[r2]
+                elif r1 in cols and r2 in cols:
+                    assert cols[r1] is not cols[r2]
+
+    def test_kummer_41_60_distinct_lists(self):
+        boxed = decompose(kummer_generating_set(41, 60))
+        cols = [box_columns(boxed, k) for k in range(boxed.kmax)]
+        assert sum(map(len, cols)) == 1179
+        assert len({id(bs) for c in cols for bs in c.values()}) == 96
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every box_columns and box_components value built, with a deep
+        copy taken when it was built."""
+        made = []
+
+        def recording(real):
+            def record(boxed, k):
+                value = real(boxed, k)
+                made.append((value, copy.deepcopy(value)))
+                return value
+            return record
+
+        monkeypatch.setattr(engine, "box_columns",
+                            recording(engine.box_columns))
+        components = recording(engine.box_components)
+        monkeypatch.setattr(engine, "box_components", components)
+        monkeypatch.setattr(harness, "box_components", components)
+        return made
+
+    @staticmethod
+    def assert_unchanged(built):
+        assert built
+        for value, before in built:
+            assert value == before
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 4}), ("kummer", {"m": 7, "r": 5})])
+    def test_verify_point(self, built, family, params):
+        assert harness.verify_point(family, params).ok
+        self.assert_unchanged(built)
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 4}), ("kummer", {"m": 7, "r": 5})])
+    def test_summarize_family(self, built, family, params):
+        assert harness.summarize_family(family, params).ok
+        self.assert_unchanged(built)
+
+    def test_assemble(self, built):
+        boxed = decompose(gk_generating_set(4))
+        want = assemble_pure_gaps(boxed)
+        bnd = bounds(boxed)
+        for per_box in (
+                {k: engine.box_components(boxed, k)
+                 for k in range(boxed.kmax)},
+                {k: (engine.box_columns(boxed, k),)
+                 for k in range(boxed.kmax)}):
+            assert engine.assemble(per_box, boxed.period, bnd) == want
+        self.assert_unchanged(built)
+
+
 def test_union_of_translates_overlap_detected():
     # G_{0,0} = {(1, 10)} and G_{1,0} = {(10, 1)} by column
     with pytest.raises(DisjointnessViolationError):
@@ -329,12 +409,18 @@ def test_union_of_translates_point_outside_box_in_b_only():
         union_of_translates({0: {1: [9]}, 1: {1: [2]}}, 9)
 
 
+SHARED = [1]
+SHARED_BAD = [2, 2]
+
+
 @pytest.mark.parametrize("columns_by_box", [
     {0: {0: [1]}},           # residue 0: the first coordinate is k*period
     {1: {9: [1]}},           # residue period: in the next box
     {0: {1: [0, 1]}},        # second coordinate 0
     {0: {1: [2, 2]}},        # repeated second coordinate
     {0: {1: [3, 2]}},        # descending
+    {0: {1: SHARED, 9: SHARED}},  # a shared list: r checked per column
+    {0: {1: [1]}, 1: {1: SHARED_BAD, 2: SHARED_BAD}},  # a bad shared list
 ])
 def test_union_of_translates_column_checks(columns_by_box):
     with pytest.raises(DisjointnessViolationError):

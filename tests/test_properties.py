@@ -99,8 +99,8 @@ def test_glb_lub_swap_commute(p, q):
 def test_non_diagonal_engine_matches_references(gamma):
     """On validated non-diagonal sets: box_columns equals the per-box merge
     regrouped point by point, the engine's G0 equals the oracle's (as
-    points, box by box and as listed text), and nothing raises a
-    ConsistencyError."""
+    points, box by box and as listed TSV and JSON text), and nothing raises
+    a ConsistencyError."""
     boxed = decompose(gamma)
     for k in range(boxed.kmax):
         base = k * boxed.period
@@ -115,6 +115,10 @@ def test_non_diagonal_engine_matches_references(gamma):
     out = io.StringIO()
     _stream_pure_gaps(boxed, "tsv", out)
     assert out.getvalue() == "".join(f"{a}\t{b}\n" for a, b in direct)
+    out = io.StringIO()
+    _stream_pure_gaps(boxed, "json", out)
+    assert out.getvalue() == \
+        "[" + ",".join(f"[{a},{b}]" for a, b in direct) + "]\n"
     report = summarize_generic(gamma, "drawn")
     assert report.ok, report.detail
 
