@@ -61,8 +61,6 @@ from .lattice import (
     validate_generating_set,
 )
 from .oracle import (
-    PeriodPropertyReport,
-    check_period_property,
     count_pure_gaps_direct,
     pure_gap_boxes_direct,
     pure_gaps_direct,

@@ -241,16 +241,15 @@ def _build_parser():
         description="Pure gap sets at two places via period box decomposition")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gk = sub.add_parser("gk", help="GK family at parameter q")
-    p_gk.add_argument("--q", type=int, required=True)
-    _add_emit_flags(p_gk)
-    p_gk.set_defaults(func=_cmd_family)
-
-    p_ku = sub.add_parser("kummer", help="Kummer family at parameters m, r")
-    p_ku.add_argument("--m", type=int, required=True)
-    p_ku.add_argument("--r", type=int, required=True)
-    _add_emit_flags(p_ku)
-    p_ku.set_defaults(func=_cmd_family)
+    # One subcommand per closed-form family, a required flag per parameter.
+    for family, (_, names) in FAMILIES.items():
+        noun = "parameters" if len(names) > 1 else "parameter"
+        p_fa = sub.add_parser(
+            family, help=f"{family} family at {noun} {', '.join(names)}")
+        for name in names:
+            p_fa.add_argument(f"--{name}", type=int, required=True)
+        _add_emit_flags(p_fa)
+        p_fa.set_defaults(func=_cmd_family)
 
     p_ge = sub.add_parser("generic", help="generating set from a file")
     p_ge.add_argument("--input", required=True,
@@ -259,7 +258,7 @@ def _build_parser():
     p_ge.set_defaults(func=_cmd_generic)
 
     p_ve = sub.add_parser("verify", help="cross-check grids of parameters")
-    p_ve.add_argument("--family", choices=("gk", "kummer", "all"),
+    p_ve.add_argument("--family", choices=(*FAMILIES, "all"),
                       default="all")
     p_ve.add_argument("--q-max", type=int, default=4)
     p_ve.add_argument("--max", type=int, default=15,
@@ -271,9 +270,10 @@ def _build_parser():
 
     p_be = sub.add_parser("bench", help="time both methods, assert equality")
     p_be.add_argument("--family", choices=tuple(FAMILIES), required=True)
-    p_be.add_argument("--q", type=int)
-    p_be.add_argument("--m", type=int)
-    p_be.add_argument("--r", type=int)
+    # Every family's parameter flags, once each and optional.
+    for name in dict.fromkeys(name for _, names in FAMILIES.values()
+                              for name in names):
+        p_be.add_argument(f"--{name}", type=int)
     p_be.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_be.set_defaults(func=_cmd_bench)
 

@@ -2,7 +2,13 @@
 
 Each parameter point yields a :class:`RunReport`; verification points run
 every route to the pure gap set (generic engine, explicit family forms,
-direct oracle scan) and record a verdict per cross-check.  Grids may run
+direct oracle scan) and record a verdict per cross-check.  A report's
+verdicts are one table, ``VERDICT_KEYS`` (``SPECIAL_KEYS`` for the
+special-case checks), in table order, each ``skipped`` unless its route
+runs it.  Only checks that can fail on validated input are verdicts: the
+period displacement law is enforced by validation (a ``ValidationError``)
+and the genus identity by :func:`~puregaps.engine.decompose` (a
+``ConsistencyError``), before any verdict is recorded.  Grids may run
 points in parallel processes when the ``PUREGAPS_THREADS`` environment
 variable asks for more than one worker, never more than the CPUs the
 process may use; results are always emitted in deterministic parameter
@@ -28,7 +34,6 @@ from .engine import (
 from .errors import ConsistencyError
 from .lattice import GeneratingSet
 from .oracle import (
-    check_period_property,
     count_pure_gaps_direct,
     points_of,
     pure_gap_boxes_direct,
@@ -40,7 +45,8 @@ from .oracle import (
 #: ``verify_against_engine``, each taking the parameters in this order
 #: (``verify_against_engine`` takes the decomposed generating set before
 #: them); the last two take the components as ``per_box``, and
-#: ``verify_against_engine`` the engine's as ``generic``.
+#: ``verify_against_engine`` the engine's as ``generic``.  The CLI builds
+#: one subcommand per entry, with an int flag per parameter.
 FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}
 
 #: Default parameter sweep for the m=(q+1)/N special case.
@@ -52,11 +58,13 @@ VERDICT_KEYS = (
     "engine_vs_oracle",
     "closed_form_vs_enumeration",
     "components_vs_generic",
-    "genus_identity",
     "bound_sandwich",
     "diagonal_reflection",
-    "period_property",
 )
+
+#: Verdicts of a special-case check; ``upper_bound_sharp`` only where the
+#: upper bound is known to be sharp.
+SPECIAL_KEYS = ("special_vs_enumeration", "upper_bound_sharp")
 
 
 @dataclass
@@ -95,19 +103,20 @@ def call_family(family: str, func: str, params: dict, *lead, **options):
         *lead, *(params[n] for n in names), **options)
 
 
-def _diff_sets(name, got, want, limit=5):
+def _diff_sets(name, got, want):
     got_set, want_set = set(got), set(want)
-    extra = sorted(got_set - want_set)[:limit]
-    missing = sorted(want_set - got_set)[:limit]
+    extra = sorted(got_set - want_set)[:5]
+    missing = sorted(want_set - got_set)[:5]
     return (f"{name}: {len(got_set)} vs {len(want_set)} points; "
             f"unexpected {extra}, missing {missing}")
 
 
 class _Checks:
-    """Accumulates verdicts and the first counterexample text."""
+    """A verdict table, every key ``skipped`` until its check is recorded,
+    and the counterexample texts of the checks that failed."""
 
-    def __init__(self):
-        self.verdicts = {}
+    def __init__(self, keys=VERDICT_KEYS):
+        self.verdicts = dict.fromkeys(keys, SKIPPED)
         self.details = []
 
     def record(self, name, ok, detail=""):
@@ -125,9 +134,6 @@ class _Checks:
         else:
             self.record(name, True)
 
-    def skip(self, name):
-        self.verdicts[name] = SKIPPED
-
     def detail(self):
         return "; ".join(self.details)
 
@@ -142,8 +148,8 @@ def _base_report(family, params, gamma, boxed, result, checks, timings):
         verdicts=checks.verdicts, timings=timings, detail=checks.detail())
 
 
-def _failed_report(family, params, exc):
-    verdicts = {key: SKIPPED for key in VERDICT_KEYS}
+def _failed_report(family, params, exc, keys=VERDICT_KEYS):
+    verdicts = _Checks(keys).verdicts
     verdicts["internal_consistency"] = FAIL
     return RunReport(
         family=family, params=dict(params), genus=-1, period=-1,
@@ -162,18 +168,24 @@ def _check_bounds(checks, result):
 
 
 def _check_oracle(checks, result, boxes, period):
-    # The engine's G0 compares with the oracle's boxes box by box; the diff
-    # costs two |G0|-sized sets, so it is built only on failure.
+    """Record whether the engine's G0 equals the oracle's boxes, box by
+    box, and return that.  The diff costs two |G0|-sized sets, so it is
+    built only on failure."""
     ok = result.g0.equals_boxes(boxes)
     checks.record("engine_vs_oracle", ok,
                   "" if ok else _diff_sets("G0", result.g0,
                                            points_of(boxes, period)))
+    return ok
 
 
-def _check_genus(checks, boxed):
-    total = sum((k + 1) * n for k, n in enumerate(boxed.row_sizes()))
-    checks.record("genus_identity", total == boxed.genus,
-                  f"sum={total} genus={boxed.genus}")
+def _check_closed_form(checks, result, closed_card, fam_result):
+    # The family's own route has already raised unless its G0 has the
+    # closed form's size, so only the engine's is compared with it.
+    same = (closed_card == result.cardinality
+            and fam_result.g0 == result.g0)
+    checks.record("closed_form_vs_enumeration", same,
+                  f"closed={closed_card} engine={result.cardinality} "
+                  f"explicit={fam_result.cardinality}")
 
 
 def summarize_family(family: str, params: dict) -> RunReport:
@@ -188,16 +200,8 @@ def summarize_family(family: str, params: dict) -> RunReport:
     closed_card = call_family(family, "{}_card_g0", params)
     fam_result = call_family(family, "{}_pure_gaps", params)
     checks = _Checks()
-    checks.skip("engine_vs_oracle")
-    same = (closed_card == result.cardinality
-            and fam_result.g0 == result.g0)
-    checks.record("closed_form_vs_enumeration", same,
-                  f"closed={closed_card} engine={result.cardinality}")
-    checks.skip("components_vs_generic")
-    _check_genus(checks, boxed)
+    _check_closed_form(checks, result, closed_card, fam_result)
     _check_bounds(checks, result)
-    checks.skip("diagonal_reflection")
-    checks.skip("period_property")
     return _base_report(family, params, gamma, boxed, result, checks, {})
 
 
@@ -205,23 +209,16 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     """Summary-mode report for a file-loaded generating set.
 
     There is no closed form to compare, so the direct oracle scan is run
-    instead; family verdicts are marked skipped, and so is the diagonal
+    instead; the family verdicts stay skipped, and so does the diagonal
     law on a non-diagonal set.
     """
     boxed = decompose(gamma)
     result = assemble_pure_gaps(boxed)
     checks = _Checks()
     _check_oracle(checks, result, pure_gap_boxes_direct(gamma), gamma.period)
-    checks.skip("closed_form_vs_enumeration")
-    checks.skip("components_vs_generic")
-    _check_genus(checks, boxed)
     _check_bounds(checks, result)
     if boxed.diagonal:
         checks.run("diagonal_reflection", check_reflection, boxed)
-    else:
-        checks.skip("diagonal_reflection")
-    checks.record("period_property", check_period_property(gamma).ok,
-                  "period displacement law violated")
     return _base_report("generic", {"input": label}, gamma, boxed, result,
                         checks, {})
 
@@ -261,22 +258,15 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     fam_result = call_family(family, "{}_pure_gaps", params, per_box=per_box)
     timings["closed_form_s"] = time.perf_counter() - start
 
-    same = (closed_card == result.cardinality == fam_result.cardinality
-            and fam_result.g0 == result.g0)
-    checks.record("closed_form_vs_enumeration", same,
-                  f"closed={closed_card} engine={result.cardinality} "
-                  f"explicit={fam_result.cardinality}")
+    _check_closed_form(checks, result, closed_card, fam_result)
     # The engine's components are built once per box and feed both the
     # family's box-by-box check and the diagonal law.
     generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
     checks.run("components_vs_generic", call_family, family,
                "verify_against_engine", params, boxed, per_box=per_box,
                generic=generic)
-    _check_genus(checks, boxed)
     _check_bounds(checks, result)
     checks.run("diagonal_reflection", check_reflection, boxed, generic)
-    checks.record("period_property", check_period_property(gamma).ok,
-                  "period displacement law violated")
     return _base_report(family, params, gamma, boxed, result, checks, timings)
 
 
@@ -287,6 +277,7 @@ def _verify_special(family, params, r, closed_form, timed=False,
     which must also pass :func:`check_reflection`; neither count lists
     ``G0``.  With ``timed`` the closed form's time is the report's timing;
     with ``sharp`` the upper bound must also equal the closed form."""
+    keys = SPECIAL_KEYS if sharp else SPECIAL_KEYS[:1]
     try:
         start = time.perf_counter()
         closed = closed_form()
@@ -298,9 +289,9 @@ def _verify_special(family, params, r, closed_form, timed=False,
         result = assemble_pure_gaps(boxed)
         direct = count_pure_gaps_direct(gamma)
     except ConsistencyError as exc:
-        return _failed_report(family, params, exc)
+        return _failed_report(family, params, exc, keys)
     engine = len(result.g0)
-    checks = _Checks()
+    checks = _Checks(keys)
     checks.record("special_vs_enumeration", closed == engine == direct,
                   f"closed={closed} engine={engine} oracle={direct}")
     if sharp:
@@ -367,11 +358,11 @@ def map_points(points):
 
 def build_verify_points(family: str, q_max: int = 4, mr_max: int = 15,
                         special: str | None = None, u_max: int = 3,
-                        r_max: int = 10, qn_pairs=DEFAULT_QN_PAIRS):
+                        r_max: int = 10):
     """The deterministic list of verification points for a grid request."""
     ur1 = [("ur1", {"u": u, "r": r})
            for u in range(1, u_max + 1) for r in range(2, r_max + 1)]
-    qn = [("qn", {"q": q, "N": N}) for q, N in qn_pairs]
+    qn = [("qn", {"q": q, "N": N}) for q, N in DEFAULT_QN_PAIRS]
     if special == "ur1":
         return ur1
     if special == "qn":
@@ -405,9 +396,10 @@ def bench_family(family: str, params: dict) -> list:
 
     The box route's time ends at its :class:`~puregaps.engine.PureGapSet`;
     the direct scan's ends at its glbs sorted into boxes.  The value is then
-    compared with the boxes box by box, before timings are returned; a
-    mismatch raises ConsistencyError.  The direct route's cardinality is
-    the total length of its boxes' columns.
+    compared with the boxes box by box, by the ``engine_vs_oracle`` check
+    of ``verify``, before timings are returned; a mismatch raises
+    ConsistencyError with that check's text.  The direct route's
+    cardinality is the total length of its boxes' columns.
     """
     gamma = call_family(family, "{}_generating_set", params)
 
@@ -419,16 +411,14 @@ def bench_family(family: str, params: dict) -> list:
     result = assemble_pure_gaps(decompose(gamma))
     t_box = time.perf_counter() - start
 
-    equal = result.g0.equals_boxes(direct)
-    if not equal:
-        raise ConsistencyError(_diff_sets(
-            f"bench {family} {params}", result.g0,
-            points_of(direct, gamma.period)))
+    checks = _Checks(("engine_vs_oracle",))
+    if not _check_oracle(checks, result, direct, gamma.period):
+        raise ConsistencyError(checks.detail())
     direct_card = sum(len(vs) for columns in direct.values()
                       for vs in columns.values())
     return [
         BenchRow(family, dict(params), gamma.genus, "box-decomposition",
-                 t_box, result.cardinality, equal),
+                 t_box, result.cardinality, True),
         BenchRow(family, dict(params), gamma.genus, "direct-glb",
-                 t_direct, direct_card, equal),
+                 t_direct, direct_card, True),
     ]

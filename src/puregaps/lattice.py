@@ -9,8 +9,9 @@ period displacement law:
 ``beta + k*period`` is a first coordinate exactly when
 ``k*period < tau(beta)``, and then its image is ``tau(beta) - k*period``.
 The law is checked in an equivalent chain form that takes one linear pass,
-by :func:`period_law_violations`, which the tampered-data checker in
-:mod:`puregaps.oracle` shares.
+by :func:`period_law_violations`.  Validation is where the law is
+enforced: it is not re-checked on a validated set, and no report carries
+it as a verdict.
 
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across threads.
@@ -88,10 +89,10 @@ class GeneratingSet:
 
 
 def period_law_violations(tau: dict, period: int,
-                          items: list | None = None) -> Iterator[tuple]:
+                          items: list) -> Iterator[tuple]:
     """Yield ``(beta, k, message)`` for each breach of the period
     displacement law by the map ``tau``, in increasing ``beta``.
-    ``items`` is ``sorted(tau.items())``, for a caller that holds it.
+    ``items`` is ``sorted(tau.items())``.
 
     The law is checked in its chain form, in linear time after one sort:
 
@@ -110,8 +111,6 @@ def period_law_violations(tau: dict, period: int,
     ``period < tau(a)`` breaks the successor rule and is named once, as
     that, so every yielded ``(beta, k)`` breaks the law at that shift.
     """
-    if items is None:
-        items = sorted(tau.items())
     last = {a % period: a for a, _ in items}  # each class's largest
     breaks = None
     for a, b in items:

@@ -8,19 +8,15 @@ dedup set and no final sort.  The scan sorts its glbs into the
 period-sized boxes the engine keeps ``G0`` by, so the engine compares with
 it box by box; the same scan lists the points or counts them without
 listing.
-The period-law checker shares its routine with validation, so on a
-validated set it cannot fail; it is there for tampered data.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .errors import InvalidParamsError
-from .lattice import GeneratingSet, period_law_violations
+from .lattice import GeneratingSet
 
 
 def pure_gap_boxes_direct(gamma: GeneratingSet) -> dict:
@@ -130,52 +126,3 @@ def count_pure_gaps_direct(gamma: GeneratingSet) -> int:
         total += bisect_left(passed, b)
         insort(passed, b)
     return total
-
-
-@dataclass(frozen=True)
-class PeriodPropertyReport:
-    """Outcome of re-checking the period displacement law."""
-
-    period: int
-    points_checked: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_period_property(points, period: int | None = None) -> PeriodPropertyReport:
-    """Re-verify the period displacement law, collecting all violations.
-
-    Accepts a validated GeneratingSet or a bare iterable of (beta, tau)
-    pairs plus the period, so tampered data can be examined too.  A
-    duplicate first coordinate among raw pairs is reported, and the larger
-    image kept.  The law is checked by
-    :func:`puregaps.lattice.period_law_violations` in its chain form (the
-    successor rule plus one run per residue class), which is equivalent to
-    both directions of the equivalence (beta + k*period is a first
-    coordinate iff k*period < tau(beta)) and the displacement equation,
-    for every shift count k.
-    """
-    if isinstance(points, GeneratingSet):
-        period = points.period
-        pairs = list(points.points)
-    else:
-        if period is None:
-            raise InvalidParamsError("period is required with raw point data")
-        pairs = sorted(tuple(p) for p in points)
-    if period < 1:
-        raise InvalidParamsError(f"period must be positive, got {period}")
-
-    violations = []
-    tau = {}
-    for a, b in pairs:
-        if a in tau:
-            violations.append(f"duplicate first coordinate {a}")
-        tau[a] = b
-
-    violations.extend(message for _, _, message
-                      in period_law_violations(tau, period))
-    return PeriodPropertyReport(period=period, points_checked=len(pairs),
-                                violations=tuple(violations))

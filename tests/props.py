@@ -26,9 +26,8 @@ from puregaps.errors import ValidationError
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import validate_generating_set
-from puregaps.oracle import check_period_property
 
-from reference import flatten, glb, incomparable, lub
+from reference import check_period_property, flatten, glb, incomparable, lub
 
 GK_QS = (2, 3, 4)
 KUMMER_PAIRS = tuple((m, r) for m in range(2, 16) for r in range(2, 16)

@@ -130,6 +130,56 @@ def period_law_shift_walk(tau: dict, period: int) -> list:
     return found
 
 
+@dataclass(frozen=True)
+class PeriodPropertyReport:
+    """Outcome of re-checking the period displacement law."""
+
+    period: int
+    points_checked: int
+    violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_period_property(points, period: int | None = None) -> PeriodPropertyReport:
+    """Re-verify the period displacement law, collecting all violations:
+    the reference for tampered data, which validation would reject at the
+    first violation.
+
+    Accepts a validated GeneratingSet or a bare iterable of (beta, tau)
+    pairs plus the period.  A duplicate first coordinate among raw pairs
+    is reported, and the larger image kept.  The law is checked by
+    :func:`puregaps.lattice.period_law_violations` in its chain form (the
+    successor rule plus one run per residue class), which is equivalent to
+    both directions of the equivalence (beta + k*period is a first
+    coordinate iff k*period < tau(beta)) and the displacement equation,
+    for every shift count k.
+    """
+    if isinstance(points, GeneratingSet):
+        period = points.period
+        pairs = list(points.points)
+    else:
+        if period is None:
+            raise InvalidParamsError("period is required with raw point data")
+        pairs = sorted(tuple(p) for p in points)
+    if period < 1:
+        raise InvalidParamsError(f"period must be positive, got {period}")
+
+    violations = []
+    tau = {}
+    for a, b in pairs:
+        if a in tau:
+            violations.append(f"duplicate first coordinate {a}")
+        tau[a] = b
+
+    violations.extend(message for _, _, message in period_law_violations(
+        tau, period, sorted(tau.items())))
+    return PeriodPropertyReport(period=period, points_checked=len(pairs),
+                                violations=tuple(violations))
+
+
 def merge_box(k: int, components) -> list:
     """G_{k,0}: the sorted union of the four components of box (k, 0), by a
     set and a sort.  The components are pairwise disjoint; an overlap
@@ -205,7 +255,8 @@ def validate_per_point(points, period) -> GeneratingSet:
         tau[a] = b
         seen_b[b] = a
 
-    for beta, k, message in period_law_violations(tau, period):
+    for beta, k, message in period_law_violations(tau, period,
+                                                  sorted(tau.items())):
         raise PeriodPropertyViolationError(message, beta=beta, k=k)
     top = 2 * len(pts) - 1
     for a, b in pts:

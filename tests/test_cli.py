@@ -7,9 +7,11 @@ import pytest
 import puregaps.cli as cli
 import puregaps.engine as engine
 import puregaps.harness as harness
+import puregaps.lattice as lattice
 from puregaps.engine import PureGapSet
 from puregaps.cli import main
-from puregaps.gammafile import dump_gamma, load_gamma
+from puregaps.errors import ConsistencyError
+from puregaps.gammafile import dump_gamma, load_gamma, parse_gamma
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
@@ -420,6 +422,19 @@ class TestFailingCrossCheck:
         assert first.endswith(f"engine_vs_oracle: G0: 1 vs 0 points; "
                               f"unexpected [{dropped}], missing []")
 
+    def test_bench(self, capsys, short_oracle):
+        # bench compares by the engine_vs_oracle check and raises its text
+        dropped = pure_gaps_direct(kummer_generating_set(5, 7))[0]
+        with pytest.raises(ConsistencyError) as info:
+            harness.bench_family("kummer", {"m": 5, "r": 7})
+        text = str(info.value)
+        assert text.startswith("engine_vs_oracle: G0: ")
+        assert text.endswith(f"unexpected [{dropped}], missing []")
+        code, out, err = run_cli(capsys, "bench", "--family", "kummer",
+                                 "--m", "5", "--r", "7")
+        assert (code, out) == (1, "")
+        assert err == f"internal consistency failure: {text}\n"
+
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_cli_generic_summary(self, capsys, tmp_path, short_oracle, fmt):
         path = tmp_path / "k57.gamma"
@@ -650,3 +665,149 @@ class TestWorkerCap:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         harness.map_points(self.POINTS)
         assert FakePool.made == [4]
+
+
+FAMILY_SUMMARY = [("engine_vs_oracle", "skipped"),
+                  ("closed_form_vs_enumeration", "pass"),
+                  ("components_vs_generic", "skipped"),
+                  ("bound_sandwich", "pass"),
+                  ("diagonal_reflection", "skipped")]
+
+
+def tsv_verdicts(text):
+    return [(key[len("verdict."):], value)
+            for key, value in (line.split("\t") for line in text.splitlines())
+            if key.startswith("verdict.")]
+
+
+class TestVerdictTable:
+    """Every report lists the verdicts of one table, in table order, each
+    ``skipped`` unless its route runs it.  The genus identity and the
+    period law are enforced before any verdict is recorded, so neither is
+    a verdict."""
+
+    @pytest.mark.parametrize("argv", [("gk", "--q", "2"),
+                                      ("kummer", "--m", "5", "--r", "7")])
+    def test_family_summary(self, capsys, argv):
+        code, tsv, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert tsv_verdicts(tsv) == FAMILY_SUMMARY
+        code, js, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert list(json.loads(js)["verdicts"].items()) == FAMILY_SUMMARY
+
+    @pytest.mark.parametrize("text, diagonal", [
+        (dump_gamma(kummer_generating_set(5, 7)), "pass"),
+        (TestStream.NON_DIAGONAL["nd5"][0], "skipped")],
+        ids=["diagonal", "non-diagonal"])
+    def test_generic_summary(self, capsys, tmp_path, text, diagonal):
+        path = tmp_path / "set.gamma"
+        path.write_text(text, encoding="utf-8")
+        want = [("engine_vs_oracle", "pass"),
+                ("closed_form_vs_enumeration", "skipped"),
+                ("components_vs_generic", "skipped"),
+                ("bound_sandwich", "pass"),
+                ("diagonal_reflection", diagonal)]
+        code, tsv, _ = run_cli(capsys, "generic", "--input", str(path))
+        assert code == 0
+        assert tsv_verdicts(tsv) == want
+        code, js, _ = run_cli(capsys, "generic", "--input", str(path),
+                              "--format", "json")
+        assert code == 0
+        assert list(json.loads(js)["verdicts"].items()) == want
+
+    def test_verify_row(self, capsys, monkeypatch):
+        monkeypatch.delenv("PUREGAPS_THREADS", raising=False)
+        code, out, _ = run_cli(capsys, "verify", "--family", "gk",
+                               "--q-max", "2")
+        assert code == 0
+        assert out.splitlines()[0].split("\t")[4] == (
+            "engine_vs_oracle=pass,closed_form_vs_enumeration=pass,"
+            "components_vs_generic=pass,bound_sandwich=pass,"
+            "diagonal_reflection=pass")
+
+    def test_failed_report(self, monkeypatch):
+        def broken(gamma):
+            raise ConsistencyError("boom")
+        monkeypatch.setattr(harness, "decompose", broken)
+        report = harness.verify_point("gk", {"q": 2})
+        assert list(report.verdicts.items()) == [
+            (key, "skipped") for key, _ in FAMILY_SUMMARY] + [
+            ("internal_consistency", "fail")]
+        assert report.detail == "ConsistencyError: boom"
+
+    @pytest.mark.parametrize("u, keys", [
+        (1, ["special_vs_enumeration", "upper_bound_sharp"]),
+        (2, ["special_vs_enumeration"])])
+    def test_special_ur1(self, u, keys):
+        report = harness.verify_special_ur1(u, 5)
+        assert list(report.verdicts.items()) == [(k, "pass") for k in keys]
+
+    def test_special_qn(self):
+        report = harness.verify_special_qn(7, 2)
+        assert list(report.verdicts.items()) == [
+            ("special_vs_enumeration", "pass")]
+
+    @pytest.mark.parametrize("u, keys", [
+        (1, ["special_vs_enumeration", "upper_bound_sharp"]),
+        (2, ["special_vs_enumeration"])])
+    def test_failed_special_ur1(self, monkeypatch, u, keys):
+        # a failed special point lists the special route's own checks,
+        # not the family verdicts it never runs
+        def broken(boxed):
+            raise ConsistencyError("boom")
+        monkeypatch.setattr(harness, "check_reflection", broken)
+        report = harness.verify_special_ur1(u, 5)
+        assert not report.ok
+        assert list(report.verdicts.items()) == [
+            (k, "skipped") for k in keys] + [("internal_consistency", "fail")]
+        assert report.detail == "ConsistencyError: boom"
+
+
+class TestPeriodLawChecks:
+    """The period law is checked once, by validation, and never again on
+    a validated set."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = lattice.period_law_violations
+
+        def counted(tau, period, items):
+            calls.append(period)
+            return real(tau, period, items)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("puregaps") and \
+                    hasattr(module, "period_law_violations"):
+                monkeypatch.setattr(module, "period_law_violations", counted)
+        return calls
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
+    def test_verify_point_validates_once(self, passes, family, params):
+        report = harness.verify_point(family, params)
+        assert report.ok
+        assert passes == [report.period]
+
+    def test_summarize_generic_checks_none(self, passes):
+        gamma = parse_gamma(TestStream.NON_DIAGONAL["nd7"][0])
+        assert passes == [7]
+        del passes[:]
+        report = harness.summarize_generic(gamma, "nd7")
+        assert report.ok
+        assert passes == []
+
+
+def test_family_flags_follow_the_table(monkeypatch):
+    """A family in ``harness.FAMILIES`` gets its subcommand, its required
+    flags, its ``bench`` flags and its ``verify --family`` choice."""
+    monkeypatch.setitem(harness.FAMILIES, "toy", (None, ("m", "s")))
+    parser = cli._build_parser()
+    args = parser.parse_args(["toy", "--m", "3", "--s", "4"])
+    assert (args.func, args.m, args.s) == (cli._cmd_family, 3, 4)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["toy", "--m", "3"])
+    args = parser.parse_args(["bench", "--family", "toy", "--m", "3",
+                              "--s", "4"])
+    assert cli._family_params(args, "toy") == {"m": 3, "s": 4}
+    assert parser.parse_args(["verify", "--family", "toy"]).family == "toy"

@@ -6,7 +6,6 @@ from puregaps.engine import assemble_pure_gaps, decompose
 from puregaps.errors import InvalidParamsError
 from puregaps.lattice import GeneratingSet, validate_generating_set
 from puregaps.oracle import (
-    check_period_property,
     count_pure_gaps_direct,
     points_of,
     pure_gap_boxes_direct,
@@ -15,7 +14,12 @@ from puregaps.oracle import (
 
 import expected_gk2 as gk2
 from props import injective_pairs
-from reference import gap_projections, lub, semigroup_box
+from reference import (
+    check_period_property,
+    gap_projections,
+    lub,
+    semigroup_box,
+)
 
 KUMMER43 = [(1, 5), (5, 1), (2, 2)]
 

@@ -18,14 +18,13 @@ from puregaps.errors import (
 )
 from puregaps.gammafile import parse_gamma
 from puregaps.lattice import period_law_violations, validate_generating_set
-from puregaps.oracle import check_period_property
 
 import props
-from reference import period_law_shift_walk
+from reference import check_period_property, period_law_shift_walk
 
 
 def assert_agrees(tau, period):
-    found = list(period_law_violations(tau, period))
+    found = list(period_law_violations(tau, period, sorted(tau.items())))
     walked = period_law_shift_walk(tau, period)
     assert bool(found) == bool(walked)
     witnesses = [(beta, k) for beta, k, _ in found]
