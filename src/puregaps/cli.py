@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from itertools import count, repeat
 
 from .engine import assemble_pure_gaps, check_reflection, decompose
@@ -31,7 +30,7 @@ from .harness import (
 def _emit_summary(report, fmt, out):
     """Print ``report`` and return the exit code: 1 if a verdict failed."""
     if fmt == "json":
-        print(json.dumps(asdict(report)), file=out)
+        print(json.dumps(report._asdict()), file=out)
         return 0 if report.ok else 1
     print(f"family\t{report.family}", file=out)
     for key, value in report.params.items():
@@ -217,7 +216,7 @@ def _cmd_bench(args):
     rows = bench_family(args.family, params)
     out = sys.stdout
     if args.format == "json":
-        print(json.dumps([asdict(row) for row in rows]), file=out)
+        print(json.dumps([row._asdict() for row in rows]), file=out)
         return 0
     print("family\tparams\tgenus\tmethod\tseconds\tcardinality\toutputs_equal",
           file=out)

@@ -50,10 +50,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import eq, lt
-from typing import Mapping
 
 from .errors import (
     CardinalityMismatchError,
@@ -78,8 +76,8 @@ def check_int128(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BoxedGamma:
+class BoxedGamma(namedtuple("BoxedGamma",
+                            ("rows", "period", "genus", "kmax", "diagonal"))):
     """Row-zero boxes of a generating set.
 
     ``rows`` maps a box index ``k`` to the sorted points of the set with
@@ -90,11 +88,7 @@ class BoxedGamma:
     the law :func:`check_reflection` checks.
     """
 
-    rows: Mapping[int, tuple]
-    period: int
-    genus: int
-    kmax: int
-    diagonal: bool
+    __slots__ = ()
 
     def row(self, k: int) -> tuple:
         return self.rows.get(k, ())
@@ -303,8 +297,9 @@ def bounds(boxed: BoxedGamma) -> Bounds:
     return bounds_from_row_sizes(boxed.row_sizes(), boxed.genus)
 
 
-@dataclass(frozen=True)
-class PureGapResult:
+class PureGapResult(namedtuple("PureGapResult", (
+        "g0", "cardinality", "lower_bound", "upper_bound",
+        "homma_kim_bound"))):
     """The assembled pure gap set.
 
     ``g0`` is the full set as a :class:`PureGapSet`: the per-box sets by
@@ -313,11 +308,7 @@ class PureGapResult:
     ``len(g0)``, the weighted per-box sum.
     """
 
-    g0: PureGapSet
-    cardinality: int
-    lower_bound: int
-    upper_bound: int
-    homma_kim_bound: int
+    __slots__ = ()
 
 
 def box_components(boxed: BoxedGamma, k: int) -> tuple:

@@ -18,7 +18,7 @@ interpretation then fails.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import (
     BoxedGamma,
@@ -52,19 +52,19 @@ def _is_prime_power(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GKParams:
+class GKParams(namedtuple("GKParams", ("q",))):
     """Family parameter q with its derived genus and period."""
 
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise InvalidParamsError(f"q must be an integer >= 2, got {self.q}")
-        if not _is_prime_power(self.q):
+    def __new__(cls, q: int) -> "GKParams":
+        if q < 2:
+            raise InvalidParamsError(f"q must be an integer >= 2, got {q}")
+        if not _is_prime_power(q):
             warnings.warn(
-                f"q={self.q} is not a prime power; the combinatorics is still "
+                f"q={q} is not a prime power; the combinatorics is still "
                 "well defined but no function field realizes it")
+        return tuple.__new__(cls, (q,))
 
     @property
     def genus(self) -> int:

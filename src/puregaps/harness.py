@@ -11,16 +11,16 @@ and the genus identity by :func:`~puregaps.engine.decompose` (a
 ``ConsistencyError``), before any verdict is recorded.  Grids may run
 points in parallel processes when the ``PUREGAPS_THREADS`` environment
 variable asks for more than one worker, never more than the CPUs the
-process may use; results are always emitted in deterministic parameter
-order.
+process may use; the process pool is imported only then, so a serial run
+never loads ``concurrent.futures`` or ``multiprocessing``.  Results are
+always emitted in deterministic parameter order.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from . import gk as gk_mod
@@ -67,22 +67,13 @@ VERDICT_KEYS = (
 SPECIAL_KEYS = ("special_vs_enumeration", "upper_bound_sharp")
 
 
-@dataclass
-class RunReport:
+class RunReport(namedtuple("RunReport", (
+        "family", "params", "genus", "period", "row_sizes", "cardinality",
+        "lower_bound", "upper_bound", "homma_kim_bound", "verdicts",
+        "timings", "detail"), defaults=("",))):
     """One parameter point: inputs, results, verdicts and timings."""
 
-    family: str
-    params: dict
-    genus: int
-    period: int
-    row_sizes: list
-    cardinality: int
-    lower_bound: int
-    upper_bound: int
-    homma_kim_bound: int
-    verdicts: dict
-    timings: dict = field(default_factory=dict)
-    detail: str = ""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -154,7 +145,7 @@ def _failed_report(family, params, exc, keys=VERDICT_KEYS):
     return RunReport(
         family=family, params=dict(params), genus=-1, period=-1,
         row_sizes=[], cardinality=-1, lower_bound=-1, upper_bound=-1,
-        homma_kim_bound=-1, verdicts=verdicts,
+        homma_kim_bound=-1, verdicts=verdicts, timings={},
         detail=f"{type(exc).__name__}: {exc}")
 
 
@@ -352,6 +343,10 @@ def map_points(points):
     workers = min(_max_workers(), max(1, len(points)))
     if workers <= 1:
         return [_dispatch(p) for p in points]
+    # Imported only here: the pool's modules (multiprocessing, socket,
+    # pickle, subprocess) take longer to import than the whole package,
+    # and a serial run never needs them.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_dispatch, points))
 
@@ -378,17 +373,12 @@ def build_verify_points(family: str, q_max: int = 4, mr_max: int = 15,
     return points
 
 
-@dataclass
-class BenchRow:
+class BenchRow(namedtuple("BenchRow", (
+        "family", "params", "genus", "method", "seconds", "cardinality",
+        "outputs_equal"))):
     """One (parameter point, method) timing with the equality gate."""
 
-    family: str
-    params: dict
-    genus: int
-    method: str
-    seconds: float
-    cardinality: int
-    outputs_equal: bool
+    __slots__ = ()
 
 
 def bench_family(family: str, params: dict) -> list:

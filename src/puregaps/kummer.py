@@ -14,7 +14,7 @@ its index ranges; the columns of G1 and G3 are ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .engine import (
@@ -38,20 +38,18 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class KummerParams:
+class KummerParams(namedtuple("KummerParams", ("m", "r"))):
     """Degrees (m, r) with the derived genus and period."""
 
-    m: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2 or self.r < 2:
+    def __new__(cls, m: int, r: int) -> "KummerParams":
+        if m < 2 or r < 2:
             raise InvalidParamsError(
-                f"m and r must be >= 2, got m={self.m}, r={self.r}")
-        if gcd(self.m, self.r) != 1:
-            raise InvalidParamsError(
-                f"m={self.m} and r={self.r} must be coprime")
+                f"m and r must be >= 2, got m={m}, r={r}")
+        if gcd(m, r) != 1:
+            raise InvalidParamsError(f"m={m} and r={r} must be coprime")
+        return tuple.__new__(cls, (m, r))
 
     @property
     def genus(self) -> int:

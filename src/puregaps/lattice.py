@@ -14,14 +14,15 @@ enforced: it is not re-checked on a validated set, and no report carries
 it as a verdict.
 
 Everything here is immutable and every operation is a pure function, so
-values can be shared freely across threads.
+values can be shared freely across threads.  Records here and across the
+package are namedtuples: ``len()``, iteration and unpacking see a
+record's fields, so a :class:`GeneratingSet`'s points are ``.points``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -58,8 +59,7 @@ class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
         return tuple.__new__(cls, (a, b))
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(namedtuple("GeneratingSet", ("points", "period"))):
     """Validated minimal generating set of a two-place semigroup.
 
     ``points`` holds the pairs ``(beta, tau(beta))`` sorted by first
@@ -73,8 +73,7 @@ class GeneratingSet:
     constructor performs no checks.
     """
 
-    points: tuple
-    period: int
+    __slots__ = ()
 
     @property
     def genus(self) -> int:
@@ -83,9 +82,6 @@ class GeneratingSet:
     def tau(self) -> dict:
         """The gap bijection as a dict, first coordinate to second."""
         return {a: b for a, b in self.points}
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.points)
 
 
 def period_law_violations(tau: dict, period: int,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -639,7 +640,8 @@ class TestWorkerCap:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         monkeypatch.setattr(FakePool, "made", [])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
 
     @pytest.mark.parametrize("threads, cpus, points, workers", [
         ("1000", 3, 6, [3]),     # capped at the CPUs
