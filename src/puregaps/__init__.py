@@ -37,7 +37,6 @@ from .gk import (
     gk_gamma_k0,
     gk_gamma_point,
     gk_generating_set,
-    gk_pure_gaps,
     gk_upper_bound,
 )
 from .kummer import (
@@ -52,7 +51,6 @@ from .kummer import (
     kummer_g4,
     kummer_gamma_k0,
     kummer_generating_set,
-    kummer_pure_gaps,
 )
 from .lattice import (
     COORD_MAX,

@@ -14,7 +14,12 @@ import sys
 from itertools import count, repeat
 
 from .engine import assemble_pure_gaps, check_reflection, decompose
-from .errors import CardinalityMismatchError, ConsistencyError, ValidationError
+from .errors import (
+    CardinalityMismatchError,
+    ConsistencyError,
+    InvalidParamsError,
+    ValidationError,
+)
 from .gammafile import dump_gamma, load_gamma
 from .harness import (
     FAMILIES,
@@ -186,6 +191,10 @@ def _cmd_verify(args):
     points = build_verify_points(
         family=args.family, q_max=args.q_max, mr_max=args.max,
         special=args.special, u_max=args.u_max, r_max=args.r_max)
+    if not points:
+        # A run that checked nothing must not report success.
+        raise InvalidParamsError("the requested verify grid has no "
+                                 "parameter points")
     reports = map_points(points)
     out = sys.stdout
     for rep in reports:

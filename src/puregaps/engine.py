@@ -20,7 +20,7 @@ Box containment fixes the order of the union.  Every point of
 (k+1)*period`` and ``0 < b < period``.  Its translate by ``w_j`` therefore
 lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
 ``G0`` needs no other storage than the per-box columns and the period.
-That is :class:`PureGapSet`, the value :func:`union_of_translates` builds:
+That is :class:`PureGapSet`, built from the per-box columns and the period:
 it checks containment when built, once per column and once per distinct
 column list; its length is the weighted sum ``sum (k+1)|G_{k,0}|``; and
 :meth:`PureGapSet.box_column_walk`, behind :meth:`PureGapSet.runs` and the
@@ -32,14 +32,14 @@ box by box, and so does a value with the direct scan's ``G0``, which the
 scan sorts into the same boxes: box ``(i, j)`` must hold ``G_{i+j,0}``.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0`` from
-:func:`box_columns`; :func:`assemble` builds a closed-form family's from
-its explicit components, an independent witness, merging the four
-components per residue by concatenation and sort.  :func:`check_components`
-is the only cross-check of a family's explicit boxes and components
-against the engine's formulas, and :func:`check_reflection` the only check
-of the diagonal law that empties G2 and makes G4 a reflection of G3 (by
-column, a transpose); both take the engine's components when the caller
-has built them, so each is built once per box.
+:func:`box_columns`, the one route to it.  :func:`check_components` is
+the only cross-check of a family's explicit boxes and components against
+the engine's formulas, and it first checks the identity that ties those
+formulas to ``G0``: per box, the four components concatenated per residue
+and sorted are :func:`box_columns`.  :func:`check_reflection` is the only
+check of the diagonal law that empties G2 and makes G4 a reflection of G3
+(by column, a transpose).  Both take the engine's components when the
+caller has built them, so each is built once per box.
 
 The rows are plain ``(a, b)`` tuples (they compare equal to
 :class:`~puregaps.lattice.LatticePoint`), sorted lexicographically.
@@ -523,51 +523,14 @@ class PureGapSet:
         return pos == len(other)
 
 
-def union_of_translates(columns_by_box: dict, period: int) -> PureGapSet:
-    """Union over 0 <= j <= k of (G_{k,0} + w_j), as a :class:`PureGapSet`.
-
-    ``columns_by_box`` maps k to ``G_{k,0}`` by columns, as
-    :func:`box_columns` gives it.  Building the value checks that every
-    column lies in its box and is strictly increasing, and so that the
-    translates are disjoint.
-    """
-    return PureGapSet(columns_by_box, period)
-
-
-def _result(columns_by_box: dict, period: int, bnd: Bounds) -> PureGapResult:
-    g0 = union_of_translates(columns_by_box, period)
-    return PureGapResult(g0=g0, cardinality=len(g0), lower_bound=bnd.lower,
-                         upper_bound=bnd.upper, homma_kim_bound=bnd.homma_kim)
-
-
-def assemble(per_box: dict, period: int, bnd: Bounds) -> PureGapResult:
-    """Assemble the full pure gap set from a family's explicit components.
-
-    ``per_box`` maps each box index k to the four components of box
-    ``(k, 0)`` by column, as :func:`box_components` gives them (any
-    ascending sequences will do).  Each column of ``G_{k,0}`` is the
-    concatenation of the components' columns at its residue, sorted: the
-    components must be pairwise disjoint, so a repeated second coordinate
-    means an overlap, and :class:`PureGapSet`'s strict-increase check
-    raises DisjointnessViolationError; so does a column outside its box.
-    ``bnd`` supplies the bounds recorded in the result.
-    """
-    columns_by_box = {}
-    for k, parts in per_box.items():
-        columns = columns_by_box[k] = {}
-        for part in parts:
-            for r, bs in part.items():
-                columns.setdefault(r, []).extend(bs)
-        for bs in columns.values():
-            bs.sort()
-    return _result(columns_by_box, period, bnd)
-
-
 def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapResult:
     """Assemble the full pure gap set from the row-zero boxes, each box
     ``(k, 0)`` built by :func:`box_columns`."""
-    return _result({k: box_columns(boxed, k) for k in range(boxed.kmax)},
-                   boxed.period, bounds(boxed))
+    g0 = PureGapSet({k: box_columns(boxed, k) for k in range(boxed.kmax)},
+                    boxed.period)
+    bnd = bounds(boxed)
+    return PureGapResult(g0=g0, cardinality=len(g0), lower_bound=bnd.lower,
+                         upper_bound=bnd.upper, homma_kim_bound=bnd.homma_kim)
 
 
 def _same_columns(mine: dict, engine: dict) -> bool:
@@ -581,17 +544,33 @@ def check_components(boxed: BoxedGamma, row, components, label: str,
                      generic=None) -> None:
     """Compare a family's explicit sets with the engine, box by box.
 
-    ``row(k)`` gives the family's ``Gamma_{k,0}``, compared with the
-    engine's row, and ``components(k)`` its (G1, G2, G3, G4) of box
-    ``(k, 0)`` by column, compared with :func:`box_components`, or with
-    ``generic[k]`` when the caller holds those.  A disagreement raises
-    GenericMismatchError naming ``label``, the box, the first differing
-    set and the point counts.  A family whose G4 is :func:`reflect` of its
-    G3 thus also checks the diagonal law.
+    ``generic[k]``, the engine's (G1, G2, G3, G4) of box ``(k, 0)`` when
+    the caller holds them, else :func:`box_components`, is first checked
+    against :func:`box_columns`: concatenated per residue and sorted, the
+    four must give ``G_{k,0}``.  A duplicate breaks that equality, so it
+    also proves the components pairwise disjoint.  Then ``row(k)``, the
+    family's ``Gamma_{k,0}``, is compared with the engine's row, and
+    ``components(k)``, its four components by column, with the engine's.
+    So the family's components merge to the engine's ``G0``.  A
+    disagreement raises GenericMismatchError naming ``label``, the box and
+    the first differing residue or set.  A family whose G4 is
+    :func:`reflect` of its G3 thus also checks the diagonal law.
     """
     names = ("G1", "G2", "G3", "G4")
     for k in range(boxed.kmax):
         parts = box_components(boxed, k) if generic is None else generic[k]
+        merged = {}
+        for part in parts:
+            for r, bs in part.items():
+                merged.setdefault(r, []).extend(bs)
+        columns = box_columns(boxed, k)
+        for r in sorted(merged.keys() | columns.keys()):
+            got = sorted(merged.get(r, ()))
+            want = columns.get(r, [])
+            if got != want:
+                raise GenericMismatchError(
+                    f"{label} k={k}: G1..G4 merged at residue {r} hold "
+                    f"{len(got)} points, box_columns {len(want)}")
         mine, engine = row(k), boxed.row(k)
         if list(mine) != list(engine):
             raise GenericMismatchError(

@@ -22,9 +22,7 @@ from collections import namedtuple
 
 from .engine import (
     BoxedGamma,
-    PureGapResult,
-    assemble,
-    bounds_from_row_sizes,
+    bounds,
     check_components,
     check_int128,
     reflect,
@@ -249,32 +247,6 @@ def gk_components(q: int) -> dict:
     return {k: _components(q, k) for k in range(q * q - 1)}
 
 
-def gk_pure_gaps(q: int, per_box: dict | None = None) -> PureGapResult:
-    """Assemble the full pure gap set from the explicit components,
-    ``per_box`` when the caller holds :func:`gk_components` of q.
-
-    The result's cardinality must match the closed-form polynomial and the
-    row-size bound must match the bound polynomial; disagreement raises.
-    """
-    params = GKParams(q)
-    boxes = range(q * q - 1)
-    sizes = [gk_card_gamma_k0(q, k) for k in boxes]
-    bnd = bounds_from_row_sizes(sizes, params.genus)
-    if per_box is None:
-        per_box = gk_components(q)
-    result = assemble(per_box, params.period, bnd)
-    expected = gk_card_g0(q)
-    if result.cardinality != expected:
-        raise ClosedFormMismatchError(
-            f"assembled |G0| = {result.cardinality}, polynomial gives "
-            f"{expected} at q={q}")
-    if bnd.upper != gk_upper_bound(q):
-        raise ClosedFormMismatchError(
-            f"row-size upper bound {bnd.upper} differs from polynomial "
-            f"{gk_upper_bound(q)} at q={q}")
-    return result
-
-
 def verify_against_engine(boxed: BoxedGamma, q: int,
                           per_box: dict | None = None,
                           generic: dict | None = None) -> None:
@@ -284,9 +256,16 @@ def verify_against_engine(boxed: BoxedGamma, q: int,
     maps each box index to the engine's
     :func:`~puregaps.engine.box_components` when the caller holds them.
 
-    Checks the row boxes and all four components of every box; any
-    disagreement raises GenericMismatchError naming the first offender.
+    Checks the engine's row-size upper bound against
+    :func:`gk_upper_bound` (ClosedFormMismatchError), then the row boxes
+    and all four components of every box; any disagreement there raises
+    GenericMismatchError naming the first offender.
     """
+    upper, polynomial = bounds(boxed).upper, gk_upper_bound(q)
+    if upper != polynomial:
+        raise ClosedFormMismatchError(
+            f"row-size upper bound {upper} differs from polynomial "
+            f"{polynomial} at q={q}")
     if per_box is None:
         per_box = gk_components(q)
     check_components(boxed, lambda k: gk_gamma_k0(q, k),

@@ -17,15 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .engine import (
-    BoxedGamma,
-    PureGapResult,
-    assemble,
-    bounds_from_row_sizes,
-    check_components,
-    check_int128,
-    reflect,
-)
+from .engine import BoxedGamma, check_components, check_int128, reflect
 from .errors import (
     ClosedFormMismatchError,
     DivisibilityViolationError,
@@ -214,27 +206,6 @@ def kummer_components(m: int, r: int) -> dict:
     column, for every box up to the top box index."""
     params = KummerParams(m, r)
     return {k: _components(m, r, k) for k in range(params.top_box + 1)}
-
-
-def kummer_pure_gaps(m: int, r: int,
-                     per_box: dict | None = None) -> PureGapResult:
-    """Assemble the full pure gap set from the explicit components,
-    ``per_box`` when the caller holds :func:`kummer_components` of (m, r).
-
-    The cardinality must match the closed-form sum; disagreement raises.
-    """
-    params = KummerParams(m, r)
-    boxes = range(params.top_box + 1)
-    sizes = [kummer_card_gamma_k0(m, r, k) for k in boxes]
-    if per_box is None:
-        per_box = kummer_components(m, r)
-    result = assemble(per_box, m, bounds_from_row_sizes(sizes, params.genus))
-    expected = kummer_card_g0(m, r)
-    if result.cardinality != expected:
-        raise ClosedFormMismatchError(
-            f"assembled |G0| = {result.cardinality}, cardinality sum gives "
-            f"{expected} at (m, r)=({m}, {r})")
-    return result
 
 
 def verify_against_engine(boxed: BoxedGamma, m: int, r: int,

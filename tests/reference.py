@@ -6,6 +6,7 @@ that the package's faster code is checked against.
 
 from dataclasses import dataclass
 
+from puregaps.engine import PureGapSet
 from puregaps.errors import (
     CardinalityMismatchError,
     CoordinateDivisibleByPeriodError,
@@ -178,6 +179,25 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
         tau, period, sorted(tau.items())))
     return PeriodPropertyReport(period=period, points_checked=len(pairs),
                                 violations=tuple(violations))
+
+
+def merge_components(per_box: dict, period: int) -> PureGapSet:
+    """G0 from a family's explicit components, ``per_box`` mapping each box
+    index k to the four components of box (k, 0) by column (any ascending
+    sequences).  Each column of ``G_{k,0}`` is the concatenation of the
+    components' columns at its residue, sorted.  The components must be
+    pairwise disjoint, so a repeated second coordinate is an overlap and
+    :class:`PureGapSet`'s strict-increase check raises
+    DisjointnessViolationError; so does a column outside its box."""
+    columns_by_box = {}
+    for k, parts in per_box.items():
+        columns = columns_by_box[k] = {}
+        for part in parts:
+            for r, bs in part.items():
+                columns.setdefault(r, []).extend(bs)
+        for bs in columns.values():
+            bs.sort()
+    return PureGapSet(columns_by_box, period)
 
 
 def merge_box(k: int, components) -> list:

@@ -8,8 +8,8 @@ import time
 from math import gcd
 
 from puregaps.cli import main as cli_main
-from puregaps.engine import assemble_pure_gaps, compute_g1, compute_g2, \
-    compute_g3, compute_g4, decompose
+from puregaps.engine import assemble_pure_gaps, bounds_from_row_sizes, \
+    compute_g1, compute_g2, compute_g3, compute_g4, decompose
 from puregaps.gk import (
     GKParams,
     gk_card_g0,
@@ -22,17 +22,19 @@ from puregaps.gk import (
 )
 from puregaps.harness import bench_family
 from puregaps.kummer import (
+    KummerParams,
     kummer_card_g0,
+    kummer_card_gamma_k0,
     kummer_card_special_qN,
     kummer_card_special_ur1,
+    kummer_components,
     kummer_generating_set,
-    kummer_pure_gaps,
 )
 from puregaps.oracle import pure_gaps_direct
 
 import expected_gk2 as gk2
 import props
-from reference import flatten
+from reference import flatten, merge_components
 
 KUMMER_GRID = [(m, r) for m in range(2, 16) for r in range(2, 16)
                if gcd(m, r) == 1]
@@ -147,8 +149,14 @@ def test_criterion_5_special_cases(capsys):
 
 def test_criterion_6_sharpness(capsys):
     for r in range(3, 11):
-        result = kummer_pure_gaps(r + 1, r)
-        assert result.cardinality == result.upper_bound
+        params = KummerParams(r + 1, r)
+        m = params.m
+        g0 = merge_components(kummer_components(m, r), m)
+        upper = bounds_from_row_sizes(
+            [kummer_card_gamma_k0(m, r, k) for k in range(params.top_box + 1)],
+            params.genus).upper
+        assert len(g0) == kummer_card_g0(m, r)
+        assert len(g0) == upper
     with capsys.disabled():
         _passed(6, "upper bound attained for m=r+1, r in 3..10")
 

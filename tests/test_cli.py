@@ -7,7 +7,9 @@ import pytest
 
 import puregaps.cli as cli
 import puregaps.engine as engine
+import puregaps.gk as gk_mod
 import puregaps.harness as harness
+import puregaps.kummer as kummer_mod
 import puregaps.lattice as lattice
 from puregaps.engine import PureGapSet
 from puregaps.cli import main
@@ -303,6 +305,15 @@ class TestVerify:
 
         assert strip_timings(seq) == strip_timings(par)
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "gk", "--q-max", "1"),
+        ("--special", "ur1", "--u-max", "0")])
+    def test_empty_grid_exit_2(self, capsys, argv):
+        # a run that checked nothing must not report success
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestBench:
     def test_gk_small(self, capsys):
@@ -531,6 +542,34 @@ class TestSummariesNeverListG0:
         assert report.verdicts["special_vs_enumeration"] == "pass"
 
 
+class TestSummaryBuildsNoComponents:
+    """A family summary builds the engine's G0 by column alone: no family
+    component and no glb component of the engine."""
+
+    @pytest.fixture(autouse=True)
+    def no_components(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a component was built")
+        for module in (gk_mod, kummer_mod):
+            monkeypatch.setattr(module, "_components", built)
+        for name in ("box_components", "compute_g1", "compute_g2",
+                     "compute_g3", "compute_g4"):
+            for namespace in (engine, harness):
+                monkeypatch.setattr(namespace, name, built, raising=False)
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 4}), ("kummer", {"m": 13, "r": 11})])
+    def test_summarize_family(self, family, params):
+        report = harness.summarize_family(family, params)
+        assert report.ok
+        assert report.verdicts == {
+            "engine_vs_oracle": "skipped",
+            "closed_form_vs_enumeration": "pass",
+            "components_vs_generic": "skipped",
+            "bound_sandwich": "pass",
+            "diagonal_reflection": "skipped"}
+
+
 class TestListingBuildsNoPointTuples:
     """``--emit puregaps`` builds G0 by column: no component tuples, no
     per-box merge of them, no iteration point by point."""
@@ -595,7 +634,8 @@ class TestVerifyPointWork:
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
     def test_family_components_once(self, monkeypatch, family, params):
-        # the family's G0 and its box-by-box check share one build
+        # one build feeds the family's one check, its boxes against the
+        # engine's
         module = harness.FAMILIES[family][0]
         real = module._components
         boxes = []

@@ -21,12 +21,12 @@ from puregaps.engine import (
     compute_g3,
     compute_g4,
     decompose,
-    union_of_translates,
 )
 from puregaps.errors import (
     CardinalityMismatchError,
     DiagonalReflectionMismatchError,
     DisjointnessViolationError,
+    GenericMismatchError,
     GenusIdentityViolationError,
 )
 from puregaps.gk import gk_generating_set
@@ -36,7 +36,13 @@ from puregaps.oracle import pure_gap_boxes_direct
 
 import expected_gk2 as gk2
 import reference
-from reference import _residue_runs, drop_first_point, flatten, merge_box
+from reference import (
+    _residue_runs,
+    drop_first_point,
+    flatten,
+    merge_box,
+    merge_components,
+)
 
 KUMMER43 = [(1, 5), (5, 1), (2, 2)]
 
@@ -175,17 +181,14 @@ class TestAssemble:
 
 
 class TestFamilyAssemble:
-    """engine.assemble merges a family's four components per residue."""
-
-    BND = engine.Bounds(0, 0, 0)
+    """The reference merge of a family's four components per residue."""
 
     def test_merges_by_residue(self):
         # G1 (10, 1), (10, 4); G3 (11, 1), (11, 2); G4 (10, 2)
         parts = ({1: [1, 4]}, {}, {2: range(1, 3)}, {1: [2]})
-        result = engine.assemble({1: parts}, 9, self.BND)
-        assert result.g0 == union_of_translates({1: {1: [1, 2, 4],
-                                                     2: [1, 2]}}, 9)
-        assert result.cardinality == 2 * 5
+        g0 = merge_components({1: parts}, 9)
+        assert g0 == PureGapSet({1: {1: [1, 2, 4], 2: [1, 2]}}, 9)
+        assert len(g0) == 2 * 5
 
     @pytest.mark.parametrize("parts", [
         ({1: [1, 4]}, {}, {}, {1: [4]}),        # G1 and G4 share (10, 4)
@@ -193,7 +196,7 @@ class TestFamilyAssemble:
     ], ids=["g1-g4", "g2-g3"])
     def test_overlap_raises(self, parts):
         with pytest.raises(DisjointnessViolationError):
-            engine.assemble({1: parts}, 9, self.BND)
+            merge_components({1: parts}, 9)
 
 
 def test_reflect_is_the_column_transpose():
@@ -250,6 +253,51 @@ class TestCheckReflection:
         with pytest.raises(DiagonalReflectionMismatchError,
                            match=r"^box k=1: G2 is not empty$"):
             check_reflection(gk2_boxed)
+
+
+class TestMergeCheck:
+    """check_components first checks that the engine's four components,
+    concatenated per residue and sorted, are box_columns.  The family's
+    rows and components given here are the edited engine components
+    themselves, so only that check can fail."""
+
+    @pytest.fixture(params=[
+        ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})], ids=["gk", "kummer"])
+    def engine_parts(self, request):
+        family, params = request.param
+        boxed = decompose(
+            harness.call_family(family, "{}_generating_set", params))
+        generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
+        engine.check_components(boxed, boxed.row, generic.__getitem__, "x",
+                                generic)
+        return boxed, generic
+
+    @staticmethod
+    def assert_names(boxed, edited, k, r):
+        with pytest.raises(GenericMismatchError,
+                           match=rf"^x k={k}: G1\.\.G4 merged at residue "
+                                 rf"{r} hold "):
+            engine.check_components(boxed, boxed.row, edited.__getitem__,
+                                    "x", edited)
+
+    def test_point_dropped_from_g3(self, engine_parts):
+        boxed, generic = engine_parts
+        k = min(k for k, parts in generic.items() if parts[2])
+        g1, g2, g3, g4 = generic[k]
+        edited = dict(generic)
+        edited[k] = (g1, g2, drop_first_point(g3), g4)
+        self.assert_names(boxed, edited, k, min(g3))
+
+    def test_g4_overlaps_g1(self, engine_parts):
+        boxed, generic = engine_parts
+        k, r = min((k, r) for k, (g1, _, _, g4) in generic.items()
+                   for r in g4.keys() & g1.keys())
+        g1, g2, g3, g4 = generic[k]
+        assert g1[r][0] not in g4[r]
+        edited = dict(generic)
+        edited[k] = (g1, g2, g3,
+                     {**g4, r: sorted([*g4[r], g1[r][0]])})
+        self.assert_names(boxed, edited, k, r)
 
 
 class TestBounds:
@@ -378,25 +426,26 @@ class TestSharedColumns:
     def test_assemble(self, built):
         boxed = decompose(gk_generating_set(4))
         want = assemble_pure_gaps(boxed)
-        bnd = bounds(boxed)
         for per_box in (
                 {k: engine.box_components(boxed, k)
                  for k in range(boxed.kmax)},
                 {k: (engine.box_columns(boxed, k),)
                  for k in range(boxed.kmax)}):
-            assert engine.assemble(per_box, boxed.period, bnd) == want
+            g0 = merge_components(per_box, boxed.period)
+            assert g0 == want.g0
+            assert len(g0) == want.cardinality
         self.assert_unchanged(built)
 
 
 def test_union_of_translates_overlap_detected():
     # G_{0,0} = {(1, 10)} and G_{1,0} = {(10, 1)} by column
     with pytest.raises(DisjointnessViolationError):
-        union_of_translates({0: {1: [10]}, 1: {1: [1]}}, 9)
+        PureGapSet({0: {1: [10]}, 1: {1: [1]}}, 9)
 
 
 def test_union_of_translates_weighted_count():
     # G_{0,0} = {(1, 1)}, G_{1,0} = {(10, 2), (11, 3)}
-    union = union_of_translates({0: {1: [1]}, 1: {1: [2], 2: [3]}}, 9)
+    union = PureGapSet({0: {1: [1]}, 1: {1: [2], 2: [3]}}, 9)
     assert isinstance(union, PureGapSet)
     assert len(union) == 1 + 2 * 2
     assert list(union) == [(1, 1), (1, 11), (2, 12), (10, 2), (11, 3)]
@@ -406,7 +455,7 @@ def test_union_of_translates_point_outside_box_in_b_only():
     # (1, 9) has its first coordinate inside box (0, 0) but b = period;
     # no two translates overlap, so only the containment check sees it
     with pytest.raises(DisjointnessViolationError):
-        union_of_translates({0: {1: [9]}, 1: {1: [2]}}, 9)
+        PureGapSet({0: {1: [9]}, 1: {1: [2]}}, 9)
 
 
 SHARED = [1]
@@ -424,12 +473,12 @@ SHARED_BAD = [2, 2]
 ])
 def test_union_of_translates_column_checks(columns_by_box):
     with pytest.raises(DisjointnessViolationError):
-        union_of_translates(columns_by_box, 9)
+        PureGapSet(columns_by_box, 9)
 
 
 def test_union_of_translates_drops_empty_columns():
-    assert union_of_translates({0: {1: [1], 2: []}, 1: {}}, 9) == \
-        union_of_translates({0: {1: [1]}}, 9)
+    assert PureGapSet({0: {1: [1], 2: []}, 1: {}}, 9) == \
+        PureGapSet({0: {1: [1]}}, 9)
 
 
 @st.composite
@@ -459,13 +508,13 @@ class TestPureGapSet:
     @given(boxes_inside())
     def test_matches_brute_force(self, drawn):
         boxes, period = drawn
-        g0 = union_of_translates(columns(boxes, period), period)
+        g0 = PureGapSet(columns(boxes, period), period)
         want = translates(boxes, period)
         assert list(g0) == want
         assert len(g0) == len(want)
         assert g0 == want
         assert want == g0
-        assert g0 == union_of_translates(columns(dict(boxes), period), period)
+        assert g0 == PureGapSet(columns(dict(boxes), period), period)
 
     @pytest.fixture
     def gk2_g0(self, gk2_boxed):
@@ -486,20 +535,20 @@ class TestPureGapSet:
         merged = {k: sorted(p for part in box_components(gk2_boxed, k)
                             for p in flatten(part, 9 * k))
                   for k in range(gk2_boxed.kmax)}
-        assert union_of_translates(columns(merged, 9), 9) == gk2_g0
+        assert PureGapSet(columns(merged, 9), 9) == gk2_g0
         free = min(set(product(range(10, 18), range(1, 9))) - set(merged[1]))
         for box in (merged[1][1:], sorted(merged[1][1:] + [free])):
             edited = dict(merged)
             edited[1] = box
-            assert union_of_translates(columns(edited, 9), 9) != gk2_g0
+            assert PureGapSet(columns(edited, 9), 9) != gk2_g0
 
     def test_other_period_compares_by_points(self):
         # one point in box (0, 0) is the same G0 under either period
-        assert union_of_translates({0: {1: [1]}}, 3) == \
-            union_of_translates({0: {1: [1]}}, 5)
-        assert union_of_translates({0: {1: [1]}, 1: {1: [1]}}, 3) != \
-            union_of_translates({0: {1: [1]}, 1: {1: [1]}}, 5)
-        assert union_of_translates({}, 3) == union_of_translates({1: {}}, 5)
+        assert PureGapSet({0: {1: [1]}}, 3) == \
+            PureGapSet({0: {1: [1]}}, 5)
+        assert PureGapSet({0: {1: [1]}, 1: {1: [1]}}, 3) != \
+            PureGapSet({0: {1: [1]}, 1: {1: [1]}}, 5)
+        assert PureGapSet({}, 3) == PureGapSet({1: {}}, 5)
 
     @staticmethod
     def boxes_of(points, period):

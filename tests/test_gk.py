@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from puregaps.engine import assemble_pure_gaps, check_components, decompose
+import puregaps.gk as gk_mod
+import puregaps.harness as harness
+from puregaps.engine import (
+    assemble_pure_gaps,
+    bounds_from_row_sizes,
+    check_components,
+    decompose,
+)
 from puregaps.errors import (
     GenericMismatchError,
     IndexOutOfRangeError,
@@ -15,6 +22,7 @@ from puregaps.gk import (
     GKParams,
     gk_card_g0,
     gk_card_gamma_k0,
+    gk_components,
     gk_g1,
     gk_g2,
     gk_g3,
@@ -22,7 +30,6 @@ from puregaps.gk import (
     gk_gamma_k0,
     gk_gamma_point,
     gk_generating_set,
-    gk_pure_gaps,
     gk_upper_bound,
     verify_against_engine,
 )
@@ -30,7 +37,7 @@ from puregaps.oracle import pure_gaps_direct
 
 import expected_gk2 as gk2
 import reference
-from reference import drop_first_point, flatten
+from reference import drop_first_point, flatten, merge_components
 
 
 class TestParams:
@@ -184,6 +191,16 @@ class TestComponents:
             check_components(boxed, lambda k: gk_gamma_k0(2, k), components,
                              "q=2")
 
+    def test_upper_bound_polynomial_checked(self, monkeypatch):
+        # verify_against_engine compares the engine's row-size upper bound
+        # with the polynomial, so a wrong polynomial fails the verdict
+        real = gk_mod.gk_upper_bound
+        monkeypatch.setattr(gk_mod, "gk_upper_bound", lambda q: real(q) + 1)
+        report = harness.verify_point("gk", {"q": 3})
+        assert report.verdicts["components_vs_generic"] == "fail"
+        assert ("components_vs_generic: row-size upper bound 4037 differs "
+                "from polynomial 4038 at q=3") in report.detail
+
 
 class TestClosedForms:
     def test_card_values(self):
@@ -206,24 +223,37 @@ class TestClosedForms:
             assert gk_upper_bound(q) < g * (g - 1) // 2
 
 
+def explicit_g0(q):
+    """G0 merged from the explicit components of q, with the closed-form
+    checks of the explicit route: its size is the cardinality polynomial
+    and the bounds from the explicit row sizes; the upper one is the
+    upper-bound polynomial."""
+    params = GKParams(q)
+    g0 = merge_components(gk_components(q), params.period)
+    bnd = bounds_from_row_sizes(
+        [gk_card_gamma_k0(q, k) for k in range(q * q - 1)], params.genus)
+    assert len(g0) == gk_card_g0(q)
+    assert bnd.upper == gk_upper_bound(q)
+    return g0, bnd
+
+
 class TestPureGaps:
     def test_q2_full_listing(self):
-        result = gk_pure_gaps(2)
-        assert result.g0 == gk2.G0_SORTED
-        assert result.cardinality == 35
-        assert (result.lower_bound, result.upper_bound,
-                result.homma_kim_bound) == (11, 47, 45)
+        g0, bnd = explicit_g0(2)
+        assert g0 == gk2.G0_SORTED
+        assert len(g0) == 35
+        assert tuple(bnd) == (11, 47, 45)
 
     def test_q2_swap_symmetric(self):
-        g0 = set(gk_pure_gaps(2).g0)
+        g0 = set(explicit_g0(2)[0])
         assert {(b, a) for a, b in g0} == g0
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_three_routes_agree(self, q):
         gamma = gk_generating_set(q)
         engine = assemble_pure_gaps(decompose(gamma))
-        explicit = gk_pure_gaps(q)
+        explicit, _ = explicit_g0(q)
         direct = pure_gaps_direct(gamma)
-        assert explicit.g0 == engine.g0 == direct
-        assert explicit.cardinality == gk_card_g0(q)
+        assert explicit == engine.g0 == direct
+        assert len(explicit) == gk_card_g0(q)
         assert engine.upper_bound == gk_upper_bound(q)

@@ -2,7 +2,11 @@ from math import gcd
 
 import pytest
 
-from puregaps.engine import assemble_pure_gaps, decompose
+from puregaps.engine import (
+    assemble_pure_gaps,
+    bounds_from_row_sizes,
+    decompose,
+)
 from puregaps.errors import InvalidParamsError
 from puregaps.kummer import (
     KummerParams,
@@ -10,19 +14,19 @@ from puregaps.kummer import (
     kummer_card_gamma_k0,
     kummer_card_special_qN,
     kummer_card_special_ur1,
+    kummer_components,
     kummer_g1,
     kummer_g2,
     kummer_g3,
     kummer_g4,
     kummer_gamma_k0,
     kummer_generating_set,
-    kummer_pure_gaps,
     verify_against_engine,
 )
 from puregaps.oracle import pure_gaps_direct
 
 import reference
-from reference import flatten
+from reference import flatten, merge_components
 
 COPRIME_GRID = [(m, r) for m in range(2, 16) for r in range(2, 16)
                 if gcd(m, r) == 1]
@@ -138,6 +142,18 @@ class TestComponents:
         verify_against_engine(decompose(kummer_generating_set(m, r)), m, r)
 
 
+def explicit_g0(m, r):
+    """G0 merged from the explicit components of (m, r), whose size must be
+    the closed-form sum, and the bounds from the explicit row sizes."""
+    params = KummerParams(m, r)
+    g0 = merge_components(kummer_components(m, r), m)
+    bnd = bounds_from_row_sizes(
+        [kummer_card_gamma_k0(m, r, k) for k in range(params.top_box + 1)],
+        params.genus)
+    assert len(g0) == kummer_card_g0(m, r)
+    return g0, bnd
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("m,r,expected", [
         (4, 3, 3), (4, 7, 29), (7, 3, 12), (6, 11, 230), (4, 11, 81),
@@ -155,14 +171,14 @@ class TestClosedForms:
         for m, r in [(4, 3), (4, 7), (6, 11)]:
             gamma = kummer_generating_set(m, r)
             engine = assemble_pure_gaps(decompose(gamma))
-            explicit = kummer_pure_gaps(m, r)
-            assert explicit.g0 == engine.g0 == pure_gaps_direct(gamma)
+            explicit, _ = explicit_g0(m, r)
+            assert explicit == engine.g0 == pure_gaps_direct(gamma)
 
     def test_m4_r3_pure_gaps(self):
-        result = kummer_pure_gaps(4, 3)
-        assert result.g0 == [(1, 1), (1, 2), (2, 1)]
-        assert result.cardinality == 3
-        assert result.upper_bound == 3
+        g0, bnd = explicit_g0(4, 3)
+        assert g0 == [(1, 1), (1, 2), (2, 1)]
+        assert len(g0) == 3
+        assert bnd.upper == 3
 
 
 class TestSpecialUr1:
@@ -179,9 +195,9 @@ class TestSpecialUr1:
 
     def test_sharpness_at_u1(self):
         for r in range(3, 11):
-            result = kummer_pure_gaps(r + 1, r)
-            assert result.cardinality == result.upper_bound
-            assert result.cardinality == (r - 1) * (r - 2) * r * (r + 3) // 12
+            g0, bnd = explicit_g0(r + 1, r)
+            assert len(g0) == bnd.upper
+            assert len(g0) == (r - 1) * (r - 2) * r * (r + 3) // 12
 
     def test_bad_params(self):
         with pytest.raises(InvalidParamsError):
