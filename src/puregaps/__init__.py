@@ -35,7 +35,6 @@ from .gk import (
     gk_g3,
     gk_g4,
     gk_gamma_k0,
-    gk_gamma_point,
     gk_generating_set,
     gk_upper_bound,
 )

@@ -36,10 +36,11 @@ scan sorts into the same boxes: box ``(i, j)`` must hold ``G_{i+j,0}``.
 the only cross-check of a family's explicit boxes and components against
 the engine's formulas, and it first checks the identity that ties those
 formulas to ``G0``: per box, the four components concatenated per residue
-and sorted are :func:`box_columns`.  :func:`check_reflection` is the only
-check of the diagonal law that empties G2 and makes G4 a reflection of G3
-(by column, a transpose).  Both take the engine's components when the
-caller has built them, so each is built once per box.
+and sorted are the engine's ``G_{k,0}``, :meth:`PureGapSet.box`.  It takes
+the engine's components and ``G0`` from the caller, so neither is built
+twice.  :func:`check_reflection` is the only check of the diagonal law
+that empties G2 and makes G4 a reflection of G3 (by column, a transpose);
+it takes the engine's components when the caller has built them.
 
 The rows are plain ``(a, b)`` tuples (they compare equal to
 :class:`~puregaps.lattice.LatticePoint`), sorted lexicographically.
@@ -433,6 +434,11 @@ class PureGapSet:
         return (f"PureGapSet(period={self.period}, boxes={sorted(self._runs)}, "
                 f"size={self._size})")
 
+    def box(self, k: int) -> dict:
+        """``G_{k,0}`` by column, as :func:`box_columns` built it; ``{}``
+        for an empty box.  Read-only."""
+        return self._runs.get(k, {})
+
     def box_column_walk(self):
         """Yield ``G0`` one box column at a time, as ``(base, residues,
         translates)``: box column ``i`` holds the first coordinates ``a =
@@ -540,30 +546,30 @@ def _same_columns(mine: dict, engine: dict) -> bool:
         list(bs) == engine[r] for r, bs in mine.items())
 
 
-def check_components(boxed: BoxedGamma, row, components, label: str,
-                     generic=None) -> None:
+def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
+                     row, components, label: str) -> None:
     """Compare a family's explicit sets with the engine, box by box.
 
-    ``generic[k]``, the engine's (G1, G2, G3, G4) of box ``(k, 0)`` when
-    the caller holds them, else :func:`box_components`, is first checked
-    against :func:`box_columns`: concatenated per residue and sorted, the
-    four must give ``G_{k,0}``.  A duplicate breaks that equality, so it
-    also proves the components pairwise disjoint.  Then ``row(k)``, the
-    family's ``Gamma_{k,0}``, is compared with the engine's row, and
-    ``components(k)``, its four components by column, with the engine's.
-    So the family's components merge to the engine's ``G0``.  A
-    disagreement raises GenericMismatchError naming ``label``, the box and
-    the first differing residue or set.  A family whose G4 is
+    ``generic[k]``, the engine's (G1, G2, G3, G4) of box ``(k, 0)`` as
+    :func:`box_components` gives them, is first checked against
+    ``g0.box(k)``, the ``G_{k,0}`` of the engine's ``G0``: concatenated
+    per residue and sorted, the four must give it.  A duplicate breaks
+    that equality, so it also proves the components pairwise disjoint.
+    Then ``row(k)``, the family's ``Gamma_{k,0}``, is compared with the
+    engine's row, and ``components(k)``, its four components by column,
+    with the engine's.  So the family's components merge to the engine's
+    ``G0``.  A disagreement raises GenericMismatchError naming ``label``,
+    the box and the first differing residue or set.  A family whose G4 is
     :func:`reflect` of its G3 thus also checks the diagonal law.
     """
     names = ("G1", "G2", "G3", "G4")
     for k in range(boxed.kmax):
-        parts = box_components(boxed, k) if generic is None else generic[k]
+        parts = generic[k]
         merged = {}
         for part in parts:
             for r, bs in part.items():
                 merged.setdefault(r, []).extend(bs)
-        columns = box_columns(boxed, k)
+        columns = g0.box(k)
         for r in sorted(merged.keys() | columns.keys()):
             got = sorted(merged.get(r, ()))
             want = columns.get(r, [])

@@ -61,10 +61,6 @@ class InvalidParamsError(ValidationError):
     """Family or operation parameters outside their domain."""
 
 
-class IndexOutOfRangeError(ValidationError):
-    """A generator index triple lies outside its admissible ranges."""
-
-
 class GammaFileError(ValidationError):
     """Generating set file rejected; message carries the line number."""
 

@@ -22,6 +22,7 @@ from collections import namedtuple
 
 from .engine import (
     BoxedGamma,
+    PureGapSet,
     bounds,
     check_components,
     check_int128,
@@ -30,7 +31,6 @@ from .engine import (
 from .errors import (
     ClosedFormMismatchError,
     DivisibilityViolationError,
-    IndexOutOfRangeError,
     InvalidParamsError,
     PiecewiseMismatchError,
 )
@@ -71,28 +71,6 @@ class GKParams(namedtuple("GKParams", ("q",))):
     @property
     def period(self) -> int:
         return self.q**3 + 1
-
-
-def gk_gamma_point(i: int, j: int, k: int, q: int) -> LatticePoint:
-    """The generating point with index triple (i, j, k).
-
-    Coordinates: ((k-1)(q^3+1) + (q+1-i)(q^2-q+1) - j,
-    (i+j-k-1)(q^3+1) + (q+1-i)(q^2-q+1) - j).  The triple must lie in the
-    unified index ranges.
-    """
-    GKParams(q)
-    if not 1 <= k <= q * q - 1:
-        raise IndexOutOfRangeError(f"k={k} outside [1, {q * q - 1}]")
-    if not max(0, k - q * q + q + 1) <= i <= q:
-        raise IndexOutOfRangeError(
-            f"i={i} outside [{max(0, k - q * q + q + 1)}, {q}] for k={k}")
-    if not max(0, k - i + 1) <= j <= q * q - q:
-        raise IndexOutOfRangeError(
-            f"j={j} outside [{max(0, k - i + 1)}, {q * q - q}] for (i, k)=({i}, {k})")
-    period = q**3 + 1
-    c = q * q - q + 1
-    return LatticePoint((k - 1) * period + (q + 1 - i) * c - j,
-                        (i + j - k - 1) * period + (q + 1 - i) * c - j)
 
 
 def gk_generating_set(q: int) -> GeneratingSet:
@@ -247,14 +225,13 @@ def gk_components(q: int) -> dict:
     return {k: _components(q, k) for k in range(q * q - 1)}
 
 
-def verify_against_engine(boxed: BoxedGamma, q: int,
-                          per_box: dict | None = None,
-                          generic: dict | None = None) -> None:
+def verify_against_engine(boxed: BoxedGamma, q: int, *, per_box: dict,
+                          generic: dict, g0: PureGapSet) -> None:
     """Compare every explicit closed-form set with the generic engine on
-    ``boxed``, the decomposed generating set of parameter q; ``per_box``
-    is :func:`gk_components` of q when the caller holds it; ``generic``
-    maps each box index to the engine's
-    :func:`~puregaps.engine.box_components` when the caller holds them.
+    ``boxed``, the decomposed generating set of parameter q: ``per_box``
+    is :func:`gk_components` of q, ``generic`` maps each box index to the
+    engine's :func:`~puregaps.engine.box_components` and ``g0`` is the
+    engine's ``G0``.
 
     Checks the engine's row-size upper bound against
     :func:`gk_upper_bound` (ClosedFormMismatchError), then the row boxes
@@ -266,8 +243,5 @@ def verify_against_engine(boxed: BoxedGamma, q: int,
         raise ClosedFormMismatchError(
             f"row-size upper bound {upper} differs from polynomial "
             f"{polynomial} at q={q}")
-    if per_box is None:
-        per_box = gk_components(q)
-    check_components(boxed, lambda k: gk_gamma_k0(q, k),
-                     lambda k: per_box.get(k, ({},) * 4), f"q={q}",
-                     generic)
+    check_components(boxed, generic, g0, lambda k: gk_gamma_k0(q, k),
+                     lambda k: per_box.get(k, ({},) * 4), f"q={q}")

@@ -10,17 +10,16 @@ the special-case checks), in table order, each ``skipped`` unless its
 route runs it.  Only checks that can fail on validated input are verdicts: the
 period displacement law is enforced by validation (a ``ValidationError``)
 and the genus identity by :func:`~puregaps.engine.decompose` (a
-``ConsistencyError``), before any verdict is recorded.  Grids may run
-points in parallel processes when the ``PUREGAPS_THREADS`` environment
-variable asks for more than one worker, never more than the CPUs the
-process may use; the process pool is imported only then, so a serial run
-never loads ``concurrent.futures`` or ``multiprocessing``.  Results are
-always emitted in deterministic parameter order.
+``ConsistencyError``), before any verdict is recorded.  A verification
+point builds the engine's ``G0`` and its per-box components once; the
+family's check against the engine (``verify_against_engine``, through
+:func:`~puregaps.engine.check_components`) and the diagonal law take both
+from it.  Grids run their points one after another, in deterministic
+parameter order.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import namedtuple
 from math import gcd
@@ -45,9 +44,10 @@ from .oracle import (
 #: provides ``<name>_generating_set``, ``<name>_card_g0``,
 #: ``<name>_components`` and ``verify_against_engine``, each taking the
 #: parameters in this order (``verify_against_engine`` takes the
-#: decomposed generating set before them, the components as ``per_box``
-#: and the engine's as ``generic``).  The CLI builds one subcommand per
-#: entry, with an int flag per parameter.
+#: decomposed generating set before them and, by keyword, the components
+#: as ``per_box``, the engine's as ``generic`` and the engine's ``G0`` as
+#: ``g0``).  The CLI builds one subcommand per entry, with an int flag per
+#: parameter.
 FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}
 
 #: Default parameter sweep for the m=(q+1)/N special case.
@@ -250,7 +250,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
     checks.run("components_vs_generic", call_family, family,
                "verify_against_engine", params, boxed, per_box=per_box,
-               generic=generic)
+               generic=generic, g0=result.g0)
     _check_bounds(checks, result)
     checks.run("diagonal_reflection", check_reflection, boxed, generic)
     return _base_report(family, params, gamma, boxed, result, checks, timings)
@@ -302,53 +302,24 @@ def verify_special_qn(q: int, N: int) -> RunReport:
         lambda: kummer_mod.kummer_card_special_qN(q, N))
 
 
-def _dispatch(point):
-    kind, params = point
-    if kind in FAMILIES:
-        return verify_point(kind, params)
-    if kind == "ur1":
-        return verify_special_ur1(params["u"], params["r"])
-    if kind == "qn":
-        return verify_special_qn(params["q"], params["N"])
-    raise ValueError(f"unknown point kind {kind!r}")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _max_workers() -> int:
-    """``PUREGAPS_THREADS`` workers, capped at :func:`_usable_cpus`; 1 when
-    the variable is unset or not an integer."""
-    raw = os.environ.get("PUREGAPS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, min(int(raw), _usable_cpus()))
-    except ValueError:
-        return 1
-
-
 def map_points(points):
-    """Run verification points, optionally in parallel, in stable order."""
-    workers = min(_max_workers(), max(1, len(points)))
-    if workers <= 1:
-        return [_dispatch(p) for p in points]
-    # Imported only here: the pool's modules (multiprocessing, socket,
-    # pickle, subprocess) take longer to import than the whole package,
-    # and a serial run never needs them.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_dispatch, points))
+    """Run verification points ``(kind, params)`` in order: a family name,
+    ``"ur1"`` or ``"qn"``."""
+    reports = []
+    for kind, params in points:
+        if kind in FAMILIES:
+            reports.append(verify_point(kind, params))
+        elif kind == "ur1":
+            reports.append(verify_special_ur1(params["u"], params["r"]))
+        elif kind == "qn":
+            reports.append(verify_special_qn(params["q"], params["N"]))
+        else:
+            raise ValueError(f"unknown point kind {kind!r}")
+    return reports
 
 
-def build_verify_points(family: str, q_max: int = 4, mr_max: int = 15,
-                        special: str | None = None, u_max: int = 3,
-                        r_max: int = 10):
+def build_verify_points(family: str, q_max: int, mr_max: int,
+                        special: str | None, u_max: int, r_max: int):
     """The deterministic list of verification points for a grid request."""
     ur1 = [("ur1", {"u": u, "r": r})
            for u in range(1, u_max + 1) for r in range(2, r_max + 1)]

@@ -17,7 +17,13 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .engine import BoxedGamma, check_components, check_int128, reflect
+from .engine import (
+    BoxedGamma,
+    PureGapSet,
+    check_components,
+    check_int128,
+    reflect,
+)
 from .errors import (
     ClosedFormMismatchError,
     DivisibilityViolationError,
@@ -87,15 +93,18 @@ def kummer_card_gamma_k0(m: int, r: int, k: int) -> int:
 
 def kummer_gamma_k0(m: int, r: int, k: int) -> list:
     """Row-zero box k: points (m*k + j, j) with
-    max(1, m - floor(m(k+2)/r)) <= j <= m - 1 - floor(m(k+1)/r)."""
-    params = KummerParams(m, r)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    if k > params.top_box:
-        return []
+    max(1, m - floor(m(k+2)/r)) <= j <= m - 1 - floor(m(k+1)/r), a range
+    that is empty beyond the top box.  Its length must be
+    :func:`kummer_card_gamma_k0`, else ClosedFormMismatchError."""
+    count = kummer_card_gamma_k0(m, r, k)
     lo = max(1, m - (m * (k + 2)) // r)
     hi = m - 1 - (m * (k + 1)) // r
-    return [LatticePoint(m * k + j, j) for j in range(lo, hi + 1)]
+    out = [LatticePoint(m * k + j, j) for j in range(lo, hi + 1)]
+    if len(out) != count:
+        raise ClosedFormMismatchError(
+            f"(m, r)=({m}, {r}) k={k}: explicit row has {len(out)} points, "
+            f"|Gamma_k0| formula gives {count}")
+    return out
 
 
 def kummer_g1(m: int, r: int, k: int) -> dict:
@@ -208,20 +217,20 @@ def kummer_components(m: int, r: int) -> dict:
     return {k: _components(m, r, k) for k in range(params.top_box + 1)}
 
 
-def verify_against_engine(boxed: BoxedGamma, m: int, r: int,
-                          per_box: dict | None = None,
-                          generic: dict | None = None) -> None:
+def verify_against_engine(boxed: BoxedGamma, m: int, r: int, *,
+                          per_box: dict, generic: dict,
+                          g0: PureGapSet) -> None:
     """Compare every explicit closed-form set with the generic engine on
-    ``boxed``, the decomposed generating set of parameters (m, r);
-    ``per_box`` is :func:`kummer_components` of (m, r) when the caller
-    holds it; ``generic`` maps each box index to the engine's
-    :func:`~puregaps.engine.box_components` when the caller holds them.
+    ``boxed``, the decomposed generating set of parameters (m, r):
+    ``per_box`` is :func:`kummer_components` of (m, r), ``generic`` maps
+    each box index to the engine's :func:`~puregaps.engine.box_components`
+    and ``g0`` is the engine's ``G0``.
 
-    Checks the row boxes and all four components of every box; any
-    disagreement raises GenericMismatchError naming the first offender.
+    Checks the row boxes, each against :func:`kummer_card_gamma_k0`
+    (ClosedFormMismatchError), and all four components of every box; any
+    other disagreement raises GenericMismatchError naming the first
+    offender.
     """
-    if per_box is None:
-        per_box = kummer_components(m, r)
-    check_components(boxed, lambda k: kummer_gamma_k0(m, r, k),
+    check_components(boxed, generic, g0, lambda k: kummer_gamma_k0(m, r, k),
                      lambda k: per_box.get(k, ({},) * 4),
-                     f"(m, r)=({m}, {r})", generic)
+                     f"(m, r)=({m}, {r})")

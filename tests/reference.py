@@ -6,7 +6,7 @@ that the package's faster code is checked against.
 
 from dataclasses import dataclass
 
-from puregaps.engine import PureGapSet
+from puregaps.engine import PureGapSet, assemble_pure_gaps, box_components
 from puregaps.errors import (
     CardinalityMismatchError,
     CoordinateDivisibleByPeriodError,
@@ -198,6 +198,15 @@ def merge_components(per_box: dict, period: int) -> PureGapSet:
         for bs in columns.values():
             bs.sort()
     return PureGapSet(columns_by_box, period)
+
+
+def engine_side(boxed) -> dict:
+    """The engine's inputs to a family's ``verify_against_engine``, by
+    keyword: its four components per box as ``generic`` and its ``G0`` as
+    ``g0``."""
+    return {"generic": {k: box_components(boxed, k)
+                        for k in range(boxed.kmax)},
+            "g0": assemble_pure_gaps(boxed).g0}
 
 
 def merge_box(k: int, components) -> list:

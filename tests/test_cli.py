@@ -1,5 +1,5 @@
-import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 
@@ -290,21 +290,6 @@ class TestVerify:
         assert code == 0
         assert "q=7,N=2" in out
 
-    def test_parallel_workers_match_sequential(self, capsys, monkeypatch):
-        code, seq, _ = run_cli(capsys, "verify", "--family", "gk",
-                               "--q-max", "3")
-        assert code == 0
-        monkeypatch.setenv("PUREGAPS_THREADS", "2")
-        code, par, _ = run_cli(capsys, "verify", "--family", "gk",
-                               "--q-max", "3")
-        assert code == 0
-
-        def strip_timings(text):
-            return [line.split("\t")[:5] for line in text.splitlines()
-                    if not line.startswith("#")]
-
-        assert strip_timings(seq) == strip_timings(par)
-
     @pytest.mark.parametrize("argv", [
         ("--family", "gk", "--q-max", "1"),
         ("--special", "ur1", "--u-max", "0")])
@@ -406,7 +391,6 @@ class TestFailingCrossCheck:
                     del boxes[i, j]
             return boxes
         monkeypatch.setattr(harness, "pure_gap_boxes_direct", short)
-        monkeypatch.delenv("PUREGAPS_THREADS", raising=False)
 
     @staticmethod
     def assert_explains(report, gamma):
@@ -593,9 +577,9 @@ class TestListingBuildsNoPointTuples:
 
 
 class TestVerifyPointWork:
-    """verify_point generates the set once and builds each of the engine's
-    components once per box, shared by the family's cross-check against
-    the engine and the diagonal law."""
+    """verify_point generates the set once and builds each box of the
+    engine's G0 and each of its components once, shared by the family's
+    cross-check against the engine and the diagonal law."""
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
@@ -616,8 +600,8 @@ class TestVerifyPointWork:
                 built.setdefault(name, []).append(k)
                 return real(boxed, k)
             return counted
-        for func in ("box_components", "compute_g1", "compute_g2",
-                     "compute_g3", "compute_g4"):
+        for func in ("box_columns", "box_components", "compute_g1",
+                     "compute_g2", "compute_g3", "compute_g4"):
             for namespace in (engine, harness):
                 if hasattr(namespace, func):
                     monkeypatch.setattr(namespace, func, counter(
@@ -628,8 +612,8 @@ class TestVerifyPointWork:
         assert len(calls) == 1
         kmax = engine.decompose(real(*params.values())).kmax
         assert built == {name: list(range(kmax)) for name in (
-            "box_components", "compute_g1", "compute_g2", "compute_g3",
-            "compute_g4")}
+            "box_columns", "box_components", "compute_g1", "compute_g2",
+            "compute_g3", "compute_g4")}
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
@@ -652,61 +636,37 @@ class TestVerifyPointWork:
         assert boxes == list(range(kmax))
 
 
-class FakePool:
-    """A ProcessPoolExecutor stand-in: records ``max_workers`` and maps in
-    this process, so no process is started."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, items):
-        return map(func, items)
+SERIAL_PROBE = """
+import sys
+from puregaps.cli import main
+code = main(["verify", "--family", "gk", "--q-max", "3"])
+print("# loaded", sorted({"concurrent.futures", "multiprocessing"}
+                         & sys.modules.keys()))
+sys.exit(code)
+"""
 
 
-class TestWorkerCap:
-    """PUREGAPS_THREADS asks for workers; map_points never starts more
-    than the CPUs this process may use, nor more than there are points."""
+def test_verify_is_serial_whatever_the_environment(capsys):
+    """A fresh interpreter with ``PUREGAPS_THREADS=2`` set runs a verify
+    grid without loading a process pool, and prints the rows of a run in
+    this process, timings aside."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PUREGAPS_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", SERIAL_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    *fresh, loaded = done.stdout.splitlines()
+    assert loaded == "# loaded []"
+    code, here, _ = run_cli(capsys, "verify", "--family", "gk",
+                            "--q-max", "3")
+    assert code == 0
 
-    POINTS = [("kummer", {"m": m, "r": 3}) for m in (2, 4, 5, 7, 8, 10)]
+    def rows(lines):
+        return [line.split("\t")[:5] for line in lines]
 
-    @pytest.fixture(autouse=True)
-    def fake_pool(self, monkeypatch):
-        monkeypatch.setattr(FakePool, "made", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            FakePool)
-
-    @pytest.mark.parametrize("threads, cpus, points, workers", [
-        ("1000", 3, 6, [3]),     # capped at the CPUs
-        ("2", 3, 6, [2]),        # fewer asked for than CPUs
-        ("1000", 8, 2, [2]),     # capped at the points
-        ("1000", 1, 6, []),      # one CPU: no pool at all
-        ("", 3, 6, []),          # unset: serial
-    ])
-    def test_affinity_caps_workers(self, monkeypatch, threads, cpus, points,
-                                   workers):
-        monkeypatch.setenv("PUREGAPS_THREADS", threads)
-        monkeypatch.setattr(harness.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        reports = harness.map_points(self.POINTS[:points])
-        assert FakePool.made == workers
-        assert [r.label() for r in reports] == \
-            [harness.verify_point(*p).label() for p in self.POINTS[:points]]
-        assert all(r.ok for r in reports)
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.setenv("PUREGAPS_THREADS", "1000")
-        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        harness.map_points(self.POINTS)
-        assert FakePool.made == [4]
+    assert rows(fresh) == rows(here.splitlines())
 
 
 FAMILY_SUMMARY = [("engine_vs_oracle", "skipped"),
@@ -758,8 +718,7 @@ class TestVerdictTable:
         assert code == 0
         assert list(json.loads(js)["verdicts"].items()) == want
 
-    def test_verify_row(self, capsys, monkeypatch):
-        monkeypatch.delenv("PUREGAPS_THREADS", raising=False)
+    def test_verify_row(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "gk",
                                "--q-max", "2")
         assert code == 0

@@ -257,9 +257,9 @@ class TestCheckReflection:
 
 class TestMergeCheck:
     """check_components first checks that the engine's four components,
-    concatenated per residue and sorted, are box_columns.  The family's
-    rows and components given here are the edited engine components
-    themselves, so only that check can fail."""
+    concatenated per residue and sorted, are the boxes of the engine's
+    G0.  The family's rows and components given here are the edited
+    engine components themselves, so only that check can fail."""
 
     @pytest.fixture(params=[
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})], ids=["gk", "kummer"])
@@ -268,28 +268,29 @@ class TestMergeCheck:
         boxed = decompose(
             harness.call_family(family, "{}_generating_set", params))
         generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
-        engine.check_components(boxed, boxed.row, generic.__getitem__, "x",
-                                generic)
-        return boxed, generic
+        g0 = assemble_pure_gaps(boxed).g0
+        engine.check_components(boxed, generic, g0, boxed.row,
+                                generic.__getitem__, "x")
+        return boxed, generic, g0
 
     @staticmethod
-    def assert_names(boxed, edited, k, r):
+    def assert_names(boxed, g0, edited, k, r):
         with pytest.raises(GenericMismatchError,
                            match=rf"^x k={k}: G1\.\.G4 merged at residue "
                                  rf"{r} hold "):
-            engine.check_components(boxed, boxed.row, edited.__getitem__,
-                                    "x", edited)
+            engine.check_components(boxed, edited, g0, boxed.row,
+                                    edited.__getitem__, "x")
 
     def test_point_dropped_from_g3(self, engine_parts):
-        boxed, generic = engine_parts
+        boxed, generic, g0 = engine_parts
         k = min(k for k, parts in generic.items() if parts[2])
         g1, g2, g3, g4 = generic[k]
         edited = dict(generic)
         edited[k] = (g1, g2, drop_first_point(g3), g4)
-        self.assert_names(boxed, edited, k, min(g3))
+        self.assert_names(boxed, g0, edited, k, min(g3))
 
     def test_g4_overlaps_g1(self, engine_parts):
-        boxed, generic = engine_parts
+        boxed, generic, g0 = engine_parts
         k, r = min((k, r) for k, (g1, _, _, g4) in generic.items()
                    for r in g4.keys() & g1.keys())
         g1, g2, g3, g4 = generic[k]
@@ -297,7 +298,7 @@ class TestMergeCheck:
         edited = dict(generic)
         edited[k] = (g1, g2, g3,
                      {**g4, r: sorted([*g4[r], g1[r][0]])})
-        self.assert_names(boxed, edited, k, r)
+        self.assert_names(boxed, g0, edited, k, r)
 
 
 class TestBounds:

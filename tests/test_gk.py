@@ -15,7 +15,6 @@ from puregaps.engine import (
 )
 from puregaps.errors import (
     GenericMismatchError,
-    IndexOutOfRangeError,
     InvalidParamsError,
 )
 from puregaps.gk import (
@@ -28,7 +27,6 @@ from puregaps.gk import (
     gk_g3,
     gk_g4,
     gk_gamma_k0,
-    gk_gamma_point,
     gk_generating_set,
     gk_upper_bound,
     verify_against_engine,
@@ -37,7 +35,12 @@ from puregaps.oracle import pure_gaps_direct
 
 import expected_gk2 as gk2
 import reference
-from reference import drop_first_point, flatten, merge_components
+from reference import (
+    drop_first_point,
+    engine_side,
+    flatten,
+    merge_components,
+)
 
 
 class TestParams:
@@ -81,29 +84,19 @@ class TestParams:
         assert "q=6 is not a prime power" in warned[0]
 
 
-class TestGammaPoint:
-    def test_examples(self):
-        assert gk_gamma_point(2, 0, 1, 2) == (3, 3)
-        assert gk_gamma_point(1, 2, 2, 2) == (13, 4)
-        assert gk_gamma_point(2, 2, 3, 2) == (19, 1)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            gk_gamma_point(2, 0, 0, 2)  # k below 1
-        with pytest.raises(IndexOutOfRangeError):
-            gk_gamma_point(3, 0, 1, 2)  # i above q
-        with pytest.raises(IndexOutOfRangeError):
-            gk_gamma_point(2, 3, 1, 2)  # j above q^2-q
-        with pytest.raises(IndexOutOfRangeError):
-            gk_gamma_point(0, 0, 1, 2)  # j below k-i+1
-
-
 class TestGeneratingSet:
     def test_q2_exact(self):
         gamma = gk_generating_set(2)
         assert list(gamma.points) == sorted(gk2.GAMMA)
         assert gamma.period == 9
         assert gamma.genus == 10
+
+    def test_q2_index_triples(self):
+        # the points of index triples (i, j, k) = (2, 0, 1), (1, 2, 2) and
+        # (2, 2, 3)
+        points = gk_generating_set(2).points
+        for point in ((3, 3), (13, 4), (19, 1)):
+            assert point in points
 
     @pytest.mark.parametrize("q,genus", [(2, 10), (3, 99), (4, 456), (5, 1450)])
     def test_genus_formula(self, q, genus):
@@ -175,7 +168,9 @@ class TestComponents:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_match_generic_engine(self, q):
-        verify_against_engine(decompose(gk_generating_set(q)), q)
+        boxed = decompose(gk_generating_set(q))
+        verify_against_engine(boxed, q, per_box=gk_components(q),
+                              **engine_side(boxed))
 
     def test_mismatch_names_box_and_component(self):
         def components(k):
@@ -185,11 +180,12 @@ class TestComponents:
             return gk_g1(2, k), gk_g2(2, k), g3, gk_g4(2, k)
 
         boxed = decompose(gk_generating_set(2))
+        engine = engine_side(boxed)
         with pytest.raises(GenericMismatchError,
                            match=r"^q=2 k=1: explicit G3 has 1 points, "
                                  r"engine has 2$"):
-            check_components(boxed, lambda k: gk_gamma_k0(2, k), components,
-                             "q=2")
+            check_components(boxed, engine["generic"], engine["g0"],
+                             lambda k: gk_gamma_k0(2, k), components, "q=2")
 
     def test_upper_bound_polynomial_checked(self, monkeypatch):
         # verify_against_engine compares the engine's row-size upper bound

@@ -2,6 +2,8 @@ from math import gcd
 
 import pytest
 
+import puregaps.harness as harness
+import puregaps.kummer as kummer_mod
 from puregaps.engine import (
     assemble_pure_gaps,
     bounds_from_row_sizes,
@@ -26,7 +28,7 @@ from puregaps.kummer import (
 from puregaps.oracle import pure_gaps_direct
 
 import reference
-from reference import flatten, merge_components
+from reference import engine_side, flatten, merge_components
 
 COPRIME_GRID = [(m, r) for m in range(2, 16) for r in range(2, 16)
                 if gcd(m, r) == 1]
@@ -139,7 +141,20 @@ class TestComponents:
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (7, 3), (6, 11),
                                      (3, 8), (15, 4), (12, 7), (5, 14)])
     def test_match_generic_engine(self, m, r):
-        verify_against_engine(decompose(kummer_generating_set(m, r)), m, r)
+        boxed = decompose(kummer_generating_set(m, r))
+        verify_against_engine(boxed, m, r, per_box=kummer_components(m, r),
+                              **engine_side(boxed))
+
+    def test_row_count_formula_checked(self, monkeypatch):
+        # each explicit row is checked against |Gamma_k0|, so a wrong count
+        # formula fails the verdict
+        real = kummer_mod.kummer_card_gamma_k0
+        monkeypatch.setattr(kummer_mod, "kummer_card_gamma_k0",
+                            lambda m, r, k: real(m, r, k) + 1)
+        report = harness.verify_point("kummer", {"m": 7, "r": 5})
+        assert report.verdicts["components_vs_generic"] == "fail"
+        assert ("components_vs_generic: (m, r)=(7, 5) k=0: explicit row has "
+                "1 points, |Gamma_k0| formula gives 2") in report.detail
 
 
 def explicit_g0(m, r):
