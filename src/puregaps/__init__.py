@@ -6,7 +6,6 @@ independent brute-force oracle for cross-validation."""
 from .engine import (
     Bounds,
     BoxedGamma,
-    PureGapResult,
     PureGapSet,
     assemble_pure_gaps,
     bounds,
@@ -54,7 +53,6 @@ from .kummer import (
 from .lattice import (
     COORD_MAX,
     GeneratingSet,
-    LatticePoint,
     validate_generating_set,
 )
 from .oracle import (

@@ -2,7 +2,8 @@
 
 Subcommands: ``gk``, ``kummer``, ``generic``, ``verify``, ``bench``.
 Exit codes: 0 success, 1 consistency or verification failure, 2 usage or
-input error.  All emissions are deterministic byte-for-byte except the
+input error; the console script ends by SIGPIPE when its reader closes
+stdout.  All emissions are deterministic byte-for-byte except the
 wall-clock fields of ``verify`` and ``bench`` output.
 """
 
@@ -88,7 +89,7 @@ def _stream_pure_gaps(boxed, fmt, out):
     not by ``|G0|``.  The markers rendered must number the weighted
     per-box sum.
     """
-    g0 = assemble_pure_gaps(boxed).g0
+    g0 = assemble_pure_gaps(boxed)
     if fmt == "json":
         opener, mid, closer = ",[", ",", "]"
         out.write("[")
@@ -311,6 +312,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    """The console script.  A closed stdout (``puregaps ... | head``) ends
+    the process quietly by SIGPIPE, as it does for other filters, where
+    the platform has that signal; ``signal`` is imported here, so
+    importing this module does not load it."""
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -42,8 +42,7 @@ twice.  :func:`check_reflection` is the only check of the diagonal law
 that empties G2 and makes G4 a reflection of G3 (by column, a transpose);
 it takes the engine's components when the caller has built them.
 
-The rows are plain ``(a, b)`` tuples (they compare equal to
-:class:`~puregaps.lattice.LatticePoint`), sorted lexicographically.
+The rows are plain ``(a, b)`` tuples, sorted lexicographically.
 Cardinalities and bounds are guarded against the 128-bit range.
 """
 
@@ -298,20 +297,6 @@ def bounds(boxed: BoxedGamma) -> Bounds:
     return bounds_from_row_sizes(boxed.row_sizes(), boxed.genus)
 
 
-class PureGapResult(namedtuple("PureGapResult", (
-        "g0", "cardinality", "lower_bound", "upper_bound",
-        "homma_kim_bound"))):
-    """The assembled pure gap set.
-
-    ``g0`` is the full set as a :class:`PureGapSet`: the per-box sets by
-    column plus the period, which iterates in lexicographic order and
-    compares equal to the sorted list of its points; ``cardinality`` equals
-    ``len(g0)``, the weighted per-box sum.
-    """
-
-    __slots__ = ()
-
-
 def box_components(boxed: BoxedGamma, k: int) -> tuple:
     """The four components (G1, G2, G3, G4) of box (k, 0), each by column:
     ``{a - k*period: ascending second coordinates at a}``, residues
@@ -529,14 +514,12 @@ class PureGapSet:
         return pos == len(other)
 
 
-def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapResult:
-    """Assemble the full pure gap set from the row-zero boxes, each box
-    ``(k, 0)`` built by :func:`box_columns`."""
-    g0 = PureGapSet({k: box_columns(boxed, k) for k in range(boxed.kmax)},
-                    boxed.period)
-    bnd = bounds(boxed)
-    return PureGapResult(g0=g0, cardinality=len(g0), lower_bound=bnd.lower,
-                         upper_bound=bnd.upper, homma_kim_bound=bnd.homma_kim)
+def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapSet:
+    """The full pure gap set ``G0`` from the row-zero boxes, each box
+    ``(k, 0)`` built by :func:`box_columns`.  Its bounds are
+    :func:`bounds` of the same boxes."""
+    return PureGapSet({k: box_columns(boxed, k) for k in range(boxed.kmax)},
+                      boxed.period)
 
 
 def _same_columns(mine: dict, engine: dict) -> bool:

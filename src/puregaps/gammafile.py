@@ -108,9 +108,20 @@ def _parse_lines(lines: list, source: str) -> GeneratingSet:
 
 
 def load_gamma(path) -> GeneratingSet:
-    """Read and validate a generating set file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_gamma(handle.read(), source=str(path))
+    """Read and validate a generating set file from disk.  A file that is
+    not UTF-8 raises GammaFileError naming the line of its first bad
+    byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise GammaFileError(
+            f"{path}: line {lineno}: not UTF-8 text ({exc.reason} at byte "
+            f"{exc.start})") from None
+    del data  # the bytes are not held while the text is parsed
+    return parse_gamma(text, source=str(path))
 
 
 def dump_gamma(gamma: GeneratingSet) -> str:

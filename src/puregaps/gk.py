@@ -34,7 +34,7 @@ from .errors import (
     InvalidParamsError,
     PiecewiseMismatchError,
 )
-from .lattice import GeneratingSet, LatticePoint, validate_generating_set
+from .lattice import GeneratingSet, validate_generating_set
 
 
 def _is_prime_power(n: int) -> bool:
@@ -135,8 +135,7 @@ def gk_gamma_k0(q: int, k: int) -> list:
     if count == 0:
         return []
     shift = k * (q**3 + 1)
-    out = sorted(LatticePoint(shift + base, base)
-                 for _, base in _row_bases(q, k))
+    out = sorted((shift + base, base) for _, base in _row_bases(q, k))
     if len(out) != count:
         raise PiecewiseMismatchError(
             f"q={q} k={k}: explicit row has {len(out)} points, count says {count}")

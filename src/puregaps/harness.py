@@ -28,6 +28,7 @@ from . import gk as gk_mod
 from . import kummer as kummer_mod
 from .engine import (
     assemble_pure_gaps,
+    bounds,
     box_components,
     check_reflection,
     decompose,
@@ -130,14 +131,13 @@ class _Checks:
         return "; ".join(self.details)
 
 
-def _base_report(family, params, gamma, boxed, result, checks, timings):
+def _base_report(family, params, gamma, boxed, g0, bnd, checks, timings):
     return RunReport(
         family=family, params=dict(params), genus=gamma.genus,
         period=gamma.period, row_sizes=boxed.row_sizes(),
-        cardinality=result.cardinality, lower_bound=result.lower_bound,
-        upper_bound=result.upper_bound,
-        homma_kim_bound=result.homma_kim_bound,
-        verdicts=checks.verdicts, timings=timings, detail=checks.detail())
+        cardinality=len(g0), lower_bound=bnd.lower, upper_bound=bnd.upper,
+        homma_kim_bound=bnd.homma_kim, verdicts=checks.verdicts,
+        timings=timings, detail=checks.detail())
 
 
 def _failed_report(family, params, exc, keys=VERDICT_KEYS):
@@ -150,30 +150,28 @@ def _failed_report(family, params, exc, keys=VERDICT_KEYS):
         detail=f"{type(exc).__name__}: {exc}")
 
 
-def _check_bounds(checks, result):
-    card = result.cardinality
-    ok = (result.lower_bound <= card <= result.upper_bound
-          and card <= result.homma_kim_bound)
+def _check_bounds(checks, g0, bnd):
+    card = len(g0)
+    ok = bnd.lower <= card <= bnd.upper and card <= bnd.homma_kim
     checks.record("bound_sandwich", ok,
-                  f"lower={result.lower_bound} card={card} "
-                  f"upper={result.upper_bound} hk={result.homma_kim_bound}")
+                  f"lower={bnd.lower} card={card} "
+                  f"upper={bnd.upper} hk={bnd.homma_kim}")
 
 
-def _check_oracle(checks, result, boxes, period):
+def _check_oracle(checks, g0, boxes, period):
     """Record whether the engine's G0 equals the oracle's boxes, box by
     box, and return that.  The diff costs two |G0|-sized sets, so it is
     built only on failure."""
-    ok = result.g0.equals_boxes(boxes)
+    ok = g0.equals_boxes(boxes)
     checks.record("engine_vs_oracle", ok,
-                  "" if ok else _diff_sets("G0", result.g0,
+                  "" if ok else _diff_sets("G0", g0,
                                            points_of(boxes, period)))
     return ok
 
 
-def _check_closed_form(checks, result, closed_card):
-    checks.record("closed_form_vs_enumeration",
-                  closed_card == result.cardinality,
-                  f"closed={closed_card} engine={result.cardinality}")
+def _check_closed_form(checks, g0, closed_card):
+    checks.record("closed_form_vs_enumeration", closed_card == len(g0),
+                  f"closed={closed_card} engine={len(g0)}")
 
 
 def summarize_family(family: str, params: dict) -> RunReport:
@@ -185,12 +183,13 @@ def summarize_family(family: str, params: dict) -> RunReport:
     built and ``G0`` is never listed."""
     gamma = call_family(family, "{}_generating_set", params)
     boxed = decompose(gamma)
-    result = assemble_pure_gaps(boxed)
+    g0 = assemble_pure_gaps(boxed)
+    bnd = bounds(boxed)
     checks = _Checks()
-    _check_closed_form(checks, result,
+    _check_closed_form(checks, g0,
                        call_family(family, "{}_card_g0", params))
-    _check_bounds(checks, result)
-    return _base_report(family, params, gamma, boxed, result, checks, {})
+    _check_bounds(checks, g0, bnd)
+    return _base_report(family, params, gamma, boxed, g0, bnd, checks, {})
 
 
 def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
@@ -201,13 +200,14 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     law on a non-diagonal set.
     """
     boxed = decompose(gamma)
-    result = assemble_pure_gaps(boxed)
+    g0 = assemble_pure_gaps(boxed)
+    bnd = bounds(boxed)
     checks = _Checks()
-    _check_oracle(checks, result, pure_gap_boxes_direct(gamma), gamma.period)
-    _check_bounds(checks, result)
+    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma), gamma.period)
+    _check_bounds(checks, g0, bnd)
     if boxed.diagonal:
         checks.run("diagonal_reflection", check_reflection, boxed)
-    return _base_report("generic", {"input": label}, gamma, boxed, result,
+    return _base_report("generic", {"input": label}, gamma, boxed, g0, bnd,
                         checks, {})
 
 
@@ -225,7 +225,8 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
 
     start = time.perf_counter()
     boxed = decompose(gamma)
-    result = assemble_pure_gaps(boxed)
+    g0 = assemble_pure_gaps(boxed)
+    bnd = bounds(boxed)
     timings["decomposition_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -235,7 +236,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     # The oracle's boxes are compared at once and dropped, so they are not
     # held while the family route builds its components.
     checks = _Checks()
-    _check_oracle(checks, result, boxes, gamma.period)
+    _check_oracle(checks, g0, boxes, gamma.period)
     del boxes
 
     start = time.perf_counter()
@@ -243,17 +244,18 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     per_box = call_family(family, "{}_components", params)
     timings["closed_form_s"] = time.perf_counter() - start
 
-    _check_closed_form(checks, result, closed_card)
+    _check_closed_form(checks, g0, closed_card)
     # The engine's components are built once per box and feed both the
     # family's box-by-box check, which also checks that they merge to the
     # engine's G0, and the diagonal law.
     generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
     checks.run("components_vs_generic", call_family, family,
                "verify_against_engine", params, boxed, per_box=per_box,
-               generic=generic, g0=result.g0)
-    _check_bounds(checks, result)
+               generic=generic, g0=g0)
+    _check_bounds(checks, g0, bnd)
     checks.run("diagonal_reflection", check_reflection, boxed, generic)
-    return _base_report(family, params, gamma, boxed, result, checks, timings)
+    return _base_report(family, params, gamma, boxed, g0, bnd, checks,
+                        timings)
 
 
 def _verify_special(family, params, r, closed_form, timed=False,
@@ -272,18 +274,19 @@ def _verify_special(family, params, r, closed_form, timed=False,
         gamma = kummer_mod.kummer_generating_set(params["m"], r)
         boxed = decompose(gamma)
         check_reflection(boxed)
-        result = assemble_pure_gaps(boxed)
+        g0 = assemble_pure_gaps(boxed)
+        bnd = bounds(boxed)
         direct = count_pure_gaps_direct(gamma)
     except ConsistencyError as exc:
         return _failed_report(family, params, exc, keys)
-    engine = len(result.g0)
+    engine = len(g0)
     checks = _Checks(keys)
     checks.record("special_vs_enumeration", closed == engine == direct,
                   f"closed={closed} engine={engine} oracle={direct}")
     if sharp:
-        checks.record("upper_bound_sharp", closed == result.upper_bound,
-                      f"closed={closed} upper={result.upper_bound}")
-    return _base_report(family, params, gamma, boxed, result, checks, timing)
+        checks.record("upper_bound_sharp", closed == bnd.upper,
+                      f"closed={closed} upper={bnd.upper}")
+    return _base_report(family, params, gamma, boxed, g0, bnd, checks, timing)
 
 
 def verify_special_ur1(u: int, r: int) -> RunReport:
@@ -364,17 +367,17 @@ def bench_family(family: str, params: dict) -> list:
     t_direct = time.perf_counter() - start
 
     start = time.perf_counter()
-    result = assemble_pure_gaps(decompose(gamma))
+    g0 = assemble_pure_gaps(decompose(gamma))
     t_box = time.perf_counter() - start
 
     checks = _Checks(("engine_vs_oracle",))
-    if not _check_oracle(checks, result, direct, gamma.period):
+    if not _check_oracle(checks, g0, direct, gamma.period):
         raise ConsistencyError(checks.detail())
     direct_card = sum(len(vs) for columns in direct.values()
                       for vs in columns.values())
     return [
         BenchRow(family, dict(params), gamma.genus, "box-decomposition",
-                 t_box, result.cardinality, True),
+                 t_box, len(g0), True),
         BenchRow(family, dict(params), gamma.genus, "direct-glb",
                  t_direct, direct_card, True),
     ]

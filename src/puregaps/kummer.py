@@ -29,7 +29,7 @@ from .errors import (
     DivisibilityViolationError,
     InvalidParamsError,
 )
-from .lattice import GeneratingSet, LatticePoint, validate_generating_set
+from .lattice import GeneratingSet, validate_generating_set
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -99,7 +99,7 @@ def kummer_gamma_k0(m: int, r: int, k: int) -> list:
     count = kummer_card_gamma_k0(m, r, k)
     lo = max(1, m - (m * (k + 2)) // r)
     hi = m - 1 - (m * (k + 1)) // r
-    out = [LatticePoint(m * k + j, j) for j in range(lo, hi + 1)]
+    out = [(m * k + j, j) for j in range(lo, hi + 1)]
     if len(out) != count:
         raise ClosedFormMismatchError(
             f"(m, r)=({m}, {r}) k={k}: explicit row has {len(out)} points, "

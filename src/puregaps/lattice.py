@@ -1,7 +1,6 @@
-"""Integer lattice points and validated minimal generating sets.
+"""Validated minimal generating sets of integer lattice points.
 
-A :class:`LatticePoint` is a pair of nonnegative 64-bit integers.  A
-:class:`GeneratingSet` is the graph of the bijection between the gap sets
+A :class:`GeneratingSet` is the graph of the bijection between the gap sets
 at two places together with the period of the two-place semigroup, held
 as plain ``(a, b)`` int tuples; :func:`validate_generating_set` is the
 only sanctioned way to build one and enforces, among other things, the
@@ -40,34 +39,13 @@ from .errors import (
 COORD_MAX = 2**63 - 1
 
 
-class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
-    """A point ``(a, b)`` in N0 x N0.
-
-    Compares, hashes and sorts exactly like the plain tuple ``(a, b)``, so
-    results may freely mix both representations.  Construction rejects
-    negative coordinates and coordinates beyond the 64-bit signed range.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int) -> "LatticePoint":
-        if a < 0 or b < 0:
-            raise ValueError(f"negative coordinate in ({a}, {b})")
-        if a > COORD_MAX or b > COORD_MAX:
-            raise OverflowError(
-                f"coordinate outside 64-bit signed range in ({a}, {b})")
-        return tuple.__new__(cls, (a, b))
-
-
 class GeneratingSet(namedtuple("GeneratingSet", ("points", "period"))):
     """Validated minimal generating set of a two-place semigroup.
 
     ``points`` holds the pairs ``(beta, tau(beta))`` sorted by first
-    coordinate, as plain ``(a, b)`` int tuples, not :class:`LatticePoint`:
-    they compare, hash and sort exactly alike, and a plain tuple costs no
-    Python-level constructor per point.  ``period`` is the period of the
-    semigroup.  The genus of
-    the underlying function field equals the number of points.
+    coordinate, as plain ``(a, b)`` int tuples, so ``dict(points)`` is the
+    gap bijection.  ``period`` is the period of the semigroup.  The genus
+    of the underlying function field equals the number of points.
 
     Build instances through :func:`validate_generating_set`; the raw
     constructor performs no checks.
@@ -78,10 +56,6 @@ class GeneratingSet(namedtuple("GeneratingSet", ("points", "period"))):
     @property
     def genus(self) -> int:
         return len(self.points)
-
-    def tau(self) -> dict:
-        """The gap bijection as a dict, first coordinate to second."""
-        return {a: b for a, b in self.points}
 
 
 def period_law_violations(tau: dict, period: int,
@@ -218,15 +192,16 @@ def _raise_bad_point(pts: list, period: int) -> None:
     leaves the 64-bit range, else for the first duplicate coordinate in
     sorted order.  Called only once a whole-list check has failed, so one
     of these raises."""
-    for p in pts:
-        a, b = p
+    for a, b in pts:
         if a <= 0 or b <= 0:
             raise ZeroOrNegativeCoordinateError(
                 f"({a}, {b}): generating set coordinates must be positive")
         if a % period == 0 or b % period == 0:
             raise CoordinateDivisibleByPeriodError(
                 f"({a}, {b}): coordinate divisible by period {period}")
-        LatticePoint(a, b)
+        if a > COORD_MAX or b > COORD_MAX:
+            raise OverflowError(
+                f"coordinate outside 64-bit signed range in ({a}, {b})")
     seen_a = set()
     seen_b = set()
     for a, b in sorted(pts):

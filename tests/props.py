@@ -117,7 +117,7 @@ def run_swap_symmetry(n, seed=0x51AB):
         gamma = get_gamma(point)
         pset = set(map(tuple, gamma.points))
         assert {(b, a) for a, b in pset} == pset
-        g0 = set(get_result(point).g0)
+        g0 = set(get_result(point))
         assert {(b, a) for a, b in g0} == g0
     return n
 
@@ -141,7 +141,7 @@ def run_translate_disjointness(n, seed=0x7D15):
             expected += (k + 1) * len(box)
             for j in range(k + 1):
                 union.update((a - j * period, b + j * period) for a, b in box)
-        assert len(union) == expected == result.cardinality
+        assert len(union) == expected == len(result)
     return n
 
 

@@ -4,6 +4,7 @@ Nothing here is part of the package: these are the slow, obvious forms
 that the package's faster code is checked against.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from puregaps.engine import PureGapSet, assemble_pure_gaps, box_components
@@ -21,7 +22,26 @@ from puregaps.errors import (
     ValidationError,
     ZeroOrNegativeCoordinateError,
 )
-from puregaps.lattice import GeneratingSet, LatticePoint, period_law_violations
+from puregaps.lattice import COORD_MAX, GeneratingSet, period_law_violations
+
+
+class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
+    """A point ``(a, b)`` in N0 x N0.
+
+    Compares, hashes and sorts exactly like the plain tuple ``(a, b)``, so
+    results may freely mix both representations.  Construction rejects
+    negative coordinates and coordinates beyond the 64-bit signed range.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "LatticePoint":
+        if a < 0 or b < 0:
+            raise ValueError(f"negative coordinate in ({a}, {b})")
+        if a > COORD_MAX or b > COORD_MAX:
+            raise OverflowError(
+                f"coordinate outside 64-bit signed range in ({a}, {b})")
+        return tuple.__new__(cls, (a, b))
 
 
 def flatten(columns, base=0) -> list:
@@ -206,7 +226,7 @@ def engine_side(boxed) -> dict:
     ``g0``."""
     return {"generic": {k: box_components(boxed, k)
                         for k in range(boxed.kmax)},
-            "g0": assemble_pure_gaps(boxed).g0}
+            "g0": assemble_pure_gaps(boxed)}
 
 
 def merge_box(k: int, components) -> list:

@@ -8,8 +8,8 @@ import time
 from math import gcd
 
 from puregaps.cli import main as cli_main
-from puregaps.engine import assemble_pure_gaps, bounds_from_row_sizes, \
-    compute_g1, compute_g2, compute_g3, compute_g4, decompose
+from puregaps.engine import assemble_pure_gaps, bounds, \
+    bounds_from_row_sizes, compute_g1, compute_g2, compute_g3, compute_g4, decompose
 from puregaps.gk import (
     GKParams,
     gk_card_g0,
@@ -104,8 +104,8 @@ def test_criterion_3_gk_closed_form_vs_enumeration(capsys):
         engine = assemble_pure_gaps(decompose(gamma))
         direct = pure_gaps_direct(gamma)
         closed = gk_card_g0(q)
-        assert closed == engine.cardinality == len(direct)
-        assert engine.g0 == direct
+        assert closed == len(engine) == len(direct)
+        assert engine == direct
         cards[q] = closed
     elapsed = time.perf_counter() - start
     assert cards[3] == 3471
@@ -120,8 +120,8 @@ def test_criterion_4_kummer_closed_form_vs_enumeration(capsys):
         gamma = kummer_generating_set(m, r)
         engine = assemble_pure_gaps(decompose(gamma))
         direct = pure_gaps_direct(gamma)
-        assert kummer_card_g0(m, r) == engine.cardinality == len(direct)
-        assert engine.g0 == direct
+        assert kummer_card_g0(m, r) == len(engine) == len(direct)
+        assert engine == direct
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():
@@ -163,18 +163,20 @@ def test_criterion_6_sharpness(capsys):
 
 def test_criterion_7_bound_sandwich(capsys):
     for q in (2, 3, 4, 5):
-        result = assemble_pure_gaps(decompose(gk_generating_set(q)))
-        assert result.lower_bound <= result.cardinality <= result.upper_bound
-        assert result.cardinality <= result.homma_kim_bound
+        boxed = decompose(gk_generating_set(q))
+        card, bnd = len(assemble_pure_gaps(boxed)), bounds(boxed)
+        assert bnd.lower <= card <= bnd.upper
+        assert card <= bnd.homma_kim
         if q >= 3:
-            assert result.upper_bound < result.homma_kim_bound
+            assert bnd.upper < bnd.homma_kim
     assert gk_upper_bound(3) == 4037
     g3 = GKParams(3).genus
     assert g3 * (g3 - 1) // 2 == 4851
     for m, r in KUMMER_GRID:
-        result = assemble_pure_gaps(decompose(kummer_generating_set(m, r)))
-        assert result.lower_bound <= result.cardinality <= result.upper_bound
-        assert result.cardinality <= result.homma_kim_bound
+        boxed = decompose(kummer_generating_set(m, r))
+        card, bnd = len(assemble_pure_gaps(boxed)), bounds(boxed)
+        assert bnd.lower <= card <= bnd.upper
+        assert card <= bnd.homma_kim
     with capsys.disabled():
         _passed(7, "every tested input has lower <= |G0| <= upper and "
                    "|G0| <= g(g-1)/2; at q=3: 3471 <= 4037 < 4851")

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -142,6 +143,17 @@ class TestGeneric:
                                str(tmp_path / "none.gamma"))
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xffperiod 3\n", 1), (b"period 4\n# caf\xe9\n1\t5\n", 2)],
+        ids=["first-byte", "comment-on-line-2"])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, data, line):
+        path = tmp_path / "bytes.gamma"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "generic", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: line {line}: not UTF-8 text")
 
 
     def test_gap_beyond_genus_bound_exit_2(self, capsys, tmp_path):
@@ -366,6 +378,25 @@ def test_usage_error_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"),
+                    reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_quietly():
+    """A reader that takes one line of a listing and closes the pipe, as
+    ``| head -1`` does, ends the command by SIGPIPE with nothing on
+    stderr.  The listing is far larger than a pipe buffer, so the command
+    is still writing when the pipe closes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "puregaps.cli", "gk", "--q", "5",
+         "--emit", "puregaps"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1\t1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
+
+
 class TestFailingCrossCheck:
     """A failing engine-vs-oracle check must still explain itself."""
 
@@ -450,7 +481,7 @@ class TestFailingCrossCheck:
                                   ("kummer", "--m", "5", "--r", "7")])
 def test_failed_family_summary_exit_1(capsys, monkeypatch, argv):
     # Bounds of zero fail the bound sandwich of every nonempty G0.
-    monkeypatch.setattr(engine, "bounds",
+    monkeypatch.setattr(harness, "bounds",
                         lambda boxed: engine.Bounds(0, 0, 0))
     code, out, _ = run_cli(capsys, *argv, "--emit", "summary")
     assert code == 1

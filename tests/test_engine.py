@@ -1,5 +1,6 @@
 import copy
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from puregaps.errors import (
 )
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
-from puregaps.lattice import GeneratingSet, LatticePoint, validate_generating_set
+from puregaps.lattice import GeneratingSet, validate_generating_set
 from puregaps.oracle import pure_gap_boxes_direct
 
 import expected_gk2 as gk2
@@ -84,7 +85,7 @@ class TestDecompose:
 
     def test_genus_identity_violation(self):
         # bypasses validation: (12, 12) has no row-zero representative
-        broken = GeneratingSet((LatticePoint(3, 3), LatticePoint(12, 12)), 9)
+        broken = GeneratingSet(((3, 3), (12, 12)), 9)
         with pytest.raises(GenusIdentityViolationError):
             decompose(broken)
 
@@ -156,28 +157,29 @@ class TestComponents:
 
 class TestAssemble:
     def test_gk2_full_set(self, gk2_boxed):
-        result = assemble_pure_gaps(gk2_boxed)
-        assert result.g0 == gk2.G0_SORTED
-        assert result.cardinality == 35
+        g0 = assemble_pure_gaps(gk2_boxed)
+        assert g0 == gk2.G0_SORTED
+        assert len(g0) == 35
         for k, want in enumerate([(gk2.G1_0, [], gk2.G3_0, gk2.G4_0),
                                   (gk2.G1_1, [], gk2.G3_1, gk2.G4_1),
                                   ([], [], [], [])]):
             assert tuple(flatten(part, 9 * k) for part in
                          box_components(gk2_boxed, k)) == want
-        assert (result.lower_bound, result.upper_bound,
-                result.homma_kim_bound) == (gk2.LOWER, gk2.UPPER, gk2.HOMMA_KIM)
+        assert tuple(bounds(gk2_boxed)) == \
+            (gk2.LOWER, gk2.UPPER, gk2.HOMMA_KIM)
 
     def test_kummer43(self, kummer43_boxed):
-        result = assemble_pure_gaps(kummer43_boxed)
-        assert result.g0 == [(1, 1), (1, 2), (2, 1)]
-        assert result.cardinality == 3
-        assert result.upper_bound == 3  # attained
+        g0 = assemble_pure_gaps(kummer43_boxed)
+        assert g0 == [(1, 1), (1, 2), (2, 1)]
+        assert len(g0) == 3
+        assert bounds(kummer43_boxed).upper == 3  # attained
 
     def test_empty(self):
-        result = assemble_pure_gaps(decompose(validate_generating_set([], 1)))
-        assert result.g0 == []
-        assert result.cardinality == 0
-        assert result.lower_bound == result.upper_bound == 0
+        boxed = decompose(validate_generating_set([], 1))
+        g0 = assemble_pure_gaps(boxed)
+        assert g0 == []
+        assert len(g0) == 0
+        assert bounds(boxed).lower == bounds(boxed).upper == 0
 
 
 class TestFamilyAssemble:
@@ -268,7 +270,7 @@ class TestMergeCheck:
         boxed = decompose(
             harness.call_family(family, "{}_generating_set", params))
         generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
-        g0 = assemble_pure_gaps(boxed).g0
+        g0 = assemble_pure_gaps(boxed)
         engine.check_components(boxed, generic, g0, boxed.row,
                                 generic.__getitem__, "x")
         return boxed, generic, g0
@@ -412,17 +414,31 @@ class TestSharedColumns:
         for value, before in built:
             assert value == before
 
+    @staticmethod
+    def assert_figures(report, family, params):
+        """The report's cardinality is the closed form's, its bounds those
+        of the decomposed set."""
+        gamma = harness.call_family(family, "{}_generating_set", params)
+        assert report.cardinality == \
+            harness.call_family(family, "{}_card_g0", params)
+        assert (report.lower_bound, report.upper_bound,
+                report.homma_kim_bound) == tuple(bounds(decompose(gamma)))
+
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 4}), ("kummer", {"m": 7, "r": 5})])
     def test_verify_point(self, built, family, params):
-        assert harness.verify_point(family, params).ok
+        report = harness.verify_point(family, params)
+        assert report.ok
         self.assert_unchanged(built)
+        self.assert_figures(report, family, params)
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 4}), ("kummer", {"m": 7, "r": 5})])
     def test_summarize_family(self, built, family, params):
-        assert harness.summarize_family(family, params).ok
+        report = harness.summarize_family(family, params)
+        assert report.ok
         self.assert_unchanged(built)
+        self.assert_figures(report, family, params)
 
     def test_assemble(self, built):
         boxed = decompose(gk_generating_set(4))
@@ -433,8 +449,8 @@ class TestSharedColumns:
                 {k: (engine.box_columns(boxed, k),)
                  for k in range(boxed.kmax)}):
             g0 = merge_components(per_box, boxed.period)
-            assert g0 == want.g0
-            assert len(g0) == want.cardinality
+            assert g0 == want
+            assert len(g0) == len(want)
         self.assert_unchanged(built)
 
 
@@ -519,7 +535,7 @@ class TestPureGapSet:
 
     @pytest.fixture
     def gk2_g0(self, gk2_boxed):
-        return assemble_pure_gaps(gk2_boxed).g0
+        return assemble_pure_gaps(gk2_boxed)
 
     def test_list_edits_unequal(self, gk2_g0):
         want = list(gk2.G0_SORTED)
@@ -594,3 +610,13 @@ class TestPureGapSet:
         gk2_g0._size += 1
         with pytest.raises(CardinalityMismatchError):
             gk2_g0 == list(gk2.G0_SORTED)
+
+
+def test_readme_library_example_runs():
+    """The ``python`` block under ``## Library`` in the README runs, and its
+    ``assert`` lines hold."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

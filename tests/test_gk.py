@@ -9,6 +9,7 @@ import puregaps.gk as gk_mod
 import puregaps.harness as harness
 from puregaps.engine import (
     assemble_pure_gaps,
+    bounds,
     bounds_from_row_sizes,
     check_components,
     decompose,
@@ -247,9 +248,10 @@ class TestPureGaps:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_three_routes_agree(self, q):
         gamma = gk_generating_set(q)
-        engine = assemble_pure_gaps(decompose(gamma))
+        boxed = decompose(gamma)
+        engine = assemble_pure_gaps(boxed)
         explicit, _ = explicit_g0(q)
         direct = pure_gaps_direct(gamma)
-        assert explicit == engine.g0 == direct
+        assert explicit == engine == direct
         assert len(explicit) == gk_card_g0(q)
-        assert engine.upper_bound == gk_upper_bound(q)
+        assert bounds(boxed).upper == gk_upper_bound(q)

@@ -14,6 +14,7 @@ from puregaps.cli import _stream_pure_gaps
 from puregaps.engine import (
     BoxedGamma,
     assemble_pure_gaps,
+    bounds,
     box_columns,
     box_components,
     compute_g1,
@@ -99,8 +100,9 @@ def test_glb_lub_swap_commute(p, q):
 def test_non_diagonal_engine_matches_references(gamma):
     """On validated non-diagonal sets: box_columns equals the per-box merge
     regrouped point by point, the engine's G0 equals the oracle's (as
-    points, box by box and as listed TSV and JSON text), and nothing raises
-    a ConsistencyError."""
+    points, box by box and as listed TSV and JSON text), the summary
+    reports the oracle's count and the boxes' row sizes and bounds, and
+    nothing raises a ConsistencyError."""
     boxed = decompose(gamma)
     for k in range(boxed.kmax):
         base = k * boxed.period
@@ -109,9 +111,9 @@ def test_non_diagonal_engine_matches_references(gamma):
         assert box_columns(boxed, k) == \
             _residue_runs({k: merged}, boxed.period).get(k, {})
     direct = pure_gaps_direct(gamma)
-    result = assemble_pure_gaps(boxed)
-    assert result.g0 == direct
-    assert result.g0.equals_boxes(pure_gap_boxes_direct(gamma))
+    g0 = assemble_pure_gaps(boxed)
+    assert g0 == direct
+    assert g0.equals_boxes(pure_gap_boxes_direct(gamma))
     out = io.StringIO()
     _stream_pure_gaps(boxed, "tsv", out)
     assert out.getvalue() == "".join(f"{a}\t{b}\n" for a, b in direct)
@@ -121,6 +123,10 @@ def test_non_diagonal_engine_matches_references(gamma):
         "[" + ",".join(f"[{a},{b}]" for a, b in direct) + "]\n"
     report = summarize_generic(gamma, "drawn")
     assert report.ok, report.detail
+    assert report.cardinality == len(direct)
+    assert report.row_sizes == boxed.row_sizes()
+    assert (report.lower_bound, report.upper_bound,
+            report.homma_kim_bound) == tuple(bounds(boxed))
 
 
 COMPONENTS = ((compute_g1, reference.compute_g1_points),

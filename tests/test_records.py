@@ -3,7 +3,7 @@
 Every record of the package is a ``namedtuple`` subclass with no instance
 dict: its fields keep their order and ``repr``, assignment raises, and it
 pickles.  Importing the package, its CLI and its harness loads neither the
-process pool nor ``dataclasses``.
+process pool nor ``dataclasses`` nor ``signal``.
 """
 
 import os
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import puregaps
-from puregaps.engine import BoxedGamma, PureGapResult
+from puregaps.engine import BoxedGamma
 from puregaps.errors import InvalidParamsError
 from puregaps.gk import GKParams
 from puregaps.harness import BenchRow, RunReport, verify_point
@@ -30,11 +30,6 @@ RECORDS = [
      ("rows", "period", "genus", "kmax", "diagonal"),
      "BoxedGamma(rows={0: ((1, 2),)}, period=3, genus=1, kmax=1, "
      "diagonal=False)"),
-    (PureGapResult(g0=None, cardinality=0, lower_bound=0, upper_bound=1,
-                   homma_kim_bound=0),
-     ("g0", "cardinality", "lower_bound", "upper_bound", "homma_kim_bound"),
-     "PureGapResult(g0=None, cardinality=0, lower_bound=0, upper_bound=1, "
-     "homma_kim_bound=0)"),
     (RunReport(family="gk", params={"q": 2}, genus=10, period=9,
                row_sizes=[4, 1, 1], cardinality=35, lower_bound=1,
                upper_bound=40, homma_kim_bound=45,
@@ -76,13 +71,12 @@ def test_immutable_without_instance_dict(record, fields, text):
 def test_methods_and_properties():
     gamma = kummer_generating_set(5, 7)
     assert gamma.genus == 12 == len(gamma.points)
-    assert gamma.tau() == dict(gamma.points)
     # A record iterates its fields, not the points of a generating set.
     assert list(gamma) == [gamma.points, 5]
     boxed = RECORDS[1][0]
     assert boxed.row(0) == ((1, 2),) and boxed.row(1) == ()
     assert boxed.row_sizes() == [1]
-    report = RECORDS[3][0]
+    report = RECORDS[2][0]
     assert report.ok and report.label() == "gk(q=2)"
     assert GKParams(2).genus == 10 and GKParams(2).period == 9
     params = KummerParams(4, 7)
@@ -121,8 +115,9 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 
 def test_import_loads_no_pool_and_no_dataclasses():
     """A fresh interpreter imports the package, its CLI and its harness
-    without the process pool or ``dataclasses``; the modules ``site``
-    loaded before the import do not count."""
+    without the process pool, ``dataclasses`` or ``signal`` (only the
+    console script sets up SIGPIPE); the modules ``site`` loaded before
+    the import do not count."""
     src = os.path.dirname(os.path.dirname(puregaps.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -132,3 +127,4 @@ def test_import_loads_no_pool_and_no_dataclasses():
     loaded = set(done.stdout.split())
     assert "puregaps.harness" in loaded
     assert not loaded.intersection(HEAVY)
+    assert "signal" not in loaded
