@@ -30,9 +30,7 @@ from .gk import (
     gk_card_g0,
     gk_card_gamma_k0,
     gk_g1,
-    gk_g2,
     gk_g3,
-    gk_g4,
     gk_gamma_k0,
     gk_generating_set,
     gk_upper_bound,
@@ -44,9 +42,7 @@ from .kummer import (
     kummer_card_special_qN,
     kummer_card_special_ur1,
     kummer_g1,
-    kummer_g2,
     kummer_g3,
-    kummer_g4,
     kummer_gamma_k0,
     kummer_generating_set,
 )

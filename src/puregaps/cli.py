@@ -196,21 +196,26 @@ def _cmd_verify(args):
         # A run that checked nothing must not report success.
         raise InvalidParamsError("the requested verify grid has no "
                                  "parameter points")
-    reports = map_points(points)
     out = sys.stdout
-    for rep in reports:
+    # Each row is written out as its point finishes, the first failure
+    # kept for the footer.
+    first = None
+    failures = 0
+    for rep in map_points(points):
         params = ",".join(f"{k}={v}" for k, v in rep.params.items())
         cells = [rep.family, params, f"genus={rep.genus}",
                  f"g0={rep.cardinality}", _verdict_cell(rep)]
         timing = _timing_cell(rep)
         if timing:
             cells.append(timing)
-        print("\t".join(cells), file=out)
-    failures = [rep for rep in reports if not rep.ok]
-    print(f"# verified {len(reports)} parameter points, "
-          f"{len(failures)} failures", file=out)
-    if failures:
-        first = failures[0]
+        print("\t".join(cells), file=out, flush=True)
+        if not rep.ok:
+            failures += 1
+            if first is None:
+                first = rep
+    print(f"# verified {len(points)} parameter points, "
+          f"{failures} failures", file=out)
+    if first is not None:
         print(f"# FIRST FAILURE {first.label()}: {first.detail}", file=out)
         return 1
     return 0

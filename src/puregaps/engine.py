@@ -33,14 +33,15 @@ scan sorts into the same boxes: box ``(i, j)`` must hold ``G_{i+j,0}``.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0`` from
 :func:`box_columns`, the one route to it.  :func:`check_components` is
-the only cross-check of a family's explicit boxes and components against
-the engine's formulas, and it first checks the identity that ties those
-formulas to ``G0``: per box, the four components concatenated per residue
-and sorted are the engine's ``G_{k,0}``, :meth:`PureGapSet.box`.  It takes
-the engine's components and ``G0`` from the caller, so neither is built
-twice.  :func:`check_reflection` is the only check of the diagonal law
-that empties G2 and makes G4 a reflection of G3 (by column, a transpose);
-it takes the engine's components when the caller has built them.
+the only cross-check of a family's explicit rows and components G1 and
+G3 against the engine's formulas, and it first checks the identity that
+ties those formulas to ``G0``: per box, the four components concatenated
+per residue and sorted are the engine's ``G_{k,0}``, :meth:`PureGapSet.box`.
+It takes the engine's components and ``G0`` from the caller, so neither is
+built twice.  :func:`check_reflection` is the only check of the diagonal
+law that empties G2 and makes G4 a reflection of G3 (by column, a
+transpose), so a family, being diagonal, gives neither; it takes the
+engine's components when the caller has built them.
 
 The rows are plain ``(a, b)`` tuples, sorted lexicographically.
 Cardinalities and bounds are guarded against the 128-bit range.
@@ -376,8 +377,8 @@ class PureGapSet:
       per-box sets.  That is exact: containment gives
       ``G_{k,0} = (G0 & box(k-j, j)) - w_j``, so equal per-box sets and
       equal sets ``G0`` imply each other.
-    * :meth:`equals_boxes` compares it with ``G0`` sorted into boxes, as
-      the direct scan gives it, one dict compare per box and no point
+    * :meth:`equals_boxes` compares its :meth:`plane_boxes`, ``G0`` sorted
+      into boxes as the direct scan gives it, with the scan's, no point
       walked; ``==`` with a sorted list of points compares one list slice
       per run, so no second ``|G0|``-sized list is held.
     """
@@ -476,26 +477,22 @@ class PureGapSet:
 
     __hash__ = None
 
-    def equals_boxes(self, boxes: dict) -> bool:
-        """True when ``boxes``, ``{(i, j): {r: ascending v}}`` holding the
-        points ``(i*period + r, j*period + v)`` with no empty column or box
-        (as :func:`puregaps.oracle.pure_gap_boxes_direct` gives them),
-        list exactly ``G0``.
+    def plane_boxes(self) -> dict:
+        """``G0`` in the direct scan's shape, ``{(i, j): {r: ascending v}}``
+        holding the points ``(i*period + r, j*period + v)``: box ``(k - j,
+        j)`` holds ``G_{k,0} + w_j``, so its value is :meth:`box` ``(k)``,
+        one dict shared by ``k + 1`` boxes.  Read-only."""
+        return {(k - j, j): columns for k, columns in self._runs.items()
+                for j in range(k + 1)}
 
-        The keys must be ``{(k - j, j) : k a non-empty box, 0 <= j <= k}``
-        and ``boxes[(i, j)]`` must equal the per-box set of ``i + j``, one
-        dict and list compare per box.  That is exact: the map ``(a, b) ->
-        ((a // period, b // period), a % period, b % period)`` is
-        injective, and both sides are canonical (ascending lists, no empty
-        column or box), so per-box equality is set equality, and every one
-        of the ``k + 1`` translates ``G_{k,0} + w_j`` is compared with the
-        box ``(k - j, j)`` it lies in.
-        """
-        runs = self._runs
-        if boxes.keys() != {(k - j, j) for k in runs for j in range(k + 1)}:
-            return False
-        return all(columns == runs[i + j]
-                   for (i, j), columns in boxes.items())
+    def equals_boxes(self, boxes: dict) -> bool:
+        """True when ``boxes``, in the shape of :meth:`plane_boxes` with no
+        empty column or box (as :func:`puregaps.oracle.pure_gap_boxes_direct`
+        gives them), list exactly ``G0``.  Dict equality is exact: the map
+        ``(a, b) -> ((a // period, b // period), a % period, b % period)``
+        is injective and both sides are canonical (ascending lists, no
+        empty column or box)."""
+        return boxes == self.plane_boxes()
 
     def _equals_list(self, other: list) -> bool:
         """Compare with a list of points, one list slice per run, so no
@@ -539,13 +536,14 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
     per residue and sorted, the four must give it.  A duplicate breaks
     that equality, so it also proves the components pairwise disjoint.
     Then ``row(k)``, the family's ``Gamma_{k,0}``, is compared with the
-    engine's row, and ``components(k)``, its four components by column,
-    with the engine's.  So the family's components merge to the engine's
-    ``G0``.  A disagreement raises GenericMismatchError naming ``label``,
-    the box and the first differing residue or set.  A family whose G4 is
-    :func:`reflect` of its G3 thus also checks the diagonal law.
+    engine's row, and ``components(k)``, the family's (G1, G3) by column,
+    with the engine's G1 and G3.  A family is diagonal, so its G2 and G4
+    are the diagonal law's, empty and :func:`reflect` of G3: once G3
+    matches, they equal the engine's exactly when :func:`check_reflection`
+    passes on the engine's components.  A disagreement raises
+    GenericMismatchError naming ``label``, the box and the first
+    differing residue or set.
     """
-    names = ("G1", "G2", "G3", "G4")
     for k in range(boxed.kmax):
         parts = generic[k]
         merged = {}
@@ -565,7 +563,8 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
             raise GenericMismatchError(
                 f"{label} k={k}: explicit Gamma_k0 has {len(mine)} points, "
                 f"engine has {len(engine)}")
-        for name, mine, engine in zip(names, components(k), parts):
+        g1, g3 = components(k)
+        for name, mine, engine in (("G1", g1, parts[0]), ("G3", g3, parts[2])):
             if not _same_columns(mine, engine):
                 raise GenericMismatchError(
                     f"{label} k={k}: explicit {name} has {_size(mine)} "

@@ -4,11 +4,12 @@ origin of the affine model ``x^q + x = y^{q+1}``, ``y^{q^2} - y = z^{q^2-q+1}``.
 
 All formulas depend on the single integer parameter q: the genus is
 (q^3+1)(q^2-2)/2 + 1, the period is q^3+1, and the generating set is
-enumerated by index triples (i, j, k).  The explicit per-box pure gap
-components and the cardinality polynomial are implemented independently of
-the generic engine so the two routes can be compared.  Each component is
-built by column, ``{a - k(q^3+1): ascending second coordinates at a}``,
-straight from its index ranges, the shape the engine's components have.
+enumerated by index triples (i, j, k).  The explicit rows, the components
+G1 and G3 of each box and the cardinality polynomial are implemented
+independently of the generic engine so the two routes can be compared; the
+family is diagonal, so its G2 and G4 are the engine's diagonal law.  Each
+component is built by column, ``{a - k(q^3+1): ascending second
+coordinates at a}``, straight from its index ranges.
 
 The combinatorics is meaningful for any integer q >= 2; a warning is
 emitted when q is not a prime power, since the function-field
@@ -26,7 +27,6 @@ from .engine import (
     bounds,
     check_components,
     check_int128,
-    reflect,
 )
 from .errors import (
     ClosedFormMismatchError,
@@ -159,14 +159,6 @@ def gk_g1(q: int, k: int) -> dict:
     return dict.fromkeys(bases, bases)
 
 
-def gk_g2(q: int, k: int) -> dict:
-    """Second component: always empty for this family (diagonal condition)."""
-    GKParams(q)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    return {}
-
-
 def gk_g3(q: int, k: int) -> dict:
     """Third component, by column, via the explicit index set with the
     i2 <= i1 cut: the column of the row-k point of index i2 holds the
@@ -182,12 +174,6 @@ def gk_g3(q: int, k: int) -> dict:
         if bs:
             columns[base] = bs
     return dict(sorted(columns.items()))
-
-
-def gk_g4(q: int, k: int) -> dict:
-    """Fourth component: the coordinate swap of the third, shifted by -w_k
-    (by column, its transpose)."""
-    return reflect(gk_g3(q, k))
 
 
 def gk_card_g0(q: int) -> int:
@@ -215,12 +201,12 @@ def gk_upper_bound(q: int) -> int:
 
 
 def _components(q: int, k: int) -> tuple:
-    return (gk_g1(q, k), gk_g2(q, k), gk_g3(q, k), gk_g4(q, k))
+    return gk_g1(q, k), gk_g3(q, k)
 
 
 def gk_components(q: int) -> dict:
-    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), each by
-    column, for every box k < q^2 - 1."""
+    """Box index k -> the explicit (G1, G3) of box (k, 0), each by column,
+    for every box k < q^2 - 1."""
     return {k: _components(q, k) for k in range(q * q - 1)}
 
 
@@ -234,8 +220,8 @@ def verify_against_engine(boxed: BoxedGamma, q: int, *, per_box: dict,
 
     Checks the engine's row-size upper bound against
     :func:`gk_upper_bound` (ClosedFormMismatchError), then the row boxes
-    and all four components of every box; any disagreement there raises
-    GenericMismatchError naming the first offender.
+    and the components G1 and G3 of every box; any disagreement there
+    raises GenericMismatchError naming the first offender.
     """
     upper, polynomial = bounds(boxed).upper, gk_upper_bound(q)
     if upper != polynomial:
@@ -243,4 +229,4 @@ def verify_against_engine(boxed: BoxedGamma, q: int, *, per_box: dict,
             f"row-size upper bound {upper} differs from polynomial "
             f"{polynomial} at q={q}")
     check_components(boxed, generic, g0, lambda k: gk_gamma_k0(q, k),
-                     lambda k: per_box.get(k, ({},) * 4), f"q={q}")
+                     lambda k: per_box.get(k, ({}, {})), f"q={q}")

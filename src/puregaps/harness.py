@@ -2,9 +2,11 @@
 
 Each parameter point yields a :class:`RunReport`; verification points run
 both routes to the pure gap set (the box engine and the direct oracle
-scan), check the family's explicit rows and components against the
-engine's box by box, and record a verdict per cross-check.  Summaries
-run the engine alone and compare its weighted size with the closed form.
+scan), check the family's explicit rows and components G1 and G3 against
+the engine's box by box, and record a verdict per cross-check.  Families
+are diagonal: their G2 and G4 are the diagonal law's, checked once, by
+:func:`~puregaps.engine.check_reflection`.  Summaries run the engine
+alone and compare its weighted size with the closed form.
 A report's verdicts are one table, ``VERDICT_KEYS`` (``SPECIAL_KEYS`` for
 the special-case checks), in table order, each ``skipped`` unless its
 route runs it.  Only checks that can fail on validated input are verdicts: the
@@ -15,7 +17,7 @@ point builds the engine's ``G0`` and its per-box components once; the
 family's check against the engine (``verify_against_engine``, through
 :func:`~puregaps.engine.check_components`) and the diagonal law take both
 from it.  Grids run their points one after another, in deterministic
-parameter order.
+parameter order, and yield each report as its point finishes.
 """
 
 from __future__ import annotations
@@ -35,15 +37,12 @@ from .engine import (
 )
 from .errors import ConsistencyError
 from .lattice import GeneratingSet
-from .oracle import (
-    count_pure_gaps_direct,
-    points_of,
-    pure_gap_boxes_direct,
-)
+from .oracle import count_pure_gaps_direct, pure_gap_boxes_direct
 
-#: Closed-form families: name -> (module, parameter names).  The module
-#: provides ``<name>_generating_set``, ``<name>_card_g0``,
-#: ``<name>_components`` and ``verify_against_engine``, each taking the
+#: Closed-form families, each diagonal: name -> (module, parameter names).
+#: The module provides ``<name>_generating_set``, ``<name>_card_g0``,
+#: ``<name>_components`` (box index -> its (G1, G3) by column) and
+#: ``verify_against_engine``, each taking the
 #: parameters in this order (``verify_against_engine`` takes the
 #: decomposed generating set before them and, by keyword, the components
 #: as ``per_box``, the engine's as ``generic`` and the engine's ``G0`` as
@@ -96,12 +95,27 @@ def call_family(family: str, func: str, params: dict, *lead, **options):
         *lead, *(params[n] for n in names), **options)
 
 
-def _diff_sets(name, got, want):
-    got_set, want_set = set(got), set(want)
-    extra = sorted(got_set - want_set)[:5]
-    missing = sorted(want_set - got_set)[:5]
-    return (f"{name}: {len(got_set)} vs {len(want_set)} points; "
-            f"unexpected {extra}, missing {missing}")
+def _diff_boxes(g0, boxes):
+    """The text of a failed ``engine_vs_oracle`` check: both sizes and the
+    first five points of each difference.  Only the differing columns of
+    differing boxes are walked, five points of each kept, so no
+    ``|G0|``-sized set is held."""
+    period = g0.period
+    mine = g0.plane_boxes()
+    extra, missing = [], []
+    for i, j in mine.keys() | boxes.keys():
+        got, want = mine.get((i, j), {}), boxes.get((i, j), {})
+        if got == want:
+            continue
+        for r in got.keys() | want.keys():
+            bs, vs = set(got.get(r, ())), set(want.get(r, ()))
+            a, shift = i * period + r, j * period
+            extra += [(a, shift + b) for b in sorted(bs - vs)[:5]]
+            missing += [(a, shift + v) for v in sorted(vs - bs)[:5]]
+    size = sum(len(set(vs)) for columns in boxes.values()
+               for vs in columns.values())
+    return (f"G0: {len(g0)} vs {size} points; "
+            f"unexpected {sorted(extra)[:5]}, missing {sorted(missing)[:5]}")
 
 
 class _Checks:
@@ -158,14 +172,13 @@ def _check_bounds(checks, g0, bnd):
                   f"upper={bnd.upper} hk={bnd.homma_kim}")
 
 
-def _check_oracle(checks, g0, boxes, period):
+def _check_oracle(checks, g0, boxes):
     """Record whether the engine's G0 equals the oracle's boxes, box by
-    box, and return that.  The diff costs two |G0|-sized sets, so it is
-    built only on failure."""
+    box, and return that; the counterexample text is built only on
+    failure."""
     ok = g0.equals_boxes(boxes)
     checks.record("engine_vs_oracle", ok,
-                  "" if ok else _diff_sets("G0", g0,
-                                           points_of(boxes, period)))
+                  "" if ok else _diff_boxes(g0, boxes))
     return ok
 
 
@@ -203,7 +216,7 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     g0 = assemble_pure_gaps(boxed)
     bnd = bounds(boxed)
     checks = _Checks()
-    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma), gamma.period)
+    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma))
     _check_bounds(checks, g0, bnd)
     if boxed.diagonal:
         checks.run("diagonal_reflection", check_reflection, boxed)
@@ -236,7 +249,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     # The oracle's boxes are compared at once and dropped, so they are not
     # held while the family route builds its components.
     checks = _Checks()
-    _check_oracle(checks, g0, boxes, gamma.period)
+    _check_oracle(checks, g0, boxes)
     del boxes
 
     start = time.perf_counter()
@@ -306,19 +319,17 @@ def verify_special_qn(q: int, N: int) -> RunReport:
 
 
 def map_points(points):
-    """Run verification points ``(kind, params)`` in order: a family name,
-    ``"ur1"`` or ``"qn"``."""
-    reports = []
+    """Run verification points ``(kind, params)`` in order, a family name,
+    ``"ur1"`` or ``"qn"``, yielding each report as its point finishes."""
     for kind, params in points:
         if kind in FAMILIES:
-            reports.append(verify_point(kind, params))
+            yield verify_point(kind, params)
         elif kind == "ur1":
-            reports.append(verify_special_ur1(params["u"], params["r"]))
+            yield verify_special_ur1(params["u"], params["r"])
         elif kind == "qn":
-            reports.append(verify_special_qn(params["q"], params["N"]))
+            yield verify_special_qn(params["q"], params["N"])
         else:
             raise ValueError(f"unknown point kind {kind!r}")
-    return reports
 
 
 def build_verify_points(family: str, q_max: int, mr_max: int,
@@ -371,7 +382,7 @@ def bench_family(family: str, params: dict) -> list:
     t_box = time.perf_counter() - start
 
     checks = _Checks(("engine_vs_oracle",))
-    if not _check_oracle(checks, g0, direct, gamma.period):
+    if not _check_oracle(checks, g0, direct):
         raise ConsistencyError(checks.detail())
     direct_card = sum(len(vs) for columns in direct.values()
                       for vs in columns.values())

@@ -7,9 +7,12 @@ are the extension degree m >= 2 and the polynomial degree r >= 2 with
 gcd(m, r) = 1; the gap structure depends on nothing else, so the
 remaining curve data (exponent, characteristic, roots) is deliberately
 not modeled.  Genus is (m-1)(r-1)/2 and the period is m.  All ceiling and
-floor arithmetic is exact integer division.  Each component is built by
-column, ``{a - m*k: ascending second coordinates at a}``, straight from
-its index ranges; the columns of G1 and G3 are ranges.
+floor arithmetic is exact integer division.  The family is diagonal, so
+G2 is empty and G4 is the reflection of G3; that law is the engine's
+:func:`~puregaps.engine.check_reflection`, and only the rows, G1 and G3
+are given here.  Each component is built by column, ``{a - m*k:
+ascending second coordinates at a}``, straight from its index ranges;
+the columns of G1 and G3 are ranges.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .engine import (
     PureGapSet,
     check_components,
     check_int128,
-    reflect,
 )
 from .errors import (
     ClosedFormMismatchError,
@@ -118,14 +120,6 @@ def kummer_g1(m: int, r: int, k: int) -> dict:
     return dict.fromkeys(side, side)
 
 
-def kummer_g2(m: int, r: int, k: int) -> dict:
-    """Second component: always empty for this family (diagonal condition)."""
-    KummerParams(m, r)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    return {}
-
-
 def kummer_g3(m: int, r: int, k: int) -> dict:
     """Third component, by column: (m*k + j, j1) with j in the row's own
     j-range and 1 <= j1 <= m - 1 - floor(m(k+2)/r), every column the one
@@ -138,12 +132,6 @@ def kummer_g3(m: int, r: int, k: int) -> dict:
     if not column:
         return {}
     return dict.fromkeys(range(jlo, m - (m * (k + 1)) // r), column)
-
-
-def kummer_g4(m: int, r: int, k: int) -> dict:
-    """Fourth component: the coordinate swap of the third, shifted by -w_k
-    (by column, its transpose)."""
-    return reflect(kummer_g3(m, r, k))
 
 
 def kummer_card_g0(m: int, r: int) -> int:
@@ -206,13 +194,12 @@ def kummer_card_special_qN(q: int, N: int) -> int:
 
 
 def _components(m: int, r: int, k: int) -> tuple:
-    return (kummer_g1(m, r, k), kummer_g2(m, r, k),
-            kummer_g3(m, r, k), kummer_g4(m, r, k))
+    return kummer_g1(m, r, k), kummer_g3(m, r, k)
 
 
 def kummer_components(m: int, r: int) -> dict:
-    """Box index k -> the explicit (G1, G2, G3, G4) of box (k, 0), each by
-    column, for every box up to the top box index."""
+    """Box index k -> the explicit (G1, G3) of box (k, 0), each by column,
+    for every box up to the top box index."""
     params = KummerParams(m, r)
     return {k: _components(m, r, k) for k in range(params.top_box + 1)}
 
@@ -227,10 +214,10 @@ def verify_against_engine(boxed: BoxedGamma, m: int, r: int, *,
     and ``g0`` is the engine's ``G0``.
 
     Checks the row boxes, each against :func:`kummer_card_gamma_k0`
-    (ClosedFormMismatchError), and all four components of every box; any
-    other disagreement raises GenericMismatchError naming the first
+    (ClosedFormMismatchError), and the components G1 and G3 of every box;
+    any other disagreement raises GenericMismatchError naming the first
     offender.
     """
     check_components(boxed, generic, g0, lambda k: kummer_gamma_k0(m, r, k),
-                     lambda k: per_box.get(k, ({},) * 4),
+                     lambda k: per_box.get(k, ({}, {})),
                      f"(m, r)=({m}, {r})")

