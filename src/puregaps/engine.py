@@ -38,10 +38,11 @@ G3 against the engine's formulas, and it first checks the identity that
 ties those formulas to ``G0``: per box, the four components concatenated
 per residue and sorted are the engine's ``G_{k,0}``, :meth:`PureGapSet.box`.
 It takes the engine's components and ``G0`` from the caller, so neither is
-built twice.  :func:`check_reflection` is the only check of the diagonal
-law that empties G2 and makes G4 a reflection of G3 (by column, a
-transpose), so a family, being diagonal, gives neither; it takes the
-engine's components when the caller has built them.
+built twice, and the family's sets as plain data, box index to
+``(Gamma_{k,0}, G1, G3)``.  :func:`check_reflection` is the only check
+of the diagonal law that empties G2 and makes G4 a reflection of G3 (by
+column, a transpose), so a family, being diagonal, gives neither; it
+takes the engine's components when the caller has built them.
 
 The rows are plain ``(a, b)`` tuples, sorted lexicographically.
 Cardinalities and bounds are guarded against the 128-bit range.
@@ -527,7 +528,7 @@ def _same_columns(mine: dict, engine: dict) -> bool:
 
 
 def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
-                     row, components, label: str) -> None:
+                     per_box: dict) -> None:
     """Compare a family's explicit sets with the engine, box by box.
 
     ``generic[k]``, the engine's (G1, G2, G3, G4) of box ``(k, 0)`` as
@@ -535,13 +536,13 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
     ``g0.box(k)``, the ``G_{k,0}`` of the engine's ``G0``: concatenated
     per residue and sorted, the four must give it.  A duplicate breaks
     that equality, so it also proves the components pairwise disjoint.
-    Then ``row(k)``, the family's ``Gamma_{k,0}``, is compared with the
-    engine's row, and ``components(k)``, the family's (G1, G3) by column,
-    with the engine's G1 and G3.  A family is diagonal, so its G2 and G4
-    are the diagonal law's, empty and :func:`reflect` of G3: once G3
-    matches, they equal the engine's exactly when :func:`check_reflection`
-    passes on the engine's components.  A disagreement raises
-    GenericMismatchError naming ``label``, the box and the first
+    Then ``per_box[k]``, the family's (Gamma_{k,0}, G1, G3), the
+    components by column, is compared with the engine's row, G1 and G3;
+    a box missing from ``per_box`` is empty.  A family is diagonal, so
+    its G2 and G4 are the diagonal law's, empty and :func:`reflect` of
+    G3: once G3 matches, they equal the engine's exactly when
+    :func:`check_reflection` passes on the engine's components.  A
+    disagreement raises GenericMismatchError naming the box and the first
     differing residue or set.
     """
     for k in range(boxed.kmax):
@@ -556,16 +557,16 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
             want = columns.get(r, [])
             if got != want:
                 raise GenericMismatchError(
-                    f"{label} k={k}: G1..G4 merged at residue {r} hold "
+                    f"k={k}: G1..G4 merged at residue {r} hold "
                     f"{len(got)} points, box_columns {len(want)}")
-        mine, engine = row(k), boxed.row(k)
-        if list(mine) != list(engine):
+        row, g1, g3 = per_box.get(k, ((), {}, {}))
+        engine = boxed.row(k)
+        if tuple(row) != engine:
             raise GenericMismatchError(
-                f"{label} k={k}: explicit Gamma_k0 has {len(mine)} points, "
+                f"k={k}: explicit Gamma_k0 has {len(row)} points, "
                 f"engine has {len(engine)}")
-        g1, g3 = components(k)
         for name, mine, engine in (("G1", g1, parts[0]), ("G3", g3, parts[2])):
             if not _same_columns(mine, engine):
                 raise GenericMismatchError(
-                    f"{label} k={k}: explicit {name} has {_size(mine)} "
+                    f"k={k}: explicit {name} has {_size(mine)} "
                     f"points, engine has {_size(engine)}")

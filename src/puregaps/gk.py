@@ -9,7 +9,11 @@ G1 and G3 of each box and the cardinality polynomial are implemented
 independently of the generic engine so the two routes can be compared; the
 family is diagonal, so its G2 and G4 are the engine's diagonal law.  Each
 component is built by column, ``{a - k(q^3+1): ascending second
-coordinates at a}``, straight from its index ranges.
+coordinates at a}``, straight from its index ranges.  The module gives
+data, not a check: :func:`gk_components` maps each box to its row, G1 and
+G3, after checking the upper-bound polynomial against the explicit row
+sizes, and the harness compares them with the engine's by
+:func:`~puregaps.engine.check_components`.
 
 The combinatorics is meaningful for any integer q >= 2; a warning is
 emitted when q is not a prime power, since the function-field
@@ -21,13 +25,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from .engine import (
-    BoxedGamma,
-    PureGapSet,
-    bounds,
-    check_components,
-    check_int128,
-)
+from .engine import bounds_from_row_sizes, check_int128
 from .errors import (
     ClosedFormMismatchError,
     DivisibilityViolationError,
@@ -200,33 +198,20 @@ def gk_upper_bound(q: int) -> int:
     return check_int128(num // 120)
 
 
-def _components(q: int, k: int) -> tuple:
-    return gk_g1(q, k), gk_g3(q, k)
-
-
 def gk_components(q: int) -> dict:
-    """Box index k -> the explicit (G1, G3) of box (k, 0), each by column,
-    for every box k < q^2 - 1."""
-    return {k: _components(q, k) for k in range(q * q - 1)}
+    """Box index k -> the explicit (Gamma_{k,0}, G1, G3) of box (k, 0), the
+    components by column, for every box k < q^2 - 1.
 
-
-def verify_against_engine(boxed: BoxedGamma, q: int, *, per_box: dict,
-                          generic: dict, g0: PureGapSet) -> None:
-    """Compare every explicit closed-form set with the generic engine on
-    ``boxed``, the decomposed generating set of parameter q: ``per_box``
-    is :func:`gk_components` of q, ``generic`` maps each box index to the
-    engine's :func:`~puregaps.engine.box_components` and ``g0`` is the
-    engine's ``G0``.
-
-    Checks the engine's row-size upper bound against
-    :func:`gk_upper_bound` (ClosedFormMismatchError), then the row boxes
-    and the components G1 and G3 of every box; any disagreement there
-    raises GenericMismatchError naming the first offender.
+    The upper bound from the explicit row sizes must be
+    :func:`gk_upper_bound`, else ClosedFormMismatchError.
     """
-    upper, polynomial = bounds(boxed).upper, gk_upper_bound(q)
+    params = GKParams(q)
+    rows = [gk_gamma_k0(q, k) for k in range(q * q - 1)]
+    upper = bounds_from_row_sizes([len(row) for row in rows],
+                                  params.genus).upper
+    polynomial = gk_upper_bound(q)
     if upper != polynomial:
         raise ClosedFormMismatchError(
             f"row-size upper bound {upper} differs from polynomial "
             f"{polynomial} at q={q}")
-    check_components(boxed, generic, g0, lambda k: gk_gamma_k0(q, k),
-                     lambda k: per_box.get(k, ({}, {})), f"q={q}")
+    return {k: (row, gk_g1(q, k), gk_g3(q, k)) for k, row in enumerate(rows)}

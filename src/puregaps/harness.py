@@ -14,10 +14,11 @@ period displacement law is enforced by validation (a ``ValidationError``)
 and the genus identity by :func:`~puregaps.engine.decompose` (a
 ``ConsistencyError``), before any verdict is recorded.  A verification
 point builds the engine's ``G0`` and its per-box components once; the
-family's check against the engine (``verify_against_engine``, through
-:func:`~puregaps.engine.check_components`) and the diagonal law take both
-from it.  Grids run their points one after another, in deterministic
-parameter order, and yield each report as its point finishes.
+family's check against the engine,
+:func:`~puregaps.engine.check_components` on the family's
+``<name>_components``, and the diagonal law take both from it.  Grids
+run their points one after another, in deterministic parameter order,
+and yield each report as its point finishes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .engine import (
     assemble_pure_gaps,
     bounds,
     box_components,
+    check_components,
     check_reflection,
     decompose,
 )
@@ -40,14 +42,11 @@ from .lattice import GeneratingSet
 from .oracle import count_pure_gaps_direct, pure_gap_boxes_direct
 
 #: Closed-form families, each diagonal: name -> (module, parameter names).
-#: The module provides ``<name>_generating_set``, ``<name>_card_g0``,
-#: ``<name>_components`` (box index -> its (G1, G3) by column) and
-#: ``verify_against_engine``, each taking the
-#: parameters in this order (``verify_against_engine`` takes the
-#: decomposed generating set before them and, by keyword, the components
-#: as ``per_box``, the engine's as ``generic`` and the engine's ``G0`` as
-#: ``g0``).  The CLI builds one subcommand per entry, with an int flag per
-#: parameter.
+#: The module gives data, not a check: ``<name>_generating_set``,
+#: ``<name>_card_g0`` and ``<name>_components`` (box index -> its
+#: (Gamma_{k,0}, G1, G3), the components by column), each taking the
+#: parameters in this order.  The CLI builds one subcommand per entry,
+#: with an int flag per parameter.
 FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}
 
 #: Default parameter sweep for the m=(q+1)/N special case.
@@ -85,14 +84,13 @@ class RunReport(namedtuple("RunReport", (
         return f"{self.family}({inner})"
 
 
-def call_family(family: str, func: str, params: dict, *lead, **options):
+def call_family(family: str, func: str, params: dict):
     """Call ``func`` (``{}`` stands for the family name) of a family's module
-    on ``lead``, then the family's parameters, then ``options`` by keyword.
-    The function is looked up at each call, so a rebound module attribute
-    (a tracing wrapper) is the one called."""
+    on the family's parameters, in table order.  The function is looked up
+    at each call, so a rebound module attribute (a tracing wrapper) is the
+    one called."""
     module, names = FAMILIES[family]
-    return getattr(module, func.format(family))(
-        *lead, *(params[n] for n in names), **options)
+    return getattr(module, func.format(family))(*(params[n] for n in names))
 
 
 def _diff_boxes(g0, boxes):
@@ -131,11 +129,11 @@ class _Checks:
         if not ok and detail:
             self.details.append(f"{name}: {detail}")
 
-    def run(self, name, check, *args, **options):
-        """Record ``name`` as passed unless ``check(*args, **options)``
-        raises a ConsistencyError, whose text is then the detail."""
+    def run(self, name, check, *args):
+        """Record ``name`` as passed unless ``check(*args)`` raises a
+        ConsistencyError, whose text is then the detail."""
         try:
-            check(*args, **options)
+            check(*args)
         except ConsistencyError as exc:
             self.record(name, False, str(exc))
         else:
@@ -254,17 +252,16 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
 
     start = time.perf_counter()
     closed_card = call_family(family, "{}_card_g0", params)
-    per_box = call_family(family, "{}_components", params)
     timings["closed_form_s"] = time.perf_counter() - start
 
     _check_closed_form(checks, g0, closed_card)
     # The engine's components are built once per box and feed both the
     # family's box-by-box check, which also checks that they merge to the
-    # engine's G0, and the diagonal law.
+    # engine's G0, and the diagonal law.  The family's sets are built
+    # inside the check, so a failing closed form of theirs is its detail.
     generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
-    checks.run("components_vs_generic", call_family, family,
-               "verify_against_engine", params, boxed, per_box=per_box,
-               generic=generic, g0=g0)
+    checks.run("components_vs_generic", lambda: check_components(
+        boxed, generic, g0, call_family(family, "{}_components", params)))
     _check_bounds(checks, g0, bnd)
     checks.run("diagonal_reflection", check_reflection, boxed, generic)
     return _base_report(family, params, gamma, boxed, g0, bnd, checks,

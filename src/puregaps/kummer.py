@@ -10,9 +10,11 @@ not modeled.  Genus is (m-1)(r-1)/2 and the period is m.  All ceiling and
 floor arithmetic is exact integer division.  The family is diagonal, so
 G2 is empty and G4 is the reflection of G3; that law is the engine's
 :func:`~puregaps.engine.check_reflection`, and only the rows, G1 and G3
-are given here.  Each component is built by column, ``{a - m*k:
-ascending second coordinates at a}``, straight from its index ranges;
-the columns of G1 and G3 are ranges.
+are given here, by :func:`kummer_components`, as data that the harness
+compares with the engine's by :func:`~puregaps.engine.check_components`.
+Each component is built by column, ``{a - m*k: ascending second
+coordinates at a}``, straight from its index ranges; the columns of G1
+and G3 are ranges.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .engine import (
-    BoxedGamma,
-    PureGapSet,
-    check_components,
-    check_int128,
-)
+from .engine import check_int128
 from .errors import (
     ClosedFormMismatchError,
     DivisibilityViolationError,
@@ -193,31 +190,9 @@ def kummer_card_special_qN(q: int, N: int) -> int:
     return value
 
 
-def _components(m: int, r: int, k: int) -> tuple:
-    return kummer_g1(m, r, k), kummer_g3(m, r, k)
-
-
 def kummer_components(m: int, r: int) -> dict:
-    """Box index k -> the explicit (G1, G3) of box (k, 0), each by column,
-    for every box up to the top box index."""
+    """Box index k -> the explicit (Gamma_{k,0}, G1, G3) of box (k, 0), the
+    components by column, for every box up to the top box index."""
     params = KummerParams(m, r)
-    return {k: _components(m, r, k) for k in range(params.top_box + 1)}
-
-
-def verify_against_engine(boxed: BoxedGamma, m: int, r: int, *,
-                          per_box: dict, generic: dict,
-                          g0: PureGapSet) -> None:
-    """Compare every explicit closed-form set with the generic engine on
-    ``boxed``, the decomposed generating set of parameters (m, r):
-    ``per_box`` is :func:`kummer_components` of (m, r), ``generic`` maps
-    each box index to the engine's :func:`~puregaps.engine.box_components`
-    and ``g0`` is the engine's ``G0``.
-
-    Checks the row boxes, each against :func:`kummer_card_gamma_k0`
-    (ClosedFormMismatchError), and the components G1 and G3 of every box;
-    any other disagreement raises GenericMismatchError naming the first
-    offender.
-    """
-    check_components(boxed, generic, g0, lambda k: kummer_gamma_k0(m, r, k),
-                     lambda k: per_box.get(k, ({}, {})),
-                     f"(m, r)=({m}, {r})")
+    return {k: (kummer_gamma_k0(m, r, k), kummer_g1(m, r, k),
+                kummer_g3(m, r, k)) for k in range(params.top_box + 1)}

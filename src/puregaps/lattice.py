@@ -122,9 +122,10 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     """Check every generating set invariant and return the validated set.
 
     ``points`` is any iterable of pairs.  Checks, in order: the period is
-    positive; all coordinates are strictly positive and inside the 64-bit
-    range; no coordinate is a multiple of the period; coordinates are
-    pairwise distinct within each projection; the period displacement law
+    a positive int; every point is a pair of ints (InvalidParamsError);
+    all coordinates are strictly positive and inside the 64-bit range; no
+    coordinate is a multiple of the period; coordinates are pairwise
+    distinct within each projection; the period displacement law
     holds, checked by :func:`period_law_violations` in its chain form,
     which is equivalent to the law for every shift count (the first
     violation raises); in a pass of its own after the law, no coordinate
@@ -137,29 +138,41 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
 
     Each check is one pass over the whole list: ``min`` and ``max`` for
     the sign and range checks, one modulo pass per projection, the sizes
-    of a dict and a set for duplicates.  Only when one fails are the
-    points walked one by one, so the error names the same point as a
-    point-by-point check would: the first bad point in input order for
-    the sign, divisibility and range checks, the first duplicate in
-    sorted order, and the first point in sorted order past ``2g - 1`` or
-    above the period without a predecessor in its chain.
+    of a dict and a set for duplicates, a ``sum`` per projection for the
+    type (it is an int exactly when every coordinate is one); a
+    ``TypeError`` or ``ValueError`` in them is a failed check.  Only when
+    one fails are the points walked one by one, so the error names the
+    same point as a point-by-point check would: the first bad point in
+    input order for the type, sign, divisibility and range checks, the
+    first duplicate in sorted order, and the first point in sorted order
+    past ``2g - 1`` or above the period without a predecessor in its
+    chain.
     """
-    if period < 1:
+    if not isinstance(period, int) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
 
-    pts = list(map(tuple, points))
+    try:
+        pts = list(map(tuple, points))
+    except TypeError as exc:
+        raise InvalidParamsError(
+            f"generating points must be pairs of ints: {exc}") from None
+    n = len(pts)
     try:
         tau = dict(pts)
+        seconds = tau.values()
+        lo = min(min(tau), min(seconds)) if tau else 1
+        hi = max(max(tau), max(seconds)) if tau else 0
+        residues = {a % period for a in tau}
+        # A residue set hides 5.0 beside an int 1 (5.0 % 4 == 1); a sum is
+        # a float, Fraction or Decimal when one of its terms is.
+        well_formed = (
+            len(tau) == n == len(set(seconds)) and lo > 0
+            and hi <= COORD_MAX and 0 not in residues
+            and 0 not in {b % period for b in seconds}
+            and type(sum(tau)) is int and type(sum(seconds)) is int)
     except (TypeError, ValueError):
-        tau = {}  # a malformed pair: the point-by-point pass names it
-    seconds = tau.values()
-    n = len(pts)
-    lo = min(min(tau), min(seconds)) if tau else 1
-    hi = max(max(tau), max(seconds)) if tau else 0
-    residues = {a % period for a in tau}
-    if not (len(tau) == n == len(set(seconds)) and lo > 0 and hi <= COORD_MAX
-            and 0 not in residues
-            and 0 not in {b % period for b in seconds}):
+        well_formed = False  # the point-by-point pass names the point
+    if not well_formed:
         _raise_bad_point(pts, period)
 
     pts.sort()
@@ -187,12 +200,16 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
 
 
 def _raise_bad_point(pts: list, period: int) -> None:
-    """Raise for the first point of ``pts`` (in input order) with a
-    coordinate that is not positive, is a multiple of the period or
-    leaves the 64-bit range, else for the first duplicate coordinate in
-    sorted order.  Called only once a whole-list check has failed, so one
-    of these raises."""
-    for a, b in pts:
+    """Raise for the first point of ``pts`` (in input order) that is not a
+    pair of ints (InvalidParamsError) or has a coordinate that is not
+    positive, is a multiple of the period or leaves the 64-bit range, else
+    for the first duplicate coordinate in sorted order.  Called only once
+    a whole-list check has failed, so one of these raises."""
+    for point in pts:
+        if len(point) != 2 or not all(isinstance(c, int) for c in point):
+            raise InvalidParamsError(
+                f"{point!r}: a generating point must be a pair of ints")
+        a, b = point
         if a <= 0 or b <= 0:
             raise ZeroOrNegativeCoordinateError(
                 f"({a}, {b}): generating set coordinates must be positive")

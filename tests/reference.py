@@ -227,10 +227,10 @@ def merge_components(per_box: dict, period: int) -> PureGapSet:
 
 
 def diagonal_parts(per_box: dict) -> dict:
-    """A family's components, box index k -> its (G1, G3), completed by the
-    diagonal law to the parts of ``G_{k,0}``: G1, G3 and the reflected G3
-    (G2 is empty)."""
-    return {k: (g1, g3, reflect(g3)) for k, (g1, g3) in per_box.items()}
+    """A family's sets, box index k -> its (Gamma_{k,0}, G1, G3), completed
+    by the diagonal law to the parts of ``G_{k,0}``: G1, G3 and the
+    reflected G3 (G2 is empty)."""
+    return {k: (g1, g3, reflect(g3)) for k, (_, g1, g3) in per_box.items()}
 
 
 def short_of_first_point(boxes: dict, period: int) -> dict:
@@ -254,9 +254,8 @@ def short_of_first_point(boxes: dict, period: int) -> dict:
 
 
 def engine_side(boxed) -> dict:
-    """The engine's inputs to a family's ``verify_against_engine``, by
-    keyword: its four components per box as ``generic`` and its ``G0`` as
-    ``g0``."""
+    """The engine's inputs to :func:`check_components`, by keyword: its
+    four components per box as ``generic`` and its ``G0`` as ``g0``."""
     return {"generic": {k: box_components(boxed, k)
                         for k in range(boxed.kmax)},
             "g0": assemble_pure_gaps(boxed)}

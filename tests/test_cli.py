@@ -3,14 +3,13 @@ import os
 import signal
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
 import puregaps.cli as cli
 import puregaps.engine as engine
-import puregaps.gk as gk_mod
 import puregaps.harness as harness
-import puregaps.kummer as kummer_mod
 import puregaps.lattice as lattice
 from puregaps.engine import PureGapSet, assemble_pure_gaps, decompose
 from puregaps.cli import main
@@ -563,8 +562,6 @@ class TestEngineG2G4Faults:
     first, and the diagonal law: families supply only G1 and G3, and
     ``verify`` still fails such a fault on both verdicts."""
 
-    LABELS = {"gk": "q=3", "kummer": "(m, r)=(7, 5)"}
-
     @pytest.fixture(params=[("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})],
                     ids=["gk", "kummer"])
     def point(self, request):
@@ -575,8 +572,8 @@ class TestEngineG2G4Faults:
         report = harness.verify_point(family, params)
         assert report.verdicts["components_vs_generic"] == "fail"
         assert report.verdicts["diagonal_reflection"] == "fail"
-        assert (f"components_vs_generic: {self.LABELS[family]} k=1: "
-                f"G1..G4 merged at residue ") in report.detail
+        assert ("components_vs_generic: k=1: G1..G4 merged at residue "
+                in report.detail)
         assert f"diagonal_reflection: box k=1: {law}" in report.detail
 
     def test_point_dropped_from_g4(self, monkeypatch, point):
@@ -599,6 +596,55 @@ class TestEngineG2G4Faults:
             return {r: [g1[r][0]]}
         monkeypatch.setattr(engine, "compute_g2", g2)
         self.assert_fails(point, "G2 is not empty")
+
+
+class TestFamilySetFaults:
+    """A point short in a family's row, G1 or G3 fails
+    ``components_vs_generic``, naming the box and the set."""
+
+    @pytest.mark.parametrize("family, params", [
+        ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})], ids=["gk", "kummer"])
+    @pytest.mark.parametrize("index, name", [
+        (0, "Gamma_k0"), (1, "G1"), (2, "G3")])
+    def test_dropped_point_fails(self, monkeypatch, family, params, index,
+                                 name):
+        module = harness.FAMILIES[family][0]
+        func = f"{family}_components"
+        per_box = getattr(module, func)(*params.values())
+        k = min(k for k, sets in per_box.items() if sets[index])
+
+        def short(*args):
+            sets = list(per_box[k])
+            sets[index] = (sets[index][1:] if index == 0
+                           else drop_first_point(sets[index]))
+            return {**per_box, k: tuple(sets)}
+        monkeypatch.setattr(module, func, short)
+
+        report = harness.verify_point(family, params)
+        assert report.verdicts["components_vs_generic"] == "fail"
+        assert f"components_vs_generic: k={k}: explicit {name} has " \
+            in report.detail
+
+
+class TestFamilyProtocol:
+    """A family module gives data through three functions and no checker;
+    its components cover every nonempty row of the engine."""
+
+    def test_three_functions(self):
+        for family, (module, _) in harness.FAMILIES.items():
+            for name in ("generating_set", "card_g0", "components"):
+                assert callable(getattr(module, f"{family}_{name}"))
+            assert not hasattr(module, "verify_against_engine")
+
+    def test_components_cover_the_rows(self):
+        points = [("gk", {"q": q}) for q in range(2, 6)]
+        points += [("kummer", {"m": m, "r": r}) for m in range(2, 16)
+                   for r in range(2, 16) if gcd(m, r) == 1]
+        for family, params in points:
+            boxed = decompose(
+                harness.call_family(family, "{}_generating_set", params))
+            per_box = harness.call_family(family, "{}_components", params)
+            assert boxed.rows.keys() <= per_box.keys(), (family, params)
 
 
 class TestSummariesNeverListG0:
@@ -633,8 +679,9 @@ class TestSummaryBuildsNoComponents:
     def no_components(self, monkeypatch):
         def built(*args, **kwargs):
             raise AssertionError("a component was built")
-        for module in (gk_mod, kummer_mod):
-            monkeypatch.setattr(module, "_components", built)
+        for family, (module, _) in harness.FAMILIES.items():
+            for name in ("components", "gamma_k0", "g1", "g3"):
+                monkeypatch.setattr(module, f"{family}_{name}", built)
         for name in ("box_components", "compute_g1", "compute_g2",
                      "compute_g3", "compute_g4"):
             for namespace in (engine, harness):
@@ -720,19 +767,24 @@ class TestVerifyPointWork:
         # one build feeds the family's one check, its boxes against the
         # engine's
         module = harness.FAMILIES[family][0]
-        real = module._components
-        boxes = []
+        boxes = {}
 
-        def counted(*args):
-            boxes.append(args[-1])
-            return real(*args)
-        monkeypatch.setattr(module, "_components", counted)
+        def counter(name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                boxes.setdefault(name, []).append(args[-1])
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        for name in ("gamma_k0", "g1", "g3"):
+            counter(f"{family}_{name}")
 
         report = harness.verify_point(family, params)
         assert report.ok
         kmax = engine.decompose(
             harness.call_family(family, "{}_generating_set", params)).kmax
-        assert boxes == list(range(kmax))
+        assert boxes == {f"{family}_{name}": list(range(kmax))
+                         for name in ("gamma_k0", "g1", "g3")}
 
 
 SERIAL_PROBE = """

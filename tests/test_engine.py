@@ -271,17 +271,23 @@ class TestMergeCheck:
             harness.call_family(family, "{}_generating_set", params))
         generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
         g0 = assemble_pure_gaps(boxed)
-        engine.check_components(boxed, generic, g0, boxed.row,
-                                lambda k: generic[k][::2], "x")
+        engine.check_components(boxed, generic, g0,
+                                self.own_sets(boxed, generic))
         return boxed, generic, g0
 
     @staticmethod
-    def assert_names(boxed, g0, edited, k, r):
+    def own_sets(boxed, generic):
+        """The engine's row, G1 and G3 of each box, given as the family's."""
+        return {k: (boxed.row(k), g1, g3)
+                for k, (g1, _, g3, _) in generic.items()}
+
+    @classmethod
+    def assert_names(cls, boxed, g0, edited, k, r):
         with pytest.raises(GenericMismatchError,
-                           match=rf"^x k={k}: G1\.\.G4 merged at residue "
+                           match=rf"^k={k}: G1\.\.G4 merged at residue "
                                  rf"{r} hold "):
-            engine.check_components(boxed, edited, g0, boxed.row,
-                                    lambda k: edited[k][::2], "x")
+            engine.check_components(boxed, edited, g0,
+                                    cls.own_sets(boxed, edited))
 
     def test_point_dropped_from_g3(self, engine_parts):
         boxed, generic, g0 = engine_parts

@@ -29,7 +29,6 @@ from puregaps.gk import (
     gk_gamma_k0,
     gk_generating_set,
     gk_upper_bound,
-    verify_against_engine,
 )
 from puregaps.oracle import pure_gaps_direct
 
@@ -169,27 +168,24 @@ class TestComponents:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_match_generic_engine(self, q):
         boxed = decompose(gk_generating_set(q))
-        verify_against_engine(boxed, q, per_box=gk_components(q),
-                              **engine_side(boxed))
+        check_components(boxed, per_box=gk_components(q),
+                         **engine_side(boxed))
 
     def test_mismatch_names_box_and_component(self):
-        def components(k):
-            g3 = gk_g3(2, k)
-            if k == 1:
-                g3 = drop_first_point(g3)
-            return gk_g1(2, k), g3
+        per_box = gk_components(2)
+        row, g1, g3 = per_box[1]
+        per_box[1] = row, g1, drop_first_point(g3)
 
         boxed = decompose(gk_generating_set(2))
-        engine = engine_side(boxed)
         with pytest.raises(GenericMismatchError,
-                           match=r"^q=2 k=1: explicit G3 has 1 points, "
+                           match=r"^k=1: explicit G3 has 1 points, "
                                  r"engine has 2$"):
-            check_components(boxed, engine["generic"], engine["g0"],
-                             lambda k: gk_gamma_k0(2, k), components, "q=2")
+            check_components(boxed, per_box=per_box, **engine_side(boxed))
 
     def test_upper_bound_polynomial_checked(self, monkeypatch):
-        # verify_against_engine compares the engine's row-size upper bound
-        # with the polynomial, so a wrong polynomial fails the verdict
+        # gk_components compares the explicit rows' upper bound with the
+        # polynomial, and check_components those rows with the engine's,
+        # so a wrong polynomial fails the verdict
         real = gk_mod.gk_upper_bound
         monkeypatch.setattr(gk_mod, "gk_upper_bound", lambda q: real(q) + 1)
         report = harness.verify_point("gk", {"q": 3})

@@ -152,6 +152,23 @@ class TestValidateGeneratingSet:
         with pytest.raises(InvalidParamsError):
             validate_generating_set([], 0)
 
+    @pytest.mark.parametrize("points, period, named", [
+        ([(1, 1)], 2.0, "period must be a positive integer, got 2.0"),
+        ([(1, 2.0), (2.0, 1)], 3, "(1, 2.0): a generating point"),
+        ([(1, 2, 3)], 3, "(1, 2, 3): a generating point"),
+        ([(1, "a")], 3, "(1, 'a'): a generating point"),
+        ([5], 3, "generating points must be pairs of ints"),
+        # a valid Kummer (4, 7) set with a float whose residue, 1.0, an
+        # int coordinate already has
+        ([(1, 17), (2, 10), (3, 3), (5.0, 13), (6, 6), (9, 9), (10, 2),
+          (13, 5), (17, 1)], 4, "(5.0, 13): a generating point"),
+    ], ids=["float-period", "float-coordinate", "triple", "str-coordinate",
+            "not-a-pair", "float-sharing-a-residue"])
+    def test_wrong_type_rejected(self, points, period, named):
+        with pytest.raises(InvalidParamsError) as info:
+            validate_generating_set(points, period)
+        assert str(info.value).startswith(named)
+
     def test_tau_mapping(self):
         gamma = validate_generating_set(GK2_GAMMA, 9)
         tau = dict(gamma.points)
