@@ -27,9 +27,9 @@ column list; its length is the weighted sum ``sum (k+1)|G_{k,0}|``; and
 listing, walks it in lexicographic order without a sort: box columns ``i``
 ascending; inside a box column, first-coordinate residues ``r`` ascending;
 for each residue, ``j`` ascending, giving the sorted second coordinates of
-``G_{i+j,0}`` at ``a = (i+j)*period + r`` shifted by ``j*period``.  Two such values compare
-box by box, and so does a value with the direct scan's ``G0``, which the
-scan sorts into the same boxes: box ``(i, j)`` must hold ``G_{i+j,0}``.
+``G_{i+j,0}`` at ``a = (i+j)*period + r`` shifted by ``j*period``.  Two
+values of one period compare box by box, and so does one with the direct
+scan: its box ``(i, j)`` must hold :meth:`PureGapSet.box` ``(i + j)``.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0`` from
 :func:`box_columns`, the one route to it.  :func:`check_components` is
@@ -52,8 +52,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
-from itertools import chain, islice, repeat
-from operator import eq, lt
+from itertools import chain, islice
+from operator import lt
 
 from .errors import (
     CardinalityMismatchError,
@@ -377,11 +377,8 @@ class PureGapSet:
     * ``==`` with another PureGapSet of the same period compares the
       per-box sets.  That is exact: containment gives
       ``G_{k,0} = (G0 & box(k-j, j)) - w_j``, so equal per-box sets and
-      equal sets ``G0`` imply each other.
-    * :meth:`equals_boxes` compares its :meth:`plane_boxes`, ``G0`` sorted
-      into boxes as the direct scan gives it, with the scan's, no point
-      walked; ``==`` with a sorted list of points compares one list slice
-      per run, so no second ``|G0|``-sized list is held.
+      equal sets ``G0`` imply each other.  Anything else, a list of
+      points included, is unequal: compare ``list(g0)`` with a list.
     """
 
     __slots__ = ("period", "_runs", "_size")
@@ -468,48 +465,11 @@ class PureGapSet:
                 yield a, b + shift
 
     def __eq__(self, other):
-        if isinstance(other, PureGapSet):
-            if self.period == other.period:
-                return self._runs == other._runs
-            return self._size == other._size and all(map(eq, self, other))
-        if isinstance(other, list):
-            return self._equals_list(other)
+        if isinstance(other, PureGapSet) and self.period == other.period:
+            return self._runs == other._runs
         return NotImplemented
 
     __hash__ = None
-
-    def plane_boxes(self) -> dict:
-        """``G0`` in the direct scan's shape, ``{(i, j): {r: ascending v}}``
-        holding the points ``(i*period + r, j*period + v)``: box ``(k - j,
-        j)`` holds ``G_{k,0} + w_j``, so its value is :meth:`box` ``(k)``,
-        one dict shared by ``k + 1`` boxes.  Read-only."""
-        return {(k - j, j): columns for k, columns in self._runs.items()
-                for j in range(k + 1)}
-
-    def equals_boxes(self, boxes: dict) -> bool:
-        """True when ``boxes``, in the shape of :meth:`plane_boxes` with no
-        empty column or box (as :func:`puregaps.oracle.pure_gap_boxes_direct`
-        gives them), list exactly ``G0``.  Dict equality is exact: the map
-        ``(a, b) -> ((a // period, b // period), a % period, b % period)``
-        is injective and both sides are canonical (ascending lists, no
-        empty column or box)."""
-        return boxes == self.plane_boxes()
-
-    def _equals_list(self, other: list) -> bool:
-        """Compare with a list of points, one list slice per run, so no
-        second ``|G0|``-sized list is held.  The number of points walked
-        must equal the weighted sum, or CardinalityMismatchError is
-        raised."""
-        pos = 0
-        for a, bs, shift in self.runs():
-            end = pos + len(bs)
-            if other[pos:end] != list(zip(repeat(a), map(shift.__add__, bs))):
-                return False
-            pos = end
-        if pos != self._size:
-            raise CardinalityMismatchError(
-                f"|G0| = {pos} but weighted per-box sum is {self._size}")
-        return pos == len(other)
 
 
 def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapSet:

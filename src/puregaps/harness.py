@@ -3,7 +3,9 @@
 Each parameter point yields a :class:`RunReport`; verification points run
 both routes to the pure gap set (the box engine and the direct oracle
 scan), check the family's explicit rows and components G1 and G3 against
-the engine's box by box, and record a verdict per cross-check.  Families
+the engine's box by box, and record a verdict per cross-check; the scan
+is compared with the engine's ``G0`` as it yields each box column, by
+:func:`oracle_mismatch`, the one such comparison.  Families
 are diagonal: their G2 and G4 are the diagonal law's, checked once, by
 :func:`~puregaps.engine.check_reflection`.  Summaries run the engine
 alone and compare its weighted size with the closed form.
@@ -30,6 +32,7 @@ from math import gcd
 from . import gk as gk_mod
 from . import kummer as kummer_mod
 from .engine import (
+    _size,
     assemble_pure_gaps,
     bounds,
     box_components,
@@ -93,25 +96,48 @@ def call_family(family: str, func: str, params: dict):
     return getattr(module, func.format(family))(*(params[n] for n in names))
 
 
-def _diff_boxes(g0, boxes):
-    """The text of a failed ``engine_vs_oracle`` check: both sizes and the
-    first five points of each difference.  Only the differing columns of
-    differing boxes are walked, five points of each kept, so no
-    ``|G0|``-sized set is held."""
+def oracle_mismatch(g0, scan, kmax) -> str:
+    """``""`` when the engine's ``G0`` lists the same points as ``scan``,
+    the box columns of :func:`~puregaps.oracle.pure_gap_boxes_direct`,
+    else the ``engine_vs_oracle`` failure text: both sizes and the first
+    five points of each difference.
+
+    Box ``(i, j)`` holds ``G_{i+j,0} + w_j``: each scan box must equal
+    ``g0.box(i + j)``, one exact dict ``==`` (both sides are canonical) as
+    it arrives, and each engine box ``(k - j, j)``, ``k < kmax``, the scan
+    never gave must be empty.  A pass keeps only the box keys; only the
+    differing boxes are walked, and their excess gives the scan's size.
+    """
     period = g0.period
-    mine = g0.plane_boxes()
+    box = g0.box
+    visited = {}   # box column i -> the boxes j the scan gave it
+    excess = 0
     extra, missing = [], []
-    for i, j in mine.keys() | boxes.keys():
-        got, want = mine.get((i, j), {}), boxes.get((i, j), {})
-        if got == want:
-            continue
+
+    def diff(i, j, got, want):
+        base, shift = i * period, j * period
         for r in got.keys() | want.keys():
             bs, vs = set(got.get(r, ())), set(want.get(r, ()))
-            a, shift = i * period + r, j * period
-            extra += [(a, shift + b) for b in sorted(bs - vs)[:5]]
-            missing += [(a, shift + v) for v in sorted(vs - bs)[:5]]
-    size = sum(len(set(vs)) for columns in boxes.values()
-               for vs in columns.values())
+            extra.extend((base + r, shift + b) for b in sorted(bs - vs)[:5])
+            missing.extend((base + r, shift + v) for v in sorted(vs - bs)[:5])
+
+    for i, row in scan:
+        visited[i] = set(row)
+        for j, want in row.items():
+            got = box(i + j)
+            if got != want:
+                excess += _size(want) - _size(got)
+                diff(i, j, got, want)
+    for k in range(kmax):
+        got = box(k)
+        if got:
+            for j in range(k + 1):
+                if j not in visited.get(k - j, ()):
+                    diff(k - j, j, got, {})
+    if not (extra or missing):
+        return ""
+    size = excess + sum(_size(box(i + j))
+                        for i, js in visited.items() for j in js)
     return (f"G0: {len(g0)} vs {size} points; "
             f"unexpected {sorted(extra)[:5]}, missing {sorted(missing)[:5]}")
 
@@ -170,14 +196,12 @@ def _check_bounds(checks, g0, bnd):
                   f"upper={bnd.upper} hk={bnd.homma_kim}")
 
 
-def _check_oracle(checks, g0, boxes):
-    """Record whether the engine's G0 equals the oracle's boxes, box by
-    box, and return that; the counterexample text is built only on
-    failure."""
-    ok = g0.equals_boxes(boxes)
-    checks.record("engine_vs_oracle", ok,
-                  "" if ok else _diff_boxes(g0, boxes))
-    return ok
+def _check_oracle(checks, g0, scan, kmax):
+    """Record whether the engine's G0 equals the oracle's box columns, by
+    :func:`oracle_mismatch`, and return that."""
+    text = oracle_mismatch(g0, scan, kmax)
+    checks.record("engine_vs_oracle", not text, text)
+    return not text
 
 
 def _check_closed_form(checks, g0, closed_card):
@@ -214,7 +238,7 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     g0 = assemble_pure_gaps(boxed)
     bnd = bounds(boxed)
     checks = _Checks()
-    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma))
+    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma), boxed.kmax)
     _check_bounds(checks, g0, bnd)
     if boxed.diagonal:
         checks.run("diagonal_reflection", check_reflection, boxed)
@@ -240,15 +264,11 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     bnd = bounds(boxed)
     timings["decomposition_s"] = time.perf_counter() - start
 
+    # Each box column of the scan is compared as it comes, then dropped.
     start = time.perf_counter()
-    boxes = pure_gap_boxes_direct(gamma)
-    timings["direct_oracle_s"] = time.perf_counter() - start
-
-    # The oracle's boxes are compared at once and dropped, so they are not
-    # held while the family route builds its components.
     checks = _Checks()
-    _check_oracle(checks, g0, boxes)
-    del boxes
+    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma), boxed.kmax)
+    timings["direct_oracle_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
     closed_card = call_family(family, "{}_card_g0", params)
@@ -362,27 +382,28 @@ def bench_family(family: str, params: dict) -> list:
     """Time the box-decomposition route against the direct glb scan.
 
     The box route's time ends at its :class:`~puregaps.engine.PureGapSet`;
-    the direct scan's ends at its glbs sorted into boxes.  The value is then
-    compared with the boxes box by box, by the ``engine_vs_oracle`` check
-    of ``verify``, before timings are returned; a mismatch raises
-    ConsistencyError with that check's text.  The direct route's
-    cardinality is the total length of its boxes' columns.
+    the direct scan's ends at its box columns drained into a list.  The
+    value is then compared with the list, untimed, by the
+    ``engine_vs_oracle`` check of ``verify``, before timings are returned;
+    a mismatch raises ConsistencyError with that check's text.  The direct
+    route's cardinality is the total length of its boxes' columns.
     """
     gamma = call_family(family, "{}_generating_set", params)
 
     start = time.perf_counter()
-    direct = pure_gap_boxes_direct(gamma)
+    direct = list(pure_gap_boxes_direct(gamma))
     t_direct = time.perf_counter() - start
 
     start = time.perf_counter()
-    g0 = assemble_pure_gaps(decompose(gamma))
+    boxed = decompose(gamma)
+    g0 = assemble_pure_gaps(boxed)
     t_box = time.perf_counter() - start
 
     checks = _Checks(("engine_vs_oracle",))
-    if not _check_oracle(checks, g0, direct):
+    if not _check_oracle(checks, g0, direct, boxed.kmax):
         raise ConsistencyError(checks.detail())
-    direct_card = sum(len(vs) for columns in direct.values()
-                      for vs in columns.values())
+    direct_card = sum(len(vs) for _, row in direct
+                      for columns in row.values() for vs in columns.values())
     return [
         BenchRow(family, dict(params), gamma.genus, "box-decomposition",
                  t_box, len(g0), True),

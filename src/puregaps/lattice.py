@@ -122,16 +122,17 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     """Check every generating set invariant and return the validated set.
 
     ``points`` is any iterable of pairs.  Checks, in order: the period is
-    a positive int; every point is a pair of ints (InvalidParamsError);
-    all coordinates are strictly positive and inside the 64-bit range; no
-    coordinate is a multiple of the period; coordinates are pairwise
-    distinct within each projection; the period displacement law
-    holds, checked by :func:`period_law_violations` in its chain form,
-    which is equivalent to the law for every shift count (the first
-    violation raises); in a pass of its own after the law, no coordinate
-    exceeds ``2g - 1``, the largest gap of a place of genus ``g``; and
-    last, ``a - period`` is a first coordinate for each first coordinate
-    ``a > period``, as for the gaps of a semigroup containing the period.
+    a positive int and every point is a pair of ints, a bool being none
+    (InvalidParamsError); all coordinates are strictly positive and inside
+    the 64-bit range; no coordinate is a multiple of the period;
+    coordinates are pairwise distinct within each projection; the period
+    displacement law holds, checked by :func:`period_law_violations` in
+    its chain form, which is equivalent to the law for every shift count
+    (the first violation raises); in a pass of its own after the law, no
+    coordinate exceeds ``2g - 1``, the largest gap of a place of genus
+    ``g``; and last, ``a - period`` is a first coordinate for each first
+    coordinate ``a > period``, as for the gaps of a semigroup containing
+    the period.
     Each chain then has ``k + 1`` points if its last lies in row ``k``,
     which is the genus identity of the box decomposition.  An empty set
     is valid with any period (genus zero).
@@ -139,8 +140,8 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     Each check is one pass over the whole list: ``min`` and ``max`` for
     the sign and range checks, one modulo pass per projection, the sizes
     of a dict and a set for duplicates, a ``sum`` per projection for the
-    type (it is an int exactly when every coordinate is one); a
-    ``TypeError`` or ``ValueError`` in them is a failed check.  Only when
+    type (an int exactly when every coordinate is an int or a bool) and
+    each projection's minimum for a bool; a ``TypeError`` or ``ValueError`` in them is a failed check.  Only when
     one fails are the points walked one by one, so the error names the
     same point as a point-by-point check would: the first bad point in
     input order for the type, sign, divisibility and range checks, the
@@ -148,7 +149,7 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     past ``2g - 1`` or above the period without a predecessor in its
     chain.
     """
-    if not isinstance(period, int) or period < 1:
+    if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
 
     try:
@@ -160,16 +161,19 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     try:
         tau = dict(pts)
         seconds = tau.values()
-        lo = min(min(tau), min(seconds)) if tau else 1
+        lows = (min(tau), min(seconds)) if tau else (1,)
+        lo = min(lows)
         hi = max(max(tau), max(seconds)) if tau else 0
         residues = {a % period for a in tau}
         # A residue set hides 5.0 beside an int 1 (5.0 % 4 == 1); a sum is
-        # a float, Fraction or Decimal when one of its terms is.
+        # a float, Fraction or Decimal when one of its terms is.  Only True
+        # passes as a bool, and then is its projection's minimum.
         well_formed = (
             len(tau) == n == len(set(seconds)) and lo > 0
             and hi <= COORD_MAX and 0 not in residues
             and 0 not in {b % period for b in seconds}
-            and type(sum(tau)) is int and type(sum(seconds)) is int)
+            and type(sum(tau)) is int and type(sum(seconds)) is int
+            and bool not in map(type, lows))
     except (TypeError, ValueError):
         well_formed = False  # the point-by-point pass names the point
     if not well_formed:
@@ -206,7 +210,8 @@ def _raise_bad_point(pts: list, period: int) -> None:
     for the first duplicate coordinate in sorted order.  Called only once
     a whole-list check has failed, so one of these raises."""
     for point in pts:
-        if len(point) != 2 or not all(isinstance(c, int) for c in point):
+        if len(point) != 2 or not all(
+                isinstance(c, int) and type(c) is not bool for c in point):
             raise InvalidParamsError(
                 f"{point!r}: a generating point must be a pair of ints")
         a, b = point

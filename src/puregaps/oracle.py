@@ -4,26 +4,25 @@ Nothing here touches the box-decomposition engine; these functions are the
 independent side of every cross-check.  The pure gap set is computed from
 its definition, as the glbs of incomparable generating pairs, by a scan
 that keeps the already-passed second coordinates sorted and so needs no
-dedup set and no final sort.  The scan sorts its glbs into the
-period-sized boxes the engine keeps ``G0`` by, so the engine compares with
-it box by box; the same scan lists the points or counts them without
-listing.
+dedup set and no final sort.  The scan yields its glbs one box column at
+a time, sorted into the period-sized boxes the engine keeps ``G0`` by, so
+the engine compares with it box by box as the columns arrive; the same
+scan lists the points or counts them without listing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from itertools import repeat
-from operator import itemgetter
 
 from .lattice import GeneratingSet
 
 
-def pure_gap_boxes_direct(gamma: GeneratingSet) -> dict:
+def pure_gap_boxes_direct(gamma: GeneratingSet):
     """Pure gaps as glbs of incomparable generating pairs (sorted-suffix
-    scan), sorted into period-sized boxes: ``{(i, j): {r: ascending v}}``
-    holds the glbs ``(i*period + r, j*period + v)``, with no empty column
-    or box.
+    scan), sorted into period-sized boxes and yielded by box column, ``i``
+    decreasing: ``(i, {j: {r: ascending v}})`` holds the glbs ``(i*period
+    + r, j*period + v)``, with no empty column, box or box column.
 
     Points are walked in decreasing first coordinate while the second
     coordinates already passed are kept sorted.  Coordinates are pairwise
@@ -41,28 +40,29 @@ def pure_gap_boxes_direct(gamma: GeneratingSet) -> dict:
     ``(i, j)`` its whole list, and band ``j0`` gives box ``(i, j0)`` its
     prefix below ``v0``.  A whole band is one snapshot, copied when it is
     first given after its last insertion and shared by every later column
-    until the band changes again, so **the returned lists may be shared and
+    until the band changes again, so **the yielded lists may be shared and
     are read-only**.  Only the non-empty bands are walked, by a sorted list
     of their indices, so work and memory are bounded by the number of
     points and the output, not by ``max b / period``, even on unvalidated
     input.  The points of one box column ``i`` are consecutive in the walk,
-    so its boxes are filled in one dict keyed by ``j``.  Cost: O(g log g)
-    compares, O(g^2/word) moves for the sorted insertions, and O(|G0|)
-    output.
+    so its boxes are filled in one dict keyed by ``j``, yielded as the walk
+    leaves the box column.  Cost: O(g log g) compares, O(g^2/word) moves
+    for the sorted insertions, and O(|G0|) output.
     """
     period = gamma.period
-    rows = []     # (i, {j: {r: ascending v}}), one per box column i
     order = []    # the indices j of the non-empty bands, ascending
     bands = []    # bands[n]: the sorted residues of band order[n]
     wholes = []   # wholes[n]: a copy of bands[n], or None when stale
     row_i = None
+    row = {}      # {j: {r: ascending v}}, the boxes of box column row_i
     for a, b in sorted(gamma.points, reverse=True):
         i, r = divmod(a, period)
         j0, v0 = divmod(b, period)
         if i != row_i:
+            if row:
+                yield row_i, row
             row_i = i
             row = {}
-            rows.append((i, row))
         n0 = bisect_left(order, j0)
         for n in range(n0):
             whole = wholes[n]
@@ -89,29 +89,28 @@ def pure_gap_boxes_direct(gamma: GeneratingSet) -> dict:
             order.insert(n0, j0)
             bands.insert(n0, [v0])
             wholes.insert(n0, None)
-    return {(i, j): columns for i, row in rows for j, columns in row.items()}
-
-
-def points_of(boxes: dict, period: int) -> list:
-    """The sorted list of plain ``(a, b)`` tuples that ``boxes``, as
-    :func:`pure_gap_boxes_direct` gives them, hold."""
-    by_first = {}
-    for (i, j), columns in boxes.items():
-        for r, vs in columns.items():
-            by_first.setdefault(i * period + r, []).append((j * period, vs))
-    out = []
-    extend = out.extend
-    for a in sorted(by_first):
-        for base, vs in sorted(by_first[a], key=itemgetter(0)):
-            extend(zip(repeat(a), map(base.__add__, vs)))
-    return out
+    if row:
+        yield row_i, row
 
 
 def pure_gaps_direct(gamma: GeneratingSet) -> list:
-    """Pure gaps as glbs of incomparable generating pairs: the boxes of
-    :func:`pure_gap_boxes_direct`, flattened.  Returns a sorted,
-    duplicate-free list of plain ``(a, b)`` tuples."""
-    return points_of(pure_gap_boxes_direct(gamma), gamma.period)
+    """Pure gaps as glbs of incomparable generating pairs: the box columns
+    of :func:`pure_gap_boxes_direct` flattened in reverse, each by residue
+    ascending, then by box ``j`` ascending, so with no sort of the points.
+    Returns a sorted, duplicate-free list of plain ``(a, b)`` tuples."""
+    period = gamma.period
+    out = []
+    extend = out.extend
+    for i, row in reversed(list(pure_gap_boxes_direct(gamma))):
+        by_residue = {}
+        for j in sorted(row):
+            for r, vs in row[j].items():
+                by_residue.setdefault(r, []).append((j * period, vs))
+        for r in sorted(by_residue):
+            a = i * period + r
+            for shift, vs in by_residue[r]:
+                extend(zip(repeat(a), map(shift.__add__, vs)))
+    return out
 
 
 def count_pure_gaps_direct(gamma: GeneratingSet) -> int:

@@ -233,24 +233,26 @@ def diagonal_parts(per_box: dict) -> dict:
     return {k: (g1, g3, reflect(g3)) for k, (_, g1, g3) in per_box.items()}
 
 
-def short_of_first_point(boxes: dict, period: int) -> dict:
-    """The direct scan's ``boxes`` without the lexicographically first
-    point.  The scan's lists may be shared between boxes, so the point is
-    dropped from a copy of its list."""
-    boxes = dict(boxes)
-    if boxes:
-        _, j, i, r = min((i * period + r, j, i, r)
-                         for (i, j), columns in boxes.items()
-                         for r in columns)
-        columns = dict(boxes[i, j])
+def short_of_first_point(scan, period: int) -> list:
+    """The direct scan's box columns, ``(i, {j: {r: ascending v}})`` as
+    :func:`puregaps.oracle.pure_gap_boxes_direct` yields them, without the
+    lexicographically first point.  The scan's lists may be shared between
+    boxes, so the point is dropped from a copy of its list."""
+    rows = [(i, dict(row)) for i, row in scan]
+    first = min(((i * period + r, j, n, r) for n, (i, row) in enumerate(rows)
+                 for j, columns in row.items() for r in columns), default=None)
+    if first is not None:
+        _, j, n, r = first
+        row = rows[n][1]
+        columns = dict(row[j])
         columns[r] = columns[r][1:]
         if not columns[r]:
             del columns[r]
         if columns:
-            boxes[i, j] = columns
+            row[j] = columns
         else:
-            del boxes[i, j]
-    return boxes
+            del row[j]
+    return rows
 
 
 def engine_side(boxed) -> dict:

@@ -186,11 +186,12 @@ class TestClosedForms:
             gamma = kummer_generating_set(m, r)
             engine = assemble_pure_gaps(decompose(gamma))
             explicit, _ = explicit_g0(m, r)
-            assert explicit == engine == pure_gaps_direct(gamma)
+            assert explicit == engine
+            assert list(engine) == pure_gaps_direct(gamma)
 
     def test_m4_r3_pure_gaps(self):
         g0, bnd = explicit_g0(4, 3)
-        assert g0 == [(1, 1), (1, 2), (2, 1)]
+        assert list(g0) == [(1, 1), (1, 2), (2, 1)]
         assert len(g0) == 3
         assert bnd.upper == 3
 

@@ -162,8 +162,14 @@ class TestValidateGeneratingSet:
         # int coordinate already has
         ([(1, 17), (2, 10), (3, 3), (5.0, 13), (6, 6), (9, 9), (10, 2),
           (13, 5), (17, 1)], 4, "(5.0, 13): a generating point"),
+        ([], True, "period must be a positive integer, got True"),
+        ([(True, True)], 2, "(True, True): a generating point"),
+        # the valid Kummer (4, 3) set with True for a 1 in either projection
+        ([(2, 2), (True, 5), (5, 1)], 4, "(True, 5): a generating point"),
+        ([(2, 2), (1, 5), (5, True)], 4, "(5, True): a generating point"),
     ], ids=["float-period", "float-coordinate", "triple", "str-coordinate",
-            "not-a-pair", "float-sharing-a-residue"])
+            "not-a-pair", "float-sharing-a-residue", "bool-period",
+            "bool-point", "bool-first-coordinate", "bool-second-coordinate"])
     def test_wrong_type_rejected(self, points, period, named):
         with pytest.raises(InvalidParamsError) as info:
             validate_generating_set(points, period)

@@ -24,7 +24,7 @@ from puregaps.engine import (
     decompose,
 )
 from puregaps.errors import CardinalityMismatchError
-from puregaps.harness import summarize_generic
+from puregaps.harness import oracle_mismatch, summarize_generic
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
 import props
@@ -112,8 +112,8 @@ def test_non_diagonal_engine_matches_references(gamma):
             _residue_runs({k: merged}, boxed.period).get(k, {})
     direct = pure_gaps_direct(gamma)
     g0 = assemble_pure_gaps(boxed)
-    assert g0 == direct
-    assert g0.equals_boxes(pure_gap_boxes_direct(gamma))
+    assert list(g0) == direct
+    assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma), boxed.kmax) == ""
     out = io.StringIO()
     _stream_pure_gaps(boxed, "tsv", out)
     assert out.getvalue() == "".join(f"{a}\t{b}\n" for a, b in direct)
