@@ -6,42 +6,59 @@ first payload line must be ``period <int>``; every following payload line
 is one ``<beta><TAB><tau>`` pair.  Parse and validation diagnostics carry
 1-based line numbers.
 
-A file is read in whole-list passes: the payload lines are picked out,
-each is split and converted in one comprehension, and the pairs are
-validated as a list.  Only when a pass fails is the text scanned line by
-line, to name the line at fault.
+A file is read in whole-list passes over one chunk of text at a time:
+the text is cut into chunks of about ``_CHUNK_CHARS`` characters, each
+ending just after a newline, and each chunk's payload lines are picked
+out, split and converted in one comprehension.  Lines are thus held one
+chunk at a time, never the whole file's.  The pairs are then validated
+as a list.  Only when a pass fails is the text scanned line by line, to
+name the line at fault.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import GammaFileError, ValidationError
 from .lattice import GeneratingSet, validate_generating_set
 
 
+#: Characters of text split into lines at a time.  A chunk runs on to just
+#: after the first newline at or past this many characters, so each line
+#: lies in one chunk: a ``"\r\n"`` pair and every other separator of
+#: ``str.splitlines`` end before the cut.
+_CHUNK_CHARS = 1 << 16
+
+
 def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
     """Parse and validate the text of a generating set file."""
-    lines = text.splitlines()
     try:
-        period, pairs = _read_payload(lines)
+        period, pairs = _read_payload(text)
         return validate_generating_set(pairs, period)
     except (ValueError, OverflowError):  # ValidationError is a ValueError
-        return _parse_lines(lines, source)
+        return _parse_lines(text.splitlines(), source)
 
 
-def _read_payload(lines: list) -> tuple:
-    """``(period, pairs)`` of a well-formed file's lines; ValueError (with
-    no line number) when any payload line is malformed."""
-    payload = [line for line in map(str.strip, lines)
-               if line and line[0] != "#"]
-    if not payload:
+def _read_payload(text: str) -> tuple:
+    """``(period, pairs)`` of a well-formed file's text; ValueError (with
+    no line number) when any payload line is malformed.  The header is the
+    first payload line of whichever chunk holds it."""
+    period = None
+    pairs = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        payload = [line for line in map(str.strip,
+                                        text[start:end].splitlines())
+                   if line and line[0] != "#"]
+        start = end
+        if period is None and payload:
+            word, period = payload.pop(0).split()
+            if word != "period":
+                raise ValueError("bad header")
+        pairs += [(int(a), int(b)) for a, b in map(str.split, payload)]
+    if period is None:
         raise ValueError("missing header")
-    word, period = payload[0].split()
-    if word != "period":
-        raise ValueError("bad header")
-    pairs = [(int(a), int(b))
-             for a, b in map(str.split, islice(payload, 1, None))]
     return int(period), pairs
 
 

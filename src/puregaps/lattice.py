@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from itertools import islice
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -137,17 +139,20 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     which is the genus identity of the box decomposition.  An empty set
     is valid with any period (genus zero).
 
-    Each check is one pass over the whole list: ``min`` and ``max`` for
-    the sign and range checks, one modulo pass per projection, the sizes
-    of a dict and a set for duplicates, a ``sum`` per projection for the
-    type (an int exactly when every coordinate is an int or a bool) and
-    each projection's minimum for a bool; a ``TypeError`` or ``ValueError`` in them is a failed check.  Only when
-    one fails are the points walked one by one, so the error names the
-    same point as a point-by-point check would: the first bad point in
-    input order for the type, sign, divisibility and range checks, the
-    first duplicate in sorted order, and the first point in sorted order
-    past ``2g - 1`` or above the period without a predecessor in its
-    chain.
+    Each check is one pass over the whole list: the size of a dict for
+    repeated first coordinates; one sorted list of the second coordinates,
+    checked for strict increase, for repeated ones; ``min`` and ``max`` of
+    the first coordinates and the ends of that sorted list for the sign
+    and range checks; one modulo pass per projection; a ``sum`` per
+    projection for the type (an int exactly when every coordinate is an
+    int or a bool); and each projection's minimum for a bool.  A
+    ``TypeError`` or ``ValueError`` in them, such as from sorting mixed
+    types, is a failed check.  Only when one fails are the points walked
+    one by one, so the error names the same point as a point-by-point
+    check would: the first bad point in input order for the type, sign,
+    divisibility and range checks, the first duplicate in sorted order,
+    and the first point in sorted order past ``2g - 1`` or above the
+    period without a predecessor in its chain.
     """
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -160,17 +165,18 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     n = len(pts)
     try:
         tau = dict(pts)
-        seconds = tau.values()
-        lows = (min(tau), min(seconds)) if tau else (1,)
+        # the seconds are distinct exactly when, sorted, they increase
+        seconds = sorted(tau.values())
+        lows = (min(tau), seconds[0]) if tau else (1,)
         lo = min(lows)
-        hi = max(max(tau), max(seconds)) if tau else 0
+        hi = max(max(tau), seconds[-1]) if tau else 0
         residues = {a % period for a in tau}
         # A residue set hides 5.0 beside an int 1 (5.0 % 4 == 1); a sum is
         # a float, Fraction or Decimal when one of its terms is.  Only True
         # passes as a bool, and then is its projection's minimum.
         well_formed = (
-            len(tau) == n == len(set(seconds)) and lo > 0
-            and hi <= COORD_MAX and 0 not in residues
+            len(tau) == n and all(map(lt, seconds, islice(seconds, 1, None)))
+            and lo > 0 and hi <= COORD_MAX and 0 not in residues
             and 0 not in {b % period for b in seconds}
             and type(sum(tau)) is int and type(sum(seconds)) is int
             and bool not in map(type, lows))

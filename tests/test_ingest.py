@@ -8,6 +8,7 @@ would: the same line, the same first bad point in input order, the same
 first duplicate in sorted order.
 """
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -25,6 +26,7 @@ from puregaps.errors import (
 )
 from puregaps import gammafile
 from puregaps.gammafile import dump_gamma, parse_gamma
+from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import COORD_MAX, validate_generating_set
 
 import props
@@ -220,26 +222,83 @@ def mutated_texts(draw):
     return lines, newline
 
 
+def check_valid_text(case, final):
+    lines, newline, _ = case
+    text = join(lines, newline, final)
+    # a valid text, comments and any layout included, never needs the
+    # line-numbered diagnostic scan
+    with mock.patch.object(gammafile, "_parse_lines",
+                           side_effect=AssertionError("scanned")):
+        got = outcome(parse_gamma, text)
+    assert got[0] == "ok"
+    assert got == outcome(parse_gamma_lines, text)
+
+
+def check_mutated_text(case):
+    text = join(*case)
+    assert outcome(parse_gamma, text, "f.gamma") == \
+        outcome(parse_gamma_lines, text, "f.gamma")
+
+
+#: Chunk sizes small enough that a family text crosses many chunk ends.
+SMALL_CHUNKS = (1, 7, 64)
+
+
 class TestParserAgreesWithLineScanner:
     @settings(max_examples=300, deadline=None)
     @given(family_texts(), st.booleans())
     def test_valid_texts(self, case, final):
-        lines, newline, _ = case
-        text = join(lines, newline, final)
-        # a valid text, comments and any layout included, never needs the
-        # line-numbered diagnostic scan
-        with mock.patch.object(gammafile, "_parse_lines",
-                               side_effect=AssertionError("scanned")):
-            got = outcome(parse_gamma, text)
-        assert got[0] == "ok"
-        assert got == outcome(parse_gamma_lines, text)
+        check_valid_text(case, final)
 
     @settings(max_examples=500, deadline=None)
     @given(mutated_texts())
     def test_mutated_texts(self, case):
-        text = join(*case)
-        assert outcome(parse_gamma, text, "f.gamma") == \
-            outcome(parse_gamma_lines, text, "f.gamma")
+        check_mutated_text(case)
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    @settings(max_examples=100, deadline=None)
+    @given(family_texts(), st.booleans())
+    def test_valid_texts_small_chunks(self, chunk, case, final):
+        with mock.patch.object(gammafile, "_CHUNK_CHARS", chunk):
+            check_valid_text(case, final)
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_texts())
+    def test_mutated_texts_small_chunks(self, chunk, case):
+        with mock.patch.object(gammafile, "_CHUNK_CHARS", chunk):
+            check_mutated_text(case)
+
+    @pytest.mark.parametrize("chunk, text", [
+        # the "\r" of a "\r\n" sits where a cut of `chunk` characters
+        # would fall: in a comment, and after the header
+        (7, "# abcd\r\nperiod 4\r\n1\t5\r\n5\t1\r\n2\t2\r\n"),
+        (9, "period 4\r\n1\t5\r\n5\t1\r\n2\t2\r\n"),
+        (9, "period 4\r\n1\t5\r\n5\t1\r\n2\tx\r\n"),
+        # the header after more than one chunk of comment lines
+        (7, "# one\n# two\n# three\n\nperiod 4\n1\t5\n5\t1\n2\t2\n"),
+        (7, "# one\n# two\n# three\n\nperiod x\n1\t5\n5\t1\n2\t2\n"),
+        # a last line with no newline
+        (7, "period 4\n1\t5\n5\t1\n2\t2"),
+        (7, "period 4\n1\t5\n5\t1\n2\t2 x"),
+        (64, "period 4\n1\t5\n5\t1\n2\t2"),
+        # a chunk of blank lines only, before and after the header
+        (7, "\n" * 9 + "period 4\n1\t5\n5\t1\n2\t2\n"),
+        (7, "period 4\n" + "\n" * 9 + "1\t5\n5\t1\n2\t2\n"),
+        (7, "period 4\n" + " \t\n" * 5 + "1\t5\n5\t1\n5\t2\n"),
+        # separators of str.splitlines other than "\n" end no chunk
+        (1, "period 4\x0c1\t5\r5\t1\u20282\t2\n"),
+        (1, "period 4\x851\t5\x1c5\t1\x1e5\t2\n"),
+    ])
+    def test_pinned_texts_small_chunks(self, chunk, text):
+        want = outcome(parse_gamma_lines, text, "f.gamma")
+        # a valid text is read without the diagnostic scan
+        scanned = AssertionError("scanned") if want[0] == "ok" else None
+        with mock.patch.object(gammafile, "_CHUNK_CHARS", chunk), \
+                mock.patch.object(gammafile, "_parse_lines",
+                                  side_effect=scanned,
+                                  wraps=gammafile._parse_lines):
+            assert outcome(parse_gamma, text, "f.gamma") == want
 
     @pytest.mark.parametrize("text", [
         "",
@@ -265,6 +324,20 @@ class TestParserAgreesWithLineScanner:
             assert text == "period %d\n" % gamma.period + "".join(
                 f"{a}\t{b}\n" for a, b in gamma.points)
             assert parse_gamma(text) == gamma
+
+    def test_parse_peak_is_bounded_by_the_result(self):
+        """Lines are held one chunk at a time and duplicates are found by
+        sorting, so the parse peaks well under twice what it returns
+        (about 1.6 times at Kummer (4501, 30), genus 65,250)."""
+        text = dump_gamma(kummer_generating_set(4501, 30))
+        tracemalloc.start()
+        try:
+            gamma = parse_gamma(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gamma.genus == 65250
+        assert peak <= 2.0 * retained, (peak, retained)
 
     def test_trailing_note_is_not_a_comment(self):
         with pytest.raises(GammaFileError,
