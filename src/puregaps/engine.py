@@ -156,8 +156,8 @@ def _above(boxed: BoxedGamma, k: int) -> tuple:
 
 
 def _sorted_columns(columns: dict) -> dict:
-    """``{r: b values}`` as plain columns: residues ascending, each
-    column's values sorted."""
+    """``{r: set of b}`` as plain columns: residues ascending, each set
+    sorted."""
     return {r: sorted(bs) for r, bs in sorted(columns.items())}
 
 
@@ -198,20 +198,15 @@ def compute_g2(boxed: BoxedGamma, k: int) -> dict:
 
 def compute_g3(boxed: BoxedGamma, k: int) -> dict:
     """Third component: glb(u, v) for u in rows[k], v in a higher row,
-    restricted to pairs with u not below v; by column.
-
-    v lies in a higher row, right of u, so each glb takes its column from
-    u's first coordinate, distinct in rows[k], and its value from v's
-    second, distinct in the set: no glb repeats, and a column is a list,
-    sorted once."""
+    restricted to pairs with u not below v; by column."""
     us = boxed.row(k)
     base = k * boxed.period
-    columns = defaultdict(list)
+    columns = defaultdict(set)
     for k1 in range(k + 1, boxed.kmax):
         for va, vb in boxed.row(k1):
             for ua, ub in us:
                 if ua > va or ub > vb:
-                    columns[(ua if ua < va else va) - base].append(
+                    columns[(ua if ua < va else va) - base].add(
                         ub if ub < vb else vb)
     return _sorted_columns(columns)
 
@@ -219,33 +214,20 @@ def compute_g3(boxed: BoxedGamma, k: int) -> dict:
 def compute_g4(boxed: BoxedGamma, k: int) -> dict:
     """Fourth component of box (k, 0): glb(u + w_{k2-k}, v) for u in
     rows[k2] (k2 > k) and v in rows[k], restricted to pairs with v not
-    below the shifted u; by column.
-
-    A shifted u's second coordinate is at least the period, above every
-    second of rows[k], so each pair's glb takes its column from the
-    shifted u and its value from v.  So when there are as many columns
-    as shifted points, each column comes from one u, no glb repeats and
-    a column is a list, sorted once.  Otherwise the columns are
-    deduplicated: rows that break the period law can shift two points to
-    one first coordinate."""
+    below the shifted u; by column."""
     period = boxed.period
     base = k * period
     vs = boxed.row(k)
-    columns = defaultdict(list)
-    shifted = 0
+    columns = defaultdict(set)
     for k2 in range(k + 1, boxed.kmax):
         shift = (k2 - k) * period
-        us = boxed.row(k2)
-        shifted += len(us)
-        for ua, ub in us:
+        for ua, ub in boxed.row(k2):
             ua -= shift
             ub += shift
             for va, vb in vs:
                 if va > ua or vb > ub:
-                    columns[(ua if ua < va else va) - base].append(
+                    columns[(ua if ua < va else va) - base].add(
                         ub if ub < vb else vb)
-    if len(columns) != shifted:
-        columns = {r: set(bs) for r, bs in columns.items()}
     return _sorted_columns(columns)
 
 

@@ -161,7 +161,7 @@ def test_non_diagonal_components_match_points(gamma):
 
 @settings(max_examples=300, deadline=None)
 @given(injective_pairs(), st.integers(min_value=1, max_value=50))
-# 10 and 15 both shift to 0 in box 0, where (1, 1) lies right of them
+# 10 and 15 both shift to 0 in box 0, so G4 meets one column twice
 @example([(1, 1), (10, 2), (15, 3)], 5)
 def test_injective_components_match_points(points, period):
     """Rows cut from unvalidated injective sets: no genus identity, and
