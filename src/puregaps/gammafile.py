@@ -11,8 +11,13 @@ the text is cut into chunks of about ``_CHUNK_CHARS`` characters, each
 ending just after a newline, and each chunk's payload lines are picked
 out, split and converted in one comprehension.  Lines are thus held one
 chunk at a time, never the whole file's.  The pairs are then validated
-as a list.  Only when a pass fails is the text scanned line by line, to
-name the line at fault.
+as a list, handed over as an iterator so that the parser's list dies once
+validation has copied it.  Only when a pass fails is the text scanned
+line by line, to name the line at fault.
+
+A set is written ``_DUMP_POINTS`` points per format operation and the
+pieces joined, so a dump holds its text and the pieces of it, never a
+format tuple of every coordinate.
 """
 
 from __future__ import annotations
@@ -29,11 +34,15 @@ from .lattice import GeneratingSet, validate_generating_set
 #: ``str.splitlines`` end before the cut.
 _CHUNK_CHARS = 1 << 16
 
+#: Points formatted at a time by :func:`dump_gamma`.
+_DUMP_POINTS = 4096
+
 
 def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
     """Parse and validate the text of a generating set file."""
     try:
         period, pairs = _read_payload(text)
+        pairs = iter(pairs)  # the list dies once validation has copied it
         return validate_generating_set(pairs, period)
     except (ValueError, OverflowError):  # ValidationError is a ValueError
         return _parse_lines(text.splitlines(), source)
@@ -143,6 +152,12 @@ def load_gamma(path) -> GeneratingSet:
 
 def dump_gamma(gamma: GeneratingSet) -> str:
     """Serialize a generating set in the exchange format (sorted points),
-    with one format operation over every coordinate."""
-    coords = tuple(chain.from_iterable(gamma.points))
-    return f"period {gamma.period}\n" + ("%s\t%s\n" * gamma.genus) % coords
+    with one format operation per ``_DUMP_POINTS`` points, the pieces
+    joined: the format tuple is one chunk's coordinates, not the set's."""
+    points = gamma.points
+    pieces = [f"period {gamma.period}\n"]
+    for start in range(0, len(points), _DUMP_POINTS):
+        chunk = points[start:start + _DUMP_POINTS]
+        pieces.append(("%s\t%s\n" * len(chunk))
+                      % tuple(chain.from_iterable(chunk)))
+    return "".join(pieces)

@@ -8,7 +8,9 @@ period displacement law:
 ``beta + k*period`` is a first coordinate exactly when
 ``k*period < tau(beta)``, and then its image is ``tau(beta) - k*period``.
 The law is checked in an equivalent chain form that takes one linear pass,
-by :func:`period_law_violations`.  Validation is where the law is
+by :func:`period_law_violations`: on a valid set a merge walk of the
+sorted points against their period shifts, which builds no table; the map
+``tau`` is built only to name a breach.  Validation is where the law is
 enforced: it is not re-checked on a validated set, and no report carries
 it as a verdict.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import islice
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -60,11 +62,10 @@ class GeneratingSet(namedtuple("GeneratingSet", ("points", "period"))):
         return len(self.points)
 
 
-def period_law_violations(tau: dict, period: int,
-                          items: list) -> Iterator[tuple]:
+def period_law_violations(period: int, items: list) -> Iterator[tuple]:
     """Yield ``(beta, k, message)`` for each breach of the period
-    displacement law by the map ``tau``, in increasing ``beta``.
-    ``items`` is ``sorted(tau.items())``.
+    displacement law by the pairs ``items``, in increasing ``beta``.
+    ``items`` is sorted, with distinct positive first coordinates.
 
     The law is checked in its chain form, in linear time after one sort:
 
@@ -82,7 +83,17 @@ def period_law_violations(tau: dict, period: int,
     ``k*period >= tau(beta)``" case.  A run break after ``a`` with
     ``period < tau(a)`` breaks the successor rule and is named once, as
     that, so every yielded ``(beta, k)`` breaks the law at that shift.
+
+    A merge walk comes first and builds nothing: the successors
+    ``(a + period, b - period)`` of the points with ``b > period``, in
+    order, are exactly the points with ``a >= period`` when the law holds
+    and every chain starts below the period (and only then), so when they
+    are, nothing is yielded.  Otherwise the map is built and walked point
+    by point, to name each breach.
     """
+    if _chains_start_below(period, items):
+        return
+    tau = dict(items)
     last = {a % period: a for a, _ in items}  # each class's largest
     breaks = None
     for a, b in items:
@@ -104,6 +115,21 @@ def period_law_violations(tau: dict, period: int,
             k = (shifted - a) // period
             yield a, k, (f"({a}, {b}) with k={k}: {shifted} may not be a "
                          f"first coordinate since {k}*{period} >= {b}")
+
+
+def _chains_start_below(period: int, items: list) -> bool:
+    """Whether the successors of the points of ``items`` with second
+    coordinate above the period, in order, are exactly the points from the
+    first with ``a >= period`` on: the period law holds and each first
+    coordinate at or above the period has its predecessor."""
+    rest = islice(items, bisect_left(items, (period,)), None)
+    for a, b in items:
+        if period < b:
+            # (0, 0) is no successor: its second coordinate is not positive
+            c, d = next(rest, (0, 0))
+            if c != a + period or d != b - period:
+                return False
+    return next(rest, None) is None
 
 
 def _run_breaks(items: list, period: int) -> dict:
@@ -139,20 +165,25 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     which is the genus identity of the box decomposition.  An empty set
     is valid with any period (genus zero).
 
-    Each check is one pass over the whole list: the size of a dict for
-    repeated first coordinates; one sorted list of the second coordinates,
-    checked for strict increase, for repeated ones; ``min`` and ``max`` of
-    the first coordinates and the ends of that sorted list for the sign
-    and range checks; one modulo pass per projection; a ``sum`` per
-    projection for the type (an int exactly when every coordinate is an
-    int or a bool); and each projection's minimum for a bool.  A
-    ``TypeError`` or ``ValueError`` in them, such as from sorting mixed
-    types, is a failed check.  Only when one fails are the points walked
-    one by one, so the error names the same point as a point-by-point
-    check would: the first bad point in input order for the type, sign,
-    divisibility and range checks, the first duplicate in sorted order,
-    and the first point in sorted order past ``2g - 1`` or above the
-    period without a predecessor in its chain.
+    Each check is one pass over the points as given, and the one list
+    built beside them holds the second coordinates, sorted and checked for
+    strict increase, for repeated ones; ``min`` and ``max`` of the first
+    coordinates and the ends of that sorted list for the sign and range
+    checks; one modulo pass per projection, the first unpacking each point,
+    so that a point not a pair fails; a ``sum`` per projection for the type
+    (an int exactly when every coordinate is an int or a bool); and each
+    projection's minimum for a bool.  A ``TypeError``, ``ValueError`` or
+    ``IndexError`` in them, such as from sorting mixed types, is a failed
+    check.  The points are then sorted in place, which puts a repeated
+    first coordinate beside its twin for a strict-increase pass.  The law
+    is a merge walk on a valid set and the chain starts a count, so a
+    valid set builds no dict or set the size of the points: each is built
+    only once a check has failed.  Only when one fails are the points
+    walked one by one, so the error names the same point as a
+    point-by-point check would: the first bad point in input order for the
+    type, sign, divisibility and range checks, the first duplicate in
+    sorted order, and the first point in sorted order past ``2g - 1`` or
+    above the period without a predecessor in its chain.
     """
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -164,29 +195,34 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
             f"generating points must be pairs of ints: {exc}") from None
     n = len(pts)
     try:
-        tau = dict(pts)
         # the seconds are distinct exactly when, sorted, they increase
-        seconds = sorted(tau.values())
-        lows = (min(tau), seconds[0]) if tau else (1,)
+        seconds = sorted(map(itemgetter(1), pts))
+        lows = (min(map(itemgetter(0), pts)), seconds[0]) if pts else (1,)
         lo = min(lows)
-        hi = max(max(tau), seconds[-1]) if tau else 0
-        residues = {a % period for a in tau}
+        hi = max(max(map(itemgetter(0), pts)), seconds[-1]) if pts else 0
+        residues = {a % period for a, _ in pts}  # unpacking: pairs only
         # A residue set hides 5.0 beside an int 1 (5.0 % 4 == 1); a sum is
         # a float, Fraction or Decimal when one of its terms is.  Only True
         # passes as a bool, and then is its projection's minimum.
         well_formed = (
-            len(tau) == n and all(map(lt, seconds, islice(seconds, 1, None)))
+            all(map(lt, seconds, islice(seconds, 1, None)))
             and lo > 0 and hi <= COORD_MAX and 0 not in residues
             and 0 not in {b % period for b in seconds}
-            and type(sum(tau)) is int and type(sum(seconds)) is int
+            and type(sum(map(itemgetter(0), pts))) is int
+            and type(sum(seconds)) is int
             and bool not in map(type, lows))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, IndexError):
         well_formed = False  # the point-by-point pass names the point
     if not well_formed:
         _raise_bad_point(pts, period)
+    del seconds  # not held beside the points' tuple at the end
 
+    # sorted, a repeated first coordinate sits beside its twin
     pts.sort()
-    for beta, k, message in period_law_violations(tau, period, pts):
+    if not all(map(lt, map(itemgetter(0), pts),
+                   map(itemgetter(0), islice(pts, 1, None)))):
+        _raise_bad_point(pts, period)
+    for beta, k, message in period_law_violations(period, pts):
         raise PeriodPropertyViolationError(message, beta=beta, k=k)
     top = 2 * n - 1
     if hi > top:
@@ -199,8 +235,9 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     # below the period exactly when each class has a first coordinate
     # there.
     if len(residues) != bisect_left(pts, (period,)):
+        firsts = set(map(itemgetter(0), pts))
         for a, b in pts:
-            if a > period and a - period not in tau:
+            if a > period and a - period not in firsts:
                 raise ResidueChainStartError(
                     f"({a}, {b}): the first coordinates are not the gaps "
                     f"of a semigroup containing the period {period}: {a} is "
@@ -214,7 +251,8 @@ def _raise_bad_point(pts: list, period: int) -> None:
     pair of ints (InvalidParamsError) or has a coordinate that is not
     positive, is a multiple of the period or leaves the 64-bit range, else
     for the first duplicate coordinate in sorted order.  Called only once
-    a whole-list check has failed, so one of these raises."""
+    a whole-list check has failed, so one of these raises; called on the
+    sorted points, once only a repeated first coordinate can be left."""
     for point in pts:
         if len(point) != 2 or not all(
                 isinstance(c, int) and type(c) is not bool for c in point):

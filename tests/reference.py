@@ -201,7 +201,7 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
         tau[a] = b
 
     violations.extend(message for _, _, message in period_law_violations(
-        tau, period, sorted(tau.items())))
+        period, sorted(tau.items())))
     return PeriodPropertyReport(period=period, points_checked=len(pairs),
                                 violations=tuple(violations))
 
@@ -338,7 +338,7 @@ def validate_per_point(points, period) -> GeneratingSet:
         tau[a] = b
         seen_b[b] = a
 
-    for beta, k, message in period_law_violations(tau, period,
+    for beta, k, message in period_law_violations(period,
                                                   sorted(tau.items())):
         raise PeriodPropertyViolationError(message, beta=beta, k=k)
     top = 2 * len(pts) - 1

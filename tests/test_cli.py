@@ -945,9 +945,9 @@ class TestPeriodLawChecks:
         calls = []
         real = lattice.period_law_violations
 
-        def counted(tau, period, items):
+        def counted(period, items):
             calls.append(period)
-            return real(tau, period, items)
+            return real(period, items)
         for name, module in list(sys.modules.items()):
             if name.startswith("puregaps") and \
                     hasattr(module, "period_law_violations"):

@@ -167,9 +167,12 @@ class TestValidateGeneratingSet:
         # the valid Kummer (4, 3) set with True for a 1 in either projection
         ([(2, 2), (True, 5), (5, 1)], 4, "(True, 5): a generating point"),
         ([(2, 2), (1, 5), (5, True)], 4, "(5, True): a generating point"),
+        # the same set with a triple that starts with the valid point
+        ([(2, 2), (1, 5, 9), (5, 1)], 4, "(1, 5, 9): a generating point"),
     ], ids=["float-period", "float-coordinate", "triple", "str-coordinate",
             "not-a-pair", "float-sharing-a-residue", "bool-period",
-            "bool-point", "bool-first-coordinate", "bool-second-coordinate"])
+            "bool-point", "bool-first-coordinate", "bool-second-coordinate",
+            "triple-in-a-valid-set"])
     def test_wrong_type_rejected(self, points, period, named):
         with pytest.raises(InvalidParamsError) as info:
             validate_generating_set(points, period)

@@ -4,10 +4,12 @@
 residue class; ``reference.period_law_shift_walk`` checks the law itself
 at every shift count.  They must agree on whether a map breaks the law,
 and every witness the chain form names must be one the walk finds too.
+The merge walk that lets a valid set skip the map must pass exactly when
+the law holds and every chain starts below the period.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puregaps.errors import (
@@ -17,16 +19,24 @@ from puregaps.errors import (
     ValidationError,
 )
 from puregaps.gammafile import parse_gamma
-from puregaps.lattice import period_law_violations, validate_generating_set
+from puregaps.lattice import (
+    _chains_start_below,
+    period_law_violations,
+    validate_generating_set,
+)
 
 import props
 from reference import check_period_property, period_law_shift_walk
 
 
 def assert_agrees(tau, period):
-    found = list(period_law_violations(tau, period, sorted(tau.items())))
+    items = sorted(tau.items())
+    found = list(period_law_violations(period, items))
     walked = period_law_shift_walk(tau, period)
     assert bool(found) == bool(walked)
+    starts_below = all(a < period or a - period in tau for a in tau)
+    assert _chains_start_below(period, items) == (
+        not walked and starts_below)
     witnesses = [(beta, k) for beta, k, _ in found]
     assert set(witnesses) <= set(walked)
     betas = [beta for beta, _ in witnesses]
@@ -77,9 +87,15 @@ def small_injective_maps(draw):
     return dict(zip(firsts, seconds)), period
 
 
+#: The smoke-test set whose residue-1 and residue-2 chains start at 5 and
+#: 6, above the period 4: it keeps the law, so only the merge walk fails.
+P4 = ({3: 15, 5: 6, 6: 13, 7: 11, 9: 2, 10: 9, 11: 7, 14: 5, 15: 3, 18: 1}, 4)
+
+
 class TestAgreesWithShiftWalk:
     @settings(max_examples=400, deadline=None)
     @given(mutated_family_sets())
+    @example(P4)
     def test_mutated_family_sets(self, case):
         tau, period = case
         found = assert_agrees(tau, period)
