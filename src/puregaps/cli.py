@@ -21,7 +21,7 @@ from .errors import (
     InvalidParamsError,
     ValidationError,
 )
-from .gammafile import dump_gamma, load_gamma
+from .gammafile import dump_pieces, load_gamma
 from .harness import (
     FAMILIES,
     bench_family,
@@ -135,15 +135,6 @@ def _stream_pure_gaps(boxed, fmt, out):
             f"wrote {written} pure gaps but weighted per-box sum is {len(g0)}")
 
 
-def _emit_gamma(gamma, fmt, out):
-    if fmt == "json":
-        obj = {"period": gamma.period,
-               "points": [[a, b] for a, b in gamma.points]}
-        print(json.dumps(obj), file=out)
-        return
-    out.write(dump_gamma(gamma))
-
-
 def _family_params(args, family):
     """The family's parameters from the parsed flags, in table order."""
     return {name: getattr(args, name) for name in FAMILIES[family][1]}
@@ -158,7 +149,7 @@ def _cmd_family(args):
                              out)
     gamma = call_family(family, "{}_generating_set", params)
     if args.emit == "gamma":
-        _emit_gamma(gamma, args.format, out)
+        out.writelines(dump_pieces(gamma, args.format))
     else:
         _stream_pure_gaps(decompose(gamma), args.format, out)
     return 0
@@ -171,7 +162,7 @@ def _cmd_generic(args):
         return _emit_summary(summarize_generic(gamma, args.input),
                              args.format, out)
     if args.emit == "gamma":
-        _emit_gamma(gamma, args.format, out)
+        out.writelines(dump_pieces(gamma, args.format))
     else:
         boxed = decompose(gamma)
         if boxed.diagonal:

@@ -8,20 +8,33 @@ is one ``<beta><TAB><tau>`` pair.  Parse and validation diagnostics carry
 
 A file is read in whole-list passes over one chunk of text at a time:
 the text is cut into chunks of about ``_CHUNK_CHARS`` characters, each
-ending just after a newline, and each chunk's payload lines are picked
-out, split and converted in one comprehension.  Lines are thus held one
-chunk at a time, never the whole file's.  The pairs are then validated
-as a list, handed over as an iterator so that the parser's list dies once
-validation has copied it.  Only when a pass fails is the text scanned
-line by line, to name the line at fault.
+ending just after a newline, so lines are held one chunk at a time, never
+the whole file's.  A chunk in the canonical form that :func:`dump_gamma`
+writes, ``<int><TAB><int><LF>`` lines of ASCII digits with no leading
+zero after a ``period <int><LF>`` first line, is read with no Python work
+per line: one regular-expression match proves the form, and the chunk,
+its tabs and newlines turned into commas, is one JSON array of integers.
+That is exact: such a chunk holds only digits, tabs and newlines, so the
+line split cuts it only at its newlines, stripping does nothing, and each
+line is two digit runs with no leading zero, on which JSON's integer scan
+and ``int()`` agree, the digit limit of ``int()`` included.  Any other
+chunk (comments, blank lines, spaces, CRLF, a last line with no newline,
+signs, underscores, leading zeros, non-ASCII digits) has its payload
+lines picked out, split and converted in one comprehension.  The pairs
+are then validated as a list, handed over as an iterator so that the
+parser's list dies once validation has copied it.  Only when a pass fails
+is the text scanned line by line, to name the line at fault.
 
-A set is written ``_DUMP_POINTS`` points per format operation and the
-pieces joined, so a dump holds its text and the pieces of it, never a
-format tuple of every coordinate.
+A set is written ``_DUMP_POINTS`` points per format operation, as pieces
+that the command line writes one at a time and :func:`dump_gamma` joins,
+so a dump holds its text and the pieces of it, never a format tuple of
+every coordinate.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from itertools import chain
 
 from .errors import GammaFileError, ValidationError
@@ -34,8 +47,21 @@ from .lattice import GeneratingSet, validate_generating_set
 #: ``str.splitlines`` end before the cut.
 _CHUNK_CHARS = 1 << 16
 
-#: Points formatted at a time by :func:`dump_gamma`.
+#: Points formatted at a time by :func:`dump_pieces`.
 _DUMP_POINTS = 4096
+
+#: The canonical first line, at offset 0 only.
+_HEADER = re.compile(r"period ([1-9][0-9]*)\n").match
+
+_PAIR_LINES = r"(?:[1-9][0-9]*\t[1-9][0-9]*\n)+"
+try:
+    #: A chunk of canonical pair lines.  Possessive, so the match keeps no
+    #: backtracking state per line.
+    _CANONICAL = re.compile(_PAIR_LINES + "+").fullmatch
+except re.error:  # Python 3.10 has no possessive quantifier
+    _CANONICAL = re.compile(_PAIR_LINES).fullmatch
+
+_TO_COMMAS = str.maketrans("\t\n", ",,")
 
 
 def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
@@ -50,25 +76,42 @@ def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
 
 def _read_payload(text: str) -> tuple:
     """``(period, pairs)`` of a well-formed file's text; ValueError (with
-    no line number) when any payload line is malformed.  The header is the
-    first payload line of whichever chunk holds it."""
+    no line number) when any payload line is malformed.  A canonical chunk
+    after a canonical header is one JSON array of its integers; any other
+    chunk goes through :func:`_read_lines`, and the header is the first
+    payload line of whichever chunk holds it."""
     period = None
     pairs = []
     start = 0
+    header = _HEADER(text)
+    if header:
+        period, start = header[1], header.end()
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        payload = [line for line in map(str.strip,
-                                        text[start:end].splitlines())
-                   if line and line[0] != "#"]
+        if period is not None and _CANONICAL(text, start, end):
+            numbers = iter(json.loads(
+                "[" + text[start:end - 1].translate(_TO_COMMAS) + "]"))
+            pairs += zip(numbers, numbers)
+        else:
+            period = _read_lines(text[start:end], period, pairs)
         start = end
-        if period is None and payload:
-            word, period = payload.pop(0).split()
-            if word != "period":
-                raise ValueError("bad header")
-        pairs += [(int(a), int(b)) for a, b in map(str.split, payload)]
     if period is None:
         raise ValueError("missing header")
     return int(period), pairs
+
+
+def _read_lines(chunk: str, period, pairs: list):
+    """Append the pairs of ``chunk``'s payload lines to ``pairs`` and
+    return the period, taken from the chunk's first payload line while it
+    is ``None``; ValueError when a payload line is malformed."""
+    payload = [line for line in map(str.strip, chunk.splitlines())
+               if line and line[0] != "#"]
+    if period is None and payload:
+        word, period = payload.pop(0).split()
+        if word != "period":
+            raise ValueError("bad header")
+    pairs += [(int(a), int(b)) for a, b in map(str.split, payload)]
+    return period
 
 
 def _parse_lines(lines: list, source: str) -> GeneratingSet:
@@ -151,13 +194,32 @@ def load_gamma(path) -> GeneratingSet:
 
 
 def dump_gamma(gamma: GeneratingSet) -> str:
-    """Serialize a generating set in the exchange format (sorted points),
-    with one format operation per ``_DUMP_POINTS`` points, the pieces
-    joined: the format tuple is one chunk's coordinates, not the set's."""
+    """Serialize a generating set in the exchange format (sorted points):
+    the pieces of :func:`dump_pieces`, joined."""
+    return "".join(dump_pieces(gamma))
+
+
+def dump_pieces(gamma: GeneratingSet, fmt: str = "tsv"):
+    """Yield the text of ``gamma`` in pieces of ``_DUMP_POINTS`` points,
+    one format operation each: the exchange format for ``"tsv"``, and for
+    ``"json"`` the text of ``json.dumps({"period": period, "points":
+    [[a, b], ...]})`` and a newline.  A piece's format tuple is one
+    chunk's coordinates, not the set's."""
     points = gamma.points
-    pieces = [f"period {gamma.period}\n"]
+    if fmt == "json":
+        yield f'{{"period": {gamma.period}, "points": ['
+        chunks = _format_chunks(points, ", [%s, %s]")
+        yield next(chunks, "")[2:]  # no separator before the first point
+        yield from chunks
+        yield "]}\n"
+        return
+    yield f"period {gamma.period}\n"
+    yield from _format_chunks(points, "%s\t%s\n")
+
+
+def _format_chunks(points, cell: str):
+    """``cell`` formatted with each point, ``_DUMP_POINTS`` points per
+    piece."""
     for start in range(0, len(points), _DUMP_POINTS):
         chunk = points[start:start + _DUMP_POINTS]
-        pieces.append(("%s\t%s\n" * len(chunk))
-                      % tuple(chain.from_iterable(chunk)))
-    return "".join(pieces)
+        yield (cell * len(chunk)) % tuple(chain.from_iterable(chunk))

@@ -8,6 +8,8 @@ would: the same line, the same first bad point in input order, the same
 first duplicate in sorted order.
 """
 
+import io
+import json
 import sys
 import tracemalloc
 from unittest import mock
@@ -25,7 +27,7 @@ from puregaps.errors import (
     ResidueChainStartError,
     ZeroOrNegativeCoordinateError,
 )
-from puregaps import gammafile
+from puregaps import cli, gammafile
 from puregaps.gammafile import dump_gamma, parse_gamma
 from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import COORD_MAX, validate_generating_set
@@ -370,3 +372,136 @@ class TestParserAgreesWithLineScanner:
         with pytest.raises(GammaFileError,
                            match="line 2: non-integer coordinate"):
             parse_gamma("period 4\n1\t5  # note\n5\t1\n2\t2\n")
+
+
+# --- canonical chunks ---------------------------------------------------------
+
+#: Mutations of a dumped text that keep it close to the canonical form:
+#: each sends the chunk that holds it, and the chunks before a late
+#: header, off the JSON path, while the other chunks stay on it.
+CANONICAL_MUTATIONS = ("leading_zeros", "plus", "underscore", "arabic",
+                       "zero", "long_token", "period_leading_zero",
+                       "period_crlf", "late_header", "comment",
+                       "no_final_newline")
+
+
+@st.composite
+def canonical_mutants(draw):
+    """A family set's :func:`dump_gamma` text with one mutation that looks
+    canonical, or nearly so: ``007``, ``+5``, ``1_0``, Arabic-Indic digits,
+    ``0`` and a 4,301-digit token in a pair, ``period 04`` and
+    ``period 4\\r\\n`` headers, the header after a pair, a comment
+    mid-file, no final newline."""
+    gamma = props.get_gamma(draw(st.sampled_from(props.FAMILY_POOL)))
+    lines = dump_gamma(gamma).splitlines()
+    kind = draw(st.sampled_from(CANONICAL_MUTATIONS))
+    if kind == "period_leading_zero":
+        lines[0] = f"period 0{gamma.period}"
+    elif kind == "period_crlf":
+        lines[0] += "\r"
+    elif kind == "late_header":
+        lines.insert(draw(st.integers(1, len(lines) - 1)), lines.pop(0))
+    elif kind == "comment":
+        lines.insert(draw(st.integers(1, len(lines))), "# a comment")
+    elif kind != "no_final_newline" and len(lines) > 1:
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].split("\t")
+        j = draw(st.integers(0, 1))
+        token = fields[j]
+        fields[j] = {
+            "leading_zeros": "00" + token,
+            "plus": "+" + token,
+            "underscore": token[:1] + "_" + token[1:],
+            "arabic": "".join(chr(0x660 + int(c)) for c in token),
+            "zero": "0",
+            "long_token": "1" + "0" * 4300,
+        }[kind]
+        lines[i] = "\t".join(fields)
+    return "\n".join(lines) + ("" if kind == "no_final_newline" else "\n")
+
+
+class TestCanonicalChunks:
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS + (gammafile._CHUNK_CHARS,))
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_mutants())
+    def test_mutated_dumps_agree_with_line_scanner(self, chunk, text):
+        want = outcome(parse_gamma_lines, text, "f.gamma")
+        # a valid text is read without the diagnostic scan
+        scanned = AssertionError("scanned") if want[0] == "ok" else None
+        with mock.patch.object(gammafile, "_CHUNK_CHARS", chunk), \
+                mock.patch.object(gammafile, "_parse_lines",
+                                  side_effect=scanned,
+                                  wraps=gammafile._parse_lines):
+            assert outcome(parse_gamma, text, "f.gamma") == want
+
+    def test_dump_never_takes_the_line_path(self):
+        """Every chunk of a dumped text is read as one JSON array: Kummer
+        (4501, 30), genus 65,250, 12 chunks."""
+        gamma = kummer_generating_set(4501, 30)
+        text = dump_gamma(gamma)
+        with mock.patch.object(gammafile, "_read_lines",
+                               side_effect=AssertionError("per line")), \
+                mock.patch.object(gammafile, "_parse_lines",
+                                  side_effect=AssertionError("scanned")):
+            assert parse_gamma(text) == gamma
+
+    def test_one_comment_sends_one_chunk_down_the_line_path(self):
+        gamma = kummer_generating_set(4501, 30)
+        lines = dump_gamma(gamma).splitlines(keepends=True)
+        lines.insert(30000, "# a comment\n")
+        with mock.patch.object(gammafile, "_read_lines",
+                               wraps=gammafile._read_lines) as spy, \
+                mock.patch.object(gammafile, "_parse_lines",
+                                  side_effect=AssertionError("scanned")):
+            assert parse_gamma("".join(lines)) == gamma
+        assert spy.call_count == 1
+
+
+class TestStreamedGammaEmission:
+    """``--emit gamma`` writes one piece at a time, byte-identical to the
+    whole text: the exchange format, and ``json.dumps`` of the set's
+    ``{"period", "points"}`` object and a newline."""
+
+    @staticmethod
+    def expected(gamma, fmt):
+        if fmt == "json":
+            return json.dumps({"period": gamma.period, "points": [
+                [a, b] for a, b in gamma.points]}) + "\n"
+        return "period %d\n" % gamma.period + "".join(
+            f"{a}\t{b}\n" for a, b in gamma.points)
+
+    @pytest.mark.parametrize("dump_points", [1, 3, 64, 4096])
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_byte_identical(self, tmp_path, dump_points, fmt):
+        """For sets that fill the last piece or not, and an empty set."""
+        gammas = [props.get_gamma(point) for point in props.FAMILY_POOL]
+        gammas.append(validate_generating_set([], 4))
+        with mock.patch.object(gammafile, "_DUMP_POINTS", dump_points):
+            for gamma in gammas:
+                path = tmp_path / "set.gamma"
+                path.write_text(dump_gamma(gamma), encoding="utf-8")
+                out = io.StringIO()
+                with mock.patch.object(sys, "stdout", out):
+                    code = cli.main(["generic", "--input", str(path),
+                                     "--emit", "gamma", "--format", fmt])
+                assert code == 0
+                assert out.getvalue() == self.expected(gamma, fmt)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_written_one_piece_at_a_time(self, fmt):
+        class Recorder(io.StringIO):
+            def write(self, piece):
+                sizes.append(len(piece))
+                return super().write(piece)
+
+        sizes = []
+        out = Recorder()
+        with mock.patch.object(sys, "stdout", out):
+            code = cli.main(["kummer", "--m", "4501", "--r", "30",
+                             "--emit", "gamma", "--format", fmt])
+        assert code == 0
+        assert out.getvalue() == self.expected(
+            kummer_generating_set(4501, 30), fmt)
+        # 65,250 points in pieces of 4,096, each point under 20 characters
+        assert len(sizes) >= 65250 // 4096
+        assert max(sizes) < 4096 * 20
