@@ -23,13 +23,14 @@ lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
 That is :class:`PureGapSet`, built from the per-box columns and the period:
 it checks containment when built, once per column and once per distinct
 column list; its length is the weighted sum ``sum (k+1)|G_{k,0}|``; and
-:meth:`PureGapSet.box_column_walk`, behind :meth:`PureGapSet.runs` and the
-listing, walks it in lexicographic order without a sort: box columns ``i``
-ascending; inside a box column, first-coordinate residues ``r`` ascending;
-for each residue, ``j`` ascending, giving the sorted second coordinates of
-``G_{i+j,0}`` at ``a = (i+j)*period + r`` shifted by ``j*period``.  Two
-values of one period compare box by box, and so does one with the direct
-scan: its box ``(i, j)`` must hold :meth:`PureGapSet.box` ``(i + j)``.
+:meth:`PureGapSet.pieces`, the one listing, writes it as text in
+lexicographic order without a sort: box columns ``i`` ascending; inside a
+box column, first-coordinate residues ``r`` ascending; for each residue,
+``j`` ascending, giving the sorted second coordinates of ``G_{i+j,0}`` at
+``a = (i+j)*period + r`` shifted by ``j*period``.  Nothing else walks the
+translates.  Two values of one period compare box by box, and so does one
+with the direct scan: its box ``(i, j)`` must hold :meth:`PureGapSet.box`
+``(i + j)``.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0`` from
 :func:`box_columns`, the one route to it.  :func:`check_components` is
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
 from operator import lt
 
 from .errors import (
@@ -68,6 +69,9 @@ from .lattice import GeneratingSet
 INT128_MAX = 2**127 - 1
 
 Bounds = namedtuple("Bounds", ("lower", "upper", "homma_kim"))
+
+#: Points gathered into each piece of :meth:`PureGapSet.pieces`.
+_CHUNK_POINTS = 1 << 16
 
 
 def check_int128(value: int) -> int:
@@ -373,12 +377,11 @@ class PureGapSet:
     column, the list once per distinct list object.
 
     * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|``.
-    * Iteration lists ``G0`` in lexicographic order, by :meth:`runs`.
-    * ``==`` with another PureGapSet of the same period compares the
-      per-box sets.  That is exact: containment gives
-      ``G_{k,0} = (G0 & box(k-j, j)) - w_j``, so equal per-box sets and
-      equal sets ``G0`` imply each other.  Anything else, a list of
-      points included, is unequal: compare ``list(g0)`` with a list.
+    * :meth:`box` gives one per-box set.  Two values of one period are
+      equal exactly when their per-box sets are: containment gives
+      ``G_{k,0} = (G0 & box(k-j, j)) - w_j``.
+    * :meth:`pieces` lists ``G0`` as TSV or JSON text in lexicographic
+      order.
     """
 
     __slots__ = ("period", "_runs", "_size")
@@ -423,53 +426,85 @@ class PureGapSet:
         for an empty box.  Read-only."""
         return self._runs.get(k, {})
 
-    def box_column_walk(self):
-        """Yield ``G0`` one box column at a time, as ``(base, residues,
-        translates)``: box column ``i`` holds the first coordinates ``a =
-        base + r``, ``base = i*period``, for the ascending ``residues``;
-        ``translates`` lists ``(shift, columns)`` for ``j`` ascending, the
-        columns of ``G_{i+j,0}`` by residue and their shift ``j*period``,
-        skipping empty boxes.  The points at ``a`` are ``(a, b + shift)``
-        for b in ``columns[r]``, over the translates holding ``r`` in
-        order, ascending (see the module docstring).  Columns are
-        read-only and may share one list object.
+    def pieces(self, fmt: str = "tsv"):
+        """Yield ``G0`` as text in lexicographic order, in pieces of about
+        ``_CHUNK_POINTS`` points: one line ``a<TAB>b`` per point for
+        ``"tsv"``, one JSON array of pairs and a newline for ``"json"``.
+
+        The text is rendered from templates one box column ``i`` at a time,
+        in the order the module docstring gives.  For each translate ``j``,
+        each distinct column list of box ``i + j`` is rendered once, one cell
+        ``"\\x00" + str(b + j*period) + closer`` per point
+        (:func:`box_columns` shares one list among neighbouring columns).  A
+        first coordinate's block is its templates across ``j`` joined, with
+        the marker replaced by the point's opening text ``a<TAB>`` or
+        ``,[a,``: no Python work per run or per point.  Memory is bounded by
+        the per-box sets, not by ``|G0|``.  After the text, the markers
+        rendered must number ``len(self)``, or CardinalityMismatchError is
+        raised.
         """
         period = self.period
         runs = self._runs
         top = max(runs, default=-1)
+        if fmt == "json":
+            opener, mid, closer = ",[", ",", "]"
+            yield "["
+        else:
+            opener, mid, closer = "", "\t", "\n"
+        # Second coordinates of G_{k,0} + w_j are b + j*period, 0 < b < period
+        # and j <= k <= top: one table of cells per shift j*period, by b.
+        cells = {j * period: [f"\x00{v}{closer}" for v in
+                              range(j * period, (j + 1) * period)]
+                 for j in range(top + 1)}
+        # The walk visits box i + j once per i: index its distinct lists once.
+        slots = {}
+        chunk = []
+        pending = written = 0
+        # Every JSON point opens with its separator: drop the first one.
+        head = 1 if fmt == "json" else 0
         for i in range(top + 1):
+            base = i * period
             translates = [(j * period, runs[i + j])
                           for j in range(top + 1 - i) if i + j in runs]
             residues = sorted(set().union(*(columns
                                             for _, columns in translates)))
-            yield i * period, residues, translates
+            blocks = []
+            for shift, columns in translates:
+                if id(columns) not in slots:
+                    slots[id(columns)] = _distinct_lists(columns)
+                lists, slot = slots[id(columns)]
+                cell = cells[shift].__getitem__
+                templates = ["".join(map(cell, bs)) for bs in lists]
+                templates.append("")  # index -1: a residue the box lacks
+                blocks.append(map(templates.__getitem__,
+                                  map(slot.get, residues, repeat(-1))))
+            for r, block in zip(residues, map("".join, zip(*blocks))):
+                pending += block.count("\x00")
+                chunk.append(
+                    block.replace("\x00", f"{opener}{base + r}{mid}"))
+                if pending >= _CHUNK_POINTS:
+                    yield "".join(chunk)[head:]
+                    chunk.clear()
+                    written += pending
+                    pending = head = 0
+        yield "".join(chunk)[head:]
+        written += pending
+        if fmt == "json":
+            yield "]\n"
+        if written != self._size:
+            raise CardinalityMismatchError(
+                f"wrote {written} pure gaps but weighted per-box sum is "
+                f"{self._size}")
 
-    def runs(self):
-        """Yield ``G0`` in runs ``(a, bs, shift)``: the points
-        ``(a, b + shift)`` for b in the ascending list ``bs``.
 
-        Runs come in lexicographic order of their points (see the module
-        docstring), so their concatenation is the sorted pure gap set.
-        """
-        for base, residues, translates in self.box_column_walk():
-            for r in residues:
-                a = base + r
-                for shift, columns in translates:
-                    bs = columns.get(r)
-                    if bs is not None:
-                        yield a, bs, shift
-
-    def __iter__(self):
-        for a, bs, shift in self.runs():
-            for b in bs:
-                yield a, b + shift
-
-    def __eq__(self, other):
-        if isinstance(other, PureGapSet) and self.period == other.period:
-            return self._runs == other._runs
-        return NotImplemented
-
-    __hash__ = None
+def _distinct_lists(columns):
+    """The distinct list objects among the values of ``columns``, and
+    ``{r: the index of column r's list among them}``."""
+    lists = columns.values()
+    distinct = dict(zip(map(id, lists), lists))
+    index = dict(zip(distinct, count()))
+    return (list(distinct.values()),
+            dict(zip(columns, map(index.__getitem__, map(id, lists)))))
 
 
 def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapSet:

@@ -255,6 +255,22 @@ def short_of_first_point(scan, period: int) -> list:
     return rows
 
 
+def g0_points(g0) -> list:
+    """The points of a :class:`PureGapSet`, ``(a, b)`` tuples in
+    lexicographic order, parsed from its TSV listing
+    :meth:`PureGapSet.pieces`."""
+    numbers = map(int, "".join(g0.pieces()).split())
+    return list(zip(numbers, numbers))
+
+
+def g0_boxes(g0) -> dict:
+    """The per-box sets of a :class:`PureGapSet`, ``{k: g0.box(k)}`` over
+    its nonempty boxes.  Box k adds k+1 points per point to ``len(g0)``,
+    so a nonempty box has k < len(g0).  Two values of one period are the
+    same set exactly when these are equal."""
+    return {k: g0.box(k) for k in range(len(g0)) if g0.box(k)}
+
+
 def engine_side(boxed) -> dict:
     """The engine's inputs to :func:`check_components`, by keyword: its
     four components per box as ``generic`` and its ``G0`` as ``g0``."""

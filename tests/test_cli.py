@@ -242,7 +242,7 @@ class TestStream:
                              source):
         """A chunk may end after any point, the first one included, where
         the JSON listing drops its leading separator."""
-        monkeypatch.setattr(cli, "_CHUNK_POINTS", chunk)
+        monkeypatch.setattr(engine, "_CHUNK_POINTS", chunk)
         if source in self.NON_DIAGONAL:
             path = tmp_path / f"{source}.gamma"
             path.write_text(self.NON_DIAGONAL[source][0], encoding="utf-8")
@@ -481,9 +481,10 @@ class TestFailingCrossCheck:
                               env=env, capture_output=True, text=True,
                               timeout=300)
         assert done.returncode == 0, done.stderr
+        first = tuple(map(int, next(g0.pieces()).split("\n", 1)[0].split()))
         assert done.stdout == (
             f"engine_vs_oracle: G0: {len(g0)} vs {len(g0) - 1} points; "
-            f"unexpected [{next(iter(g0))}], missing []\n")
+            f"unexpected [{first}], missing []\n")
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_cli_generic_summary(self, capsys, tmp_path, short_oracle, fmt):
@@ -655,8 +656,7 @@ class TestSummariesNeverListG0:
     def no_listing(self, monkeypatch):
         def listed(*args, **kwargs):
             raise AssertionError("G0 was listed")
-        for name in ("runs", "__iter__"):
-            monkeypatch.setattr(PureGapSet, name, listed)
+        monkeypatch.setattr(PureGapSet, "pieces", listed)
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 13, "r": 11})])
@@ -701,8 +701,9 @@ class TestSummaryBuildsNoComponents:
 
 
 class TestListingBuildsNoPointTuples:
-    """``--emit puregaps`` builds G0 by column: no component tuples, no
-    per-box merge of them, no iteration point by point."""
+    """``--emit puregaps`` builds G0 by column and writes the text of
+    :meth:`PureGapSet.pieces`: no component tuples, no per-box merge of
+    them."""
 
     @pytest.fixture(autouse=True)
     def no_tuples(self, monkeypatch):
@@ -711,14 +712,22 @@ class TestListingBuildsNoPointTuples:
         for name in ("box_components", "compute_g1", "compute_g2",
                      "compute_g3", "compute_g4"):
             monkeypatch.setattr(engine, name, built)
-        monkeypatch.setattr(PureGapSet, "__iter__", built)
+        real = PureGapSet.pieces
+        listings = []
 
-    def test_gk3_listing(self, capsys):
+        def pieces(g0, fmt="tsv"):
+            listings.append(fmt)
+            return real(g0, fmt)
+        monkeypatch.setattr(PureGapSet, "pieces", pieces)
+        return listings
+
+    def test_gk3_listing(self, capsys, no_tuples):
         want = "".join(f"{a}\t{b}\n"
                        for a, b in pure_gaps_direct(gk_generating_set(3)))
         code, out, _ = run_cli(capsys, "gk", "--q", "3", "--emit", "puregaps")
         assert code == 0
         assert out == want
+        assert no_tuples == ["tsv"]
 
 
 class TestVerifyPointWork:

@@ -4,13 +4,10 @@ The heavy lifting lives in props.py so the acceptance suite can rerun the
 same properties at its own case counts.
 """
 
-import io
-
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from puregaps.cli import _stream_pure_gaps
 from puregaps.engine import (
     BoxedGamma,
     assemble_pure_gaps,
@@ -33,6 +30,7 @@ from props import injective_pairs, non_diagonal_sets
 from reference import (
     _residue_runs,
     flatten,
+    g0_points,
     glb,
     incomparable,
     lub,
@@ -112,14 +110,11 @@ def test_non_diagonal_engine_matches_references(gamma):
             _residue_runs({k: merged}, boxed.period).get(k, {})
     direct = pure_gaps_direct(gamma)
     g0 = assemble_pure_gaps(boxed)
-    assert list(g0) == direct
+    assert g0_points(g0) == direct
     assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma), boxed.kmax) == ""
-    out = io.StringIO()
-    _stream_pure_gaps(boxed, "tsv", out)
-    assert out.getvalue() == "".join(f"{a}\t{b}\n" for a, b in direct)
-    out = io.StringIO()
-    _stream_pure_gaps(boxed, "json", out)
-    assert out.getvalue() == \
+    assert "".join(g0.pieces("tsv")) == \
+        "".join(f"{a}\t{b}\n" for a, b in direct)
+    assert "".join(g0.pieces("json")) == \
         "[" + ",".join(f"[{a},{b}]" for a, b in direct) + "]\n"
     report = summarize_generic(gamma, "drawn")
     assert report.ok, report.detail
