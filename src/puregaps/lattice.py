@@ -14,6 +14,13 @@ sorted points against their period shifts, which builds no table; the map
 enforced: it is not re-checked on a validated set, and no report carries
 it as a verdict.
 
+A valid set is a union of chains ``(a0 + i*period, b0 - i*period)``, one
+from each of its points below the period, and validation checks it so:
+past at most one sort, the law and one pass over the coordinates' types,
+every check reads the chain starts alone, in time linear in the period,
+not in the genus.  Only an invalid set is walked point by point, to name the
+point at fault.
+
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across threads.  Records here and across the
 package are namedtuples: ``len()``, iteration and unpacking see a
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
@@ -149,41 +156,34 @@ def _run_breaks(items: list, period: int) -> dict:
 def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     """Check every generating set invariant and return the validated set.
 
-    ``points`` is any iterable of pairs.  Checks, in order: the period is
-    a positive int and every point is a pair of ints, a bool being none
+    ``points`` is any iterable of pairs.  The invariants: the period is a
+    positive int and every point is a pair of ints, a bool being none
     (InvalidParamsError); all coordinates are strictly positive and inside
     the 64-bit range; no coordinate is a multiple of the period;
     coordinates are pairwise distinct within each projection; the period
     displacement law holds, checked by :func:`period_law_violations` in
-    its chain form, which is equivalent to the law for every shift count
-    (the first violation raises); in a pass of its own after the law, no
-    coordinate exceeds ``2g - 1``, the largest gap of a place of genus
-    ``g``; and last, ``a - period`` is a first coordinate for each first
+    its chain form, which is equivalent to the law for every shift count;
+    no coordinate exceeds ``2g - 1``, the largest gap of a place of genus
+    ``g``; and ``a - period`` is a first coordinate for each first
     coordinate ``a > period``, as for the gaps of a semigroup containing
-    the period.
-    Each chain then has ``k + 1`` points if its last lies in row ``k``,
-    which is the genus identity of the box decomposition.  An empty set
-    is valid with any period (genus zero).
+    the period.  Each chain then has ``k + 1`` points if its last lies in
+    row ``k``, which is the genus identity of the box decomposition.  An
+    empty set is valid with any period (genus zero).
 
-    Each check is one pass over the points as given, and the one list
-    built beside them holds the second coordinates, sorted and checked for
-    strict increase, for repeated ones; ``min`` and ``max`` of the first
-    coordinates and the ends of that sorted list for the sign and range
-    checks; one modulo pass per projection, the first unpacking each point,
-    so that a point not a pair fails; a ``sum`` per projection for the type
-    (an int exactly when every coordinate is an int or a bool); and each
-    projection's minimum for a bool.  A ``TypeError``, ``ValueError`` or
-    ``IndexError`` in them, such as from sorting mixed types, is a failed
-    check.  The points are then sorted in place, which puts a repeated
-    first coordinate beside its twin for a strict-increase pass.  The law
-    is a merge walk on a valid set and the chain starts a count, so a
-    valid set builds no dict or set the size of the points: each is built
-    only once a check has failed.  Only when one fails are the points
-    walked one by one, so the error names the same point as a
-    point-by-point check would: the first bad point in input order for the
-    type, sign, divisibility and range checks, the first duplicate in
-    sorted order, and the first point in sorted order past ``2g - 1`` or
-    above the period without a predecessor in its chain.
+    A valid set is the union of the chains ``(a0 + i*period,
+    b0 - i*period)``, ``0 <= i < ceil(b0/period)``, one from each point
+    ``(a0, b0)`` below the period, so the points are checked by their
+    chains: a copy, sorted in a second list unless it comes in order, one
+    pass over the coordinates' types (an exact int each), and the law;
+    then, by :func:`_chains_fit`, the checks on the chain starts alone,
+    which cost O(period).  Only when one
+    of these fails are the points walked one by one, so the error names
+    the same point as a point-by-point check would: the first bad point
+    in input order for the type, sign, divisibility and range checks, the
+    first duplicate in sorted order, the law's first breach, and the first
+    point in sorted order past ``2g - 1`` or above the period without a
+    predecessor in its chain.  That walk also decides on coordinates of a
+    subclass of int, such as an IntEnum, which it accepts.
     """
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -193,66 +193,88 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     except TypeError as exc:
         raise InvalidParamsError(
             f"generating points must be pairs of ints: {exc}") from None
-    n = len(pts)
+    breach = None  # the law's first breach, once looked for: () if none
     try:
-        # the seconds are distinct exactly when, sorted, they increase
-        seconds = sorted(map(itemgetter(1), pts))
-        lows = (min(map(itemgetter(0), pts)), seconds[0]) if pts else (1,)
-        lo = min(lows)
-        hi = max(max(map(itemgetter(0), pts)), seconds[-1]) if pts else 0
-        residues = {a % period for a, _ in pts}  # unpacking: pairs only
-        # A residue set hides 5.0 beside an int 1 (5.0 % 4 == 1); a sum is
-        # a float, Fraction or Decimal when one of its terms is.  Only True
-        # passes as a bool, and then is its projection's minimum.
-        well_formed = (
-            all(map(lt, seconds, islice(seconds, 1, None)))
-            and lo > 0 and hi <= COORD_MAX and 0 not in residues
-            and 0 not in {b % period for b in seconds}
-            and type(sum(map(itemgetter(0), pts))) is int
-            and type(sum(seconds)) is int
-            and bool not in map(type, lows))
+        # a set file's points come sorted: then no second list is held
+        order = (pts if all(map(lt, pts, islice(pts, 1, None)))
+                 else sorted(pts))
+        valid = set(map(type, chain.from_iterable(order))) <= {int}
+        if valid:
+            breach = next(period_law_violations(period, order), ())
+            valid = not breach and _chains_fit(order, period)
     except (TypeError, ValueError, IndexError):
-        well_formed = False  # the point-by-point pass names the point
-    if not well_formed:
+        valid = False  # the point-by-point walk names the point
+    if not valid:
         _raise_bad_point(pts, period)
-    del seconds  # not held beside the points' tuple at the end
-
-    # sorted, a repeated first coordinate sits beside its twin
-    pts.sort()
-    if not all(map(lt, map(itemgetter(0), pts),
-                   map(itemgetter(0), islice(pts, 1, None)))):
-        _raise_bad_point(pts, period)
-    for beta, k, message in period_law_violations(period, pts):
-        raise PeriodPropertyViolationError(message, beta=beta, k=k)
-    top = 2 * n - 1
-    if hi > top:
-        for a, b in pts:
+        order = sorted(pts)
+        if breach is None:
+            breach = next(period_law_violations(period, order), ())
+        if breach:
+            beta, k, message = breach
+            raise PeriodPropertyViolationError(message, beta=beta, k=k)
+        top = 2 * len(order) - 1
+        for a, b in order:
             if a > top or b > top:
                 raise GapBeyondGenusBoundError(
                     f"({a}, {b}): coordinate exceeds 2g-1 = {top} for "
-                    f"genus {n}")
-    # Each residue class is one run (the law holds), so every run starts
-    # below the period exactly when each class has a first coordinate
-    # there.
-    if len(residues) != bisect_left(pts, (period,)):
-        firsts = set(map(itemgetter(0), pts))
-        for a, b in pts:
+                    f"genus {len(order)}")
+        firsts = set(map(itemgetter(0), order))
+        for a, b in order:
             if a > period and a - period not in firsts:
                 raise ResidueChainStartError(
                     f"({a}, {b}): the first coordinates are not the gaps "
                     f"of a semigroup containing the period {period}: {a} is "
                     f"one and {a - period} is not", beta=a)
+    del pts  # not held beside the points' tuple at the end
+    return GeneratingSet(points=tuple(order), period=period)
 
-    return GeneratingSet(points=tuple(pts), period=period)
+
+def _chains_fit(order: list, period: int) -> bool:
+    """Whether the sorted int pairs ``order``, on which the period law
+    holds, are the chains of their points below the period, and these
+    chains meet every other invariant.
+
+    The checks see the chain starts ``(a0, b0)``, the points below the
+    period, alone: the ``a0`` strictly increase from above zero; the
+    ``b0`` are positive, with distinct residues modulo the period and none
+    zero; ``ceil(b0/period)`` summed over the starts is the number of
+    points; and the largest first coordinate and the largest ``b0`` are at
+    most ``2g - 1`` and in the 64-bit range.
+
+    Then the set is valid.  The law, in the chain form
+    :func:`period_law_violations` checks, leads each start ``(a0, b0)``
+    up through ``(a0 + i*period, b0 - i*period)`` for each ``i`` with
+    ``i*period < b0``: ``ceil(b0/period)`` points with distinct first
+    coordinates, all in the residue class of ``a0``.  The starts' classes
+    differ, so the chains cover as many distinct first coordinates as
+    there are points, and every point lies on one chain, once.  A chain
+    keeps its start's residues, positive and not zero, so no coordinate is
+    a multiple of the period and the second coordinates are distinct; its
+    second coordinates fall, so its start holds its largest; and each of
+    its points above the period has its predecessor.
+    """
+    if not order:
+        return True
+    starts = order[:bisect_left(order, (period,))]
+    firsts = [a for a, _ in starts]
+    seconds = [b for _, b in starts]
+    residues = {b % period for b in seconds}
+    return (all(map(lt, [0, *firsts], firsts))
+            and min(seconds, default=1) > 0
+            and 0 not in residues and len(residues) == len(starts)
+            and sum(-(-b // period) for b in seconds) == len(order)
+            and max([order[-1][0], *seconds])
+            <= min(COORD_MAX, 2 * len(order) - 1))
 
 
 def _raise_bad_point(pts: list, period: int) -> None:
     """Raise for the first point of ``pts`` (in input order) that is not a
     pair of ints (InvalidParamsError) or has a coordinate that is not
     positive, is a multiple of the period or leaves the 64-bit range, else
-    for the first duplicate coordinate in sorted order.  Called only once
-    a whole-list check has failed, so one of these raises; called on the
-    sorted points, once only a repeated first coordinate can be left."""
+    for the first duplicate coordinate in sorted order.  The first step of
+    the point-by-point walk, run once a chain check has failed; it returns
+    when none of these is the fault, such as when the points break only
+    the period law, or are a valid set with int-subclass coordinates."""
     for point in pts:
         if len(point) != 2 or not all(
                 isinstance(c, int) and type(c) is not bool for c in point):

@@ -12,6 +12,8 @@ import io
 import json
 import sys
 import tracemalloc
+from enum import IntEnum
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -24,6 +26,7 @@ from puregaps.errors import (
     DuplicateSecondCoordinateError,
     GammaFileError,
     GapBeyondGenusBoundError,
+    InvalidParamsError,
     ResidueChainStartError,
     ZeroOrNegativeCoordinateError,
 )
@@ -148,6 +151,84 @@ class TestValidatorAgreesWithPerPoint:
         gamma = validate_generating_set(
             props.get_gamma(("kummer", (5, 7))).points, 5)
         assert all(type(p) is tuple for p in gamma.points)
+
+
+def chains_of(gamma):
+    """The chains of a valid set, start first, by residue class."""
+    chains = {}
+    for a, b in gamma.points:
+        chains.setdefault(a % gamma.period, []).append((a, b))
+    return chains
+
+
+@st.composite
+def chain_mutated_sets(draw):
+    """A family or non-diagonal set in a drawn order, with one or two of
+    its chains changed: repeated whole, its start dropped, extended by one
+    point past its end, or its start's image moved by +-period."""
+    gamma = draw(st.one_of(
+        st.sampled_from(props.FAMILY_POOL).map(props.get_gamma),
+        props.non_diagonal_sets()))
+    period = gamma.period
+    chains = chains_of(gamma)
+    pts = list(gamma.points)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        chain = chains[draw(st.sampled_from(sorted(chains)))]
+        (a0, b0), (a1, b1) = chain[0], chain[-1]
+        kind = draw(st.sampled_from(("repeat", "drop", "extend", "move")))
+        if kind == "repeat":
+            pts += chain
+        elif kind == "extend":
+            pts.append((a1 + period, draw(st.integers(1, 3 * period))))
+        elif chain[0] in pts:
+            i = pts.index(chain[0])
+            if kind == "drop":
+                del pts[i]
+            else:
+                pts[i] = (a0, b0 + draw(st.sampled_from((period, -period))))
+    return draw(st.permutations(pts)), period
+
+
+class TestChainLevelFaults:
+    """Faults that keep every point well formed and break only how the
+    points make up chains; validation checks them on the chain starts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(chain_mutated_sets())
+    def test_agrees_with_per_point(self, case):
+        points, period = case
+        assert outcome(validate_generating_set, points, period) == \
+            outcome(validate_per_point, points, period)
+
+    @pytest.fixture(scope="class")
+    def kummer(self):
+        gamma = props.get_gamma(("kummer", (41, 30)))
+        assert gamma.genus >= 500
+        return gamma
+
+    def test_float_inside_a_chain(self, kummer):
+        chain = max(chains_of(kummer).values(), key=len)
+        a, b = chain[len(chain) // 2]
+        points = [(float(a), b) if p == (a, b) else p for p in kummer.points]
+        with pytest.raises(InvalidParamsError) as info:
+            validate_generating_set(points, kummer.period)
+        assert str(info.value).startswith(f"({float(a)}, {b}): ")
+
+    def test_true_at_a_chain_end(self, kummer):
+        (a, b), = [p for p in kummer.points if p[1] == 1]
+        assert a > kummer.period  # an end, not a start
+        points = [(a, True) if p == (a, b) else p for p in kummer.points]
+        with pytest.raises(InvalidParamsError) as info:
+            validate_generating_set(points, kummer.period)
+        assert str(info.value).startswith(f"({a}, True): ")
+
+    def test_int_enum_accepted(self, kummer):
+        a, b = kummer.points[len(kummer.points) // 2]
+        coord = IntEnum("Coord", {"A": a})
+        points = [(coord.A, b) if p == (a, b) else p for p in kummer.points]
+        gamma = validate_generating_set(points, kummer.period)
+        assert gamma == kummer
+        assert coord.A in map(itemgetter(0), gamma.points)
 
 
 # --- parsing ----------------------------------------------------------------
