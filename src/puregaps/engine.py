@@ -4,16 +4,19 @@ The plane is tiled with period-sized boxes.  Only the row-zero boxes
 ``rows[k]`` (points whose second coordinate is below the period) are
 stored: box ``(i, j)`` is the translate of ``rows[i+j]`` by
 ``w_j = (-j*period, j*period)``.  The pure gaps of box ``(k, 0)`` split
-into four components, computed here straight from their defining
-formulas, and the full pure gap set is the disjoint union of the
-translates ``(G_{k,0} + w_j)`` over ``0 <= j <= k``.
+into four components, each defined by glb formulas, and the full pure
+gap set is the disjoint union of the translates ``(G_{k,0} + w_j)`` over
+``0 <= j <= k``.
 
 Inside a box each component is a set of columns, ``{a - k*period:
 ascending second coordinates at a}``, and so is ``G_{k,0}``: no tuple
-per point.  :func:`compute_g1` is the Cartesian product it is proven to
-be, one shared sorted list per column; :func:`compute_g2` ..
-:func:`compute_g4` collect the glbs of their defining pairs into columns;
-:func:`box_columns` builds ``G_{k,0}`` straight from the rows.
+per point.  Box containment reduces each component's glb formula to a
+column form, proven in its docstring: :func:`compute_g1` is a Cartesian
+product, one shared sorted list in every column; :func:`compute_g2` and
+:func:`compute_g3` take each column as a prefix of one sorted list, and
+:func:`compute_g4` as a snapshot of one, shared by neighbouring columns.
+:func:`box_columns` builds ``G_{k,0}`` straight from the rows, with the
+same prefixes and snapshots.
 
 Box containment fixes the order of the union.  Every point of
 ``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
@@ -52,7 +55,7 @@ Cardinalities and bounds are guarded against the 128-bit range.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from itertools import chain, count, islice, repeat
 from operator import lt
 
@@ -159,12 +162,6 @@ def _above(boxed: BoxedGamma, k: int) -> tuple:
     return firsts, seconds
 
 
-def _sorted_columns(columns: dict) -> dict:
-    """``{r: set of b}`` as plain columns: residues ascending, each set
-    sorted."""
-    return {r: sorted(bs) for r, bs in sorted(columns.items())}
-
-
 def compute_g1(boxed: BoxedGamma, k: int) -> dict:
     """First component of box (k, 0), by column.
 
@@ -186,53 +183,79 @@ def compute_g2(boxed: BoxedGamma, k: int) -> dict:
     """Second component: glb over incomparable pairs inside rows[k], by
     column.
 
-    Empty whenever the diagonal condition holds, since points of one row
-    are then totally ordered.
+    The row is sorted and its first coordinates are distinct, so a point
+    ``u`` and a point ``v`` right of it are incomparable exactly when
+    ``u_b > v_b``, and their glb is ``(u_a, v_b)``: the column at ``u``
+    holds the second coordinates below ``u_b`` of the row points right of
+    ``u``.  One walk of the row from the right, keeping the second
+    coordinates passed in one sorted list, gives each column as a prefix
+    of it.  Empty whenever the diagonal condition holds, since points of
+    one row are then totally ordered.
     """
-    row = boxed.row(k)
     base = k * boxed.period
-    columns = defaultdict(set)
-    for i, (ua, ub) in enumerate(row):
-        for va, vb in row[i + 1:]:
-            if (ua > va and ub < vb) or (ua < va and ub > vb):
-                columns[(ua if ua < va else va) - base].add(
-                    ub if ub < vb else vb)
-    return _sorted_columns(columns)
+    passed = []
+    columns = []
+    for a, b in reversed(boxed.row(k)):
+        cut = bisect_left(passed, b)
+        if cut:
+            columns.append((a - base, passed[:cut]))
+        insort(passed, b)
+    return dict(reversed(columns))
 
 
 def compute_g3(boxed: BoxedGamma, k: int) -> dict:
     """Third component: glb(u, v) for u in rows[k], v in a higher row,
-    restricted to pairs with u not below v; by column."""
-    us = boxed.row(k)
+    restricted to pairs with u not below v; by column.
+
+    A point ``v`` of a higher row always lies right of ``u``, so ``u`` is
+    not below ``v`` exactly when ``u_b > v_b``, and their glb is ``(u_a,
+    v_b)``.  With ``S`` the sorted second coordinates of the points above
+    row k, which a generating set does not repeat, the column at a row-k
+    point ``(r, b)`` is the prefix ``S[:bisect_left(S, b)]``.
+    """
+    seconds = sorted(b for k2 in range(k + 1, boxed.kmax)
+                     for _, b in boxed.row(k2))
     base = k * boxed.period
-    columns = defaultdict(set)
-    for k1 in range(k + 1, boxed.kmax):
-        for va, vb in boxed.row(k1):
-            for ua, ub in us:
-                if ua > va or ub > vb:
-                    columns[(ua if ua < va else va) - base].add(
-                        ub if ub < vb else vb)
-    return _sorted_columns(columns)
+    return {a - base: seconds[:cut] for a, b in boxed.row(k)
+            if (cut := bisect_left(seconds, b))}
 
 
 def compute_g4(boxed: BoxedGamma, k: int) -> dict:
     """Fourth component of box (k, 0): glb(u + w_{k2-k}, v) for u in
     rows[k2] (k2 > k) and v in rows[k], restricted to pairs with v not
-    below the shifted u; by column."""
+    below the shifted u; by column.
+
+    The shifted ``u`` has second coordinate ``u_b + (k2-k)*period``, at
+    least ``period + 1`` and so above every second coordinate of row k:
+    ``v`` is not below it exactly when ``v_a`` exceeds its first
+    coordinate, and their glb is that first coordinate with ``v_b``.  With
+    ``F`` the first coordinates of the points above row k shifted down to
+    residues in box (k, 0), the column at ``f`` in ``F`` holds the second
+    coordinates of the row-k points of residue strictly above ``f``.  One
+    walk over ``F`` in decreasing order, inserting the second coordinates
+    of the row-k points passed into one sorted list, gives each column as
+    a snapshot of it.  Columns with no row-k point between them in the
+    walk share one snapshot, the same list object, and a repeated ``f``
+    gives the same column.
+    """
     period = boxed.period
     base = k * period
-    vs = boxed.row(k)
-    columns = defaultdict(set)
-    for k2 in range(k + 1, boxed.kmax):
-        shift = (k2 - k) * period
-        for ua, ub in boxed.row(k2):
-            ua -= shift
-            ub += shift
-            for va, vb in vs:
-                if va > ua or vb > ub:
-                    columns[(ua if ua < va else va) - base].add(
-                        ub if ub < vb else vb)
-    return _sorted_columns(columns)
+    row = boxed.row(k)
+    i = len(row)
+    passed = []
+    columns = []
+    snapshot = None
+    for f in sorted((a - k2 * period for k2 in range(k + 1, boxed.kmax)
+                     for a, _ in boxed.row(k2)), reverse=True):
+        while i and row[i - 1][0] - base > f:
+            i -= 1
+            insort(passed, row[i][1])
+            snapshot = None
+        if passed:
+            if snapshot is None:
+                snapshot = passed[:]
+            columns.append((f, snapshot))
+    return dict(reversed(columns))
 
 
 def reflect(columns: dict) -> dict:
@@ -307,7 +330,8 @@ def box_components(boxed: BoxedGamma, k: int) -> tuple:
     """The four components (G1, G2, G3, G4) of box (k, 0), each by column:
     ``{a - k*period: ascending second coordinates at a}``, residues
     ascending, no empty column.  Columns are read-only: those of G1 share
-    one list."""
+    one list, neighbouring columns of G4 share one snapshot, and those of
+    G2 and G3 are prefixes, each its own list."""
     return (compute_g1(boxed, k), compute_g2(boxed, k), compute_g3(boxed, k),
             compute_g4(boxed, k))
 
@@ -317,8 +341,9 @@ def box_columns(boxed: BoxedGamma, k: int) -> dict:
     coordinates of G_{k,0} at a}``, residues ascending, no empty column.
 
     Let ``S`` be the second coordinates of the points above row k and
-    ``F`` their first coordinates shifted down to row k.  The glb formulas
-    of the four components give two kinds of column:
+    ``F`` their first coordinates shifted down to row k.  The column forms
+    proven in the docstrings of :func:`compute_g1` .. :func:`compute_g4`
+    give two kinds of column:
 
     * at ``f`` in ``F``, G1 and G4: all of ``S``, plus the second
       coordinates of the row-k points whose first coordinate exceeds ``f``;
@@ -533,15 +558,16 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
     that equality, so it also proves the components pairwise disjoint.
     Then ``per_box[k]``, the family's (Gamma_{k,0}, G1, G3), the
     components by column, is compared with the engine's row, G1 and G3;
-    a box missing from ``per_box`` is empty.  A family is diagonal, so
-    its G2 and G4 are the diagonal law's, empty and :func:`reflect` of
-    G3: once G3 matches, they equal the engine's exactly when
-    :func:`check_reflection` passes on the engine's components.  A
-    disagreement raises GenericMismatchError naming the box and the first
-    differing residue or set.
+    a box missing from ``per_box`` is empty, and so is every engine box
+    outside ``range(kmax)``, so a family box there with a point fails.  A
+    family is diagonal, so its G2 and G4 are the diagonal law's, empty and
+    :func:`reflect` of G3: once G3 matches, they equal the engine's
+    exactly when :func:`check_reflection` passes on the engine's
+    components.  A disagreement raises GenericMismatchError naming the box
+    and the first differing residue or set.
     """
-    for k in range(boxed.kmax):
-        parts = generic[k]
+    for k in sorted(per_box.keys() | range(boxed.kmax)):
+        parts = generic[k] if k in range(boxed.kmax) else ({},) * 4
         merged = {}
         for part in parts:
             for r, bs in part.items():

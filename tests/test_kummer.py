@@ -11,7 +11,7 @@ from puregaps.engine import (
     decompose,
     reflect,
 )
-from puregaps.errors import InvalidParamsError
+from puregaps.errors import GenericMismatchError, InvalidParamsError
 from puregaps.kummer import (
     KummerParams,
     kummer_card_g0,
@@ -150,6 +150,26 @@ class TestComponents:
         boxed = decompose(kummer_generating_set(m, r))
         check_components(boxed, per_box=kummer_components(m, r),
                          **engine_side(boxed))
+
+    @pytest.mark.parametrize("k", [4, 9])
+    @pytest.mark.parametrize("index, name", [
+        (0, "Gamma_k0"), (1, "G1"), (2, "G3")])
+    def test_box_beyond_kmax_compared(self, k, index, name):
+        # (7, 5) has kmax 4: the engine's boxes 4 and 9 are empty, so a
+        # family set there with a point fails, and one without passes
+        boxed = decompose(kummer_generating_set(7, 5))
+        assert boxed.kmax == 4
+        engine = engine_side(boxed)
+        per_box = kummer_components(7, 5)
+        per_box[k] = ((), {}, {})
+        check_components(boxed, per_box=per_box, **engine)
+        sets = [(), {}, {}]
+        sets[index] = [(7 * k + 1, 1)] if index == 0 else {1: [1]}
+        per_box[k] = tuple(sets)
+        with pytest.raises(GenericMismatchError,
+                           match=rf"^k={k}: explicit {name} has 1 points, "
+                                 rf"engine has 0$"):
+            check_components(boxed, per_box=per_box, **engine)
 
     def test_row_count_formula_checked(self, monkeypatch):
         # each explicit row is checked against |Gamma_k0|, so a wrong count

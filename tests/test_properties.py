@@ -158,6 +158,8 @@ def test_non_diagonal_components_match_points(gamma):
 @given(injective_pairs(), st.integers(min_value=1, max_value=50))
 # 10 and 15 both shift to 0 in box 0, so G4 meets one column twice
 @example([(1, 1), (10, 2), (15, 3)], 5)
+# 7 shifts to 2, box 0's own residue: G4 is strict there and stays empty
+@example([(2, 1), (7, 3)], 5)
 def test_injective_components_match_points(points, period):
     """Rows cut from unvalidated injective sets: no genus identity, and
     shifted first coordinates may meet a row's own or repeat."""
