@@ -12,11 +12,15 @@ Inside a box each component is a set of columns, ``{a - k*period:
 ascending second coordinates at a}``, and so is ``G_{k,0}``: no tuple
 per point.  Box containment reduces each component's glb formula to a
 column form, proven in its docstring: :func:`compute_g1` is a Cartesian
-product, one shared sorted list in every column; :func:`compute_g2` and
-:func:`compute_g3` take each column as a prefix of one sorted list, and
-:func:`compute_g4` as a snapshot of one, shared by neighbouring columns.
-:func:`box_columns` builds ``G_{k,0}`` straight from the rows, with the
-same prefixes and snapshots.
+product, one shared sorted list in every column, and :func:`compute_g3`
+takes each column as a prefix of one sorted list.  One walk down the
+residues of the box, :func:`_walk`, builds the rest from one sorted list:
+a prefix at each row-k point and a snapshot, shared by neighbouring
+columns, at each first coordinate shifted down from a higher row.  From
+an empty list its prefixes are G2 and its snapshots G4; from the second
+coordinates above the row its columns are ``G_{k,0}``'s, as
+:func:`box_columns` returns them.  :func:`_above` gathers and sorts what
+the walk reads.
 
 Box containment fixes the order of the union.  Every point of
 ``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
@@ -137,29 +141,70 @@ def decompose(gamma: GeneratingSet) -> BoxedGamma:
                       diagonal=diagonal)
 
 
-def _above(boxed: BoxedGamma, k: int) -> tuple:
-    """The points above row k as two lists: their first coordinates
-    shifted down to residues, ``a - k2*period`` for a point of row k2, and
-    their second coordinates.
+def _above(boxed: BoxedGamma, k: int, *, check: bool) -> tuple:
+    """``F`` and ``S`` of box (k, 0), both sorted: the first coordinates of
+    the points above row k shifted down to residues, ``a - k2*period`` for
+    a point of row k2, and their second coordinates.
 
     G1 of box (k, 0) is the Cartesian product of the two, so its size must
-    equal the square of the number of those points: neither list may
-    repeat a value, or CardinalityMismatchError is raised.
+    equal the square of the number of those points.  With ``check``,
+    neither list may repeat a value, or CardinalityMismatchError is raised.
     """
     period = boxed.period
+    rows = boxed.rows
     firsts = []
     seconds = []
     for k2 in range(k + 1, boxed.kmax):
         shift = k2 * period
-        for a, b in boxed.row(k2):
+        for a, b in rows.get(k2, ()):
             firsts.append(a - shift)
             seconds.append(b)
-    above = len(firsts)
-    distinct = len(set(firsts)) * len(set(seconds))
-    if distinct != above * above:
-        raise CardinalityMismatchError(
-            f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
+    if check:
+        above = len(firsts)
+        distinct = len(set(firsts)) * len(set(seconds))
+        if distinct != above * above:
+            raise CardinalityMismatchError(
+                f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
+    firsts.sort()
+    seconds.sort()
     return firsts, seconds
+
+
+def _walk(boxed: BoxedGamma, k: int, firsts, passed: list) -> tuple:
+    """The one walk behind G2, G4 and ``G_{k,0}``.  Returns two lists of
+    ``(residue, column)`` pairs of box (k, 0) in decreasing residue: every
+    column, and the columns at ``firsts`` alone.
+
+    ``firsts`` is sorted, and so is ``passed``, which the walk consumes.
+    The walk goes down ``firsts``.  Before each ``f`` it passes the row-k
+    points of residue above ``f``: the column at such a point ``(r, b)`` is
+    the prefix ``passed[:bisect_left(passed, b)]``, then ``b`` joins
+    ``passed``.  The column at ``f`` is a snapshot of ``passed``, one list
+    object shared by the ``f`` with no row point between them; a repeated
+    ``f`` gets the same one.  A row point whose residue equals ``f`` is
+    passed after ``f``.  Empty columns are left out.
+    """
+    base = k * boxed.period
+    row = boxed.row(k)
+    i = len(row)
+    columns = []
+    shifted = []
+    snapshot = None
+    # -1, below every residue, passes the rest of the row and takes nothing
+    for f in chain(reversed(firsts), (-1,)):
+        while i and (r := row[i - 1][0] - base) > f:
+            i -= 1
+            b = row[i][1]
+            if cut := bisect_left(passed, b):
+                columns.append((r, passed[:cut]))
+            insort(passed, b)
+            snapshot = None
+        if passed and f >= 0:
+            if snapshot is None:
+                snapshot = passed[:]
+            columns.append((f, snapshot))
+            shifted.append((f, snapshot))
+    return columns, shifted
 
 
 def compute_g1(boxed: BoxedGamma, k: int) -> dict:
@@ -174,9 +219,8 @@ def compute_g1(boxed: BoxedGamma, k: int) -> dict:
     list shared by all columns.  The cardinality check of :func:`_above`
     applies.
     """
-    firsts, seconds = _above(boxed, k)
-    seconds.sort()
-    return dict.fromkeys(sorted(firsts), seconds)
+    firsts, seconds = _above(boxed, k, check=True)
+    return dict.fromkeys(firsts, seconds)
 
 
 def compute_g2(boxed: BoxedGamma, k: int) -> dict:
@@ -187,19 +231,12 @@ def compute_g2(boxed: BoxedGamma, k: int) -> dict:
     ``u`` and a point ``v`` right of it are incomparable exactly when
     ``u_b > v_b``, and their glb is ``(u_a, v_b)``: the column at ``u``
     holds the second coordinates below ``u_b`` of the row points right of
-    ``u``.  One walk of the row from the right, keeping the second
-    coordinates passed in one sorted list, gives each column as a prefix
-    of it.  Empty whenever the diagonal condition holds, since points of
-    one row are then totally ordered.
+    ``u``.  These are the row columns of :func:`_walk` with no shifted
+    first coordinate, started from an empty list: each column is a prefix,
+    its own list.  Empty whenever the diagonal condition holds, since
+    points of one row are then totally ordered.
     """
-    base = k * boxed.period
-    passed = []
-    columns = []
-    for a, b in reversed(boxed.row(k)):
-        cut = bisect_left(passed, b)
-        if cut:
-            columns.append((a - base, passed[:cut]))
-        insort(passed, b)
+    columns, _ = _walk(boxed, k, (), [])
     return dict(reversed(columns))
 
 
@@ -210,11 +247,11 @@ def compute_g3(boxed: BoxedGamma, k: int) -> dict:
     A point ``v`` of a higher row always lies right of ``u``, so ``u`` is
     not below ``v`` exactly when ``u_b > v_b``, and their glb is ``(u_a,
     v_b)``.  With ``S`` the sorted second coordinates of the points above
-    row k, which a generating set does not repeat, the column at a row-k
-    point ``(r, b)`` is the prefix ``S[:bisect_left(S, b)]``.
+    row k (:func:`_above`), which a generating set does not repeat, the
+    column at a row-k point ``(r, b)`` is the prefix ``S[:bisect_left(S,
+    b)]``.
     """
-    seconds = sorted(b for k2 in range(k + 1, boxed.kmax)
-                     for _, b in boxed.row(k2))
+    _, seconds = _above(boxed, k, check=False)
     base = k * boxed.period
     return {a - base: seconds[:cut] for a, b in boxed.row(k)
             if (cut := bisect_left(seconds, b))}
@@ -230,32 +267,16 @@ def compute_g4(boxed: BoxedGamma, k: int) -> dict:
     ``v`` is not below it exactly when ``v_a`` exceeds its first
     coordinate, and their glb is that first coordinate with ``v_b``.  With
     ``F`` the first coordinates of the points above row k shifted down to
-    residues in box (k, 0), the column at ``f`` in ``F`` holds the second
-    coordinates of the row-k points of residue strictly above ``f``.  One
-    walk over ``F`` in decreasing order, inserting the second coordinates
-    of the row-k points passed into one sorted list, gives each column as
-    a snapshot of it.  Columns with no row-k point between them in the
-    walk share one snapshot, the same list object, and a repeated ``f``
+    residues in box (k, 0) (:func:`_above`), the column at ``f`` in ``F``
+    holds the second coordinates of the row-k points of residue strictly
+    above ``f``.  These are the shifted columns of :func:`_walk` over
+    ``F``, started from an empty list: columns with no row-k point between
+    them share one snapshot, the same list object, and a repeated ``f``
     gives the same column.
     """
-    period = boxed.period
-    base = k * period
-    row = boxed.row(k)
-    i = len(row)
-    passed = []
-    columns = []
-    snapshot = None
-    for f in sorted((a - k2 * period for k2 in range(k + 1, boxed.kmax)
-                     for a, _ in boxed.row(k2)), reverse=True):
-        while i and row[i - 1][0] - base > f:
-            i -= 1
-            insort(passed, row[i][1])
-            snapshot = None
-        if passed:
-            if snapshot is None:
-                snapshot = passed[:]
-            columns.append((f, snapshot))
-    return dict(reversed(columns))
+    firsts, _ = _above(boxed, k, check=False)
+    _, shifted = _walk(boxed, k, firsts, [])
+    return dict(reversed(shifted))
 
 
 def reflect(columns: dict) -> dict:
@@ -340,53 +361,26 @@ def box_columns(boxed: BoxedGamma, k: int) -> dict:
     """``G_{k,0}`` by columns: ``{a - k*period: the ascending second
     coordinates of G_{k,0} at a}``, residues ascending, no empty column.
 
-    Let ``S`` be the second coordinates of the points above row k and
-    ``F`` their first coordinates shifted down to row k.  The column forms
-    proven in the docstrings of :func:`compute_g1` .. :func:`compute_g4`
-    give two kinds of column:
-
-    * at ``f`` in ``F``, G1 and G4: all of ``S``, plus the second
-      coordinates of the row-k points whose first coordinate exceeds ``f``;
-    * at a row-k point ``(u_a, u_b)``, G3 and G2: the second coordinates
-      below ``u_b`` of ``S`` and of the row-k points right of ``u_a``.
-
-    So one walk over the columns in decreasing first coordinate, keeping
-    ``S`` and the row-k second coordinates passed in one sorted list,
-    gives each column as the whole list or a prefix of it: no set, no
-    sort and no tuple per point.  Columns of the first kind with no row-k
-    point between them in the walk share one snapshot of the whole list,
-    the same list object; a fresh snapshot starts only after a row-k
-    point is inserted.  Columns are read-only, so a box holds few distinct
-    lists, and :class:`PureGapSet` checks and the listing renders each
-    once.  ``F`` and ``S`` may not repeat a value (the G1 cardinality
-    check of :func:`_above`), and ``F`` may not meet the row-k first
-    coordinates, where the two kinds of column would overlap
+    With ``F`` and ``S`` as :func:`_above` gives them, the column forms
+    proven in :func:`compute_g1` .. :func:`compute_g4` give two kinds of
+    column: at ``f`` in ``F``, G1's, all of ``S``, joined by G4's; at a
+    row-k point, G3's prefix of ``S`` joined by G2's.  Both are the
+    columns of :func:`_walk` over ``F`` started from ``S``: no set, no
+    sort and no tuple per point.  Columns are read-only, so a box holds
+    few distinct lists, and :class:`PureGapSet` checks and the listing
+    renders each once.  ``F`` and ``S`` may not repeat a value (the G1
+    cardinality check of :func:`_above`), and ``F`` may not meet the row-k
+    residues, where the two kinds of column would overlap
     (DisjointnessViolationError).
     """
-    firsts, passed = _above(boxed, k)
+    firsts, seconds = _above(boxed, k, check=True)
     base = k * boxed.period
-    own = {a - base: b for a, b in boxed.row(k)}
-    if not own.keys().isdisjoint(firsts):
+    if not {a - base for a, _ in boxed.row(k)}.isdisjoint(firsts):
         raise DisjointnessViolationError(
             f"box k={k}: a first coordinate shifted down from a higher row "
             f"is a first coordinate of row {k}")
-    passed.sort()
-    columns = []
-    snapshot = None
-    for r in sorted(chain(firsts, own), reverse=True):
-        b = own.get(r)
-        if b is None:
-            if snapshot is None:
-                snapshot = passed[:]
-            columns.append((r, snapshot))
-        else:
-            cut = bisect_left(passed, b)
-            if cut:
-                columns.append((r, passed[:cut]))
-            insort(passed, b)
-            snapshot = None
-    columns.reverse()
-    return dict(columns)
+    columns, _ = _walk(boxed, k, firsts, seconds)
+    return dict(reversed(columns))
 
 
 class PureGapSet:

@@ -403,6 +403,11 @@ class TestSharedColumns:
                     assert cols[r1] is cols[r2]
                 elif r1 in cols and r2 in cols:
                     assert cols[r1] is not cols[r2]
+            # compute_g4's neighbours share a list unless a row point parts them
+            g4 = compute_g4(boxed, k)
+            for r1, r2 in zip(g4, list(g4)[1:]):
+                between = any(r1 < r < r2 for r in own)
+                assert (g4[r1] is g4[r2]) != between
 
     def test_kummer_41_60_distinct_lists(self):
         boxed = decompose(kummer_generating_set(41, 60))

@@ -20,7 +20,7 @@ from puregaps.engine import (
     compute_g4,
     decompose,
 )
-from puregaps.errors import CardinalityMismatchError
+from puregaps.errors import CardinalityMismatchError, DisjointnessViolationError
 from puregaps.harness import oracle_mismatch, summarize_generic
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
@@ -163,11 +163,44 @@ def test_non_diagonal_components_match_points(gamma):
 def test_injective_components_match_points(points, period):
     """Rows cut from unvalidated injective sets: no genus identity, and
     shifted first coordinates may meet a row's own or repeat."""
+    assert_components_match_points(injective_boxed(points, period))
+
+
+def injective_boxed(points, period):
+    """The rows of an unvalidated injective set, cut into boxes."""
     rows = {}
     for a, b in sorted(points):
         if b < period:
             rows.setdefault(a // period, []).append((a, b))
-    boxed = BoxedGamma(rows={k: tuple(row) for k, row in rows.items()},
-                       period=period, genus=len(points),
-                       kmax=max(rows, default=-1) + 1, diagonal=False)
-    assert_components_match_points(boxed)
+    return BoxedGamma(rows={k: tuple(row) for k, row in rows.items()},
+                      period=period, genus=len(points),
+                      kmax=max(rows, default=-1) + 1, diagonal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(injective_pairs(), st.integers(min_value=1, max_value=50))
+@example([(1, 1), (10, 2), (15, 3)], 5)
+@example([(2, 1), (7, 3)], 5)
+def test_injective_box_columns_match_points(points, period):
+    """box_columns on unvalidated injective rows: it raises
+    CardinalityMismatchError where the G1 reference does, else
+    DisjointnessViolationError where a shifted first coordinate is a row's
+    own; else it is the merge of the four references.  Compared through
+    flatten, since a column may sit at residue 0."""
+    boxed = injective_boxed(points, period)
+    for k in range(boxed.kmax + 1):
+        base = k * period
+        try:
+            g1 = reference.compute_g1_points(boxed, k)
+        except CardinalityMismatchError:
+            with pytest.raises(CardinalityMismatchError):
+                box_columns(boxed, k)
+            continue
+        if {a for a, _ in g1} & {a for a, _ in boxed.row(k)}:
+            with pytest.raises(DisjointnessViolationError):
+                box_columns(boxed, k)
+            continue
+        got = box_columns(boxed, k)
+        assert flatten(got, base) == merge_box(
+            k, [want(boxed, k) for _, want in COMPONENTS])
+        assert list(got) == sorted(got) and all(got.values())
