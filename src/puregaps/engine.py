@@ -58,10 +58,9 @@ Cardinalities and bounds are guarded against the 128-bit range.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, count, islice, repeat
-from operator import lt
+from itertools import repeat
 
 from .errors import (
     CardinalityMismatchError,
@@ -70,7 +69,7 @@ from .errors import (
     GenericMismatchError,
     GenusIdentityViolationError,
 )
-from .lattice import GeneratingSet
+from .lattice import GeneratingSet, set_bits
 
 #: Cardinalities and bounds must stay within 128-bit signed range.
 INT128_MAX = 2**127 - 1
@@ -141,73 +140,84 @@ def decompose(gamma: GeneratingSet) -> BoxedGamma:
                       diagonal=diagonal)
 
 
-def _above(boxed: BoxedGamma, k: int, *, check: bool) -> tuple:
-    """``F`` and ``S`` of box (k, 0), both sorted: the first coordinates of
-    the points above row k shifted down to residues, ``a - k2*period`` for
-    a point of row k2, and their second coordinates.
+def _join(rows, period: int, above: int, fmask: int, seconds: int) -> tuple:
+    """Join the points of ``rows``, ``(k2, row)`` pairs, to ``(n, F, S)``:
+    ``n`` counts them, ``F`` gets bit ``a - k2*period``, each first
+    coordinate shifted down to its residue, and ``S`` bit ``b``."""
+    for k2, row in rows:
+        shift = k2 * period
+        above += len(row)
+        for a, b in row:
+            fmask |= 1 << (a - shift)
+            seconds |= 1 << b
+    return above, fmask, seconds
 
-    G1 of box (k, 0) is the Cartesian product of the two, so its size must
-    equal the square of the number of those points.  With ``check``,
-    neither list may repeat a value, or CardinalityMismatchError is raised.
+
+def _sweep(boxed: BoxedGamma):
+    """Yield ``(k, n, F, S)`` for every box ``(k, 0)``, ``k`` from ``kmax -
+    1`` down to 0: one pass down the rows.
+
+    ``n`` is the number of points above row k, ``F`` the mask of their
+    first coordinates shifted down to residues, ``a - k2*period`` for a
+    point of row k2, and ``S`` the mask of their second coordinates.  Each
+    row is joined once (:func:`_join`), as the sweep passes it.
     """
     period = boxed.period
-    rows = boxed.rows
-    firsts = []
-    seconds = []
-    for k2 in range(k + 1, boxed.kmax):
-        shift = k2 * period
-        for a, b in rows.get(k2, ()):
-            firsts.append(a - shift)
-            seconds.append(b)
-    if check:
-        above = len(firsts)
-        distinct = len(set(firsts)) * len(set(seconds))
-        if distinct != above * above:
-            raise CardinalityMismatchError(
-                f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
-    firsts.sort()
-    seconds.sort()
-    return firsts, seconds
+    state = 0, 0, 0
+    for k in range(boxed.kmax - 1, -1, -1):
+        state = _join(((k + 1, boxed.row(k + 1)),), period, *state)
+        yield k, *state
 
 
-def _walk(boxed: BoxedGamma, k: int, firsts, passed: list) -> tuple:
-    """The one walk behind G2, G4 and ``G_{k,0}``.  Returns two lists of
-    ``(residue, column)`` pairs of box (k, 0) in decreasing residue: every
-    column, and the columns at ``firsts`` alone.
+def _above(boxed: BoxedGamma, k: int) -> tuple:
+    """``(n, F, S)`` of box (k, 0), as :func:`_sweep` gives them, for one
+    box: the rows above k joined at once."""
+    return _join([(k2, row) for k2, row in boxed.rows.items() if k2 > k],
+                 boxed.period, 0, 0, 0)
 
-    ``firsts`` is sorted, and so is ``passed``, which the walk consumes.
-    The walk goes down ``firsts``.  Before each ``f`` it passes the row-k
-    points of residue above ``f``: the column at such a point ``(r, b)`` is
-    the prefix ``passed[:bisect_left(passed, b)]``, then ``b`` joins
-    ``passed``.  The column at ``f`` is a snapshot of ``passed``, one list
-    object shared by the ``f`` with no row point between them; a repeated
-    ``f`` gets the same one.  A row point whose residue equals ``f`` is
-    passed after ``f``.  Empty columns are left out.
+
+def _check_g1(k: int, above: int, fmask: int, seconds: int) -> None:
+    """G1 of box (k, 0) is the Cartesian product of ``F`` and ``S``, so its
+    size must equal the square of the number ``n`` of points above row k:
+    else two of them share a residue or a second coordinate, and
+    CardinalityMismatchError is raised."""
+    distinct = fmask.bit_count() * seconds.bit_count()
+    if distinct != above * above:
+        raise CardinalityMismatchError(
+            f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
+
+
+def _walk(boxed: BoxedGamma, k: int, firsts, passed: int,
+          own: bool = True) -> list:
+    """The one walk behind G2, G4 and ``G_{k,0}``: the ``(residue,
+    column)`` pairs of box (k, 0) in decreasing residue, at ``firsts`` and,
+    with ``own``, at the row-k points.
+
+    ``firsts`` is sorted and ``passed`` is a mask.  The walk goes down the
+    row.  At a row-k point ``(r, b)`` the column is the prefix ``passed &
+    ((1 << b) - 1)``, then ``b`` joins ``passed``.  Every ``f`` of
+    ``firsts`` from ``r`` up to the row point above takes ``passed`` as it
+    was before ``b`` joined: one int, so neighbouring columns share it.
+    Empty columns are left out.
     """
     base = k * boxed.period
-    row = boxed.row(k)
-    i = len(row)
     columns = []
-    shifted = []
-    snapshot = None
-    # -1, below every residue, passes the rest of the row and takes nothing
-    for f in chain(reversed(firsts), (-1,)):
-        while i and (r := row[i - 1][0] - base) > f:
-            i -= 1
-            b = row[i][1]
-            if cut := bisect_left(passed, b):
-                columns.append((r, passed[:cut]))
-            insort(passed, b)
-            snapshot = None
-        if passed and f >= 0:
-            if snapshot is None:
-                snapshot = passed[:]
-            columns.append((f, snapshot))
-            shifted.append((f, snapshot))
-    return columns, shifted
+    hi = len(firsts)
+    for a, b in reversed(boxed.row(k)):
+        r = a - base
+        lo = bisect_left(firsts, r, 0, hi)
+        if passed:
+            columns.extend(zip(reversed(firsts[lo:hi]), repeat(passed)))
+        hi = lo
+        if own and (prefix := passed & ((1 << b) - 1)):
+            columns.append((r, prefix))
+        passed |= 1 << b
+    if passed:
+        columns.extend(zip(reversed(firsts[:hi]), repeat(passed)))
+    return columns
 
 
-def compute_g1(boxed: BoxedGamma, k: int) -> dict:
+def compute_g1(boxed: BoxedGamma, k: int, state=None) -> dict:
     """First component of box (k, 0), by column.
 
     glb(u + w_{k2-k}, v) over u in rows[k2], v in rows[k1] with k1, k2 > k.
@@ -215,12 +225,15 @@ def compute_g1(boxed: BoxedGamma, k: int) -> dict:
     (first coordinate of the shifted u, second coordinate of v): the
     component is the Cartesian product of the shifted first coordinates
     and the second coordinates of the points above row k.  So every
-    column holds the same sorted list of those second coordinates, one
-    list shared by all columns.  The cardinality check of :func:`_above`
-    applies.
+    column is the one mask ``S`` of those second coordinates.  The
+    cardinality check of :func:`_check_g1` applies.  ``state`` is box k's
+    ``(n, F, S)`` from :func:`_sweep` when the caller holds it; else it is
+    gathered from the rows above (:func:`_above`), as in
+    :func:`compute_g3` and :func:`compute_g4`.
     """
-    firsts, seconds = _above(boxed, k, check=True)
-    return dict.fromkeys(firsts, seconds)
+    above, fmask, seconds = state or _above(boxed, k)
+    _check_g1(k, above, fmask, seconds)
+    return dict.fromkeys(set_bits(fmask), seconds)
 
 
 def compute_g2(boxed: BoxedGamma, k: int) -> dict:
@@ -232,32 +245,30 @@ def compute_g2(boxed: BoxedGamma, k: int) -> dict:
     ``u_b > v_b``, and their glb is ``(u_a, v_b)``: the column at ``u``
     holds the second coordinates below ``u_b`` of the row points right of
     ``u``.  These are the row columns of :func:`_walk` with no shifted
-    first coordinate, started from an empty list: each column is a prefix,
-    its own list.  Empty whenever the diagonal condition holds, since
-    points of one row are then totally ordered.
+    first coordinate, started from an empty mask.  Empty whenever the
+    diagonal condition holds, since points of one row are then totally
+    ordered.
     """
-    columns, _ = _walk(boxed, k, (), [])
-    return dict(reversed(columns))
+    return dict(reversed(_walk(boxed, k, (), 0)))
 
 
-def compute_g3(boxed: BoxedGamma, k: int) -> dict:
+def compute_g3(boxed: BoxedGamma, k: int, state=None) -> dict:
     """Third component: glb(u, v) for u in rows[k], v in a higher row,
     restricted to pairs with u not below v; by column.
 
     A point ``v`` of a higher row always lies right of ``u``, so ``u`` is
     not below ``v`` exactly when ``u_b > v_b``, and their glb is ``(u_a,
-    v_b)``.  With ``S`` the sorted second coordinates of the points above
-    row k (:func:`_above`), which a generating set does not repeat, the
-    column at a row-k point ``(r, b)`` is the prefix ``S[:bisect_left(S,
-    b)]``.
+    v_b)``.  With ``S`` the mask of the second coordinates of the points
+    above row k (:func:`_sweep`), the column at a row-k point ``(r, b)``
+    is the prefix ``S & ((1 << b) - 1)``.
     """
-    _, seconds = _above(boxed, k, check=False)
+    seconds = (state or _above(boxed, k))[2]
     base = k * boxed.period
-    return {a - base: seconds[:cut] for a, b in boxed.row(k)
-            if (cut := bisect_left(seconds, b))}
+    return {a - base: prefix for a, b in boxed.row(k)
+            if (prefix := seconds & ((1 << b) - 1))}
 
 
-def compute_g4(boxed: BoxedGamma, k: int) -> dict:
+def compute_g4(boxed: BoxedGamma, k: int, state=None) -> dict:
     """Fourth component of box (k, 0): glb(u + w_{k2-k}, v) for u in
     rows[k2] (k2 > k) and v in rows[k], restricted to pairs with v not
     below the shifted u; by column.
@@ -267,16 +278,14 @@ def compute_g4(boxed: BoxedGamma, k: int) -> dict:
     ``v`` is not below it exactly when ``v_a`` exceeds its first
     coordinate, and their glb is that first coordinate with ``v_b``.  With
     ``F`` the first coordinates of the points above row k shifted down to
-    residues in box (k, 0) (:func:`_above`), the column at ``f`` in ``F``
+    residues in box (k, 0) (:func:`_sweep`), the column at ``f`` in ``F``
     holds the second coordinates of the row-k points of residue strictly
     above ``f``.  These are the shifted columns of :func:`_walk` over
-    ``F``, started from an empty list: columns with no row-k point between
-    them share one snapshot, the same list object, and a repeated ``f``
-    gives the same column.
+    ``F``, started from an empty mask: columns with no row-k point between
+    them are one int, and a repeated ``f`` gives the same column.
     """
-    firsts, _ = _above(boxed, k, check=False)
-    _, shifted = _walk(boxed, k, firsts, [])
-    return dict(reversed(shifted))
+    fmask = (state or _above(boxed, k))[1]
+    return dict(reversed(_walk(boxed, k, set_bits(fmask), 0, own=False)))
 
 
 def reflect(columns: dict) -> dict:
@@ -285,19 +294,21 @@ def reflect(columns: dict) -> dict:
 
     The swap and the translation send ``(k*period + r, b)`` to
     ``(k*period + b, r)``, so by column the map is the transpose: column
-    ``b`` of the result lists, ascending, the residues ``r`` whose column
-    holds ``b``.
+    ``b`` of the result has bit ``r`` set for each residue ``r`` whose
+    column holds ``b``.
     """
-    out = {}
-    for r in sorted(columns):
-        for b in columns[r]:
-            out.setdefault(b, []).append(r)
-    return dict(sorted(out.items()))
+    out = [0] * max((mask.bit_length() for mask in columns.values()),
+                    default=0)
+    for r, mask in columns.items():
+        bit = 1 << r
+        for b in set_bits(mask):
+            out[b] |= bit
+    return {b: mask for b, mask in enumerate(out) if mask}
 
 
 def _size(columns: dict) -> int:
-    """The number of points of a set given by column."""
-    return sum(map(len, columns.values()))
+    """The number of points of a set given by mask column."""
+    return sum(map(int.bit_count, columns.values()))
 
 
 def check_reflection(boxed: BoxedGamma, generic=None) -> None:
@@ -305,17 +316,13 @@ def check_reflection(boxed: BoxedGamma, generic=None) -> None:
     ``a == b (mod period)``, G2 is empty and G4 is :func:`reflect` of G3.
     ``generic`` maps each box index to its (G1, G2, G3, G4), as
     :func:`box_components` gives them, when the caller holds them; else
-    G2, G3 and G4 are computed here.  Raises
+    each box's are built in turn, by :func:`components_by_box`.  Raises
     DiagonalReflectionMismatchError when the set is not diagonal, or
-    naming the first box and half of the law that fail."""
+    naming the first box, in that order, and half of the law that fail."""
     if not boxed.diagonal:
         raise DiagonalReflectionMismatchError("the set is not diagonal")
-    for k in range(boxed.kmax):
-        if generic is None:
-            g2, g3, g4 = (compute_g2(boxed, k), compute_g3(boxed, k),
-                          compute_g4(boxed, k))
-        else:
-            _, g2, g3, g4 = generic[k]
+    boxes = components_by_box(boxed) if generic is None else generic.items()
+    for k, (_, g2, g3, g4) in boxes:
         if g2:
             raise DiagonalReflectionMismatchError(f"box k={k}: G2 is not empty")
         reflected = reflect(g3)
@@ -347,40 +354,56 @@ def bounds(boxed: BoxedGamma) -> Bounds:
     return bounds_from_row_sizes(boxed.row_sizes(), boxed.genus)
 
 
-def box_components(boxed: BoxedGamma, k: int) -> tuple:
+def box_components(boxed: BoxedGamma, k: int, state=None) -> tuple:
     """The four components (G1, G2, G3, G4) of box (k, 0), each by column:
-    ``{a - k*period: ascending second coordinates at a}``, residues
-    ascending, no empty column.  Columns are read-only: those of G1 share
-    one list, neighbouring columns of G4 share one snapshot, and those of
-    G2 and G3 are prefixes, each its own list."""
-    return (compute_g1(boxed, k), compute_g2(boxed, k), compute_g3(boxed, k),
-            compute_g4(boxed, k))
+    ``{a - k*period: mask of the second coordinates at a}``, residues
+    ascending, no empty column.  ``state`` is box k's ``(n, F, S)`` from
+    :func:`_sweep` when the caller holds it; else it is gathered once."""
+    state = state or _above(boxed, k)
+    return (compute_g1(boxed, k, state), compute_g2(boxed, k),
+            compute_g3(boxed, k, state), compute_g4(boxed, k, state))
+
+
+def components_by_box(boxed: BoxedGamma):
+    """Yield ``(k, box_components(boxed, k))`` for every box, ``k`` from
+    ``kmax - 1`` down to 0, in one :func:`_sweep`."""
+    for k, *state in _sweep(boxed):
+        yield k, box_components(boxed, k, state)
+
+
+def _box(boxed: BoxedGamma, k: int, above: int, fmask: int,
+         seconds: int) -> dict:
+    """``G_{k,0}`` by columns from ``n``, ``F`` and ``S`` as :func:`_sweep`
+    gives them for box (k, 0); see :func:`box_columns`."""
+    _check_g1(k, above, fmask, seconds)
+    base = k * boxed.period
+    own = 0
+    for a, _ in boxed.row(k):
+        own |= 1 << (a - base)
+    if own & fmask:
+        raise DisjointnessViolationError(
+            f"box k={k}: a first coordinate shifted down from a higher row "
+            f"is a first coordinate of row {k}")
+    return dict(reversed(_walk(boxed, k, set_bits(fmask), seconds)))
 
 
 def box_columns(boxed: BoxedGamma, k: int) -> dict:
-    """``G_{k,0}`` by columns: ``{a - k*period: the ascending second
-    coordinates of G_{k,0} at a}``, residues ascending, no empty column.
+    """``G_{k,0}`` by columns: ``{a - k*period: mask of the second
+    coordinates of G_{k,0} at a}``, bit ``b`` set for each ``b``, residues
+    ascending, no empty column.
 
-    With ``F`` and ``S`` as :func:`_above` gives them, the column forms
+    With ``F`` and ``S`` as :func:`_sweep` gives them, the column forms
     proven in :func:`compute_g1` .. :func:`compute_g4` give two kinds of
     column: at ``f`` in ``F``, G1's, all of ``S``, joined by G4's; at a
     row-k point, G3's prefix of ``S`` joined by G2's.  Both are the
     columns of :func:`_walk` over ``F`` started from ``S``: no set, no
-    sort and no tuple per point.  Columns are read-only, so a box holds
-    few distinct lists, and :class:`PureGapSet` checks and the listing
-    renders each once.  ``F`` and ``S`` may not repeat a value (the G1
-    cardinality check of :func:`_above`), and ``F`` may not meet the row-k
-    residues, where the two kinds of column would overlap
-    (DisjointnessViolationError).
+    sort and no tuple per point, and neighbouring columns at ``F`` are one
+    int.  ``F`` and ``S`` may not repeat a value (the G1 cardinality
+    check), and ``F`` may not meet the row-k residues, where the two kinds
+    of column would overlap (DisjointnessViolationError).
+    :func:`assemble_pure_gaps` builds every box in one sweep instead.
     """
-    firsts, seconds = _above(boxed, k, check=True)
-    base = k * boxed.period
-    if not {a - base for a, _ in boxed.row(k)}.isdisjoint(firsts):
-        raise DisjointnessViolationError(
-            f"box k={k}: a first coordinate shifted down from a higher row "
-            f"is a first coordinate of row {k}")
-    columns, _ = _walk(boxed, k, firsts, seconds)
-    return dict(reversed(columns))
+    return _box(boxed, k, *_above(boxed, k))
 
 
 class PureGapSet:
@@ -388,14 +411,14 @@ class PureGapSet:
 
     ``G0`` is the disjoint union of the translates ``G_{k,0} + w_j``,
     ``0 <= j <= k``, so the per-box sets and the period are all of it.  The
-    sets are kept by column, ``k -> {a - k*period: ascending second
+    sets are kept by column, ``k -> {a - k*period: mask of the second
     coordinates of G_{k,0} at a}``, with empty columns and boxes dropped.
     Building the value checks that every column lies strictly inside its
-    box and is strictly increasing, which makes the translates disjoint,
-    and raises DisjointnessViolationError otherwise: the residue once per
-    column, the list once per distinct list object.
+    box, which makes the translates disjoint, and raises
+    DisjointnessViolationError otherwise: ``0 < r < period`` and no bit at
+    0 or at ``period`` and above, O(1) per column.
 
-    * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|``.
+    * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|`` of bit counts.
     * :meth:`box` gives one per-box set.  Two values of one period are
       equal exactly when their per-box sets are: containment gives
       ``G_{k,0} = (G0 & box(k-j, j)) - w_j``.
@@ -408,27 +431,19 @@ class PureGapSet:
     def __init__(self, columns_by_box: dict, period: int):
         runs = {}
         size = 0
-        # The range and order check depends on the list alone, so a list
-        # shared by several columns is checked once; the input holds every
-        # list alive, so no id is reused meanwhile.
-        checked = set()
         for k, columns in columns_by_box.items():
             kept = {}
-            for r, bs in columns.items():
-                if not bs:
+            for r, mask in columns.items():
+                if not mask:
                     continue
-                if not 0 < r < period or (
-                        id(bs) not in checked
-                        and not (0 < bs[0] and bs[-1] < period
-                                 and all(map(lt, bs, islice(bs, 1, None))))):
+                if not 0 < r < period or mask & 1 or mask >> period:
                     raise DisjointnessViolationError(
                         f"column a={k * period + r} of G_({k},0) leaves box "
-                        f"({k}, 0) or is not strictly increasing")
-                checked.add(id(bs))
-                kept[r] = bs
-                size += (k + 1) * len(bs)
+                        f"({k}, 0)")
+                kept[r] = mask
             if kept:
                 runs[k] = kept
+                size += (k + 1) * _size(kept)
         self.period = period
         self._runs = runs
         self._size = check_int128(size)
@@ -441,8 +456,8 @@ class PureGapSet:
                 f"size={self._size})")
 
     def box(self, k: int) -> dict:
-        """``G_{k,0}`` by column, as :func:`box_columns` built it; ``{}``
-        for an empty box.  Read-only."""
+        """``G_{k,0}`` by mask column, as :func:`box_columns` built it;
+        ``{}`` for an empty box.  Read-only."""
         return self._runs.get(k, {})
 
     def pieces(self, fmt: str = "tsv"):
@@ -451,16 +466,17 @@ class PureGapSet:
         ``"tsv"``, one JSON array of pairs and a newline for ``"json"``.
 
         The text is rendered from templates one box column ``i`` at a time,
-        in the order the module docstring gives.  For each translate ``j``,
-        each distinct column list of box ``i + j`` is rendered once, one cell
-        ``"\\x00" + str(b + j*period) + closer`` per point
-        (:func:`box_columns` shares one list among neighbouring columns).  A
-        first coordinate's block is its templates across ``j`` joined, with
-        the marker replaced by the point's opening text ``a<TAB>`` or
-        ``,[a,``: no Python work per run or per point.  Memory is bounded by
-        the per-box sets, not by ``|G0|``.  After the text, the markers
-        rendered must number ``len(self)``, or CardinalityMismatchError is
-        raised.
+        in the order the module docstring gives.  Each distinct mask of a
+        box is listed once, by :func:`~puregaps.lattice.set_bits`, when the
+        walk first meets the box, and dropped after its last use, at
+        ``j = 0``.  For each translate ``j``, each listed mask of box
+        ``i + j`` is rendered once, one cell ``"\\x00" + str(b +
+        j*period) + closer`` per point.  A first coordinate's block is its
+        templates across ``j`` joined, with the marker replaced by the
+        point's opening text ``a<TAB>`` or ``,[a,``: no Python work per run
+        or per point.  Memory is bounded by the per-box sets, not by
+        ``|G0|``.  After the text, the markers rendered must number
+        ``len(self)``, or CardinalityMismatchError is raised.
         """
         period = self.period
         runs = self._runs
@@ -475,28 +491,28 @@ class PureGapSet:
         cells = {j * period: [f"\x00{v}{closer}" for v in
                               range(j * period, (j + 1) * period)]
                  for j in range(top + 1)}
-        # The walk visits box i + j once per i: index its distinct lists once.
-        slots = {}
+        # Box k is visited once per i <= k: list its distinct masks once.
+        listed = {}
         chunk = []
         pending = written = 0
         # Every JSON point opens with its separator: drop the first one.
         head = 1 if fmt == "json" else 0
         for i in range(top + 1):
             base = i * period
-            translates = [(j * period, runs[i + j])
+            translates = [(j * period, i + j)
                           for j in range(top + 1 - i) if i + j in runs]
-            residues = sorted(set().union(*(columns
-                                            for _, columns in translates)))
+            residues = sorted(set().union(*(runs[k] for _, k in translates)))
             blocks = []
-            for shift, columns in translates:
-                if id(columns) not in slots:
-                    slots[id(columns)] = _distinct_lists(columns)
-                lists, slot = slots[id(columns)]
+            for shift, k in translates:
+                if k not in listed:
+                    listed[k] = _distinct_masks(runs[k])
+                points, slot = listed[k]
                 cell = cells[shift].__getitem__
-                templates = ["".join(map(cell, bs)) for bs in lists]
+                templates = ["".join(map(cell, bs)) for bs in points]
                 templates.append("")  # index -1: a residue the box lacks
                 blocks.append(map(templates.__getitem__,
                                   map(slot.get, residues, repeat(-1))))
+            listed.pop(i, None)
             for r, block in zip(residues, map("".join, zip(*blocks))):
                 pending += block.count("\x00")
                 chunk.append(
@@ -516,29 +532,23 @@ class PureGapSet:
                 f"{self._size}")
 
 
-def _distinct_lists(columns):
-    """The distinct list objects among the values of ``columns``, and
-    ``{r: the index of column r's list among them}``."""
-    lists = columns.values()
-    distinct = dict(zip(map(id, lists), lists))
-    index = dict(zip(distinct, count()))
-    return (list(distinct.values()),
-            dict(zip(columns, map(index.__getitem__, map(id, lists)))))
+def _distinct_masks(columns: dict) -> tuple:
+    """The distinct masks among the values of ``columns``, each as its
+    list of set bits, and ``{r: the index of column r's mask among
+    them}``."""
+    index = {}
+    slot = {r: index.setdefault(mask, len(index))
+            for r, mask in columns.items()}
+    return list(map(set_bits, index)), slot
 
 
 def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapSet:
-    """The full pure gap set ``G0`` from the row-zero boxes, each box
-    ``(k, 0)`` built by :func:`box_columns`.  Its bounds are
-    :func:`bounds` of the same boxes."""
-    return PureGapSet({k: box_columns(boxed, k) for k in range(boxed.kmax)},
-                      boxed.period)
-
-
-def _same_columns(mine: dict, engine: dict) -> bool:
-    """True when two sets given by column are equal; ``engine``'s columns
-    are lists, ``mine``'s any ascending sequences."""
-    return mine.keys() == engine.keys() and all(
-        list(bs) == engine[r] for r, bs in mine.items())
+    """The full pure gap set ``G0`` from the row-zero boxes, every box
+    ``(k, 0)`` built as :func:`box_columns` does, in one :func:`_sweep`
+    down from the top box.  Its bounds are :func:`bounds` of the same
+    boxes."""
+    return PureGapSet({k: _box(boxed, k, *state)
+                       for k, *state in _sweep(boxed)}, boxed.period)
 
 
 def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
@@ -547,14 +557,15 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
 
     ``generic[k]``, the engine's (G1, G2, G3, G4) of box ``(k, 0)`` as
     :func:`box_components` gives them, is first checked against
-    ``g0.box(k)``, the ``G_{k,0}`` of the engine's ``G0``: concatenated
-    per residue and sorted, the four must give it.  A duplicate breaks
-    that equality, so it also proves the components pairwise disjoint.
-    Then ``per_box[k]``, the family's (Gamma_{k,0}, G1, G3), the
-    components by column, is compared with the engine's row, G1 and G3;
-    a box missing from ``per_box`` is empty, and so is every engine box
-    outside ``range(kmax)``, so a family box there with a point fails.  A
-    family is diagonal, so its G2 and G4 are the diagonal law's, empty and
+    ``g0.box(k)``, the ``G_{k,0}`` of the engine's ``G0``: per residue,
+    the four masks must be disjoint and OR to it, which also proves the
+    components pairwise disjoint.  Then ``per_box[k]``, the family's
+    (Gamma_{k,0}, G1, G3), the components by column as ascending
+    sequences, is compared with the engine's row, G1 and G3, one dict
+    ``==`` each once the family's columns are masks (:func:`_encoded`).  A box missing
+    from ``per_box`` is empty, and so is every engine box outside
+    ``range(kmax)``, so a family box there with a point fails.  A family
+    is diagonal, so its G2 and G4 are the diagonal law's, empty and
     :func:`reflect` of G3: once G3 matches, they equal the engine's
     exactly when :func:`check_reflection` passes on the engine's
     components.  A disagreement raises GenericMismatchError naming the box
@@ -563,17 +574,21 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
     for k in sorted(per_box.keys() | range(boxed.kmax)):
         parts = generic[k] if k in range(boxed.kmax) else ({},) * 4
         merged = {}
+        overlap = False
         for part in parts:
-            for r, bs in part.items():
-                merged.setdefault(r, []).extend(bs)
+            for r, mask in part.items():
+                held = merged.get(r, 0)
+                overlap = overlap or held & mask
+                merged[r] = held | mask
         columns = g0.box(k)
-        for r in sorted(merged.keys() | columns.keys()):
-            got = sorted(merged.get(r, ()))
-            want = columns.get(r, [])
-            if got != want:
-                raise GenericMismatchError(
-                    f"k={k}: G1..G4 merged at residue {r} hold "
-                    f"{len(got)} points, box_columns {len(want)}")
+        if overlap or merged != columns:
+            for r in sorted(merged.keys() | columns.keys()):
+                got = sum(part.get(r, 0).bit_count() for part in parts)
+                want = columns.get(r, 0)
+                if merged.get(r, 0) != want or got != want.bit_count():
+                    raise GenericMismatchError(
+                        f"k={k}: G1..G4 merged at residue {r} hold "
+                        f"{got} points, box_columns {want.bit_count()}")
         row, g1, g3 = per_box.get(k, ((), {}, {}))
         engine = boxed.row(k)
         if tuple(row) != engine:
@@ -581,7 +596,23 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
                 f"k={k}: explicit Gamma_k0 has {len(row)} points, "
                 f"engine has {len(engine)}")
         for name, mine, engine in (("G1", g1, parts[0]), ("G3", g3, parts[2])):
-            if not _same_columns(mine, engine):
+            if _encoded(mine) != engine:
                 raise GenericMismatchError(
-                    f"k={k}: explicit {name} has {_size(mine)} "
-                    f"points, engine has {_size(engine)}")
+                    f"k={k}: explicit {name} has "
+                    f"{sum(map(len, mine.values()))} points, engine has "
+                    f"{_size(engine)}")
+
+
+def _encoded(columns: dict) -> dict:
+    """A family's set given by column, ascending sequences of distinct
+    second coordinates, by mask column; a sequence that repeats a value
+    becomes ``-1``, which no mask equals.  Each distinct sequence object
+    is encoded once: a family shares one among many columns."""
+    masks = {}
+    for bs in columns.values():
+        if id(bs) not in masks:
+            mask = 0
+            for b in bs:
+                mask |= 1 << b
+            masks[id(bs)] = mask if mask.bit_count() == len(bs) else -1
+    return dict(zip(columns, map(masks.__getitem__, map(id, columns.values()))))

@@ -35,13 +35,13 @@ from .engine import (
     _size,
     assemble_pure_gaps,
     bounds,
-    box_components,
     check_components,
     check_reflection,
+    components_by_box,
     decompose,
 )
 from .errors import ConsistencyError
-from .lattice import GeneratingSet
+from .lattice import GeneratingSet, set_bits
 from .oracle import count_pure_gaps_direct, pure_gap_boxes_direct
 
 #: Closed-form families, each diagonal: name -> (module, parameter names).
@@ -103,10 +103,12 @@ def oracle_mismatch(g0, scan, kmax) -> str:
     five points of each difference.
 
     Box ``(i, j)`` holds ``G_{i+j,0} + w_j``: each scan box must equal
-    ``g0.box(i + j)``, one exact dict ``==`` (both sides are canonical) as
-    it arrives, and each engine box ``(k - j, j)``, ``k < kmax``, the scan
-    never gave must be empty.  A pass keeps only the box keys; only the
-    differing boxes are walked, and their excess gives the scan's size.
+    ``g0.box(i + j)``, one exact dict ``==`` of mask columns (both sides
+    are canonical) as it arrives, and each engine box ``(k - j, j)``, ``k
+    < kmax``, the scan never gave must be empty.  A pass keeps only the box
+    keys; only the differing columns are listed, by
+    :func:`~puregaps.lattice.set_bits`, to name points, and their excess
+    gives the scan's size.
     """
     period = g0.period
     box = g0.box
@@ -117,9 +119,11 @@ def oracle_mismatch(g0, scan, kmax) -> str:
     def diff(i, j, got, want):
         base, shift = i * period, j * period
         for r in got.keys() | want.keys():
-            bs, vs = set(got.get(r, ())), set(want.get(r, ()))
-            extra.extend((base + r, shift + b) for b in sorted(bs - vs)[:5])
-            missing.extend((base + r, shift + v) for v in sorted(vs - bs)[:5])
+            bs, vs = got.get(r, 0), want.get(r, 0)
+            extra.extend((base + r, shift + b)
+                         for b in set_bits(bs & ~vs)[:5])
+            missing.extend((base + r, shift + v)
+                           for v in set_bits(vs & ~bs)[:5])
 
     for i, row in scan:
         visited[i] = set(row)
@@ -279,7 +283,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     # family's box-by-box check, which also checks that they merge to the
     # engine's G0, and the diagonal law.  The family's sets are built
     # inside the check, so a failing closed form of theirs is its detail.
-    generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
+    generic = dict(components_by_box(boxed))
     checks.run("components_vs_generic", lambda: check_components(
         boxed, generic, g0, call_family(family, "{}_components", params)))
     _check_bounds(checks, g0, bnd)
@@ -386,7 +390,7 @@ def bench_family(family: str, params: dict) -> list:
     value is then compared with the list, untimed, by the
     ``engine_vs_oracle`` check of ``verify``, before timings are returned;
     a mismatch raises ConsistencyError with that check's text.  The direct
-    route's cardinality is the total length of its boxes' columns.
+    route's cardinality is the total bit count of its boxes' columns.
     """
     gamma = call_family(family, "{}_generating_set", params)
 
@@ -402,8 +406,8 @@ def bench_family(family: str, params: dict) -> list:
     checks = _Checks(("engine_vs_oracle",))
     if not _check_oracle(checks, g0, direct, boxed.kmax):
         raise ConsistencyError(checks.detail())
-    direct_card = sum(len(vs) for _, row in direct
-                      for columns in row.values() for vs in columns.values())
+    direct_card = sum(_size(columns) for _, row in direct
+                      for columns in row.values())
     return [
         BenchRow(family, dict(params), gamma.genus, "box-decomposition",
                  t_box, len(g0), True),

@@ -21,6 +21,10 @@ every check reads the chain starts alone, in time linear in the period,
 not in the genus.  Only an invalid set is walked point by point, to name the
 point at fault.
 
+A set of second coordinates is held across the package as an int
+bitmask, bit ``b`` set for each ``b``; :func:`set_bits` lists one where
+its points must be named.
+
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across threads.  Records here and across the
 package are namedtuples: ``len()``, iteration and unpacking see a
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
@@ -48,6 +52,17 @@ from .errors import (
 
 #: Largest admissible coordinate (64-bit signed).
 COORD_MAX = 2**63 - 1
+
+#: Maps the digits of ``bin()`` to the bytes ``compress`` reads as flags.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def set_bits(mask: int) -> list:
+    """The positions of the set bits of a non-negative int, ascending: a
+    bitmask column ``{b}`` as its sorted list of ``b``.  It reads the
+    binary digits lowest first, in C, with no Python step per bit."""
+    flags = bin(mask)[:1:-1].encode().translate(_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 class GeneratingSet(namedtuple("GeneratingSet", ("points", "period"))):

@@ -3,29 +3,31 @@
 Nothing here touches the box-decomposition engine; these functions are the
 independent side of every cross-check.  The pure gap set is computed from
 its definition, as the glbs of incomparable generating pairs, by a scan
-that keeps the already-passed second coordinates sorted and so needs no
-dedup set and no final sort.  The scan yields its glbs one box column at
-a time, sorted into the period-sized boxes the engine keeps ``G0`` by, so
-the engine compares with it box by box as the columns arrive; the same
-scan lists the points or counts them without listing.
+that keeps the already-passed second coordinates and so needs no dedup
+set and no final sort.  The scan yields its glbs one box column at a
+time, sorted into the period-sized boxes the engine keeps ``G0`` by, each
+column an int bitmask as the engine's are, so the engine compares with it
+box by box, one dict ``==`` per box, as the columns arrive; the same scan
+lists the points or counts them without listing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import repeat
+from itertools import islice, repeat
 
-from .lattice import GeneratingSet
+from .lattice import GeneratingSet, set_bits
 
 
 def pure_gap_boxes_direct(gamma: GeneratingSet):
     """Pure gaps as glbs of incomparable generating pairs (sorted-suffix
     scan), sorted into period-sized boxes and yielded by box column, ``i``
-    decreasing: ``(i, {j: {r: ascending v}})`` holds the glbs ``(i*period
-    + r, j*period + v)``, with no empty column, box or box column.
+    decreasing: ``(i, {j: {r: mask}})`` holds the glbs ``(i*period + r,
+    j*period + v)`` for each bit ``v`` of the mask, with no empty column,
+    box or box column.
 
     Points are walked in decreasing first coordinate while the second
-    coordinates already passed are kept sorted.  Coordinates are pairwise
+    coordinates already passed are kept.  Coordinates are pairwise
     distinct within each projection, so the points passed (all with larger
     first coordinates) that are incomparable with ``(a, b)`` are exactly
     those with a second coordinate below ``b``, and each such pair has the
@@ -34,69 +36,60 @@ def pure_gap_boxes_direct(gamma: GeneratingSet):
     deduplicating.
 
     The passed second coordinates are kept in bands ``j = v // period``,
-    each a sorted list of ``v - j*period``, so no value is shifted after it
-    is inserted.  With ``i, r = divmod(a, period)`` and ``j0, v0 =
-    divmod(b, period)``, every non-empty band ``j < j0`` gives box
-    ``(i, j)`` its whole list, and band ``j0`` gives box ``(i, j0)`` its
-    prefix below ``v0``.  A whole band is one snapshot, copied when it is
-    first given after its last insertion and shared by every later column
-    until the band changes again, so **the yielded lists may be shared and
-    are read-only**.  Only the non-empty bands are walked, by a sorted list
-    of their indices, so work and memory are bounded by the number of
-    points and the output, not by ``max b / period``, even on unvalidated
-    input.  The points of one box column ``i`` are consecutive in the walk,
-    so its boxes are filled in one dict keyed by ``j``, yielded as the walk
-    leaves the box column.  Cost: O(g log g) compares, O(g^2/word) moves
-    for the sorted insertions, and O(|G0|) output.
+    each an int mask of the residues ``v - j*period``.  With ``i, r =
+    divmod(a, period)`` and ``j0, v0 = divmod(b, period)``, every non-empty
+    band ``j < j0`` gives box ``(i, j)`` its whole mask, and band ``j0``
+    gives box ``(i, j0)`` its prefix below ``v0``, ``band & ((1 << v0) -
+    1)``.  An int is immutable, so a whole band is shared by every column
+    it is given to, with no copy.  Only the non-empty bands are walked, by
+    a sorted list of their indices, so work and memory are bounded by the
+    number of points and the output, not by ``max b / period``, even on
+    unvalidated input.  The points of one box column ``i`` are
+    consecutive in the walk, so its boxes are filled in one dict keyed by
+    ``j``, yielded as the walk leaves the box column.  Cost: O(g log g)
+    compares and O(g * period/word) word operations on the masks.
     """
     period = gamma.period
     order = []    # the indices j of the non-empty bands, ascending
-    bands = []    # bands[n]: the sorted residues of band order[n]
-    wholes = []   # wholes[n]: a copy of bands[n], or None when stale
+    bands = []    # bands[n]: the mask of the residues of band order[n]
+    boxes = []    # boxes[n]: {r: mask}, box (row_i, order[n])
     row_i = None
-    row = {}      # {j: {r: ascending v}}, the boxes of box column row_i
     for a, b in sorted(gamma.points, reverse=True):
         i, r = divmod(a, period)
         j0, v0 = divmod(b, period)
         if i != row_i:
-            if row:
+            if row := _filled(order, boxes):
                 yield row_i, row
             row_i = i
-            row = {}
+            boxes = [{} for _ in order]
         n0 = bisect_left(order, j0)
-        for n in range(n0):
-            whole = wholes[n]
-            if whole is None:
-                whole = wholes[n] = bands[n][:]
-            j = order[n]
-            column = row.get(j)
-            if column is None:
-                row[j] = {r: whole}
-            else:
-                column[r] = whole
+        for column, band in zip(islice(boxes, n0), bands):
+            column[r] = band
+        bit = 1 << v0
         if n0 < len(order) and order[n0] == j0:
             band = bands[n0]
-            cut = bisect_left(band, v0)
-            if cut:
-                column = row.get(j0)
-                if column is None:
-                    row[j0] = {r: band[:cut]}
-                else:
-                    column[r] = band[:cut]
-            band.insert(cut, v0)
-            wholes[n0] = None
+            if prefix := band & (bit - 1):
+                boxes[n0][r] = prefix
+            bands[n0] = band | bit
         else:
             order.insert(n0, j0)
-            bands.insert(n0, [v0])
-            wholes.insert(n0, None)
-    if row:
+            bands.insert(n0, bit)
+            boxes.insert(n0, {})
+    if row := _filled(order, boxes):
         yield row_i, row
+
+
+def _filled(order, boxes) -> dict:
+    """The boxes of a box column, ``{j: {r: mask}}``, the empty ones
+    left out."""
+    return {j: box for j, box in zip(order, boxes) if box}
 
 
 def pure_gaps_direct(gamma: GeneratingSet) -> list:
     """Pure gaps as glbs of incomparable generating pairs: the box columns
     of :func:`pure_gap_boxes_direct` flattened in reverse, each by residue
-    ascending, then by box ``j`` ascending, so with no sort of the points.
+    ascending, then by box ``j`` ascending, each mask listed by
+    :func:`~puregaps.lattice.set_bits`, so with no sort of the points.
     Returns a sorted, duplicate-free list of plain ``(a, b)`` tuples."""
     period = gamma.period
     out = []
@@ -104,12 +97,12 @@ def pure_gaps_direct(gamma: GeneratingSet) -> list:
     for i, row in reversed(list(pure_gap_boxes_direct(gamma))):
         by_residue = {}
         for j in sorted(row):
-            for r, vs in row[j].items():
-                by_residue.setdefault(r, []).append((j * period, vs))
+            for r, mask in row[j].items():
+                by_residue.setdefault(r, []).append((j * period, mask))
         for r in sorted(by_residue):
             a = i * period + r
-            for shift, vs in by_residue[r]:
-                extend(zip(repeat(a), map(shift.__add__, vs)))
+            for shift, mask in by_residue[r]:
+                extend(zip(repeat(a), map(shift.__add__, set_bits(mask))))
     return out
 
 

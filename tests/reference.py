@@ -27,7 +27,12 @@ from puregaps.errors import (
     ValidationError,
     ZeroOrNegativeCoordinateError,
 )
-from puregaps.lattice import COORD_MAX, GeneratingSet, period_law_violations
+from puregaps.lattice import (
+    COORD_MAX,
+    GeneratingSet,
+    period_law_violations,
+    set_bits,
+)
 
 
 class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
@@ -49,17 +54,53 @@ class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
         return tuple.__new__(cls, (a, b))
 
 
+def mask(bs) -> int:
+    """The mask of a column given as a sequence: bit ``b`` set for each
+    ``b``."""
+    out = 0
+    for b in bs:
+        out |= 1 << b
+    return out
+
+
+def masks(columns) -> dict:
+    """A set given by column as ascending sequences, ``{r: ascending b}``,
+    as the package holds one, by mask column."""
+    return {r: mask(bs) for r, bs in columns.items()}
+
+
+def listed(column) -> list:
+    """A column, a mask or an ascending sequence, as its list of second
+    coordinates."""
+    return set_bits(column) if isinstance(column, int) else list(column)
+
+
+def lists(columns) -> dict:
+    """A set given by mask column as a family gives one, by ascending list
+    column."""
+    return {r: listed(bs) for r, bs in columns.items()}
+
+
 def flatten(columns, base=0) -> list:
-    """The points ``(base + r, b)`` of a set given by column, ``{r:
-    ascending b}``, in column order: sorted when the columns are."""
-    return [(base + r, b) for r in sorted(columns) for b in columns[r]]
+    """The points ``(base + r, b)`` of a set given by column, ``{r: mask}``
+    or ``{r: ascending b}``, in column order: sorted when the columns
+    are."""
+    return [(base + r, b) for r in sorted(columns) for b in listed(columns[r])]
+
+
+def without_first(column):
+    """A column, a mask or an ascending sequence, without its least second
+    coordinate."""
+    if isinstance(column, int):
+        return column & (column - 1)
+    return list(column)[1:]
 
 
 def drop_first_point(columns) -> dict:
-    """A set given by column without its first point."""
-    out = {r: list(bs) for r, bs in sorted(columns.items())}
+    """A set given by column, mask or sequence, without its first point."""
+    out = dict(sorted(columns.items()))
     first = min(out)
-    del out[first][0]
+    out[first] = without_first(out[first])
     if not out[first]:
         del out[first]
     return out
@@ -208,36 +249,39 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
 
 def merge_components(per_box: dict, period: int) -> PureGapSet:
     """G0 from components, ``per_box`` mapping each box index k to the
-    components of box (k, 0) by column (any ascending sequences), as
+    components of box (k, 0) by column (masks or ascending sequences), as
     :func:`box_components` or :func:`diagonal_parts` give them.  Each
-    column of ``G_{k,0}`` is the concatenation of the components' columns
-    at its residue, sorted.  The components must be pairwise disjoint, so
-    a repeated second coordinate is an overlap and :class:`PureGapSet`'s
-    strict-increase check raises DisjointnessViolationError; so does a
-    column outside its box."""
+    column of ``G_{k,0}`` is the union of the components' columns at its
+    residue.  The components must be pairwise disjoint, so a second
+    coordinate two of them hold raises DisjointnessViolationError; so
+    does a column outside its box, by :class:`PureGapSet`."""
     columns_by_box = {}
     for k, parts in per_box.items():
         columns = columns_by_box[k] = {}
         for part in parts:
             for r, bs in part.items():
-                columns.setdefault(r, []).extend(bs)
-        for bs in columns.values():
-            bs.sort()
+                held = columns.get(r, 0)
+                bits = bs if isinstance(bs, int) else mask(bs)
+                if held & bits:
+                    raise DisjointnessViolationError(
+                        f"components of box k={k} overlap at residue {r}")
+                columns[r] = held | bits
     return PureGapSet(columns_by_box, period)
 
 
 def diagonal_parts(per_box: dict) -> dict:
     """A family's sets, box index k -> its (Gamma_{k,0}, G1, G3), completed
-    by the diagonal law to the parts of ``G_{k,0}``: G1, G3 and the
-    reflected G3 (G2 is empty)."""
-    return {k: (g1, g3, reflect(g3)) for k, (_, g1, g3) in per_box.items()}
+    by the diagonal law to the parts of ``G_{k,0}`` by mask column: G1, G3
+    and the reflected G3 (G2 is empty)."""
+    return {k: (masks(g1), masks(g3), reflect(masks(g3)))
+            for k, (_, g1, g3) in per_box.items()}
 
 
 def short_of_first_point(scan, period: int) -> list:
-    """The direct scan's box columns, ``(i, {j: {r: ascending v}})`` as
+    """The direct scan's box columns, ``(i, {j: {r: mask}})`` as
     :func:`puregaps.oracle.pure_gap_boxes_direct` yields them, without the
-    lexicographically first point.  The scan's lists may be shared between
-    boxes, so the point is dropped from a copy of its list."""
+    lexicographically first point.  The scan's boxes are copied where the
+    point is dropped."""
     rows = [(i, dict(row)) for i, row in scan]
     first = min(((i * period + r, j, n, r) for n, (i, row) in enumerate(rows)
                  for j, columns in row.items() for r in columns), default=None)
@@ -245,7 +289,7 @@ def short_of_first_point(scan, period: int) -> list:
         _, j, n, r = first
         row = rows[n][1]
         columns = dict(row[j])
-        columns[r] = columns[r][1:]
+        columns[r] = without_first(columns[r])
         if not columns[r]:
             del columns[r]
         if columns:
@@ -293,7 +337,7 @@ def merge_box(k: int, components) -> list:
 
 
 def _residue_runs(per_box_union: dict, period: int) -> dict:
-    """k -> {a - k*period: second coordinates of G_{k,0} at a, ascending},
+    """k -> {a - k*period: mask of the second coordinates of G_{k,0} at a},
     from the sorted per-box point lists, point by point.
 
     Empty boxes are dropped.  Raises DisjointnessViolationError when a
@@ -314,9 +358,7 @@ def _residue_runs(per_box_union: dict, period: int) -> dict:
             if prev is not None and point <= prev:
                 raise DisjointnessViolationError(
                     f"G_({k},0) is not strictly increasing at {point}")
-            if prev is None or a != prev[0]:
-                bs = by_residue[a - lo] = []
-            bs.append(b)
+            by_residue[a - lo] = by_residue.get(a - lo, 0) | 1 << b
             prev = point
         if by_residue:
             runs[k] = by_residue

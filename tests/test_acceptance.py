@@ -33,7 +33,13 @@ from puregaps.oracle import pure_gaps_direct
 
 import expected_gk2 as gk2
 import props
-from reference import diagonal_parts, flatten, g0_points, merge_components
+from reference import (
+    diagonal_parts,
+    flatten,
+    g0_points,
+    masks,
+    merge_components,
+)
 
 KUMMER_GRID = [(m, r) for m in range(2, 16) for r in range(2, 16)
                if gcd(m, r) == 1]
@@ -78,7 +84,8 @@ def test_criterion_2_gk_q2_component_sets(capsys):
         "explicit": {
             ("G1", 0): gk_g1(2, 0), ("G1", 1): gk_g1(2, 1),
             ("G3", 0): gk_g3(2, 0), ("G3", 1): gk_g3(2, 1),
-            ("G4", 0): reflect(gk_g3(2, 0)), ("G4", 1): reflect(gk_g3(2, 1)),
+            ("G4", 0): reflect(masks(gk_g3(2, 0))),
+            ("G4", 1): reflect(masks(gk_g3(2, 1))),
             ("G2", 0): {}, ("G2", 1): {}, ("G2", 2): {},
         },
     }

@@ -520,8 +520,9 @@ class TestDroppedG3Point:
     def short_g3(self, monkeypatch):
         real = engine.compute_g3
         monkeypatch.setattr(
-            engine, "compute_g3", lambda boxed, k:
-            drop_first_point(real(boxed, k)) if k == 1 else real(boxed, k))
+            engine, "compute_g3", lambda boxed, k, *state:
+            drop_first_point(real(boxed, k, *state)) if k == 1
+            else real(boxed, k, *state))
 
     @pytest.fixture
     def k57(self, tmp_path):
@@ -580,8 +581,9 @@ class TestEngineG2G4Faults:
     def test_point_dropped_from_g4(self, monkeypatch, point):
         real = engine.compute_g4
         monkeypatch.setattr(
-            engine, "compute_g4", lambda boxed, k:
-            drop_first_point(real(boxed, k)) if k == 1 else real(boxed, k))
+            engine, "compute_g4", lambda boxed, k, *state:
+            drop_first_point(real(boxed, k, *state)) if k == 1
+            else real(boxed, k, *state))
         self.assert_fails(point, "G4 has ")
 
     def test_point_added_to_g2(self, monkeypatch, point):
@@ -594,7 +596,7 @@ class TestEngineG2G4Faults:
                 return real(boxed, k)
             g1 = engine.compute_g1(boxed, k)
             r = min(g1)
-            return {r: [g1[r][0]]}
+            return {r: g1[r] & -g1[r]}
         monkeypatch.setattr(engine, "compute_g2", g2)
         self.assert_fails(point, "G2 is not empty")
 
@@ -731,9 +733,9 @@ class TestListingBuildsNoPointTuples:
 
 
 class TestVerifyPointWork:
-    """verify_point generates the set once and builds each box of the
-    engine's G0 and each of its components once, shared by the family's
-    cross-check against the engine and the diagonal law."""
+    """verify_point generates the set once, builds the engine's G0 once,
+    in one sweep of its boxes, and each box's components once, shared by
+    the family's cross-check against the engine and the diagonal law."""
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])
@@ -750,9 +752,9 @@ class TestVerifyPointWork:
         built = {}
 
         def counter(name, real):
-            def counted(boxed, k):
+            def counted(boxed, k, *state):
                 built.setdefault(name, []).append(k)
-                return real(boxed, k)
+                return real(boxed, k, *state)
             return counted
         for func in ("box_columns", "box_components", "compute_g1",
                      "compute_g2", "compute_g3", "compute_g4"):
@@ -760,14 +762,21 @@ class TestVerifyPointWork:
                 if hasattr(namespace, func):
                     monkeypatch.setattr(namespace, func, counter(
                         func, getattr(namespace, func)))
+        assembled = []
+        assemble = harness.assemble_pure_gaps
+        monkeypatch.setattr(harness, "assemble_pure_gaps", lambda boxed:
+                            assembled.append(boxed) or assemble(boxed))
 
         report = harness.verify_point(family, params)
         assert report.ok
         assert len(calls) == 1
+        # G0 is built once, all its boxes in one sweep, not box by box;
+        # the components too, box by box down from the top box
+        assert len(assembled) == 1
         kmax = engine.decompose(real(*params.values())).kmax
-        assert built == {name: list(range(kmax)) for name in (
-            "box_columns", "box_components", "compute_g1", "compute_g2",
-            "compute_g3", "compute_g4")}
+        assert built == {name: list(reversed(range(kmax))) for name in (
+            "box_components", "compute_g1", "compute_g2", "compute_g3",
+            "compute_g4")}
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])

@@ -43,6 +43,8 @@ from reference import (
     flatten,
     g0_boxes,
     g0_points,
+    lists,
+    masks,
     merge_box,
     merge_components,
 )
@@ -127,8 +129,9 @@ class TestComponents:
         assert points(compute_g1, gk2_boxed, 0) == gk2.G1_0
         assert points(compute_g1, gk2_boxed, 1) == gk2.G1_1
         assert points(compute_g1, gk2_boxed, 2) == []
-        # one column per shifted first coordinate, one shared list
-        assert compute_g1(gk2_boxed, 0) == dict.fromkeys([1, 2, 4], [1, 2, 4])
+        # one column per shifted first coordinate, each the one mask of S
+        assert compute_g1(gk2_boxed, 0) == masks(
+            dict.fromkeys([1, 2, 4], [1, 2, 4]))
 
     def test_g2_empty_under_diagonal(self, gk2_boxed, kummer43_boxed):
         for boxed in (gk2_boxed, kummer43_boxed):
@@ -197,7 +200,7 @@ class TestFamilyAssemble:
         # G1 (10, 1), (10, 4); G3 (11, 1), (11, 2); G4 (10, 2)
         parts = ({1: [1, 4]}, {}, {2: range(1, 3)}, {1: [2]})
         g0 = merge_components({1: parts}, 9)
-        assert g0_boxes(g0) == {1: {1: [1, 2, 4], 2: [1, 2]}}
+        assert g0_boxes(g0) == {1: masks({1: [1, 2, 4], 2: [1, 2]})}
         assert len(g0) == 2 * 5
 
     @pytest.mark.parametrize("parts", [
@@ -210,8 +213,8 @@ class TestFamilyAssemble:
 
 
 def test_reflect_is_the_column_transpose():
-    g3 = {1: [3, 5], 2: range(3, 4), 4: [1]}
-    assert engine.reflect(g3) == {1: [4], 3: [1, 2], 5: [1]}
+    g3 = masks({1: [3, 5], 2: range(3, 4), 4: [1]})
+    assert engine.reflect(g3) == masks({1: [4], 3: [1, 2], 5: [1]})
     for k in (0, 2):
         assert flatten(engine.reflect(g3), 9 * k) == \
             reference.reflect_points(flatten(g3, 9 * k), 9 * k)
@@ -235,8 +238,9 @@ class TestCheckReflection:
     def test_dropped_g3_point_names_box(self, gk2_boxed, monkeypatch):
         real = engine.compute_g3
         monkeypatch.setattr(
-            engine, "compute_g3", lambda boxed, k:
-            drop_first_point(real(boxed, k)) if k == 1 else real(boxed, k))
+            engine, "compute_g3", lambda boxed, k, *state:
+            drop_first_point(real(boxed, k, *state)) if k == 1
+            else real(boxed, k, *state))
         with pytest.raises(DiagonalReflectionMismatchError,
                            match=r"^box k=1: G4 has 2 points and differs "
                                  r"from the reflected G3, which has 1$"):
@@ -285,8 +289,9 @@ class TestMergeCheck:
 
     @staticmethod
     def own_sets(boxed, generic):
-        """The engine's row, G1 and G3 of each box, given as the family's."""
-        return {k: (boxed.row(k), g1, g3)
+        """The engine's row, G1 and G3 of each box, given as the family's:
+        by list column."""
+        return {k: (boxed.row(k), lists(g1), lists(g3))
                 for k, (g1, _, g3, _) in generic.items()}
 
     @classmethod
@@ -310,10 +315,10 @@ class TestMergeCheck:
         k, r = min((k, r) for k, (g1, _, _, g4) in generic.items()
                    for r in g4.keys() & g1.keys())
         g1, g2, g3, g4 = generic[k]
-        assert g1[r][0] not in g4[r]
+        first = g1[r] & -g1[r]
+        assert not first & g4[r]
         edited = dict(generic)
-        edited[k] = (g1, g2, g3,
-                     {**g4, r: sorted([*g4[r], g1[r][0]])})
+        edited[k] = (g1, g2, g3, {**g4, r: g4[r] | first})
         self.assert_names(boxed, g0, edited, k, r)
 
 
@@ -354,14 +359,15 @@ class TestBoxColumns:
             assert box_columns(gk2_boxed, k) == \
                 columns({k: merged}, 9).get(k, {})
         # G1 (10, 1), G4 (10, 2), (10, 4), G3 (11, 1), (13, 1)
-        assert box_columns(gk2_boxed, 1) == {1: [1, 2, 4], 2: [1], 4: [1]}
+        assert box_columns(gk2_boxed, 1) == \
+            masks({1: [1, 2, 4], 2: [1], 4: [1]})
 
     def test_non_diagonal_row_has_g2(self):
         # (1, 5) and (3, 2) are incomparable: G2 = {(1, 2)}, and (3, 2)
         # sits to the right of column 1
         boxed = BoxedGamma(rows={0: ((1, 5), (3, 2))}, period=9, genus=2,
                            kmax=1, diagonal=False)
-        assert box_columns(boxed, 0) == {1: [2]}
+        assert box_columns(boxed, 0) == masks({1: [2]})
 
     def test_repeated_shifted_first_coordinate(self):
         # (10, 4) and (19, 3) both shift down to first coordinate 1
@@ -386,8 +392,11 @@ class TestBoxColumns:
 
 
 class TestSharedColumns:
-    """box_columns gives neighbouring shifted-down columns one list object,
-    so no consumer of the columns may edit a list in place."""
+    """Columns are int masks, shared by value: box_columns gives
+    neighbouring shifted-down columns with no row point between them one
+    value, so a box holds few distinct masks and the listing renders each
+    once per translate.  The per-box dicts are read-only: no consumer of
+    them may edit one in place."""
 
     @pytest.mark.parametrize("make, args", [
         (gk_generating_set, (4,)), (kummer_generating_set, (7, 5)),
@@ -400,39 +409,42 @@ class TestSharedColumns:
             walk = sorted(set(cols) | own)
             for r1, r2 in zip(walk, walk[1:]):
                 if r1 not in own and r2 not in own:
-                    assert cols[r1] is cols[r2]
-                elif r1 in cols and r2 in cols:
-                    assert cols[r1] is not cols[r2]
-            # compute_g4's neighbours share a list unless a row point parts them
+                    assert cols[r1] == cols[r2]
+            # compute_g4's neighbours are equal unless a row point parts
+            # them, which adds its second coordinate
             g4 = compute_g4(boxed, k)
             for r1, r2 in zip(g4, list(g4)[1:]):
                 between = any(r1 < r < r2 for r in own)
-                assert (g4[r1] is g4[r2]) != between
+                assert (g4[r1] == g4[r2]) != between
 
     def test_kummer_41_60_distinct_lists(self):
+        """1,179 columns hold 96 distinct masks counted box by box, the
+        templates one translate renders, and 40 across all boxes."""
         boxed = decompose(kummer_generating_set(41, 60))
         cols = [box_columns(boxed, k) for k in range(boxed.kmax)]
         assert sum(map(len, cols)) == 1179
-        assert len({id(bs) for c in cols for bs in c.values()}) == 96
+        assert sum(len(set(c.values())) for c in cols) == 96
+        assert len({m for c in cols for m in c.values()}) == 40
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every box_columns and box_components value built, with a deep
-        copy taken when it was built."""
+        """Every box_columns and box_components value and every assembled
+        G0's boxes, with a deep copy taken when each was built."""
         made = []
 
-        def recording(real):
-            def record(boxed, k):
-                value = real(boxed, k)
-                made.append((value, copy.deepcopy(value)))
+        def recording(real, boxes=lambda value: value):
+            def record(*args):
+                value = real(*args)
+                made.append((boxes(value), copy.deepcopy(boxes(value))))
                 return value
             return record
 
         monkeypatch.setattr(engine, "box_columns",
                             recording(engine.box_columns))
-        components = recording(engine.box_components)
-        monkeypatch.setattr(engine, "box_components", components)
-        monkeypatch.setattr(harness, "box_components", components)
+        monkeypatch.setattr(engine, "box_components",
+                            recording(engine.box_components))
+        monkeypatch.setattr(harness, "assemble_pure_gaps", recording(
+            engine.assemble_pure_gaps, g0_boxes))
         return made
 
     @staticmethod
@@ -484,12 +496,12 @@ class TestSharedColumns:
 def test_union_of_translates_overlap_detected():
     # G_{0,0} = {(1, 10)} and G_{1,0} = {(10, 1)} by column
     with pytest.raises(DisjointnessViolationError):
-        PureGapSet({0: {1: [10]}, 1: {1: [1]}}, 9)
+        PureGapSet({0: masks({1: [10]}), 1: masks({1: [1]})}, 9)
 
 
 def test_union_of_translates_weighted_count():
     # G_{0,0} = {(1, 1)}, G_{1,0} = {(10, 2), (11, 3)}
-    union = PureGapSet({0: {1: [1]}, 1: {1: [2], 2: [3]}}, 9)
+    union = PureGapSet({0: masks({1: [1]}), 1: masks({1: [2], 2: [3]})}, 9)
     assert isinstance(union, PureGapSet)
     assert len(union) == 1 + 2 * 2
     assert g0_points(union) == [(1, 1), (1, 11), (2, 12), (10, 2), (11, 3)]
@@ -499,21 +511,21 @@ def test_union_of_translates_point_outside_box_in_b_only():
     # (1, 9) has its first coordinate inside box (0, 0) but b = period;
     # no two translates overlap, so only the containment check sees it
     with pytest.raises(DisjointnessViolationError):
-        PureGapSet({0: {1: [9]}, 1: {1: [2]}}, 9)
+        PureGapSet({0: masks({1: [9]}), 1: masks({1: [2]})}, 9)
 
 
-SHARED = [1]
-SHARED_BAD = [2, 2]
+SHARED = 1 << 1
+SHARED_BAD = 1 << 0 | 1 << 2
 
 
 @pytest.mark.parametrize("columns_by_box", [
-    {0: {0: [1]}},           # residue 0: the first coordinate is k*period
-    {1: {9: [1]}},           # residue period: in the next box
-    {0: {1: [0, 1]}},        # second coordinate 0
-    {0: {1: [2, 2]}},        # repeated second coordinate
-    {0: {1: [3, 2]}},        # descending
-    {0: {1: SHARED, 9: SHARED}},  # a shared list: r checked per column
-    {0: {1: [1]}, 1: {1: SHARED_BAD, 2: SHARED_BAD}},  # a bad shared list
+    {0: {0: 1 << 1}},        # residue 0: the first coordinate is k*period
+    {1: {9: 1 << 1}},        # residue period: in the next box
+    {0: {1: 1 << 0 | 1 << 1}},  # second coordinate 0
+    {0: {1: 1 << 9}},        # second coordinate period: in the next box
+    {0: {1: 1 << 40 | 1 << 2}},  # a bit far above the period
+    {0: {1: SHARED, 9: SHARED}},  # one mask in two columns: r per column
+    {0: {1: 1 << 1}, 1: {1: SHARED_BAD, 2: SHARED_BAD}},  # a bad shared mask
 ])
 def test_union_of_translates_column_checks(columns_by_box):
     with pytest.raises(DisjointnessViolationError):
@@ -521,8 +533,8 @@ def test_union_of_translates_column_checks(columns_by_box):
 
 
 def test_union_of_translates_drops_empty_columns():
-    assert g0_boxes(PureGapSet({0: {1: [1], 2: []}, 1: {}}, 9)) == \
-        {0: {1: [1]}}
+    assert g0_boxes(PureGapSet({0: {1: 1 << 1, 2: 0}, 1: {}}, 9)) == \
+        {0: {1: 1 << 1}}
 
 
 @st.composite
@@ -561,8 +573,8 @@ class TestPureGapSet:
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_listing_counts_its_points(self, fmt):
-        g0 = PureGapSet({0: {1: [1, 2]}}, 5)
-        g0.box(0)[1].append(3)  # one point more than len(g0) counted
+        g0 = PureGapSet({0: masks({1: [1, 2]})}, 5)
+        g0.box(0)[1] |= 1 << 3  # one point more than len(g0) counted
         with pytest.raises(CardinalityMismatchError):
             "".join(g0.pieces(fmt))
 
@@ -595,10 +607,10 @@ class TestPureGapSet:
     @staticmethod
     def scan_of(boxes):
         """Boxes as the direct scan yields them: box columns
-        ``(i, {j: {r: ascending v}})``, ``i`` decreasing."""
+        ``(i, {j: {r: mask}})``, ``i`` decreasing."""
         rows = {}
         for (i, j), columns in boxes.items():
-            rows.setdefault(i, {})[j] = columns
+            rows.setdefault(i, {})[j] = masks(columns)
         return sorted(rows.items(), reverse=True)
 
     def test_equals_boxes(self, gk2_boxed, gk2_g0):

@@ -33,6 +33,7 @@ from reference import (
     flatten,
     g0_boxes,
     g0_points,
+    masks,
     merge_components,
 )
 
@@ -114,7 +115,7 @@ class TestComponents:
         assert flatten(kummer_g1(4, 3, 0)) == [(1, 1)]
         assert flatten(kummer_g3(4, 3, 0)) == [(2, 1)]
         # G4 is the reflected G3 by the diagonal law (G2 is empty)
-        assert flatten(reflect(kummer_g3(4, 3, 0))) == [(1, 2)]
+        assert flatten(reflect(masks(kummer_g3(4, 3, 0)))) == [(1, 2)]
 
     def test_m4_r7_k0_square(self):
         assert flatten(kummer_g1(4, 7, 0)) == \
@@ -141,7 +142,7 @@ class TestComponents:
                 assert flatten(got, m * k) == points(m, r, k)
                 assert all(got.values())
             # the diagonal law's G4 is the reference's reflected G3
-            assert flatten(reflect(kummer_g3(m, r, k)), m * k) == \
+            assert flatten(reflect(masks(kummer_g3(m, r, k))), m * k) == \
                 reference.kummer_g4_points(m, r, k)
 
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (7, 3), (6, 11),

@@ -148,9 +148,9 @@ class TestPureGapsDirectArbitrary:
             assert row
             for columns in row.values():
                 assert columns
-                for r, vs in columns.items():
+                for r, mask in columns.items():
                     assert 0 <= r < period
-                    assert vs and all(0 <= v < period for v in vs)
+                    assert 0 < mask < 1 << period
 
     def test_bounded_by_points_not_coordinates(self):
         # One band per value of b // period would take 10**12 lists here.
