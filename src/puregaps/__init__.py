@@ -49,6 +49,7 @@ from .kummer import (
 from .lattice import (
     COORD_MAX,
     GeneratingSet,
+    set_bits,
     validate_generating_set,
 )
 from .oracle import (

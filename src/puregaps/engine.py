@@ -8,19 +8,25 @@ into four components, each defined by glb formulas, and the full pure
 gap set is the disjoint union of the translates ``(G_{k,0} + w_j)`` over
 ``0 <= j <= k``.
 
-Inside a box each component is a set of columns, ``{a - k*period:
-ascending second coordinates at a}``, and so is ``G_{k,0}``: no tuple
-per point.  Box containment reduces each component's glb formula to a
-column form, proven in its docstring: :func:`compute_g1` is a Cartesian
-product, one shared sorted list in every column, and :func:`compute_g3`
-takes each column as a prefix of one sorted list.  One walk down the
-residues of the box, :func:`_walk`, builds the rest from one sorted list:
-a prefix at each row-k point and a snapshot, shared by neighbouring
-columns, at each first coordinate shifted down from a higher row.  From
-an empty list its prefixes are G2 and its snapshots G4; from the second
-coordinates above the row its columns are ``G_{k,0}``'s, as
-:func:`box_columns` returns them.  :func:`_above` gathers and sorts what
-the walk reads.
+Inside a box each component is a set of columns, ``{a - k*period: mask}``,
+and so is ``G_{k,0}``: a column is an int with bit ``b`` set for each
+second coordinate ``b`` at ``a``, with no tuple and no pointer per point.
+Box containment reduces each component's glb formula to a column form,
+proven in its docstring: :func:`compute_g1` is a Cartesian product, one
+mask in every column, and :func:`compute_g3` takes each column as a
+prefix of one mask.  One walk down the residues of the box, :func:`_walk`,
+builds the rest from one mask: a prefix at each row-k point and the mask
+itself, one int shared by neighbouring columns, at each first coordinate
+shifted down from a higher row.  From an empty mask its prefixes are G2
+and its shared masks G4; from the second coordinates above the row its
+columns are ``G_{k,0}``'s, as :func:`box_columns` returns them.  What the
+walk reads, the residues and second coordinates of the points above the
+row, is kept as two masks by one sweep down the rows, :func:`_sweep`,
+which passes each row once; :func:`assemble_pure_gaps` and
+:func:`components_by_box` build every box in that sweep, and a single
+box gathers the rows above it (:func:`_above`).  Points are named, as
+lists, only where they are written or a mismatch is reported, by
+:func:`~puregaps.lattice.set_bits`.
 
 Box containment fixes the order of the union.  Every point of
 ``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
@@ -28,29 +34,30 @@ Box containment fixes the order of the union.  Every point of
 lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
 ``G0`` needs no other storage than the per-box columns and the period.
 That is :class:`PureGapSet`, built from the per-box columns and the period:
-it checks containment when built, once per column and once per distinct
-column list; its length is the weighted sum ``sum (k+1)|G_{k,0}|``; and
+it checks containment when built, in O(1) per column; its length is the
+weighted sum ``sum (k+1)|G_{k,0}|`` of bit counts; and
 :meth:`PureGapSet.pieces`, the one listing, writes it as text in
 lexicographic order without a sort: box columns ``i`` ascending; inside a
 box column, first-coordinate residues ``r`` ascending; for each residue,
-``j`` ascending, giving the sorted second coordinates of ``G_{i+j,0}`` at
-``a = (i+j)*period + r`` shifted by ``j*period``.  Nothing else walks the
-translates.  Two values of one period compare box by box, and so does one
-with the direct scan: its box ``(i, j)`` must hold :meth:`PureGapSet.box`
-``(i + j)``.
+``j`` ascending, giving the second coordinates of ``G_{i+j,0}`` at ``a =
+(i+j)*period + r`` shifted by ``j*period``.  Nothing else walks the
+translates.  Two values of one period compare box by box, one dict ``==``
+of ints each, and so does one with the direct scan: its box ``(i, j)``
+must hold :meth:`PureGapSet.box` ``(i + j)``.
 
-:func:`assemble_pure_gaps` builds the engine's ``G0`` from
-:func:`box_columns`, the one route to it.  :func:`check_components` is
-the only cross-check of a family's explicit rows and components G1 and
-G3 against the engine's formulas, and it first checks the identity that
-ties those formulas to ``G0``: per box, the four components concatenated
-per residue and sorted are the engine's ``G_{k,0}``, :meth:`PureGapSet.box`.
-It takes the engine's components and ``G0`` from the caller, so neither is
-built twice, and the family's sets as plain data, box index to
-``(Gamma_{k,0}, G1, G3)``.  :func:`check_reflection` is the only check
-of the diagonal law that empties G2 and makes G4 a reflection of G3 (by
-column, a transpose), so a family, being diagonal, gives neither; it
-takes the engine's components when the caller has built them.
+:func:`assemble_pure_gaps` builds the engine's ``G0`` the way
+:func:`box_columns` builds one box, the one route to it.
+:func:`check_components` is the only cross-check of a family's explicit
+rows and components G1 and G3 against the engine's formulas, and it first
+checks the identity that ties those formulas to ``G0``: per box, the four
+components are disjoint and their union per residue is the engine's
+``G_{k,0}``, :meth:`PureGapSet.box`.  It takes the engine's components
+and ``G0`` from the caller, so neither is built twice, and the family's
+sets as plain data, box index to ``(Gamma_{k,0}, G1, G3)`` by list
+column.  :func:`check_reflection` is the only check of the diagonal law
+that empties G2 and makes G4 a reflection of G3 (by column, a transpose),
+so a family, being diagonal, gives neither; it takes the engine's
+components when the caller has built them.
 
 The rows are plain ``(a, b)`` tuples, sorted lexicographically.
 Cardinalities and bounds are guarded against the 128-bit range.
@@ -562,10 +569,10 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
     components pairwise disjoint.  Then ``per_box[k]``, the family's
     (Gamma_{k,0}, G1, G3), the components by column as ascending
     sequences, is compared with the engine's row, G1 and G3, one dict
-    ``==`` each once the family's columns are masks (:func:`_encoded`).  A box missing
-    from ``per_box`` is empty, and so is every engine box outside
-    ``range(kmax)``, so a family box there with a point fails.  A family
-    is diagonal, so its G2 and G4 are the diagonal law's, empty and
+    ``==`` each once the family's columns are masks (:func:`_encoded`).  A
+    box missing from ``per_box`` is empty, and so is every engine box
+    outside ``range(kmax)``, so a family box there with a point fails.  A
+    family is diagonal, so its G2 and G4 are the diagonal law's, empty and
     :func:`reflect` of G3: once G3 matches, they equal the engine's
     exactly when :func:`check_reflection` passes on the engine's
     components.  A disagreement raises GenericMismatchError naming the box

@@ -5,7 +5,9 @@ both routes to the pure gap set (the box engine and the direct oracle
 scan), check the family's explicit rows and components G1 and G3 against
 the engine's box by box, and record a verdict per cross-check; the scan
 is compared with the engine's ``G0`` as it yields each box column, by
-:func:`oracle_mismatch`, the one such comparison.  Families
+:func:`oracle_mismatch`, the one such comparison: both sides hold a box
+as int mask columns, so a box compares by one dict ``==``, and only a
+differing column is listed to name its points.  Families
 are diagonal: their G2 and G4 are the diagonal law's, checked once, by
 :func:`~puregaps.engine.check_reflection`.  Summaries run the engine
 alone and compare its weighted size with the closed form.
@@ -15,7 +17,8 @@ route runs it.  Only checks that can fail on validated input are verdicts: the
 period displacement law is enforced by validation (a ``ValidationError``)
 and the genus identity by :func:`~puregaps.engine.decompose` (a
 ``ConsistencyError``), before any verdict is recorded.  A verification
-point builds the engine's ``G0`` and its per-box components once; the
+point builds the engine's ``G0`` once and its per-box components once,
+each in one sweep down the boxes; the
 family's check against the engine,
 :func:`~puregaps.engine.check_components` on the family's
 ``<name>_components``, and the diagonal law take both from it.  Grids

@@ -45,9 +45,11 @@ def pure_gap_boxes_direct(gamma: GeneratingSet):
     a sorted list of their indices, so work and memory are bounded by the
     number of points and the output, not by ``max b / period``, even on
     unvalidated input.  The points of one box column ``i`` are
-    consecutive in the walk, so its boxes are filled in one dict keyed by
-    ``j``, yielded as the walk leaves the box column.  Cost: O(g log g)
-    compares and O(g * period/word) word operations on the masks.
+    consecutive in the walk, so its boxes are filled one dict per band,
+    kept beside the bands, and the non-empty ones yielded as the walk
+    leaves the box column.  Cost: O(g log g) compares, one dict entry per
+    column of output, and O(g * period/word) word operations on the
+    masks.
     """
     period = gamma.period
     order = []    # the indices j of the non-empty bands, ascending
