@@ -9,14 +9,9 @@ from .engine import (
     PureGapSet,
     assemble_pure_gaps,
     bounds,
-    box_columns,
-    box_components,
     bounds_from_row_sizes,
     check_reflection,
-    compute_g1,
-    compute_g2,
-    compute_g3,
-    compute_g4,
+    components_by_box,
     decompose,
 )
 from .errors import (

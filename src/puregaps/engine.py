@@ -19,14 +19,14 @@ builds the rest from one mask: a prefix at each row-k point and the mask
 itself, one int shared by neighbouring columns, at each first coordinate
 shifted down from a higher row.  From an empty mask its prefixes are G2
 and its shared masks G4; from the second coordinates above the row its
-columns are ``G_{k,0}``'s, as :func:`box_columns` returns them.  What the
-walk reads, the residues and second coordinates of the points above the
-row, is kept as two masks by one sweep down the rows, :func:`_sweep`,
-which passes each row once; :func:`assemble_pure_gaps` and
-:func:`components_by_box` build every box in that sweep, and a single
-box gathers the rows above it (:func:`_above`).  Points are named, as
-lists, only where they are written or a mismatch is reported, by
-:func:`~puregaps.lattice.set_bits`.
+columns are ``G_{k,0}``'s, as :func:`_box` builds them.  What the walk
+reads, the residues and second coordinates of the points above the row,
+is kept as two masks by one sweep down the rows, :func:`_sweep`, which
+passes each row once and is the only source of a box's state:
+:func:`assemble_pure_gaps`, :func:`components_by_box` and
+:func:`check_reflection` build every box in that sweep.  Points are
+named, as lists, only where they are written or a mismatch is reported,
+by :func:`~puregaps.lattice.set_bits`.
 
 Box containment fixes the order of the union.  Every point of
 ``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
@@ -45,19 +45,19 @@ translates.  Two values of one period compare box by box, one dict ``==``
 of ints each, and so does one with the direct scan: its box ``(i, j)``
 must hold :meth:`PureGapSet.box` ``(i + j)``.
 
-:func:`assemble_pure_gaps` builds the engine's ``G0`` the way
-:func:`box_columns` builds one box, the one route to it.
-:func:`check_components` is the only cross-check of a family's explicit
-rows and components G1 and G3 against the engine's formulas, and it first
-checks the identity that ties those formulas to ``G0``: per box, the four
-components are disjoint and their union per residue is the engine's
-``G_{k,0}``, :meth:`PureGapSet.box`.  It takes the engine's components
-and ``G0`` from the caller, so neither is built twice, and the family's
-sets as plain data, box index to ``(Gamma_{k,0}, G1, G3)`` by list
-column.  :func:`check_reflection` is the only check of the diagonal law
-that empties G2 and makes G4 a reflection of G3 (by column, a transpose),
-so a family, being diagonal, gives neither; it takes the engine's
-components when the caller has built them.
+:func:`assemble_pure_gaps` builds the engine's ``G0``, every box by
+:func:`_box`, the one route to it.  :func:`check_components` is the only
+cross-check of a family's explicit rows and components G1 and G3 against
+the engine's formulas, and it first checks the identity that ties those
+formulas to ``G0``: per box, the four components are disjoint and their
+union per residue is the engine's ``G_{k,0}``, :meth:`PureGapSet.box`.
+It takes the engine's components and ``G0`` from the caller, so neither
+is built twice, and the family's sets as plain data, box index to
+``(Gamma_{k,0}, G1, G3)`` by list column.  :func:`check_reflection` is
+the only check of the diagonal law that empties G2 and makes G4 a
+reflection of G3 (by column, a transpose), so a family, being diagonal,
+gives neither; it takes the engine's components when the caller has
+built them.
 
 The rows are plain ``(a, b)`` tuples, sorted lexicographically.
 Cardinalities and bounds are guarded against the 128-bit range.
@@ -147,40 +147,25 @@ def decompose(gamma: GeneratingSet) -> BoxedGamma:
                       diagonal=diagonal)
 
 
-def _join(rows, period: int, above: int, fmask: int, seconds: int) -> tuple:
-    """Join the points of ``rows``, ``(k2, row)`` pairs, to ``(n, F, S)``:
-    ``n`` counts them, ``F`` gets bit ``a - k2*period``, each first
-    coordinate shifted down to its residue, and ``S`` bit ``b``."""
-    for k2, row in rows:
-        shift = k2 * period
+def _sweep(boxed: BoxedGamma):
+    """Yield ``(k, (n, F, S))`` for every box ``(k, 0)``, ``k`` from ``kmax
+    - 1`` down to 0: one pass down the rows, the only source of a box's
+    state.
+
+    ``n`` is the number of points above row k, ``F`` the mask of their
+    first coordinates shifted down to residues, ``a - k2*period`` for a
+    point of row k2, and ``S`` the mask of their second coordinates.
+    """
+    period = boxed.period
+    above = fmask = seconds = 0
+    for k in range(boxed.kmax - 1, -1, -1):
+        row = boxed.row(k + 1)
+        shift = (k + 1) * period
         above += len(row)
         for a, b in row:
             fmask |= 1 << (a - shift)
             seconds |= 1 << b
-    return above, fmask, seconds
-
-
-def _sweep(boxed: BoxedGamma):
-    """Yield ``(k, n, F, S)`` for every box ``(k, 0)``, ``k`` from ``kmax -
-    1`` down to 0: one pass down the rows.
-
-    ``n`` is the number of points above row k, ``F`` the mask of their
-    first coordinates shifted down to residues, ``a - k2*period`` for a
-    point of row k2, and ``S`` the mask of their second coordinates.  Each
-    row is joined once (:func:`_join`), as the sweep passes it.
-    """
-    period = boxed.period
-    state = 0, 0, 0
-    for k in range(boxed.kmax - 1, -1, -1):
-        state = _join(((k + 1, boxed.row(k + 1)),), period, *state)
-        yield k, *state
-
-
-def _above(boxed: BoxedGamma, k: int) -> tuple:
-    """``(n, F, S)`` of box (k, 0), as :func:`_sweep` gives them, for one
-    box: the rows above k joined at once."""
-    return _join([(k2, row) for k2, row in boxed.rows.items() if k2 > k],
-                 boxed.period, 0, 0, 0)
+        yield k, (above, fmask, seconds)
 
 
 def _check_g1(k: int, above: int, fmask: int, seconds: int) -> None:
@@ -224,7 +209,7 @@ def _walk(boxed: BoxedGamma, k: int, firsts, passed: int,
     return columns
 
 
-def compute_g1(boxed: BoxedGamma, k: int, state=None) -> dict:
+def compute_g1(boxed: BoxedGamma, k: int, state: tuple) -> dict:
     """First component of box (k, 0), by column.
 
     glb(u + w_{k2-k}, v) over u in rows[k2], v in rows[k1] with k1, k2 > k.
@@ -234,13 +219,11 @@ def compute_g1(boxed: BoxedGamma, k: int, state=None) -> dict:
     and the second coordinates of the points above row k.  So every
     column is the one mask ``S`` of those second coordinates.  The
     cardinality check of :func:`_check_g1` applies.  ``state`` is box k's
-    ``(n, F, S)`` from :func:`_sweep` when the caller holds it; else it is
-    gathered from the rows above (:func:`_above`), as in
-    :func:`compute_g3` and :func:`compute_g4`.
+    ``(n, F, S)`` from :func:`_sweep`, as in :func:`compute_g3` and
+    :func:`compute_g4`.
     """
-    above, fmask, seconds = state or _above(boxed, k)
-    _check_g1(k, above, fmask, seconds)
-    return dict.fromkeys(set_bits(fmask), seconds)
+    _check_g1(k, *state)
+    return dict.fromkeys(set_bits(state[1]), state[2])
 
 
 def compute_g2(boxed: BoxedGamma, k: int) -> dict:
@@ -259,7 +242,7 @@ def compute_g2(boxed: BoxedGamma, k: int) -> dict:
     return dict(reversed(_walk(boxed, k, (), 0)))
 
 
-def compute_g3(boxed: BoxedGamma, k: int, state=None) -> dict:
+def compute_g3(boxed: BoxedGamma, k: int, state: tuple) -> dict:
     """Third component: glb(u, v) for u in rows[k], v in a higher row,
     restricted to pairs with u not below v; by column.
 
@@ -269,13 +252,13 @@ def compute_g3(boxed: BoxedGamma, k: int, state=None) -> dict:
     above row k (:func:`_sweep`), the column at a row-k point ``(r, b)``
     is the prefix ``S & ((1 << b) - 1)``.
     """
-    seconds = (state or _above(boxed, k))[2]
+    seconds = state[2]
     base = k * boxed.period
     return {a - base: prefix for a, b in boxed.row(k)
             if (prefix := seconds & ((1 << b) - 1))}
 
 
-def compute_g4(boxed: BoxedGamma, k: int, state=None) -> dict:
+def compute_g4(boxed: BoxedGamma, k: int, state: tuple) -> dict:
     """Fourth component of box (k, 0): glb(u + w_{k2-k}, v) for u in
     rows[k2] (k2 > k) and v in rows[k], restricted to pairs with v not
     below the shifted u; by column.
@@ -291,8 +274,7 @@ def compute_g4(boxed: BoxedGamma, k: int, state=None) -> dict:
     ``F``, started from an empty mask: columns with no row-k point between
     them are one int, and a repeated ``f`` gives the same column.
     """
-    fmask = (state or _above(boxed, k))[1]
-    return dict(reversed(_walk(boxed, k, set_bits(fmask), 0, own=False)))
+    return dict(reversed(_walk(boxed, k, set_bits(state[1]), 0, own=False)))
 
 
 def reflect(columns: dict) -> dict:
@@ -322,13 +304,16 @@ def check_reflection(boxed: BoxedGamma, generic=None) -> None:
     """Check the diagonal law box by box: on a set whose every point has
     ``a == b (mod period)``, G2 is empty and G4 is :func:`reflect` of G3.
     ``generic`` maps each box index to its (G1, G2, G3, G4), as
-    :func:`box_components` gives them, when the caller holds them; else
-    each box's are built in turn, by :func:`components_by_box`.  Raises
-    DiagonalReflectionMismatchError when the set is not diagonal, or
-    naming the first box, in that order, and half of the law that fail."""
+    :func:`components_by_box` gives them, when the caller holds them; else
+    each box's G2, G3 and G4, all the law reads, are built in turn, in one
+    :func:`_sweep`.  Raises DiagonalReflectionMismatchError when the set
+    is not diagonal, or naming the first box, in that order, and half of
+    the law that fail."""
     if not boxed.diagonal:
         raise DiagonalReflectionMismatchError("the set is not diagonal")
-    boxes = components_by_box(boxed) if generic is None else generic.items()
+    boxes = generic.items() if generic is not None else (
+        (k, (None, compute_g2(boxed, k), compute_g3(boxed, k, state),
+             compute_g4(boxed, k, state))) for k, state in _sweep(boxed))
     for k, (_, g2, g3, g4) in boxes:
         if g2:
             raise DiagonalReflectionMismatchError(f"box k={k}: G2 is not empty")
@@ -361,28 +346,33 @@ def bounds(boxed: BoxedGamma) -> Bounds:
     return bounds_from_row_sizes(boxed.row_sizes(), boxed.genus)
 
 
-def box_components(boxed: BoxedGamma, k: int, state=None) -> tuple:
-    """The four components (G1, G2, G3, G4) of box (k, 0), each by column:
-    ``{a - k*period: mask of the second coordinates at a}``, residues
-    ascending, no empty column.  ``state`` is box k's ``(n, F, S)`` from
-    :func:`_sweep` when the caller holds it; else it is gathered once."""
-    state = state or _above(boxed, k)
-    return (compute_g1(boxed, k, state), compute_g2(boxed, k),
-            compute_g3(boxed, k, state), compute_g4(boxed, k, state))
-
-
 def components_by_box(boxed: BoxedGamma):
-    """Yield ``(k, box_components(boxed, k))`` for every box, ``k`` from
-    ``kmax - 1`` down to 0, in one :func:`_sweep`."""
-    for k, *state in _sweep(boxed):
-        yield k, box_components(boxed, k, state)
+    """Yield ``(k, (G1, G2, G3, G4))`` for every box ``(k, 0)``, ``k`` from
+    ``kmax - 1`` down to 0, in one :func:`_sweep`: the four components,
+    each by column, ``{a - k*period: mask of the second coordinates at
+    a}``, residues ascending, no empty column."""
+    for k, state in _sweep(boxed):
+        yield k, (compute_g1(boxed, k, state), compute_g2(boxed, k),
+                  compute_g3(boxed, k, state), compute_g4(boxed, k, state))
 
 
-def _box(boxed: BoxedGamma, k: int, above: int, fmask: int,
-         seconds: int) -> dict:
-    """``G_{k,0}`` by columns from ``n``, ``F`` and ``S`` as :func:`_sweep`
-    gives them for box (k, 0); see :func:`box_columns`."""
-    _check_g1(k, above, fmask, seconds)
+def _box(boxed: BoxedGamma, k: int, state: tuple) -> dict:
+    """``G_{k,0}`` by columns: ``{a - k*period: mask of the second
+    coordinates of G_{k,0} at a}``, bit ``b`` set for each ``b``, residues
+    ascending, no empty column; ``state`` is box k's ``(n, F, S)`` from
+    :func:`_sweep`.
+
+    The column forms proven in :func:`compute_g1` .. :func:`compute_g4`
+    give two kinds of column: at ``f`` in ``F``, G1's, all of ``S``,
+    joined by G4's; at a row-k point, G3's prefix of ``S`` joined by G2's.
+    Both are the columns of :func:`_walk` over ``F`` started from ``S``:
+    no set, no sort and no tuple per point, and neighbouring columns at
+    ``F`` are one int.  ``F`` and ``S`` may not repeat a value (the G1
+    cardinality check), and ``F`` may not meet the row-k residues, where
+    the two kinds of column would overlap (DisjointnessViolationError).
+    """
+    _check_g1(k, *state)
+    _, fmask, seconds = state
     base = k * boxed.period
     own = 0
     for a, _ in boxed.row(k):
@@ -392,25 +382,6 @@ def _box(boxed: BoxedGamma, k: int, above: int, fmask: int,
             f"box k={k}: a first coordinate shifted down from a higher row "
             f"is a first coordinate of row {k}")
     return dict(reversed(_walk(boxed, k, set_bits(fmask), seconds)))
-
-
-def box_columns(boxed: BoxedGamma, k: int) -> dict:
-    """``G_{k,0}`` by columns: ``{a - k*period: mask of the second
-    coordinates of G_{k,0} at a}``, bit ``b`` set for each ``b``, residues
-    ascending, no empty column.
-
-    With ``F`` and ``S`` as :func:`_sweep` gives them, the column forms
-    proven in :func:`compute_g1` .. :func:`compute_g4` give two kinds of
-    column: at ``f`` in ``F``, G1's, all of ``S``, joined by G4's; at a
-    row-k point, G3's prefix of ``S`` joined by G2's.  Both are the
-    columns of :func:`_walk` over ``F`` started from ``S``: no set, no
-    sort and no tuple per point, and neighbouring columns at ``F`` are one
-    int.  ``F`` and ``S`` may not repeat a value (the G1 cardinality
-    check), and ``F`` may not meet the row-k residues, where the two kinds
-    of column would overlap (DisjointnessViolationError).
-    :func:`assemble_pure_gaps` builds every box in one sweep instead.
-    """
-    return _box(boxed, k, *_above(boxed, k))
 
 
 class PureGapSet:
@@ -463,7 +434,7 @@ class PureGapSet:
                 f"size={self._size})")
 
     def box(self, k: int) -> dict:
-        """``G_{k,0}`` by mask column, as :func:`box_columns` built it;
+        """``G_{k,0}`` by mask column, as :func:`_box` built it;
         ``{}`` for an empty box.  Read-only."""
         return self._runs.get(k, {})
 
@@ -551,11 +522,10 @@ def _distinct_masks(columns: dict) -> tuple:
 
 def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapSet:
     """The full pure gap set ``G0`` from the row-zero boxes, every box
-    ``(k, 0)`` built as :func:`box_columns` does, in one :func:`_sweep`
-    down from the top box.  Its bounds are :func:`bounds` of the same
-    boxes."""
-    return PureGapSet({k: _box(boxed, k, *state)
-                       for k, *state in _sweep(boxed)}, boxed.period)
+    ``(k, 0)`` built by :func:`_box`, in one :func:`_sweep` down from the
+    top box.  Its bounds are :func:`bounds` of the same boxes."""
+    return PureGapSet({k: _box(boxed, k, state)
+                       for k, state in _sweep(boxed)}, boxed.period)
 
 
 def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
@@ -563,7 +533,7 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
     """Compare a family's explicit sets with the engine, box by box.
 
     ``generic[k]``, the engine's (G1, G2, G3, G4) of box ``(k, 0)`` as
-    :func:`box_components` gives them, is first checked against
+    :func:`components_by_box` gives them, is first checked against
     ``g0.box(k)``, the ``G_{k,0}`` of the engine's ``G0``: per residue,
     the four masks must be disjoint and OR to it, which also proves the
     components pairwise disjoint.  Then ``per_box[k]``, the family's

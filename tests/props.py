@@ -15,11 +15,8 @@ from hypothesis import strategies as st
 
 from puregaps.engine import (
     assemble_pure_gaps,
-    box_components,
     check_reflection,
-    compute_g2,
-    compute_g3,
-    compute_g4,
+    components_by_box,
     decompose,
 )
 from puregaps.errors import ValidationError
@@ -147,8 +144,7 @@ def run_translate_disjointness(n, seed=0x7D15):
         period = boxed.period
         union = set()
         expected = 0
-        for k in range(boxed.kmax):
-            comps = box_components(boxed, k)
+        for k, comps in components_by_box(boxed):
             box = set()
             for comp in comps:
                 box.update(flatten(comp, k * period))
@@ -170,10 +166,10 @@ def run_diagonal_agreement(n, seed=0xD1A6):
         assert boxed.diagonal
         k = rng.randrange(max(1, boxed.kmax))
         shift = k * boxed.period
-        assert flatten(compute_g2(boxed, k), shift) == []
-        assert flatten(compute_g4(boxed, k), shift) == sorted(
-            (b + shift, a - shift)
-            for a, b in flatten(compute_g3(boxed, k), shift))
+        _, g2, g3, g4 = dict(components_by_box(boxed)).get(k, ({},) * 4)
+        assert flatten(g2, shift) == []
+        assert flatten(g4, shift) == sorted(
+            (b + shift, a - shift) for a, b in flatten(g3, shift))
         check_reflection(boxed)
         checked += 1
     return checked

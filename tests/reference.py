@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from puregaps.engine import (
     PureGapSet,
     assemble_pure_gaps,
-    box_components,
+    components_by_box,
     reflect,
 )
 from puregaps.errors import (
@@ -250,7 +250,7 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
 def merge_components(per_box: dict, period: int) -> PureGapSet:
     """G0 from components, ``per_box`` mapping each box index k to the
     components of box (k, 0) by column (masks or ascending sequences), as
-    :func:`box_components` or :func:`diagonal_parts` give them.  Each
+    :func:`components_by_box` or :func:`diagonal_parts` give them.  Each
     column of ``G_{k,0}`` is the union of the components' columns at its
     residue.  The components must be pairwise disjoint, so a second
     coordinate two of them hold raises DisjointnessViolationError; so
@@ -318,8 +318,7 @@ def g0_boxes(g0) -> dict:
 def engine_side(boxed) -> dict:
     """The engine's inputs to :func:`check_components`, by keyword: its
     four components per box as ``generic`` and its ``G0`` as ``g0``."""
-    return {"generic": {k: box_components(boxed, k)
-                        for k in range(boxed.kmax)},
+    return {"generic": dict(components_by_box(boxed)),
             "g0": assemble_pure_gaps(boxed)}
 
 

@@ -9,8 +9,7 @@ from math import gcd
 
 from puregaps.cli import main as cli_main
 from puregaps.engine import assemble_pure_gaps, bounds, \
-    bounds_from_row_sizes, compute_g1, compute_g2, compute_g3, compute_g4, \
-    decompose, reflect
+    bounds_from_row_sizes, components_by_box, decompose, reflect
 from puregaps.gk import (
     GKParams,
     gk_card_g0,
@@ -72,14 +71,9 @@ def test_criterion_1_gk_q2_exact_reproduction(capsys):
 def test_criterion_2_gk_q2_component_sets(capsys):
     boxed = decompose(gk_generating_set(2))
     routes = {
-        "engine": {
-            ("G1", 0): compute_g1(boxed, 0), ("G1", 1): compute_g1(boxed, 1),
-            ("G3", 0): compute_g3(boxed, 0), ("G3", 1): compute_g3(boxed, 1),
-            ("G4", 0): compute_g4(boxed, 0),
-            ("G4", 1): compute_g4(boxed, 1),
-            ("G2", 0): compute_g2(boxed, 0), ("G2", 1): compute_g2(boxed, 1),
-            ("G2", 2): compute_g2(boxed, 2),
-        },
+        "engine": {(f"G{i + 1}", k): part
+                   for k, parts in components_by_box(boxed)
+                   for i, part in enumerate(parts)},
         # the family is diagonal: G2 is empty and G4 the reflected G3
         "explicit": {
             ("G1", 0): gk_g1(2, 0), ("G1", 1): gk_g1(2, 1),

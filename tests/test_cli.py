@@ -594,7 +594,7 @@ class TestEngineG2G4Faults:
         def g2(boxed, k):
             if k != 1:
                 return real(boxed, k)
-            g1 = engine.compute_g1(boxed, k)
+            g1 = engine.compute_g1(boxed, k, dict(engine._sweep(boxed))[k])
             r = min(g1)
             return {r: g1[r] & -g1[r]}
         monkeypatch.setattr(engine, "compute_g2", g2)
@@ -684,7 +684,7 @@ class TestSummaryBuildsNoComponents:
         for family, (module, _) in harness.FAMILIES.items():
             for name in ("components", "gamma_k0", "g1", "g3"):
                 monkeypatch.setattr(module, f"{family}_{name}", built)
-        for name in ("box_components", "compute_g1", "compute_g2",
+        for name in ("components_by_box", "compute_g1", "compute_g2",
                      "compute_g3", "compute_g4"):
             for namespace in (engine, harness):
                 monkeypatch.setattr(namespace, name, built, raising=False)
@@ -702,6 +702,48 @@ class TestSummaryBuildsNoComponents:
             "diagonal_reflection": "skipped"}
 
 
+class TestDiagonalLawBuildsNoG1:
+    """The diagonal law reads G2, G3 and G4 only: where it builds the
+    engine's components itself (the special-case checks, and ``generic``
+    on a diagonal set), no G1 is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_g1(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("G1 was built")
+        monkeypatch.setattr(engine, "compute_g1", built)
+
+    @pytest.fixture
+    def k75(self, tmp_path):
+        path = tmp_path / "k75.gamma"
+        path.write_text(dump_gamma(kummer_generating_set(7, 5)),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("check, args", [
+        (harness.verify_special_ur1, (1, 5)),
+        (harness.verify_special_qn, (7, 2))], ids=["ur1", "qn"])
+    def test_special(self, check, args):
+        report = check(*args)
+        assert report.ok, report.detail
+        assert report.verdicts["special_vs_enumeration"] == "pass"
+
+    def test_generic_summary(self, capsys, k75):
+        code, out, _ = run_cli(capsys, "generic", "--input", k75)
+        assert code == 0
+        fields = summary_fields(out)
+        assert fields["verdict.diagonal_reflection"] == "pass"
+        assert fields["verdict.engine_vs_oracle"] == "pass"
+
+    def test_generic_puregaps(self, capsys, k75):
+        code, out, err = run_cli(capsys, "generic", "--input", k75,
+                                 "--emit", "puregaps")
+        assert (code, err) == (0, "")
+        assert out == "".join(
+            f"{a}\t{b}\n"
+            for a, b in pure_gaps_direct(kummer_generating_set(7, 5)))
+
+
 class TestListingBuildsNoPointTuples:
     """``--emit puregaps`` builds G0 by column and writes the text of
     :meth:`PureGapSet.pieces`: no component tuples, no per-box merge of
@@ -711,7 +753,7 @@ class TestListingBuildsNoPointTuples:
     def no_tuples(self, monkeypatch):
         def built(*args, **kwargs):
             raise AssertionError("a tuple per pure gap was built")
-        for name in ("box_components", "compute_g1", "compute_g2",
+        for name in ("components_by_box", "compute_g1", "compute_g2",
                      "compute_g3", "compute_g4"):
             monkeypatch.setattr(engine, name, built)
         real = PureGapSet.pieces
@@ -756,12 +798,13 @@ class TestVerifyPointWork:
                 built.setdefault(name, []).append(k)
                 return real(boxed, k, *state)
             return counted
-        for func in ("box_columns", "box_components", "compute_g1",
-                     "compute_g2", "compute_g3", "compute_g4"):
-            for namespace in (engine, harness):
-                if hasattr(namespace, func):
-                    monkeypatch.setattr(namespace, func, counter(
-                        func, getattr(namespace, func)))
+        for func in ("compute_g1", "compute_g2", "compute_g3", "compute_g4"):
+            monkeypatch.setattr(engine, func, counter(
+                func, getattr(engine, func)))
+        swept = []
+        sweep = harness.components_by_box
+        monkeypatch.setattr(harness, "components_by_box", lambda boxed:
+                            swept.append(boxed) or sweep(boxed))
         assembled = []
         assemble = harness.assemble_pure_gaps
         monkeypatch.setattr(harness, "assemble_pure_gaps", lambda boxed:
@@ -773,10 +816,10 @@ class TestVerifyPointWork:
         # G0 is built once, all its boxes in one sweep, not box by box;
         # the components too, box by box down from the top box
         assert len(assembled) == 1
+        assert len(swept) == 1
         kmax = engine.decompose(real(*params.values())).kmax
         assert built == {name: list(reversed(range(kmax))) for name in (
-            "box_components", "compute_g1", "compute_g2", "compute_g3",
-            "compute_g4")}
+            "compute_g1", "compute_g2", "compute_g3", "compute_g4")}
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})])

@@ -14,13 +14,8 @@ from puregaps.engine import (
     assemble_pure_gaps,
     bounds,
     bounds_from_row_sizes,
-    box_columns,
-    box_components,
     check_reflection,
-    compute_g1,
-    compute_g2,
-    compute_g3,
-    compute_g4,
+    components_by_box,
     decompose,
 )
 from puregaps.errors import (
@@ -119,51 +114,61 @@ class TestReconstructBox:
         assert sorted(seen) == sorted(gk2.GAMMA)
 
 
-def points(compute, boxed, k):
+#: Index of each component in the (G1, G2, G3, G4) of a box.
+G1, G2, G3, G4 = range(4)
+
+
+def component(boxed, k, index):
+    """One component of box (k, 0), by column, from one sweep of the
+    boxes."""
+    return dict(components_by_box(boxed))[k][index]
+
+
+def points(boxed, k, index):
     """A component of box (k, 0) as its sorted list of points."""
-    return flatten(compute(boxed, k), k * boxed.period)
+    return flatten(component(boxed, k, index), k * boxed.period)
 
 
 class TestComponents:
     def test_g1_gk2(self, gk2_boxed):
-        assert points(compute_g1, gk2_boxed, 0) == gk2.G1_0
-        assert points(compute_g1, gk2_boxed, 1) == gk2.G1_1
-        assert points(compute_g1, gk2_boxed, 2) == []
+        assert points(gk2_boxed, 0, G1) == gk2.G1_0
+        assert points(gk2_boxed, 1, G1) == gk2.G1_1
+        assert points(gk2_boxed, 2, G1) == []
         # one column per shifted first coordinate, each the one mask of S
-        assert compute_g1(gk2_boxed, 0) == masks(
+        assert component(gk2_boxed, 0, G1) == masks(
             dict.fromkeys([1, 2, 4], [1, 2, 4]))
 
     def test_g2_empty_under_diagonal(self, gk2_boxed, kummer43_boxed):
         for boxed in (gk2_boxed, kummer43_boxed):
             for k in range(boxed.kmax):
-                assert points(compute_g2, boxed, k) == []
+                assert points(boxed, k, G2) == []
 
     def test_g2_synthetic_incomparable_row(self):
         boxed = BoxedGamma(rows={0: ((1, 5), (3, 2))}, period=9, genus=2,
                            kmax=1, diagonal=False)
-        assert points(compute_g2, boxed, 0) == [(1, 2)]
+        assert points(boxed, 0, G2) == [(1, 2)]
 
     def test_g3_gk2(self, gk2_boxed):
-        assert points(compute_g3, gk2_boxed, 0) == gk2.G3_0
-        assert points(compute_g3, gk2_boxed, 1) == gk2.G3_1
-        assert points(compute_g3, gk2_boxed, 2) == []
+        assert points(gk2_boxed, 0, G3) == gk2.G3_0
+        assert points(gk2_boxed, 1, G3) == gk2.G3_1
+        assert points(gk2_boxed, 2, G3) == []
 
     def test_g3_kummer43(self, kummer43_boxed):
-        assert points(compute_g3, kummer43_boxed, 0) == [(2, 1)]
+        assert points(kummer43_boxed, 0, G3) == [(2, 1)]
 
     def test_g4_gk2(self, gk2_boxed):
-        assert points(compute_g4, gk2_boxed, 0) == gk2.G4_0
-        assert points(compute_g4, gk2_boxed, 1) == gk2.G4_1
+        assert points(gk2_boxed, 0, G4) == gk2.G4_0
+        assert points(gk2_boxed, 1, G4) == gk2.G4_1
 
     def test_g4_kummer43(self, kummer43_boxed):
-        assert points(compute_g4, kummer43_boxed, 0) == [(1, 2)]
+        assert points(kummer43_boxed, 0, G4) == [(1, 2)]
 
     def test_g1_cardinality_mismatch(self):
         # duplicate second coordinates across rows collapse the product
         boxed = BoxedGamma(rows={1: ((10, 4),), 2: ((21, 4),)}, period=9,
                            genus=5, kmax=3, diagonal=False)
         with pytest.raises(CardinalityMismatchError):
-            compute_g1(boxed, 0)
+            dict(components_by_box(boxed))
 
 
 class TestAssemble:
@@ -171,11 +176,11 @@ class TestAssemble:
         g0 = assemble_pure_gaps(gk2_boxed)
         assert g0_points(g0) == gk2.G0_SORTED
         assert len(g0) == 35
+        parts = dict(components_by_box(gk2_boxed))
         for k, want in enumerate([(gk2.G1_0, [], gk2.G3_0, gk2.G4_0),
                                   (gk2.G1_1, [], gk2.G3_1, gk2.G4_1),
                                   ([], [], [], [])]):
-            assert tuple(flatten(part, 9 * k) for part in
-                         box_components(gk2_boxed, k)) == want
+            assert tuple(flatten(part, 9 * k) for part in parts[k]) == want
         assert tuple(bounds(gk2_boxed)) == \
             (gk2.LOWER, gk2.UPPER, gk2.HOMMA_KIM)
 
@@ -247,8 +252,7 @@ class TestCheckReflection:
             check_reflection(gk2_boxed)
 
     def test_uses_the_callers_components(self, gk2_boxed, monkeypatch):
-        generic = {k: box_components(gk2_boxed, k)
-                   for k in range(gk2_boxed.kmax)}
+        generic = dict(components_by_box(gk2_boxed))
 
         def unused(boxed, k):
             raise AssertionError("a component was rebuilt")
@@ -281,7 +285,7 @@ class TestMergeCheck:
         family, params = request.param
         boxed = decompose(
             harness.call_family(family, "{}_generating_set", params))
-        generic = {k: box_components(boxed, k) for k in range(boxed.kmax)}
+        generic = dict(components_by_box(boxed))
         g0 = assemble_pure_gaps(boxed)
         engine.check_components(boxed, generic, g0,
                                 self.own_sets(boxed, generic))
@@ -352,47 +356,48 @@ def columns(boxes, period):
 
 
 class TestBoxColumns:
+    """The boxes of the engine's G0, each built from the sweep's state."""
+
     def test_gk2_matches_components(self, gk2_boxed):
-        for k in range(gk2_boxed.kmax):
-            merged = merge_box(k, [flatten(part, 9 * k) for part in
-                                   box_components(gk2_boxed, k)])
-            assert box_columns(gk2_boxed, k) == \
-                columns({k: merged}, 9).get(k, {})
+        g0 = assemble_pure_gaps(gk2_boxed)
+        for k, parts in components_by_box(gk2_boxed):
+            merged = merge_box(k, [flatten(part, 9 * k) for part in parts])
+            assert g0.box(k) == columns({k: merged}, 9).get(k, {})
         # G1 (10, 1), G4 (10, 2), (10, 4), G3 (11, 1), (13, 1)
-        assert box_columns(gk2_boxed, 1) == \
-            masks({1: [1, 2, 4], 2: [1], 4: [1]})
+        assert g0.box(1) == masks({1: [1, 2, 4], 2: [1], 4: [1]})
 
     def test_non_diagonal_row_has_g2(self):
         # (1, 5) and (3, 2) are incomparable: G2 = {(1, 2)}, and (3, 2)
         # sits to the right of column 1
         boxed = BoxedGamma(rows={0: ((1, 5), (3, 2))}, period=9, genus=2,
                            kmax=1, diagonal=False)
-        assert box_columns(boxed, 0) == masks({1: [2]})
+        assert assemble_pure_gaps(boxed).box(0) == masks({1: [2]})
 
     def test_repeated_shifted_first_coordinate(self):
-        # (10, 4) and (19, 3) both shift down to first coordinate 1
-        boxed = BoxedGamma(rows={1: ((10, 4),), 2: ((19, 3),)}, period=9,
-                           genus=5, kmax=3, diagonal=False)
-        with pytest.raises(CardinalityMismatchError):
-            box_columns(boxed, 0)
+        # (10, 4) and (10, 5) both shift down to first coordinate 1 in
+        # box 0; box 1, above it, passes
+        boxed = BoxedGamma(rows={1: ((10, 4), (10, 5))}, period=9,
+                           genus=4, kmax=3, diagonal=False)
+        with pytest.raises(CardinalityMismatchError, match=r"G1_\(0,0\)"):
+            assemble_pure_gaps(boxed)
 
     def test_repeated_second_coordinate_above(self):
         # the G1 check also covers the second coordinates, as compute_g1
         boxed = BoxedGamma(rows={1: ((10, 4),), 2: ((21, 4),)}, period=9,
                            genus=5, kmax=3, diagonal=False)
-        with pytest.raises(CardinalityMismatchError):
-            box_columns(boxed, 0)
+        with pytest.raises(CardinalityMismatchError, match=r"G1_\(0,0\)"):
+            assemble_pure_gaps(boxed)
 
     def test_shifted_first_meets_row(self):
         # (12, 5) in row 1 shifts down to 3, a first coordinate of row 0
         boxed = BoxedGamma(rows={0: ((3, 2),), 1: ((12, 5),)}, period=9,
                            genus=3, kmax=2, diagonal=False)
-        with pytest.raises(DisjointnessViolationError):
-            box_columns(boxed, 0)
+        with pytest.raises(DisjointnessViolationError, match="box k=0"):
+            assemble_pure_gaps(boxed)
 
 
 class TestSharedColumns:
-    """Columns are int masks, shared by value: box_columns gives
+    """Columns are int masks, shared by value: each box of G0 has
     neighbouring shifted-down columns with no row point between them one
     value, so a box holds few distinct masks and the listing renders each
     once per translate.  The per-box dicts are read-only: no consumer of
@@ -403,16 +408,16 @@ class TestSharedColumns:
         (kummer_generating_set, (41, 60))])
     def test_consecutive_shifted_columns_share_a_list(self, make, args):
         boxed = decompose(make(*args))
-        for k in range(boxed.kmax):
-            cols = box_columns(boxed, k)
+        g0 = assemble_pure_gaps(boxed)
+        for k, (_, _, _, g4) in components_by_box(boxed):
+            cols = g0.box(k)
             own = {a - k * boxed.period for a, _ in boxed.row(k)}
             walk = sorted(set(cols) | own)
             for r1, r2 in zip(walk, walk[1:]):
                 if r1 not in own and r2 not in own:
                     assert cols[r1] == cols[r2]
-            # compute_g4's neighbours are equal unless a row point parts
-            # them, which adds its second coordinate
-            g4 = compute_g4(boxed, k)
+            # G4's neighbours are equal unless a row point parts them,
+            # which adds its second coordinate
             for r1, r2 in zip(g4, list(g4)[1:]):
                 between = any(r1 < r < r2 for r in own)
                 assert (g4[r1] == g4[r2]) != between
@@ -421,30 +426,33 @@ class TestSharedColumns:
         """1,179 columns hold 96 distinct masks counted box by box, the
         templates one translate renders, and 40 across all boxes."""
         boxed = decompose(kummer_generating_set(41, 60))
-        cols = [box_columns(boxed, k) for k in range(boxed.kmax)]
+        g0 = assemble_pure_gaps(boxed)
+        cols = [g0.box(k) for k in range(boxed.kmax)]
         assert sum(map(len, cols)) == 1179
         assert sum(len(set(c.values())) for c in cols) == 96
         assert len({m for c in cols for m in c.values()}) == 40
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every box_columns and box_components value and every assembled
-        G0's boxes, with a deep copy taken when each was built."""
+        """Every box's components that the harness reads and every G0's
+        boxes that it assembles, with a deep copy taken when each was
+        built."""
         made = []
 
-        def recording(real, boxes=lambda value: value):
-            def record(*args):
-                value = real(*args)
-                made.append((boxes(value), copy.deepcopy(boxes(value))))
-                return value
-            return record
+        def record(value):
+            made.append((value, copy.deepcopy(value)))
+            return value
 
-        monkeypatch.setattr(engine, "box_columns",
-                            recording(engine.box_columns))
-        monkeypatch.setattr(engine, "box_components",
-                            recording(engine.box_components))
-        monkeypatch.setattr(harness, "assemble_pure_gaps", recording(
-            engine.assemble_pure_gaps, g0_boxes))
+        def components(boxed):
+            for k, parts in engine.components_by_box(boxed):
+                yield k, record(parts)
+
+        def assemble(boxed):
+            g0 = engine.assemble_pure_gaps(boxed)
+            record(g0_boxes(g0))
+            return g0
+        monkeypatch.setattr(harness, "components_by_box", components)
+        monkeypatch.setattr(harness, "assemble_pure_gaps", assemble)
         return made
 
     @staticmethod
@@ -482,11 +490,9 @@ class TestSharedColumns:
     def test_assemble(self, built):
         boxed = decompose(gk_generating_set(4))
         want = assemble_pure_gaps(boxed)
-        for per_box in (
-                {k: engine.box_components(boxed, k)
-                 for k in range(boxed.kmax)},
-                {k: (engine.box_columns(boxed, k),)
-                 for k in range(boxed.kmax)}):
+        g0 = harness.assemble_pure_gaps(boxed)
+        for per_box in (dict(harness.components_by_box(boxed)),
+                        {k: (g0.box(k),) for k in range(boxed.kmax)}):
             g0 = merge_components(per_box, boxed.period)
             assert g0_boxes(g0) == g0_boxes(want)
             assert len(g0) == len(want)
@@ -583,9 +589,8 @@ class TestPureGapSet:
         return assemble_pure_gaps(gk2_boxed)
 
     def test_one_box_differs(self, gk2_boxed, gk2_g0):
-        merged = {k: sorted(p for part in box_components(gk2_boxed, k)
-                            for p in flatten(part, 9 * k))
-                  for k in range(gk2_boxed.kmax)}
+        merged = {k: sorted(p for part in parts for p in flatten(part, 9 * k))
+                  for k, parts in components_by_box(gk2_boxed)}
         assert g0_boxes(PureGapSet(columns(merged, 9), 9)) == \
             g0_boxes(gk2_g0)
         free = min(set(product(range(10, 18), range(1, 9))) - set(merged[1]))

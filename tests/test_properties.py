@@ -4,24 +4,23 @@ The heavy lifting lives in props.py so the acceptance suite can rerun the
 same properties at its own case counts.
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import puregaps.engine as engine
 from puregaps.engine import (
     BoxedGamma,
     assemble_pure_gaps,
     bounds,
-    box_columns,
-    box_components,
-    compute_g1,
-    compute_g2,
-    compute_g3,
-    compute_g4,
+    components_by_box,
     decompose,
 )
 from puregaps.errors import CardinalityMismatchError, DisjointnessViolationError
 from puregaps.harness import oracle_mismatch, summarize_generic
+from puregaps.lattice import validate_generating_set
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
 import props
@@ -30,6 +29,7 @@ from props import injective_pairs, non_diagonal_sets
 from reference import (
     _residue_runs,
     flatten,
+    g0_boxes,
     g0_points,
     glb,
     incomparable,
@@ -96,20 +96,19 @@ def test_glb_lub_swap_commute(p, q):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(non_diagonal_sets())
 def test_non_diagonal_engine_matches_references(gamma):
-    """On validated non-diagonal sets: box_columns equals the per-box merge
-    regrouped point by point, the engine's G0 equals the oracle's (as
-    points, box by box and as listed TSV and JSON text), the summary
-    reports the oracle's count and the boxes' row sizes and bounds, and
-    nothing raises a ConsistencyError."""
+    """On validated non-diagonal sets: each box of the engine's G0 equals
+    the per-box merge of its components regrouped point by point, the
+    engine's G0 equals the oracle's (as points, box by box and as listed
+    TSV and JSON text), the summary reports the oracle's count and the
+    boxes' row sizes and bounds, and nothing raises a ConsistencyError."""
     boxed = decompose(gamma)
-    for k in range(boxed.kmax):
+    g0 = assemble_pure_gaps(boxed)
+    for k, parts in components_by_box(boxed):
         base = k * boxed.period
-        merged = merge_box(k, [flatten(part, base)
-                               for part in box_components(boxed, k)])
-        assert box_columns(boxed, k) == \
+        merged = merge_box(k, [flatten(part, base) for part in parts])
+        assert g0.box(k) == \
             _residue_runs({k: merged}, boxed.period).get(k, {})
     direct = pure_gaps_direct(gamma)
-    g0 = assemble_pure_gaps(boxed)
     assert g0_points(g0) == direct
     assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma), boxed.kmax) == ""
     assert "".join(g0.pieces("tsv")) == \
@@ -124,32 +123,60 @@ def test_non_diagonal_engine_matches_references(gamma):
             report.homma_kim_bound) == tuple(bounds(boxed))
 
 
-COMPONENTS = ((compute_g1, reference.compute_g1_points),
-              (compute_g2, reference.compute_g2_points),
-              (compute_g3, reference.compute_g3_points),
-              (compute_g4, reference.compute_g4_points))
+COMPONENTS = (
+    (engine.compute_g1, reference.compute_g1_points),
+    (lambda boxed, k, _: engine.compute_g2(boxed, k),
+     reference.compute_g2_points),
+    (engine.compute_g3, reference.compute_g3_points),
+    (engine.compute_g4, reference.compute_g4_points))
 
 
 def assert_components_match_points(boxed):
-    """Every box's compute_g1..g4, flattened, equal the one-tuple-per-point
-    references; where the G1 cardinality check fails, both raise."""
-    for k in range(boxed.kmax + 1):
+    """Every box's compute_g1..g4, from the sweep's state and flattened,
+    equal the one-tuple-per-point references; where the G1 cardinality
+    check fails, both raise, and G2..G4 still match.  components_by_box
+    yields those boxes, top down, and raises CardinalityMismatchError at
+    the topmost box whose G1 check fails."""
+    built = {}
+    failed = None
+    for k, state in engine._sweep(boxed):
         base = k * boxed.period
+        parts = []
         for compute, points in COMPONENTS:
             try:
                 want = points(boxed, k)
             except CardinalityMismatchError:
                 with pytest.raises(CardinalityMismatchError):
-                    compute(boxed, k)
+                    compute(boxed, k, state)
+                failed = k if failed is None else failed
                 continue
-            got = compute(boxed, k)
+            got = compute(boxed, k, state)
             assert flatten(got, base) == want
             assert list(got) == sorted(got) and all(got.values())
+            parts.append(got)
+        if failed is None:
+            built[k] = tuple(parts)
+    yielded = {}
+    with pytest.raises(CardinalityMismatchError) if failed is not None \
+            else nullcontext():
+        for k, parts in components_by_box(boxed):
+            yielded[k] = parts
+    assert yielded == built
+
+
+#: A non-diagonal set whose shifted first coordinates ``F`` and second
+#: coordinates ``S`` above a row differ, so a component built from one in
+#: place of the other fails on it with no random draw.
+ND7 = validate_generating_set([
+    (1, 31), (2, 30), (4, 5), (5, 6), (6, 22), (8, 24), (9, 23), (13, 15),
+    (15, 17), (16, 16), (20, 8), (22, 10), (23, 9), (27, 1), (29, 3),
+    (30, 2)], 7)
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(non_diagonal_sets())
+@example(ND7)
 def test_non_diagonal_components_match_points(gamma):
     assert_components_match_points(decompose(gamma))
 
@@ -181,26 +208,33 @@ def injective_boxed(points, period):
 @given(injective_pairs(), st.integers(min_value=1, max_value=50))
 @example([(1, 1), (10, 2), (15, 3)], 5)
 @example([(2, 1), (7, 3)], 5)
-def test_injective_box_columns_match_points(points, period):
-    """box_columns on unvalidated injective rows: it raises
-    CardinalityMismatchError where the G1 reference does, else
-    DisjointnessViolationError where a shifted first coordinate is a row's
-    own; else it is the merge of the four references.  Compared through
-    flatten, since a column may sit at residue 0."""
+def test_injective_assemble_matches_points(points, period):
+    """assemble_pure_gaps on unvalidated injective rows: it raises exactly
+    when some box fails the G1 count (CardinalityMismatchError) or has a
+    shifted first coordinate among its row's own
+    (DisjointnessViolationError), with the class of the topmost such box;
+    else exactly when a box's merge of the four references has a point at
+    residue 0, outside the box (DisjointnessViolationError); else every
+    box is that merge."""
     boxed = injective_boxed(points, period)
-    for k in range(boxed.kmax + 1):
-        base = k * period
+    error = None
+    want = {}
+    for k in reversed(range(boxed.kmax)):
         try:
             g1 = reference.compute_g1_points(boxed, k)
         except CardinalityMismatchError:
-            with pytest.raises(CardinalityMismatchError):
-                box_columns(boxed, k)
-            continue
+            error = CardinalityMismatchError
+            break
         if {a for a, _ in g1} & {a for a, _ in boxed.row(k)}:
-            with pytest.raises(DisjointnessViolationError):
-                box_columns(boxed, k)
-            continue
-        got = box_columns(boxed, k)
-        assert flatten(got, base) == merge_box(
-            k, [want(boxed, k) for _, want in COMPONENTS])
-        assert list(got) == sorted(got) and all(got.values())
+            error = DisjointnessViolationError
+            break
+        want[k] = merge_box(k, [points(boxed, k) for _, points in COMPONENTS])
+    if error is None and any(a % period == 0 for box in want.values()
+                             for a, _ in box):
+        error = DisjointnessViolationError
+    if error is not None:
+        with pytest.raises(error):
+            assemble_pure_gaps(boxed)
+        return
+    g0 = assemble_pure_gaps(boxed)
+    assert g0_boxes(g0) == _residue_runs(want, period)
