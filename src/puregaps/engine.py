@@ -42,8 +42,9 @@ box column, first-coordinate residues ``r`` ascending; for each residue,
 ``j`` ascending, giving the second coordinates of ``G_{i+j,0}`` at ``a =
 (i+j)*period + r`` shifted by ``j*period``.  Nothing else walks the
 translates.  Two values of one period compare box by box, one dict ``==``
-of ints each, and so does one with the direct scan: its box ``(i, j)``
-must hold :meth:`PureGapSet.box` ``(i + j)``.
+of ints each, and so does one with the direct scan, whose box ``(i, j)``
+is a band of ``c`` periods: it must hold the boxes ``i + j*c + t``,
+``t < c``, of :meth:`PureGapSet.boxes`, each shifted up ``t`` periods.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0``, every box by
 :func:`_box`, the one route to it.  :func:`check_components` is the only
@@ -438,6 +439,11 @@ class PureGapSet:
         ``{}`` for an empty box.  Read-only."""
         return self._runs.get(k, {})
 
+    def boxes(self):
+        """The non-empty per-box sets, ``(k, columns)`` pairs as
+        :meth:`box` gives them.  Read-only."""
+        return self._runs.items()
+
     def pieces(self, fmt: str = "tsv"):
         """Yield ``G0`` as text in lexicographic order, in pieces of about
         ``_CHUNK_POINTS`` points: one line ``a<TAB>b`` per point for
@@ -565,7 +571,7 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
                 if merged.get(r, 0) != want or got != want.bit_count():
                     raise GenericMismatchError(
                         f"k={k}: G1..G4 merged at residue {r} hold "
-                        f"{got} points, box_columns {want.bit_count()}")
+                        f"{got} points, G0 box {want.bit_count()}")
         row, g1, g3 = per_box.get(k, ((), {}, {}))
         engine = boxed.row(k)
         if tuple(row) != engine:

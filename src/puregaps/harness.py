@@ -5,9 +5,15 @@ both routes to the pure gap set (the box engine and the direct oracle
 scan), check the family's explicit rows and components G1 and G3 against
 the engine's box by box, and record a verdict per cross-check; the scan
 is compared with the engine's ``G0`` as it yields each box column, by
-:func:`oracle_mismatch`, the one such comparison: both sides hold a box
-as int mask columns, so a box compares by one dict ``==``, and only a
-differing column is listed to name its points.  Families
+:func:`oracle_mismatch`, the one such comparison.  A scan box is one
+period wide and one band of ``c = band_span(period)`` periods, at least
+``BAND_BITS`` bits, high, so the engine's boxes are first merged ``c``
+at a time into the same layout, :func:`_merged_boxes`, about ``2g``
+columns of under ``2 * BAND_BITS`` bits, memory linear in ``g *
+BAND_BITS`` bits (none when ``c == 1``: the engine's own boxes serve).
+Both sides then hold a box as int mask columns, so a box compares by one
+dict ``==``, and only a differing column is listed to name its points.
+Families
 are diagonal: their G2 and G4 are the diagonal law's, checked once, by
 :func:`~puregaps.engine.check_reflection`.  Summaries run the engine
 alone and compare its weighted size with the closed form.
@@ -45,7 +51,11 @@ from .engine import (
 )
 from .errors import ConsistencyError
 from .lattice import GeneratingSet, set_bits
-from .oracle import count_pure_gaps_direct, pure_gap_boxes_direct
+from .oracle import (
+    band_span,
+    count_pure_gaps_direct,
+    pure_gap_boxes_direct,
+)
 
 #: Closed-form families, each diagonal: name -> (module, parameter names).
 #: The module gives data, not a check: ``<name>_generating_set``,
@@ -99,28 +109,35 @@ def call_family(family: str, func: str, params: dict):
     return getattr(module, func.format(family))(*(params[n] for n in names))
 
 
-def oracle_mismatch(g0, scan, kmax) -> str:
+def oracle_mismatch(g0, scan) -> str:
     """``""`` when the engine's ``G0`` lists the same points as ``scan``,
     the box columns of :func:`~puregaps.oracle.pure_gap_boxes_direct`,
     else the ``engine_vs_oracle`` failure text: both sizes and the first
     five points of each difference.
 
-    Box ``(i, j)`` holds ``G_{i+j,0} + w_j``: each scan box must equal
-    ``g0.box(i + j)``, one exact dict ``==`` of mask columns (both sides
-    are canonical) as it arrives, and each engine box ``(k - j, j)``, ``k
-    < kmax``, the scan never gave must be empty.  A pass keeps only the box
+    With ``c = band_span(period)``, scan box ``(i, j)`` is one period wide
+    and ``c`` periods high, so it holds the translates ``G_{i+j*c+t,0} +
+    w_{j*c+t}``, ``t < c``: it must equal ``H[i + j*c]`` of
+    :func:`_merged_boxes`, one exact dict ``==`` of mask columns (both
+    sides are canonical) as it arrives.  ``H[m]`` for ``m < c`` is read
+    by box ``(m, 0)`` alone, so it is dropped once that box is compared.
+    Then every box ``(m - j*c, j)`` the scan never gave must find the
+    remaining ``H[m]`` empty: the engine's own boxes are walked, so a box
+    at any height is checked.  A pass keeps only the box
     keys; only the differing columns are listed, by
     :func:`~puregaps.lattice.set_bits`, to name points, and their excess
-    gives the scan's size.
+    over ``len(g0)`` gives the scan's size.
     """
     period = g0.period
-    box = g0.box
-    visited = {}   # box column i -> the boxes j the scan gave it
+    span = band_span(period)
+    width = span * period
+    merged = _merged_boxes(g0, span)
+    visited = {}   # box column i -> the bands j the scan gave it
     excess = 0
     extra, missing = [], []
 
     def diff(i, j, got, want):
-        base, shift = i * period, j * period
+        base, shift = i * period, j * width
         for r in got.keys() | want.keys():
             bs, vs = got.get(r, 0), want.get(r, 0)
             extra.extend((base + r, shift + b)
@@ -131,22 +148,52 @@ def oracle_mismatch(g0, scan, kmax) -> str:
     for i, row in scan:
         visited[i] = set(row)
         for j, want in row.items():
-            got = box(i + j)
+            got = merged.get(i + j * span, {})
             if got != want:
                 excess += _size(want) - _size(got)
                 diff(i, j, got, want)
-    for k in range(kmax):
-        got = box(k)
-        if got:
-            for j in range(k + 1):
-                if j not in visited.get(k - j, ()):
-                    diff(k - j, j, got, {})
+        if i < span and 0 in row:
+            merged.pop(i, None)
+    for m, got in merged.items():
+        for j in range(m // span + 1):
+            if j not in visited.get(m - j * span, ()):
+                excess -= _size(got)
+                diff(m - j * span, j, got, {})
     if not (extra or missing):
         return ""
-    size = excess + sum(_size(box(i + j))
-                        for i, js in visited.items() for j in js)
-    return (f"G0: {len(g0)} vs {size} points; "
+    return (f"G0: {len(g0)} vs {len(g0) + excess} points; "
             f"unexpected {sorted(extra)[:5]}, missing {sorted(missing)[:5]}")
+
+
+def _merged_boxes(g0, span: int) -> dict:
+    """``{m: H[m]}``, the engine's boxes merged ``span`` at a time in
+    the layout of the direct scan's bands: ``H[m][r]`` is the OR of
+    ``g0.box(m + t)[r] << t*period`` over ``t < span``, no empty column or
+    box.  With ``span == 1`` these are the engine's own boxes, shared with
+    no copy.
+
+    Built down from the top box by one recurrence, ``H[m][r] =
+    box(m)[r] | (H[m+1][r] & low) << period`` with ``low`` the
+    ``(span-1)*period`` lowest bits.  There are at most ``kmax * period``,
+    about ``2g``, columns of ``span*period < 2*BAND_BITS`` bits each, so the
+    memory is linear in ``g * BAND_BITS`` bits.
+    """
+    boxes = dict(g0.boxes())
+    if span == 1:
+        return boxes
+    period = g0.period
+    low = (1 << (span - 1) * period) - 1
+    merged = {}
+    above = {}
+    for m in range(max(boxes, default=-1), -1, -1):
+        here = {r: kept << period for r, mask in above.items()
+                if (kept := mask & low)}
+        for r, mask in boxes.get(m, {}).items():
+            here[r] = here.get(r, 0) | mask
+        if here:
+            merged[m] = here
+        above = here
+    return merged
 
 
 class _Checks:
@@ -203,10 +250,10 @@ def _check_bounds(checks, g0, bnd):
                   f"upper={bnd.upper} hk={bnd.homma_kim}")
 
 
-def _check_oracle(checks, g0, scan, kmax):
+def _check_oracle(checks, g0, scan):
     """Record whether the engine's G0 equals the oracle's box columns, by
     :func:`oracle_mismatch`, and return that."""
-    text = oracle_mismatch(g0, scan, kmax)
+    text = oracle_mismatch(g0, scan)
     checks.record("engine_vs_oracle", not text, text)
     return not text
 
@@ -245,7 +292,7 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     g0 = assemble_pure_gaps(boxed)
     bnd = bounds(boxed)
     checks = _Checks()
-    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma), boxed.kmax)
+    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma))
     _check_bounds(checks, g0, bnd)
     if boxed.diagonal:
         checks.run("diagonal_reflection", check_reflection, boxed)
@@ -274,7 +321,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
     # Each box column of the scan is compared as it comes, then dropped.
     start = time.perf_counter()
     checks = _Checks()
-    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma), boxed.kmax)
+    _check_oracle(checks, g0, pure_gap_boxes_direct(gamma))
     timings["direct_oracle_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -389,11 +436,13 @@ def bench_family(family: str, params: dict) -> list:
     """Time the box-decomposition route against the direct glb scan.
 
     The box route's time ends at its :class:`~puregaps.engine.PureGapSet`;
-    the direct scan's ends at its box columns drained into a list.  The
+    the direct scan's ends at its box columns, bands of
+    :func:`~puregaps.oracle.band_span` periods, drained into a list.  The
     value is then compared with the list, untimed, by the
-    ``engine_vs_oracle`` check of ``verify``, before timings are returned;
-    a mismatch raises ConsistencyError with that check's text.  The direct
-    route's cardinality is the total bit count of its boxes' columns.
+    ``engine_vs_oracle`` check of ``verify``, the engine's boxes merged
+    into the same bands, before timings are returned; a mismatch raises
+    ConsistencyError with that check's text.  The direct route's
+    cardinality is the total bit count of its boxes' columns.
     """
     gamma = call_family(family, "{}_generating_set", params)
 
@@ -407,7 +456,7 @@ def bench_family(family: str, params: dict) -> list:
     t_box = time.perf_counter() - start
 
     checks = _Checks(("engine_vs_oracle",))
-    if not _check_oracle(checks, g0, direct, boxed.kmax):
+    if not _check_oracle(checks, g0, direct):
         raise ConsistencyError(checks.detail())
     direct_card = sum(_size(columns) for _, row in direct
                       for columns in row.values())

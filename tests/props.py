@@ -23,6 +23,7 @@ from puregaps.errors import ValidationError
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import validate_generating_set
+from puregaps.oracle import BAND_BITS
 
 from reference import (
     check_period_property,
@@ -227,6 +228,54 @@ def injective_pairs(draw, max_genus=40):
     coord = st.integers(min_value=1, max_value=4 * max_genus)
     firsts = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
     seconds = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    return list(zip(firsts, seconds))
+
+
+#: Family points whose scan spans several bands, or whose period is near
+#: ``BAND_BITS``, on either side: a band of one period and of two.
+WIDE_FAMILY_POOL = (("kummer", (101, 41)), ("kummer", (1021, 4)),
+                    ("kummer", (2047, 3)), ("kummer", (2048, 3)),
+                    ("kummer", (2050, 3)))
+
+#: Periods on both sides of ``BAND_BITS``: a band of many periods, of two
+#: and of one.
+band_periods = st.one_of(
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=BAND_BITS - 2, max_value=BAND_BITS + 2),
+    st.integers(min_value=BAND_BITS + 3, max_value=3 * BAND_BITS))
+
+
+@st.composite
+def residue_chain_sets(draw):
+    """Validated sets with a chain at every residue of a period near
+    ``BAND_BITS``: the recipe of :func:`non_diagonal_sets` with all
+    residues matched at random, each chain of height 0 to 4, so that the
+    second coordinates span several bands of the direct scan."""
+    period = draw(st.sampled_from((601, 1024, BAND_BITS - 1, BAND_BITS,
+                                   BAND_BITS + 5)))
+    rng = draw(st.randoms(use_true_random=False))
+    seconds = list(range(1, period))
+    rng.shuffle(seconds)
+    points = [(r + i * period, s + (h - i) * period)
+              for r, s in zip(range(1, period), seconds)
+              for h in (rng.randrange(5),) for i in range(h + 1)]
+    try:
+        return validate_generating_set(points, period)
+    except ValidationError:
+        assume(False)
+
+
+@st.composite
+def spread_pairs(draw, max_points=25):
+    """Injective pairs spread over a few bands: coordinates up to
+    ``3 * BAND_BITS``, some second coordinates near ``10**12``."""
+    n = draw(st.integers(min_value=0, max_value=max_points))
+    coord = st.integers(min_value=1, max_value=3 * BAND_BITS)
+    far = st.integers(min_value=10**12 - 3 * BAND_BITS,
+                      max_value=10**12 + 3 * BAND_BITS)
+    firsts = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+    seconds = draw(st.lists(st.one_of(coord, far), min_size=n, max_size=n,
+                            unique=True))
     return list(zip(firsts, seconds))
 
 

@@ -4,8 +4,10 @@ Nothing here is part of the package: these are the slow, obvious forms
 that the package's faster code is checked against.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 from puregaps.engine import (
     PureGapSet,
@@ -280,8 +282,10 @@ def diagonal_parts(per_box: dict) -> dict:
 def short_of_first_point(scan, period: int) -> list:
     """The direct scan's box columns, ``(i, {j: {r: mask}})`` as
     :func:`puregaps.oracle.pure_gap_boxes_direct` yields them, without the
-    lexicographically first point.  The scan's boxes are copied where the
-    point is dropped."""
+    lexicographically first point: the least first coordinate, then the
+    lowest band ``j`` of its column, then that mask's lowest bit, for
+    bands of any height.  The scan's boxes are copied where the point is
+    dropped."""
     rows = [(i, dict(row)) for i, row in scan]
     first = min(((i * period + r, j, n, r) for n, (i, row) in enumerate(rows)
                  for j, columns in row.items() for r in columns), default=None)
@@ -297,6 +301,108 @@ def short_of_first_point(scan, period: int) -> list:
         else:
             del row[j]
     return rows
+
+
+def pure_gap_boxes_by_period(gamma: GeneratingSet):
+    """The direct scan as it was before its bands were widened: box
+    columns ``(i, {j: {r: mask}})``, ``i`` decreasing, each box ``(i, j)``
+    one period wide in both coordinates, holding the glbs ``(i*period + r,
+    j*period + v)`` for each bit ``v`` of the mask.  The passed second
+    coordinates are kept in bands ``b // period``; each point gives every
+    lower non-empty band whole and its own band's prefix below it."""
+    period = gamma.period
+    order, bands, boxes = [], [], []
+    row_i = None
+
+    def filled():
+        return {j: box for j, box in zip(order, boxes) if box}
+
+    for a, b in sorted(gamma.points, reverse=True):
+        i, r = divmod(a, period)
+        j0, v0 = divmod(b, period)
+        if i != row_i:
+            if row := filled():
+                yield row_i, row
+            row_i = i
+            boxes = [{} for _ in order]
+        n0 = bisect_left(order, j0)
+        for column, band in zip(islice(boxes, n0), bands):
+            column[r] = band
+        bit = 1 << v0
+        if n0 < len(order) and order[n0] == j0:
+            band = bands[n0]
+            if prefix := band & (bit - 1):
+                boxes[n0][r] = prefix
+            bands[n0] = band | bit
+        else:
+            order.insert(n0, j0)
+            bands.insert(n0, bit)
+            boxes.insert(n0, {})
+    if row := filled():
+        yield row_i, row
+
+
+def by_period(scan, period: int, span: int) -> list:
+    """Box columns with boxes ``span`` periods high, ``(i, {j: {r:
+    mask}})``, split into one-period boxes as
+    :func:`pure_gap_boxes_by_period` yields them."""
+    rows = []
+    low = (1 << period) - 1
+    for i, row in scan:
+        split = {}
+        for j, columns in row.items():
+            for r, mask in columns.items():
+                for t in range(span):
+                    if part := mask >> t * period & low:
+                        split.setdefault(j * span + t, {})[r] = part
+        rows.append((i, dict(sorted(split.items()))))
+    return rows
+
+
+def oracle_mismatch_by_period(g0, scan, kmax) -> str:
+    """The engine-versus-scan comparison as it was before the scan's
+    bands were widened: one-period scan boxes ``(i, j)``, from
+    :func:`pure_gap_boxes_by_period`, each against ``g0.box(i + j)``, then
+    every engine box ``k < kmax`` the scan never gave must be empty.  The
+    failure text names both sizes and the first five points of each
+    difference; an engine box at or above ``kmax`` goes unseen."""
+    period = g0.period
+    box = g0.box
+    visited = {}
+    excess = 0
+    extra, missing = [], []
+
+    def size(columns):
+        return sum(map(int.bit_count, columns.values()))
+
+    def diff(i, j, got, want):
+        base, shift = i * period, j * period
+        for r in got.keys() | want.keys():
+            bs, vs = got.get(r, 0), want.get(r, 0)
+            extra.extend((base + r, shift + b)
+                         for b in set_bits(bs & ~vs)[:5])
+            missing.extend((base + r, shift + v)
+                           for v in set_bits(vs & ~bs)[:5])
+
+    for i, row in scan:
+        visited[i] = set(row)
+        for j, want in row.items():
+            got = box(i + j)
+            if got != want:
+                excess += size(want) - size(got)
+                diff(i, j, got, want)
+    for k in range(kmax):
+        got = box(k)
+        if got:
+            for j in range(k + 1):
+                if j not in visited.get(k - j, ()):
+                    diff(k - j, j, got, {})
+    if not (extra or missing):
+        return ""
+    total = excess + sum(size(box(i + j))
+                         for i, js in visited.items() for j in js)
+    return (f"G0: {len(g0)} vs {total} points; "
+            f"unexpected {sorted(extra)[:5]}, missing {sorted(missing)[:5]}")
 
 
 def g0_points(g0) -> list:

@@ -28,7 +28,7 @@ from puregaps.errors import (
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import GeneratingSet, validate_generating_set
-from puregaps.oracle import pure_gap_boxes_direct
+from puregaps.oracle import band_span, pure_gap_boxes_direct
 
 import expected_gk2 as gk2
 import reference
@@ -299,10 +299,14 @@ class TestMergeCheck:
                 for k, (g1, _, g3, _) in generic.items()}
 
     @classmethod
-    def assert_names(cls, boxed, g0, edited, k, r):
+    def assert_names(cls, boxed, g0, edited, k, r, delta):
+        """The check names the box, the residue, the merged count, off by
+        ``delta`` from the count of ``G0``'s box, and that count."""
+        want = g0.box(k)[r].bit_count()
         with pytest.raises(GenericMismatchError,
                            match=rf"^k={k}: G1\.\.G4 merged at residue "
-                                 rf"{r} hold "):
+                                 rf"{r} hold {want + delta} points, "
+                                 rf"G0 box {want}$"):
             engine.check_components(boxed, edited, g0,
                                     cls.own_sets(boxed, edited))
 
@@ -312,7 +316,7 @@ class TestMergeCheck:
         g1, g2, g3, g4 = generic[k]
         edited = dict(generic)
         edited[k] = (g1, g2, drop_first_point(g3), g4)
-        self.assert_names(boxed, g0, edited, k, min(g3))
+        self.assert_names(boxed, g0, edited, k, min(g3), -1)
 
     def test_g4_overlaps_g1(self, engine_parts):
         boxed, generic, g0 = engine_parts
@@ -323,7 +327,7 @@ class TestMergeCheck:
         assert not first & g4[r]
         edited = dict(generic)
         edited[k] = (g1, g2, g3, {**g4, r: g4[r] | first})
-        self.assert_names(boxed, g0, edited, k, r)
+        self.assert_names(boxed, g0, edited, k, r, 1)
 
 
 class TestBounds:
@@ -610,21 +614,42 @@ class TestPureGapSet:
         return boxes
 
     @staticmethod
-    def scan_of(boxes):
-        """Boxes as the direct scan yields them: box columns
-        ``(i, {j: {r: mask}})``, ``i`` decreasing."""
+    def scan_of(boxes, period):
+        """One-period boxes as the direct scan yields them: box columns
+        ``(i, {j: {r: mask}})``, ``i`` decreasing, each box ``(i, j)`` a
+        band of ``band_span(period)`` periods, one-period box ``(i, j*c +
+        t)`` shifted up ``t`` periods in it."""
+        span = band_span(period)
         rows = {}
         for (i, j), columns in boxes.items():
-            rows.setdefault(i, {})[j] = masks(columns)
+            band = rows.setdefault(i, {}).setdefault(j // span, {})
+            shift = j % span * period
+            for r, mask in masks(columns).items():
+                band[r] = band.get(r, 0) | mask << shift
         return sorted(rows.items(), reverse=True)
 
-    def test_equals_boxes(self, gk2_boxed, gk2_g0):
+    def test_equals_boxes(self, gk2_g0):
         want = self.boxes_of(gk2.G0_SORTED, 9)
         assert sorted(want) == [(0, 0), (0, 1), (1, 0)]
-        kmax = gk2_boxed.kmax
-        assert harness.oracle_mismatch(gk2_g0, self.scan_of(want), kmax) == ""
+        assert harness.oracle_mismatch(gk2_g0, self.scan_of(want, 9)) == ""
         scan = pure_gap_boxes_direct(validate_generating_set(gk2.GAMMA, 9))
-        assert harness.oracle_mismatch(gk2_g0, scan, kmax) == ""
+        assert harness.oracle_mismatch(gk2_g0, scan) == ""
+
+    def test_box_above_kmax_fails(self, monkeypatch):
+        """An engine box at or above ``kmax``, where no box of a valid
+        ``G0`` lies, is still compared with the scan."""
+        gamma = kummer_generating_set(2, 5)
+        boxed = decompose(gamma)
+        assert boxed.kmax == 2
+        g0 = assemble_pure_gaps(boxed)
+        boxes = {k: g0.box(k) for k in range(boxed.kmax)}
+        edited = PureGapSet({**boxes, 2: {1: 0b10}}, g0.period)
+        monkeypatch.setattr(harness, "assemble_pure_gaps",
+                            lambda boxed: edited)
+        report = harness.summarize_generic(gamma, "k2-5")
+        assert report.verdicts["engine_vs_oracle"] == "fail"
+        assert ("engine_vs_oracle: G0: 4 vs 1 points; unexpected "
+                "[(1, 5), (3, 3), (5, 1)], missing []") in report.detail
 
     @pytest.mark.parametrize("edit", [
         # the kinds of edit of a list of columns
@@ -640,14 +665,17 @@ class TestPureGapSet:
         lambda boxes: boxes[0, 1].update({3: [1]}),
         # a box column the engine lacks entirely, inside kmax
         lambda boxes: boxes.update({(2, 0): {1: [1]}}),
+        # box column 0 given, but only in a higher band: box (0, 0) unseen
+        lambda boxes: [boxes.update({(0, j + 300): boxes.pop((0, j))})
+                       for j in (0, 1)],
     ], ids=["point-dropped", "point-added", "column-missing", "column-extra",
             "empty", "dropped-from-translate-j1", "box-key-missing",
-            "box-key-extra", "residue-extra", "box-column-extra"])
-    def test_equals_boxes_edits(self, gk2_boxed, gk2_g0, edit):
+            "box-key-extra", "residue-extra", "box-column-extra",
+            "lowest-box-in-a-higher-band"])
+    def test_equals_boxes_edits(self, gk2_g0, edit):
         edited = self.boxes_of(gk2.G0_SORTED, 9)
         edit(edited)
-        text = harness.oracle_mismatch(gk2_g0, self.scan_of(edited),
-                                       gk2_boxed.kmax)
+        text = harness.oracle_mismatch(gk2_g0, self.scan_of(edited, 9))
         size = sum(len(vs) for columns in edited.values()
                    for vs in columns.values())
         assert text.startswith(f"G0: {len(gk2_g0)} vs {size} points; ")

@@ -6,18 +6,22 @@ from puregaps.engine import assemble_pure_gaps, decompose
 from puregaps.errors import InvalidParamsError
 from puregaps.lattice import GeneratingSet, validate_generating_set
 from puregaps.oracle import (
+    BAND_BITS,
+    band_span,
     count_pure_gaps_direct,
     pure_gap_boxes_direct,
     pure_gaps_direct,
 )
 
 import expected_gk2 as gk2
-from props import injective_pairs
+from props import band_periods, injective_pairs, spread_pairs
 from reference import (
+    by_period,
     check_period_property,
     g0_points,
     gap_projections,
     lub,
+    pure_gap_boxes_by_period,
     semigroup_box,
 )
 
@@ -144,13 +148,29 @@ class TestPureGapsDirectArbitrary:
         rows = list(pure_gap_boxes_direct(gamma))
         assert [i for i, _ in rows] == sorted({i for i, _ in rows},
                                               reverse=True)
+        width = band_span(period) * period
+        assert width >= BAND_BITS
         for _, row in rows:
             assert row
             for columns in row.values():
                 assert columns
                 for r, mask in columns.items():
                     assert 0 <= r < period
-                    assert 0 < mask < 1 << period
+                    assert 0 < mask < 1 << width
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(injective_pairs(), spread_pairs()), band_periods)
+    @example([(1, 5000), (2, 10**12), (3, 4100), (4, 1)], 2048)
+    def test_bands_match_one_period_reference(self, points, period):
+        """The scan's boxes of ``band_span(period)`` periods, split into
+        one-period boxes, are those of the one-period reference scan, and
+        its listing is the definition's, with periods on both sides of
+        ``BAND_BITS`` and second coordinates up to about ``10**12``."""
+        gamma = GeneratingSet(points=tuple(points), period=period)
+        assert pure_gaps_direct(gamma) == reference_pure_gaps(points)
+        assert by_period(pure_gap_boxes_direct(gamma), period,
+                         band_span(period)) == \
+            list(pure_gap_boxes_by_period(gamma))
 
     def test_bounded_by_points_not_coordinates(self):
         # One band per value of b // period would take 10**12 lists here.

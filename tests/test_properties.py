@@ -7,25 +7,39 @@ same properties at its own case counts.
 from contextlib import nullcontext
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import puregaps.engine as engine
 from puregaps.engine import (
     BoxedGamma,
+    PureGapSet,
     assemble_pure_gaps,
     bounds,
     components_by_box,
     decompose,
 )
-from puregaps.errors import CardinalityMismatchError, DisjointnessViolationError
+from puregaps.errors import (
+    CardinalityMismatchError,
+    ConsistencyError,
+    DisjointnessViolationError,
+)
 from puregaps.harness import oracle_mismatch, summarize_generic
-from puregaps.lattice import validate_generating_set
+from puregaps.lattice import (
+    GeneratingSet,
+    set_bits,
+    validate_generating_set,
+)
 from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
 
 import props
 import reference
-from props import injective_pairs, non_diagonal_sets
+from props import (
+    injective_pairs,
+    non_diagonal_sets,
+    residue_chain_sets,
+    spread_pairs,
+)
 from reference import (
     _residue_runs,
     flatten,
@@ -35,6 +49,8 @@ from reference import (
     incomparable,
     lub,
     merge_box,
+    oracle_mismatch_by_period,
+    pure_gap_boxes_by_period,
 )
 
 N = 1000
@@ -110,7 +126,7 @@ def test_non_diagonal_engine_matches_references(gamma):
             _residue_runs({k: merged}, boxed.period).get(k, {})
     direct = pure_gaps_direct(gamma)
     assert g0_points(g0) == direct
-    assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma), boxed.kmax) == ""
+    assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma)) == ""
     assert "".join(g0.pieces("tsv")) == \
         "".join(f"{a}\t{b}\n" for a, b in direct)
     assert "".join(g0.pieces("json")) == \
@@ -121,6 +137,78 @@ def test_non_diagonal_engine_matches_references(gamma):
     assert report.row_sizes == boxed.row_sizes()
     assert (report.lower_bound, report.upper_bound,
             report.homma_kim_bound) == tuple(bounds(boxed))
+
+
+def perturbed(g0, kmax, data):
+    """``g0`` with one edit drawn below box ``kmax``: a bit dropped from a
+    column, a bit added to a column, a column added to a box, or a box
+    added; ``g0`` itself when no box or bit is there to edit."""
+    period = g0.period
+    if period < 2 or not kmax:
+        return g0
+    boxes = {k: dict(columns) for k, columns in g0.boxes()}
+    cells = sorted((k, r) for k, columns in boxes.items() for r in columns)
+    kind = data.draw(st.sampled_from(("drop", "bit", "column", "box")))
+    if kind in ("drop", "bit") and cells:
+        k, r = data.draw(st.sampled_from(cells))
+    else:
+        held = sorted(boxes) if kind == "column" else \
+            [k for k in range(kmax) if k not in boxes]
+        k = data.draw(st.sampled_from(held or range(kmax)))
+        r = data.draw(st.integers(min_value=1, max_value=period - 1))
+    columns = boxes.setdefault(k, {})
+    if kind == "drop" and cells:
+        columns[r] &= ~(1 << data.draw(st.sampled_from(set_bits(columns[r]))))
+    else:
+        columns[r] = columns.get(r, 0) | 1 << data.draw(
+            st.integers(min_value=1, max_value=period - 1))
+    return PureGapSet(boxes, period)
+
+
+def assert_mismatch_matches_reference(g0, gamma, kmax):
+    """The comparison of ``g0`` with the banded scan gives the text of the
+    one-period reference comparison, which sees every box below
+    ``kmax``."""
+    assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma)) == \
+        oracle_mismatch_by_period(g0, pure_gap_boxes_by_period(gamma), kmax)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(st.one_of(non_diagonal_sets(), residue_chain_sets(),
+                 st.sampled_from(props.FAMILY_POOL + props.WIDE_FAMILY_POOL)
+                 .map(props.get_gamma)), st.data())
+def test_oracle_mismatch_matches_one_period_reference(gamma, data):
+    """On validated sets, non-diagonal, with a chain at every residue of
+    a period near ``BAND_BITS``, and the families: the engine's ``G0``
+    passes the banded comparison, and with one edit below ``kmax`` it
+    fails it with the one-period reference's text."""
+    boxed = decompose(gamma)
+    g0 = assemble_pure_gaps(boxed)
+    assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma)) == ""
+    assert_mismatch_matches_reference(perturbed(g0, boxed.kmax, data),
+                                      gamma, boxed.kmax)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(injective_pairs(), spread_pairs()), props.band_periods,
+       st.data())
+def test_injective_oracle_mismatch_matches_reference(points, period, data):
+    """On rows cut from unvalidated injective sets, whose ``G0`` the
+    engine builds but the scan of the whole set need not match, with or
+    without one edit below ``kmax``: the banded comparison's text is the
+    one-period reference's."""
+    boxed = injective_boxed(points, period)
+    try:
+        g0 = assemble_pure_gaps(boxed)
+    except ConsistencyError:
+        assume(False)
+    gamma = GeneratingSet(points=tuple(points), period=period)
+    assert_mismatch_matches_reference(g0, gamma, boxed.kmax)
+    assert_mismatch_matches_reference(perturbed(g0, boxed.kmax, data),
+                                      gamma, boxed.kmax)
 
 
 COMPONENTS = (
