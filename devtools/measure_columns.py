@@ -13,12 +13,11 @@ G0 values hold once built, ``traced_peak_mib`` the peak during the build.
 ``peak_rss_mib`` is the child's own peak RSS (``VmHWM``) at the end, its
 generating set included.  Inputs with ``scan`` also time the direct scan
 drained into the engine's comparison, ``scan_and_compare_s`` (the best
-of ``--repeat`` runs), and give
-the peak RSS just before it, ``rss_before_scan_mib``; ``generic`` times
-the CLI's ``generic --emit summary`` on the input's set file.  The
-comparison is called with the box count ``kmax`` where the tree under
-test still takes it, so a tree from before the scan's bands were widened
-measures too.
+of ``--repeat`` runs), and give the peak RSS just before it,
+``rss_before_scan_mib``; ``generic`` times the CLI's ``generic --emit
+summary`` on the input's set file.  The comparison is passed the box
+count ``kmax`` when the tree under test takes it, so a tree whose
+comparison still reads ``kmax`` measures too.
 """
 
 from __future__ import annotations

@@ -398,9 +398,9 @@ class PureGapSet:
     0 or at ``period`` and above, O(1) per column.
 
     * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|`` of bit counts.
-    * :meth:`box` gives one per-box set.  Two values of one period are
-      equal exactly when their per-box sets are: containment gives
-      ``G_{k,0} = (G0 & box(k-j, j)) - w_j``.
+    * :meth:`box` gives one per-box set, :meth:`boxes` every non-empty
+      one.  Two values of one period are equal exactly when their per-box
+      sets are: containment gives ``G_{k,0} = (G0 & box(k-j, j)) - w_j``.
     * :meth:`pieces` lists ``G0`` as TSV or JSON text in lexicographic
       order.
     """

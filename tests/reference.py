@@ -304,12 +304,13 @@ def short_of_first_point(scan, period: int) -> list:
 
 
 def pure_gap_boxes_by_period(gamma: GeneratingSet):
-    """The direct scan as it was before its bands were widened: box
-    columns ``(i, {j: {r: mask}})``, ``i`` decreasing, each box ``(i, j)``
-    one period wide in both coordinates, holding the glbs ``(i*period + r,
-    j*period + v)`` for each bit ``v`` of the mask.  The passed second
-    coordinates are kept in bands ``b // period``; each point gives every
-    lower non-empty band whole and its own band's prefix below it."""
+    """The direct scan with one-period bands, the reference for the
+    package's wider bands: box columns ``(i, {j: {r: mask}})``, ``i``
+    decreasing, each box ``(i, j)`` one period wide in both coordinates,
+    holding the glbs ``(i*period + r, j*period + v)`` for each bit ``v`` of
+    the mask.  The passed second coordinates are kept in bands ``b //
+    period``; each point gives every lower non-empty band whole and its
+    own band's prefix below it."""
     period = gamma.period
     order, bands, boxes = [], [], []
     row_i = None
@@ -355,13 +356,13 @@ def by_period(scan, period: int, span: int) -> list:
                 for t in range(span):
                     if part := mask >> t * period & low:
                         split.setdefault(j * span + t, {})[r] = part
-        rows.append((i, dict(sorted(split.items()))))
+        rows.append((i, split))
     return rows
 
 
 def oracle_mismatch_by_period(g0, scan, kmax) -> str:
-    """The engine-versus-scan comparison as it was before the scan's
-    bands were widened: one-period scan boxes ``(i, j)``, from
+    """The engine-versus-scan comparison on one-period scan boxes, the
+    reference for the package's banded one: boxes ``(i, j)``, from
     :func:`pure_gap_boxes_by_period`, each against ``g0.box(i + j)``, then
     every engine box ``k < kmax`` the scan never gave must be empty.  The
     failure text names both sizes and the first five points of each

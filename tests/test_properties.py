@@ -141,8 +141,10 @@ def test_non_diagonal_engine_matches_references(gamma):
 
 def perturbed(g0, kmax, data):
     """``g0`` with one edit drawn below box ``kmax``: a bit dropped from a
-    column, a bit added to a column, a column added to a box, or a box
-    added; ``g0`` itself when no box or bit is there to edit."""
+    column, a bit added to a column (maybe one it holds), a column added
+    to a box, or a box added; a drop from an empty ``g0`` adds a box.
+    ``g0`` itself when a period below 2 or ``kmax == 0`` leaves no place
+    for a point."""
     period = g0.period
     if period < 2 or not kmax:
         return g0
@@ -182,8 +184,8 @@ def assert_mismatch_matches_reference(g0, gamma, kmax):
 def test_oracle_mismatch_matches_one_period_reference(gamma, data):
     """On validated sets, non-diagonal, with a chain at every residue of
     a period near ``BAND_BITS``, and the families: the engine's ``G0``
-    passes the banded comparison, and with one edit below ``kmax`` it
-    fails it with the one-period reference's text."""
+    passes the banded comparison, and with one edit below ``kmax`` the
+    banded comparison gives the one-period reference's text."""
     boxed = decompose(gamma)
     g0 = assemble_pure_gaps(boxed)
     assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma)) == ""
