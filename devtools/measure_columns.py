@@ -15,9 +15,7 @@ generating set included.  Inputs with ``scan`` also time the direct scan
 drained into the engine's comparison, ``scan_and_compare_s`` (the best
 of ``--repeat`` runs), and give the peak RSS just before it,
 ``rss_before_scan_mib``; ``generic`` times the CLI's ``generic --emit
-summary`` on the input's set file.  The comparison is passed the box
-count ``kmax`` when the tree under test takes it, so a tree whose
-comparison still reads ``kmax`` measures too.
+summary`` on the input's set file.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ INPUTS = {
 }
 
 CHILD = r"""
-import inspect, json, os, random, sys, time, tracemalloc
+import json, os, random, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import puregaps
 from puregaps import (assemble_pure_gaps, decompose, gk_generating_set,
@@ -136,14 +134,12 @@ if "memory" in extras:
     out.update(retained_mib=retained / 2**20, traced_peak_mib=peak / 2**20)
 out["points"] = sum(map(len, g0s))
 if "scan" in extras:
-    with_kmax = "kmax" in inspect.signature(oracle_mismatch).parameters
     out["rss_before_scan_mib"] = peak_rss_mib()
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        texts = [oracle_mismatch(g0, pure_gap_boxes_direct(g),
-                                 *([b.kmax] if with_kmax else []))
-                 for g0, g, b in zip(g0s, gammas, boxes)]
+        texts = [oracle_mismatch(g0, pure_gap_boxes_direct(g))
+                 for g0, g in zip(g0s, gammas)]
         best = min(best, time.perf_counter() - start)
         assert texts == [""] * len(texts), texts
     out["scan_and_compare_s"] = best

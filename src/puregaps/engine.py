@@ -54,11 +54,11 @@ formulas to ``G0``: per box, the four components are disjoint and their
 union per residue is the engine's ``G_{k,0}``, :meth:`PureGapSet.box`.
 It takes the engine's components and ``G0`` from the caller, so neither
 is built twice, and the family's sets as plain data, box index to
-``(Gamma_{k,0}, G1, G3)`` by list column.  :func:`check_reflection` is
-the only check of the diagonal law that empties G2 and makes G4 a
-reflection of G3 (by column, a transpose), so a family, being diagonal,
-gives neither; it takes the engine's components when the caller has
-built them.
+``(Gamma_{k,0}, G1, G3)`` by mask column, as the engine holds them.
+:func:`check_reflection` is the only check of the diagonal law that
+empties G2 and makes G4 a reflection of G3 (by column, a transpose), so a
+family, being diagonal, gives neither; it takes the engine's components
+when the caller has built them.
 
 The rows are plain ``(a, b)`` tuples, sorted lexicographically.
 Cardinalities and bounds are guarded against the 128-bit range.
@@ -543,14 +543,13 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
     ``g0.box(k)``, the ``G_{k,0}`` of the engine's ``G0``: per residue,
     the four masks must be disjoint and OR to it, which also proves the
     components pairwise disjoint.  Then ``per_box[k]``, the family's
-    (Gamma_{k,0}, G1, G3), the components by column as ascending
-    sequences, is compared with the engine's row, G1 and G3, one dict
-    ``==`` each once the family's columns are masks (:func:`_encoded`).  A
-    box missing from ``per_box`` is empty, and so is every engine box
-    outside ``range(kmax)``, so a family box there with a point fails.  A
-    family is diagonal, so its G2 and G4 are the diagonal law's, empty and
-    :func:`reflect` of G3: once G3 matches, they equal the engine's
-    exactly when :func:`check_reflection` passes on the engine's
+    (Gamma_{k,0}, G1, G3), the components by mask column with no empty
+    column, is compared with the engine's row, G1 and G3, one dict ``==``
+    each.  A box missing from ``per_box`` is empty, and so is every engine
+    box outside ``range(kmax)``, so a family box there with a point
+    fails.  A family is diagonal, so its G2 and G4 are the diagonal law's,
+    empty and :func:`reflect` of G3: once G3 matches, they equal the
+    engine's exactly when :func:`check_reflection` passes on the engine's
     components.  A disagreement raises GenericMismatchError naming the box
     and the first differing residue or set.
     """
@@ -579,23 +578,7 @@ def check_components(boxed: BoxedGamma, generic: dict, g0: PureGapSet,
                 f"k={k}: explicit Gamma_k0 has {len(row)} points, "
                 f"engine has {len(engine)}")
         for name, mine, engine in (("G1", g1, parts[0]), ("G3", g3, parts[2])):
-            if _encoded(mine) != engine:
+            if mine != engine:
                 raise GenericMismatchError(
-                    f"k={k}: explicit {name} has "
-                    f"{sum(map(len, mine.values()))} points, engine has "
-                    f"{_size(engine)}")
-
-
-def _encoded(columns: dict) -> dict:
-    """A family's set given by column, ascending sequences of distinct
-    second coordinates, by mask column; a sequence that repeats a value
-    becomes ``-1``, which no mask equals.  Each distinct sequence object
-    is encoded once: a family shares one among many columns."""
-    masks = {}
-    for bs in columns.values():
-        if id(bs) not in masks:
-            mask = 0
-            for b in bs:
-                mask |= 1 << b
-            masks[id(bs)] = mask if mask.bit_count() == len(bs) else -1
-    return dict(zip(columns, map(masks.__getitem__, map(id, columns.values()))))
+                    f"k={k}: explicit {name} has {_size(mine)} points, "
+                    f"engine has {_size(engine)}")

@@ -8,8 +8,9 @@ enumerated by index triples (i, j, k).  The explicit rows, the components
 G1 and G3 of each box and the cardinality polynomial are implemented
 independently of the generic engine so the two routes can be compared; the
 family is diagonal, so its G2 and G4 are the engine's diagonal law.  Each
-component is built by column, ``{a - k(q^3+1): ascending second
-coordinates at a}``, straight from its index ranges.  The module gives
+component is built by column, ``{a - k(q^3+1): mask of the second
+coordinates at a}``, bit ``b`` set for each ``b`` and no empty column, as
+the engine holds one, straight from its index ranges.  The module gives
 data, not a check: :func:`gk_components` maps each box to its row, G1 and
 G3, after checking the upper-bound polynomial against the explicit row
 sizes, and the harness compares them with the engine's by
@@ -147,14 +148,14 @@ def gk_g1(q: int, k: int) -> dict:
     A cartesian product: first coordinates k(q^3+1)+(q+1-i2)(q^2-q+1)-(k2-i2+2)
     over all rows k2 > k, second coordinates (q+1-i1)(q^2-q+1)-(k1-i1+2)
     over all rows k1 > k.  The residues and the second coordinates are
-    the same values, so every column is the one sorted list of them.
+    the same values, so every column is the one mask of them.
     """
     GKParams(q)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    bases = sorted({base for ks in range(k + 1, q * q - 1)
-                    for _, base in _row_bases(q, ks)})
-    return dict.fromkeys(bases, bases)
+    bases = {base for ks in range(k + 1, q * q - 1)
+             for _, base in _row_bases(q, ks)}
+    return dict.fromkeys(sorted(bases), sum(1 << b for b in bases))
 
 
 def gk_g3(q: int, k: int) -> dict:
@@ -168,9 +169,8 @@ def gk_g3(q: int, k: int) -> dict:
              for point in _row_bases(q, k1)]
     columns = {}
     for i2, base in _row_bases(q, k):
-        bs = sorted({b for i1, b in above if i1 >= i2})
-        if bs:
-            columns[base] = bs
+        if column := sum({1 << b for i1, b in above if i1 >= i2}):
+            columns[base] = column
     return dict(sorted(columns.items()))
 
 

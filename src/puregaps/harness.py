@@ -60,7 +60,7 @@ from .oracle import (
 #: Closed-form families, each diagonal: name -> (module, parameter names).
 #: The module gives data, not a check: ``<name>_generating_set``,
 #: ``<name>_card_g0`` and ``<name>_components`` (box index -> its
-#: (Gamma_{k,0}, G1, G3), the components by column), each taking the
+#: (Gamma_{k,0}, G1, G3), the components by mask column), each taking the
 #: parameters in this order.  The CLI builds one subcommand per entry,
 #: with an int flag per parameter.
 FAMILIES = {"gk": (gk_mod, ("q",)), "kummer": (kummer_mod, ("m", "r"))}

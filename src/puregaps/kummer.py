@@ -12,9 +12,10 @@ G2 is empty and G4 is the reflection of G3; that law is the engine's
 :func:`~puregaps.engine.check_reflection`, and only the rows, G1 and G3
 are given here, by :func:`kummer_components`, as data that the harness
 compares with the engine's by :func:`~puregaps.engine.check_components`.
-Each component is built by column, ``{a - m*k: ascending second
-coordinates at a}``, straight from its index ranges; the columns of G1
-and G3 are ranges.
+Each component is built by column, ``{a - m*k: mask of the second
+coordinates at a}``, bit ``b`` set for each ``b`` and no empty column, as
+the engine holds one, straight from its index ranges; the columns of G1
+and G3 are runs of bits from bit 1.
 """
 
 from __future__ import annotations
@@ -109,26 +110,27 @@ def kummer_gamma_k0(m: int, r: int, k: int) -> list:
 def kummer_g1(m: int, r: int, k: int) -> dict:
     """First component of box (k, 0), by column: the square of side
     m - 1 - floor(m(k+2)/r) anchored at (m*k + 1, 1), every column the
-    one range 1 .. side."""
+    one mask of bits 1 .. side."""
     KummerParams(m, r)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    side = range(1, m - (m * (k + 2)) // r)
-    return dict.fromkeys(side, side)
+    stop = m - (m * (k + 2)) // r  # one past the side
+    if stop < 2:
+        return {}
+    return dict.fromkeys(range(1, stop), (1 << stop) - 2)
 
 
 def kummer_g3(m: int, r: int, k: int) -> dict:
     """Third component, by column: (m*k + j, j1) with j in the row's own
     j-range and 1 <= j1 <= m - 1 - floor(m(k+2)/r), every column the one
-    range of j1."""
+    mask of the bits j1."""
     KummerParams(m, r)
     if k < 0:
         raise InvalidParamsError(f"box index must be nonnegative, got {k}")
     jlo = m - (m * (k + 2)) // r
-    column = range(1, jlo)
-    if not column:
+    if jlo < 2:
         return {}
-    return dict.fromkeys(range(jlo, m - (m * (k + 1)) // r), column)
+    return dict.fromkeys(range(jlo, m - (m * (k + 1)) // r), (1 << jlo) - 2)
 
 
 def kummer_card_g0(m: int, r: int) -> int:

@@ -66,40 +66,25 @@ def mask(bs) -> int:
 
 
 def masks(columns) -> dict:
-    """A set given by column as ascending sequences, ``{r: ascending b}``,
+    """A set written by column as sequences, ``{r: second coordinates}``,
     as the package holds one, by mask column."""
     return {r: mask(bs) for r, bs in columns.items()}
 
 
-def listed(column) -> list:
-    """A column, a mask or an ascending sequence, as its list of second
-    coordinates."""
-    return set_bits(column) if isinstance(column, int) else list(column)
-
-
-def lists(columns) -> dict:
-    """A set given by mask column as a family gives one, by ascending list
-    column."""
-    return {r: listed(bs) for r, bs in columns.items()}
-
-
 def flatten(columns, base=0) -> list:
-    """The points ``(base + r, b)`` of a set given by column, ``{r: mask}``
-    or ``{r: ascending b}``, in column order: sorted when the columns
-    are."""
-    return [(base + r, b) for r in sorted(columns) for b in listed(columns[r])]
+    """The points ``(base + r, b)`` of a set given by mask column, ``{r:
+    mask}``, in column order: sorted when the columns are."""
+    return [(base + r, b) for r in sorted(columns)
+            for b in set_bits(columns[r])]
 
 
-def without_first(column):
-    """A column, a mask or an ascending sequence, without its least second
-    coordinate."""
-    if isinstance(column, int):
-        return column & (column - 1)
-    return list(column)[1:]
+def without_first(column: int) -> int:
+    """A mask column without its least second coordinate."""
+    return column & (column - 1)
 
 
 def drop_first_point(columns) -> dict:
-    """A set given by column, mask or sequence, without its first point."""
+    """A set given by mask column without its first point."""
     out = dict(sorted(columns.items()))
     first = min(out)
     out[first] = without_first(out[first])
@@ -251,19 +236,18 @@ def check_period_property(points, period: int | None = None) -> PeriodPropertyRe
 
 def merge_components(per_box: dict, period: int) -> PureGapSet:
     """G0 from components, ``per_box`` mapping each box index k to the
-    components of box (k, 0) by column (masks or ascending sequences), as
-    :func:`components_by_box` or :func:`diagonal_parts` give them.  Each
-    column of ``G_{k,0}`` is the union of the components' columns at its
-    residue.  The components must be pairwise disjoint, so a second
-    coordinate two of them hold raises DisjointnessViolationError; so
-    does a column outside its box, by :class:`PureGapSet`."""
+    components of box (k, 0) by mask column, as :func:`components_by_box`
+    or :func:`diagonal_parts` give them.  Each column of ``G_{k,0}`` is the
+    union of the components' columns at its residue.  The components must
+    be pairwise disjoint, so a second coordinate two of them hold raises
+    DisjointnessViolationError; so does a column outside its box, by
+    :class:`PureGapSet`."""
     columns_by_box = {}
     for k, parts in per_box.items():
         columns = columns_by_box[k] = {}
         for part in parts:
-            for r, bs in part.items():
+            for r, bits in part.items():
                 held = columns.get(r, 0)
-                bits = bs if isinstance(bs, int) else mask(bs)
                 if held & bits:
                     raise DisjointnessViolationError(
                         f"components of box k={k} overlap at residue {r}")
@@ -272,11 +256,10 @@ def merge_components(per_box: dict, period: int) -> PureGapSet:
 
 
 def diagonal_parts(per_box: dict) -> dict:
-    """A family's sets, box index k -> its (Gamma_{k,0}, G1, G3), completed
-    by the diagonal law to the parts of ``G_{k,0}`` by mask column: G1, G3
-    and the reflected G3 (G2 is empty)."""
-    return {k: (masks(g1), masks(g3), reflect(masks(g3)))
-            for k, (_, g1, g3) in per_box.items()}
+    """A family's sets, box index k -> its (Gamma_{k,0}, G1, G3) by mask
+    column, completed by the diagonal law to the parts of ``G_{k,0}``: G1,
+    G3 and the reflected G3 (G2 is empty)."""
+    return {k: (g1, g3, reflect(g3)) for k, (_, g1, g3) in per_box.items()}
 
 
 def short_of_first_point(scan, period: int) -> list:

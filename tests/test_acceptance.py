@@ -36,7 +36,6 @@ from reference import (
     diagonal_parts,
     flatten,
     g0_points,
-    masks,
     merge_components,
 )
 
@@ -78,8 +77,8 @@ def test_criterion_2_gk_q2_component_sets(capsys):
         "explicit": {
             ("G1", 0): gk_g1(2, 0), ("G1", 1): gk_g1(2, 1),
             ("G3", 0): gk_g3(2, 0), ("G3", 1): gk_g3(2, 1),
-            ("G4", 0): reflect(masks(gk_g3(2, 0))),
-            ("G4", 1): reflect(masks(gk_g3(2, 1))),
+            ("G4", 0): reflect(gk_g3(2, 0)),
+            ("G4", 1): reflect(gk_g3(2, 1)),
             ("G2", 0): {}, ("G2", 1): {}, ("G2", 2): {},
         },
     }

@@ -602,31 +602,42 @@ class TestEngineG2G4Faults:
 
 
 class TestFamilySetFaults:
-    """A point short in a family's row, G1 or G3 fails
-    ``components_vs_generic``, naming the box and the set."""
+    """A point short in a family's row, G1 or G3, or one extra in its G1,
+    fails ``components_vs_generic``, naming the box, the set and both
+    sizes."""
 
     @pytest.mark.parametrize("family, params", [
         ("gk", {"q": 3}), ("kummer", {"m": 7, "r": 5})], ids=["gk", "kummer"])
-    @pytest.mark.parametrize("index, name", [
-        (0, "Gamma_k0"), (1, "G1"), (2, "G3")])
+    @pytest.mark.parametrize("index, name, delta", [
+        (0, "Gamma_k0", -1), (1, "G1", -1), (2, "G3", -1), (1, "G1", 1)],
+        ids=["0-Gamma_k0", "1-G1", "2-G3", "1-G1-extra"])
     def test_dropped_point_fails(self, monkeypatch, family, params, index,
-                                 name):
+                                 name, delta):
         module = harness.FAMILIES[family][0]
         func = f"{family}_components"
         per_box = getattr(module, func)(*params.values())
         k = min(k for k, sets in per_box.items() if sets[index])
-
-        def short(*args):
-            sets = list(per_box[k])
-            sets[index] = (sets[index][1:] if index == 0
-                           else drop_first_point(sets[index]))
-            return {**per_box, k: tuple(sets)}
-        monkeypatch.setattr(module, func, short)
+        sets = list(per_box[k])
+        if index == 0:
+            size = len(sets[0])
+            sets[0] = sets[0][1:]
+        else:
+            columns = sets[index]
+            size = sum(map(int.bit_count, columns.values()))
+            if delta < 0:
+                sets[index] = drop_first_point(columns)
+            else:
+                # the least second coordinate above 0 that the column lacks
+                r = min(columns)
+                held = columns[r] | 1
+                sets[index] = {**columns, r: columns[r] | (held + 1) & ~held}
+        monkeypatch.setattr(module, func,
+                            lambda *args: {**per_box, k: tuple(sets)})
 
         report = harness.verify_point(family, params)
         assert report.verdicts["components_vs_generic"] == "fail"
-        assert f"components_vs_generic: k={k}: explicit {name} has " \
-            in report.detail
+        assert (f"components_vs_generic: k={k}: explicit {name} has "
+                f"{size + delta} points, engine has {size}") in report.detail
 
 
 class TestFamilyProtocol:

@@ -38,7 +38,6 @@ from reference import (
     flatten,
     g0_boxes,
     g0_points,
-    lists,
     masks,
     merge_box,
     merge_components,
@@ -203,18 +202,18 @@ class TestFamilyAssemble:
 
     def test_merges_by_residue(self):
         # G1 (10, 1), (10, 4); G3 (11, 1), (11, 2); G4 (10, 2)
-        parts = ({1: [1, 4]}, {}, {2: range(1, 3)}, {1: [2]})
+        parts = tuple(map(masks, ({1: [1, 4]}, {}, {2: [1, 2]}, {1: [2]})))
         g0 = merge_components({1: parts}, 9)
         assert g0_boxes(g0) == {1: masks({1: [1, 2, 4], 2: [1, 2]})}
         assert len(g0) == 2 * 5
 
     @pytest.mark.parametrize("parts", [
         ({1: [1, 4]}, {}, {}, {1: [4]}),        # G1 and G4 share (10, 4)
-        ({}, {2: [3]}, {2: range(1, 4)}, {}),   # G2 and G3 share (11, 3)
+        ({}, {2: [3]}, {2: [1, 2, 3]}, {}),     # G2 and G3 share (11, 3)
     ], ids=["g1-g4", "g2-g3"])
     def test_overlap_raises(self, parts):
         with pytest.raises(DisjointnessViolationError):
-            merge_components({1: parts}, 9)
+            merge_components({1: tuple(map(masks, parts))}, 9)
 
 
 def test_reflect_is_the_column_transpose():
@@ -293,9 +292,8 @@ class TestMergeCheck:
 
     @staticmethod
     def own_sets(boxed, generic):
-        """The engine's row, G1 and G3 of each box, given as the family's:
-        by list column."""
-        return {k: (boxed.row(k), lists(g1), lists(g3))
+        """The engine's row, G1 and G3 of each box, given as the family's."""
+        return {k: (boxed.row(k), g1, g3)
                 for k, (g1, _, g3, _) in generic.items()}
 
     @classmethod

@@ -41,7 +41,6 @@ from reference import (
     flatten,
     g0_boxes,
     g0_points,
-    masks,
     merge_components,
 )
 
@@ -144,8 +143,8 @@ class TestComponents:
         assert flatten(gk_g3(2, 0)) == gk2.G3_0
         assert flatten(gk_g3(2, 1), 9) == gk2.G3_1
         # G4 is the reflected G3 by the diagonal law (G2 is empty)
-        assert flatten(reflect(masks(gk_g3(2, 0)))) == gk2.G4_0
-        assert flatten(reflect(masks(gk_g3(2, 1))), 9) == gk2.G4_1
+        assert flatten(reflect(gk_g3(2, 0))) == gk2.G4_0
+        assert flatten(reflect(gk_g3(2, 1)), 9) == gk2.G4_1
 
     def test_top_box_components_empty(self):
         for q in (2, 3):
@@ -165,7 +164,7 @@ class TestComponents:
                 assert flatten(got, base) == points(q, k)
                 assert all(got.values())
             # the diagonal law's G4 is the reference's reflected G3
-            assert flatten(reflect(masks(gk_g3(q, k))), base) == \
+            assert flatten(reflect(gk_g3(q, k)), base) == \
                 reference.gk_g4_points(q, k)
 
     @pytest.mark.parametrize("q", [2, 3, 4])

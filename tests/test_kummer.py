@@ -33,7 +33,6 @@ from reference import (
     flatten,
     g0_boxes,
     g0_points,
-    masks,
     merge_components,
 )
 
@@ -115,13 +114,13 @@ class TestComponents:
         assert flatten(kummer_g1(4, 3, 0)) == [(1, 1)]
         assert flatten(kummer_g3(4, 3, 0)) == [(2, 1)]
         # G4 is the reflected G3 by the diagonal law (G2 is empty)
-        assert flatten(reflect(masks(kummer_g3(4, 3, 0)))) == [(1, 2)]
+        assert flatten(reflect(kummer_g3(4, 3, 0))) == [(1, 2)]
 
     def test_m4_r7_k0_square(self):
         assert flatten(kummer_g1(4, 7, 0)) == \
             [(1, 1), (1, 2), (2, 1), (2, 2)]
-        # every column is the one range of the square's side
-        assert kummer_g1(4, 7, 0) == {1: range(1, 3), 2: range(1, 3)}
+        # every column is the one mask of the square's side
+        assert kummer_g1(4, 7, 0) == {1: 0b110, 2: 0b110}
 
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (6, 11), (3, 8)])
     def test_top_box_components_empty(self, m, r):
@@ -142,7 +141,7 @@ class TestComponents:
                 assert flatten(got, m * k) == points(m, r, k)
                 assert all(got.values())
             # the diagonal law's G4 is the reference's reflected G3
-            assert flatten(reflect(masks(kummer_g3(m, r, k))), m * k) == \
+            assert flatten(reflect(kummer_g3(m, r, k)), m * k) == \
                 reference.kummer_g4_points(m, r, k)
 
     @pytest.mark.parametrize("m,r", [(4, 3), (4, 7), (7, 3), (6, 11),
@@ -165,7 +164,7 @@ class TestComponents:
         per_box[k] = ((), {}, {})
         check_components(boxed, per_box=per_box, **engine)
         sets = [(), {}, {}]
-        sets[index] = [(7 * k + 1, 1)] if index == 0 else {1: [1]}
+        sets[index] = [(7 * k + 1, 1)] if index == 0 else {1: 0b10}
         per_box[k] = tuple(sets)
         with pytest.raises(GenericMismatchError,
                            match=rf"^k={k}: explicit {name} has 1 points, "
