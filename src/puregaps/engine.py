@@ -13,38 +13,38 @@ and so is ``G_{k,0}``: a column is an int with bit ``b`` set for each
 second coordinate ``b`` at ``a``, with no tuple and no pointer per point.
 Box containment reduces each component's glb formula to a column form,
 proven in its docstring: :func:`compute_g1` is a Cartesian product, one
-mask in every column, and :func:`compute_g3` takes each column as a
-prefix of one mask.  One walk down the residues of the box, :func:`_walk`,
-builds the rest from one mask: a prefix at each row-k point and the mask
-itself, one int shared by neighbouring columns, at each first coordinate
-shifted down from a higher row.  From an empty mask its prefixes are G2
-and its shared masks G4; from the second coordinates above the row its
-columns are ``G_{k,0}``'s, as :func:`_box` builds them.  What the walk
-reads, the residues and second coordinates of the points above the row,
-is kept as two masks by one sweep down the rows, :func:`_sweep`, which
-passes each row once and is the only source of a box's state:
-:func:`assemble_pure_gaps`, :func:`components_by_box` and
-:func:`check_reflection` build every box in that sweep.  Points are
-named, as lists, only where they are written or a mismatch is reported,
-by :func:`~puregaps.lattice.set_bits`.
+mask in every column, and :func:`compute_g3` takes each column as a prefix
+of one mask.  One walk down the residues of the box, :func:`_walk`, builds
+the rest from one mask as runs, residues that share one column, by mask
+arithmetic: a prefix at each row-k point, and the mask itself at the first
+coordinates shifted down from higher rows between two row points.  From an
+empty mask its prefixes are G2 and its shared masks G4; from the second
+coordinates above the row its runs are ``G_{k,0}``'s, as :func:`_box`
+builds them.  What the walk reads, the residues and second coordinates of
+the points above the row, is kept as two masks by one sweep down the rows,
+:func:`_sweep`, which passes each row once and is the only source of a
+box's state: :func:`assemble_pure_gaps`, :func:`components_by_box` and
+:func:`check_reflection` build every box in that sweep.  Points are named,
+as lists, only where they are written or a mismatch is reported, by
+:func:`~puregaps.lattice.set_bits`.
 
-Box containment fixes the order of the union.  Every point of
-``G_{k,0}`` lies strictly inside box ``(k, 0)``: ``k*period < a <
-(k+1)*period`` and ``0 < b < period``.  Its translate by ``w_j`` therefore
-lies inside box ``(k-j, j)``, so the translates are pairwise disjoint and
-``G0`` needs no other storage than the per-box columns and the period.
-That is :class:`PureGapSet`, built from the per-box columns and the period:
-it checks containment when built, in O(1) per column; its length is the
-weighted sum ``sum (k+1)|G_{k,0}|`` of bit counts; and
-:meth:`PureGapSet.pieces`, the one listing, writes it as text in
-lexicographic order without a sort: box columns ``i`` ascending; inside a
-box column, first-coordinate residues ``r`` ascending; for each residue,
-``j`` ascending, giving the second coordinates of ``G_{i+j,0}`` at ``a =
-(i+j)*period + r`` shifted by ``j*period``.  Nothing else walks the
-translates.  Two values of one period compare box by box, one dict ``==``
-of ints each, and so does one with the direct scan, whose box ``(i, j)``
-is a band of ``c`` periods: it must hold the boxes ``i + j*c + t``,
-``t < c``, of :meth:`PureGapSet.boxes`, each shifted up ``t`` periods.
+Box containment fixes the order of the union.  Every point of ``G_{k,0}``
+lies strictly inside box ``(k, 0)``: ``k*period < a < (k+1)*period`` and
+``0 < b < period``.  Its translate by ``w_j`` therefore lies inside box
+``(k-j, j)``, so the translates are pairwise disjoint and ``G0`` needs no
+other storage than the per-box runs and the period.  That is
+:class:`PureGapSet`, built from the per-box runs and the period: it checks
+containment when built, in O(1) per run; its length is the weighted sum
+``sum (k+1)|G_{k,0}|`` of bit counts; and :meth:`PureGapSet.pieces`, the
+one listing, writes it as text in lexicographic order without a sort: box
+columns ``i`` ascending; inside a box column, first-coordinate residues
+``r`` ascending; for each residue, ``j`` ascending, giving the second
+coordinates of ``G_{i+j,0}`` at ``a = (i+j)*period + r`` shifted by
+``j*period``.  Nothing else walks the translates.  Two values of one
+period compare box by box, expanded to columns, one dict ``==`` of ints
+each, and so does one with the direct scan, whose box ``(i, j)`` is a band
+of ``c`` periods: it must hold the boxes ``i + j*c + t``, ``t < c``, of
+:meth:`PureGapSet.boxes`, each shifted up ``t`` periods.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0``, every box by
 :func:`_box`, the one route to it.  :func:`check_components` is the only
@@ -66,7 +66,6 @@ Cardinalities and bounds are guarded against the 128-bit range.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import repeat
 
@@ -180,33 +179,40 @@ def _check_g1(k: int, above: int, fmask: int, seconds: int) -> None:
             f"|G1_({k},0)| = {distinct}, formula gives {above * above}")
 
 
-def _walk(boxed: BoxedGamma, k: int, firsts, passed: int,
+def _walk(boxed: BoxedGamma, k: int, fmask: int, passed: int,
           own: bool = True) -> list:
-    """The one walk behind G2, G4 and ``G_{k,0}``: the ``(residue,
-    column)`` pairs of box (k, 0) in decreasing residue, at ``firsts`` and,
-    with ``own``, at the row-k points.
+    """The one walk behind G2, G4 and ``G_{k,0}``: the runs ``(R, C)`` of
+    box (k, 0), residues ``R`` that all hold column ``C``, in decreasing
+    residue, over the mask ``fmask`` and, with ``own``, the row-k points.
 
-    ``firsts`` is sorted and ``passed`` is a mask.  The walk goes down the
-    row.  At a row-k point ``(r, b)`` the column is the prefix ``passed &
-    ((1 << b) - 1)``, then ``b`` joins ``passed``.  Every ``f`` of
-    ``firsts`` from ``r`` up to the row point above takes ``passed`` as it
-    was before ``b`` joined: one int, so neighbouring columns share it.
-    Empty columns are left out.
+    At a row-k point ``(r, b)``, down the row, the residues of ``fmask``
+    from ``r`` up take the mask ``passed`` and leave ``fmask``; with
+    ``own``, ``r`` takes the prefix ``passed & ((1 << b) - 1)``; then ``b``
+    joins ``passed``; the residues left take ``passed`` last.  No run is empty.
     """
     base = k * boxed.period
-    columns = []
-    hi = len(firsts)
+    runs = []
     for a, b in reversed(boxed.row(k)):
         r = a - base
-        lo = bisect_left(firsts, r, 0, hi)
-        if passed:
-            columns.extend(zip(reversed(firsts[lo:hi]), repeat(passed)))
-        hi = lo
+        if passed and (high := fmask & -(1 << r)):
+            runs.append((high, passed))
+        fmask &= (1 << r) - 1
         if own and (prefix := passed & ((1 << b) - 1)):
-            columns.append((r, prefix))
+            runs.append((1 << r, prefix))
         passed |= 1 << b
-    if passed:
-        columns.extend(zip(reversed(firsts[:hi]), repeat(passed)))
+    if passed and fmask:
+        runs.append((fmask, passed))
+    return runs
+
+
+def _columns(runs) -> dict:
+    """Runs ``(R, C)`` from :func:`_walk` by column, residues ascending.
+    Each ``R`` is read from its lowest bit, so a box takes O(period)."""
+    columns = {}
+    for residues, column in reversed(runs):
+        low = (residues & -residues).bit_length() - 1
+        columns.update(dict.fromkeys(
+            map(low.__add__, set_bits(residues >> low)), column))
     return columns
 
 
@@ -235,12 +241,12 @@ def compute_g2(boxed: BoxedGamma, k: int) -> dict:
     ``u`` and a point ``v`` right of it are incomparable exactly when
     ``u_b > v_b``, and their glb is ``(u_a, v_b)``: the column at ``u``
     holds the second coordinates below ``u_b`` of the row points right of
-    ``u``.  These are the row columns of :func:`_walk` with no shifted
-    first coordinate, started from an empty mask.  Empty whenever the
+    ``u``.  These are the row runs of :func:`_walk` with no shifted first
+    coordinate, started from an empty mask, by column.  Empty whenever the
     diagonal condition holds, since points of one row are then totally
     ordered.
     """
-    return dict(reversed(_walk(boxed, k, (), 0)))
+    return _columns(_walk(boxed, k, 0, 0))
 
 
 def compute_g3(boxed: BoxedGamma, k: int, state: tuple) -> dict:
@@ -271,11 +277,11 @@ def compute_g4(boxed: BoxedGamma, k: int, state: tuple) -> dict:
     ``F`` the first coordinates of the points above row k shifted down to
     residues in box (k, 0) (:func:`_sweep`), the column at ``f`` in ``F``
     holds the second coordinates of the row-k points of residue strictly
-    above ``f``.  These are the shifted columns of :func:`_walk` over
-    ``F``, started from an empty mask: columns with no row-k point between
-    them are one int, and a repeated ``f`` gives the same column.
+    above ``f``.  These are the runs of :func:`_walk` over ``F``, started
+    from an empty mask, by column: the residues of ``F`` with no row-k
+    point between them are one run.
     """
-    return dict(reversed(_walk(boxed, k, set_bits(state[1]), 0, own=False)))
+    return _columns(_walk(boxed, k, state[1], 0, own=False))
 
 
 def reflect(columns: dict) -> dict:
@@ -357,20 +363,19 @@ def components_by_box(boxed: BoxedGamma):
                   compute_g3(boxed, k, state), compute_g4(boxed, k, state))
 
 
-def _box(boxed: BoxedGamma, k: int, state: tuple) -> dict:
-    """``G_{k,0}`` by columns: ``{a - k*period: mask of the second
-    coordinates of G_{k,0} at a}``, bit ``b`` set for each ``b``, residues
-    ascending, no empty column; ``state`` is box k's ``(n, F, S)`` from
-    :func:`_sweep`.
+def _box(boxed: BoxedGamma, k: int, state: tuple) -> list:
+    """``G_{k,0}`` by runs, ``(R, C)``: residues ``R``, ``a - k*period``,
+    that all hold the mask ``C`` of second coordinates of ``G_{k,0}``, no
+    empty run; ``state`` is box k's ``(n, F, S)`` from :func:`_sweep`.
 
     The column forms proven in :func:`compute_g1` .. :func:`compute_g4`
     give two kinds of column: at ``f`` in ``F``, G1's, all of ``S``,
     joined by G4's; at a row-k point, G3's prefix of ``S`` joined by G2's.
-    Both are the columns of :func:`_walk` over ``F`` started from ``S``:
-    no set, no sort and no tuple per point, and neighbouring columns at
-    ``F`` are one int.  ``F`` and ``S`` may not repeat a value (the G1
-    cardinality check), and ``F`` may not meet the row-k residues, where
-    the two kinds of column would overlap (DisjointnessViolationError).
+    Both are the runs of :func:`_walk` over ``F`` started from ``S``: no
+    set, no sort and no tuple per point or per residue.  ``F`` and ``S``
+    may not repeat a value (the G1 cardinality check), and ``F`` may not
+    meet the row-k residues, where the two kinds of column would overlap
+    (DisjointnessViolationError).
     """
     _check_g1(k, *state)
     _, fmask, seconds = state
@@ -382,7 +387,7 @@ def _box(boxed: BoxedGamma, k: int, state: tuple) -> dict:
         raise DisjointnessViolationError(
             f"box k={k}: a first coordinate shifted down from a higher row "
             f"is a first coordinate of row {k}")
-    return dict(reversed(_walk(boxed, k, set_bits(fmask), seconds)))
+    return _walk(boxed, k, fmask, seconds)
 
 
 class PureGapSet:
@@ -390,39 +395,45 @@ class PureGapSet:
 
     ``G0`` is the disjoint union of the translates ``G_{k,0} + w_j``,
     ``0 <= j <= k``, so the per-box sets and the period are all of it.  The
-    sets are kept by column, ``k -> {a - k*period: mask of the second
-    coordinates of G_{k,0} at a}``, with empty columns and boxes dropped.
-    Building the value checks that every column lies strictly inside its
-    box, which makes the translates disjoint, and raises
-    DisjointnessViolationError otherwise: ``0 < r < period`` and no bit at
-    0 or at ``period`` and above, O(1) per column.
+    sets are kept by run, ``k -> [(R, C)]`` as :func:`_box` builds them,
+    empty runs and boxes dropped.  Building the value checks, in O(1) per
+    run, that no bit of ``R`` or ``C`` is at 0 or at ``period`` and above,
+    so the translates are disjoint, and that no two runs of a box share a
+    residue; it raises DisjointnessViolationError otherwise.
 
-    * ``len`` is the weighted sum ``sum (k+1)|G_{k,0}|`` of bit counts.
-    * :meth:`box` gives one per-box set, :meth:`boxes` every non-empty
-      one.  Two values of one period are equal exactly when their per-box
-      sets are: containment gives ``G_{k,0} = (G0 & box(k-j, j)) - w_j``.
+    * ``len`` is the weighted sum ``sum (k+1)|R||C|`` of bit counts.
+    * :meth:`box` gives one per-box set by column, :meth:`boxes` every
+      non-empty one, expanded from the runs.  Two values of one period
+      are equal exactly when their per-box sets are: containment gives
+      ``G_{k,0} = (G0 & box(k-j, j)) - w_j``.
     * :meth:`pieces` lists ``G0`` as TSV or JSON text in lexicographic
       order.
     """
 
     __slots__ = ("period", "_runs", "_size")
 
-    def __init__(self, columns_by_box: dict, period: int):
+    def __init__(self, runs_by_box: dict, period: int):
+        inside = (1 << period) - 2
         runs = {}
         size = 0
-        for k, columns in columns_by_box.items():
-            kept = {}
-            for r, mask in columns.items():
-                if not mask:
+        for k, box in runs_by_box.items():
+            kept = []
+            held = 0
+            for residues, mask in box:
+                if not residues or not mask:
                     continue
-                if not 0 < r < period or mask & 1 or mask >> period:
+                outside = residues & ~inside or mask & ~inside and residues
+                if bad := outside or held & residues:
+                    a = k * period + (bad & -bad).bit_length() - 1
                     raise DisjointnessViolationError(
-                        f"column a={k * period + r} of G_({k},0) leaves box "
-                        f"({k}, 0)")
-                kept[r] = mask
+                        f"column a={a} of G_({k},0) " + (
+                            f"leaves box ({k}, 0)" if outside
+                            else "is in two runs"))
+                held |= residues
+                kept.append((residues, mask))
+                size += (k + 1) * residues.bit_count() * mask.bit_count()
             if kept:
                 runs[k] = kept
-                size += (k + 1) * _size(kept)
         self.period = period
         self._runs = runs
         self._size = check_int128(size)
@@ -435,14 +446,13 @@ class PureGapSet:
                 f"size={self._size})")
 
     def box(self, k: int) -> dict:
-        """``G_{k,0}`` by mask column, as :func:`_box` built it;
-        ``{}`` for an empty box.  Read-only."""
-        return self._runs.get(k, {})
+        """``G_{k,0}`` by mask column, a fresh dict; ``{}`` if empty."""
+        return _columns(self._runs.get(k, ()))
 
     def boxes(self):
         """The non-empty per-box sets, ``(k, columns)`` pairs as
-        :meth:`box` gives them.  Read-only."""
-        return self._runs.items()
+        :meth:`box` gives them, each expanded when reached."""
+        return ((k, _columns(runs)) for k, runs in self._runs.items())
 
     def pieces(self, fmt: str = "tsv"):
         """Yield ``G0`` as text in lexicographic order, in pieces of about
@@ -450,17 +460,16 @@ class PureGapSet:
         ``"tsv"``, one JSON array of pairs and a newline for ``"json"``.
 
         The text is rendered from templates one box column ``i`` at a time,
-        in the order the module docstring gives.  Each distinct mask of a
-        box is listed once, by :func:`~puregaps.lattice.set_bits`, when the
-        walk first meets the box, and dropped after its last use, at
-        ``j = 0``.  For each translate ``j``, each listed mask of box
-        ``i + j`` is rendered once, one cell ``"\\x00" + str(b +
+        in the order the module docstring gives.  Each run's mask is listed
+        once, by :func:`~puregaps.lattice.set_bits`, and dropped after its
+        last use, at ``j = 0``.  For each translate ``j``, each listed mask
+        of box ``i + j`` is rendered once, one cell ``"\\x00" + str(b +
         j*period) + closer`` per point.  A first coordinate's block is its
         templates across ``j`` joined, with the marker replaced by the
-        point's opening text ``a<TAB>`` or ``,[a,``: no Python work per run
-        or per point.  Memory is bounded by the per-box sets, not by
-        ``|G0|``.  After the text, the markers rendered must number
-        ``len(self)``, or CardinalityMismatchError is raised.
+        point's opening text ``a<TAB>`` or ``,[a,``: no Python work per
+        point.  Memory is bounded by the per-box sets, not by ``|G0|``.
+        After the text, the markers rendered must number ``len(self)``, or
+        CardinalityMismatchError is raised.
         """
         period = self.period
         runs = self._runs
@@ -475,8 +484,10 @@ class PureGapSet:
         cells = {j * period: [f"\x00{v}{closer}" for v in
                               range(j * period, (j + 1) * period)]
                  for j in range(top + 1)}
-        # Box k is visited once per i <= k: list its distinct masks once.
-        listed = {}
+        # List each run's mask once, and map each residue to its run.
+        listed = {k: ([set_bits(mask) for _, mask in box],
+                      _columns([(rs, n) for n, (rs, _) in enumerate(box)]))
+                  for k, box in runs.items()}
         chunk = []
         pending = written = 0
         # Every JSON point opens with its separator: drop the first one.
@@ -485,11 +496,10 @@ class PureGapSet:
             base = i * period
             translates = [(j * period, i + j)
                           for j in range(top + 1 - i) if i + j in runs]
-            residues = sorted(set().union(*(runs[k] for _, k in translates)))
+            residues = sorted(set().union(*(listed[k][1]
+                                            for _, k in translates)))
             blocks = []
             for shift, k in translates:
-                if k not in listed:
-                    listed[k] = _distinct_masks(runs[k])
                 points, slot = listed[k]
                 cell = cells[shift].__getitem__
                 templates = ["".join(map(cell, bs)) for bs in points]
@@ -514,16 +524,6 @@ class PureGapSet:
             raise CardinalityMismatchError(
                 f"wrote {written} pure gaps but weighted per-box sum is "
                 f"{self._size}")
-
-
-def _distinct_masks(columns: dict) -> tuple:
-    """The distinct masks among the values of ``columns``, each as its
-    list of set bits, and ``{r: the index of column r's mask among
-    them}``."""
-    index = {}
-    slot = {r: index.setdefault(mask, len(index))
-            for r, mask in columns.items()}
-    return list(map(set_bits, index)), slot
 
 
 def assemble_pure_gaps(boxed: BoxedGamma) -> PureGapSet:

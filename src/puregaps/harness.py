@@ -10,7 +10,7 @@ period wide and one band of ``c = band_span(period)`` periods, at least
 ``BAND_BITS`` bits, high, so the engine's boxes are first merged ``c``
 at a time into the same layout, :func:`_merged_boxes`, about ``2g``
 columns of under ``2 * BAND_BITS`` bits, memory linear in ``g *
-BAND_BITS`` bits (none when ``c == 1``: the engine's own boxes serve).
+BAND_BITS`` bits (when ``c == 1``, the engine's boxes by column serve).
 Both sides then hold a box as int mask columns, so a box compares by one
 dict ``==``, and only a differing column is listed to name its points.
 Families
@@ -169,8 +169,8 @@ def _merged_boxes(g0, span: int) -> dict:
     """``{m: H[m]}``, the engine's boxes merged ``span`` at a time in
     the layout of the direct scan's bands: ``H[m][r]`` is the OR of
     ``g0.box(m + t)[r] << t*period`` over ``t < span``, no empty column or
-    box.  With ``span == 1`` these are the engine's own boxes, shared with
-    no copy.
+    box.  With ``span == 1`` these are the engine's own boxes, expanded
+    from their runs by ``g0.boxes()``.
 
     Built down from the top box by one recurrence, ``H[m][r] =
     box(m)[r] | (H[m+1][r] & low) << period`` with ``low`` the

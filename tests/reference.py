@@ -252,7 +252,15 @@ def merge_components(per_box: dict, period: int) -> PureGapSet:
                     raise DisjointnessViolationError(
                         f"components of box k={k} overlap at residue {r}")
                 columns[r] = held | bits
-    return PureGapSet(columns_by_box, period)
+    return PureGapSet(column_runs(columns_by_box), period)
+
+
+def column_runs(columns_by_box: dict) -> dict:
+    """Per-box sets given by mask column, ``{k: {r: mask}}``, as the runs
+    a :class:`PureGapSet` is built from: one run ``(1 << r, mask)`` per
+    column."""
+    return {k: [(1 << r, mask) for r, mask in columns.items()]
+            for k, columns in columns_by_box.items()}
 
 
 def diagonal_parts(per_box: dict) -> dict:
@@ -399,10 +407,9 @@ def g0_points(g0) -> list:
 
 def g0_boxes(g0) -> dict:
     """The per-box sets of a :class:`PureGapSet`, ``{k: g0.box(k)}`` over
-    its nonempty boxes.  Box k adds k+1 points per point to ``len(g0)``,
-    so a nonempty box has k < len(g0).  Two values of one period are the
-    same set exactly when these are equal."""
-    return {k: g0.box(k) for k in range(len(g0)) if g0.box(k)}
+    its nonempty boxes, read once by :meth:`PureGapSet.boxes`.  Two values
+    of one period are the same set exactly when these are equal."""
+    return dict(g0.boxes())
 
 
 def engine_side(boxed) -> dict:

@@ -34,6 +34,7 @@ import expected_gk2 as gk2
 import reference
 from reference import (
     _residue_runs,
+    column_runs,
     drop_first_point,
     flatten,
     g0_boxes,
@@ -401,7 +402,7 @@ class TestBoxColumns:
 class TestSharedColumns:
     """Columns are int masks, shared by value: each box of G0 has
     neighbouring shifted-down columns with no row point between them one
-    value, so a box holds few distinct masks and the listing renders each
+    run, so a box holds few runs and the listing renders each run's mask
     once per translate.  The per-box dicts are read-only: no consumer of
     them may edit one in place."""
 
@@ -504,12 +505,14 @@ class TestSharedColumns:
 def test_union_of_translates_overlap_detected():
     # G_{0,0} = {(1, 10)} and G_{1,0} = {(10, 1)} by column
     with pytest.raises(DisjointnessViolationError):
-        PureGapSet({0: masks({1: [10]}), 1: masks({1: [1]})}, 9)
+        PureGapSet(column_runs({0: masks({1: [10]}), 1: masks({1: [1]})}),
+                   9)
 
 
 def test_union_of_translates_weighted_count():
     # G_{0,0} = {(1, 1)}, G_{1,0} = {(10, 2), (11, 3)}
-    union = PureGapSet({0: masks({1: [1]}), 1: masks({1: [2], 2: [3]})}, 9)
+    union = PureGapSet(
+        column_runs({0: masks({1: [1]}), 1: masks({1: [2], 2: [3]})}), 9)
     assert isinstance(union, PureGapSet)
     assert len(union) == 1 + 2 * 2
     assert g0_points(union) == [(1, 1), (1, 11), (2, 12), (10, 2), (11, 3)]
@@ -519,7 +522,8 @@ def test_union_of_translates_point_outside_box_in_b_only():
     # (1, 9) has its first coordinate inside box (0, 0) but b = period;
     # no two translates overlap, so only the containment check sees it
     with pytest.raises(DisjointnessViolationError):
-        PureGapSet({0: masks({1: [9]}), 1: masks({1: [2]})}, 9)
+        PureGapSet(column_runs({0: masks({1: [9]}), 1: masks({1: [2]})}),
+                   9)
 
 
 SHARED = 1 << 1
@@ -537,11 +541,12 @@ SHARED_BAD = 1 << 0 | 1 << 2
 ])
 def test_union_of_translates_column_checks(columns_by_box):
     with pytest.raises(DisjointnessViolationError):
-        PureGapSet(columns_by_box, 9)
+        PureGapSet(column_runs(columns_by_box), 9)
 
 
 def test_union_of_translates_drops_empty_columns():
-    assert g0_boxes(PureGapSet({0: {1: 1 << 1, 2: 0}, 1: {}}, 9)) == \
+    assert g0_boxes(PureGapSet(
+        column_runs({0: {1: 1 << 1, 2: 0}, 1: {}}), 9)) == \
         {0: {1: 1 << 1}}
 
 
@@ -572,17 +577,20 @@ class TestPureGapSet:
     @given(boxes_inside())
     def test_matches_brute_force(self, drawn):
         boxes, period = drawn
-        g0 = PureGapSet(columns(boxes, period), period)
+        g0 = PureGapSet(column_runs(columns(boxes, period)), period)
         want = translates(boxes, period)
         assert g0_points(g0) == want
         assert len(g0) == len(want)
         assert g0_boxes(g0) == \
-            g0_boxes(PureGapSet(columns(dict(boxes), period), period))
+            g0_boxes(PureGapSet(column_runs(columns(dict(boxes), period)),
+                                period))
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_listing_counts_its_points(self, fmt):
-        g0 = PureGapSet({0: masks({1: [1, 2]})}, 5)
-        g0.box(0)[1] |= 1 << 3  # one point more than len(g0) counted
+        g0 = PureGapSet(column_runs({0: masks({1: [1, 2]})}), 5)
+        # one point more in the stored run than len(g0) counted
+        residues, column = g0._runs[0][0]
+        g0._runs[0][0] = residues, column | 1 << 3
         with pytest.raises(CardinalityMismatchError):
             "".join(g0.pieces(fmt))
 
@@ -593,14 +601,14 @@ class TestPureGapSet:
     def test_one_box_differs(self, gk2_boxed, gk2_g0):
         merged = {k: sorted(p for part in parts for p in flatten(part, 9 * k))
                   for k, parts in components_by_box(gk2_boxed)}
-        assert g0_boxes(PureGapSet(columns(merged, 9), 9)) == \
-            g0_boxes(gk2_g0)
+        g0 = PureGapSet(column_runs(columns(merged, 9)), 9)
+        assert g0_boxes(g0) == g0_boxes(gk2_g0)
         free = min(set(product(range(10, 18), range(1, 9))) - set(merged[1]))
         for box in (merged[1][1:], sorted(merged[1][1:] + [free])):
             edited = dict(merged)
             edited[1] = box
-            assert g0_boxes(PureGapSet(columns(edited, 9), 9)) != \
-                g0_boxes(gk2_g0)
+            g0 = PureGapSet(column_runs(columns(edited, 9)), 9)
+            assert g0_boxes(g0) != g0_boxes(gk2_g0)
 
     @staticmethod
     def boxes_of(points, period):
@@ -641,7 +649,8 @@ class TestPureGapSet:
         assert boxed.kmax == 2
         g0 = assemble_pure_gaps(boxed)
         boxes = {k: g0.box(k) for k in range(boxed.kmax)}
-        edited = PureGapSet({**boxes, 2: {1: 0b10}}, g0.period)
+        edited = PureGapSet(column_runs({**boxes, 2: {1: 0b10}}),
+                            g0.period)
         monkeypatch.setattr(harness, "assemble_pure_gaps",
                             lambda boxed: edited)
         report = harness.summarize_generic(gamma, "k2-5")

@@ -12,7 +12,7 @@ from puregaps.errors import DisjointnessViolationError
 from puregaps.gk import gk_generating_set
 from puregaps.lattice import set_bits
 
-from reference import mask
+from reference import column_runs, mask
 
 
 @settings(max_examples=300, deadline=None)
@@ -44,13 +44,30 @@ def inside_and_bad_bit(draw):
 def test_pure_gap_set_rejects_a_bit_outside_the_box(drawn, k):
     period, inside, bad = drawn
     columns = {1: inside | 1 << 1}
-    assert len(PureGapSet({k: columns}, period)) == \
+    assert len(PureGapSet(column_runs({k: columns}), period)) == \
         (k + 1) * columns[1].bit_count()
     columns[period - 1] = inside | 1 << bad
     with pytest.raises(DisjointnessViolationError,
                        match=rf"^column a={k * period + period - 1} of "
                              rf"G_\({k},0\) leaves box \({k}, 0\)$"):
-        PureGapSet({k: columns}, period)
+        PureGapSet(column_runs({k: columns}), period)
+    # a run of two residues whose column leaves the box: its lowest is named
+    with pytest.raises(DisjointnessViolationError,
+                       match=rf"^column a={k * period + 1} of "
+                             rf"G_\({k},0\) leaves box \({k}, 0\)$"):
+        PureGapSet({k: [(1 << 1 | 1 << (period - 1), inside | 1 << bad)]},
+                   period)
+    # a run with a residue outside the box: that residue is named
+    with pytest.raises(DisjointnessViolationError,
+                       match=rf"^column a={(k + 1) * period} of "
+                             rf"G_\({k},0\) leaves box \({k}, 0\)$"):
+        PureGapSet({k: [(1 << 1 | 1 << period, 1 << 1)]}, period)
+    # two runs of one box that share a residue: counted twice otherwise
+    with pytest.raises(DisjointnessViolationError,
+                       match=rf"^column a={k * period + 1} of "
+                             rf"G_\({k},0\) is in two runs$"):
+        PureGapSet({k: [(1 << 1, 1 << 1), (1 << 1, inside | 1 << 1)]},
+                   period)
 
 
 class TestFlippedBit:
@@ -75,7 +92,7 @@ class TestFlippedBit:
             b = set_bits(column)[0]
         runs = {i: dict(g0.box(i)) for i in range(boxed.kmax)}
         runs[k][r] = column ^ 1 << b
-        flipped = PureGapSet(runs, period)
+        flipped = PureGapSet(column_runs(runs), period)
         monkeypatch.setattr(harness, "assemble_pure_gaps",
                             lambda boxed: flipped)
 

@@ -42,6 +42,7 @@ from props import (
 )
 from reference import (
     _residue_runs,
+    column_runs,
     flatten,
     g0_boxes,
     g0_points,
@@ -164,7 +165,7 @@ def perturbed(g0, kmax, data):
     else:
         columns[r] = columns.get(r, 0) | 1 << data.draw(
             st.integers(min_value=1, max_value=period - 1))
-    return PureGapSet(boxes, period)
+    return PureGapSet(column_runs(boxes), period)
 
 
 def assert_mismatch_matches_reference(g0, gamma, kmax):
