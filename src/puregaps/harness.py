@@ -5,18 +5,17 @@ both routes to the pure gap set (the box engine and the direct oracle
 scan), check the family's explicit rows and components G1 and G3 against
 the engine's box by box, and record a verdict per cross-check; the scan
 is compared with the engine's ``G0`` as it yields each box column, by
-:func:`oracle_mismatch`, the one such comparison.  A scan box is one
-period wide and one band of ``c = band_span(period)`` periods, at least
-``BAND_BITS`` bits, high, so the engine's boxes are first merged ``c``
-at a time into the same layout, :func:`_merged_boxes`, about ``2g``
-columns of under ``2 * BAND_BITS`` bits, memory linear in ``g *
-BAND_BITS`` bits (when ``c == 1``, the engine's boxes by column serve).
-Both sides then hold a box as int mask columns, so a box compares by one
-dict ``==``, and only a differing column is listed to name its points.
-Families
-are diagonal: their G2 and G4 are the diagonal law's, checked once, by
-:func:`~puregaps.engine.check_reflection`.  Summaries run the engine
-alone and compare its weighted size with the closed form.
+:func:`oracle_mismatch`, the one such comparison, which ``bench`` also
+streams the scan through.  A scan box is one period wide and one band
+of ``c = band_span(period)`` periods, at least ``BAND_BITS`` bits,
+high, so one loop down the box columns merges the engine's boxes ``c``
+at a time into the same layout as it goes, about ``2g`` columns of
+under ``2 * BAND_BITS`` bits, memory linear in ``g * BAND_BITS`` bits.
+Both sides then hold a box column as int mask columns, so it compares
+by one dict ``==``, and only a differing column is listed to name its
+points.  Families are diagonal: their G2 and G4 are the diagonal law's,
+checked once, by :func:`~puregaps.engine.check_reflection`.  Summaries
+run the engine alone and compare its weighted size with the closed form.
 A report's verdicts are one table, ``VERDICT_KEYS`` (``SPECIAL_KEYS`` for
 the special-case checks), in table order, each ``skipped`` unless its
 route runs it.  Only checks that can fail on validated input are verdicts: the
@@ -113,87 +112,71 @@ def oracle_mismatch(g0, scan) -> str:
     """``""`` when the engine's ``G0`` lists the same points as ``scan``,
     the box columns of :func:`~puregaps.oracle.pure_gap_boxes_direct`,
     else the ``engine_vs_oracle`` failure text: both sizes and the first
-    five points of each difference.
+    five points of each difference.  A scan box column out of strictly
+    decreasing order, repeated or below 0 fails with a text naming it.
 
     With ``c = band_span(period)``, scan box ``(i, j)`` is one period wide
     and ``c`` periods high, so it holds the translates ``G_{i+j*c+t,0} +
-    w_{j*c+t}``, ``t < c``: it must equal ``H[i + j*c]`` of
-    :func:`_merged_boxes`, one exact dict ``==`` of mask columns (both
-    sides are canonical) as it arrives.  ``H[m]`` for ``m < c`` is read
-    by box ``(m, 0)`` alone, so it is dropped once that box is compared.
-    Then every box ``(m - j*c, j)`` the scan never gave must find the
-    remaining ``H[m]`` empty: the engine's own boxes are walked, so a box
-    at any height is checked.  A pass keeps only the box
-    keys; only the differing columns are listed, by
+    w_{j*c+t}``, ``t < c``: it must equal ``H[i + j*c]``, the engine's
+    boxes ``i + j*c + t``, ``t < c``, merged, each shifted up ``t``
+    periods.  One loop runs down the box columns, ``i`` from the larger
+    of the engine's top box and the scan's first box column to 0.  At
+    each ``i`` it extends the band recurrence ``H[i][r] = box(i)[r] |
+    (H[i+1][r] & low) << period``, ``low`` the ``(c-1)*period`` lowest
+    bits (no carry when ``c == 1``), forms the engine's box column ``{j:
+    H[i + j*c]}``, takes the scan's box column ``i`` if it is next, and
+    compares the two by one dict ``==`` of mask columns (both sides are
+    canonical); so every box of the engine, at any height, is compared.
+    The merged boxes hold at most ``kmax * period``, about ``2g``,
+    columns of ``c*period < 2*BAND_BITS`` bits, memory linear in ``g *
+    BAND_BITS`` bits, and the scan is held one box column at a time.
+    Only the boxes of a differing column are listed, by
     :func:`~puregaps.lattice.set_bits`, to name points, and their excess
     over ``len(g0)`` gives the scan's size.
     """
     period = g0.period
     span = band_span(period)
-    width = span * period
-    merged = _merged_boxes(g0, span)
-    visited = {}   # box column i -> the bands j the scan gave it
+    low = (1 << (span - 1) * period) - 1
+    boxes = dict(g0.boxes())
+    scan = iter(scan)
+    head = next(scan, None)
+    top = max(max(boxes, default=0), head[0] if head else 0)
+    merged = {}   # m -> H[m], none empty
     excess = 0
     extra, missing = [], []
-
-    def diff(i, j, got, want):
-        base, shift = i * period, j * width
-        for r in got.keys() | want.keys():
-            bs, vs = got.get(r, 0), want.get(r, 0)
-            extra.extend((base + r, shift + b)
-                         for b in set_bits(bs & ~vs)[:5])
-            missing.extend((base + r, shift + v)
-                           for v in set_bits(vs & ~bs)[:5])
-
-    for i, row in scan:
-        visited[i] = set(row)
-        for j, want in row.items():
-            got = merged.get(i + j * span, {})
-            if got != want:
-                excess += _size(want) - _size(got)
-                diff(i, j, got, want)
-        if i < span and 0 in row:
-            merged.pop(i, None)
-    for m, got in merged.items():
-        for j in range(m // span + 1):
-            if j not in visited.get(m - j * span, ()):
-                excess -= _size(got)
-                diff(m - j * span, j, got, {})
+    for i in range(top, -1, -1):
+        here = boxes.pop(i, {})
+        if low:
+            for r, mask in merged.get(i + 1, {}).items():
+                if kept := mask & low:
+                    here[r] = here.get(r, 0) | kept << period
+        if here:
+            merged[i] = here
+        got = {j: merged[m] for j, m in enumerate(range(i, top + 1, span))
+               if m in merged}
+        want = {}
+        if head and head[0] == i:
+            want = head[1]
+            head = next(scan, None)
+        if head and not 0 <= head[0] < i:
+            return (f"scan box column {head[0]} follows box column {i}; "
+                    "box columns must strictly decrease to 0")
+        if got == want:
+            continue
+        for j in got.keys() | want.keys():
+            bs, vs = got.get(j, {}), want.get(j, {})
+            excess += _size(vs) - _size(bs)
+            base, shift = i * period, j * span * period
+            for r in bs.keys() | vs.keys():
+                b, v = bs.get(r, 0), vs.get(r, 0)
+                extra.extend((base + r, shift + x)
+                             for x in set_bits(b & ~v)[:5])
+                missing.extend((base + r, shift + x)
+                               for x in set_bits(v & ~b)[:5])
     if not (extra or missing):
         return ""
     return (f"G0: {len(g0)} vs {len(g0) + excess} points; "
             f"unexpected {sorted(extra)[:5]}, missing {sorted(missing)[:5]}")
-
-
-def _merged_boxes(g0, span: int) -> dict:
-    """``{m: H[m]}``, the engine's boxes merged ``span`` at a time in
-    the layout of the direct scan's bands: ``H[m][r]`` is the OR of
-    ``g0.box(m + t)[r] << t*period`` over ``t < span``, no empty column or
-    box.  With ``span == 1`` these are the engine's own boxes, expanded
-    from their runs by ``g0.boxes()``.
-
-    Built down from the top box by one recurrence, ``H[m][r] =
-    box(m)[r] | (H[m+1][r] & low) << period`` with ``low`` the
-    ``(span-1)*period`` lowest bits.  There are at most ``kmax * period``,
-    about ``2g``, columns of ``span*period < 2*BAND_BITS`` bits each, so the
-    memory is linear in ``g * BAND_BITS`` bits.
-    """
-    boxes = dict(g0.boxes())
-    if span == 1:
-        return boxes
-    period = g0.period
-    low = (1 << (span - 1) * period) - 1
-    merged = {}
-    above = {}
-    for m in range(max(boxes, default=-1), -1, -1):
-        here = {r: kept << period for r, mask in above.items()
-                if (kept := mask & low)}
-        for r, mask in boxes.get(m, {}).items():
-            here[r] = here.get(r, 0) | mask
-        if here:
-            merged[m] = here
-        above = here
-    return merged
 
 
 class _Checks:
@@ -435,34 +418,40 @@ class BenchRow(namedtuple("BenchRow", (
 def bench_family(family: str, params: dict) -> list:
     """Time the box-decomposition route against the direct glb scan.
 
-    The box route's time ends at its :class:`~puregaps.engine.PureGapSet`;
-    the direct scan's ends at its box columns, bands of
-    :func:`~puregaps.oracle.band_span` periods, drained into a list.  The
-    value is then compared with the list, untimed, by the
-    ``engine_vs_oracle`` check of ``verify``, the engine's boxes merged
-    into the same bands, before timings are returned; a mismatch raises
-    ConsistencyError with that check's text.  The direct route's
-    cardinality is the total bit count of its boxes' columns.
+    The box route's time ends at its :class:`~puregaps.engine.PureGapSet`.
+    The direct scan's box columns, bands of
+    :func:`~puregaps.oracle.band_span` periods, are then streamed into the
+    ``engine_vs_oracle`` check of ``verify``, :func:`oracle_mismatch`,
+    each dropped once compared; the direct route's time is the time spent
+    inside the scan's own ``next()`` calls, so it is scan time only.  A
+    mismatch raises ConsistencyError with that check's text, before
+    timings are returned.  Once the check passes, both routes list
+    ``len(g0)`` points, so that is both rows' cardinality.
     """
     gamma = call_family(family, "{}_generating_set", params)
-
-    start = time.perf_counter()
-    direct = list(pure_gap_boxes_direct(gamma))
-    t_direct = time.perf_counter() - start
 
     start = time.perf_counter()
     boxed = decompose(gamma)
     g0 = assemble_pure_gaps(boxed)
     t_box = time.perf_counter() - start
 
+    t_direct = 0.0
+
+    def timed(rows):
+        nonlocal t_direct
+        start = time.perf_counter()
+        for row in rows:
+            t_direct += time.perf_counter() - start
+            yield row
+            start = time.perf_counter()
+        t_direct += time.perf_counter() - start
+
     checks = _Checks(("engine_vs_oracle",))
-    if not _check_oracle(checks, g0, direct):
+    if not _check_oracle(checks, g0, timed(pure_gap_boxes_direct(gamma))):
         raise ConsistencyError(checks.detail())
-    direct_card = sum(_size(columns) for _, row in direct
-                      for columns in row.values())
     return [
-        BenchRow(family, dict(params), gamma.genus, "box-decomposition",
-                 t_box, len(g0), True),
-        BenchRow(family, dict(params), gamma.genus, "direct-glb",
-                 t_direct, direct_card, True),
+        BenchRow(family, dict(params), gamma.genus, method, seconds,
+                 len(g0), True)
+        for method, seconds in (("box-decomposition", t_box),
+                                ("direct-glb", t_direct))
     ]

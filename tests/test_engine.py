@@ -687,6 +687,20 @@ class TestPureGapSet:
                    for vs in columns.values())
         assert text.startswith(f"G0: {len(gk2_g0)} vs {size} points; ")
 
+    @pytest.mark.parametrize("reorder", [
+        lambda scan: scan[::-1],
+        lambda scan: scan[:1] + scan,
+        lambda scan: scan + scan[-1:],
+        lambda scan: scan + [(-1, scan[-1][1])],
+    ], ids=["reversed", "repeated", "last-repeated", "below-0"])
+    def test_box_columns_out_of_order_fail(self, gk2_g0, reorder):
+        """A correct scan whose box columns do not strictly decrease to 0
+        fails, naming the column: none is skipped or counted twice."""
+        scan = self.scan_of(self.boxes_of(gk2.G0_SORTED, 9), 9)
+        assert [i for i, _ in scan] == [1, 0]
+        text = harness.oracle_mismatch(gk2_g0, reorder(scan))
+        assert "scan box column " in text
+
 
 def test_readme_library_example_runs():
     """The ``python`` block under ``## Library`` in the README runs, and its
