@@ -48,8 +48,6 @@ def _emit_summary(report, fmt, out):
     print(f"homma_kim_bound\t{report.homma_kim_bound}", file=out)
     for key, value in report.verdicts.items():
         print(f"verdict.{key}\t{value}", file=out)
-    for key, value in report.timings.items():
-        print(f"timing.{key}\t{value:.6f}", file=out)
     if report.detail:
         print(f"detail\t{report.detail}", file=out)
     return 0 if report.ok else 1

@@ -9,11 +9,11 @@ is compared with the engine's ``G0`` as it yields each box column, by
 streams the scan through.  A scan box is one period wide and one band
 of ``c = band_span(period)`` periods, at least ``BAND_BITS`` bits,
 high, so one loop down the box columns merges the engine's boxes ``c``
-at a time into the same layout as it goes, about ``2g`` columns of
-under ``2 * BAND_BITS`` bits, memory linear in ``g * BAND_BITS`` bits.
-Both sides then hold a box column as int mask columns, so it compares
-by one dict ``==``, and only a differing column is listed to name its
-points.  Families are diagonal: their G2 and G4 are the diagonal law's,
+at a time into the same layout as it goes.  Both sides hold a box
+column as int mask columns, so it compares by one dict ``==``; a
+matched box is then held as the scan's, whose band ints many columns
+share, and only a differing column is listed to name its points.
+Families are diagonal: their G2 and G4 are the diagonal law's,
 checked once, by :func:`~puregaps.engine.check_reflection`.  Summaries
 run the engine alone and compare its weighted size with the closed form.
 A report's verdicts are one table, ``VERDICT_KEYS`` (``SPECIAL_KEYS`` for
@@ -23,9 +23,8 @@ period displacement law is enforced by validation (a ``ValidationError``)
 and the genus identity by :func:`~puregaps.engine.decompose` (a
 ``ConsistencyError``), before any verdict is recorded.  A verification
 point builds the engine's ``G0`` once and its per-box components once,
-each in one sweep down the boxes; the
-family's check against the engine,
-:func:`~puregaps.engine.check_components` on the family's
+each in one sweep down the boxes; the family's check against the
+engine, :func:`~puregaps.engine.check_components` on the family's
 ``<name>_components``, and the diagonal law take both from it.  Grids
 run their points one after another, in deterministic parameter order,
 and yield each report as its point finishes.
@@ -127,10 +126,10 @@ def oracle_mismatch(g0, scan) -> str:
     H[i + j*c]}``, takes the scan's box column ``i`` if it is next, and
     compares the two by one dict ``==`` of mask columns (both sides are
     canonical); so every box of the engine, at any height, is compared.
-    The merged boxes hold at most ``kmax * period``, about ``2g``,
-    columns of ``c*period < 2*BAND_BITS`` bits, memory linear in ``g *
-    BAND_BITS`` bits, and the scan is held one box column at a time.
-    Only the boxes of a differing column are listed, by
+    A matched ``H[i]`` is then held as the scan's equal box ``(i, 0)``,
+    whose columns are band ints shared by many columns, not one fresh
+    int per merged column.  The scan is held one box column at a time.
+    Only a differing column's boxes are listed, by
     :func:`~puregaps.lattice.set_bits`, to name points, and their excess
     over ``len(g0)`` gives the scan's size.
     """
@@ -141,7 +140,7 @@ def oracle_mismatch(g0, scan) -> str:
     scan = iter(scan)
     head = next(scan, None)
     top = max(max(boxes, default=0), head[0] if head else 0)
-    merged = {}   # m -> H[m], none empty
+    merged = {}   # m -> H[m], none empty; the scan's once matched
     excess = 0
     extra, missing = [], []
     for i in range(top, -1, -1):
@@ -162,6 +161,8 @@ def oracle_mismatch(g0, scan) -> str:
             return (f"scan box column {head[0]} follows box column {i}; "
                     "box columns must strictly decrease to 0")
         if got == want:
+            if here:
+                merged[i] = want[0]
             continue
         for j in got.keys() | want.keys():
             bs, vs = got.get(j, {}), want.get(j, {})

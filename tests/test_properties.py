@@ -25,12 +25,17 @@ from puregaps.errors import (
     DisjointnessViolationError,
 )
 from puregaps.harness import oracle_mismatch, summarize_generic
+from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import (
     GeneratingSet,
     set_bits,
     validate_generating_set,
 )
-from puregaps.oracle import pure_gap_boxes_direct, pure_gaps_direct
+from puregaps.oracle import (
+    band_span,
+    pure_gap_boxes_direct,
+    pure_gaps_direct,
+)
 
 import props
 import reference
@@ -212,6 +217,25 @@ def test_injective_oracle_mismatch_matches_reference(points, period, data):
     assert_mismatch_matches_reference(g0, gamma, boxed.kmax)
     assert_mismatch_matches_reference(perturbed(g0, boxed.kmax, data),
                                       gamma, boxed.kmax)
+
+
+def test_top_box_point_dropped_matches_reference():
+    """Kummer (701, 7), bands of 3 periods: the lowest point of the first
+    column of the top box, box 4, dropped.  The drop shows in every band
+    that box 4 is merged into, below box column 4 too, so a comparison
+    that carried the scan's box after a differing column would list too
+    few points."""
+    gamma = kummer_generating_set(701, 7)
+    boxed = decompose(gamma)
+    assert (gamma.genus, band_span(gamma.period), boxed.kmax) == (2100, 3, 6)
+    boxes = dict(assemble_pure_gaps(boxed).boxes())
+    top = max(boxes)
+    assert top == 4
+    column = min(boxes[top])
+    boxes[top][column] &= boxes[top][column] - 1
+    g0 = PureGapSet(column_runs(boxes), gamma.period)
+    assert oracle_mismatch(g0, pure_gap_boxes_direct(gamma))
+    assert_mismatch_matches_reference(g0, gamma, boxed.kmax)
 
 
 COMPONENTS = (
