@@ -15,7 +15,10 @@ generating set included.  Inputs with ``scan`` also time the direct scan
 drained into the engine's comparison, ``scan_and_compare_s`` (the best
 of ``--repeat`` runs), and give the peak RSS just before it,
 ``rss_before_scan_mib``; ``generic`` times the CLI's ``generic --emit
-summary`` on the input's set file.
+summary`` on the input's set file; ``load`` times ``load_gamma`` on that
+file (``load_s``, the best of ``--repeat`` runs) and loads it once more
+under ``tracemalloc``: ``load_retained_mib`` is what the loaded set holds,
+``load_traced_peak_mib`` the peak during the load.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import tempfile
 #: name -> (the child's builder, extras).  A builder returns a list of
 #: generating sets, validated by the package under test.  ``memory`` builds
 #: G0 once more under tracemalloc, ``scan`` times the direct scan and the
-#: comparison, ``generic`` the summary of the input's set file.
+#: comparison, ``generic`` the summary of the input's set file, ``load``
+#: the generate+validate layer: reading that file back.
 INPUTS = {
     "non_diagonal_sets": ("non_diagonal", ("memory",)),
     "gk_q7": ("gk 7", ("memory", "scan")),
@@ -38,9 +42,9 @@ INPUTS = {
     "random_chains_p4001": ("chains 4001", ("memory", "scan")),
     "gk_q10": ("gk 10", ("scan",)),
     "gk_q19": ("gk 19", ()),
-    "kummer_4501_30": ("kummer 4501 30", ("scan", "generic")),
+    "kummer_4501_30": ("kummer 4501 30", ("scan", "generic", "load")),
     "kummer_351_230": ("kummer 351 230", ("scan",)),
-    "kummer_1001_500": ("kummer 1001 500", ("scan",)),
+    "kummer_1001_500": ("kummer 1001 500", ("scan", "load")),
 }
 
 CHILD = r"""
@@ -143,13 +147,30 @@ if "scan" in extras:
         best = min(best, time.perf_counter() - start)
         assert texts == [""] * len(texts), texts
     out["scan_and_compare_s"] = best
-if "generic" in extras:
-    import contextlib, io
-    from puregaps.cli import main
-    from puregaps.gammafile import dump_gamma
+if "generic" in extras or "load" in extras:
+    from puregaps.gammafile import dump_gamma, load_gamma
     path = os.path.join(workdir, "input.gamma")
     with open(path, "w") as fh:
         fh.write(dump_gamma(gammas[0]))
+if "load" in extras:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        loaded = load_gamma(path)
+        best = min(best, time.perf_counter() - start)
+        assert loaded == gammas[0]
+        del loaded
+    out["load_s"] = best
+    tracemalloc.start()
+    loaded = load_gamma(path)
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    del loaded
+    out.update(load_retained_mib=retained / 2**20,
+               load_traced_peak_mib=peak / 2**20)
+if "generic" in extras:
+    import contextlib, io
+    from puregaps.cli import main
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()) as text:
         code = main(["generic", "--input", path, "--emit", "summary"])

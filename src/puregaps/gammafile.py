@@ -6,24 +6,34 @@ first payload line must be ``period <int>``; every following payload line
 is one ``<beta><TAB><tau>`` pair.  Parse and validation diagnostics carry
 1-based line numbers.
 
-A file is read in whole-list passes over one chunk of text at a time:
-the text is cut into chunks of about ``_CHUNK_CHARS`` characters, each
-ending just after a newline, so lines are held one chunk at a time, never
-the whole file's.  A chunk in the canonical form that :func:`dump_gamma`
-writes, ``<int><TAB><int><LF>`` lines of ASCII digits with no leading
-zero after a ``period <int><LF>`` first line, is read with no Python work
-per line: one regular-expression match proves the form, and the chunk,
-its tabs and newlines turned into commas, is one JSON array of integers.
-That is exact: such a chunk holds only digits, tabs and newlines, so the
-line split cuts it only at its newlines, stripping does nothing, and each
-line is two digit runs with no leading zero, on which JSON's integer scan
-and ``int()`` agree, the digit limit of ``int()`` included.  Any other
-chunk (comments, blank lines, spaces, CRLF, a last line with no newline,
-signs, underscores, leading zeros, non-ASCII digits) has its payload
-lines picked out, split and converted in one comprehension.  The pairs
-are then validated as a list, handed over as an iterator so that the
-parser's list dies once validation has copied it.  Only when a pass fails
-is the text scanned line by line, to name the line at fault.
+A file is read by its chains first.  A valid set is the union of the
+chains ``(a0 + i*period, b0 - i*period)``, ``0 <= i < ceil(b0/period)``,
+one from each of its points below the period, and :func:`dump_gamma`
+writes them sorted, so the text :func:`dump_gamma` writes holds its
+whole set in its leading lines, the chain starts.  :func:`_read_chains`
+reads a ``period <int>`` first line and then only the lines with
+``a < period``.  Before it expands anything, it checks that every start
+has ``b0 > 0`` and that the chain lengths ``ceil(b0/period)`` add up to
+the number of lines after the header, so no text can make it build more
+points than it has lines.  It then expands the chains level by level,
+which yields the points sorted, and checks the starts by
+:func:`lattice._chains_fit`, the one copy of those checks.  It accepts
+the text only if the pieces of :func:`dump_pieces` of the set match it
+exactly, one after the other.  Equality with the canonical rendering of
+a valid chain set proves the format, every value, the order, the exact
+``int`` types and the period law at once, so on this route no line
+other than a start is split, converted or walked.
+
+Any other text (comments, blank lines, spaces, CRLF, a last line with no
+newline, signs, underscores, leading zeros, non-ASCII digits, an invalid
+set) is read in whole-list passes over one chunk of text at a time: the
+text is cut into chunks of about ``_CHUNK_CHARS`` characters, each
+ending just after a newline, so lines are held one chunk at a time,
+never the whole file's.  Each chunk has its payload lines picked out,
+split and converted in one comprehension.  The pairs are then validated
+as a list, handed over as an iterator so that the parser's list dies
+once validation has copied it.  Only when a pass fails is the text
+scanned line by line, to name the line at fault.
 
 A set is written ``_DUMP_POINTS`` points per format operation, as pieces
 that the command line writes one at a time and :func:`dump_gamma` joins,
@@ -33,12 +43,10 @@ every coordinate.
 
 from __future__ import annotations
 
-import json
-import re
 from itertools import chain
 
 from .errors import GammaFileError, ValidationError
-from .lattice import GeneratingSet, validate_generating_set
+from .lattice import GeneratingSet, _chains_fit, validate_generating_set
 
 
 #: Characters of text split into lines at a time.  A chunk runs on to just
@@ -50,22 +58,12 @@ _CHUNK_CHARS = 1 << 16
 #: Points formatted at a time by :func:`dump_pieces`.
 _DUMP_POINTS = 4096
 
-#: The canonical first line, at offset 0 only.
-_HEADER = re.compile(r"period ([1-9][0-9]*)\n").match
-
-_PAIR_LINES = r"(?:[1-9][0-9]*\t[1-9][0-9]*\n)+"
-try:
-    #: A chunk of canonical pair lines.  Possessive, so the match keeps no
-    #: backtracking state per line.
-    _CANONICAL = re.compile(_PAIR_LINES + "+").fullmatch
-except re.error:  # Python 3.10 has no possessive quantifier
-    _CANONICAL = re.compile(_PAIR_LINES).fullmatch
-
-_TO_COMMAS = str.maketrans("\t\n", ",,")
-
 
 def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
     """Parse and validate the text of a generating set file."""
+    gamma = _read_chains(text)
+    if gamma is not None:
+        return gamma
     try:
         period, pairs = _read_payload(text)
         pairs = iter(pairs)  # the list dies once validation has copied it
@@ -74,26 +72,61 @@ def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
         return _parse_lines(text.splitlines(), source)
 
 
+def _read_chains(text: str):
+    """The valid set whose :func:`dump_gamma` text is ``text``, read from
+    its chain starts, or None when ``text`` is not such a text."""
+    body = text.find("\n") + 1
+    if not (body and text.startswith("period ")):
+        return None
+    starts = []
+    try:
+        period = int(text[7:body - 1])
+        if period < 1:
+            return None
+        end = body - 1
+        while True:  # the leading lines with a < period
+            start, end = end + 1, text.find("\n", end + 1)
+            a, _, b = text[start:end].partition("\t")
+            if end < 0 or int(a) >= period:
+                break
+            starts.append((int(a), int(b)))
+    except ValueError:
+        return None
+    if not all(b > 0 for _, b in starts) or sum(
+            -(-b // period) for _, b in starts) != text.count("\n", body):
+        return None
+    points = []
+    level = starts
+    while level:  # each chain's next point, in the order of the starts
+        points += level
+        level = [(a + period, b - period) for a, b in level if b > period]
+    # The chains keep the period law by construction.  The starts lie
+    # below the period, so when they increase from above zero, as
+    # _chains_fit checks, level i lies between i*period and (i+1)*period
+    # in order, and the points are sorted.
+    if not _chains_fit(points, period):
+        return None
+    gamma = GeneratingSet(points=tuple(points), period=period)
+    del points  # the list is not held while the text is compared
+    end = 0
+    for piece in dump_pieces(gamma):
+        if not text.startswith(piece, end):
+            return None
+        end += len(piece)
+    return gamma if end == len(text) else None
+
+
 def _read_payload(text: str) -> tuple:
     """``(period, pairs)`` of a well-formed file's text; ValueError (with
-    no line number) when any payload line is malformed.  A canonical chunk
-    after a canonical header is one JSON array of its integers; any other
-    chunk goes through :func:`_read_lines`, and the header is the first
-    payload line of whichever chunk holds it."""
+    no line number) when any payload line is malformed.  Each chunk goes
+    through :func:`_read_lines`, and the header is the first payload line
+    of whichever chunk holds it."""
     period = None
     pairs = []
     start = 0
-    header = _HEADER(text)
-    if header:
-        period, start = header[1], header.end()
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        if period is not None and _CANONICAL(text, start, end):
-            numbers = iter(json.loads(
-                "[" + text[start:end - 1].translate(_TO_COMMAS) + "]"))
-            pairs += zip(numbers, numbers)
-        else:
-            period = _read_lines(text[start:end], period, pairs)
+        period = _read_lines(text[start:end], period, pairs)
         start = end
     if period is None:
         raise ValueError("missing header")

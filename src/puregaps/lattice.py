@@ -19,7 +19,11 @@ from each of its points below the period, and validation checks it so:
 past at most one sort, the law and one pass over the coordinates' types,
 every check reads the chain starts alone, in time linear in the period,
 not in the genus.  Only an invalid set is walked point by point, to name the
-point at fault.
+point at fault.  A set file in the canonical form is read the same way,
+by ``gammafile``'s chain read: it expands the chains of the file's start
+lines, which keep the law by construction, and checks their starts by
+:func:`_chains_fit`, the one copy of those checks, with no law walk and
+no type pass.
 
 A set of second coordinates is held across the package as an int
 bitmask, bit ``b`` set for each ``b``; :func:`set_bits` lists one where
@@ -248,6 +252,13 @@ def _chains_fit(order: list, period: int) -> bool:
     """Whether the sorted int pairs ``order``, on which the period law
     holds, are the chains of their points below the period, and these
     chains meet every other invariant.
+
+    ``gammafile``'s chain read calls it on the chains of a file's start
+    lines, expanded level by level, every ``b0`` positive.  That list is
+    sorted exactly when the starts increase from above zero, and when
+    they do not, this returns False: the prefix that ``bisect_left`` cuts
+    from it either is not the starts, and then its chain lengths do not
+    add up to the number of points, or is, and then does not increase.
 
     The checks see the chain starts ``(a0, b0)``, the points below the
     period, alone: the ``a0`` strictly increase from above zero; the

@@ -1009,8 +1009,9 @@ class TestVerdictTable:
 
 
 class TestPeriodLawChecks:
-    """The period law is checked once, by validation, and never again on
-    a validated set."""
+    """The period law is checked at most once, by validation, and never
+    again on a validated set; a file in the canonical form is read by its
+    chains, with no law walk at all."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -1034,12 +1035,17 @@ class TestPeriodLawChecks:
         assert passes == [report.period]
 
     def test_summarize_generic_checks_none(self, passes):
-        gamma = parse_gamma(TestStream.NON_DIAGONAL["nd7"][0])
-        assert passes == [7]
-        del passes[:]
-        report = harness.summarize_generic(gamma, "nd7")
-        assert report.ok
-        assert passes == []
+        """The canonical nd7 text takes the chain read, with no law walk;
+        with a comment line it takes the line path, whose validation walks
+        the law once.  The summary walks it in neither case."""
+        text = TestStream.NON_DIAGONAL["nd7"][0]
+        for comment, walks in (("", []), ("# a comment\n", [7])):
+            gamma = parse_gamma(comment + text)
+            assert passes == walks
+            del passes[:]
+            report = harness.summarize_generic(gamma, "nd7")
+            assert report.ok
+            assert passes == []
 
 
 def test_family_flags_follow_the_table(monkeypatch):

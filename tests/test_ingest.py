@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import tracemalloc
+from contextlib import ExitStack
 from enum import IntEnum
 from operator import itemgetter
 from unittest import mock
@@ -30,12 +31,13 @@ from puregaps.errors import (
     ResidueChainStartError,
     ZeroOrNegativeCoordinateError,
 )
-from puregaps import cli, gammafile
+from puregaps import cli, gammafile, lattice
 from puregaps.gammafile import dump_gamma, parse_gamma
 from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import COORD_MAX, validate_generating_set
 
 import props
+import test_cli
 from reference import parse_gamma_lines, validate_per_point
 from test_period_law import small_injective_maps
 
@@ -397,6 +399,8 @@ class TestParserAgreesWithLineScanner:
         "period\t4\r\n1\t5\r\n5 1\r\n2\t\t2\r\n",
         f"period 4\n1\t{COORD_MAX + 2}\n",
         "period 9\n3\t3\n3\t3\n12\t5\n",
+        # a canonical text and one more character, with no newline
+        "period 4\n1\t5\n2\t2\n5\t1\n3",
     ])
     def test_pinned_texts(self, text):
         assert outcome(parse_gamma, text) == outcome(parse_gamma_lines, text)
@@ -421,11 +425,11 @@ class TestParserAgreesWithLineScanner:
                     "".join(f"{a}\t{b}\n" for a, b in gamma.points)
 
     def test_parse_peak_is_bounded_by_the_result(self):
-        """Lines are held one chunk at a time, duplicates are found by
-        sorting and the law by a merge walk, and the parser's list dies
-        once validation has copied it, so the parse peaks well under 1.3
-        times what it returns (1.14 times at Kummer (4501, 30), genus
-        65,250, under both Python 3.10.13 and 3.11.7)."""
+        """A dumped text is read by its chain starts: the points are built
+        once, in a list that dies once the set's tuple holds them, and
+        checked against the text one piece of the dump at a time, so the
+        parse peaks well under 1.3 times what it returns (1.08 times at
+        Kummer (4501, 30), genus 65,250, under Python 3.11.7)."""
         text = dump_gamma(kummer_generating_set(4501, 30))
         tracemalloc.start()
         try:
@@ -455,15 +459,19 @@ class TestParserAgreesWithLineScanner:
             parse_gamma("period 4\n1\t5  # note\n5\t1\n2\t2\n")
 
 
-# --- canonical chunks ---------------------------------------------------------
+# --- the chain read ---------------------------------------------------------
 
 #: Mutations of a dumped text that keep it close to the canonical form:
-#: each sends the chunk that holds it, and the chunks before a late
-#: header, off the JSON path, while the other chunks stay on it.
+#: each sends the text off the chain read, to the line path.  The first
+#: eleven change the text's form; the last four keep every line canonical
+#: and break how the lines make up chains: two adjacent lines swapped, a
+#: chain start dropped, a chain's last line dropped, a start's image moved
+#: by +-period.
 CANONICAL_MUTATIONS = ("leading_zeros", "plus", "underscore", "arabic",
                        "zero", "long_token", "period_leading_zero",
                        "period_crlf", "late_header", "comment",
-                       "no_final_newline")
+                       "no_final_newline", "swap", "drop_start",
+                       "drop_chain_end", "move_start")
 
 
 @st.composite
@@ -472,18 +480,33 @@ def canonical_mutants(draw):
     canonical, or nearly so: ``007``, ``+5``, ``1_0``, Arabic-Indic digits,
     ``0`` and a 4,301-digit token in a pair, ``period 04`` and
     ``period 4\\r\\n`` headers, the header after a pair, a comment
-    mid-file, no final newline."""
+    mid-file, no final newline; or two adjacent lines swapped, a chain
+    start or a chain's last line dropped, or a start's image moved by
+    +-period."""
     gamma = props.get_gamma(draw(st.sampled_from(props.FAMILY_POOL)))
+    period = gamma.period
     lines = dump_gamma(gamma).splitlines()
     kind = draw(st.sampled_from(CANONICAL_MUTATIONS))
     if kind == "period_leading_zero":
-        lines[0] = f"period 0{gamma.period}"
+        lines[0] = f"period 0{period}"
     elif kind == "period_crlf":
         lines[0] += "\r"
     elif kind == "late_header":
         lines.insert(draw(st.integers(1, len(lines) - 1)), lines.pop(0))
     elif kind == "comment":
         lines.insert(draw(st.integers(1, len(lines))), "# a comment")
+    elif kind == "swap":
+        i = draw(st.integers(0, len(lines) - 2))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif kind in ("drop_start", "drop_chain_end", "move_start"):
+        chain = draw(st.sampled_from(sorted(chains_of(gamma).values())))
+        a, b = chain[-1] if kind == "drop_chain_end" else chain[0]
+        i = gamma.points.index((a, b)) + 1  # the header is line 0
+        if kind == "move_start":
+            up = draw(st.booleans()) or b <= period
+            lines[i] = f"{a}\t{b + period if up else b - period}"
+        else:
+            del lines[i]
     elif kind != "no_final_newline" and len(lines) > 1:
         i = draw(st.integers(1, len(lines) - 1))
         fields = lines[i].split("\t")
@@ -501,7 +524,38 @@ def canonical_mutants(draw):
     return "\n".join(lines) + ("" if kind == "no_final_newline" else "\n")
 
 
+def chain_route_only():
+    """A context in which a parse that leaves the chain read fails: the
+    line comprehension, the line scanner and the law walk raise."""
+    stack = ExitStack()
+    for module, name in ((gammafile, "_read_lines"),
+                         (gammafile, "_parse_lines"),
+                         (lattice, "period_law_violations")):
+        stack.enter_context(mock.patch.object(
+            module, name, side_effect=AssertionError(name)))
+    return stack
+
+
+#: Texts that would make a chain read without the line-count guard expand
+#: without bound, or that it must refuse: a chain of 5e10 points in a
+#: one-line file, a negative image beside a huge one whose chain lengths
+#: add up to the line count, a 5,000-digit period, a 5,000-digit
+#: coordinate and both, and a valid set with its start block out of order.
+HOSTILE_TEXTS = (
+    "period 2\n1\t99999999999\n",
+    "period 5\n1\t-5000000000000\n2\t5000000000007\n",
+    "period " + "7" * 5000 + "\n1\t1\n",
+    "period 4\n1\t" + "9" * 5000 + "\n",
+    "period " + "7" * 5000 + "\n1\t" + "9" * 5000 + "\n",
+    "period 4\n2\t2\n1\t5\n5\t1\n",
+)
+
+
 class TestCanonicalChunks:
+    """Canonical texts are read by their chain starts and proved by the
+    dump; every other text goes to the line path, with the line scanner's
+    outcome."""
+
     @pytest.mark.parametrize("chunk", SMALL_CHUNKS + (gammafile._CHUNK_CHARS,))
     @settings(max_examples=150, deadline=None)
     @given(canonical_mutants())
@@ -515,27 +569,55 @@ class TestCanonicalChunks:
                                   wraps=gammafile._parse_lines):
             assert outcome(parse_gamma, text, "f.gamma") == want
 
+    def test_every_dump_takes_the_chain_route(self):
+        """The dump of every family set of the pool and of the nd5 and nd7
+        sets is read by its chains alone, to the line scanner's set."""
+        gammas = [props.get_gamma(point) for point in props.FAMILY_POOL]
+        gammas += [parse_gamma(text) for text, _ in
+                   test_cli.TestStream.NON_DIAGONAL.values()]
+        for gamma in gammas:
+            text = dump_gamma(gamma)
+            want = outcome(parse_gamma_lines, text)
+            with chain_route_only():
+                assert outcome(parse_gamma, text) == want
+
     def test_dump_never_takes_the_line_path(self):
-        """Every chunk of a dumped text is read as one JSON array: Kummer
-        (4501, 30), genus 65,250, 12 chunks."""
+        """Kummer (4501, 30), genus 65,250, is read by its 4,500 chain
+        starts: no other line is split, and the law is not walked."""
         gamma = kummer_generating_set(4501, 30)
         text = dump_gamma(gamma)
-        with mock.patch.object(gammafile, "_read_lines",
-                               side_effect=AssertionError("per line")), \
-                mock.patch.object(gammafile, "_parse_lines",
-                                  side_effect=AssertionError("scanned")):
+        with chain_route_only():
             assert parse_gamma(text) == gamma
 
     def test_one_comment_sends_one_chunk_down_the_line_path(self):
+        """One comment line sends the whole text off the chain read: every
+        chunk of it is read by the line comprehension, to the same set,
+        with no diagnostic scan."""
         gamma = kummer_generating_set(4501, 30)
         lines = dump_gamma(gamma).splitlines(keepends=True)
         lines.insert(30000, "# a comment\n")
+        text = "".join(lines)
+        assert gammafile._read_chains(text) is None
         with mock.patch.object(gammafile, "_read_lines",
                                wraps=gammafile._read_lines) as spy, \
                 mock.patch.object(gammafile, "_parse_lines",
                                   side_effect=AssertionError("scanned")):
-            assert parse_gamma("".join(lines)) == gamma
-        assert spy.call_count == 1
+            assert parse_gamma(text) == gamma
+        assert "".join(call.args[0] for call in spy.call_args_list) == text
+
+    @pytest.mark.parametrize("text", HOSTILE_TEXTS)
+    def test_hostile_texts_are_bounded(self, text):
+        """Each has the line scanner's outcome, and the parse peaks under
+        1 MiB: no chain is expanded past the file's line count."""
+        want = outcome(parse_gamma_lines, text, "f.gamma")
+        tracemalloc.start()
+        try:
+            got = outcome(parse_gamma, text, "f.gamma")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20, peak
 
 
 class TestStreamedGammaEmission:
