@@ -536,8 +536,8 @@ def chain_route_only():
     return stack
 
 
-#: Texts that would make a chain read without the line-count guard expand
-#: without bound, or that it must refuse: a chain of 5e10 points in a
+#: Texts that would make a chain read without its guards expand without
+#: bound, or that probe its input checks: a chain of 5e10 points in a
 #: one-line file, a negative image beside a huge one whose chain lengths
 #: add up to the line count, a 5,000-digit period, a 5,000-digit
 #: coordinate and both, and a valid set with its start block out of order.
