@@ -13,9 +13,11 @@ writes them sorted, so the text :func:`dump_gamma` writes holds its
 whole set in its leading lines, the chain starts.  :func:`_read_chains`
 reads a ``period <int>`` first line and then only the lines with
 ``a < period``.  Before it expands anything, it checks that every start
-has ``b0 > 0`` and that the chain lengths ``ceil(b0/period)`` add up to
-the number of lines after the header, so no text can make it build more
-points than it has lines.  It then expands the chains level by level,
+has ``b0 > 0``, that the chain lengths ``ceil(b0/period)`` add up to the
+number of lines after the header, and that those lines hold at least
+four characters each, as a point's line does, so no text can make it
+build more points than it has lines, or than a quarter of its
+characters.  It then expands the chains level by level,
 which yields the points sorted, and checks the starts by
 :func:`lattice._chains_fit`, the one copy of those checks.  It accepts
 the text only if the pieces of :func:`dump_pieces` of the set match it
@@ -92,8 +94,13 @@ def _read_chains(text: str):
             starts.append((int(a), int(b)))
     except ValueError:
         return None
-    if not all(b > 0 for _, b in starts) or sum(
-            -(-b // period) for _, b in starts) != text.count("\n", body):
+    lines = text.count("\n", body)
+    # A point's line holds at least four characters, so once the chain
+    # lengths add up to the line count, the chains hold at most a quarter
+    # as many points as the text has characters: blank lines cannot make
+    # the expansion outgrow the text.
+    if (4 * lines > len(text) - body or not all(b > 0 for _, b in starts)
+            or sum(-(-b // period) for _, b in starts) != lines):
         return None
     points = []
     level = starts

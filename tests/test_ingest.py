@@ -540,7 +540,9 @@ def chain_route_only():
 #: bound, or that probe its input checks: a chain of 5e10 points in a
 #: one-line file, a negative image beside a huge one whose chain lengths
 #: add up to the line count, a 5,000-digit period, a 5,000-digit
-#: coordinate and both, and a valid set with its start block out of order.
+#: coordinate and both, a valid set with its start block out of order,
+#: and a chain of 50,000 points whose length matches a file of as many
+#: lines, all but two of them blank.
 HOSTILE_TEXTS = (
     "period 2\n1\t99999999999\n",
     "period 5\n1\t-5000000000000\n2\t5000000000007\n",
@@ -548,6 +550,7 @@ HOSTILE_TEXTS = (
     "period 4\n1\t" + "9" * 5000 + "\n",
     "period " + "7" * 5000 + "\n1\t" + "9" * 5000 + "\n",
     "period 4\n2\t2\n1\t5\n5\t1\n",
+    "period 2\n1\t99999\n9\n" + "\n" * 49998,
 )
 
 
@@ -605,7 +608,9 @@ class TestCanonicalChunks:
             assert parse_gamma(text) == gamma
         assert "".join(call.args[0] for call in spy.call_args_list) == text
 
-    @pytest.mark.parametrize("text", HOSTILE_TEXTS)
+    @pytest.mark.parametrize("text", HOSTILE_TEXTS, ids=(
+        "chain_5e10", "negative_b0", "long_period", "long_coordinate",
+        "long_both", "unsorted_starts", "blank_lines"))
     def test_hostile_texts_are_bounded(self, text):
         """Each has the line scanner's outcome, and the parse peaks under
         1 MiB: no chain is expanded past the file's line count."""
