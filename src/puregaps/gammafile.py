@@ -11,20 +11,19 @@ chains ``(a0 + i*period, b0 - i*period)``, ``0 <= i < ceil(b0/period)``,
 one from each of its points below the period, and :func:`dump_gamma`
 writes them sorted, so the text :func:`dump_gamma` writes holds its
 whole set in its leading lines, the chain starts.  :func:`_read_chains`
-reads a ``period <int>`` first line and then only the lines with
-``a < period``.  Before it expands anything, it checks that every start
-has ``b0 > 0``, that the chain lengths ``ceil(b0/period)`` add up to the
-number of lines after the header, and that those lines hold at least
+reads a ``period <int>`` first line, written as :func:`dump_gamma` writes
+it, and then only the lines with ``a < period``.  Before it expands
+anything, it checks the starts by :func:`lattice._starts_fit` against
+the number of lines after the header, and that those lines hold at least
 four characters each, as a point's line does, so no text can make it
 build more points than it has lines, or than a quarter of its
-characters.  It then expands the chains level by level,
-which yields the points sorted, and checks the starts by
-:func:`lattice._chains_fit`, the one copy of those checks.  It accepts
-the text only if the pieces of :func:`dump_pieces` of the set match it
-exactly, one after the other.  Equality with the canonical rendering of
-a valid chain set proves the format, every value, the order, the exact
-``int`` types and the period law at once, so on this route no line
-other than a start is split, converted or walked.
+characters.  It then builds the set from the chain levels of
+:func:`lattice._levels`, sorted, and accepts the text only if the pieces
+of :func:`dump_pieces` of the set match it exactly, one after the other.
+Equality with the canonical rendering of a valid chain set proves the
+format, every value, the order, the exact ``int`` types and the period
+law at once, so on this route no line other than a start is split,
+converted or walked.
 
 Any other text (comments, blank lines, spaces, CRLF, a last line with no
 newline, signs, underscores, leading zeros, non-ASCII digits, an invalid
@@ -48,7 +47,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import GammaFileError, ValidationError
-from .lattice import GeneratingSet, _chains_fit, validate_generating_set
+from .lattice import (
+    GeneratingSet, _levels, _starts_fit, validate_generating_set)
 
 
 #: Characters of text split into lines at a time.  A chunk runs on to just
@@ -83,7 +83,7 @@ def _read_chains(text: str):
     starts = []
     try:
         period = int(text[7:body - 1])
-        if period < 1:
+        if period < 1 or text[:body] != f"period {period}\n":
             return None
         end = body - 1
         while True:  # the leading lines with a < period
@@ -99,20 +99,11 @@ def _read_chains(text: str):
     # lengths add up to the line count, the chains hold at most a quarter
     # as many points as the text has characters: blank lines cannot make
     # the expansion outgrow the text.
-    if (4 * lines > len(text) - body or not all(b > 0 for _, b in starts)
-            or sum(-(-b // period) for _, b in starts) != lines):
+    if 4 * lines > len(text) - body or not _starts_fit(starts, period, lines):
         return None
     points = []
-    level = starts
-    while level:  # each chain's next point, in the order of the starts
+    for level in _levels(starts, period):
         points += level
-        level = [(a + period, b - period) for a, b in level if b > period]
-    # The chains keep the period law by construction.  The starts lie
-    # below the period, so when they increase from above zero, as
-    # _chains_fit checks, level i lies between i*period and (i+1)*period
-    # in order, and the points are sorted.
-    if not _chains_fit(points, period):
-        return None
     gamma = GeneratingSet(points=tuple(points), period=period)
     del points  # the list is not held while the text is compared
     end = 0

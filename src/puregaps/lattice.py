@@ -7,23 +7,22 @@ only sanctioned way to build one and enforces, among other things, the
 period displacement law:
 ``beta + k*period`` is a first coordinate exactly when
 ``k*period < tau(beta)``, and then its image is ``tau(beta) - k*period``.
-The law is checked in an equivalent chain form that takes one linear pass,
-by :func:`period_law_violations`: on a valid set a merge walk of the
-sorted points against their period shifts, which builds no table; the map
-``tau`` is built only to name a breach.  Validation is where the law is
-enforced: it is not re-checked on a validated set, and no report carries
-it as a verdict.
+Validation is where the law is enforced: it is not re-checked on a
+validated set, and no report carries it as a verdict.
 
 A valid set is a union of chains ``(a0 + i*period, b0 - i*period)``, one
-from each of its points below the period, and validation checks it so:
-past at most one sort, the law and one pass over the coordinates' types,
-every check reads the chain starts alone, in time linear in the period,
-not in the genus.  Only an invalid set is walked point by point, to name the
-point at fault.  A set file in the canonical form is read the same way,
-by ``gammafile``'s chain read: it expands the chains of the file's start
-lines, which keep the law by construction, and checks their starts by
-:func:`_chains_fit`, the one copy of those checks, with no law walk and
-no type pass.
+from each of its points below the period, and this module holds that
+chain form once: :func:`_starts_fit` checks the chain starts alone, in
+time linear in the period, not in the genus, and :func:`_levels` expands
+them, one level of the chains at a time.  Validation checks a set so:
+past at most one sort and one pass over the coordinates' types, the
+starts must fit and each level must be the next slice of the sorted
+points, which proves the law and every other invariant at once.  Only an
+invalid set is walked point by point, by :func:`period_law_violations`
+among others, to name the point at fault.  A set file in the canonical
+form is read the same way, by ``gammafile``'s chain read: it checks the
+file's start lines by :func:`_starts_fit` and builds the set from
+:func:`_levels`, with no law walk and no type pass.
 
 A set of second coordinates is held across the package as an int
 bitmask, bit ``b`` set for each ``b``; :func:`set_bits` lists one where
@@ -110,15 +109,10 @@ def period_law_violations(period: int, items: list) -> Iterator[tuple]:
     ``period < tau(a)`` breaks the successor rule and is named once, as
     that, so every yielded ``(beta, k)`` breaks the law at that shift.
 
-    A merge walk comes first and builds nothing: the successors
-    ``(a + period, b - period)`` of the points with ``b > period``, in
-    order, are exactly the points with ``a >= period`` when the law holds
-    and every chain starts below the period (and only then), so when they
-    are, nothing is yielded.  Otherwise the map is built and walked point
-    by point, to name each breach.
+    It is the diagnostic of a set that validation's chain check has
+    refused, run only to name a breach: it builds the map and walks it
+    point by point.
     """
-    if _chains_start_below(period, items):
-        return
     tau = dict(items)
     last = {a % period: a for a, _ in items}  # each class's largest
     breaks = None
@@ -143,21 +137,6 @@ def period_law_violations(period: int, items: list) -> Iterator[tuple]:
                          f"first coordinate since {k}*{period} >= {b}")
 
 
-def _chains_start_below(period: int, items: list) -> bool:
-    """Whether the successors of the points of ``items`` with second
-    coordinate above the period, in order, are exactly the points from the
-    first with ``a >= period`` on: the period law holds and each first
-    coordinate at or above the period has its predecessor."""
-    rest = islice(items, bisect_left(items, (period,)), None)
-    for a, b in items:
-        if period < b:
-            # (0, 0) is no successor: its second coordinate is not positive
-            c, d = next(rest, (0, 0))
-            if c != a + period or d != b - period:
-                return False
-    return next(rest, None) is None
-
-
 def _run_breaks(items: list, period: int) -> dict:
     """First coordinate -> the next one of its residue class, for each
     first coordinate whose class resumes past a gap."""
@@ -180,29 +159,30 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     (InvalidParamsError); all coordinates are strictly positive and inside
     the 64-bit range; no coordinate is a multiple of the period;
     coordinates are pairwise distinct within each projection; the period
-    displacement law holds, checked by :func:`period_law_violations` in
-    its chain form, which is equivalent to the law for every shift count;
-    no coordinate exceeds ``2g - 1``, the largest gap of a place of genus
-    ``g``; and ``a - period`` is a first coordinate for each first
-    coordinate ``a > period``, as for the gaps of a semigroup containing
-    the period.  Each chain then has ``k + 1`` points if its last lies in
-    row ``k``, which is the genus identity of the box decomposition.  An
-    empty set is valid with any period (genus zero).
+    displacement law holds; no coordinate exceeds ``2g - 1``, the largest
+    gap of a place of genus ``g``; and ``a - period`` is a first
+    coordinate for each first coordinate ``a > period``, as for the gaps of
+    a semigroup containing the period.  Each chain then has ``k + 1``
+    points if its last lies in row ``k``, which is the genus identity of
+    the box decomposition.  An empty set is valid with any period (genus
+    zero).
 
     A valid set is the union of the chains ``(a0 + i*period,
     b0 - i*period)``, ``0 <= i < ceil(b0/period)``, one from each point
     ``(a0, b0)`` below the period, so the points are checked by their
     chains: a copy, sorted in a second list unless it comes in order, one
-    pass over the coordinates' types (an exact int each), and the law;
-    then, by :func:`_chains_fit`, the checks on the chain starts alone,
-    which cost O(period).  Only when one
-    of these fails are the points walked one by one, so the error names
-    the same point as a point-by-point check would: the first bad point
-    in input order for the type, sign, divisibility and range checks, the
-    first duplicate in sorted order, the law's first breach, and the first
-    point in sorted order past ``2g - 1`` or above the period without a
-    predecessor in its chain.  That walk also decides on coordinates of a
-    subclass of int, such as an IntEnum, which it accepts.
+    pass over the coordinates' types (an exact int each), the checks of
+    :func:`_starts_fit` on the points below the period, and then each
+    level of :func:`_levels` compared with the next slice of the sorted
+    points.  Only when one of these fails are the points walked one by
+    one, so the error names the same point as a point-by-point check
+    would: the first bad point in input order for the type, sign,
+    divisibility and range checks, the first duplicate in sorted order,
+    the law's first breach, by :func:`period_law_violations`, and the
+    first point in sorted order past ``2g - 1`` or above the period
+    without a predecessor in its chain.  That walk also decides on
+    coordinates of a subclass of int, such as an IntEnum, which it
+    accepts.
     """
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -212,22 +192,24 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     except TypeError as exc:
         raise InvalidParamsError(
             f"generating points must be pairs of ints: {exc}") from None
-    breach = None  # the law's first breach, once looked for: () if none
     try:
         # a set file's points come sorted: then no second list is held
         order = (pts if all(map(lt, pts, islice(pts, 1, None)))
                  else sorted(pts))
         valid = set(map(type, chain.from_iterable(order))) <= {int}
         if valid:
-            breach = next(period_law_violations(period, order), ())
-            valid = not breach and _chains_fit(order, period)
-    except (TypeError, ValueError, IndexError):
+            starts = order[:bisect_left(order, (period,))]
+            rest = iter(order)
+            # one level at a time, so no second copy of the set is built
+            valid = _starts_fit(starts, period, len(order)) and all(
+                list(islice(rest, len(level))) == level
+                for level in _levels(starts, period))
+    except (TypeError, ValueError):
         valid = False  # the point-by-point walk names the point
     if not valid:
         _raise_bad_point(pts, period)
         order = sorted(pts)
-        if breach is None:
-            breach = next(period_law_violations(period, order), ())
+        breach = next(period_law_violations(period, order), ())
         if breach:
             beta, k, message = breach
             raise PeriodPropertyViolationError(message, beta=beta, k=k)
@@ -248,49 +230,51 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     return GeneratingSet(points=tuple(order), period=period)
 
 
-def _chains_fit(order: list, period: int) -> bool:
-    """Whether the sorted int pairs ``order``, on which the period law
-    holds, are the chains of their points below the period, and these
-    chains meet every other invariant.
+def _starts_fit(starts: list, period: int, genus: int) -> bool:
+    """Whether the int pairs ``starts``, all with first coordinate below
+    the period, are the chain starts of a valid set of ``genus`` points.
 
-    ``gammafile``'s chain read calls it on the chains of a file's start
-    lines, expanded level by level, every ``b0`` positive.  That list is
-    sorted exactly when the starts increase from above zero, and when
-    they do not, this returns False: the prefix that ``bisect_left`` cuts
-    from it either is not the starts, and then its chain lengths do not
-    add up to the number of points, or is, and then does not increase.
+    The checks, in time linear in the number of starts: the ``a0``
+    strictly increase from above zero; the ``b0`` are positive, with
+    distinct residues modulo the period and none zero; ``ceil(b0/period)``
+    summed over the starts is the genus; and the largest first coordinate,
+    ``a0 + ((b0 - 1) // period)*period`` at the end of its chain, and the
+    largest ``b0`` are at most ``2g - 1`` and in the 64-bit range.  An
+    empty list fits genus zero alone.
 
-    The checks see the chain starts ``(a0, b0)``, the points below the
-    period, alone: the ``a0`` strictly increase from above zero; the
-    ``b0`` are positive, with distinct residues modulo the period and none
-    zero; ``ceil(b0/period)`` summed over the starts is the number of
-    points; and the largest first coordinate and the largest ``b0`` are at
-    most ``2g - 1`` and in the 64-bit range.
-
-    Then the set is valid.  The law, in the chain form
-    :func:`period_law_violations` checks, leads each start ``(a0, b0)``
-    up through ``(a0 + i*period, b0 - i*period)`` for each ``i`` with
-    ``i*period < b0``: ``ceil(b0/period)`` points with distinct first
-    coordinates, all in the residue class of ``a0``.  The starts' classes
-    differ, so the chains cover as many distinct first coordinates as
-    there are points, and every point lies on one chain, once.  A chain
-    keeps its start's residues, positive and not zero, so no coordinate is
-    a multiple of the period and the second coordinates are distinct; its
-    second coordinates fall, so its start holds its largest; and each of
-    its points above the period has its predecessor.
+    Then the chains ``(a0 + i*period, b0 - i*period)``, ``i*period < b0``,
+    that :func:`_levels` lists are a valid set of ``genus`` points.  They
+    keep the period law by construction.  The starts' classes differ, so
+    the chains' first coordinates are distinct, and each chain keeps its
+    start's residues, positive and not zero, so no coordinate is a
+    multiple of the period and the second coordinates are distinct; a
+    chain's second coordinates fall, so its start holds its largest; and
+    each of its points above the period has its predecessor.
     """
-    if not order:
-        return True
-    starts = order[:bisect_left(order, (period,))]
+    if not starts:
+        return genus == 0
     firsts = [a for a, _ in starts]
     seconds = [b for _, b in starts]
     residues = {b % period for b in seconds}
     return (all(map(lt, [0, *firsts], firsts))
-            and min(seconds, default=1) > 0
+            and min(seconds) > 0
             and 0 not in residues and len(residues) == len(starts)
-            and sum(-(-b // period) for b in seconds) == len(order)
-            and max([order[-1][0], *seconds])
-            <= min(COORD_MAX, 2 * len(order) - 1))
+            and sum(-(-b // period) for b in seconds) == genus
+            and max([a + (b - 1) // period * period for a, b in starts]
+                    + seconds) <= min(COORD_MAX, 2 * genus - 1))
+
+
+def _levels(starts: list, period: int) -> Iterator[list]:
+    """Yield the chains of ``starts`` a level at a time: level ``i`` lists
+    the point ``(a0 + i*period, b0 - i*period)`` of each chain with
+    ``i*period < b0``, in the order of the starts.  Level ``i`` lies
+    between ``i*period`` and ``(i+1)*period``, so when the starts increase
+    from above zero below the period, each level is sorted and so is their
+    concatenation."""
+    level = starts
+    while level:
+        yield level
+        level = [(a + period, b - period) for a, b in level if b > period]
 
 
 def _raise_bad_point(pts: list, period: int) -> None:

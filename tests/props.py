@@ -7,6 +7,7 @@ every case and returns the number of cases exercised.  Family computations
 are memoized so repeated draws of the same parameters stay cheap.
 """
 
+from itertools import combinations, permutations, product
 from math import gcd
 import random
 
@@ -218,6 +219,32 @@ def non_diagonal_sets(draw):
         assume(False)
     assume(not decompose(gamma).diagonal)
     return gamma
+
+
+def row_sets(genus, period):
+    """Every valid set of ``genus`` points and the given period, each as
+    its sorted tuple of points, built from its rows: distinct non-zero
+    residues ``r`` paired with distinct ``b`` in ``(0, period)``, a height
+    ``h >= 0`` per pair with the ``h + 1`` summing to the genus, and the
+    chain points ``(h*period + r - i*period, b + i*period)``,
+    ``0 <= i <= h``, with ``h*period + r`` and ``h*period + b`` at most
+    ``2*genus - 1``."""
+    top = 2 * genus - 1
+    residues = range(1, period)
+    found = set()
+    for k in range(1, genus + 1):
+        for heights in product(range(genus), repeat=k):
+            if sum(heights) + k != genus:
+                continue
+            for firsts in combinations(residues, k):
+                for seconds in permutations(residues, k):
+                    if all(h * period + max(r, b) <= top for r, b, h in
+                           zip(firsts, seconds, heights)):
+                        found.add(tuple(sorted(
+                            (r + (h - i) * period, b + i * period)
+                            for r, b, h in zip(firsts, seconds, heights)
+                            for i in range(h + 1))))
+    return found
 
 
 @st.composite

@@ -13,7 +13,7 @@ import puregaps.harness as harness
 import puregaps.lattice as lattice
 from puregaps.engine import PureGapSet, assemble_pure_gaps, decompose
 from puregaps.cli import main
-from puregaps.errors import ConsistencyError
+from puregaps.errors import ConsistencyError, PeriodPropertyViolationError
 from puregaps.gammafile import dump_gamma, load_gamma, parse_gamma
 from puregaps.gk import gk_generating_set
 from puregaps.kummer import kummer_generating_set
@@ -1009,9 +1009,9 @@ class TestVerdictTable:
 
 
 class TestPeriodLawChecks:
-    """The period law is checked at most once, by validation, and never
-    again on a validated set; a file in the canonical form is read by its
-    chains, with no law walk at all."""
+    """The period law is walked only to name a breach: a valid set is
+    checked by its chain levels, never by a law walk, and a validated set
+    is never checked again."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -1032,20 +1032,29 @@ class TestPeriodLawChecks:
     def test_verify_point_validates_once(self, passes, family, params):
         report = harness.verify_point(family, params)
         assert report.ok
-        assert passes == [report.period]
+        assert passes == []
 
     def test_summarize_generic_checks_none(self, passes):
-        """The canonical nd7 text takes the chain read, with no law walk;
-        with a comment line it takes the line path, whose validation walks
-        the law once.  The summary walks it in neither case."""
+        """The canonical nd7 text takes the chain read and, with a comment
+        line, the line path, whose validation checks the chain levels:
+        neither walks the law, and neither does the summary."""
         text = TestStream.NON_DIAGONAL["nd7"][0]
-        for comment, walks in (("", []), ("# a comment\n", [7])):
+        for comment in ("", "# a comment\n"):
             gamma = parse_gamma(comment + text)
-            assert passes == walks
-            del passes[:]
+            assert passes == []
             report = harness.summarize_generic(gamma, "nd7")
             assert report.ok
             assert passes == []
+
+    def test_a_breach_walks_the_law_once(self, passes):
+        """nd7 with the image of 4 moved up by the period breaks the law,
+        and validation walks it once, to name the breach."""
+        tau = dict(parse_gamma(TestStream.NON_DIAGONAL["nd7"][0]).points)
+        tau[4] += 7
+        with pytest.raises(PeriodPropertyViolationError) as err:
+            lattice.validate_generating_set(tau.items(), 7)
+        assert err.value.beta == 4
+        assert passes == [7]
 
 
 def test_family_flags_follow_the_table(monkeypatch):

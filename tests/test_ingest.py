@@ -551,6 +551,8 @@ HOSTILE_TEXTS = (
     "period " + "7" * 5000 + "\n1\t" + "9" * 5000 + "\n",
     "period 4\n2\t2\n1\t5\n5\t1\n",
     "period 2\n1\t99999\n9\n" + "\n" * 49998,
+    "period  7\n" + test_cli.TestStream.NON_DIAGONAL["nd7"][0][8:],
+    "period +7\n" + test_cli.TestStream.NON_DIAGONAL["nd7"][0][8:],
 )
 
 
@@ -608,9 +610,23 @@ class TestCanonicalChunks:
             assert parse_gamma(text) == gamma
         assert "".join(call.args[0] for call in spy.call_args_list) == text
 
+    @pytest.mark.parametrize("header", ["period  2001\n", "period +2001\n"],
+                             ids=["spaced", "signed"])
+    def test_header_is_canonical_before_expanding(self, header):
+        """A header that ``int`` reads but :func:`dump_gamma` does not
+        write sends the text to the line path before any chain is
+        expanded."""
+        text = dump_gamma(kummer_generating_set(2001, 5))
+        text = header + text[text.index("\n") + 1:]
+        with mock.patch.object(gammafile, "_levels",
+                               side_effect=AssertionError("expanded")):
+            assert gammafile._read_chains(text) is None
+        assert parse_gamma(text) == parse_gamma_lines(text)
+
     @pytest.mark.parametrize("text", HOSTILE_TEXTS, ids=(
         "chain_5e10", "negative_b0", "long_period", "long_coordinate",
-        "long_both", "unsorted_starts", "blank_lines"))
+        "long_both", "unsorted_starts", "blank_lines", "spaced_header",
+        "signed_header"))
     def test_hostile_texts_are_bounded(self, text):
         """Each has the line scanner's outcome, and the parse peaks under
         1 MiB: no chain is expanded past the file's line count."""

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +12,14 @@ from puregaps.errors import (
     InvalidParamsError,
     PeriodPropertyViolationError,
     ResidueChainStartError,
+    ValidationError,
     ZeroOrNegativeCoordinateError,
 )
 from puregaps.engine import decompose
+from puregaps.gammafile import _read_chains
 from puregaps.lattice import COORD_MAX, validate_generating_set
 
+import props
 from expected_gk2 import GAMMA as GK2_GAMMA
 from reference import LatticePoint, glb, incomparable, lub
 
@@ -231,3 +236,41 @@ def test_validated_chain_sets_decompose(case):
         return
     assert not shifted
     decompose(gamma)
+
+
+def _validated(points, period):
+    """The points of the validated set, or None if validation rejects."""
+    try:
+        return validate_generating_set(points, period).points
+    except ValidationError:
+        return None
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_validation_is_exact_on_the_grid(genus):
+    """Among all ``g``-point subsets of ``[1, 2g - 1]^2``, at every period
+    ``2 .. 2g + 1``, validation in sorted and in reversed order and the
+    chain read of the sorted text accept exactly the sets built from rows.
+    Validation rejects any coordinate off that grid, so at this genus no
+    valid set is missed."""
+    top = 2 * genus - 1
+    grid = list(product(range(1, top + 1), repeat=2))
+    counts = []
+    for period in range(2, 2 * genus + 2):
+        built = props.row_sets(genus, period)
+        accepted = set()
+        for subset in combinations(grid, genus):  # sorted, as the grid is
+            text = f"period {period}\n" + "".join(
+                f"{a}\t{b}\n" for a, b in subset)
+            gamma = _read_chains(text)
+            got = (_validated(subset, period),
+                   _validated(subset[::-1], period),
+                   gamma and gamma.points)
+            want = subset if subset in built else None
+            assert got == (want,) * 3, (period, subset)
+            if want:
+                accepted.add(subset)
+        assert accepted == built
+        counts.append(len(built))
+    if genus == 3:
+        assert counts[1:] == [4, 10, 96, 600, 600]

@@ -4,9 +4,13 @@
 residue class; ``reference.period_law_shift_walk`` checks the law itself
 at every shift count.  They must agree on whether a map breaks the law,
 and every witness the chain form names must be one the walk finds too.
-The merge walk that lets a valid set skip the map must pass exactly when
-the law holds and every chain starts below the period.
+The chain levels of the points below the period, which validation
+compares with a set instead, must equal the points exactly when the law
+holds and every chain starts below the period.
 """
+
+from bisect import bisect_left
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +24,7 @@ from puregaps.errors import (
 )
 from puregaps.gammafile import parse_gamma
 from puregaps.lattice import (
-    _chains_start_below,
+    _levels,
     period_law_violations,
     validate_generating_set,
 )
@@ -35,8 +39,9 @@ def assert_agrees(tau, period):
     walked = period_law_shift_walk(tau, period)
     assert bool(found) == bool(walked)
     starts_below = all(a < period or a - period in tau for a in tau)
-    assert _chains_start_below(period, items) == (
-        not walked and starts_below)
+    starts = items[:bisect_left(items, (period,))]
+    levels = list(chain.from_iterable(_levels(starts, period)))
+    assert (levels == items) == (not walked and starts_below)
     witnesses = [(beta, k) for beta, k, _ in found]
     assert set(witnesses) <= set(walked)
     betas = [beta for beta, _ in witnesses]
@@ -88,7 +93,8 @@ def small_injective_maps(draw):
 
 
 #: The smoke-test set whose residue-1 and residue-2 chains start at 5 and
-#: 6, above the period 4: it keeps the law, so only the merge walk fails.
+#: 6, above the period 4: it keeps the law, so only the level compare
+#: fails.
 P4 = ({3: 15, 5: 6, 6: 13, 7: 11, 9: 2, 10: 9, 11: 7, 14: 5, 15: 3, 18: 1}, 4)
 
 
