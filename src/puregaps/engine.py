@@ -42,9 +42,9 @@ columns ``i`` ascending; inside a box column, first-coordinate residues
 coordinates of ``G_{i+j,0}`` at ``a = (i+j)*period + r`` shifted by
 ``j*period``.  Nothing else walks the translates.  Two values of one
 period compare box by box, expanded to columns, one dict ``==`` of ints
-each, and so does one with the direct scan, whose box ``(i, j)`` is a band
-of ``c`` periods: it must hold the boxes ``i + j*c + t``, ``t < c``, of
-:meth:`PureGapSet.boxes`, each shifted up ``t`` periods.
+each, and so does one with the direct scan, whose boxes are bands of
+several periods (:mod:`~puregaps.oracle`), by
+:func:`~puregaps.harness.oracle_mismatch`.
 
 :func:`assemble_pure_gaps` builds the engine's ``G0``, every box by
 :func:`_box`, the one route to it.  :func:`check_components` is the only

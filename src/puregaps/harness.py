@@ -6,13 +6,13 @@ scan), check the family's explicit rows and components G1 and G3 against
 the engine's box by box, and record a verdict per cross-check; the scan
 is compared with the engine's ``G0`` as it yields each box column, by
 :func:`oracle_mismatch`, the one such comparison, which ``bench`` also
-streams the scan through.  A scan box is one period wide and one band
-of ``c = band_span(period)`` periods, at least ``BAND_BITS`` bits,
-high, so one loop down the box columns merges the engine's boxes ``c``
-at a time into the same layout as it goes.  Both sides hold a box
-column as int mask columns, so it compares by one dict ``==``; a
-matched box is then held as the scan's, whose band ints many columns
-share, and only a differing column is listed to name its points.
+streams the scan through.  A scan box is one band of ``c`` periods high
+(:func:`~puregaps.oracle.pure_gap_boxes_direct`), so one loop down the
+box columns merges the engine's boxes ``c`` at a time into the same
+layout as it goes.  Both sides hold a box column as int mask columns, so
+it compares by one dict ``==``; a matched box is then held as the
+scan's, whose band ints many columns share, and only a differing column
+is listed to name its points.
 Families are diagonal: their G2 and G4 are the diagonal law's,
 checked once, by :func:`~puregaps.engine.check_reflection`.  Summaries
 run the engine alone and compare its weighted size with the closed form.
@@ -122,7 +122,7 @@ def oracle_mismatch(g0, scan) -> str:
     of the engine's top box and the scan's first box column to 0.  At
     each ``i`` it extends the band recurrence ``H[i][r] = box(i)[r] |
     (H[i+1][r] & low) << period``, ``low`` the ``(c-1)*period`` lowest
-    bits (no carry when ``c == 1``), forms the engine's box column ``{j:
+    bits, none when ``c == 1``, forms the engine's box column ``{j:
     H[i + j*c]}``, takes the scan's box column ``i`` if it is next, and
     compares the two by one dict ``==`` of mask columns (both sides are
     canonical); so every box of the engine, at any height, is compared.
@@ -145,10 +145,9 @@ def oracle_mismatch(g0, scan) -> str:
     extra, missing = [], []
     for i in range(top, -1, -1):
         here = boxes.pop(i, {})
-        if low:
-            for r, mask in merged.get(i + 1, {}).items():
-                if kept := mask & low:
-                    here[r] = here.get(r, 0) | kept << period
+        for r, mask in merged.get(i + 1, {}).items():
+            if kept := mask & low:
+                here[r] = here.get(r, 0) | kept << period
         if here:
             merged[i] = here
         got = {j: merged[m] for j, m in enumerate(range(i, top + 1, span))
@@ -420,8 +419,7 @@ def bench_family(family: str, params: dict) -> list:
     """Time the box-decomposition route against the direct glb scan.
 
     The box route's time ends at its :class:`~puregaps.engine.PureGapSet`.
-    The direct scan's box columns, bands of
-    :func:`~puregaps.oracle.band_span` periods, are then streamed into the
+    The direct scan's box columns are then streamed into the
     ``engine_vs_oracle`` check of ``verify``, :func:`oracle_mismatch`,
     each dropped once compared; the direct route's time is the time spent
     inside the scan's own ``next()`` calls, so it is scan time only.  A

@@ -2,15 +2,17 @@
 
 Nothing here touches the box-decomposition engine; these functions are the
 independent side of every cross-check.  The pure gap set is computed from
-its definition, as the glbs of incomparable generating pairs, by a scan
-that keeps the already-passed second coordinates and so needs no dedup
-set and no final sort.  The scan yields its glbs one box column at a
-time, each box one period wide in the first coordinate and a band of
-:func:`band_span` whole periods, at least ``BAND_BITS`` bits, in the
-second, each column an int bitmask as the engine's are.  The engine
-compares with it box by box, one dict ``==`` per box against its own
-boxes merged a band at a time, as the columns arrive; the same scan lists
-the points or counts them without listing.
+its definition, as the glbs of incomparable generating pairs, by one walk
+that keeps the already-passed second coordinates sorted and so needs no
+dedup set and no final sort: :func:`pure_gaps_direct` lists the glbs and
+:func:`count_pure_gaps_direct` counts them.  :func:`pure_gap_boxes_direct`
+is the same walk with the passed coordinates kept in bands: it yields its
+glbs one box column at a time, each box one period wide in the first
+coordinate and a band of :func:`band_span` whole periods, at least
+``BAND_BITS`` bits, in the second, each column an int bitmask as the
+engine's are.  The engine compares with it box by box, one dict ``==``
+per box against its own boxes merged a band at a time, as the columns
+arrive.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from itertools import islice, repeat
 
-from .lattice import GeneratingSet, set_bits
+from .lattice import GeneratingSet
 
 #: The least width, in bits, of a band of the direct scan's second
 #: coordinates: a band spans :func:`band_span` whole periods.
@@ -40,16 +42,9 @@ def pure_gap_boxes_direct(gamma: GeneratingSet):
     period wide in the first coordinate and one band, ``width`` bits, in
     the second.
 
-    Points are walked in decreasing first coordinate while the second
-    coordinates already passed are kept.  Coordinates are pairwise
-    distinct within each projection, so the points passed (all with larger
-    first coordinates) that are incomparable with ``(a, b)`` are exactly
-    those with a second coordinate below ``b``, and each such pair has the
-    glb ``(a, v)``: the glbs at ``a`` are the passed second coordinates
-    below ``b``.  Distinct pairs give distinct glbs, so nothing needs
-    deduplicating.
-
-    The passed second coordinates are kept in bands ``j = v // width``,
+    This is the walk of :func:`pure_gaps_direct`, whose docstring proves
+    that the glbs at ``a`` are the passed second coordinates below ``b``,
+    with the passed second coordinates kept in bands ``j = v // width``,
     each an int mask of the offsets ``v - j*width``.  With ``i, r =
     divmod(a, period)`` and ``j0, v0 = divmod(b, width)``, every non-empty
     band ``j < j0`` gives box ``(i, j)`` its whole mask, and band ``j0``
@@ -107,34 +102,34 @@ def _filled(order, boxes) -> dict:
 
 
 def pure_gaps_direct(gamma: GeneratingSet) -> list:
-    """Pure gaps as glbs of incomparable generating pairs: the box columns
-    of :func:`pure_gap_boxes_direct` flattened in reverse, each by residue
-    ascending, then by band ``j`` ascending, each mask listed by
-    :func:`~puregaps.lattice.set_bits` and shifted by ``j`` bands, so with
-    no sort of the points.  Returns a sorted, duplicate-free list of plain
-    ``(a, b)`` tuples."""
-    period = gamma.period
-    width = band_span(period) * period
+    """Pure gaps as glbs of incomparable generating pairs (sorted-suffix
+    walk), as a sorted, duplicate-free list of plain ``(a, b)`` tuples.
+
+    Points are walked in decreasing first coordinate while the second
+    coordinates already passed are kept sorted.  Coordinates are pairwise
+    distinct within each projection, so the points passed (all with larger
+    first coordinates) that are incomparable with ``(a, b)`` are exactly
+    those with a second coordinate below ``b``, and each such pair has the
+    glb ``(a, v)``: the glbs at ``a`` are the passed second coordinates
+    below ``b``, found by one ``bisect_left`` and appended in decreasing
+    ``v``.  Distinct pairs give distinct glbs, so nothing needs
+    deduplicating, and the list, built in decreasing order, is reversed
+    once instead of sorted."""
     out = []
     extend = out.extend
-    for i, row in reversed(list(pure_gap_boxes_direct(gamma))):
-        by_residue = {}
-        for j in sorted(row):
-            for r, mask in row[j].items():
-                by_residue.setdefault(r, []).append((j * width, mask))
-        for r in sorted(by_residue):
-            a = i * period + r
-            for shift, mask in by_residue[r]:
-                extend(zip(repeat(a), map(shift.__add__, set_bits(mask))))
+    passed = []
+    for a, b in sorted(gamma.points, reverse=True):
+        n = bisect_left(passed, b)
+        extend(zip(repeat(a), reversed(passed[:n])))
+        insort(passed, b)
+    out.reverse()
     return out
 
 
 def count_pure_gaps_direct(gamma: GeneratingSet) -> int:
-    """``len(pure_gaps_direct(gamma))`` without listing the pure gaps.
-
-    The same sorted-suffix scan, summing each point's number of glbs,
-    ``bisect_left(passed, b)``, instead of emitting them.
-    """
+    """``len(pure_gaps_direct(gamma))`` without listing the pure gaps: the
+    same walk, summing each point's number of glbs, ``bisect_left(passed,
+    b)``, instead of listing them."""
     total = 0
     passed = []
     for _, b in sorted(gamma.points, reverse=True):

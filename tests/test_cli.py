@@ -301,6 +301,10 @@ class TestVerify:
         assert code == 0
         assert "q=7,N=2" in out
 
+    def test_unknown_point_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown point kind"):
+            list(harness.map_points([("hermitian", {})]))
+
     @pytest.mark.parametrize("argv", [
         ("--family", "gk", "--q-max", "1"),
         ("--special", "ur1", "--u-max", "0")])

@@ -134,6 +134,9 @@ class TestRowBoxes:
     def test_negative_k_rejected(self):
         with pytest.raises(InvalidParamsError):
             gk_card_gamma_k0(2, -1)
+        for component in (gk_g1, gk_g3):
+            with pytest.raises(InvalidParamsError, match="nonnegative"):
+                component(2, -1)
 
 
 class TestComponents:

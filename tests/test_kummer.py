@@ -107,6 +107,9 @@ class TestRowBoxes:
     def test_negative_k_rejected(self):
         with pytest.raises(InvalidParamsError):
             kummer_gamma_k0(4, 3, -1)
+        for component in (kummer_g1, kummer_g3):
+            with pytest.raises(InvalidParamsError, match="nonnegative"):
+                component(4, 3, -1)
 
 
 class TestComponents:
@@ -262,8 +265,8 @@ class TestSpecialQN:
     def test_preconditions(self):
         with pytest.raises(InvalidParamsError):
             kummer_card_special_qN(7, 3)   # 3 does not divide 8
-        with pytest.raises(InvalidParamsError):
-            kummer_card_special_qN(5, 4)   # q - 2 - N < 0
+        with pytest.raises(InvalidParamsError, match="q - 2 - N >= 0"):
+            kummer_card_special_qN(5, 6)   # 6 divides 6, but q - 2 - N < 0
         with pytest.raises(InvalidParamsError):
             kummer_card_special_qN(1, 1)
 

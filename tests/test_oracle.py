@@ -123,6 +123,19 @@ def reference_pure_gaps(points):
     return sorted(out)
 
 
+def definition_boxes(points, period):
+    """The definition's pure gaps as the banded scan's box columns, ``(i,
+    {j: {r: mask}})`` with ``i`` decreasing, each band ``band_span(period)``
+    periods high."""
+    width = band_span(period) * period
+    columns = {}
+    for a, b in reference_pure_gaps(points):
+        (i, r), (j, v) = divmod(a, period), divmod(b, width)
+        box = columns.setdefault(i, {}).setdefault(j, {})
+        box[r] = box.get(r, 0) | 1 << v
+    return sorted(columns.items(), reverse=True)
+
+
 def inverted(g):
     return [(i, g + 1 - i) for i in range(1, g + 1)]
 
@@ -146,6 +159,7 @@ class TestPureGapsDirectArbitrary:
         gamma = GeneratingSet(points=tuple(points), period=period)
         assert pure_gaps_direct(gamma) == reference_pure_gaps(points)
         rows = list(pure_gap_boxes_direct(gamma))
+        assert rows == definition_boxes(points, period)
         assert [i for i, _ in rows] == sorted({i for i, _ in rows},
                                               reverse=True)
         width = band_span(period) * period
@@ -163,13 +177,15 @@ class TestPureGapsDirectArbitrary:
     @example([(1, 5000), (2, 10**12), (3, 4100), (4, 1)], 2048)
     def test_bands_match_one_period_reference(self, points, period):
         """The scan's boxes of ``band_span(period)`` periods, split into
-        one-period boxes, are those of the one-period reference scan, and
-        its listing is the definition's, with periods on both sides of
-        ``BAND_BITS`` and second coordinates up to about ``10**12``."""
+        one-period boxes, are those of the one-period reference scan; both
+        scans' boxes and the listing are the definition's, with periods on
+        both sides of ``BAND_BITS`` and second coordinates up to about
+        ``10**12``."""
         gamma = GeneratingSet(points=tuple(points), period=period)
         assert pure_gaps_direct(gamma) == reference_pure_gaps(points)
-        assert by_period(pure_gap_boxes_direct(gamma), period,
-                         band_span(period)) == \
+        boxes = list(pure_gap_boxes_direct(gamma))
+        assert boxes == definition_boxes(points, period)
+        assert by_period(boxes, period, band_span(period)) == \
             list(pure_gap_boxes_by_period(gamma))
 
     def test_bounded_by_points_not_coordinates(self):
