@@ -71,10 +71,13 @@ from itertools import repeat
 
 from .errors import (
     CardinalityMismatchError,
+    ClosedFormMismatchError,
     DiagonalReflectionMismatchError,
     DisjointnessViolationError,
+    DivisibilityViolationError,
     GenericMismatchError,
     GenusIdentityViolationError,
+    InvalidParamsError,
 )
 from .lattice import GeneratingSet, set_bits
 
@@ -93,6 +96,32 @@ def check_int128(value: int) -> int:
         raise OverflowError(
             f"value {value} exceeds the supported 128-bit range")
     return value
+
+
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """``num // den`` for a closed form's numerator ``num``, named ``what``
+    in the DivisibilityViolationError raised when ``den`` does not divide
+    it."""
+    if num % den != 0:
+        raise DivisibilityViolationError(
+            f"{what} numerator {num} not divisible by {den}")
+    return num // den
+
+
+def check_box_index(k: int) -> None:
+    """Raise InvalidParamsError when a box index ``k`` is negative."""
+    if k < 0:
+        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
+
+
+def check_genus(gamma: GeneratingSet, genus: int) -> GeneratingSet:
+    """``gamma``, an enumerated family set, when it has the ``genus`` of
+    the family's formula, else ClosedFormMismatchError."""
+    if gamma.genus != genus:
+        raise ClosedFormMismatchError(
+            f"enumeration produced {gamma.genus} points, genus formula "
+            f"gives {genus}")
+    return gamma
 
 
 class BoxedGamma(namedtuple("BoxedGamma",
@@ -419,7 +448,6 @@ class PureGapSet:
     __slots__ = ("period", "_runs", "_size")
 
     def __init__(self, runs_by_box: dict, period: int):
-        inside = (1 << period) - 2
         runs = {}
         size = 0
         for k, box in runs_by_box.items():
@@ -428,7 +456,9 @@ class PureGapSet:
             for residues, mask in box:
                 if not residues or not mask:
                     continue
-                outside = residues & ~inside or mask & ~inside and residues
+                # by shifts, so nothing is sized by the period
+                outside = (residues & 1 or residues >> period << period
+                           or (mask & 1 or mask >> period) and residues)
                 if bad := outside or held & residues:
                     a = k * period + (bad & -bad).bit_length() - 1
                     raise DisjointnessViolationError(
@@ -473,7 +503,8 @@ class PureGapSet:
         j*period) + closer`` per point.  A first coordinate's block is its
         templates across ``j`` joined, with the marker replaced by the
         point's opening text ``a<TAB>`` or ``,[a,``: no Python work per
-        point.  Memory is bounded by the per-box sets, not by ``|G0|``.
+        point.  Memory is bounded by the per-box sets, not by ``|G0|`` or
+        the period: the cells of a shift run up to the highest bit held.
         After the text, the markers rendered must number ``len(self)``, or
         CardinalityMismatchError is raised.
         """
@@ -485,10 +516,12 @@ class PureGapSet:
             yield "["
         else:
             opener, mid, closer = "", "\t", "\n"
-        # Second coordinates of G_{k,0} + w_j are b + j*period, 0 < b < period
+        # Second coordinates of G_{k,0} + w_j are b + j*period, 0 < b < width
         # and j <= k <= top: one table of cells per shift j*period, by b.
+        width = max((mask.bit_length() for box in runs.values()
+                     for _, mask in box), default=0)
         cells = {j * period: [f"\x00{v}{closer}" for v in
-                              range(j * period, (j + 1) * period)]
+                              range(j * period, j * period + width)]
                  for j in range(top + 1)}
         # List each run's mask once, and map each residue to its run.
         listed = {k: ([set_bits(mask) for _, mask in box],

@@ -26,13 +26,10 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from .engine import bounds_from_row_sizes, check_int128
-from .errors import (
-    ClosedFormMismatchError,
-    DivisibilityViolationError,
-    InvalidParamsError,
-    PiecewiseMismatchError,
-)
+from .engine import (bounds_from_row_sizes, check_box_index, check_genus,
+                     check_int128, exact_quotient)
+from .errors import (ClosedFormMismatchError, InvalidParamsError,
+                     PiecewiseMismatchError)
 from .lattice import GeneratingSet, validate_generating_set
 
 
@@ -84,28 +81,28 @@ def gk_generating_set(q: int) -> GeneratingSet:
                 base = (q + 1 - i) * c - j
                 pts.append(((k - 1) * period + base,
                             (i + j - k - 1) * period + base))
-    gamma = validate_generating_set(pts, period)
-    if gamma.genus != params.genus:
-        raise ClosedFormMismatchError(
-            f"enumeration produced {gamma.genus} points, genus formula "
-            f"gives {params.genus}")
-    return gamma
+    return check_genus(validate_generating_set(pts, period), params.genus)
+
+
+def _row_bases(q: int, k: int) -> list:
+    """(i, (q+1-i)(q^2-q+1) - (k-i+2)) over the index range
+    max(0, k-q^2+q+2) <= i <= min(q, k+2) of row k, empty beyond
+    k = q^2 - 2: each row point's index i and its coordinates less the
+    row's multiples of the period, one value for both."""
+    c = q * q - q + 1
+    return [(i, (q + 1 - i) * c - (k - i + 2))
+            for i in range(max(0, k - q * q + q + 2), min(q, k + 2) + 1)]
 
 
 def gk_card_gamma_k0(q: int, k: int) -> int:
-    """|Gamma_{k,0}| from the explicit index endpoints.
+    """|Gamma_{k,0}|, the length of the explicit index range of row k.
 
     Cross-checked against every applicable branch of the published
     three-branch piecewise formula (branches overlap for small q).
     """
     GKParams(q)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    if k > q * q - 2:
-        return 0
-    lo = max(0, k - q * q + q + 2)
-    hi = min(q, k + 2)
-    n = hi - lo + 1
+    check_box_index(k)
+    n = len(_row_bases(q, k))
     if 0 <= k <= q - 2 and n != k + 3:
         raise PiecewiseMismatchError(
             f"q={q} k={k}: endpoints give {n}, branch k+3 gives {k + 3}")
@@ -119,26 +116,12 @@ def gk_card_gamma_k0(q: int, k: int) -> int:
     return n
 
 
-def _row_bases(q: int, k: int) -> list:
-    """(i, (q+1-i)(q^2-q+1) - (k-i+2)) over the index range of row k: each
-    row point's index i and its coordinates less the row's multiples of
-    the period, one value for both."""
-    c = q * q - q + 1
-    return [(i, (q + 1 - i) * c - (k - i + 2))
-            for i in range(max(0, k - q * q + q + 2), min(q, k + 2) + 1)]
-
-
 def gk_gamma_k0(q: int, k: int) -> list:
-    """Row-zero box k: the points with index (i, k-i+2, k+1)."""
-    count = gk_card_gamma_k0(q, k)
-    if count == 0:
-        return []
+    """Row-zero box k: the points with index (i, k-i+2, k+1), after the
+    checks of :func:`gk_card_gamma_k0`."""
+    gk_card_gamma_k0(q, k)
     shift = k * (q**3 + 1)
-    out = sorted((shift + base, base) for _, base in _row_bases(q, k))
-    if len(out) != count:
-        raise PiecewiseMismatchError(
-            f"q={q} k={k}: explicit row has {len(out)} points, count says {count}")
-    return out
+    return sorted((shift + base, base) for _, base in _row_bases(q, k))
 
 
 def gk_g1(q: int, k: int) -> dict:
@@ -151,8 +134,7 @@ def gk_g1(q: int, k: int) -> dict:
     the same values, so every column is the one mask of them.
     """
     GKParams(q)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
+    check_box_index(k)
     bases = {base for ks in range(k + 1, q * q - 1)
              for _, base in _row_bases(q, ks)}
     return dict.fromkeys(sorted(bases), sum(1 << b for b in bases))
@@ -163,8 +145,7 @@ def gk_g3(q: int, k: int) -> dict:
     i2 <= i1 cut: the column of the row-k point of index i2 holds the
     second coordinates of the points of index i1 >= i2 in rows k1 > k."""
     GKParams(q)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
+    check_box_index(k)
     above = [point for k1 in range(k + 1, q * q - 1)
              for point in _row_bases(q, k1)]
     columns = {}
@@ -180,10 +161,7 @@ def gk_card_g0(q: int) -> int:
     GKParams(q)
     num = q * (q - 1) * (10 * q**8 + 10 * q**7 - 25 * q**6 - 9 * q**5
                          + 71 * q**4 - 111 * q**3 - 86 * q**2 + 128 * q - 12)
-    if num % 120 != 0:
-        raise DivisibilityViolationError(
-            f"cardinality polynomial numerator {num} not divisible by 120")
-    return check_int128(num // 120)
+    return check_int128(exact_quotient(num, 120, "cardinality polynomial"))
 
 
 def gk_upper_bound(q: int) -> int:
@@ -192,10 +170,7 @@ def gk_upper_bound(q: int) -> int:
     GKParams(q)
     num = (10 * q**10 - 15 * q**8 - 4 * q**7 + 20 * q**6 - 56 * q**5
            - 35 * q**4 + 124 * q**3 - 40 * q**2 - 4 * q)
-    if num % 120 != 0:
-        raise DivisibilityViolationError(
-            f"upper bound polynomial numerator {num} not divisible by 120")
-    return check_int128(num // 120)
+    return check_int128(exact_quotient(num, 120, "upper bound polynomial"))
 
 
 def gk_components(q: int) -> dict:

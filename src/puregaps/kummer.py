@@ -23,17 +23,20 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .engine import check_int128
-from .errors import (
-    ClosedFormMismatchError,
-    DivisibilityViolationError,
-    InvalidParamsError,
-)
+from .engine import check_box_index, check_genus, check_int128, exact_quotient
+from .errors import ClosedFormMismatchError, InvalidParamsError
 from .lattice import GeneratingSet, validate_generating_set
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _j_bounds(m: int, r: int, k: int) -> tuple:
+    """m - floor(m(k+2)/r) and m - floor(m(k+1)/r): the j-range of row k
+    is from the first, at least 1, to below the second, and G1's side is
+    one less than the first."""
+    return m - m * (k + 2) // r, m - m * (k + 1) // r
 
 
 class KummerParams(namedtuple("KummerParams", ("m", "r"))):
@@ -72,20 +75,14 @@ def kummer_generating_set(m: int, r: int) -> GeneratingSet:
         s = r - 2 - (r * j) // m
         for k1 in range(s + 1):
             pts.append((m * k1 + j, m * (s - k1) + j))
-    gamma = validate_generating_set(pts, m)
-    if gamma.genus != params.genus:
-        raise ClosedFormMismatchError(
-            f"enumeration produced {gamma.genus} points, genus formula "
-            f"gives {params.genus}")
-    return gamma
+    return check_genus(validate_generating_set(pts, m), params.genus)
 
 
 def kummer_card_gamma_k0(m: int, r: int, k: int) -> int:
     """|Gamma_{k,0}| = ceil(m(k+2)/r) - ceil(m(k+1)/r) for k up to the top
     box index, zero beyond it."""
     params = KummerParams(m, r)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
+    check_box_index(k)
     if k > params.top_box:
         return 0
     return _ceil_div(m * (k + 2), r) - _ceil_div(m * (k + 1), r)
@@ -97,9 +94,8 @@ def kummer_gamma_k0(m: int, r: int, k: int) -> list:
     that is empty beyond the top box.  Its length must be
     :func:`kummer_card_gamma_k0`, else ClosedFormMismatchError."""
     count = kummer_card_gamma_k0(m, r, k)
-    lo = max(1, m - (m * (k + 2)) // r)
-    hi = m - 1 - (m * (k + 1)) // r
-    out = [(m * k + j, j) for j in range(lo, hi + 1)]
+    lo, stop = _j_bounds(m, r, k)
+    out = [(m * k + j, j) for j in range(max(1, lo), stop)]
     if len(out) != count:
         raise ClosedFormMismatchError(
             f"(m, r)=({m}, {r}) k={k}: explicit row has {len(out)} points, "
@@ -112,9 +108,8 @@ def kummer_g1(m: int, r: int, k: int) -> dict:
     m - 1 - floor(m(k+2)/r) anchored at (m*k + 1, 1), every column the
     one mask of bits 1 .. side."""
     KummerParams(m, r)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    stop = m - (m * (k + 2)) // r  # one past the side
+    check_box_index(k)
+    stop = _j_bounds(m, r, k)[0]  # one past the side
     if stop < 2:
         return {}
     return dict.fromkeys(range(1, stop), (1 << stop) - 2)
@@ -125,12 +120,11 @@ def kummer_g3(m: int, r: int, k: int) -> dict:
     j-range and 1 <= j1 <= m - 1 - floor(m(k+2)/r), every column the one
     mask of the bits j1."""
     KummerParams(m, r)
-    if k < 0:
-        raise InvalidParamsError(f"box index must be nonnegative, got {k}")
-    jlo = m - (m * (k + 2)) // r
+    check_box_index(k)
+    jlo, stop = _j_bounds(m, r, k)
     if jlo < 2:
         return {}
-    return dict.fromkeys(range(jlo, m - (m * (k + 1)) // r), (1 << jlo) - 2)
+    return dict.fromkeys(range(jlo, stop), (1 << jlo) - 2)
 
 
 def kummer_card_g0(m: int, r: int) -> int:
@@ -145,6 +139,18 @@ def kummer_card_g0(m: int, r: int) -> int:
     return check_int128(total)
 
 
+def _check_special(value: int, m: int, r: int, form: str, at: str) -> int:
+    """``value``, a special closed form of the cardinality at (m, r), when
+    it equals :func:`kummer_card_g0`, else ClosedFormMismatchError naming
+    the ``form`` and the special parameters ``at``."""
+    general = kummer_card_g0(m, r)
+    if value != general:
+        raise ClosedFormMismatchError(
+            f"{form} closed form gives {value}, cardinality sum gives "
+            f"{general} at {at}")
+    return value
+
+
 def kummer_card_special_ur1(u: int, r: int) -> int:
     """Closed form u^2 (r-1)(r-2) r (r+3) / 12 for the case m = u*r + 1.
 
@@ -154,16 +160,8 @@ def kummer_card_special_ur1(u: int, r: int) -> int:
     if u < 1 or r < 2:
         raise InvalidParamsError(f"need u >= 1 and r >= 2, got u={u}, r={r}")
     num = u * u * (r - 1) * (r - 2) * r * (r + 3)
-    if num % 12 != 0:
-        raise DivisibilityViolationError(
-            f"special-case numerator {num} not divisible by 12")
-    value = check_int128(num // 12)
-    general = kummer_card_g0(u * r + 1, r)
-    if value != general:
-        raise ClosedFormMismatchError(
-            f"m=ur+1 closed form gives {value}, cardinality sum gives "
-            f"{general} at (u, r)=({u}, {r})")
-    return value
+    value = check_int128(exact_quotient(num, 12, "special-case"))
+    return _check_special(value, u * r + 1, r, "m=ur+1", f"(u, r)=({u}, {r})")
 
 
 def kummer_card_special_qN(q: int, N: int) -> int:
@@ -180,16 +178,8 @@ def kummer_card_special_qN(q: int, N: int) -> int:
         raise InvalidParamsError(f"need q - 2 - N >= 0, got {q - 2 - N}")
     m = (q + 1) // N
     num = (q + 1) * (m - 1) * ((q + 1) * (m - 1) - 2 * m + N + 7)
-    if num % 12 != 0:
-        raise DivisibilityViolationError(
-            f"special-case numerator {num} not divisible by 12")
-    value = check_int128(num // 12 - q * (m - 1))
-    general = kummer_card_g0(m, q)
-    if value != general:
-        raise ClosedFormMismatchError(
-            f"m=(q+1)/N closed form gives {value}, cardinality sum gives "
-            f"{general} at (q, N)=({q}, {N})")
-    return value
+    value = check_int128(exact_quotient(num, 12, "special-case") - q * (m - 1))
+    return _check_special(value, m, q, "m=(q+1)/N", f"(q, N)=({q}, {N})")
 
 
 def kummer_components(m: int, r: int) -> dict:

@@ -182,7 +182,7 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     first point in sorted order past ``2g - 1`` or above the period
     without a predecessor in its chain.  That walk also decides on
     coordinates of a subclass of int, such as an IntEnum, which it
-    accepts.
+    accepts and holds as plain ints.
     """
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -226,6 +226,7 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
                     f"({a}, {b}): the first coordinates are not the gaps "
                     f"of a semigroup containing the period {period}: {a} is "
                     f"one and {a - period} is not", beta=a)
+        order = [(int(a), int(b)) for a, b in order]
     del pts  # not held beside the points' tuple at the end
     return GeneratingSet(points=tuple(order), period=period)
 

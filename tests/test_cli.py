@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -181,6 +182,48 @@ class TestGeneric:
         assert out == ""
         assert "ResidueChainStartError: (5, 6)" in err
         assert "(point at line 3)" in err
+
+
+class TestPeriodAboveTheSet:
+    """A period far above ``2g`` is a valid set, and nothing is sized by
+    it: a set of period 1e12 is summarised and listed in under 1 MiB of
+    traced memory."""
+
+    PERIOD = 10**12
+
+    def run_traced(self, capsys, tmp_path, lines, *argv):
+        """The CLI's code, output and traced peak on the set of ``lines``
+        at period 1e12."""
+        path = tmp_path / "wide.gamma"
+        path.write_text(f"period {self.PERIOD}\n{lines}", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "generic", "--input", str(path),
+                                   *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return code, out, peak
+
+    @pytest.mark.parametrize("lines, cardinality", [
+        ("", "0"), ("1\t3\n2\t1\n", "1")], ids=["genus-0", "genus-2"])
+    def test_summary(self, capsys, tmp_path, lines, cardinality):
+        code, out, peak = self.run_traced(capsys, tmp_path, lines)
+        assert code == 0
+        fields = summary_fields(out)
+        assert fields["cardinality"] == cardinality
+        verdicts = [v for k, v in fields.items() if k.startswith("verdict.")]
+        assert verdicts and set(verdicts) <= {"pass", "skipped"}
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("tsv", "1\t1\n"), ("json", "[[1,1]]\n")])
+    def test_listing(self, capsys, tmp_path, fmt, text):
+        code, out, peak = self.run_traced(
+            capsys, tmp_path, "1\t3\n2\t1\n", "--emit", "puregaps",
+            "--format", fmt)
+        assert (code, out) == (0, text)
+        assert peak < 1 << 20
 
 
 class TestStream:

@@ -22,6 +22,7 @@ from puregaps.errors import (
     CardinalityMismatchError,
     DiagonalReflectionMismatchError,
     DisjointnessViolationError,
+    DivisibilityViolationError,
     GenericMismatchError,
     GenusIdentityViolationError,
 )
@@ -351,6 +352,20 @@ class TestBounds:
         for value in (top + 1, -top - 2):
             with pytest.raises(OverflowError):
                 engine.check_int128(value)
+
+    @pytest.mark.parametrize("num, den, quotient", [
+        (240, 120, 2), (-24, 12, -2), (0, 12, 0)])
+    def test_exact_quotient(self, num, den, quotient):
+        assert engine.exact_quotient(num, den, "special-case") == quotient
+
+    @pytest.mark.parametrize("num, den, what", [
+        (121, 120, "cardinality polynomial"), (-7, 12, "special-case")])
+    def test_exact_quotient_refuses_a_remainder(self, num, den, what):
+        # the closed forms' numerator guard, named as each closed form does
+        with pytest.raises(DivisibilityViolationError) as info:
+            engine.exact_quotient(num, den, what)
+        assert str(info.value) == \
+            f"{what} numerator {num} not divisible by {den}"
 
 
 def columns(boxes, period):

@@ -16,8 +16,10 @@ from puregaps.engine import (
     reflect,
 )
 from puregaps.errors import (
+    ClosedFormMismatchError,
     GenericMismatchError,
     InvalidParamsError,
+    PiecewiseMismatchError,
 )
 from puregaps.gk import (
     GKParams,
@@ -104,6 +106,20 @@ class TestGeneratingSet:
     def test_genus_formula(self, q, genus):
         assert gk_generating_set(q).genus == genus
 
+    def test_enumeration_genus_checked(self, monkeypatch):
+        # the enumerated set's size is checked against the genus formula
+        real = gk_mod.validate_generating_set
+
+        def short(pts, period):
+            gamma = real(pts, period)
+            return gamma._replace(points=gamma.points[1:])
+
+        monkeypatch.setattr(gk_mod, "validate_generating_set", short)
+        with pytest.raises(ClosedFormMismatchError) as info:
+            gk_generating_set(2)
+        assert str(info.value) == \
+            "enumeration produced 9 points, genus formula gives 10"
+
 
 class TestRowBoxes:
     def test_q2_rows(self):
@@ -130,6 +146,22 @@ class TestRowBoxes:
     def test_lists_match_counts(self, q):
         for k in range(q * q):
             assert len(gk_gamma_k0(q, k)) == gk_card_gamma_k0(q, k)
+
+    @pytest.mark.parametrize("k, message", [
+        (1, "q=3 k=1: endpoints give 5, branch k+3 gives 4"),
+        (2, "q=3 k=2: endpoints give 5, branch q+1 gives 4"),
+        (7, "q=3 k=7: endpoints give 2, branch q^2-1-k gives 1"),
+    ], ids=["k+3", "q+1", "q^2-1-k"])
+    def test_published_branches_checked(self, monkeypatch, k, message):
+        # one index too many in the row range breaks the branch of k, for
+        # the count and for the row, which takes its checks from the count
+        real = gk_mod._row_bases
+        monkeypatch.setattr(gk_mod, "_row_bases",
+                            lambda q, k: real(q, k) + [(q + 1, 0)])
+        for func in (gk_card_gamma_k0, gk_gamma_k0):
+            with pytest.raises(PiecewiseMismatchError) as info:
+                func(3, k)
+            assert str(info.value) == message
 
     def test_negative_k_rejected(self):
         with pytest.raises(InvalidParamsError):

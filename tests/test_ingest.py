@@ -231,6 +231,9 @@ class TestChainLevelFaults:
         gamma = validate_generating_set(points, kummer.period)
         assert gamma == kummer
         assert coord.A in map(itemgetter(0), gamma.points)
+        # held as plain ints, so the set file round-trips on every Python
+        assert all(type(c) is int for point in gamma.points for c in point)
+        assert parse_gamma(dump_gamma(gamma)) == gamma
 
 
 # --- parsing ----------------------------------------------------------------

@@ -11,7 +11,11 @@ from puregaps.engine import (
     decompose,
     reflect,
 )
-from puregaps.errors import GenericMismatchError, InvalidParamsError
+from puregaps.errors import (
+    ClosedFormMismatchError,
+    GenericMismatchError,
+    InvalidParamsError,
+)
 from puregaps.kummer import (
     KummerParams,
     kummer_card_g0,
@@ -77,6 +81,20 @@ class TestGeneratingSet:
     @pytest.mark.parametrize("m,r", [(2, 15), (31, 30), (10, 3), (5, 12)])
     def test_genus_formula(self, m, r):
         assert kummer_generating_set(m, r).genus == (m - 1) * (r - 1) // 2
+
+    def test_enumeration_genus_checked(self, monkeypatch):
+        # the enumerated set's size is checked against the genus formula
+        real = kummer_mod.validate_generating_set
+
+        def short(pts, period):
+            gamma = real(pts, period)
+            return gamma._replace(points=gamma.points[1:])
+
+        monkeypatch.setattr(kummer_mod, "validate_generating_set", short)
+        with pytest.raises(ClosedFormMismatchError) as info:
+            kummer_generating_set(4, 3)
+        assert str(info.value) == \
+            "enumeration produced 2 points, genus formula gives 3"
 
 
 class TestRowBoxes:
@@ -226,6 +244,14 @@ class TestClosedForms:
         assert bnd.upper == 3
 
 
+@pytest.fixture
+def general_sum_off_by_one(monkeypatch):
+    """The general cardinality sum, one too large."""
+    real = kummer_mod.kummer_card_g0
+    monkeypatch.setattr(kummer_mod, "kummer_card_g0",
+                        lambda m, r: real(m, r) + 1)
+
+
 class TestSpecialUr1:
     def test_values(self):
         assert kummer_card_special_ur1(1, 3) == 3
@@ -244,6 +270,12 @@ class TestSpecialUr1:
             assert len(g0) == bnd.upper
             assert len(g0) == (r - 1) * (r - 2) * r * (r + 3) // 12
 
+    def test_general_sum_checked(self, general_sum_off_by_one):
+        with pytest.raises(ClosedFormMismatchError) as info:
+            kummer_card_special_ur1(1, 3)
+        assert str(info.value) == ("m=ur+1 closed form gives 3, cardinality "
+                                   "sum gives 4 at (u, r)=(1, 3)")
+
     def test_bad_params(self):
         with pytest.raises(InvalidParamsError):
             kummer_card_special_ur1(0, 5)
@@ -261,6 +293,12 @@ class TestSpecialQN:
     def test_equals_general_sum(self):
         assert kummer_card_special_qN(7, 2) == kummer_card_g0(4, 7)
         assert kummer_card_special_qN(11, 2) == kummer_card_g0(6, 11)
+
+    def test_general_sum_checked(self, general_sum_off_by_one):
+        with pytest.raises(ClosedFormMismatchError) as info:
+            kummer_card_special_qN(7, 2)
+        assert str(info.value) == ("m=(q+1)/N closed form gives 29, "
+                                   "cardinality sum gives 30 at (q, N)=(7, 2)")
 
     def test_preconditions(self):
         with pytest.raises(InvalidParamsError):
