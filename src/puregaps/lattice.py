@@ -92,7 +92,7 @@ def period_law_violations(period: int, items: list) -> Iterator[tuple]:
     displacement law by the pairs ``items``, in increasing ``beta``.
     ``items`` is sorted, with distinct positive first coordinates.
 
-    The law is checked in its chain form, in linear time after one sort:
+    The law is checked in its chain form:
 
     * successor rule: ``a + period`` is a first coordinate exactly when
       ``period < tau(a)``, and then its image is ``tau(a) - period``;
@@ -111,12 +111,12 @@ def period_law_violations(period: int, items: list) -> Iterator[tuple]:
 
     It is the diagnostic of a set that validation's chain check has
     refused, run only to name a breach: it builds the map and walks it
-    point by point.
+    point by point, in time linear up to the first breach, and each later
+    run break scans forward to the next first coordinate of its class.
     """
     tau = dict(items)
     last = {a % period: a for a, _ in items}  # each class's largest
-    breaks = None
-    for a, b in items:
+    for i, (a, b) in enumerate(items):
         shifted = a + period
         if period < b:
             got = tau.get(shifted)
@@ -128,27 +128,11 @@ def period_law_violations(period: int, items: list) -> Iterator[tuple]:
         elif last[a % period] != a:
             # a chain ends at a, yet its class goes on: at a + period, or
             # past a gap, at the class's next first coordinate
-            if shifted not in tau:
-                if breaks is None:
-                    breaks = _run_breaks(items, period)
-                shifted = breaks[a]
+            shifted = next(c for c, _ in islice(items, i + 1, None)
+                           if (c - a) % period == 0)
             k = (shifted - a) // period
             yield a, k, (f"({a}, {b}) with k={k}: {shifted} may not be a "
                          f"first coordinate since {k}*{period} >= {b}")
-
-
-def _run_breaks(items: list, period: int) -> dict:
-    """First coordinate -> the next one of its residue class, for each
-    first coordinate whose class resumes past a gap."""
-    last = {}
-    breaks = {}
-    for a, _ in items:
-        r = a % period
-        prev = last.get(r)
-        if prev is not None and prev != a - period:
-            breaks[prev] = a
-        last[r] = a
-    return breaks
 
 
 def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
@@ -301,14 +285,14 @@ def _raise_bad_point(pts: list, period: int) -> None:
         if a > COORD_MAX or b > COORD_MAX:
             raise OverflowError(
                 f"coordinate outside 64-bit signed range in ({a}, {b})")
-    seen_a = set()
+    prev = None  # sorted, a repeated first coordinate follows itself
     seen_b = set()
     for a, b in sorted(pts):
-        if a in seen_a:
+        if a == prev:
             raise DuplicateFirstCoordinateError(
                 f"first coordinate {a} appears twice")
         if b in seen_b:
             raise DuplicateSecondCoordinateError(
                 f"second coordinate {b} appears twice")
-        seen_a.add(a)
+        prev = a
         seen_b.add(b)

@@ -38,6 +38,22 @@ def summary_fields(text):
     return out
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [[], ["gk"], ["gk", "--q", "x"]],
+                             ids=["no_command", "no_q", "non_int_q"])
+    def test_bad_arguments_exit_2_with_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: puregaps")
+
+    def test_help_exits_0_with_usage(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: puregaps")
+        assert err == ""
+
+
 class TestGK:
     def test_summary(self, capsys):
         code, out, _ = run_cli(capsys, "gk", "--q", "2", "--emit", "summary")

@@ -613,6 +613,10 @@ class TestPureGapSet:
     def gk2_g0(self, gk2_boxed):
         return assemble_pure_gaps(gk2_boxed)
 
+    def test_repr(self):
+        g0 = assemble_pure_gaps(decompose(gk_generating_set(2)))
+        assert repr(g0) == "PureGapSet(period=9, boxes=[0, 1], size=35)"
+
     def test_one_box_differs(self, gk2_boxed, gk2_g0):
         merged = {k: sorted(p for part in parts for p in flatten(part, 9 * k))
                   for k, parts in components_by_box(gk2_boxed)}

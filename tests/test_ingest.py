@@ -643,6 +643,33 @@ class TestCanonicalChunks:
         assert got == want
         assert peak < 1 << 20, peak
 
+    def test_refusal_peak_is_bounded_by_a_read(self):
+        """Kummer (501, 100), genus 49,500, with ``49088<TAB>496``
+        appended first breaks the law at (491, 491), k=97.  The line path
+        names it reading the text one chunk at a time, with no map of run
+        breaks, no set of first coordinates and no live traceback of the
+        failed whole-list pass, so the refusal peaks at most 3.5 times as
+        high as reading the same set behind a comment line (2.99 times
+        under Python 3.11.7)."""
+        text = dump_gamma(kummer_generating_set(501, 100))
+        refused = text + "49088\t496\n"
+
+        def traced(case):
+            tracemalloc.start()
+            try:
+                got = outcome(parse_gamma, case, "f.gamma")
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        got, refused_peak = traced(refused)
+        read, read_peak = traced("# a comment\n" + text)
+        want = outcome(parse_gamma_lines, refused, "f.gamma")
+        assert "(491, 491) with k=97: 49088 may not be" in want[2]
+        assert got == want
+        assert read[0] == "ok"
+        assert refused_peak <= 3.5 * read_peak, (refused_peak, read_peak)
+
 
 class TestStreamedGammaEmission:
     """``--emit gamma`` writes one piece at a time, byte-identical to the
