@@ -6,36 +6,44 @@ first payload line must be ``period <int>``; every following payload line
 is one ``<beta><TAB><tau>`` pair.  Parse and validation diagnostics carry
 1-based line numbers.
 
-A file is read by its chains first.  A valid set is the union of the
-chains ``(a0 + i*period, b0 - i*period)``, ``0 <= i < ceil(b0/period)``,
-one from each of its points below the period, and :func:`dump_gamma`
-writes them sorted, so the text :func:`dump_gamma` writes holds its
-whole set in its leading lines, the chain starts.  :func:`_read_chains`
-reads a ``period <int>`` first line, written as :func:`dump_gamma` writes
-it, and then only the lines with ``a < period``.  Before it expands
+A text is read by one of two routes, the chain read or the line scan.
+
+The chain read comes first.  A valid set is the union of the chains
+``(a0 + i*period, b0 - i*period)``, ``0 <= i < ceil(b0/period)``, one
+from each of its points below the period, and :func:`dump_gamma` writes
+them sorted, so the text :func:`dump_gamma` writes holds its whole set
+in its leading lines, the chain starts.  :func:`_read_chains` reads a
+``period <int>`` first line, written as :func:`dump_gamma` writes it,
+and then only the lines with ``a < period``.  Before it expands
 anything, it checks the starts by :func:`lattice._starts_fit` against
 the number of lines after the header, and that those lines hold at least
 four characters each, as a point's line does, so no text can make it
 build more points than it has lines, or than a quarter of its
 characters.  It then builds the set from the chain levels of
-:func:`lattice._levels`, sorted, and accepts the text only if the pieces
-of :func:`dump_pieces` of the set match it exactly, one after the other.
+:func:`lattice._levels`, sorted, through the raw :class:`GeneratingSet`
+constructor, and accepts the text only if the pieces of
+:func:`dump_pieces` of the set match it exactly, one after the other.
 Equality with the canonical rendering of a valid chain set proves the
 format, every value, the order, the exact ``int`` types and the period
 law at once, so on this route no line other than a start is split,
-converted or walked.
+converted or walked, and no set is returned that validation would
+refuse.
 
 Any other text (comments, blank lines, spaces, CRLF, a last line with no
 newline, signs, underscores, leading zeros, non-ASCII digits, an invalid
-set) is read in whole-list passes over one chunk of text at a time: the
-text is cut into chunks of about ``_CHUNK_CHARS`` characters, each
-ending just after a newline, so lines are held one chunk at a time,
-never the whole file's.  Each chunk has its payload lines picked out,
-split and converted in one comprehension.  The pairs are then validated
-as a list, handed over as an iterator so that the parser's list dies
-once validation has copied it.  Only when a pass fails is the text
-scanned line by line, to name the line at fault; that scan reads it
-chunk by chunk too, so no list of every line is held.
+set) is read by the one line scan, :func:`_scan_lines`, with the grammar
+above.  It reads the text in chunks of about ``_CHUNK_CHARS``
+characters, each ending just after a newline, so lines are held one
+chunk at a time, never the whole file's.  It lists the pairs with no map
+of coordinates, and :func:`validate_generating_set` gets them as an
+iterator, so the list dies once validation has copied it.  Only when the
+scan or validation refuses the text is it scanned a second time, by the
+same function given two maps of coordinates to lines, to name the first
+fault in line order: a coordinate already seen on a line before any
+malformed line, then the malformed line, and otherwise the point that
+validation names.  Before that scan, the traceback of validation's
+error is cleared, since its frames hold validation's copies of the set,
+so the maps are never held beside them.
 
 A set is written ``_DUMP_POINTS`` points per format operation, as pieces
 that the command line writes one at a time and :func:`dump_gamma` joins,
@@ -68,12 +76,21 @@ def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
     if gamma is not None:
         return gamma
     try:
-        period, pairs = _read_payload(text)
+        period, pairs = _scan_lines(text, source)
         pairs = iter(pairs)  # the list dies once validation has copied it
         return validate_generating_set(pairs, period)
-    except (ValueError, OverflowError):  # ValidationError is a ValueError
-        pass  # leave the block: its traceback holds validation's points
-    return _parse_lines(text, source)
+    except GammaFileError:
+        error = None  # the second scan raises it again, or an earlier repeat
+    except (ValidationError, OverflowError) as exc:
+        error = exc.with_traceback(None)  # its frames hold validation's points
+    first_line, second_line = {}, {}
+    _scan_lines(text, source, first_line, second_line)
+    if not isinstance(error, ValidationError):
+        raise error
+    beta = getattr(error, "beta", None)
+    where = f" (point at line {first_line[beta]})" if beta in first_line else ""
+    raise GammaFileError(
+        f"{source}: {type(error).__name__}: {error}{where}") from error
 
 
 def _read_chains(text: str):
@@ -122,20 +139,6 @@ def _read_chains(text: str):
     return gamma if end == len(text) else None
 
 
-def _read_payload(text: str) -> tuple:
-    """``(period, pairs)`` of a well-formed file's text; ValueError (with
-    no line number) when any payload line is malformed.  Each chunk goes
-    through :func:`_read_lines`, and the header is the first payload line
-    of whichever chunk holds it."""
-    period = None
-    pairs = []
-    for chunk in _chunks(text):
-        period = _read_lines(chunk, period, pairs)
-    if period is None:
-        raise ValueError("missing header")
-    return int(period), pairs
-
-
 def _chunks(text: str):
     """Yield ``text`` in chunks of about ``_CHUNK_CHARS`` characters, each
     but the last ending just after a newline."""
@@ -146,34 +149,17 @@ def _chunks(text: str):
         start = end
 
 
-def _read_lines(chunk: str, period, pairs: list):
-    """Append the pairs of ``chunk``'s payload lines to ``pairs`` and
-    return the period, taken from the chunk's first payload line while it
-    is ``None``; ValueError when a payload line is malformed."""
-    payload = [line for line in map(str.strip, chunk.splitlines())
-               if line and line[0] != "#"]
-    if period is None and payload:
-        word, period = payload.pop(0).split()
-        if word != "period":
-            raise ValueError("bad header")
-    pairs += [(int(a), int(b)) for a, b in map(str.split, payload)]
-    return period
-
-
-def _parse_lines(text: str, source: str) -> GeneratingSet:
-    """Parse and validate ``text`` line by line, one chunk of it at a
-    time, raising for the first line at fault: a bad header or pair, a
-    coordinate already seen, or the point whose validation error names a
-    first coordinate.  The diagnostic run after a whole-list pass has
-    failed."""
+def _scan_lines(text: str, source: str, first_line=None, second_line=None):
+    """``(period, pairs)`` of ``text``, read line by line, one chunk of it
+    at a time; GammaFileError for the first line at fault, a bad header or
+    pair.  Given the two dicts, it maps each coordinate to its line in
+    them, raises for a coordinate already seen too, and lists no pair."""
     period = None
     pairs = []
-    first_line = {}
-    second_line = {}
     lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if period is None:
             fields = line.split()
@@ -201,27 +187,21 @@ def _parse_lines(text: str, source: str) -> GeneratingSet:
             raise GammaFileError(
                 f"{source}: line {lineno}: non-integer coordinate in {line!r}"
             ) from None
-        if a in first_line:
+        if first_line is None:
+            pairs.append((a, b))
+        elif a in first_line:
             raise GammaFileError(
                 f"{source}: DuplicateFirstCoordinate at line {lineno}: {a} "
                 f"first seen at line {first_line[a]}")
-        if b in second_line:
+        elif b in second_line:
             raise GammaFileError(
                 f"{source}: DuplicateSecondCoordinate at line {lineno}: {b} "
                 f"first seen at line {second_line[b]}")
-        first_line[a] = lineno
-        second_line[b] = lineno
-        pairs.append((a, b))
-
+        else:
+            first_line[a] = second_line[b] = lineno
     if period is None:
         raise GammaFileError(f"{source}: missing 'period <int>' header")
-    try:
-        return validate_generating_set(pairs, period)
-    except ValidationError as exc:
-        beta = getattr(exc, "beta", None)
-        where = f" (point at line {first_line[beta]})" if beta in first_line else ""
-        raise GammaFileError(
-            f"{source}: {type(exc).__name__}: {exc}{where}") from exc
+    return period, pairs
 
 
 def load_gamma(path) -> GeneratingSet:

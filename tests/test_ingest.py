@@ -1,11 +1,11 @@
-"""The whole-list parser and validator against the line scanner and the
-point-by-point validator they replaced (``reference``).
+"""The set-file parser and the whole-list validator against the line
+scanner and the point-by-point validator they replaced (``reference``).
 
 On valid input both routes must return the same points and period; on
 invalid input they must raise the same exception class with the same
-message, so the whole-list passes name the same offender as a walk
-would: the same line, the same first bad point in input order, the same
-first duplicate in sorted order.
+message, so the parser and the whole-list passes name the same offender
+as a walk would: the same line, the same first bad point in input order,
+the same first duplicate in sorted order.
 """
 
 import io
@@ -311,16 +311,32 @@ def mutated_texts(draw):
     return lines, newline
 
 
+def counting_scans():
+    """A context that counts the calls of the set file's one line scan."""
+    return mock.patch.object(gammafile, "_scan_lines",
+                             wraps=gammafile._scan_lines)
+
+
+def scans_wanted(text, want):
+    """How many times ``text``, whose line scanner outcome is ``want``, is
+    scanned: never for a dump, which the chain read takes, once for any
+    other valid text, and twice for a refused one, the second time to
+    name its line."""
+    if want[0] != "ok":
+        return 2
+    return int(text != dump_gamma(parse_gamma_lines(text)))
+
+
 def check_valid_text(case, final):
     lines, newline, _ = case
     text = join(lines, newline, final)
-    # a valid text, comments and any layout included, never needs the
-    # line-numbered diagnostic scan
-    with mock.patch.object(gammafile, "_parse_lines",
-                           side_effect=AssertionError("scanned")):
+    # a valid text, comments and any layout included, is scanned at most
+    # once: it never needs the line-numbered second scan
+    with counting_scans() as scan:
         got = outcome(parse_gamma, text)
     assert got[0] == "ok"
     assert got == outcome(parse_gamma_lines, text)
+    assert scan.call_count == scans_wanted(text, got)
 
 
 def check_mutated_text(case):
@@ -381,13 +397,11 @@ class TestParserAgreesWithLineScanner:
     ])
     def test_pinned_texts_small_chunks(self, chunk, text):
         want = outcome(parse_gamma_lines, text, "f.gamma")
-        # a valid text is read without the diagnostic scan
-        scanned = AssertionError("scanned") if want[0] == "ok" else None
+        # a valid text is scanned once, a refused one twice
         with mock.patch.object(gammafile, "_CHUNK_CHARS", chunk), \
-                mock.patch.object(gammafile, "_parse_lines",
-                                  side_effect=scanned,
-                                  wraps=gammafile._parse_lines):
+                counting_scans() as scan:
             assert outcome(parse_gamma, text, "f.gamma") == want
+        assert scan.call_count == scans_wanted(text, want)
 
     @pytest.mark.parametrize("text", [
         "",
@@ -529,10 +543,9 @@ def canonical_mutants(draw):
 
 def chain_route_only():
     """A context in which a parse that leaves the chain read fails: the
-    line comprehension, the line scanner and the law walk raise."""
+    line scan and the law walk raise."""
     stack = ExitStack()
-    for module, name in ((gammafile, "_read_lines"),
-                         (gammafile, "_parse_lines"),
+    for module, name in ((gammafile, "_scan_lines"),
                          (lattice, "period_law_violations")):
         stack.enter_context(mock.patch.object(
             module, name, side_effect=AssertionError(name)))
@@ -569,13 +582,12 @@ class TestCanonicalChunks:
     @given(canonical_mutants())
     def test_mutated_dumps_agree_with_line_scanner(self, chunk, text):
         want = outcome(parse_gamma_lines, text, "f.gamma")
-        # a valid text is read without the diagnostic scan
-        scanned = AssertionError("scanned") if want[0] == "ok" else None
+        # a dump the chain read takes is never scanned, another valid text
+        # once and a refused one twice
         with mock.patch.object(gammafile, "_CHUNK_CHARS", chunk), \
-                mock.patch.object(gammafile, "_parse_lines",
-                                  side_effect=scanned,
-                                  wraps=gammafile._parse_lines):
+                counting_scans() as scan:
             assert outcome(parse_gamma, text, "f.gamma") == want
+        assert scan.call_count == scans_wanted(text, want)
 
     def test_every_dump_takes_the_chain_route(self):
         """The dump of every family set of the pool and of the nd5 and nd7
@@ -598,20 +610,16 @@ class TestCanonicalChunks:
             assert parse_gamma(text) == gamma
 
     def test_one_comment_sends_one_chunk_down_the_line_path(self):
-        """One comment line sends the whole text off the chain read: every
-        chunk of it is read by the line comprehension, to the same set,
-        with no diagnostic scan."""
+        """One comment line sends the whole text off the chain read: it is
+        read by one line scan, to the same set, with no second scan."""
         gamma = kummer_generating_set(4501, 30)
         lines = dump_gamma(gamma).splitlines(keepends=True)
         lines.insert(30000, "# a comment\n")
         text = "".join(lines)
         assert gammafile._read_chains(text) is None
-        with mock.patch.object(gammafile, "_read_lines",
-                               wraps=gammafile._read_lines) as spy, \
-                mock.patch.object(gammafile, "_parse_lines",
-                                  side_effect=AssertionError("scanned")):
+        with counting_scans() as scan:
             assert parse_gamma(text) == gamma
-        assert "".join(call.args[0] for call in spy.call_args_list) == text
+        scan.assert_called_once_with(text, "<string>")
 
     @pytest.mark.parametrize("header", ["period  2001\n", "period +2001\n"],
                              ids=["spaced", "signed"])
@@ -643,17 +651,11 @@ class TestCanonicalChunks:
         assert got == want
         assert peak < 1 << 20, peak
 
-    def test_refusal_peak_is_bounded_by_a_read(self):
-        """Kummer (501, 100), genus 49,500, with ``49088<TAB>496``
-        appended first breaks the law at (491, 491), k=97.  The line path
-        names it reading the text one chunk at a time, with no map of run
-        breaks, no set of first coordinates and no live traceback of the
-        failed whole-list pass, so the refusal peaks at most 3.5 times as
-        high as reading the same set behind a comment line (2.99 times
-        under Python 3.11.7)."""
-        text = dump_gamma(kummer_generating_set(501, 100))
-        refused = text + "49088\t496\n"
-
+    @staticmethod
+    def refusal_over_read(text, refused):
+        """The message with which ``refused`` is refused, as the line
+        scanner refuses it, and the ratio of the refusal's traced peak to
+        that of reading ``text`` behind a comment line."""
         def traced(case):
             tracemalloc.start()
             try:
@@ -664,11 +666,33 @@ class TestCanonicalChunks:
 
         got, refused_peak = traced(refused)
         read, read_peak = traced("# a comment\n" + text)
-        want = outcome(parse_gamma_lines, refused, "f.gamma")
-        assert "(491, 491) with k=97: 49088 may not be" in want[2]
-        assert got == want
-        assert read[0] == "ok"
-        assert refused_peak <= 3.5 * read_peak, (refused_peak, read_peak)
+        assert got == outcome(parse_gamma_lines, refused, "f.gamma")
+        assert got[0] == "raises" and read[0] == "ok"
+        return got[2], refused_peak / read_peak
+
+    def test_refusal_peak_is_bounded_by_a_read(self):
+        """Kummer (501, 100), genus 49,500, with ``49088<TAB>496``
+        appended first breaks the law at (491, 491), k=97.  The first scan
+        lists the pairs with no map of lines, and its failed validation's
+        traceback is cleared before the second scan maps each coordinate
+        to its line, so the refusal peaks at most 2.5 times as high as
+        reading the same set behind a comment line (1.89 times under
+        Python 3.11.7)."""
+        text = dump_gamma(kummer_generating_set(501, 100))
+        message, ratio = self.refusal_over_read(text, text + "49088\t496\n")
+        assert "(491, 491) with k=97: 49088 may not be" in message
+        assert ratio <= 2.5, ratio
+
+    def test_repeated_line_refusal_peak_is_bounded_by_a_read(self):
+        """The same text with its line 20,001 appended again is refused by
+        validation after the first scan, and the second scan names both
+        lines, so the refusal peaks at most 2.0 times as high as the
+        commented read (1.89 times under Python 3.11.7)."""
+        text = dump_gamma(kummer_generating_set(501, 100))
+        repeated = text + text.splitlines(keepends=True)[20000]
+        message, ratio = self.refusal_over_read(text, repeated)
+        assert "line 24752: 27755 first seen at line 20001" in message
+        assert ratio <= 2.0, ratio
 
 
 class TestStreamedGammaEmission:

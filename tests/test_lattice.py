@@ -16,12 +16,12 @@ from puregaps.errors import (
     ZeroOrNegativeCoordinateError,
 )
 from puregaps.engine import decompose
-from puregaps.gammafile import _read_chains
+from puregaps.gammafile import _read_chains, parse_gamma
 from puregaps.lattice import COORD_MAX, validate_generating_set
 
 import props
 from expected_gk2 import GAMMA as GK2_GAMMA
-from reference import LatticePoint, glb, incomparable, lub
+from reference import LatticePoint, glb, incomparable, lub, parse_gamma_lines
 
 
 class TestLatticePoint:
@@ -246,13 +246,23 @@ def _validated(points, period):
         return None
 
 
+def _refusal(parse, text):
+    """The class and message of the error ``parse(text)`` raises."""
+    with pytest.raises(ValidationError) as info:
+        parse(text)
+    return info.type, str(info.value)
+
+
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_validation_is_exact_on_the_grid(genus):
     """Among all ``g``-point subsets of ``[1, 2g - 1]^2``, at every period
     ``2 .. 2g + 1``, validation in sorted and in reversed order and the
     chain read of the sorted text accept exactly the sets built from rows.
     Validation rejects any coordinate off that grid, so at this genus no
-    valid set is missed."""
+    valid set is missed.  The text behind a comment line, which sends it
+    off the chain read to the line scan, is accepted for the same sets,
+    and every other one is refused as the line scanner refuses it: the
+    refusal's second scan runs on each."""
     top = 2 * genus - 1
     grid = list(product(range(1, top + 1), repeat=2))
     counts = []
@@ -268,8 +278,13 @@ def test_validation_is_exact_on_the_grid(genus):
                    gamma and gamma.points)
             want = subset if subset in built else None
             assert got == (want,) * 3, (period, subset)
+            commented = "# x\n" + text
             if want:
+                assert parse_gamma(commented).points == want
                 accepted.add(subset)
+            else:
+                assert _refusal(parse_gamma, commented) == \
+                    _refusal(parse_gamma_lines, commented), (period, subset)
         assert accepted == built
         counts.append(len(built))
     if genus == 3:
