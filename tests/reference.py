@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from puregaps.engine import (
+    BoxedGamma,
     PureGapSet,
     assemble_pure_gaps,
     components_by_box,
@@ -54,6 +55,13 @@ class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
             raise OverflowError(
                 f"coordinate outside 64-bit signed range in ({a}, {b})")
         return tuple.__new__(cls, (a, b))
+
+
+#: Points and a period, unvalidated: the input of the direct scan's tests
+#: on arbitrary injective sets, which a GeneratingSet, held by its chain
+#: starts, cannot hold.  The scan reads a set only by ``.points`` and
+#: ``.period``, so it runs on this as on a GeneratingSet.
+RawSet = namedtuple("RawSet", ("points", "period"))
 
 
 def mask(bs) -> int:
@@ -461,10 +469,29 @@ def _residue_runs(per_box_union: dict, period: int) -> dict:
     return runs
 
 
+def decompose_by_scan(gamma) -> BoxedGamma:
+    """``engine.decompose`` by a scan of every point: the row points are
+    the points with ``b < period``, collected into row ``a // period`` and
+    sorted; the genus is the number of points."""
+    period = gamma.period
+    points = gamma.points
+    rows = {}
+    for a, b in points:
+        if b < period:
+            rows.setdefault(a // period, []).append((a, b))
+    frozen = {k: tuple(sorted(v)) for k, v in sorted(rows.items())}
+    diagonal = all(a - k * period == b
+                   for k, row in frozen.items() for a, b in row)
+    return BoxedGamma(rows=frozen, period=period, genus=len(points),
+                      kmax=max(0, -(-(2 * len(points) - 1) // period)),
+                      diagonal=diagonal)
+
+
 def validate_per_point(points, period) -> GeneratingSet:
     """The point-by-point validator: every invariant of
     ``lattice.validate_generating_set`` checked by walking the points, one
-    ``LatticePoint`` each, raising the same error class and message."""
+    ``LatticePoint`` each, raising the same error class and message, and
+    returning the same set, held by its chain starts."""
     if period < 1:
         raise InvalidParamsError(f"period must be a positive integer, got {period}")
 
@@ -508,7 +535,8 @@ def validate_per_point(points, period) -> GeneratingSet:
                 f"semigroup containing the period {period}: {a} is one and "
                 f"{a - period} is not", beta=a)
 
-    return GeneratingSet(points=tuple(pts), period=period)
+    return GeneratingSet(starts=tuple((a, b) for a, b in pts if a < period),
+                         period=period)
 
 
 def parse_gamma_lines(text: str, source: str = "<string>") -> GeneratingSet:

@@ -84,9 +84,13 @@ class TestDecompose:
         assert boxed.kmax == 0
 
     def test_genus_identity_violation(self):
-        # bypasses validation: (12, 12) has no row-zero representative
-        broken = GeneratingSet(((3, 3), (12, 12)), 9)
-        with pytest.raises(GenusIdentityViolationError):
+        # bypasses validation: (5, 13) is no chain start, as 5 > period 3,
+        # so its chain's end (17, 1) sits in row 5, not row 4; the genus
+        # is 4 + 5 = 9, kmax = 6, and the rows weigh 4 + 6 = 10
+        broken = GeneratingSet(((1, 10), (5, 13)), 3)
+        with pytest.raises(GenusIdentityViolationError,
+                           match=r"^sum \(k\+1\)\|rows\[k\]\| = 10 does not "
+                                 r"equal genus 9$"):
             decompose(broken)
 
     def test_row_at_kmax(self):

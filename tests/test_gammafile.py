@@ -27,7 +27,8 @@ def test_parse_space_separated_pairs_accepted():
 
 def test_round_trip():
     gamma = validate_generating_set(gk2.GAMMA, 9)
-    assert parse_gamma(dump_gamma(gamma)) == gamma
+    back = parse_gamma(dump_gamma(gamma))
+    assert back == gamma and back.points == gamma.points
 
 
 def test_dump_deterministic():

@@ -111,8 +111,14 @@ class TestGeneratingSet:
         real = gk_mod.validate_generating_set
 
         def short(pts, period):
+            # one chain one point shorter: its start (a0, b0), b0 > period,
+            # becomes (a0, b0 - period)
             gamma = real(pts, period)
-            return gamma._replace(points=gamma.points[1:])
+            starts = list(gamma.starts)
+            i = next(i for i, (_, b) in enumerate(starts) if b > period)
+            a0, b0 = starts[i]
+            starts[i] = (a0, b0 - period)
+            return gamma._replace(starts=tuple(starts))
 
         monkeypatch.setattr(gk_mod, "validate_generating_set", short)
         with pytest.raises(ClosedFormMismatchError) as info:

@@ -1,4 +1,6 @@
+from bisect import bisect_left
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,22 @@ from puregaps.errors import (
     ValidationError,
     ZeroOrNegativeCoordinateError,
 )
+import puregaps.gk as gk_mod
+import puregaps.kummer as kummer_mod
 from puregaps.engine import decompose
-from puregaps.gammafile import _read_chains, parse_gamma
+from puregaps.gammafile import _read_chains, dump_gamma, parse_gamma
 from puregaps.lattice import COORD_MAX, validate_generating_set
 
 import props
 from expected_gk2 import GAMMA as GK2_GAMMA
-from reference import LatticePoint, glb, incomparable, lub, parse_gamma_lines
+from reference import (
+    LatticePoint,
+    decompose_by_scan,
+    glb,
+    incomparable,
+    lub,
+    parse_gamma_lines,
+)
 
 
 class TestLatticePoint:
@@ -199,6 +210,63 @@ class TestValidateGeneratingSet:
                 assert ((beta + 9 * k) in firsts) == (9 * k < image)
 
 
+#: Family sets, by module and parameters: GK q <= 5 and a Kummer grid.
+FAMILY_SETS = [(gk_mod, (q,)) for q in range(2, 6)] + [
+    (kummer_mod, (m, r)) for m in range(2, 14) for r in range(2, 14)
+    if gcd(m, r) == 1]
+FAMILY_IDS = [f"{module.__name__.split('.')[-1]}{args}"
+              for module, args in FAMILY_SETS]
+
+
+def assert_starts_hold_the_set(gamma):
+    """The set's points, built from its starts, are sorted; the starts
+    are their slice below the period; their number is the genus; the
+    rows read from the starts are those of a scan of the points; and the
+    points validate, in reverse order, and round-trip through the set
+    file, to the same set."""
+    points = gamma.points
+    assert list(points) == sorted(set(points))
+    assert gamma.starts == points[:bisect_left(points, (gamma.period,))]
+    assert len(points) == gamma.genus
+    assert all(type(c) is int for point in points for c in point)
+    assert decompose(gamma) == decompose_by_scan(gamma)
+    again = validate_generating_set(points[::-1], gamma.period)
+    assert again == gamma and again.points == points
+    back = parse_gamma(dump_gamma(gamma))
+    assert back == gamma and back.points == points
+
+
+class TestChainStarts:
+    """A set is held by its chain starts: its points, rows and set file
+    are what they were when the set held every point."""
+
+    @pytest.mark.parametrize("module, args", FAMILY_SETS, ids=FAMILY_IDS)
+    def test_points_are_the_sorted_enumeration(self, monkeypatch, module,
+                                               args):
+        enumerated = []
+        real = module.validate_generating_set
+
+        def spy(pts, period):
+            enumerated.extend(pts)
+            return real(pts, period)
+
+        monkeypatch.setattr(module, "validate_generating_set", spy)
+        family = module.__name__.split(".")[-1]
+        gamma = getattr(module, f"{family}_generating_set")(*args)
+        assert gamma.points == tuple(sorted(enumerated))
+        assert_starts_hold_the_set(gamma)
+
+    @settings(max_examples=200, deadline=None)
+    @given(props.non_diagonal_sets())
+    def test_non_diagonal_sets(self, gamma):
+        assert_starts_hold_the_set(gamma)
+
+    def test_empty_set(self):
+        gamma = validate_generating_set([], 5)
+        assert gamma.starts == () and gamma.points == () and gamma.genus == 0
+        assert_starts_hold_the_set(gamma)
+
+
 @st.composite
 def chain_sets(draw):
     """Sets that keep the period law: one chain per drawn residue, with
@@ -262,7 +330,9 @@ def test_validation_is_exact_on_the_grid(genus):
     valid set is missed.  The text behind a comment line, which sends it
     off the chain read to the line scan, is accepted for the same sets,
     and every other one is refused as the line scanner refuses it: the
-    refusal's second scan runs on each."""
+    refusal's second scan runs on each.  The rows that ``decompose`` reads
+    from the starts of each accepted set are those of a scan of its
+    points."""
     top = 2 * genus - 1
     grid = list(product(range(1, top + 1), repeat=2))
     counts = []
@@ -281,6 +351,7 @@ def test_validation_is_exact_on_the_grid(genus):
             commented = "# x\n" + text
             if want:
                 assert parse_gamma(commented).points == want
+                assert decompose(gamma) == decompose_by_scan(gamma)
                 accepted.add(subset)
             else:
                 assert _refusal(parse_gamma, commented) == \

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from puregaps.engine import assemble_pure_gaps, decompose
 from puregaps.errors import InvalidParamsError
-from puregaps.lattice import GeneratingSet, validate_generating_set
+from puregaps.lattice import validate_generating_set
 from puregaps.oracle import (
     BAND_BITS,
     band_span,
@@ -16,6 +16,7 @@ from puregaps.oracle import (
 import expected_gk2 as gk2
 from props import band_periods, injective_pairs, spread_pairs
 from reference import (
+    RawSet,
     by_period,
     check_period_property,
     g0_points,
@@ -147,8 +148,8 @@ class TestPureGapsDirectArbitrary:
     @given(injective_pairs(), st.integers(min_value=1, max_value=50))
     @example([(9, 2), (1, 8), (4, 6), (6, 9), (2, 1)], 10)
     def test_matches_definition(self, points, period):
-        got = pure_gaps_direct(GeneratingSet(points=tuple(points),
-                                             period=period))
+        got = pure_gaps_direct(RawSet(points=tuple(points),
+                                      period=period))
         assert got == reference_pure_gaps(points)
         assert all(x < y for x, y in zip(got, got[1:]))
         assert all(type(p) is tuple for p in got)
@@ -156,7 +157,7 @@ class TestPureGapsDirectArbitrary:
     @settings(max_examples=300, deadline=None)
     @given(injective_pairs(), st.integers(min_value=1, max_value=50))
     def test_boxes_match_definition(self, points, period):
-        gamma = GeneratingSet(points=tuple(points), period=period)
+        gamma = RawSet(points=tuple(points), period=period)
         assert pure_gaps_direct(gamma) == reference_pure_gaps(points)
         rows = list(pure_gap_boxes_direct(gamma))
         assert rows == definition_boxes(points, period)
@@ -181,7 +182,7 @@ class TestPureGapsDirectArbitrary:
         scans' boxes and the listing are the definition's, with periods on
         both sides of ``BAND_BITS`` and second coordinates up to about
         ``10**12``."""
-        gamma = GeneratingSet(points=tuple(points), period=period)
+        gamma = RawSet(points=tuple(points), period=period)
         assert pure_gaps_direct(gamma) == reference_pure_gaps(points)
         boxes = list(pure_gap_boxes_direct(gamma))
         assert boxes == definition_boxes(points, period)
@@ -190,13 +191,13 @@ class TestPureGapsDirectArbitrary:
 
     def test_bounded_by_points_not_coordinates(self):
         # One band per value of b // period would take 10**12 lists here.
-        gamma = GeneratingSet(points=((1, 10**12 + 1), (2, 1)), period=1)
+        gamma = RawSet(points=((1, 10**12 + 1), (2, 1)), period=1)
         assert pure_gaps_direct(gamma) == [(1, 1)]
 
     @settings(max_examples=300, deadline=None)
     @given(injective_pairs(), st.integers(min_value=1, max_value=50))
     def test_count_matches_listing(self, points, period):
-        gamma = GeneratingSet(points=tuple(points), period=period)
+        gamma = RawSet(points=tuple(points), period=period)
         assert count_pure_gaps_direct(gamma) == len(pure_gaps_direct(gamma))
 
     @pytest.mark.parametrize("points, expected", [
@@ -207,13 +208,13 @@ class TestPureGapsDirectArbitrary:
         ([(1, 5), (3, 1), (4, 2)], [(1, 1), (1, 2)]),
     ])
     def test_known_sets(self, points, expected):
-        gamma = GeneratingSet(points=tuple(points), period=7)
+        gamma = RawSet(points=tuple(points), period=7)
         assert pure_gaps_direct(gamma) == expected
 
     @pytest.mark.parametrize("g", [2, 5, 31])
     def test_inverted_attains_homma_kim(self, g):
-        got = pure_gaps_direct(GeneratingSet(points=tuple(inverted(g)),
-                                             period=g + 1))
+        got = pure_gaps_direct(RawSet(points=tuple(inverted(g)),
+                                      period=g + 1))
         assert len(got) == g * (g - 1) // 2
         assert got == reference_pure_gaps(inverted(g))
 

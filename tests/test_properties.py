@@ -27,7 +27,6 @@ from puregaps.errors import (
 from puregaps.harness import oracle_mismatch, summarize_generic
 from puregaps.kummer import kummer_generating_set
 from puregaps.lattice import (
-    GeneratingSet,
     set_bits,
     validate_generating_set,
 )
@@ -46,6 +45,7 @@ from props import (
     spread_pairs,
 )
 from reference import (
+    RawSet,
     _residue_runs,
     column_runs,
     flatten,
@@ -213,7 +213,7 @@ def test_injective_oracle_mismatch_matches_reference(points, period, data):
         g0 = assemble_pure_gaps(boxed)
     except ConsistencyError:
         assume(False)
-    gamma = GeneratingSet(points=tuple(points), period=period)
+    gamma = RawSet(points=tuple(points), period=period)
     assert_mismatch_matches_reference(g0, gamma, boxed.kmax)
     assert_mismatch_matches_reference(perturbed(g0, boxed.kmax, data),
                                       gamma, boxed.kmax)

@@ -22,9 +22,9 @@ from puregaps.kummer import KummerParams, kummer_generating_set
 from puregaps.lattice import GeneratingSet
 
 RECORDS = [
-    (GeneratingSet(points=((1, 2), (2, 1)), period=3),
-     ("points", "period"),
-     "GeneratingSet(points=((1, 2), (2, 1)), period=3)"),
+    (GeneratingSet(starts=((1, 2), (2, 1)), period=3),
+     ("starts", "period"),
+     "GeneratingSet(starts=((1, 2), (2, 1)), period=3)"),
     (BoxedGamma(rows={0: ((1, 2),)}, period=3, genus=1, kmax=1,
                 diagonal=False),
      ("rows", "period", "genus", "kmax", "diagonal"),
@@ -72,7 +72,7 @@ def test_methods_and_properties():
     gamma = kummer_generating_set(5, 7)
     assert gamma.genus == 12 == len(gamma.points)
     # A record iterates its fields, not the points of a generating set.
-    assert list(gamma) == [gamma.points, 5]
+    assert list(gamma) == [gamma.starts, 5]
     boxed = RECORDS[1][0]
     assert boxed.row(0) == ((1, 2),) and boxed.row(1) == ()
     assert boxed.row_sizes() == [1]
