@@ -224,13 +224,12 @@ def dump_pieces(gamma: GeneratingSet, fmt: str = "tsv"):
     and for ``"json"`` the text of ``json.dumps({"period": period,
     "points": [[a, b], ...]})`` and a newline.
 
-    The points are streamed from the starts in sorted order: level ``i``
-    of the chains, ``(a0 + i*period, b0 - i*period)`` for each start with
-    ``i*period < b0``, after level ``i - 1``, as :func:`lattice._levels`
-    lists them.  A level is held as two int lists, its first and its
-    second coordinates, interleaved into one flat list by slice
-    assignment, so a dump builds no tuple per point, and holds one level's
-    coordinates and one piece's format tuple, never the set's points."""
+    The points are streamed from the starts in sorted order: level ``i`` of
+    the chains, ``(a0 + i*period, b0 - i*period)`` for each start with
+    ``i*period < b0``, after level ``i - 1``.  A level is held as two int
+    lists, its first and its second coordinates, interleaved into one flat
+    list by slice assignment, so a dump builds no tuple per point and holds
+    one level's coordinates and one piece's format tuple at a time."""
     starts, period = gamma
     as_json = fmt == "json"
     yield (f'{{"period": {period}, "points": [' if as_json

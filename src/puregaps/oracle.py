@@ -2,17 +2,17 @@
 
 Nothing here touches the box-decomposition engine; these functions are the
 independent side of every cross-check.  The pure gap set is computed from
-its definition, as the glbs of incomparable generating pairs, by one walk
-that keeps the already-passed second coordinates sorted and so needs no
-dedup set and no final sort: :func:`pure_gaps_direct` lists the glbs and
+its definition, as the glbs of incomparable generating pairs, by one walk of
+``gamma.descending()``, the points in decreasing first coordinate, that
+keeps the passed second coordinates sorted and so needs no sort, no dedup
+set and no final sort: :func:`pure_gaps_direct` lists the glbs and
 :func:`count_pure_gaps_direct` counts them.  :func:`pure_gap_boxes_direct`
 is the same walk with the passed coordinates kept in bands: it yields its
 glbs one box column at a time, each box one period wide in the first
 coordinate and a band of :func:`band_span` whole periods, at least
 ``BAND_BITS`` bits, in the second, each column an int bitmask as the
-engine's are.  The engine compares with it box by box, one dict ``==``
-per box against its own boxes merged a band at a time, as the columns
-arrive.
+engine's are.  The engine compares with it box by box, one dict ``==`` per
+box against its own boxes merged a band at a time, as the columns arrive.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def pure_gap_boxes_direct(gamma: GeneratingSet):
     bands = []    # bands[n]: the mask of the offsets of band order[n]
     boxes = []    # boxes[n]: {r: mask}, box (row_i, order[n])
     row_i = None
-    for a, b in sorted(gamma.points, reverse=True):
+    for a, b in gamma.descending():
         i, r = divmod(a, period)
         j0, v0 = divmod(b, width)
         if i != row_i:
@@ -105,20 +105,20 @@ def pure_gaps_direct(gamma: GeneratingSet) -> list:
     """Pure gaps as glbs of incomparable generating pairs (sorted-suffix
     walk), as a sorted, duplicate-free list of plain ``(a, b)`` tuples.
 
-    Points are walked in decreasing first coordinate while the second
-    coordinates already passed are kept sorted.  Coordinates are pairwise
-    distinct within each projection, so the points passed (all with larger
-    first coordinates) that are incomparable with ``(a, b)`` are exactly
-    those with a second coordinate below ``b``, and each such pair has the
-    glb ``(a, v)``: the glbs at ``a`` are the passed second coordinates
-    below ``b``, found by one ``bisect_left`` and appended in decreasing
-    ``v``.  Distinct pairs give distinct glbs, so nothing needs
-    deduplicating, and the list, built in decreasing order, is reversed
-    once instead of sorted."""
+    Points are walked in decreasing first coordinate, as
+    ``gamma.descending()`` gives them, while the second coordinates already
+    passed are kept sorted.  Coordinates are pairwise distinct within each
+    projection, so the points passed (all with larger first coordinates)
+    that are incomparable with ``(a, b)`` are exactly those with a second
+    coordinate below ``b``, and each such pair has the glb ``(a, v)``: the
+    glbs at ``a`` are the passed second coordinates below ``b``, found by
+    one ``bisect_left`` and appended in decreasing ``v``.  Distinct pairs
+    give distinct glbs, so nothing needs deduplicating, and the list, built
+    in decreasing order, is reversed once instead of sorted."""
     out = []
     extend = out.extend
     passed = []
-    for a, b in sorted(gamma.points, reverse=True):
+    for a, b in gamma.descending():
         n = bisect_left(passed, b)
         extend(zip(repeat(a), reversed(passed[:n])))
         insort(passed, b)
@@ -132,7 +132,7 @@ def count_pure_gaps_direct(gamma: GeneratingSet) -> int:
     b)``, instead of listing them."""
     total = 0
     passed = []
-    for _, b in sorted(gamma.points, reverse=True):
+    for _, b in gamma.descending():
         total += bisect_left(passed, b)
         insort(passed, b)
     return total

@@ -57,11 +57,17 @@ class LatticePoint(namedtuple("LatticePoint", ("a", "b"))):
         return tuple.__new__(cls, (a, b))
 
 
-#: Points and a period, unvalidated: the input of the direct scan's tests
-#: on arbitrary injective sets, which a GeneratingSet, held by its chain
-#: starts, cannot hold.  The scan reads a set only by ``.points`` and
-#: ``.period``, so it runs on this as on a GeneratingSet.
-RawSet = namedtuple("RawSet", ("points", "period"))
+class RawSet(namedtuple("RawSet", ("points", "period"))):
+    """Points and a period, unvalidated: the input of the direct scan's
+    tests on arbitrary injective sets, which a GeneratingSet, held by its
+    chain starts, cannot hold.  The scan reads a set only by
+    ``.descending()`` and ``.period``, so it runs on this as on a
+    GeneratingSet; here the walk is the points sorted in reverse."""
+
+    __slots__ = ()
+
+    def descending(self):
+        return iter(sorted(self.points, reverse=True))
 
 
 def mask(bs) -> int:

@@ -219,13 +219,15 @@ FAMILY_IDS = [f"{module.__name__.split('.')[-1]}{args}"
 
 
 def assert_starts_hold_the_set(gamma):
-    """The set's points, built from its starts, are sorted; the starts
-    are their slice below the period; their number is the genus; the
-    rows read from the starts are those of a scan of the points; and the
-    points validate, in reverse order, and round-trip through the set
-    file, to the same set."""
+    """The set's points, built from its starts, are sorted, and its walk
+    from the top down is them in reverse; the starts are their slice
+    below the period; their number is the genus; the rows read from the
+    starts are those of a scan of the points; and the points validate, in
+    reverse order, and round-trip through the set file, to the same
+    set."""
     points = gamma.points
     assert list(points) == sorted(set(points))
+    assert list(gamma.descending()) == sorted(points, reverse=True)
     assert gamma.starts == points[:bisect_left(points, (gamma.period,))]
     assert len(points) == gamma.genus
     assert all(type(c) is int for point in points for c in point)
@@ -332,7 +334,7 @@ def test_validation_is_exact_on_the_grid(genus):
     and every other one is refused as the line scanner refuses it: the
     refusal's second scan runs on each.  The rows that ``decompose`` reads
     from the starts of each accepted set are those of a scan of its
-    points."""
+    points, and its walk from the top down is its points in reverse."""
     top = 2 * genus - 1
     grid = list(product(range(1, top + 1), repeat=2))
     counts = []
@@ -352,6 +354,8 @@ def test_validation_is_exact_on_the_grid(genus):
             if want:
                 assert parse_gamma(commented).points == want
                 assert decompose(gamma) == decompose_by_scan(gamma)
+                assert list(gamma.descending()) == sorted(
+                    gamma.points, reverse=True) == list(want[::-1])
                 accepted.add(subset)
             else:
                 assert _refusal(parse_gamma, commented) == \

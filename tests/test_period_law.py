@@ -40,7 +40,7 @@ def assert_agrees(tau, period):
     assert bool(found) == bool(walked)
     starts_below = all(a < period or a - period in tau for a in tau)
     starts = items[:bisect_left(items, (period,))]
-    levels = list(chain.from_iterable(_levels(starts, period)))
+    levels = list(chain.from_iterable(_levels(starts, period)))[::-1]
     assert (levels == items) == (not walked and starts_below)
     witnesses = [(beta, k) for beta, k, _ in found]
     assert set(witnesses) <= set(walked)
