@@ -67,7 +67,7 @@ class RawSet(namedtuple("RawSet", ("points", "period"))):
     __slots__ = ()
 
     def descending(self):
-        return iter(sorted(self.points, reverse=True))
+        return sorted(self.points, reverse=True)
 
 
 def mask(bs) -> int:
