@@ -26,7 +26,9 @@ the canonical rendering of a valid chain set proves the format, every
 value, the order, the exact ``int`` types and the period law at once, so
 on this route no line other than a start is split, converted or walked,
 no tuple of the set's points is built, and no set is returned that
-validation would refuse.
+validation would refuse.  The set accepted is kept with its text until
+the next read, and its dump is that text, in one piece, so a round trip
+renders the set once, to prove the text, and not again to write it.
 
 Any other text (comments, blank lines, spaces, CRLF, a last line with no
 newline, signs, underscores, leading zeros, non-ASCII digits, an invalid
@@ -37,18 +39,25 @@ chunk at a time, never the whole file's.  It lists the pairs with no map
 of coordinates, and :func:`validate_generating_set` gets them as an
 iterator, so the list dies once validation has copied it.  Only when the
 scan or validation refuses the text is it scanned a second time, by the
-same function given two maps of coordinates to lines, to name the first
-fault in line order: a coordinate already seen on a line before any
-malformed line, then the malformed line, and otherwise the point that
-validation names.  Before that scan, the traceback of validation's
-error is cleared, since its frames hold validation's copies of the set,
-so the maps are never held beside them.
+same function, to name the first fault in line order.  When validation
+names a point, by a breach of the period law or a chain starting above
+the period, it has refused every repeated coordinate first, and the
+first scan met no malformed line, so the second scan looks for that
+point's line alone and holds no map.  Otherwise it is given two maps of
+coordinates to lines: it names a coordinate already seen on a line
+before any malformed line, then the malformed line.  Before that scan,
+the traceback of validation's error is cleared, since its frames hold
+validation's copies of the set, so nothing the scan holds is held beside
+them.
 
 A set is written from its starts, one level of its chains at a time
 and at most ``_DUMP_POINTS`` points per format operation, as pieces that
 the command line writes one at a time and :func:`dump_gamma` joins, so a
 dump holds its text and the pieces of it, never a tuple of the set's
-points or a format tuple of every coordinate.
+points or a format tuple of every coordinate.  The set of the last read,
+if the chain read took it, is written as the text that read proved, in
+one piece, with nothing rendered; it is matched by identity, and a JSON
+dump is always rendered.
 """
 
 from __future__ import annotations
@@ -68,11 +77,20 @@ _CHUNK_CHARS = 1 << 16
 #: Points formatted at a time by :func:`dump_pieces`.
 _DUMP_POINTS = 4096
 
+#: ``(gamma, text)``: the set of the last read, if the chain read took it,
+#: and the text that read proved to be its dump; else ``(None, None)``.
+_proved = None, None
+
 
 def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
-    """Parse and validate the text of a generating set file."""
+    """Parse and validate the text of a generating set file.  A set that
+    the chain read accepts is held with ``text`` until the next read, so
+    :func:`dump_gamma` of it returns ``text`` itself, in one piece."""
+    global _proved
+    _proved = None, None
     gamma = _read_chains(text)
     if gamma is not None:
+        _proved = gamma, text
         return gamma
     try:
         period, pairs = _scan_lines(text, source)
@@ -82,12 +100,17 @@ def parse_gamma(text: str, source: str = "<string>") -> GeneratingSet:
         error = None  # the second scan raises it again, or an earlier repeat
     except (ValidationError, OverflowError) as exc:
         error = exc.with_traceback(None)  # its frames hold validation's points
-    first_line, second_line = {}, {}
-    _scan_lines(text, source, first_line, second_line)
-    if not isinstance(error, ValidationError):
-        raise error
     beta = getattr(error, "beta", None)
-    where = f" (point at line {first_line[beta]})" if beta in first_line else ""
+    if beta is None:
+        _scan_lines(text, source, {}, {})
+        if not isinstance(error, ValidationError):
+            raise error
+        where = ""
+    else:
+        # validation names a point only once it has refused every repeated
+        # coordinate, and the first scan met no malformed line, so the
+        # point's line is all that is left to find
+        where = f" (point at line {_scan_lines(text, source, find=beta)})"
     raise GammaFileError(
         f"{source}: {type(error).__name__}: {error}{where}") from error
 
@@ -140,11 +163,14 @@ def _chunks(text: str):
         start = end
 
 
-def _scan_lines(text: str, source: str, first_line=None, second_line=None):
+def _scan_lines(text: str, source: str, first_line=None, second_line=None,
+                find=None):
     """``(period, pairs)`` of ``text``, read line by line, one chunk of it
     at a time; GammaFileError for the first line at fault, a bad header or
     pair.  Given the two dicts, it maps each coordinate to its line in
-    them, raises for a coordinate already seen too, and lists no pair."""
+    them, raises for a coordinate already seen too, and lists no pair.
+    Given ``find``, the first coordinate of a pair, it lists no pair and
+    returns the line of the first such pair."""
     period = None
     pairs = []
     lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
@@ -179,7 +205,10 @@ def _scan_lines(text: str, source: str, first_line=None, second_line=None):
                 f"{source}: line {lineno}: non-integer coordinate in {line!r}"
             ) from None
         if first_line is None:
-            pairs.append((a, b))
+            if find is None:
+                pairs.append((a, b))
+            elif a == find:
+                return lineno
         elif a in first_line:
             raise GammaFileError(
                 f"{source}: DuplicateFirstCoordinate at line {lineno}: {a} "
@@ -199,6 +228,8 @@ def load_gamma(path) -> GeneratingSet:
     """Read and validate a generating set file from disk.  A file that is
     not UTF-8 raises GammaFileError naming the line of its first bad
     byte."""
+    global _proved
+    _proved = None, None  # the last read's text is not held beside this one
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -214,7 +245,9 @@ def load_gamma(path) -> GeneratingSet:
 
 def dump_gamma(gamma: GeneratingSet) -> str:
     """Serialize a generating set in the exchange format (sorted points):
-    the pieces of :func:`dump_pieces`, joined."""
+    the pieces of :func:`dump_pieces`, joined.  For the set of the last
+    read, if the chain read took it, that is the one piece, so the text
+    read is returned itself, with nothing rendered."""
     return "".join(dump_pieces(gamma))
 
 
@@ -229,9 +262,19 @@ def dump_pieces(gamma: GeneratingSet, fmt: str = "tsv"):
     ``i*period < b0``, after level ``i - 1``.  A level is held as two int
     lists, its first and its second coordinates, interleaved into one flat
     list by slice assignment, so a dump builds no tuple per point and holds
-    one level's coordinates and one piece's format tuple at a time."""
-    starts, period = gamma
+    one level's coordinates and one piece's format tuple at a time.
+
+    The ``"tsv"`` dump of the set of the last read, if the chain read took
+    it, is the text that read proved to be this dump, yielded whole as
+    one piece, with nothing rendered.  The set is matched by identity, so
+    an equal set built otherwise, or read before the last read, is
+    rendered."""
     as_json = fmt == "json"
+    proved, text = _proved  # read once: a read in another thread may reset it
+    if gamma is proved and not as_json:
+        yield text
+        return
+    starts, period = gamma
     yield (f'{{"period": {period}, "points": [' if as_json
            else f"period {period}\n")
     cell = ", [%s, %s]" if as_json else "%s\t%s\n"

@@ -139,16 +139,19 @@ def period_law_violations(period: int, items: list) -> Iterator[tuple]:
     that, so every yielded ``(beta, k)`` breaks the law at that shift.
 
     It is the diagnostic of a set that validation's chain check has
-    refused, run only to name a breach: it builds the map and walks it
-    point by point, in time linear up to the first breach, and each later
-    run break scans forward to the next first coordinate of its class.
+    refused, run only to name a breach: it walks the points in order,
+    finding each successor by a binary search that starts where the last
+    one ended, so it holds no map of the set, and each later run break
+    scans forward to the next first coordinate of its class.
     """
-    tau = dict(items)
     last = {a % period: a for a, _ in items}  # each class's largest
+    ahead = 0  # where the search for the next successor starts
     for i, (a, b) in enumerate(items):
         shifted = a + period
         if period < b:
-            got = tau.get(shifted)
+            ahead = bisect_left(items, (shifted,), ahead)
+            got = (items[ahead][1] if ahead < len(items)
+                   and items[ahead][0] == shifted else None)
             if got != b - period:
                 found = "absent" if got is None else f"maps to {got}"
                 yield a, 1, (f"({a}, {b}) with k=1: requires ({shifted}, "
@@ -297,7 +300,9 @@ def _raise_bad_point(pts: list, period: int) -> None:
     for the first duplicate coordinate in sorted order.  The first step of
     the point-by-point walk, run once a chain check has failed; it returns
     when none of these is the fault, such as when the points break only
-    the period law, or are a valid set with int-subclass coordinates."""
+    the period law, or are a valid set with int-subclass coordinates.  It
+    holds a set of the second coordinates only when one repeats, as their
+    sorted list shows."""
     for point in pts:
         if len(point) != 2 or not all(
                 isinstance(c, int) and type(c) is not bool for c in point):
@@ -313,14 +318,18 @@ def _raise_bad_point(pts: list, period: int) -> None:
         if a > COORD_MAX or b > COORD_MAX:
             raise OverflowError(
                 f"coordinate outside 64-bit signed range in ({a}, {b})")
+    seconds = sorted(map(itemgetter(1), pts))
+    # a set of the second coordinates seen is held only if one repeats
+    seen_b = None if all(map(lt, seconds, islice(seconds, 1, None))) else set()
+    del seconds
     prev = None  # sorted, a repeated first coordinate follows itself
-    seen_b = set()
     for a, b in sorted(pts):
         if a == prev:
             raise DuplicateFirstCoordinateError(
                 f"first coordinate {a} appears twice")
-        if b in seen_b:
-            raise DuplicateSecondCoordinateError(
-                f"second coordinate {b} appears twice")
+        if seen_b is not None:
+            if b in seen_b:
+                raise DuplicateSecondCoordinateError(
+                    f"second coordinate {b} appears twice")
+            seen_b.add(b)
         prev = a
-        seen_b.add(b)

@@ -696,6 +696,22 @@ class TestCanonicalChunks:
         assert "(491, 491) with k=97: 49088 may not be" in message
         assert ratio <= 2.5, ratio
 
+    def test_period_law_refusal_costs_about_a_read(self):
+        """The same breach, named with no map of the set: validation finds
+        each successor by a binary search and checks the second
+        coordinates for a repeat by one sort, and the second scan looks for
+        the named point's line alone, so the refusal peaks at most 1.25
+        times as high as the commented read (1.10 times under Python
+        3.11.7, where a map of lines, a map of the set and a set of its
+        second coordinates took 1.91 times)."""
+        text = dump_gamma(kummer_generating_set(501, 100))
+        with counting_scans() as scan:
+            message, ratio = self.refusal_over_read(
+                text, text + "49088\t496\n")
+        assert message.endswith("since 97*501 >= 491 (point at line 492)")
+        assert scan.call_args_list[1].kwargs == {"find": 491}
+        assert ratio <= 1.25, ratio
+
     def test_repeated_line_refusal_peak_is_bounded_by_a_read(self):
         """The same text with its line 20,001 appended again is refused by
         validation after the first scan, and the second scan names both
@@ -706,6 +722,122 @@ class TestCanonicalChunks:
         message, ratio = self.refusal_over_read(text, repeated)
         assert "line 24752: 27755 first seen at line 20001" in message
         assert ratio <= 2.0, ratio
+
+
+# --- the proved text --------------------------------------------------------
+
+def canonical_texts():
+    """The dump of every family set of the pool and of the nd5 and nd7
+    sets: texts the chain read takes."""
+    gammas = [props.get_gamma(point) for point in props.FAMILY_POOL]
+    gammas += [parse_gamma(text) for text, _ in
+               test_cli.TestStream.NON_DIAGONAL.values()]
+    return [dump_gamma(gamma) for gamma in gammas]
+
+
+#: Reads that follow a canonical read: another canonical text, a text the
+#: line scan takes, a text refused for a breach of the period law, and a
+#: file that is not UTF-8.
+SECOND_READS = {
+    "canonical": "period 4\n1\t5\n2\t2\n5\t1\n",
+    "commented": "# a comment\nperiod 4\n1\t5\n2\t2\n5\t1\n",
+    "refused": "period 9\n3\t3\n12\t5\n",
+    "not_utf8": b"\xffperiod 4\n",
+}
+
+
+@pytest.fixture(params=[1, gammafile._DUMP_POINTS], ids=["one", "default"])
+def dump_points(request):
+    """``_DUMP_POINTS`` at one point per piece, and at its default."""
+    with mock.patch.object(gammafile, "_DUMP_POINTS", request.param):
+        yield request.param
+
+
+class TestProvedText:
+    """A set the chain read takes dumps as the text it was proved against,
+    the same object, in one piece; every other set, and every JSON dump,
+    is rendered, to the same text as before."""
+
+    def test_dump_is_the_text_read(self, dump_points):
+        for text in canonical_texts():
+            gamma = parse_gamma(text)
+            assert dump_gamma(gamma) is text
+            assert list(gammafile.dump_pieces(gamma)) == [text]
+
+    def test_load_dumps_the_decoded_text(self, tmp_path, dump_points):
+        path = tmp_path / "set.gamma"
+        for text in canonical_texts():
+            path.write_text(text, encoding="utf-8")
+            with mock.patch.object(gammafile, "parse_gamma",
+                                   wraps=gammafile.parse_gamma) as parse:
+                gamma = gammafile.load_gamma(path)
+            assert dump_gamma(gamma) is parse.call_args.args[0]
+            assert dump_gamma(gamma) == text
+
+    def test_equal_set_is_rendered(self, dump_points):
+        for text in canonical_texts():
+            gamma = parse_gamma(text)
+            equal = validate_generating_set(gamma.points, gamma.period)
+            assert equal == gamma and equal is not gamma
+            dumped = dump_gamma(equal)
+            assert dumped == text and dumped is not text
+
+    def test_json_is_rendered(self, dump_points):
+        for text in canonical_texts():
+            gamma = parse_gamma(text)
+            fresh = validate_generating_set(gamma.points, gamma.period)
+            got = "".join(gammafile.dump_pieces(gamma, "json"))
+            assert got == "".join(gammafile.dump_pieces(fresh, "json"))
+            assert got == TestStreamedGammaEmission.expected(gamma, "json")
+
+    @pytest.mark.parametrize("kind", sorted(SECOND_READS))
+    def test_a_later_read_releases_the_text(self, tmp_path, dump_points,
+                                            kind):
+        """After any later read, taken or refused, the first set is
+        rendered again, to its own text."""
+        path = tmp_path / "second.gamma"
+        second = SECOND_READS[kind]
+        reads = [lambda: gammafile.load_gamma(path)]
+        if isinstance(second, bytes):
+            path.write_bytes(second)
+        else:
+            path.write_text(second, encoding="utf-8")
+            reads.append(lambda: parse_gamma(second))
+        for text in canonical_texts():
+            for read in reads:
+                first = parse_gamma(text)
+                if kind in ("refused", "not_utf8"):
+                    with pytest.raises(GammaFileError):
+                        read()
+                else:
+                    read()
+                dumped = dump_gamma(first)
+                assert dumped == text and dumped is not text
+
+    def test_line_scan_read_dumps_the_canonical_text(self, dump_points):
+        for text in canonical_texts():
+            for layout in ("# a comment\n" + text,
+                           text.replace("\n", "\r\n"),
+                           text.replace("\t", "  ")):
+                gamma = parse_gamma(layout)
+                assert dump_gamma(gamma) == text
+
+    def test_dump_of_a_read_set_builds_nothing(self, tmp_path):
+        """Kummer (4501, 30) loaded from its file dumps as the text read,
+        so the dump's traced peak is under 1% of the text's size; a
+        rendered dump peaks near twice the text."""
+        path = tmp_path / "k4501-30.gamma"
+        path.write_text(dump_gamma(kummer_generating_set(4501, 30)),
+                        encoding="utf-8")
+        gamma = gammafile.load_gamma(path)
+        tracemalloc.start()
+        try:
+            text = dump_gamma(gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == path.read_text(encoding="utf-8")
+        assert peak < 0.01 * sys.getsizeof(text), (peak, len(text))
 
 
 class TestStreamedGammaEmission:
